@@ -17,15 +17,27 @@
 //!   rectangle;
 //! * **deletion** of `(s, t)` can only lengthen distances and can only affect
 //!   pairs `(x, y)` whose old shortest path went through the deleted edge
-//!   (`std(x, s) + 1 + std(t, y) = old(x, y)`); the rows of those affected
-//!   sources are rebuilt with a BFS on the updated graph.
+//!   (`std(x, s) + 1 + std(t, y) = old(x, y)`). Such a pair forces `(s, y)`
+//!   to change too, so one BFS from `s` yields the affected sinks; and the
+//!   prefix `x ⇝ s → t` of its old shortest path is itself shortest
+//!   (*prefix optimality*), so `old(x, t) = std(x, s) + 1` — the mirror of
+//!   the insertion filter. The sources passing that filter are bucketed
+//!   under the affected sinks in one **row-major** pass (each source's row
+//!   is contiguous; the sinks' columns are 2·|V| bytes apart), and every
+//!   sink's column is then repaired by a Dijkstra-style pass over its
+//!   bucket;
+//! * a **batch** is replayed unit by unit against a [`BatchReplay`] view of
+//!   the post-batch graph — never a copy of it — and the units' `AFF1`s are
+//!   folded into the batch's net `AFF1` once, at the end.
 
 use crate::matrix::DistanceMatrix;
 use crate::UNREACHABLE;
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, NodeId};
-use rustc_hash::{FxHashMap, FxHashSet};
+use gpm_graph::{Adjacency, BatchReplay, DataGraph, NodeId};
+use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A single edge update applied to a data graph.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,14 +67,6 @@ impl EdgeUpdate {
         match *self {
             EdgeUpdate::Insert(a, b) => g.try_add_edge(a, b).unwrap_or(false),
             EdgeUpdate::Delete(a, b) => g.remove_edge(a, b).is_ok(),
-        }
-    }
-
-    /// The inverse update (insert <-> delete of the same edge).
-    pub fn inverse(&self) -> EdgeUpdate {
-        match *self {
-            EdgeUpdate::Insert(a, b) => EdgeUpdate::Delete(a, b),
-            EdgeUpdate::Delete(a, b) => EdgeUpdate::Insert(a, b),
         }
     }
 }
@@ -100,7 +104,8 @@ impl AffectedPair {
 /// The set `AFF1` of node pairs whose pairwise distance changed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AffectedPairs {
-    /// The affected pairs, in no particular order.
+    /// The affected pairs. A batch's `AFF1` is sorted by `(source, sink)`;
+    /// a unit update's is in the order the kernel found the pairs.
     pub pairs: Vec<AffectedPair>,
 }
 
@@ -120,23 +125,21 @@ impl AffectedPairs {
         self.pairs.iter()
     }
 
-    /// Merges another `AFF1` into this one, keeping the earliest `old` value
-    /// and the latest `new` value for pairs affected more than once, and
-    /// dropping pairs whose distance ends up unchanged.
-    pub fn merge(&mut self, later: AffectedPairs) {
-        use rustc_hash::FxHashMap;
-        let mut by_pair: FxHashMap<(NodeId, NodeId), AffectedPair> = self
-            .pairs
-            .drain(..)
-            .map(|p| ((p.source, p.sink), p))
-            .collect();
-        for p in later.pairs {
-            by_pair
-                .entry((p.source, p.sink))
-                .and_modify(|existing| existing.new = p.new)
-                .or_insert(p);
+    /// The net `AFF1` of a sequence of unit `AFF1`s laid end to end: per
+    /// pair the earliest `old` and the latest `new` value, pairs whose
+    /// distance ends up unchanged dropped, sorted by `(source, sink)`.
+    pub(crate) fn net(mut sequence: Vec<AffectedPair>) -> AffectedPairs {
+        // Stable, so the entries of one pair stay in unit order.
+        sequence.sort_by_key(|p| (p.source, p.sink));
+        let mut pairs: Vec<AffectedPair> = Vec::with_capacity(sequence.len());
+        for p in sequence {
+            match pairs.last_mut() {
+                Some(last) if (last.source, last.sink) == (p.source, p.sink) => last.new = p.new,
+                _ => pairs.push(p),
+            }
         }
-        self.pairs = by_pair.into_values().filter(|p| p.old != p.new).collect();
+        pairs.retain(|p| p.old != p.new);
+        AffectedPairs { pairs }
     }
 }
 
@@ -144,8 +147,8 @@ impl AffectedPairs {
 ///
 /// `g` must already reflect the update (edge inserted/removed); `matrix` must
 /// be the matrix of the graph *before* the update. Returns `AFF1`.
-pub fn update_matrix(
-    g: &DataGraph,
+pub fn update_matrix<G: Adjacency>(
+    g: &G,
     matrix: &mut DistanceMatrix,
     update: EdgeUpdate,
 ) -> AffectedPairs {
@@ -161,8 +164,8 @@ pub fn update_matrix(
 /// read-only during repair). Results are merged in source/sink order, so the
 /// outcome — including the order of `AFF1` — is identical at every thread
 /// count.
-pub fn update_matrix_with(
-    g: &DataGraph,
+pub fn update_matrix_with<G: Adjacency>(
+    g: &G,
     matrix: &mut DistanceMatrix,
     update: EdgeUpdate,
     exec: &Executor,
@@ -179,7 +182,8 @@ pub fn update_matrix_with(
 /// between the state before the first update and after the last one).
 ///
 /// `g` must reflect the state *after the whole batch*; `updates` lists the
-/// updates in application order.
+/// updates in application order. Updates that are no-ops at their position
+/// (duplicate inserts, missing deletes, unknown endpoints) are skipped.
 pub fn update_matrix_batch(
     g: &DataGraph,
     matrix: &mut DistanceMatrix,
@@ -198,29 +202,45 @@ pub fn update_matrix_batch_with(
     updates: &[EdgeUpdate],
     exec: &Executor,
 ) -> AffectedPairs {
-    // Replay the batch on a scratch copy of the graph so each unit update
-    // sees the right intermediate adjacency.
-    let mut combined = AffectedPairs::default();
-    if updates.is_empty() {
-        return combined;
-    }
-    // Reconstruct the pre-batch graph by undoing the updates in reverse.
-    let mut scratch = g.clone();
-    for u in updates.iter().rev() {
-        u.inverse().apply(&mut scratch);
-    }
-    for u in updates {
-        if !u.apply(&mut scratch) {
-            continue; // no-op update (duplicate insert / missing delete)
-        }
-        let aff = update_matrix_with(&scratch, matrix, *u, exec);
-        combined.merge(aff);
-    }
-    combined
+    replay_batch(
+        matrix,
+        g,
+        updates,
+        |m, from, to| m.get(from, to) == 1,
+        |m, view, u| update_matrix_with(view, m, u, exec).pairs,
+    )
 }
 
-fn apply_insertion(
+/// The one batch-replay loop of the crate: steps a [`BatchReplay`] view of
+/// `g` (the post-batch graph) through `updates`, hands every *effective*
+/// update to `unit` together with the graph at that position, and folds the
+/// units' `AFF1`s into the batch's net `AFF1`.
+///
+/// `oracle` still reflects the pre-batch graph when this is called, which is
+/// what makes the rewind exact: `existed_before` answers whether a touched
+/// edge was there before the batch (its non-empty distance is 1).
+pub(crate) fn replay_batch<O>(
+    oracle: &mut O,
     g: &DataGraph,
+    updates: &[EdgeUpdate],
+    existed_before: impl Fn(&O, NodeId, NodeId) -> bool,
+    mut unit: impl FnMut(&mut O, &BatchReplay<'_>, EdgeUpdate) -> Vec<AffectedPair>,
+) -> AffectedPairs {
+    let mut view = BatchReplay::rewind(g, updates.iter().map(EdgeUpdate::endpoints), |a, b| {
+        existed_before(oracle, a, b)
+    });
+    let mut sequence = Vec::new();
+    for &u in updates {
+        let (from, to) = u.endpoints();
+        if view.set_edge(from, to, u.is_insert()) {
+            sequence.extend(unit(oracle, &view, u));
+        }
+    }
+    AffectedPairs::net(sequence)
+}
+
+fn apply_insertion<G: Adjacency>(
+    g: &G,
     matrix: &mut DistanceMatrix,
     s: NodeId,
     t: NodeId,
@@ -288,8 +308,8 @@ fn apply_insertion(
     AffectedPairs { pairs: affected }
 }
 
-fn apply_deletion(
-    g: &DataGraph,
+fn apply_deletion<G: Adjacency>(
+    g: &G,
     matrix: &mut DistanceMatrix,
     s: NodeId,
     t: NodeId,
@@ -300,7 +320,6 @@ fn apply_deletion(
         "graph must no longer contain the deleted edge"
     );
     let n = g.node_count();
-    let mut affected = Vec::new();
 
     // A pair (x, y) can only be affected if *every* old shortest path from x
     // to y went through the deleted edge, which forces
@@ -310,78 +329,66 @@ fn apply_deletion(
     // D of truly affected sinks; (2) repair each sink in D independently with
     // a Dijkstra-style pass over its candidate sources (the Ramalingam–Reps
     // deletion repair), touching only work proportional to the affected area.
-    let old_from_t: Vec<u16> = (0..n as u32)
-        .map(|yi| {
-            let y = NodeId::new(yi);
-            if y == t {
+    let changed = matrix.rebuild_row(g, s);
+    let mut affected: Vec<AffectedPair> = changed
+        .iter()
+        .map(|&(sink, old, new)| AffectedPair {
+            source: s,
+            sink,
+            old,
+            new,
+        })
+        .collect();
+    // The changed sinks t reached, with std_old(t, y). Row t still holds old
+    // values unless it is the row just rebuilt (a self-loop deletion), and
+    // then the diff carries them.
+    let repair_sinks: Vec<(NodeId, u16)> = changed
+        .iter()
+        .filter_map(|&(y, old, _)| {
+            let from_t = if y == t {
                 0
+            } else if s == t {
+                old
             } else {
                 matrix.get(t, y)
-            }
-        })
-        .collect();
-    let changed_sinks: Vec<NodeId> = matrix
-        .rebuild_row(g, s)
-        .into_iter()
-        .map(|(sink, old, new)| {
-            affected.push(AffectedPair {
-                source: s,
-                sink,
-                old,
-                new,
-            });
-            sink
-        })
-        .collect();
-    if changed_sinks.is_empty() {
-        return AffectedPairs { pairs: affected };
-    }
-    // Candidate sources: nodes with a finite (old) distance to s. The column
-    // of s is never modified by the per-sink repairs (no shortest path to s
-    // can use the edge (s, t)), so reading it here is safe.
-    let sources_to_s: Vec<(NodeId, u16)> = (0..n as u32)
-        .map(NodeId::new)
-        .filter(|&x| x != s)
-        .filter_map(|x| {
-            let d = matrix.get(x, s);
-            (d != UNREACHABLE).then_some((x, d))
-        })
-        .collect();
-
-    // Repair the affected sinks: each repair touches only its own matrix
-    // column (plus the read-only `sources_to_s` snapshot of the column of
-    // `s`), so the sinks partition the affected area across the workers.
-    // When the region actually runs parallel, every task computes its
-    // column's changes against the unmodified matrix (pending values in a
-    // local overlay) and the changes are applied in sink order afterwards;
-    // a single-worker region writes the matrix in place instead, skipping
-    // the overlay lookups. Both column stores run the identical repair
-    // algorithm, so the output — order included — is the same either way
-    // (the determinism suite pits the two paths against each other).
-    let repair_sinks: Vec<(NodeId, u16)> = changed_sinks
-        .iter()
-        .filter_map(|&y| {
-            let from_t = old_from_t[y.index()];
+            };
             (from_t != UNREACHABLE).then_some((y, from_t))
         })
         .collect();
+    if repair_sinks.is_empty() {
+        return AffectedPairs { pairs: affected };
+    }
+    let candidates = gather_candidates(matrix, s, t, &repair_sinks);
+
+    // Repair the affected sinks: each repair touches only its own matrix
+    // column, so the sinks partition the affected area across the workers
+    // (and gathering every sink's candidates up front reads the same values
+    // a per-sink scan would). When the region actually runs parallel, every
+    // task computes its column's changes against the unmodified matrix
+    // (pending values in a local overlay) and the changes are applied in
+    // sink order afterwards; a single-worker region writes the matrix in
+    // place instead, skipping the overlay lookups. Both column stores run
+    // the identical repair algorithm, so the output — order included — is
+    // the same either way (the determinism suite pits the two paths against
+    // each other).
     if repair_sinks.len() <= 1 || !exec.parallelism().should_parallelise(n) {
-        for &(y, from_t) in &repair_sinks {
+        let mut state = vec![SETTLED; n];
+        for (&(y, _), candidates) in repair_sinks.iter().zip(&candidates) {
             let mut column = DirectColumn { matrix, y };
-            compute_sink_repair(g, &mut column, y, from_t, &sources_to_s, &mut affected);
+            compute_sink_repair(g, &mut column, y, candidates, &mut state, &mut affected);
         }
         return AffectedPairs { pairs: affected };
     }
     let snapshot: &DistanceMatrix = matrix;
     let per_sink: Vec<Vec<AffectedPair>> = exec.map_tasks(repair_sinks.len(), n, |i| {
-        let (y, from_t) = repair_sinks[i];
+        let y = repair_sinks[i].0;
         let mut column = SnapshotColumn {
             matrix: snapshot,
             y,
             settled: FxHashMap::default(),
         };
-        let mut changes = Vec::new();
-        compute_sink_repair(g, &mut column, y, from_t, &sources_to_s, &mut changes);
+        let (mut changes, mut state) = (Vec::new(), vec![SETTLED; n]);
+        compute_sink_repair(g, &mut column, y, &candidates[i], &mut state, &mut changes);
         changes
     });
     for changes in per_sink {
@@ -391,6 +398,42 @@ fn apply_deletion(
         }
     }
     AffectedPairs { pairs: affected }
+}
+
+/// The affected-source candidates of every repair sink after the deletion
+/// of `(s, t)`, in ascending source order: `x ≠ s` is a candidate for `y`
+/// iff `old(x, y) = std(x, s) + 1 + std_old(t, y)`.
+///
+/// One source-major pass. A source is skipped outright unless
+/// `old(x, t) = std(x, s) + 1` (prefix optimality, module docs); the ones
+/// left scan their own contiguous row against `repair_sinks`, the
+/// `(y, std_old(t, y))` list. Rows other than `s` and the column of `s`
+/// still hold pre-deletion values (no shortest path to `s` uses `(s, t)`).
+fn gather_candidates(
+    matrix: &DistanceMatrix,
+    s: NodeId,
+    t: NodeId,
+    repair_sinks: &[(NodeId, u16)],
+) -> Vec<Vec<NodeId>> {
+    let mut per_sink = vec![Vec::new(); repair_sinks.len()];
+    for x in (0..matrix.node_count() as u32).map(NodeId::new) {
+        let row = matrix.row(x);
+        let to_s = row[s.index()];
+        if x == s || to_s == UNREACHABLE {
+            continue;
+        }
+        let to_t = u32::from(to_s) + 1;
+        if u32::from(row[t.index()]) != to_t {
+            continue;
+        }
+        for (&(y, from_t), bucket) in repair_sinks.iter().zip(&mut per_sink) {
+            let old = row[y.index()];
+            if old != UNREACHABLE && u32::from(old) == to_t + u32::from(from_t) {
+                bucket.push(x);
+            }
+        }
+    }
+    per_sink
 }
 
 /// One matrix column as seen by a sink repair (see [`compute_sink_repair`]).
@@ -442,95 +485,77 @@ impl ColumnStore for SnapshotColumn<'_> {
     }
 }
 
+/// Per-node state of one sink repair: everything outside the candidate list
+/// is `SETTLED`; a candidate is `PENDING` until its new distance is `FINAL`.
+const SETTLED: u8 = 0;
+const PENDING: u8 = 1;
+const FINAL: u8 = 2;
+
 /// Repairs the column of sink `y` after the deletion of `(s, t)`, reading
 /// and writing the column through a [`ColumnStore`] and appending every
 /// change to `changes`.
 ///
-/// `sources_to_s` holds every node with a finite standard distance to `s`
-/// (the only possible affected sources); `from_t` is the old standard
-/// distance from `t` to `y`. Non-candidate nodes keep provably correct
-/// values and act as the fixed boundary of a Dijkstra-like repair.
-fn compute_sink_repair<C: ColumnStore>(
-    g: &DataGraph,
+/// `candidates` are the only possible affected sources (see
+/// [`gather_candidates`]). Non-candidate nodes keep provably correct values
+/// and act as the fixed boundary of a Dijkstra-like repair. `state` is one
+/// entry per node, all-`SETTLED` on entry and on return, so the sinks of a
+/// deletion share it.
+fn compute_sink_repair<G: Adjacency, C: ColumnStore>(
+    g: &G,
     column: &mut C,
     y: NodeId,
-    from_t: u16,
-    sources_to_s: &[(NodeId, u16)],
+    candidates: &[NodeId],
+    state: &mut [u8],
     changes: &mut Vec<AffectedPair>,
 ) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    // Affected-source candidates for this sink: old(x, y) = to_s + 1 + from_t.
-    let mut candidates: Vec<NodeId> = Vec::new();
-    for &(x, to_s) in sources_to_s {
-        let old = column.get(x);
-        if old != UNREACHABLE && u32::from(old) == u32::from(to_s) + 1 + u32::from(from_t) {
-            candidates.push(x);
-        }
-    }
     if candidates.is_empty() {
         return;
     }
-    // Membership / finalization bookkeeping local to the candidate set.
-    let mut in_repair: FxHashSet<NodeId> = candidates.iter().copied().collect();
-    let mut finalized: FxHashSet<NodeId> = FxHashSet::default();
+    let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
+    for &x in candidates {
+        state[x.index()] = PENDING;
+    }
 
-    // Standard distance from `w` to `y` using only provably-correct values
-    // (boundary nodes and already-finalized candidates).
-    let std_to_y = |w: NodeId,
-                    column: &C,
-                    in_repair: &FxHashSet<NodeId>,
-                    finalized: &FxHashSet<NodeId>|
-     -> Option<u32> {
-        if w == y {
-            return Some(0);
-        }
-        if in_repair.contains(&w) && !finalized.contains(&w) {
-            return None;
-        }
-        match column.get(w) {
-            UNREACHABLE => None,
-            d => Some(u32::from(d)),
-        }
+    // Best standard distance from `x` to `y` over the out-neighbours whose
+    // own distance is provably correct (boundary nodes and finalized
+    // candidates).
+    let best_via_neighbours = |x: NodeId, column: &C, state: &[u8]| -> Option<u32> {
+        g.out_neighbors(x)
+            .iter()
+            .filter_map(|&w| {
+                if w == y {
+                    return Some(1);
+                }
+                if state[w.index()] == PENDING {
+                    return None;
+                }
+                match column.get(w) {
+                    UNREACHABLE => None,
+                    d => Some(u32::from(d) + 1),
+                }
+            })
+            .min()
     };
 
-    let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
-    for &x in &candidates {
-        let mut best = None;
-        for &w in g.out_neighbors(x) {
-            if let Some(d) = std_to_y(w, column, &in_repair, &finalized) {
-                let via = d + 1;
-                if best.map_or(true, |b| via < b) {
-                    best = Some(via);
-                }
-            }
-        }
-        if let Some(b) = best {
-            heap.push(Reverse((b, x)));
+    for &x in candidates {
+        if let Some(best) = best_via_neighbours(x, column, state) {
+            heap.push(Reverse((best, x)));
         }
     }
 
     while let Some(Reverse((dist, x))) = heap.pop() {
-        if finalized.contains(&x) {
+        if state[x.index()] == FINAL {
             continue;
         }
         // Lazy-deletion Dijkstra: verify the entry is still the best known.
-        let mut best = None;
-        for &w in g.out_neighbors(x) {
-            if let Some(d) = std_to_y(w, column, &in_repair, &finalized) {
-                let via = d + 1;
-                if best.map_or(true, |b| via < b) {
-                    best = Some(via);
-                }
-            }
-        }
-        let Some(best) = best else { continue };
+        let Some(best) = best_via_neighbours(x, column, state) else {
+            continue;
+        };
         if best > dist {
             heap.push(Reverse((best, x)));
             continue;
         }
-        finalized.insert(x);
+        state[x.index()] = FINAL;
         let new = if best >= u32::from(UNREACHABLE) {
             UNREACHABLE - 1
         } else {
@@ -548,25 +573,27 @@ fn compute_sink_repair<C: ColumnStore>(
         }
         // Relax candidate predecessors of x.
         for &p in g.in_neighbors(x) {
-            if in_repair.contains(&p) && !finalized.contains(&p) {
+            if state[p.index()] == PENDING {
                 heap.push(Reverse((u32::from(new) + 1, p)));
             }
         }
     }
 
     // Candidates never finalized are no longer able to reach y at all.
-    in_repair.retain(|x| !finalized.contains(x));
-    for x in in_repair {
-        let old = column.get(x);
-        if old != UNREACHABLE {
-            column.set(x, UNREACHABLE);
-            changes.push(AffectedPair {
-                source: x,
-                sink: y,
-                old,
-                new: UNREACHABLE,
-            });
+    for &x in candidates {
+        if state[x.index()] == PENDING {
+            let old = column.get(x);
+            if old != UNREACHABLE {
+                column.set(x, UNREACHABLE);
+                changes.push(AffectedPair {
+                    source: x,
+                    sink: y,
+                    old,
+                    new: UNREACHABLE,
+                });
+            }
         }
+        state[x.index()] = SETTLED;
     }
 }
 
@@ -599,7 +626,6 @@ mod tests {
         assert_eq!(ins.endpoints(), (n(2), n(0)));
         assert!(ins.is_insert());
         assert!(!del.is_insert());
-        assert_eq!(ins.inverse(), EdgeUpdate::Delete(n(2), n(0)));
         assert_eq!(ins.to_string(), "+(v2, v0)");
         assert_eq!(del.to_string(), "-(v0, v1)");
         assert!(ins.apply(&mut g));
@@ -685,36 +711,26 @@ mod tests {
     }
 
     #[test]
-    fn affected_pairs_merge() {
-        let mut a = AffectedPairs {
-            pairs: vec![AffectedPair {
-                source: n(0),
-                sink: n(1),
-                old: 3,
-                new: 5,
-            }],
+    fn net_aff1_chains_units_and_sorts() {
+        let pair = |a, b, old, new| AffectedPair {
+            source: n(a),
+            sink: n(b),
+            old,
+            new,
         };
-        let b = AffectedPairs {
-            pairs: vec![
-                AffectedPair {
-                    source: n(0),
-                    sink: n(1),
-                    old: 5,
-                    new: 3,
-                },
-                AffectedPair {
-                    source: n(2),
-                    sink: n(3),
-                    old: UNREACHABLE,
-                    new: 1,
-                },
-            ],
-        };
-        a.merge(b);
-        // (0,1) went 3 -> 5 -> 3: net unchanged, dropped.
-        assert_eq!(a.len(), 1);
-        assert_eq!(a.pairs[0].source, n(2));
-        assert!(!a.is_empty());
+        let net = AffectedPairs::net(vec![
+            pair(2, 3, UNREACHABLE, 4),
+            pair(0, 1, 3, 5),
+            pair(2, 3, 4, 1),
+            pair(0, 1, 5, 3),
+            pair(1, 0, 2, 7),
+        ]);
+        // (0,1) went 3 -> 5 -> 3: net unchanged, dropped; (2,3) keeps its
+        // earliest old and latest new; the rest comes out sorted.
+        assert_eq!(
+            net.pairs,
+            vec![pair(1, 0, 2, 7), pair(2, 3, UNREACHABLE, 1)]
+        );
     }
 
     #[test]
@@ -830,6 +846,89 @@ mod tests {
         }
     }
 
+    /// The candidate lists the pre-row-major column scan produced, computed
+    /// from the pre-deletion matrix alone: for every changed sink `y` that
+    /// `t` reached, the sources `x ≠ s` with
+    /// `old(x, y) = std(x, s) + 1 + std_old(t, y)`, ascending.
+    fn column_scan_candidates(
+        before: &DistanceMatrix,
+        s: NodeId,
+        t: NodeId,
+        changed_sinks: &[NodeId],
+    ) -> Vec<(NodeId, u16, Vec<NodeId>)> {
+        let nodes = || (0..before.node_count() as u32).map(n);
+        changed_sinks
+            .iter()
+            .filter_map(|&y| {
+                let from_t = if y == t { 0 } else { before.get(t, y) };
+                (from_t != UNREACHABLE).then_some((y, from_t))
+            })
+            .map(|(y, from_t)| {
+                let candidates = nodes()
+                    .filter(|&x| x != s && before.get(x, s) != UNREACHABLE)
+                    .filter(|&x| {
+                        let old = before.get(x, y);
+                        old != UNREACHABLE
+                            && u32::from(old) == u32::from(before.get(x, s)) + 1 + u32::from(from_t)
+                    })
+                    .collect();
+                (y, from_t, candidates)
+            })
+            .collect()
+    }
+
+    /// Deletes `(s, t)` from `g` and checks the row-major gather against the
+    /// column scan, then the whole unit at 1/2/8 threads (in-place and
+    /// snapshot column stores) against a rebuild and against each other.
+    fn check_deletion_kernels(g: &mut DataGraph, s: NodeId, t: NodeId) {
+        let before = DistanceMatrix::build(g);
+        g.remove_edge(s, t).unwrap();
+
+        let mut m = before.clone();
+        let changed_sinks: Vec<NodeId> =
+            m.rebuild_row(g, s).into_iter().map(|(y, _, _)| y).collect();
+        let reference = column_scan_candidates(&before, s, t, &changed_sinks);
+        let repair_sinks: Vec<(NodeId, u16)> = reference
+            .iter()
+            .map(|(y, from_t, _)| (*y, *from_t))
+            .collect();
+        let gathered = gather_candidates(&m, s, t, &repair_sinks);
+        let expected: Vec<Vec<NodeId>> = reference.into_iter().map(|(_, _, c)| c).collect();
+        assert_eq!(gathered, expected, "delete ({s}, {t})");
+
+        let rebuilt = DistanceMatrix::build(g);
+        let mut sequential = None;
+        for threads in [1, 2, 8] {
+            let exec =
+                Executor::new(gpm_exec::Parallelism::new(threads).with_sequential_threshold(0));
+            let mut m = before.clone();
+            let aff = update_matrix_with(g, &mut m, EdgeUpdate::Delete(s, t), &exec);
+            assert_eq!(m, rebuilt, "delete ({s}, {t}) at {threads} threads");
+            let first = sequential.get_or_insert_with(|| aff.clone());
+            assert_eq!(&aff, first, "delete ({s}, {t}) at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn row_major_gather_matches_column_scan_on_adversarial_topologies() {
+        use gpm_datagen::adversarial::{bowtie, deep_chain, star};
+        // Hub deletion: one source row, many sinks, every leaf a source.
+        let mut g = star(12);
+        for leaf in 1..=12 {
+            check_deletion_kernels(&mut g, n(0), n(leaf));
+        }
+        // Chain cuts: at the head (many sinks), the middle, the tail (many
+        // sources).
+        for k in [0, 7, 14] {
+            check_deletion_kernels(&mut deep_chain(16), n(k), n(k + 1));
+        }
+        // Waist → sink strands one sink from every source; source → waist
+        // empties one row.
+        let mut g = bowtie(6);
+        check_deletion_kernels(&mut g, n(0), n(7));
+        check_deletion_kernels(&mut g, n(1), n(0));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// After an arbitrary batch, the incrementally maintained matrix
@@ -855,6 +954,22 @@ mod tests {
                 }
             }
             prop_assert_eq!(changed, aff.len());
+        }
+
+        /// On random graphs every deletion of a random stream gathers the
+        /// candidates of the column scan and repairs to a rebuild at every
+        /// thread count.
+        #[test]
+        fn prop_row_major_gather_matches_column_scan(seed in 500u64..1000) {
+            let (mut g, updates) = random_graph_and_updates(seed, 14, 34, 10);
+            for u in updates {
+                match u {
+                    EdgeUpdate::Delete(s, t) => check_deletion_kernels(&mut g, s, t),
+                    EdgeUpdate::Insert(..) => {
+                        u.apply(&mut g);
+                    }
+                }
+            }
         }
     }
 }

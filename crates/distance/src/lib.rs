@@ -46,7 +46,11 @@
 //!
 //! All oracles consume the data graph through its CSR slice accessors
 //! (`out_neighbors`/`in_neighbors`), so every BFS expansion scans contiguous
-//! memory.
+//! memory. The maintenance kernels are generic over
+//! [`gpm_graph::Adjacency`]: a unit update reads the [`gpm_graph::DataGraph`]
+//! itself, a batch reads a [`gpm_graph::BatchReplay`] view of the post-batch
+//! graph stepped through the batch, so `apply_batch` never copies the graph
+//! (see the [`incremental`] module docs).
 //!
 //! The construction and maintenance procedures run on the shared `gpm-exec`
 //! executor: [`DistanceMatrix::build_with`] fans one BFS source chunk per

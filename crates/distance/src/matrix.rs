@@ -12,7 +12,7 @@
 
 use crate::UNREACHABLE;
 use gpm_exec::{Executor, Parallelism};
-use gpm_graph::{DataGraph, NodeId};
+use gpm_graph::{Adjacency, DataGraph, NodeId};
 use std::collections::VecDeque;
 
 /// All-pairs **non-empty** shortest-path distances of a data graph.
@@ -73,26 +73,28 @@ impl DistanceMatrix {
     /// Recomputes the row of source `x` against (an updated) `g`, in place.
     /// Returns the list of sinks whose distance changed, with `(old, new)`
     /// values.
-    pub fn rebuild_row(&mut self, g: &DataGraph, x: NodeId) -> Vec<(NodeId, u16, u16)> {
+    pub fn rebuild_row<G: Adjacency>(&mut self, g: &G, x: NodeId) -> Vec<(NodeId, u16, u16)> {
         debug_assert_eq!(g.node_count(), self.n, "graph/matrix size mismatch");
         let n = self.n;
-        let old_row: Vec<u16> = self.dist[x.index() * n..(x.index() + 1) * n].to_vec();
-        let mut queue = VecDeque::new();
-        {
-            let row = &mut self.dist[x.index() * n..(x.index() + 1) * n];
-            Self::bfs_row(g, x, row, &mut queue);
-        }
-        let new_row = &self.dist[x.index() * n..(x.index() + 1) * n];
+        let row = &mut self.dist[x.index() * n..(x.index() + 1) * n];
+        let old_row = row.to_vec();
+        Self::bfs_row(g, x, row, &mut VecDeque::new());
         old_row
             .iter()
-            .zip(new_row.iter())
+            .zip(row.iter())
             .enumerate()
             .filter(|(_, (o, nw))| o != nw)
             .map(|(y, (&o, &nw))| (NodeId::new(y as u32), o, nw))
             .collect()
     }
 
-    fn bfs_row(g: &DataGraph, x: NodeId, row: &mut [u16], queue: &mut VecDeque<NodeId>) {
+    /// The row of source `x`: its non-empty distance to every sink.
+    #[inline]
+    pub(crate) fn row(&self, x: NodeId) -> &[u16] {
+        &self.dist[x.index() * self.n..(x.index() + 1) * self.n]
+    }
+
+    fn bfs_row<G: Adjacency>(g: &G, x: NodeId, row: &mut [u16], queue: &mut VecDeque<NodeId>) {
         row.fill(UNREACHABLE);
         queue.clear();
         // Seed with out-neighbours at distance 1: paths must be non-empty.

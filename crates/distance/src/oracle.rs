@@ -139,45 +139,32 @@ pub trait DistanceOracle {
 
     /// `UpdateBM`: repairs the oracle after a **batch** of updates and
     /// returns the combined `AFF1` (pairs whose distance differs between the
-    /// state before the first update and after the last one).
+    /// state before the first update and after the last one), sorted by
+    /// `(source, sink)`.
     ///
     /// `g` must reflect the state after the whole batch; `updates` lists the
-    /// updates in application order. No-op updates (duplicate inserts /
-    /// missing deletes) are skipped.
+    /// updates in application order. Updates that are no-ops at their
+    /// position in the batch (duplicate inserts, missing deletes, unknown
+    /// endpoints) are skipped: a raw batch and its effective updates alone
+    /// leave the same oracle and the same `AFF1`, and a batch of no-ops
+    /// touches nothing. Implementations replay the batch against a
+    /// [`BatchReplay`](gpm_graph::BatchReplay) view of `g` — `g` is never
+    /// copied.
     ///
-    /// The default implementation reconstructs each intermediate graph by
-    /// undoing the batch in reverse on a scratch copy and replays it unit by
-    /// unit through [`apply_insert`](Self::apply_insert) /
-    /// [`apply_delete`](Self::apply_delete), merging the per-unit `AFF1`s —
-    /// the exact semantics of `update_matrix_batch_with`.
+    /// # Panics
+    ///
+    /// The default implementation panics, exactly as
+    /// [`apply_insert`](Self::apply_insert).
     fn apply_batch(
         &mut self,
-        g: &DataGraph,
-        updates: &[EdgeUpdate],
-        exec: &Executor,
+        _g: &DataGraph,
+        _updates: &[EdgeUpdate],
+        _exec: &Executor,
     ) -> AffectedPairs {
-        let mut combined = AffectedPairs::default();
-        if updates.is_empty() {
-            return combined;
-        }
-        // Reconstruct the pre-batch graph by undoing the updates in reverse.
-        let mut scratch = g.clone();
-        for u in updates.iter().rev() {
-            u.inverse().apply(&mut scratch);
-        }
-        for u in updates {
-            if !u.apply(&mut scratch) {
-                continue; // no-op update (duplicate insert / missing delete)
-            }
-            let (from, to) = u.endpoints();
-            let aff = if u.is_insert() {
-                self.apply_insert(&scratch, from, to, exec)
-            } else {
-                self.apply_delete(&scratch, from, to, exec)
-            };
-            combined.merge(aff);
-        }
-        combined
+        panic!(
+            "distance oracle `{}` does not support incremental maintenance",
+            self.name()
+        );
     }
 
     /// How many updates degraded to a full index rebuild so far.
@@ -392,62 +379,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn default_apply_batch_replays_units() {
-        // A wrapper that delegates the *unit* methods only, so the batch goes
-        // through the trait's default inverse-replay implementation — its
-        // result must equal the matrix's native batch path.
-        struct UnitOnly(DistanceMatrix);
-        impl DistanceOracle for UnitOnly {
-            fn nonempty_distance(&self, _g: &DataGraph, a: NodeId, b: NodeId) -> Option<u32> {
-                self.0.nonempty_distance(a, b)
-            }
-            fn name(&self) -> &'static str {
-                "unit-only"
-            }
-            fn supports_incremental(&self) -> bool {
-                true
-            }
-            fn apply_insert(
-                &mut self,
-                g: &DataGraph,
-                from: NodeId,
-                to: NodeId,
-                exec: &Executor,
-            ) -> AffectedPairs {
-                self.0.apply_insert(g, from, to, exec)
-            }
-            fn apply_delete(
-                &mut self,
-                g: &DataGraph,
-                from: NodeId,
-                to: NodeId,
-                exec: &Executor,
-            ) -> AffectedPairs {
-                self.0.apply_delete(g, from, to, exec)
-            }
-        }
-
-        let exec = Executor::sequential();
-        let mut g = line();
-        let mut via_default = UnitOnly(DistanceMatrix::build(&g));
-        let mut native = DistanceMatrix::build(&g);
-        let updates = [
-            EdgeUpdate::Insert(n(3), n(0)),
-            EdgeUpdate::Delete(n(0), n(1)),
-            EdgeUpdate::Insert(n(0), n(2)),
-            EdgeUpdate::Delete(n(3), n(0)), // delete the edge inserted above
-            EdgeUpdate::Insert(n(0), n(2)), // duplicate: no-op
-        ];
-        for u in &updates {
-            u.apply(&mut g);
-        }
-        let aff_default = via_default.apply_batch(&g, &updates, &exec);
-        let aff_native = native.apply_batch(&g, &updates, &exec);
-        assert_eq!(aff_default, aff_native);
-        assert_eq!(via_default.0, native);
-        assert_eq!(native, DistanceMatrix::build(&g));
     }
 }

@@ -36,18 +36,19 @@
 //!   [`prune_dominated`](IncrementalTwoHop::prune_dominated) pass.
 //!
 //! The reported `AFF1` is **bit-identical** to the distance matrix's for
-//! insertions (same pairs, same order, same old/new values) and identical
-//! *as a set* for deletions (the matrix emits its row diff before its
+//! insertions and for batches (same pairs, same order, same old/new values;
+//! a batch's net `AFF1` is sorted by `(source, sink)`) and identical *as a
+//! set* for unit deletions (the matrix emits its row diff before its
 //! per-sink repairs; the label backend emits the row diff before the
 //! rectangle diff). Downstream match repair treats `AFF1` as a set of
 //! affected sources, so both backends drive identical match deltas.
 
-use crate::incremental::{AffectedPair, AffectedPairs, EdgeUpdate};
+use crate::incremental::{replay_batch, AffectedPair, AffectedPairs, EdgeUpdate};
 use crate::oracle::DistanceOracle;
 use crate::two_hop::{merge_min, Direction, LabelEntry, TwoHopIndex};
 use crate::UNREACHABLE;
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, EdgeBound, NodeId};
+use gpm_graph::{Adjacency, DataGraph, EdgeBound, NodeId};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 
@@ -212,69 +213,17 @@ impl IncrementalTwoHop {
         dropped
     }
 
-    fn insert_repair(
+    fn insert_repair<G: Adjacency>(
         &mut self,
-        g: &DataGraph,
+        g: &G,
         s: NodeId,
         t: NodeId,
         exec: &Executor,
     ) -> AffectedPairs {
-        debug_assert!(g.has_edge(s, t), "graph must already contain the new edge");
         let n = g.node_count();
-
-        // std(x, s) and std(t, y) are unchanged by the insertion (a path
-        // using the new edge would revisit s / t and contain a removable
-        // cycle), so BFS on the *updated* graph recovers the old values the
-        // AFF1 contract needs.
-        let to_s = distance_row(g, s, Direction::Backward, false);
-        let from_t = distance_row(g, t, Direction::Forward, false);
-
-        // AFF1 over the ancestors(s) × descendants(t) rectangle, replicating
-        // the matrix computation pair for pair (same order, same values);
         // `old` distances are label queries against the not-yet-repaired
         // index, which is exact for the pre-insertion graph.
-        let sinks: Vec<(NodeId, u16)> = (0..n as u32)
-            .map(NodeId::new)
-            .filter_map(|y| {
-                let d = from_t[y.index()];
-                (d != UNREACHABLE).then_some((y, d))
-            })
-            .collect();
-        let idx = &self.index;
-        let per_source: Vec<Vec<AffectedPair>> = exec.par_map_index(n, |xi| {
-            let x = NodeId::new(xi as u32);
-            let dx = to_s[xi];
-            if dx == UNREACHABLE {
-                return Vec::new();
-            }
-            let to_t = idx.nonempty_raw(x, t);
-            if u32::from(to_t) <= u32::from(dx) + 1 {
-                return Vec::new(); // no improvement possible through the new edge
-            }
-            let mut improved = Vec::new();
-            for &(y, dy) in &sinks {
-                let via = u32::from(dx) + 1 + u32::from(dy);
-                let via = if via >= u32::from(UNREACHABLE) {
-                    UNREACHABLE - 1
-                } else {
-                    via as u16
-                };
-                let old = idx.nonempty_raw(x, y);
-                if via < old {
-                    improved.push(AffectedPair {
-                        source: x,
-                        sink: y,
-                        old,
-                        new: via,
-                    });
-                }
-            }
-            improved
-        });
-        let mut pairs = Vec::new();
-        for chunk in per_source {
-            pairs.extend(chunk);
-        }
+        let pairs = self.insertion_aff1(g, s, t, exec, None);
 
         // The labels do not store the diagonal; repair it straight from the
         // AFF1 entries (new cycles through v all run v ⇝ s → t ⇝ v).
@@ -337,7 +286,7 @@ impl IncrementalTwoHop {
     /// the labels are deliberately left untouched so both the unit path
     /// (immediate rebuild) and the batch path (deferred rebuild) can still
     /// read exact pre-deletion values out of them.
-    fn delete_triage(&mut self, g: &DataGraph, s: NodeId) -> DeleteTriage {
+    fn delete_triage<G: Adjacency>(&mut self, g: &G, s: NodeId) -> DeleteTriage {
         let n = g.node_count();
         let mut affected = Vec::new();
 
@@ -463,7 +412,7 @@ impl IncrementalTwoHop {
     /// in-label entries. Both are overwritten with exact fresh values, and
     /// `(rank(s), std_new(s, y))` is upserted for every reachable `y` so the
     /// 2-hop cover of every `(s, y)` pair is restored.
-    fn repair_source_row(&mut self, g: &DataGraph, s: NodeId, new_row: &[u16]) {
+    fn repair_source_row<G: Adjacency>(&mut self, g: &G, s: NodeId, new_row: &[u16]) {
         debug_assert_eq!(new_row.len(), g.node_count());
         let rank_s = self.index.label_in[s.index()]
             .iter()
@@ -515,22 +464,25 @@ impl IncrementalTwoHop {
             .unwrap_or_else(|| self.index.nonempty_raw(x, y))
     }
 
-    /// AFF1 for an insertion inside a deferred batch. Mirrors
-    /// [`insert_repair`](Self::insert_repair)'s rectangle scan with
-    /// overlay-aware old values, but performs **no** label surgery — every
-    /// improved pair is recorded in `overlay` instead, and the end-of-batch
-    /// rebuild makes the labels exact again.
-    fn deferred_insert(
+    /// `AFF1` of the insertion of `(s, t)` over the
+    /// `ancestors(s) × descendants(t)` rectangle, replicating the matrix
+    /// computation pair for pair (same order, same values). Old distances
+    /// come from the labels, or — inside a deferred batch — from the truth
+    /// `overlay` first.
+    fn insertion_aff1<G: Adjacency>(
         &self,
-        g: &DataGraph,
+        g: &G,
         s: NodeId,
         t: NodeId,
         exec: &Executor,
-        overlay: &mut Overlay,
+        overlay: Option<&Overlay>,
     ) -> Vec<AffectedPair> {
+        debug_assert!(g.has_edge(s, t), "graph must already contain the new edge");
         let n = g.node_count();
-        // std(x, s) and std(t, y) are unchanged by the insertion, exactly as
-        // in the healthy path.
+        // std(x, s) and std(t, y) are unchanged by the insertion (a path
+        // using the new edge would revisit s / t and contain a removable
+        // cycle), so BFS on the *updated* graph recovers the old values the
+        // AFF1 contract needs.
         let to_s = distance_row(g, s, Direction::Backward, false);
         let from_t = distance_row(g, t, Direction::Forward, false);
         let sinks: Vec<(NodeId, u16)> = (0..n as u32)
@@ -540,41 +492,47 @@ impl IncrementalTwoHop {
                 (d != UNREACHABLE).then_some((y, d))
             })
             .collect();
-        let ov: &Overlay = overlay;
+        let old = |x, y| match overlay {
+            Some(ov) => self.overlay_distance(ov, x, y),
+            None => self.index.nonempty_raw(x, y),
+        };
         let per_source: Vec<Vec<AffectedPair>> = exec.par_map_index(n, |xi| {
             let x = NodeId::new(xi as u32);
             let dx = to_s[xi];
-            if dx == UNREACHABLE {
-                return Vec::new();
-            }
-            let to_t = self.overlay_distance(ov, x, t);
-            if u32::from(to_t) <= u32::from(dx) + 1 {
+            if dx == UNREACHABLE || u32::from(old(x, t)) <= u32::from(dx) + 1 {
                 return Vec::new(); // no improvement possible through the new edge
             }
             let mut improved = Vec::new();
             for &(y, dy) in &sinks {
                 let via = u32::from(dx) + 1 + u32::from(dy);
-                let via = if via >= u32::from(UNREACHABLE) {
-                    UNREACHABLE - 1
-                } else {
-                    via as u16
-                };
-                let old = self.overlay_distance(ov, x, y);
-                if via < old {
+                let new = via.min(u32::from(UNREACHABLE - 1)) as u16;
+                let old = old(x, y);
+                if new < old {
                     improved.push(AffectedPair {
                         source: x,
                         sink: y,
                         old,
-                        new: via,
+                        new,
                     });
                 }
             }
             improved
         });
-        let mut pairs = Vec::new();
-        for chunk in per_source {
-            pairs.extend(chunk);
-        }
+        per_source.into_iter().flatten().collect()
+    }
+
+    /// AFF1 for an insertion inside a deferred batch: performs **no** label
+    /// surgery — every improved pair is recorded in `overlay` instead, and
+    /// the end-of-batch rebuild makes the labels exact again.
+    fn deferred_insert<G: Adjacency>(
+        &self,
+        g: &G,
+        s: NodeId,
+        t: NodeId,
+        exec: &Executor,
+        overlay: &mut Overlay,
+    ) -> Vec<AffectedPair> {
+        let pairs = self.insertion_aff1(g, s, t, exec, Some(overlay));
         for p in &pairs {
             overlay.insert((p.source, p.sink), p.new);
         }
@@ -590,9 +548,9 @@ impl IncrementalTwoHop {
     /// affected `(x, y)` lost a path running `x ⇝ s → t ⇝ y`, whose prefix
     /// `x ⇝ s` survives the deletion — so `x` still reaches `s` and `(s, y)`
     /// changed too.
-    fn deferred_delete(
+    fn deferred_delete<G: Adjacency>(
         &self,
-        g: &DataGraph,
+        g: &G,
         s: NodeId,
         overlay: &mut Overlay,
     ) -> Vec<AffectedPair> {
@@ -714,55 +672,50 @@ impl DistanceOracle for IncrementalTwoHop {
 
     /// Batch maintenance with at most **one** rebuild no matter how many
     /// deletions demand one (module docs, *batches*). Healthy units run the
-    /// same per-unit repairs as the default implementation; the first
-    /// rebuild-demanding deletion flips the batch into deferred mode, where
-    /// AFF1s are computed from BFS rows against a truth overlay and the batch
-    /// ends with a single batched, parallel rebuild on the final graph.
+    /// same repairs as the unit methods; the first rebuild-demanding
+    /// deletion flips the batch into deferred mode, where AFF1s are computed
+    /// from BFS rows against a truth overlay and the batch ends with a
+    /// single batched, parallel rebuild on the final graph.
     fn apply_batch(
         &mut self,
         g: &DataGraph,
         updates: &[EdgeUpdate],
         exec: &Executor,
     ) -> AffectedPairs {
-        let mut combined = AffectedPairs::default();
         if updates.is_empty() {
-            return combined;
+            return AffectedPairs::default();
         }
         let m = crate::metrics::twohop();
         let _span = m.apply_ns.span();
-        // Reconstruct the pre-batch graph by undoing the updates in reverse.
-        let mut scratch = g.clone();
-        for u in updates.iter().rev() {
-            u.inverse().apply(&mut scratch);
-        }
         let mut overlay: Option<Overlay> = None;
-        for u in updates {
-            if !u.apply(&mut scratch) {
-                continue; // no-op update (duplicate insert / missing delete)
-            }
-            let (from, to) = u.endpoints();
-            let pairs = match (&mut overlay, u.is_insert()) {
-                (None, true) => self.insert_repair(&scratch, from, to, exec).pairs,
-                (None, false) => match self.delete_triage(&scratch, from) {
-                    DeleteTriage::Repaired(aff) => aff.pairs,
-                    DeleteTriage::NeedsRebuild { .. } => {
-                        // First rebuild-demanding deletion: defer. The labels
-                        // are untouched and exact for the pre-deletion graph,
-                        // so an empty overlay is the correct starting truth
-                        // (the triage's two BFS rows are recomputed — a
-                        // once-per-batch cost).
-                        let mut ov = Overlay::default();
-                        let pairs = self.deferred_delete(&scratch, from, &mut ov);
-                        overlay = Some(ov);
-                        pairs
-                    }
-                },
-                (Some(ov), true) => self.deferred_insert(&scratch, from, to, exec, ov),
-                (Some(ov), false) => self.deferred_delete(&scratch, from, ov),
-            };
-            m.note_unit(u.is_insert(), pairs.len());
-            combined.merge(AffectedPairs { pairs });
-        }
+        let combined = replay_batch(
+            self,
+            g,
+            updates,
+            |this, from, to| this.index.nonempty_raw(from, to) == 1,
+            |this, view, u| {
+                let (from, to) = u.endpoints();
+                let pairs = match (&mut overlay, u.is_insert()) {
+                    (None, true) => this.insert_repair(view, from, to, exec).pairs,
+                    (None, false) => match this.delete_triage(view, from) {
+                        DeleteTriage::Repaired(aff) => aff.pairs,
+                        DeleteTriage::NeedsRebuild { .. } => {
+                            // First rebuild-demanding deletion: defer. The
+                            // labels are untouched and exact for the
+                            // pre-deletion graph, so an empty overlay is the
+                            // correct starting truth (the triage's two BFS
+                            // rows are recomputed — a once-per-batch cost).
+                            let ov = overlay.insert(Overlay::default());
+                            this.deferred_delete(view, from, ov)
+                        }
+                    },
+                    (Some(ov), true) => this.deferred_insert(view, from, to, exec, ov),
+                    (Some(ov), false) => this.deferred_delete(view, from, ov),
+                };
+                m.note_unit(u.is_insert(), pairs.len());
+                pairs
+            },
+        );
         if overlay.is_some() {
             // The one rebuild the whole batch shares.
             let rebuild_start = gpm_obs::enabled().then(std::time::Instant::now);
@@ -819,7 +772,12 @@ fn recover_ranks(index: &TwoHopIndex) -> Vec<NodeId> {
 /// One full BFS row from `origin` (standard when `nonempty` is false,
 /// non-empty — seeded at the neighbours, diagonal = shortest cycle — when
 /// true), saturating at `UNREACHABLE - 1`.
-fn distance_row(g: &DataGraph, origin: NodeId, direction: Direction, nonempty: bool) -> Vec<u16> {
+fn distance_row<G: Adjacency>(
+    g: &G,
+    origin: NodeId,
+    direction: Direction,
+    nonempty: bool,
+) -> Vec<u16> {
     let n = g.node_count();
     let mut dist = vec![UNREACHABLE; n];
     let mut queue = VecDeque::new();
@@ -857,8 +815,8 @@ fn distance_row(g: &DataGraph, origin: NodeId, direction: Direction, nonempty: b
 /// inserting/tightening the labels of every node the new edge brought closer
 /// to the hub. `dist` is scratch space, fully reset before returning.
 #[allow(clippy::too_many_arguments)]
-fn resume_label_repair(
-    g: &DataGraph,
+fn resume_label_repair<G: Adjacency>(
+    g: &G,
     direction: Direction,
     hub_rank: u32,
     hub: NodeId,
@@ -1039,7 +997,37 @@ mod tests {
         }
         let aff_o = oracle.apply_batch(&g, &updates, &exec);
         let aff_m = m.apply_batch(&g, &updates, &exec);
-        assert_eq!(sorted(aff_o.pairs), sorted(aff_m.pairs));
+        assert_eq!(aff_o, aff_m, "batch AFF1s are sorted: directly comparable");
+        assert_all_pairs_agree(&g, &oracle, &m);
+    }
+
+    #[test]
+    fn missing_delete_in_a_raw_batch_fabricates_no_edge() {
+        // {1→2, 1→3}; the raw batch deletes (1,2) and the absent (3,2).
+        // A blind undo would rewind into a graph with a (3,2) edge, where
+        // the (1,2) deletion finds the detour 1→3→2.
+        let mut g = DataGraph::from_edges(4, &[(1, 2), (1, 3)]).unwrap();
+        let exec = Executor::sequential();
+        let mut oracle = IncrementalTwoHop::build(&g);
+        let mut m = DistanceMatrix::build(&g);
+        let updates = [
+            EdgeUpdate::Delete(n(1), n(2)),
+            EdgeUpdate::Delete(n(3), n(2)),
+        ];
+        for u in &updates {
+            u.apply(&mut g);
+        }
+        let expected = AffectedPairs {
+            pairs: vec![AffectedPair {
+                source: n(1),
+                sink: n(2),
+                old: 1,
+                new: UNREACHABLE,
+            }],
+        };
+        assert_eq!(m.apply_batch(&g, &updates, &exec), expected);
+        assert_eq!(oracle.apply_batch(&g, &updates, &exec), expected);
+        assert_eq!(m, DistanceMatrix::build(&g));
         assert_all_pairs_agree(&g, &oracle, &m);
     }
 
@@ -1111,7 +1099,7 @@ mod tests {
         }
         let aff_o = oracle.apply_batch(&g, &updates, &exec);
         let aff_m = m.apply_batch(&g, &updates, &exec);
-        assert_eq!(sorted(aff_o.pairs), sorted(aff_m.pairs));
+        assert_eq!(aff_o, aff_m);
         assert_all_pairs_agree(&g, &oracle, &m);
         assert_eq!(
             oracle.rebuild_count(),
@@ -1249,11 +1237,7 @@ mod tests {
             }
             let aff_o = oracle.apply_batch(&g, &updates, &exec);
             let aff_m = m.apply_batch(&g, &updates, &exec);
-            prop_assert_eq!(
-                sorted(aff_o.pairs),
-                sorted(aff_m.pairs),
-                "seed {}: batch AFF1 must match as a set", seed
-            );
+            prop_assert_eq!(aff_o, aff_m, "seed {}: batch AFF1 must be identical", seed);
             prop_assert!(oracle.rebuild_count() <= 1, "at most one rebuild per batch");
             for x in g.nodes() {
                 for y in g.nodes() {
@@ -1263,6 +1247,49 @@ mod tests {
                         "seed {}: mismatch at ({}, {})", seed, x, y
                     );
                 }
+            }
+        }
+
+        /// A raw batch — duplicate inserts, missing deletes, insert-then-
+        /// delete of one edge, self-loops — leaves both back-ends exactly
+        /// where its effective updates alone leave them, which is where a
+        /// rebuild lands; a batch of pure no-ops touches nothing.
+        #[test]
+        fn prop_raw_batch_equals_effective_updates_equals_rebuild(
+            edges in collection::vec((0u32..9, 0u32..9), 0..30),
+            raw in collection::vec((0u32..9, 0u32..9, 0u8..2), 0..16),
+        ) {
+            let mut g = DataGraph::new();
+            g.add_nodes(9);
+            for &(a, b) in &edges {
+                let _ = g.try_add_edge(n(a), n(b)).unwrap();
+            }
+            let exec = Executor::sequential();
+            let built = (IncrementalTwoHop::build(&g), DistanceMatrix::build(&g));
+            let raw: Vec<EdgeUpdate> = raw
+                .iter()
+                .map(|&(a, b, kind)| match kind {
+                    0 => EdgeUpdate::Insert(n(a), n(b)),
+                    _ => EdgeUpdate::Delete(n(a), n(b)),
+                })
+                .collect();
+            let effective: Vec<EdgeUpdate> =
+                raw.iter().copied().filter(|u| u.apply(&mut g)).collect();
+
+            let (mut oracle_raw, mut m_raw) = built.clone();
+            let (mut oracle_eff, mut m_eff) = built;
+            let aff_m = m_raw.apply_batch(&g, &raw, &exec);
+            prop_assert_eq!(&aff_m, &m_eff.apply_batch(&g, &effective, &exec));
+            prop_assert_eq!(&aff_m, &oracle_raw.apply_batch(&g, &raw, &exec));
+            prop_assert_eq!(&aff_m, &oracle_eff.apply_batch(&g, &effective, &exec));
+            prop_assert_eq!(&m_raw, &DistanceMatrix::build(&g));
+            prop_assert_eq!(&m_raw, &m_eff);
+            assert_all_pairs_agree(&g, &oracle_raw, &m_raw);
+            assert_all_pairs_agree(&g, &oracle_eff, &m_raw);
+            prop_assert_eq!(oracle_raw.rebuild_count(), oracle_eff.rebuild_count());
+            if effective.is_empty() {
+                prop_assert!(aff_m.is_empty());
+                prop_assert_eq!(oracle_raw.rebuild_count(), 0);
             }
         }
     }

@@ -56,6 +56,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adjacency;
 pub mod attributes;
 pub mod builder;
 mod csr;
@@ -70,6 +71,7 @@ pub mod predicate;
 pub mod traversal;
 pub mod value;
 
+pub use adjacency::{Adjacency, BatchReplay};
 pub use attributes::Attributes;
 pub use builder::{DataGraphBuilder, PatternGraphBuilder};
 pub use data_graph::DataGraph;

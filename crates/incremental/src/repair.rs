@@ -10,20 +10,27 @@
 //! `UpdateBM` run and repairs one query's [`MatchState`] against the
 //! already-updated matrix.
 //!
-//! The coverage rules mirror the per-query algorithms:
+//! Repair is seeded from the sources with a **bound-crossing** change. The
+//! maximum simulation is a function of the predicate `within(x, y, fe(e))`
+//! over candidate pairs, and a changed pair flips that predicate only if
+//! some bound `k` of *this* pattern has `min(old, new) ≤ k < max(old, new)`
+//! (for a `*` edge: reachability flipped). Every other pair of `AFF1` leaves
+//! the predicate, hence the match, as it was. The coverage rules mirror the
+//! per-query algorithms:
 //!
-//! * distance **increases** are repaired with the removal propagation of
-//!   `Match−`, which supports arbitrary (cyclic) patterns;
-//! * distance **decreases** are repaired with the addition propagation of
-//!   `Match+`, which requires a DAG pattern — a cyclic pattern whose `AFF1`
-//!   contains decreases errors with [`GraphError::PatternNotAcyclic`]
-//!   (callers fall back to recomputation, as `IncrementalMatcher` does).
+//! * bound-crossing **increases** are repaired with the removal propagation
+//!   of `Match−`, which supports arbitrary (cyclic) patterns;
+//! * bound-crossing **decreases** are repaired with the addition
+//!   propagation of `Match+`, which requires a DAG pattern — a cyclic
+//!   pattern whose `AFF1` contains one errors with
+//!   [`GraphError::PatternNotAcyclic`] (callers fall back to recomputation,
+//!   as `IncrementalMatcher` does).
 
 use crate::affected::Aff2;
 use crate::delete::process_removals;
 use crate::insert::process_additions;
 use crate::state::MatchState;
-use gpm_distance::{AffectedPairs, DistanceOracle};
+use gpm_distance::{AffectedPair, AffectedPairs, DistanceOracle, UNREACHABLE};
 use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph};
 use rustc_hash::FxHashSet;
 use std::sync::{Arc, OnceLock};
@@ -75,9 +82,16 @@ pub struct RepairOutcome {
 /// The affected sources of an `AFF1`, split by direction of change:
 /// `(increased, decreased)` outgoing-distance source sets.
 pub fn split_aff1_sources(aff1: &AffectedPairs) -> (FxHashSet<NodeId>, FxHashSet<NodeId>) {
+    split_sources(aff1, |_| true)
+}
+
+fn split_sources(
+    aff1: &AffectedPairs,
+    keep: impl Fn(&AffectedPair) -> bool,
+) -> (FxHashSet<NodeId>, FxHashSet<NodeId>) {
     let mut increased = FxHashSet::default();
     let mut decreased = FxHashSet::default();
-    for p in aff1.iter() {
+    for p in aff1.iter().filter(|p| keep(p)) {
         if p.increased() {
             increased.insert(p.source);
         } else {
@@ -85,6 +99,21 @@ pub fn split_aff1_sources(aff1: &AffectedPairs) -> (FxHashSet<NodeId>, FxHashSet
         }
     }
     (increased, decreased)
+}
+
+/// The distinct distances `k` at which some `within(·, ·, fe(e))` of
+/// `pattern` flips between `k` and `k + 1`. Finite distances stop at
+/// `UNREACHABLE - 1`, so a `*` edge — and any bound beyond that — flips
+/// exactly between the largest finite distance and `UNREACHABLE`.
+fn flip_points(pattern: &PatternGraph) -> Vec<u16> {
+    let last_finite = u32::from(UNREACHABLE - 1);
+    let mut at: Vec<u16> = pattern
+        .edges()
+        .map(|e| e.bound.hops().map_or(last_finite, |k| k.min(last_finite)) as u16)
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    at
 }
 
 /// Repairs one query's match state from a shared, precomputed `AFF1`.
@@ -96,9 +125,9 @@ pub fn split_aff1_sources(aff1: &AffectedPairs) -> (FxHashSet<NodeId>, FxHashSet
 /// from-scratch recomputation on the updated graph.
 ///
 /// Errors with [`GraphError::PatternNotAcyclic`] — leaving `state`
-/// untouched — when `aff1` contains distance decreases and `pattern` is
-/// cyclic (the combination upward propagation cannot handle; see the module
-/// docs of [`crate::insert`]).
+/// untouched — when `aff1` contains a bound-crossing distance decrease
+/// (module docs) and `pattern` is cyclic (the combination upward propagation
+/// cannot handle; see the module docs of [`crate::insert`]).
 pub fn repair_match_state<O: DistanceOracle + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -113,7 +142,11 @@ pub fn repair_match_state<O: DistanceOracle + ?Sized>(
     let matched_before: Option<FxHashSet<NodeId>> =
         gpm_obs::enabled().then(|| state.relation().iter_pairs().map(|(_, v)| v).collect());
 
-    let (increased, decreased) = split_aff1_sources(aff1);
+    let flips = flip_points(pattern);
+    let (increased, decreased) = split_sources(aff1, |p| {
+        let (lo, hi) = (p.old.min(p.new), p.old.max(p.new));
+        flips.iter().any(|&k| lo <= k && k < hi)
+    });
     if !decreased.is_empty() {
         if let Err(err) = pattern.require_dag() {
             m.dag_rejections.inc();
@@ -169,7 +202,7 @@ mod tests {
     use gpm_core::bounded_simulation_with_oracle;
     use gpm_datagen::{random_graph, random_updates, RandomGraphConfig, UpdateStreamConfig};
     use gpm_distance::{update_matrix_batch, EdgeUpdate};
-    use gpm_graph::{PatternGraphBuilder, Predicate};
+    use gpm_graph::{EdgeBound, PatternGraphBuilder, Predicate};
 
     fn dag_pattern() -> PatternGraph {
         let (p, _) = PatternGraphBuilder::new()
@@ -192,6 +225,161 @@ mod tests {
             .build()
             .unwrap();
         p
+    }
+
+    /// A data graph whose node `i` carries `labels[i]`.
+    fn labeled_graph(labels: &[&str], edges: &[(u32, u32)]) -> DataGraph {
+        let mut g = DataGraph::new();
+        for &label in labels {
+            g.add_node(gpm_graph::Attributes::labeled(label));
+        }
+        for &(a, b) in edges {
+            g.add_edge(NodeId::new(a), NodeId::new(b)).unwrap();
+        }
+        g
+    }
+
+    /// `x:a0 -[xy]-> y:a1 -[yz]-> z:a2`.
+    fn chain_pattern(xy: EdgeBound, yz: EdgeBound) -> PatternGraph {
+        let mut p = PatternGraph::new();
+        let x = p.add_node(Predicate::label("a0"));
+        let y = p.add_node(Predicate::label("a1"));
+        let z = p.add_node(Predicate::label("a2"));
+        p.add_edge(x, y, xy).unwrap();
+        p.add_edge(y, z, yz).unwrap();
+        p
+    }
+
+    /// Applies `updates` and repairs `pattern`'s state three ways — seeded
+    /// from the bound-crossing sources (`repair_match_state`), seeded from
+    /// every source of `AFF1` (the rule this replaced), and recomputed —
+    /// asserting that all three agree. Returns the first repair's outcome
+    /// and the size of the all-sources seed sets.
+    fn repair_three_ways(
+        pattern: &PatternGraph,
+        g: &mut DataGraph,
+        updates: &[EdgeUpdate],
+    ) -> (Result<RepairOutcome, GraphError>, usize) {
+        let mut m = gpm_distance::DistanceMatrix::build(g);
+        let mut crossing = MatchState::initialise(pattern, g, &m);
+        let mut all_sources = crossing.clone();
+        let applied: Vec<EdgeUpdate> = updates.iter().copied().filter(|u| u.apply(g)).collect();
+        let aff1 = update_matrix_batch(g, &mut m, &applied);
+        let recomputed = bounded_simulation_with_oracle(pattern, g, &m).relation;
+
+        let (increased, decreased) = split_aff1_sources(&aff1);
+        let outcome = repair_match_state(pattern, g, &m, &mut crossing, &aff1);
+        if let Ok(out) = &outcome {
+            assert_eq!(crossing.relation(), recomputed, "bound-crossing seeds");
+            if decreased.is_empty() || pattern.is_dag() {
+                let (mut aff2, mut work) = (Aff2::default(), 0usize);
+                process_removals(
+                    pattern,
+                    g,
+                    &m,
+                    &mut all_sources,
+                    &increased,
+                    &mut aff2,
+                    &mut work,
+                );
+                process_additions(
+                    pattern,
+                    g,
+                    &m,
+                    &mut all_sources,
+                    &decreased,
+                    &mut aff2,
+                    &mut work,
+                );
+                assert_eq!(all_sources.relation(), recomputed, "all-sources seeds");
+                assert!(out.verifications <= work, "fewer seeds cannot verify more");
+            }
+        }
+        (outcome, increased.len() + decreased.len())
+    }
+
+    /// a:a0 reaches b:a1 over one relay (2 hops) or two (3 hops); b → c:a2.
+    ///
+    /// ```text
+    /// 0:a0 → 3 → 1:a1 → 2:a2        0 → 4 → 5 → 1
+    /// ```
+    fn relay_graph() -> DataGraph {
+        labeled_graph(
+            &["a0", "a1", "a2", "-", "-", "-"],
+            &[(0, 3), (3, 1), (1, 2), (0, 4), (4, 5), (5, 1)],
+        )
+    }
+
+    const SHORT_RELAY: EdgeUpdate = EdgeUpdate::Delete(NodeId::new(3), NodeId::new(1));
+    const LONG_RELAY: EdgeUpdate = EdgeUpdate::Delete(NodeId::new(5), NodeId::new(1));
+
+    #[test]
+    fn only_the_crossed_bound_of_two_seeds_a_repair() {
+        // Cutting the short relay moves d(a, b) 2 → 3 and d(a, c) 3 → 4:
+        // the bound 2 is crossed, the bound 5 is not.
+        let p = chain_pattern(EdgeBound::Hops(2), EdgeBound::Hops(5));
+        let (out, _) = repair_three_ways(&p, &mut relay_graph(), &[SHORT_RELAY]);
+        let out = out.unwrap();
+        assert_eq!(
+            out.aff2.removed,
+            vec![(gpm_graph::PatternNodeId::new(0), NodeId::new(0))]
+        );
+
+        // With bounds 4 and 9 neither move crosses anything: a's rows
+        // changed, but no matched node is re-verified.
+        let p = chain_pattern(EdgeBound::Hops(4), EdgeBound::Hops(9));
+        let (out, all_sources) = repair_three_ways(&p, &mut relay_graph(), &[SHORT_RELAY]);
+        let out = out.unwrap();
+        assert!(all_sources >= 2, "a and the relay both changed");
+        assert_eq!((out.verifications, out.aff2.len()), (0, 0));
+    }
+
+    #[test]
+    fn unbounded_edge_seeds_only_on_a_reachability_flip() {
+        let p = chain_pattern(EdgeBound::Unbounded, EdgeBound::Unbounded);
+        // a still reaches b over the long relay: nothing to verify.
+        let (out, _) = repair_three_ways(&p, &mut relay_graph(), &[SHORT_RELAY]);
+        assert_eq!(out.unwrap().verifications, 0);
+        // Both relays cut: a lost b for good.
+        let (out, _) = repair_three_ways(&p, &mut relay_graph(), &[SHORT_RELAY, LONG_RELAY]);
+        assert_eq!(
+            out.unwrap().aff2.removed,
+            vec![(gpm_graph::PatternNodeId::new(0), NodeId::new(0))]
+        );
+    }
+
+    #[test]
+    fn cyclic_pattern_with_irrelevant_decreases_repairs_incrementally() {
+        // a:a0 ⇄ b:a1 match the 2-cycle pattern; the insertion 2 → 4 only
+        // moves d(2, 4) from 2 to 1 — a decrease, but inside the bound 2 on
+        // both sides, so no `within` flips and no recomputation is needed.
+        let mut g = labeled_graph(
+            &["a0", "a1", "-", "-", "-"],
+            &[(0, 1), (1, 0), (2, 3), (3, 4)],
+        );
+        let shortcut = EdgeUpdate::Insert(NodeId::new(2), NodeId::new(4));
+        let (out, all_sources) = repair_three_ways(&cyclic_pattern(), &mut g, &[shortcut]);
+        assert_eq!(all_sources, 1, "AFF1 is the one decrease");
+        assert_eq!(out, Ok(RepairOutcome::default()));
+    }
+
+    /// On random graphs and mixed batches the three seedings agree for
+    /// patterns with one bound, two bounds and a `*` edge.
+    #[test]
+    fn bound_crossing_seeds_equal_all_sources_equal_recompute() {
+        let patterns = [
+            dag_pattern(),
+            chain_pattern(EdgeBound::Hops(1), EdgeBound::Hops(4)),
+            chain_pattern(EdgeBound::Hops(2), EdgeBound::Unbounded),
+        ];
+        for seed in 0..12u64 {
+            let g = random_graph(&RandomGraphConfig::new(40, 90, 5).with_seed(seed));
+            let updates = random_updates(&g, &UpdateStreamConfig::mixed(12).with_seed(seed + 31));
+            for p in &patterns {
+                let (out, _) = repair_three_ways(p, &mut g.clone(), &updates);
+                out.unwrap();
+            }
+        }
     }
 
     /// One shared AFF1 repairs several independent states to the same result
@@ -224,25 +412,21 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_pattern_with_decreases_is_rejected_untouched() {
-        let mut g = random_graph(&RandomGraphConfig::new(30, 50, 4).with_seed(3));
+    fn cyclic_pattern_with_a_bound_crossing_decrease_is_rejected_untouched() {
+        // a:X ← b:Y; inserting a → b takes d(a, b) from ∞ to 1, across the
+        // pattern's bound 2.
+        let mut g = labeled_graph(&["a0", "a1"], &[(1, 0)]);
         let p = cyclic_pattern();
         let mut m = gpm_distance::DistanceMatrix::build(&g);
         let mut s = MatchState::initialise(&p, &g, &m);
         let before = s.clone();
 
-        let updates = random_updates(&g, &UpdateStreamConfig::insertions(5).with_seed(4));
-        let applied: Vec<EdgeUpdate> = updates
-            .iter()
-            .filter(|u| u.apply(&mut g))
-            .copied()
-            .collect();
+        let applied = [EdgeUpdate::Insert(NodeId::new(0), NodeId::new(1))];
+        applied[0].apply(&mut g);
         let aff1 = update_matrix_batch(&g, &mut m, &applied);
-        if aff1.iter().any(|pr| !pr.increased()) {
-            let err = repair_match_state(&p, &g, &m, &mut s, &aff1);
-            assert_eq!(err.unwrap_err(), GraphError::PatternNotAcyclic);
-            assert_eq!(s, before, "failed repair must not touch the state");
-        }
+        let err = repair_match_state(&p, &g, &m, &mut s, &aff1);
+        assert_eq!(err.unwrap_err(), GraphError::PatternNotAcyclic);
+        assert_eq!(s, before, "failed repair must not touch the state");
     }
 
     /// Deletion-only batches repair cyclic patterns incrementally.
@@ -277,11 +461,6 @@ mod tests {
         use gpm_distance::{DistanceMatrix, DistanceOracle as _, IncrementalTwoHop};
         use gpm_exec::Executor;
 
-        let sorted = |a: &AffectedPairs| {
-            let mut v: Vec<_> = a.iter().map(|p| (p.source, p.sink, p.old, p.new)).collect();
-            v.sort_unstable();
-            v
-        };
         for seed in 0..4u64 {
             let mut g = random_graph(&RandomGraphConfig::new(28, 64, 4).with_seed(seed));
             let exec = Executor::sequential();
@@ -302,7 +481,7 @@ mod tests {
                 .collect();
             let aff_matrix = matrix.apply_batch(&g, &applied, &exec);
             let aff_two_hop = two_hop.apply_batch(&g, &applied, &exec);
-            assert_eq!(sorted(&aff_matrix), sorted(&aff_two_hop), "seed {seed}");
+            assert_eq!(aff_matrix, aff_two_hop, "seed {seed}");
 
             repair_match_state(&p_dag, &g, &two_hop, &mut s_dag, &aff_two_hop).unwrap();
             repair_match_state(&p_cyc, &g, &two_hop, &mut s_cyc, &aff_two_hop).unwrap();

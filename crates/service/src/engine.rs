@@ -730,23 +730,22 @@ fn repair_entry(
     aff1: &AffectedPairs,
     epoch: u64,
 ) {
-    let seq = Executor::sequential();
+    // Only activation and the recompute fallback build a state; a repair
+    // needs no executor at all.
+    let pattern = &entry.pattern;
+    let build = || MatchState::initialise_with(pattern, graph, oracle, &Executor::sequential());
     let (kind, verifications) = match entry.state.as_mut() {
         None => {
-            entry.state = Some(MatchState::initialise_with(
-                &entry.pattern,
-                graph,
-                oracle,
-                &seq,
-            ));
+            entry.state = Some(build());
             (RepairKind::Activation, 0)
         }
-        Some(state) => match repair_match_state(&entry.pattern, graph, oracle, state, aff1) {
+        Some(state) => match repair_match_state(pattern, graph, oracle, state, aff1) {
             Ok(out) => (RepairKind::Incremental, out.verifications),
             Err(GraphError::PatternNotAcyclic) => {
-                // Cyclic pattern with distance decreases: rebuild this
-                // query's state; the shared oracle is already correct.
-                *state = MatchState::initialise_with(&entry.pattern, graph, oracle, &seq);
+                // Cyclic pattern with a bound-crossing distance decrease:
+                // rebuild this query's state; the shared oracle is already
+                // correct.
+                *state = build();
                 (RepairKind::Recompute, 0)
             }
             Err(e) => unreachable!("repair cannot fail otherwise: {e}"),
