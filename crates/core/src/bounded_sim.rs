@@ -9,9 +9,16 @@
 //!
 //! The structure follows the paper: initial candidate sets `mat(u)` from the
 //! node predicates, then iterative removal of nodes that cannot witness some
-//! pattern edge, propagated upward until a fixpoint. Two representation
+//! pattern edge, propagated upward until a fixpoint. Three representation
 //! choices differ from the pseudo-code but keep the bound:
 //!
+//! * each `mat(u)` is held twice: as a packed ascending list of its
+//!   *initial* candidates, which every pass iterates, and as a membership
+//!   bitmap, which is the only part that shrinks. The witness-counter pass
+//!   therefore costs `Σ_e |mat(from(e))|·|mat(to(e))|` row-local loads — one
+//!   [`DistanceOracle::count_within`] per (pattern edge, source candidate),
+//!   against the target's candidate list — which the paper's `|E_p||V|²`
+//!   bounds, and nothing after candidate selection scans all of `V`;
 //! * `anc`/`desc` sets are not materialised; the distance oracle answers the
 //!   `len(x/.../x') <= f_e(u', u)` test in `O(1)` (distance matrix) — this is
 //!   exactly the information the `anc`/`desc` sets encode;
@@ -34,6 +41,11 @@ use std::sync::{Arc, OnceLock};
 struct MatchMetrics {
     runs: Arc<gpm_obs::Counter>,
     waves: Arc<gpm_obs::Counter>,
+    /// Candidate-list entries visited by the wave loop: per wave, the sum
+    /// over the active pattern edges `e` (those whose target lost candidates)
+    /// of `|mat_0(from(e))|`, the length of the packed initial list — live or
+    /// not, each entry costs one membership test. A function of the merge
+    /// order alone, so identical at any thread or chunk count.
     membership_scans: Arc<gpm_obs::Counter>,
     initial_candidates: Arc<gpm_obs::Counter>,
     removed_candidates: Arc<gpm_obs::Counter>,
@@ -134,11 +146,11 @@ pub fn bounded_simulation_with_oracle<O: DistanceOracle + Sync + ?Sized>(
 /// state, and every merge is performed in a fixed (pattern-edge, data-node)
 /// order that does not depend on the thread count or chunking:
 ///
-/// 1. **initial candidates** — one task per pattern node, each owning its
-///    `mat(u)` bitmap row;
-/// 2. **witness-counter initialisation** — the `O(|E_p||V|²)` scan is split
-///    into (pattern edge × data-node chunk) tasks, each owning a disjoint
-///    `cnt[e][x..y]` range;
+/// 1. **initial candidates** — one task per pattern node, each producing its
+///    packed `mat(u)` list;
+/// 2. **witness-counter initialisation** — the `Σ_e |mat(from)|·|mat(to)|`
+///    pass is split into (pattern edge × chunk of `mat(from)`) tasks, each
+///    owning a disjoint counter range;
 /// 3. **removal propagation** — processed in *waves*: all removals of the
 ///    current wave are grouped per pattern node, the counter decrements they
 ///    imply are computed in parallel against the wave-start membership
@@ -192,50 +204,50 @@ fn match_inner<O: DistanceOracle + Sync + ?Sized>(
         };
     }
 
-    // mat(u) as a membership bitmap per pattern node (lines 4-5 of Fig. 4),
-    // computed as one independent task per pattern node (work hint: each
-    // task scans all |V| data nodes).
-    let initial: Vec<(Vec<bool>, usize)> = exec.map_tasks(np, nv, |ui| {
+    // mat(u) as a packed ascending candidate list per pattern node (lines
+    // 4-5 of Fig. 4), one independent task per pattern node (work hint: each
+    // task scans all |V| data nodes). The lists are what the refinement
+    // iterates; `member` below is their O(1) membership test, and the only
+    // one of the two that shrinks.
+    let cand: Vec<Vec<NodeId>> = exec.map_tasks(np, nv, |ui| {
         let u = PatternNodeId::new(ui as u32);
         let needs_out_edge = pattern.out_degree(u) > 0;
-        let mut row = vec![false; nv];
-        let mut live = 0usize;
-        for v in graph.nodes_satisfying(pattern.predicate(u)) {
-            if needs_out_edge && graph.out_degree(v) == 0 {
-                continue;
-            }
-            row[v.index()] = true;
-            live += 1;
-        }
-        (row, live)
+        graph
+            .nodes_satisfying(pattern.predicate(u))
+            .filter(|&v| !needs_out_edge || graph.out_degree(v) > 0)
+            .collect()
     });
     let mut member: Vec<Vec<bool>> = Vec::with_capacity(np);
     let mut live_count: Vec<usize> = Vec::with_capacity(np);
-    for (row, live) in initial {
-        member.push(row);
-        live_count.push(live);
-        stats.initial_candidates += live;
-        if live == 0 {
+    for list in &cand {
+        stats.initial_candidates += list.len();
+        if list.is_empty() {
             stats.failed_early = true;
             return MatchOutcome {
                 relation: MatchRelation::empty(np),
                 stats,
             };
         }
+        let mut row = vec![false; nv];
+        for v in list {
+            row[v.index()] = true;
+        }
+        member.push(row);
+        live_count.push(list.len());
     }
 
-    // Data-node chunking shared by phases 2 and 3. The merge order below is
-    // (edge, x ascending) for *any* chunk count, so this choice affects
-    // scheduling only, never results.
+    // Chunking of every `cand[from]` list, shared by phases 2 and 3. The
+    // merge order below is (edge, x ascending) for *any* chunk count, so this
+    // choice affects scheduling only, never results.
     let n_chunks = if exec.parallelism().should_parallelise(nv) {
         (exec.threads() * 4).min(nv.max(1))
     } else {
         1
     };
-    let chunk_len = nv.div_ceil(n_chunks).max(1);
 
-    // Witness counters per pattern edge: cnt[e][x] = |{y in mat(to(e)) :
-    // within(x, y, bound(e))}| for x in mat(from(e)).
+    // Witness counters per pattern edge, indexed like `cand[from(e)]`:
+    // cnt[e][i] = |{y in mat(to(e)) : within(x, y, bound(e))}| for the i-th
+    // candidate x of from(e) — one row-level oracle query per x.
     //
     // All counters are computed against the *initial* candidate sets before
     // any removal takes place, so that every later removal of a witness `y`
@@ -243,30 +255,20 @@ fn match_inner<O: DistanceOracle + Sync + ?Sized>(
     // disjoint counter range; chunk results are stitched back in task order.
     let edges: Vec<_> = pattern.edges().copied().collect();
     let ne = edges.len();
-    let init_chunks: Vec<(Vec<u32>, Vec<u32>)> = exec.map_tasks(ne * n_chunks, nv, |ti| {
+    let init_chunks: Vec<(Vec<u32>, Vec<NodeId>)> = exec.map_tasks(ne * n_chunks, nv, |ti| {
         let e = &edges[ti / n_chunks];
-        let ci = ti % n_chunks;
-        let from = e.from.index();
-        let to = e.to.index();
-        let (start, end) = chunk_range(ci, chunk_len, nv);
-        let mut counts = vec![0u32; end - start];
-        let mut witnessless: Vec<u32> = Vec::new();
-        for x in start..end {
-            if !member[from][x] {
-                continue;
-            }
-            let xv = NodeId::new(x as u32);
-            let mut count = 0u32;
-            for (y, &is_member) in member[to].iter().enumerate() {
-                if is_member && oracle.within(graph, xv, NodeId::new(y as u32), e.bound) {
-                    count += 1;
-                }
-            }
-            counts[x - start] = count;
+        let targets = &cand[e.to.index()];
+        let sources = &cand[e.from.index()];
+        let (start, end) = chunk_range(sources.len(), ti % n_chunks, n_chunks);
+        let mut counts = Vec::with_capacity(end - start);
+        let mut witnessless: Vec<NodeId> = Vec::new();
+        for &x in &sources[start..end] {
+            let count = oracle.count_within(graph, x, targets, e.bound);
             if count == 0 {
                 // x cannot witness edge e: schedule its removal from mat(from).
-                witnessless.push(x as u32);
+                witnessless.push(x);
             }
+            counts.push(count);
         }
         (counts, witnessless)
     });
@@ -277,14 +279,10 @@ fn match_inner<O: DistanceOracle + Sync + ?Sized>(
     for (ti, (counts, witnessless)) in init_chunks.into_iter().enumerate() {
         let ei = ti / n_chunks;
         if ti % n_chunks == 0 {
-            counters.push(Vec::with_capacity(nv));
+            counters.push(Vec::with_capacity(cand[edges[ei].from.index()].len()));
         }
         counters[ei].extend(counts);
-        pending.extend(
-            witnessless
-                .into_iter()
-                .map(|x| (edges[ei].from, NodeId::new(x))),
-        );
+        pending.extend(witnessless.into_iter().map(|x| (edges[ei].from, x)));
     }
 
     // First wave of removals.
@@ -321,30 +319,28 @@ fn match_inner<O: DistanceOracle + Sync + ?Sized>(
         if gpm_obs::enabled() {
             let m = metrics();
             m.waves.inc();
-            // Each active edge scans the full `mat(from)` membership row.
-            m.membership_scans.add((active.len() * nv) as u64);
+            // Each active edge visits every entry of its `cand[from]` list.
+            let visited: usize = active
+                .iter()
+                .map(|&ei| cand[edges[ei].from.index()].len())
+                .sum();
+            m.membership_scans.add(visited as u64);
         }
-        let deltas: Vec<Vec<(u32, u32)>> = exec.map_tasks(active.len() * n_chunks, nv, |ti| {
+        // Per task: (index into cand[from], decrement) for every still-live
+        // parent candidate that could reach a node removed this wave.
+        let deltas: Vec<Vec<(usize, u32)>> = exec.map_tasks(active.len() * n_chunks, nv, |ti| {
             let e = &edges[active[ti / n_chunks]];
-            let ci = ti % n_chunks;
             let parent = e.from.index();
             let removed = &removed_per_u[e.to.index()];
-            let (start, end) = chunk_range(ci, chunk_len, nv);
-            let mut out: Vec<(u32, u32)> = Vec::new();
-            for (offset, &is_member) in member[parent][start..end].iter().enumerate() {
-                if !is_member {
+            let (start, end) = chunk_range(cand[parent].len(), ti % n_chunks, n_chunks);
+            let mut out: Vec<(usize, u32)> = Vec::new();
+            for (i, &x) in cand[parent][start..end].iter().enumerate() {
+                if !member[parent][x.index()] {
                     continue;
                 }
-                let x = start + offset;
-                let xv = NodeId::new(x as u32);
-                let mut d = 0u32;
-                for &y in removed {
-                    if oracle.within(graph, xv, y, e.bound) {
-                        d += 1;
-                    }
-                }
+                let d = oracle.count_within(graph, x, removed, e.bound);
                 if d > 0 {
-                    out.push((x as u32, d));
+                    out.push((start + i, d));
                 }
             }
             out
@@ -354,21 +350,21 @@ fn match_inner<O: DistanceOracle + Sync + ?Sized>(
             let ei = active[ti / n_chunks];
             let e = &edges[ei];
             let parent = e.from.index();
-            for (x, d) in chunk_deltas {
-                let x = x as usize;
-                if !member[parent][x] {
+            for (i, d) in chunk_deltas {
+                let x = cand[parent][i];
+                if !member[parent][x.index()] {
                     // Removed earlier in this merge pass (through another
                     // edge); its counters no longer matter.
                     continue;
                 }
                 stats.counter_decrements += d as usize;
-                debug_assert!(counters[ei][x] >= d, "witness counter underflow");
-                counters[ei][x] -= d;
-                if counters[ei][x] == 0 {
-                    member[parent][x] = false;
+                debug_assert!(counters[ei][i] >= d, "witness counter underflow");
+                counters[ei][i] -= d;
+                if counters[ei][i] == 0 {
+                    member[parent][x.index()] = false;
                     live_count[parent] -= 1;
                     stats.removed_candidates += 1;
-                    next.push((e.from, NodeId::new(x as u32)));
+                    next.push((e.from, x));
                     if live_count[parent] == 0 {
                         stats.failed_early = true;
                         return MatchOutcome {
@@ -383,14 +379,12 @@ fn match_inner<O: DistanceOracle + Sync + ?Sized>(
     }
 
     // Collect the surviving candidates (lines 16-18).
-    let sets: Vec<Vec<NodeId>> = member
-        .iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .filter(|&(_x, &alive)| alive)
-                .map(|(x, &_alive)| NodeId::new(x as u32))
-                .collect()
+    let sets: Vec<Vec<NodeId>> = cand
+        .into_iter()
+        .zip(&member)
+        .map(|(mut list, alive)| {
+            list.retain(|x| alive[x.index()]);
+            list
         })
         .collect();
     MatchOutcome {
@@ -399,22 +393,27 @@ fn match_inner<O: DistanceOracle + Sync + ?Sized>(
     }
 }
 
-/// The data-node range of chunk `ci`, clamped to `[0, nv]` at both ends:
-/// with `chunk_len = ceil(nv / n_chunks)`, trailing chunks can start past
-/// `nv` and must degenerate to empty ranges (not out-of-bounds slices).
-/// Shared by the counter-initialisation and wave-delta tasks so the two
-/// phases can never disagree on chunk boundaries.
+/// The index range of chunk `ci` of `n_chunks` over a list of `len` entries,
+/// clamped to `[0, len]` at both ends: with `chunk_len = ceil(len /
+/// n_chunks)`, trailing chunks can start past `len` and must degenerate to
+/// empty ranges (not out-of-bounds slices). Shared by the
+/// counter-initialisation and wave-delta tasks so the two phases can never
+/// disagree on chunk boundaries.
 #[inline]
-fn chunk_range(ci: usize, chunk_len: usize, nv: usize) -> (usize, usize) {
-    let start = (ci * chunk_len).min(nv);
-    let end = (start + chunk_len).min(nv);
+fn chunk_range(len: usize, ci: usize, n_chunks: usize) -> (usize, usize) {
+    let chunk_len = len.div_ceil(n_chunks).max(1);
+    let start = (ci * chunk_len).min(len);
+    let end = (start + chunk_len).min(len);
     (start, end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_distance::{BfsOracle, DistanceMatrix, TwoHopOracle};
+    use crate::naive::bounded_simulation_naive_with_oracle;
+    use gpm_datagen::{generate_pattern, random_graph, PatternGenConfig, RandomGraphConfig};
+    use gpm_distance::{BfsOracle, DistanceMatrix, IncrementalTwoHop, TwoHopOracle};
+    use gpm_exec::Parallelism;
     use gpm_graph::{
         Attributes, CmpOp, DataGraphBuilder, EdgeBound, PatternGraphBuilder, Predicate,
     };
@@ -731,5 +730,122 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A pinned outcome: the relation as raw node indices per pattern node,
+    /// then the four `MatchStats` fields.
+    fn golden(sets: &[&[u32]], stats: (usize, usize, usize, bool)) -> MatchOutcome {
+        MatchOutcome {
+            relation: MatchRelation::from_sets(
+                sets.iter()
+                    .map(|set| set.iter().map(|&i| dn(i)).collect())
+                    .collect(),
+            ),
+            stats: MatchStats {
+                initial_candidates: stats.0,
+                removed_candidates: stats.1,
+                counter_decrements: stats.2,
+                failed_early: stats.3,
+            },
+        }
+    }
+
+    /// `Match` on the matrix at 1/2/8 threads (threshold 0, so even these
+    /// sizes run chunked) must equal `expected` — relation and statistics.
+    fn assert_pinned(g: &DataGraph, p: &PatternGraph, expected: &MatchOutcome) {
+        let matrix = DistanceMatrix::build(g);
+        for threads in [1usize, 2, 8] {
+            let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
+            let out = bounded_simulation_with_oracle_on(p, g, &matrix, &exec);
+            assert_eq!(&out, expected, "diverged from the pin at {threads} threads");
+        }
+    }
+
+    /// The `(random_graph, generate_pattern)` pair of a pin below.
+    fn generated(
+        (nodes, edges, labels, graph_seed): (usize, usize, usize, u64),
+        (size, pattern_seed): (usize, u64),
+    ) -> (DataGraph, PatternGraph) {
+        let g = random_graph(&RandomGraphConfig::new(nodes, edges, labels).with_seed(graph_seed));
+        let config = PatternGenConfig::new(size, size + 1, 3).with_seed(pattern_seed);
+        let (p, _) = generate_pattern(&g, &config);
+        (g, p)
+    }
+
+    // The four pins below were captured from the commit before `Match`
+    // moved onto packed candidate lists and `count_within` (the dense
+    // `member[to]` scan with one `within` per pair); the merge order, and so
+    // every statistic, must not move.
+
+    #[test]
+    fn pinned_outcome_fig1_example() {
+        let (g, p) = example_1_1(4);
+        let expected = golden(
+            &[&[0], &[1, 2, 3, 4], &[4], &[5, 6, 7, 8, 9, 10]],
+            (12, 0, 0, false),
+        );
+        assert_pinned(&g, &p, &expected);
+    }
+
+    #[test]
+    fn pinned_outcome_failing_in_candidate_selection() {
+        // Some `mat(u)` is empty after the predicate + out-degree filter.
+        let (g, p) = generated((40, 90, 4, 1), (3, 6));
+        assert_pinned(&g, &p, &golden(&[&[], &[], &[]], (12, 0, 0, true)));
+    }
+
+    #[test]
+    fn pinned_outcome_failing_in_a_wave() {
+        let (g, p) = generated((60, 150, 5, 2), (4, 1));
+        assert_pinned(&g, &p, &golden(&[&[], &[], &[], &[]], (103, 71, 309, true)));
+    }
+
+    #[test]
+    fn pinned_outcome_matching_after_refinement() {
+        let (g, p) = generated((60, 150, 5, 1), (4, 27));
+        let expected = golden(
+            &[
+                &[32, 39, 48, 57, 58],
+                &[24],
+                &[12],
+                &[
+                    3, 4, 5, 7, 9, 16, 17, 19, 21, 23, 24, 25, 26, 31, 32, 34, 39, 40, 41, 42, 44,
+                    47, 48, 53, 54,
+                ],
+            ],
+            (48, 16, 407, false),
+        );
+        assert_pinned(&g, &p, &expected);
+    }
+
+    #[test]
+    fn horizon_sized_bounds_do_not_match_disconnected_nodes() {
+        // a0 -> b0 -> c0 and, in another component, a1 -> d0. With bounds at
+        // and past the `u16` distance horizon the matrix used to compare
+        // `UNREACHABLE <= k` and keep a1 as a match of A.
+        let (g, names) = DataGraphBuilder::new()
+            .node("a0", Attributes::labeled("A"))
+            .node("a1", Attributes::labeled("A"))
+            .node("b0", Attributes::labeled("B"))
+            .node("c0", Attributes::labeled("C"))
+            .node("d0", Attributes::labeled("D"))
+            .path(&["a0", "b0", "c0"])
+            .edge("a1", "d0")
+            .build()
+            .unwrap();
+        let mut p = PatternGraph::new();
+        let ua = p.add_node(Predicate::label("A"));
+        let ub = p.add_node(Predicate::label("B"));
+        let uc = p.add_node(Predicate::label("C"));
+        p.add_edge(ua, ub, EdgeBound::Hops(65_535)).unwrap();
+        p.add_edge(ua, uc, EdgeBound::Hops(u32::MAX)).unwrap();
+
+        let naive = bounded_simulation_naive_with_oracle(&p, &g, &BfsOracle::new());
+        assert_eq!(naive.relation.matches_of(ua), &[names["a0"]]);
+        let matrix = bounded_simulation_with_oracle(&p, &g, &DistanceMatrix::build(&g));
+        let two_hop = bounded_simulation_with_oracle(&p, &g, &IncrementalTwoHop::build(&g));
+        assert_eq!(matrix.relation, naive.relation);
+        assert_eq!(two_hop.relation, naive.relation);
+        assert_eq!(matrix.stats, two_hop.stats);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::oracle::DistanceOracle;
 use crate::UNREACHABLE;
-use gpm_graph::{DataGraph, NodeId};
+use gpm_graph::{DataGraph, EdgeBound, NodeId};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
@@ -41,12 +41,13 @@ impl BfsOracle {
         self.rows.lock().clear();
     }
 
-    fn row_distance(&self, g: &DataGraph, from: NodeId, to: NodeId) -> u16 {
+    /// Runs `f` on the (memoised, computed on first use) row of `from`
+    /// under one lock acquisition.
+    fn with_row<R>(&self, g: &DataGraph, from: NodeId, f: impl FnOnce(&[u16]) -> R) -> R {
         let mut rows = self.rows.lock();
-        let row = rows
+        f(rows
             .entry(from)
-            .or_insert_with(|| compute_nonempty_row(g, from));
-        row[to.index()]
+            .or_insert_with(|| compute_nonempty_row(g, from)))
     }
 }
 
@@ -75,10 +76,22 @@ fn compute_nonempty_row(g: &DataGraph, from: NodeId) -> Vec<u16> {
 
 impl DistanceOracle for BfsOracle {
     fn nonempty_distance(&self, g: &DataGraph, from: NodeId, to: NodeId) -> Option<u32> {
-        match self.row_distance(g, from, to) {
+        match self.with_row(g, from, |row| row[to.index()]) {
             UNREACHABLE => None,
             d => Some(u32::from(d)),
         }
+    }
+
+    /// One lock acquisition and one cache lookup (or BFS) for `from`, then
+    /// the gather over its row — not one of each per target.
+    fn count_within(
+        &self,
+        g: &DataGraph,
+        from: NodeId,
+        targets: &[NodeId],
+        bound: EdgeBound,
+    ) -> u32 {
+        self.with_row(g, from, |row| crate::count_row_within(row, targets, bound))
     }
 
     fn name(&self) -> &'static str {
@@ -90,7 +103,6 @@ impl DistanceOracle for BfsOracle {
 mod tests {
     use super::*;
     use crate::matrix::DistanceMatrix;
-    use gpm_graph::EdgeBound;
     use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {

@@ -96,6 +96,32 @@ pub use oracle::DistanceOracle;
 pub use two_hop::{TwoHopIndex, TwoHopOracle};
 pub use two_hop_inc::IncrementalTwoHop;
 
+use gpm_graph::{EdgeBound, NodeId};
+
 /// Hop count representing "no path"; distances are stored as `u16` because
 /// no graph in this workload family has a diameter anywhere near 65k hops.
 pub const UNREACHABLE: u16 = u16::MAX;
+
+/// The largest stored hop count that satisfies `bound`: `Hops(k)` clamped
+/// below the [`UNREACHABLE`] sentinel (the `u16` horizon — no stored distance
+/// exceeds 65 534, so a larger `k` must not admit unreachable pairs), `*` =
+/// any finite entry. `d <= hop_limit(bound)` is the whole bound test on a
+/// stored distance `d`.
+#[inline]
+pub(crate) fn hop_limit(bound: EdgeBound) -> u16 {
+    match bound {
+        EdgeBound::Hops(k) => k.min(u32::from(UNREACHABLE - 1)) as u16,
+        EdgeBound::Unbounded => UNREACHABLE - 1,
+    }
+}
+
+/// How many of `targets` lie within `bound` of the source whose stored row of
+/// non-empty distances is `row`: one limit, then a branch-free gather.
+#[inline]
+pub(crate) fn count_row_within(row: &[u16], targets: &[NodeId], bound: EdgeBound) -> u32 {
+    let limit = hop_limit(bound);
+    targets
+        .iter()
+        .map(|y| u32::from(row[y.index()] <= limit))
+        .sum()
+}

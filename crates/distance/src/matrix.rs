@@ -12,7 +12,7 @@
 
 use crate::UNREACHABLE;
 use gpm_exec::{Executor, Parallelism};
-use gpm_graph::{Adjacency, DataGraph, NodeId};
+use gpm_graph::{Adjacency, DataGraph, EdgeBound, NodeId};
 use std::collections::VecDeque;
 
 /// All-pairs **non-empty** shortest-path distances of a data graph.
@@ -158,9 +158,11 @@ impl DistanceMatrix {
     }
 
     /// Whether some non-empty path from `x` to `y` has length `<= limit`.
+    /// A `limit` at or past the `u16` horizon still means "some path": an
+    /// unreachable pair is within no bound.
     #[inline]
     pub fn within_hops(&self, x: NodeId, y: NodeId, limit: u32) -> bool {
-        u32::from(self.get(x, y)) <= limit
+        self.get(x, y) <= crate::hop_limit(EdgeBound::Hops(limit))
     }
 
     /// Whether `y` is reachable from `x` by a non-empty path.

@@ -3,7 +3,10 @@
 //! The matching algorithms in `gpm-core` are generic over a
 //! [`DistanceOracle`], which lets Exp-2's three variants (distance matrix,
 //! on-demand BFS, 2-hop-filtered BFS) share one matching implementation and
-//! makes the ablation benches a one-liner.
+//! makes the ablation benches a one-liner. The query half of the trait is a
+//! pair query ([`DistanceOracle::within`]) and its row-level form
+//! ([`DistanceOracle::count_within`], one source against a candidate list),
+//! which is what `Match`'s witness counters are made of.
 //!
 //! Since PR 6 the trait also carries the *incremental-maintenance* surface
 //! (`UpdateM`/`UpdateBM` semantics): a maintainable oracle can repair itself
@@ -79,6 +82,31 @@ pub trait DistanceOracle {
             (Some(_), EdgeBound::Unbounded) => true,
             (Some(d), EdgeBound::Hops(k)) => d <= k,
         }
+    }
+
+    /// How many of `targets` are [`within`](Self::within) `bound` of `from`:
+    /// the row-level form of the query, which is what `Match` asks — one
+    /// source against a whole candidate list.
+    ///
+    /// The contract is the default body: the sum of `within(g, from, y,
+    /// bound)` over `targets`, each occurrence counted, in any order
+    /// (`targets` need not be sorted or duplicate-free). Like `within`, it
+    /// never counts an unreachable pair, whatever the bound: `Hops(k)` with
+    /// `k` at or past the `u16` distance horizon (65 535) means "some
+    /// non-empty path", not "every pair". Back-ends that hold a source's
+    /// distances contiguously override it to resolve `from` and `bound` once
+    /// per call instead of once per pair (the matrix and the BFS cache do).
+    fn count_within(
+        &self,
+        g: &DataGraph,
+        from: NodeId,
+        targets: &[NodeId],
+        bound: EdgeBound,
+    ) -> u32 {
+        targets
+            .iter()
+            .filter(|&&y| self.within(g, from, y, bound))
+            .count() as u32
     }
 
     /// A short label used in benchmark output ("matrix", "bfs", "2-hop"...).
@@ -200,10 +228,18 @@ impl DistanceOracle for DistanceMatrix {
 
     #[inline]
     fn within(&self, _g: &DataGraph, from: NodeId, to: NodeId, bound: EdgeBound) -> bool {
-        match bound {
-            EdgeBound::Hops(k) => self.within_hops(from, to, k),
-            EdgeBound::Unbounded => self.reachable(from, to),
-        }
+        self.get(from, to) <= crate::hop_limit(bound)
+    }
+
+    #[inline]
+    fn count_within(
+        &self,
+        _g: &DataGraph,
+        from: NodeId,
+        targets: &[NodeId],
+        bound: EdgeBound,
+    ) -> u32 {
+        crate::count_row_within(self.row(from), targets, bound)
     }
 
     fn name(&self) -> &'static str {
@@ -277,6 +313,8 @@ impl DistanceOracle for DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BfsOracle, IncrementalTwoHop, TwoHopOracle};
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -377,6 +415,106 @@ mod tests {
                     oracle.nonempty_distance(&g, x, y),
                     rebuilt.nonempty_distance(x, y)
                 );
+            }
+        }
+    }
+
+    /// The bounds the row kernel is checked at: small, just below the `u16`
+    /// horizon, at it, past it, and `*`.
+    const BOUNDS: [EdgeBound; 7] = [
+        EdgeBound::Hops(1),
+        EdgeBound::Hops(3),
+        EdgeBound::Hops(65_534),
+        EdgeBound::Hops(65_535),
+        EdgeBound::Hops(100_000),
+        EdgeBound::Hops(u32::MAX),
+        EdgeBound::Unbounded,
+    ];
+
+    /// All four back-ends over one graph.
+    fn all_oracles(g: &DataGraph) -> Vec<Box<dyn DistanceOracle>> {
+        vec![
+            Box::new(DistanceMatrix::build(g)),
+            Box::new(BfsOracle::new()),
+            Box::new(TwoHopOracle::build(g)),
+            Box::new(IncrementalTwoHop::build(g)),
+        ]
+    }
+
+    #[test]
+    fn horizon_bounds_do_not_admit_unreachable_pairs() {
+        // Reproduction: two nodes, no edge. Before the clamp the matrix
+        // compared `65_535 (UNREACHABLE) <= k` and answered `true` for every
+        // `k` at or past the horizon; the other back-ends answered `false`.
+        let mut g = DataGraph::new();
+        g.add_nodes(2);
+        let m = DistanceMatrix::build(&g);
+        for k in [65_534, 65_535, 100_000, u32::MAX] {
+            assert!(!m.within_hops(n(0), n(1), k), "within_hops at k = {k}");
+        }
+        for oracle in all_oracles(&g) {
+            for bound in BOUNDS {
+                assert!(
+                    !oracle.within(&g, n(0), n(1), bound),
+                    "{}: within at {bound:?}",
+                    oracle.name()
+                );
+                assert_eq!(
+                    oracle.count_within(&g, n(0), &[n(0), n(1)], bound),
+                    0,
+                    "{}: count_within at {bound:?}",
+                    oracle.name()
+                );
+            }
+        }
+        // A real path is still within a horizon-sized bound.
+        let g = line();
+        for oracle in all_oracles(&g) {
+            assert!(oracle.within(&g, n(0), n(3), EdgeBound::Hops(65_535)));
+            assert!(oracle.within(&g, n(0), n(3), EdgeBound::Hops(u32::MAX)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `count_within` is the sum of `within` over the target list, on
+        /// every back-end (two of them through the overrides, two through the
+        /// default body), for every source — so the list contains the source
+        /// itself with and without a self-loop — and every bound class.
+        /// Sorted duplicate-free lists (what `Match` passes), the empty list,
+        /// and an unsorted list with duplicates.
+        #[test]
+        fn prop_count_within_is_the_sum_of_within(
+            nodes in 2usize..14,
+            edges in proptest::collection::vec((0u32..14, 0u32..14), 0..50),
+            picks in proptest::collection::vec(0u32..3, 14..15),
+        ) {
+            let mut g = DataGraph::new();
+            g.add_nodes(nodes);
+            for (a, b) in edges {
+                if (a as usize) < nodes && (b as usize) < nodes {
+                    let _ = g.try_add_edge(n(a), n(b)); // a == b: a self-loop
+                }
+            }
+            let sorted: Vec<NodeId> = g.nodes().filter(|y| picks[y.index()] > 0).collect();
+            let shuffled: Vec<NodeId> = sorted.iter().rev().chain(&sorted).copied().collect();
+            for oracle in all_oracles(&g) {
+                for x in g.nodes() {
+                    for bound in BOUNDS {
+                        let expected =
+                            sorted.iter().filter(|&&y| oracle.within(&g, x, y, bound)).count() as u32;
+                        prop_assert_eq!(
+                            oracle.count_within(&g, x, &sorted, bound), expected,
+                            "{} from {} at {:?}", oracle.name(), x, bound
+                        );
+                        prop_assert_eq!(
+                            oracle.count_within(&g, x, &shuffled, bound), 2 * expected,
+                            "{} (unsorted, duplicated) from {} at {:?}", oracle.name(), x, bound
+                        );
+                        prop_assert_eq!(oracle.count_within(&g, x, &[], bound), 0);
+                    }
+                }
             }
         }
     }

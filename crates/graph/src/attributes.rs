@@ -16,7 +16,7 @@ use std::fmt;
 /// Keys are unique; inserting an existing key overwrites its value.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Attributes {
-    /// Sorted by key to keep lookups `O(log n)` and serialization canonical.
+    /// Sorted by key: canonical serialization and key-ordered iteration.
     entries: Vec<(String, AttrValue)>,
 }
 
@@ -66,11 +66,18 @@ impl Attributes {
     }
 
     /// Returns the value of attribute `key`, if defined.
+    ///
+    /// An equality scan, not a binary search: `str` equality compares the
+    /// lengths before any byte, so at the handful of attributes a node
+    /// carries most entries are ruled out without touching their heap
+    /// buffers, where every probe of an ordered search is a full `str::cmp`.
+    /// This is the inner loop of candidate selection
+    /// ([`DataGraph::nodes_satisfying`](crate::DataGraph::nodes_satisfying)).
     pub fn get(&self, key: &str) -> Option<&AttrValue> {
         self.entries
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| &self.entries[i].1)
+            .iter()
+            .find(|(k, _)| k.as_str() == key)
+            .map(|(_, v)| v)
     }
 
     /// Whether attribute `key` is defined on this node.
@@ -154,6 +161,43 @@ mod tests {
         assert_eq!(a.get("missing"), None);
         assert!(a.contains("rate"));
         assert!(!a.contains("missing"));
+    }
+
+    #[test]
+    fn get_tells_prefix_and_equal_length_keys_apart() {
+        // Keys that are prefixes of one another: the length test alone
+        // separates them.
+        let a = Attributes::from([("abc", 3), ("a", 1), ("ab", 2)]);
+        assert_eq!(a.get("a"), Some(&AttrValue::Int(1)));
+        assert_eq!(a.get("ab"), Some(&AttrValue::Int(2)));
+        assert_eq!(a.get("abc"), Some(&AttrValue::Int(3)));
+        assert_eq!(a.get(""), None);
+        assert_eq!(a.get("abcd"), None);
+        // Equal lengths: the bytes decide.
+        let b = Attributes::from([("rate", 1), ("race", 2), ("rats", 3)]);
+        assert_eq!(b.get("race"), Some(&AttrValue::Int(2)));
+        assert_eq!(b.get("rate"), Some(&AttrValue::Int(1)));
+        assert_eq!(b.get("rats"), Some(&AttrValue::Int(3)));
+        assert_eq!(b.get("rack"), None);
+        // The empty tuple has nothing to find.
+        assert_eq!(Attributes::new().get("a"), None);
+        assert_eq!(Attributes::new().get(""), None);
+    }
+
+    #[test]
+    fn get_on_a_wide_tuple_agrees_with_iteration() {
+        // 20 entries inserted out of order, with mixed key lengths.
+        let a: Attributes = (0..20i64)
+            .map(|i| (format!("k{}{}", "x".repeat((i * 7 % 5) as usize), i), i))
+            .collect();
+        assert_eq!(a.len(), 20);
+        for (k, v) in a.iter() {
+            assert_eq!(a.get(k), Some(v), "key {k}");
+        }
+        let keys: Vec<&str> = a.keys().collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "storage stays sorted");
+        assert_eq!(a.get("k20"), None);
+        assert_eq!(a.get("kx"), None);
     }
 
     #[test]
