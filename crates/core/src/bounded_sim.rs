@@ -16,7 +16,7 @@
 //!   *initial* candidates, which every pass iterates, and as a membership
 //!   bitmap, which is the only part that shrinks. The witness-counter pass
 //!   therefore costs `Σ_e |mat(from(e))|·|mat(to(e))|` row-local loads — one
-//!   [`DistanceOracle::count_within`] per (pattern edge, source candidate),
+//!   [`DistanceQuery::count_within`] per (pattern edge, source candidate),
 //!   against the target's candidate list — which the paper's `|E_p||V|²`
 //!   bounds, and nothing after candidate selection scans all of `V`;
 //! * `anc`/`desc` sets are not materialised; the distance oracle answers the
@@ -30,7 +30,7 @@
 //!   the same `O(|E_p||V|²)` propagation the paper obtains with `premv`.
 
 use crate::match_relation::MatchRelation;
-use gpm_distance::{DistanceOracle, OracleBackend};
+use gpm_distance::{DistanceQuery, OracleBackend};
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
 use std::sync::{Arc, OnceLock};
@@ -127,9 +127,9 @@ pub fn bounded_simulation_on(
     bounded_simulation_with_oracle_on(pattern, graph, oracle.as_ref(), exec)
 }
 
-/// Runs `Match` against an arbitrary [`DistanceOracle`] on the
+/// Runs `Match` against an arbitrary [`DistanceQuery`] on the
 /// process-default [`gpm_exec::Parallelism`] policy.
-pub fn bounded_simulation_with_oracle<O: DistanceOracle + Sync + ?Sized>(
+pub fn bounded_simulation_with_oracle<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
@@ -137,7 +137,7 @@ pub fn bounded_simulation_with_oracle<O: DistanceOracle + Sync + ?Sized>(
     bounded_simulation_with_oracle_on(pattern, graph, oracle, &Executor::from_env())
 }
 
-/// Runs `Match` against an arbitrary [`DistanceOracle`] on an explicit
+/// Runs `Match` against an arbitrary [`DistanceQuery`] on an explicit
 /// executor.
 ///
 /// ## Parallel structure (and why the output is exactly sequential)
@@ -160,7 +160,7 @@ pub fn bounded_simulation_with_oracle<O: DistanceOracle + Sync + ?Sized>(
 ///    run — including [`MatchStats`] and early-failure behaviour —
 ///    bit-identical at every thread count, which is what the determinism
 ///    suite asserts.
-pub fn bounded_simulation_with_oracle_on<O: DistanceOracle + Sync + ?Sized>(
+pub fn bounded_simulation_with_oracle_on<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
@@ -186,7 +186,7 @@ pub fn bounded_simulation_with_oracle_on<O: DistanceOracle + Sync + ?Sized>(
 
 /// The refinement itself, uninstrumented (see the public wrapper above for
 /// the obs accounting; the wave loop counts waves and scans inline).
-fn match_inner<O: DistanceOracle + Sync + ?Sized>(
+fn match_inner<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,

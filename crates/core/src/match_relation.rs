@@ -7,7 +7,7 @@
 //! conditions of a match, and is used throughout the test suites to validate
 //! every algorithm (batch, incremental, naive) against the definition itself.
 
-use gpm_distance::DistanceOracle;
+use gpm_distance::DistanceQuery;
 use gpm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
 use serde::{Deserialize, Serialize};
 
@@ -141,7 +141,7 @@ impl MatchRelation {
     /// Returns the list of violating pairs (empty = valid match relation).
     /// Note that the *empty* relation is trivially a valid (non-maximum)
     /// match.
-    pub fn verify<O: DistanceOracle + ?Sized>(
+    pub fn verify<O: DistanceQuery + ?Sized>(
         &self,
         pattern: &PatternGraph,
         graph: &DataGraph,
@@ -178,7 +178,7 @@ impl MatchRelation {
     }
 
     /// Convenience wrapper around [`MatchRelation::verify`] returning a bool.
-    pub fn is_valid_match<O: DistanceOracle + ?Sized>(
+    pub fn is_valid_match<O: DistanceQuery + ?Sized>(
         &self,
         pattern: &PatternGraph,
         graph: &DataGraph,

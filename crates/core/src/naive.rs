@@ -10,7 +10,7 @@
 
 use crate::bounded_sim::MatchOutcome;
 use crate::match_relation::MatchRelation;
-use gpm_distance::{DistanceMatrix, DistanceOracle};
+use gpm_distance::{DistanceMatrix, DistanceQuery};
 use gpm_graph::{DataGraph, NodeId, PatternGraph};
 
 /// Computes the maximum bounded simulation by repeated full re-scanning.
@@ -20,7 +20,7 @@ pub fn bounded_simulation_naive(pattern: &PatternGraph, graph: &DataGraph) -> Ma
 }
 
 /// Naive fixpoint against an arbitrary distance oracle.
-pub fn bounded_simulation_naive_with_oracle<O: DistanceOracle + ?Sized>(
+pub fn bounded_simulation_naive_with_oracle<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,

@@ -132,7 +132,6 @@ mod tests {
         let exec = Executor::sequential();
         for b in OracleBackend::ALL {
             let mut oracle = b.build(&g, &exec);
-            assert!(oracle.supports_incremental(), "{b}");
             assert_eq!(
                 oracle.nonempty_distance(&g, NodeId::new(0), NodeId::new(1)),
                 Some(1),

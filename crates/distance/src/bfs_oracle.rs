@@ -7,7 +7,7 @@
 //! variant explores (Figures 6(e)–(h) show it losing once many pairs are
 //! queried, which is what `Match` does).
 
-use crate::oracle::DistanceOracle;
+use crate::oracle::DistanceQuery;
 use crate::UNREACHABLE;
 use gpm_graph::{DataGraph, EdgeBound, NodeId};
 use parking_lot::Mutex;
@@ -74,7 +74,7 @@ fn compute_nonempty_row(g: &DataGraph, from: NodeId) -> Vec<u16> {
     row
 }
 
-impl DistanceOracle for BfsOracle {
+impl DistanceQuery for BfsOracle {
     fn nonempty_distance(&self, g: &DataGraph, from: NodeId, to: NodeId) -> Option<u32> {
         match self.with_row(g, from, |row| row[to.index()]) {
             UNREACHABLE => None,

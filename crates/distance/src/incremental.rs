@@ -104,8 +104,10 @@ impl AffectedPair {
 /// The set `AFF1` of node pairs whose pairwise distance changed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AffectedPairs {
-    /// The affected pairs. A batch's `AFF1` is sorted by `(source, sink)`;
-    /// a unit update's is in the order the kernel found the pairs.
+    /// The affected pairs. A batch's `AFF1` — everything
+    /// [`DistanceOracle::apply_batch`](crate::DistanceOracle::apply_batch)
+    /// returns — is sorted by `(source, sink)`; [`update_matrix`]'s is in the
+    /// order the unit kernel found the pairs.
     pub pairs: Vec<AffectedPair>,
 }
 

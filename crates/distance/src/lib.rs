@@ -6,8 +6,13 @@
 //! edge `(u, u')` with bound `k`, whether a data node `x` has a *non-empty*
 //! path of length `<= k` to some node matching `u'`. All of that reduces to
 //! queries of the form "what is the length of the shortest **non-empty** path
-//! from `x` to `y`?", which this crate answers through three interchangeable
-//! oracles (the three variants compared in Exp-2 of the paper):
+//! from `x` to `y`?", which this crate answers through interchangeable
+//! back-ends behind two traits.
+//!
+//! [`DistanceQuery`] is the read side (`nonempty_distance`, `within`,
+//! `count_within`) — what `Match` and the match-repair passes are generic
+//! over. Every back-end implements it, including the three variants compared
+//! in Exp-2 of the paper:
 //!
 //! * [`DistanceMatrix`] — the paper's distance matrix `M`: all-pairs
 //!   non-empty shortest distances, `O(|V|(|V|+|E|))` to build, `O(1)` to
@@ -16,15 +21,17 @@
 //! * [`TwoHopIndex`] / [`TwoHopOracle`] — a pruned 2-hop reachability/distance
 //!   labeling used as a filter in front of BFS ("2-hop").
 //!
-//! It also provides the **incremental shortest-path maintenance** the
-//! incremental matching algorithms rely on: [`update_matrix`] (the paper's
-//! `UpdateM`, unit updates) and [`update_matrix_batch`] (`UpdateBM`, batch
-//! updates), both reporting the set of affected source–sink pairs (`AFF1`).
-//! The same maintenance surface is part of the [`DistanceOracle`] trait
-//! itself, with two maintainable implementations — [`DistanceMatrix`] and the
-//! sublinear-memory [`IncrementalTwoHop`] labeling — selected at runtime via
-//! [`OracleBackend`] (the `GPM_ORACLE` environment variable / `--oracle`
-//! flag).
+//! [`DistanceOracle`] extends it with the **incremental shortest-path
+//! maintenance** the incremental matching algorithms rely on, as one
+//! required method: [`DistanceOracle::apply_batch`] (the paper's `UpdateBM`;
+//! `UpdateM` is a one-element batch), reporting the set of affected
+//! source–sink pairs (`AFF1`). Two back-ends are maintainable —
+//! [`DistanceMatrix`] (whose kernels are also free functions:
+//! [`update_matrix`], [`update_matrix_batch`]) and the sublinear-memory
+//! [`IncrementalTwoHop`] labeling — selected at runtime via [`OracleBackend`]
+//! (the `GPM_ORACLE` environment variable / `--oracle` flag). [`BfsOracle`]
+//! and [`TwoHopOracle`] are query-only: handing one to code that maintains
+//! its oracle is a compile error.
 //!
 //! ## Non-empty distances
 //!
@@ -41,7 +48,7 @@
 //! | matrix `M`, Theorem 3.1 proof | [`DistanceMatrix`] (`build` = one BFS per source) |
 //! | "BFS" curves, Fig. 6(f)–(h) | [`BfsOracle`] |
 //! | "2-hop" curves, Fig. 6(f)–(h) | [`TwoHopIndex`] / [`TwoHopOracle`] |
-//! | `UpdateM` / `UpdateBM`, Section 4 | [`update_matrix`] / [`update_matrix_batch`] |
+//! | `UpdateM` / `UpdateBM`, Section 4 | [`DistanceOracle::apply_batch`]; on the matrix [`update_matrix`] / [`update_matrix_batch`] |
 //! | `AFF1` | [`AffectedPairs`] |
 //!
 //! All oracles consume the data graph through its CSR slice accessors
@@ -92,7 +99,7 @@ pub use incremental::{
     AffectedPairs, EdgeUpdate,
 };
 pub use matrix::DistanceMatrix;
-pub use oracle::DistanceOracle;
+pub use oracle::{DistanceOracle, DistanceQuery};
 pub use two_hop::{TwoHopIndex, TwoHopOracle};
 pub use two_hop_inc::IncrementalTwoHop;
 

@@ -59,7 +59,6 @@ pub(crate) struct TwoHopMetrics {
     pub label_queries: Arc<Counter>,
     pub delete_noop: Arc<Counter>,
     pub delete_row_repair: Arc<Counter>,
-    pub delete_rebuild: Arc<Counter>,
     /// Batches in which rebuild-demanding deletions were deferred into the
     /// single end-of-batch rebuild.
     pub batch_deferred: Arc<Counter>,
@@ -77,7 +76,6 @@ pub(crate) fn twohop_extra() -> &'static TwoHopMetrics {
             label_queries: scope.counter("twohop.label_queries"),
             delete_noop: scope.counter("twohop.delete_noop"),
             delete_row_repair: scope.counter("twohop.delete_row_repair"),
-            delete_rebuild: scope.counter("twohop.delete_rebuild"),
             batch_deferred: scope.counter("twohop.batch_deferred"),
             rebuilds: scope.counter("twohop.rebuilds"),
             rebuild_ns: scope.histogram("twohop.rebuild_ns"),

@@ -1,73 +1,40 @@
-//! The common interface of the distance back-ends.
+//! The two traits of the distance back-ends: what every back-end can answer
+//! ([`DistanceQuery`]) and what a maintainable one can additionally do
+//! ([`DistanceOracle`]).
 //!
-//! The matching algorithms in `gpm-core` are generic over a
-//! [`DistanceOracle`], which lets Exp-2's three variants (distance matrix,
-//! on-demand BFS, 2-hop-filtered BFS) share one matching implementation and
-//! makes the ablation benches a one-liner. The query half of the trait is a
-//! pair query ([`DistanceOracle::within`]) and its row-level form
-//! ([`DistanceOracle::count_within`], one source against a candidate list),
-//! which is what `Match`'s witness counters are made of.
+//! The matching algorithms in `gpm-core` and the repair passes in
+//! `gpm-incremental` only *read* distances, so they are generic over
+//! [`DistanceQuery`]: a pair query ([`DistanceQuery::within`]) and its
+//! row-level form ([`DistanceQuery::count_within`], one source against a
+//! candidate list), which is what `Match`'s witness counters are made of.
+//! All four back-ends implement it, which lets Exp-2's three variants
+//! (distance matrix, on-demand BFS, 2-hop-filtered BFS) share one matching
+//! implementation.
 //!
-//! Since PR 6 the trait also carries the *incremental-maintenance* surface
-//! (`UpdateM`/`UpdateBM` semantics): a maintainable oracle can repair itself
-//! under edge insertions and deletions and report `AFF1`, the set of node
-//! pairs whose distance changed. This is what lets `IncrementalMatcher`,
-//! `inc_match_with` and `MatchService` run on any backend — the quadratic
-//! [`DistanceMatrix`] or the sublinear-memory
-//! [`crate::IncrementalTwoHop`] labeling — selected at runtime via
-//! [`crate::OracleBackend`].
+//! [`DistanceOracle`] is the query trait plus incremental maintenance
+//! (`UpdateM`/`UpdateBM` semantics): a maintainable oracle repairs itself
+//! under edge insertions and deletions through **one** method,
+//! [`DistanceOracle::apply_batch`], and reports `AFF1`, the set of node
+//! pairs whose distance changed. Only the quadratic [`DistanceMatrix`] and
+//! the sublinear-memory [`crate::IncrementalTwoHop`] labeling implement it —
+//! they are what `IncrementalMatcher` and `MatchService` own, selected at
+//! runtime via [`crate::OracleBackend`]. [`crate::BfsOracle`] and
+//! [`crate::TwoHopOracle`] are query-only, so asking one of them to
+//! maintain itself does not compile.
 
 use crate::incremental::{AffectedPairs, EdgeUpdate};
 use crate::matrix::DistanceMatrix;
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, EdgeBound, NodeId};
 
-/// Answers non-empty shortest-path queries over a fixed data graph, and —
-/// for maintainable back-ends — repairs itself under edge updates.
+/// Answers non-empty shortest-path queries over a fixed data graph.
 ///
 /// Implementations may cache internally (hence `&self` methods may use
 /// interior mutability), but must stay consistent with the graph they were
-/// created for: mutating the graph invalidates the oracle unless the oracle
-/// is *maintainable* ([`supports_incremental`](Self::supports_incremental)
-/// returns `true`) and is repaired through
-/// [`apply_insert`](Self::apply_insert) / [`apply_delete`](Self::apply_delete)
-/// / [`apply_batch`](Self::apply_batch) for every graph mutation.
-///
-/// # Incremental maintenance contract
-///
-/// The maintenance methods mirror the paper's `UpdateM`/`UpdateBM`: the graph
-/// passed in must **already reflect** the update(s), the oracle must reflect
-/// the graph **before** the update(s), and the returned
-/// [`AffectedPairs`] (`AFF1`) lists exactly the source–sink pairs whose
-/// non-empty distance changed, with old and new values.
-///
-/// # Example
-///
-/// Repairing a boxed oracle under an insertion instead of rebuilding it:
-///
-/// ```
-/// use gpm_distance::{DistanceMatrix, DistanceOracle};
-/// use gpm_exec::Executor;
-/// use gpm_graph::{DataGraph, NodeId};
-///
-/// let mut g = DataGraph::new();
-/// g.add_nodes(3);
-/// g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-/// let mut oracle: Box<dyn DistanceOracle + Send + Sync> =
-///     Box::new(DistanceMatrix::build(&g));
-/// assert!(oracle.supports_incremental());
-/// assert_eq!(oracle.nonempty_distance(&g, NodeId::new(0), NodeId::new(2)), None);
-///
-/// // Mutate the graph first, then repair the oracle and inspect AFF1.
-/// g.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
-/// let exec = Executor::from_env();
-/// let aff1 = oracle.apply_insert(&g, NodeId::new(1), NodeId::new(2), &exec);
-/// assert!(aff1
-///     .iter()
-///     .any(|p| p.source == NodeId::new(0) && p.sink == NodeId::new(2) && !p.increased()));
-/// assert_eq!(oracle.nonempty_distance(&g, NodeId::new(0), NodeId::new(2)), Some(2));
-/// ```
-pub trait DistanceOracle {
+/// created for: mutating the graph invalidates the answers unless the type is
+/// also a [`DistanceOracle`] and every mutation is followed by its
+/// [`apply_batch`](DistanceOracle::apply_batch).
+pub trait DistanceQuery {
     /// Length of the shortest **non-empty** path from `from` to `to`, or
     /// `None` if there is none.
     fn nonempty_distance(&self, g: &DataGraph, from: NodeId, to: NodeId) -> Option<u32>;
@@ -112,59 +79,64 @@ pub trait DistanceOracle {
     /// A short label used in benchmark output ("matrix", "bfs", "2-hop"...).
     fn name(&self) -> &'static str;
 
-    /// Whether this oracle can be repaired in place under edge updates.
-    ///
-    /// When `false` (the default), the maintenance methods below panic; the
-    /// oracle is query-only and must be rebuilt after any graph mutation.
-    fn supports_incremental(&self) -> bool {
-        false
+    /// Approximate resident size of the oracle in bytes (`0` = unknown).
+    fn memory_bytes(&self) -> usize {
+        0
     }
+}
 
-    /// `UpdateM` for an insertion: repairs the oracle after the edge
-    /// `(from, to)` was added to `g` and returns `AFF1`.
-    ///
-    /// `g` must already contain the new edge.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: back-ends that return `false` from
-    /// [`supports_incremental`](Self::supports_incremental) do not maintain
-    /// themselves. Callers gate on that flag.
-    fn apply_insert(
-        &mut self,
-        _g: &DataGraph,
-        _from: NodeId,
-        _to: NodeId,
-        _exec: &Executor,
-    ) -> AffectedPairs {
-        panic!(
-            "distance oracle `{}` does not support incremental maintenance",
-            self.name()
-        );
-    }
-
-    /// `UpdateM` for a deletion: repairs the oracle after the edge
-    /// `(from, to)` was removed from `g` and returns `AFF1`.
-    ///
-    /// `g` must no longer contain the deleted edge.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics, exactly as
-    /// [`apply_insert`](Self::apply_insert).
-    fn apply_delete(
-        &mut self,
-        _g: &DataGraph,
-        _from: NodeId,
-        _to: NodeId,
-        _exec: &Executor,
-    ) -> AffectedPairs {
-        panic!(
-            "distance oracle `{}` does not support incremental maintenance",
-            self.name()
-        );
-    }
-
+/// A [`DistanceQuery`] that repairs itself under edge updates instead of
+/// being rebuilt.
+///
+/// # Incremental maintenance contract
+///
+/// Maintenance mirrors the paper's `UpdateM`/`UpdateBM`: the graph passed in
+/// must **already reflect** the update(s), the oracle must reflect the graph
+/// **before** the update(s), and the returned [`AffectedPairs`] (`AFF1`)
+/// lists exactly the source–sink pairs whose non-empty distance changed, with
+/// old and new values, sorted by `(source, sink)`. A back-end implements
+/// [`apply_batch`](Self::apply_batch) and nothing else; the unit methods are
+/// one-element batches.
+///
+/// # Example
+///
+/// Repairing a boxed oracle under an insertion instead of rebuilding it:
+///
+/// ```
+/// use gpm_distance::{DistanceMatrix, DistanceOracle};
+/// use gpm_exec::Executor;
+/// use gpm_graph::{DataGraph, NodeId};
+///
+/// let mut g = DataGraph::new();
+/// g.add_nodes(3);
+/// g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
+/// let mut oracle: Box<dyn DistanceOracle + Send + Sync> =
+///     Box::new(DistanceMatrix::build(&g));
+/// assert_eq!(oracle.nonempty_distance(&g, NodeId::new(0), NodeId::new(2)), None);
+///
+/// // Mutate the graph first, then repair the oracle and inspect AFF1.
+/// g.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
+/// let exec = Executor::from_env();
+/// let aff1 = oracle.apply_insert(&g, NodeId::new(1), NodeId::new(2), &exec);
+/// assert!(aff1
+///     .iter()
+///     .any(|p| p.source == NodeId::new(0) && p.sink == NodeId::new(2) && !p.increased()));
+/// assert_eq!(oracle.nonempty_distance(&g, NodeId::new(0), NodeId::new(2)), Some(2));
+/// ```
+///
+/// The query-only back-ends do not implement this trait, so maintaining one
+/// is a type error rather than a runtime panic:
+///
+/// ```compile_fail,E0599
+/// use gpm_distance::{BfsOracle, DistanceOracle, EdgeUpdate};
+/// use gpm_exec::Executor;
+/// use gpm_graph::{DataGraph, NodeId};
+///
+/// let g = DataGraph::from_edges(2, &[(0, 1)]).unwrap();
+/// let update = EdgeUpdate::Insert(NodeId::new(0), NodeId::new(1));
+/// BfsOracle::new().apply_batch(&g, &[update], &Executor::sequential());
+/// ```
+pub trait DistanceOracle: DistanceQuery {
     /// `UpdateBM`: repairs the oracle after a **batch** of updates and
     /// returns the combined `AFF1` (pairs whose distance differs between the
     /// state before the first update and after the last one), sorted by
@@ -178,49 +150,50 @@ pub trait DistanceOracle {
     /// touches nothing. Implementations replay the batch against a
     /// [`BatchReplay`](gpm_graph::BatchReplay) view of `g` — `g` is never
     /// copied.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics, exactly as
-    /// [`apply_insert`](Self::apply_insert).
     fn apply_batch(
         &mut self,
-        _g: &DataGraph,
-        _updates: &[EdgeUpdate],
-        _exec: &Executor,
+        g: &DataGraph,
+        updates: &[EdgeUpdate],
+        exec: &Executor,
+    ) -> AffectedPairs;
+
+    /// `UpdateM` for an insertion: repairs the oracle after the edge
+    /// `(from, to)` was added to `g` and returns `AFF1`.
+    fn apply_insert(
+        &mut self,
+        g: &DataGraph,
+        from: NodeId,
+        to: NodeId,
+        exec: &Executor,
     ) -> AffectedPairs {
-        panic!(
-            "distance oracle `{}` does not support incremental maintenance",
-            self.name()
-        );
+        self.apply_batch(g, &[EdgeUpdate::Insert(from, to)], exec)
     }
 
-    /// How many updates degraded to a full index rebuild so far.
-    ///
-    /// Always `0` for back-ends whose repairs never fall back (the matrix)
-    /// and for query-only back-ends.
+    /// `UpdateM` for a deletion: repairs the oracle after the edge
+    /// `(from, to)` was removed from `g` and returns `AFF1`.
+    fn apply_delete(
+        &mut self,
+        g: &DataGraph,
+        from: NodeId,
+        to: NodeId,
+        exec: &Executor,
+    ) -> AffectedPairs {
+        self.apply_batch(g, &[EdgeUpdate::Delete(from, to)], exec)
+    }
+
+    /// How many batches degraded to a full index rebuild so far (always `0`
+    /// for back-ends whose repairs never fall back — the matrix).
     fn rebuilds(&self) -> usize {
         0
     }
 
-    /// Approximate resident size of the oracle in bytes (`0` = unknown).
-    fn memory_bytes(&self) -> usize {
-        0
-    }
-
-    /// A deep copy of this oracle as a boxed trait object, or `None` if the
-    /// backend is not cloneable.
-    ///
-    /// Owning facades that are themselves `Clone` (e.g. the benchmark
-    /// harness's `IncrementalMatcher`) duplicate their backend through this
-    /// hook; the two backends selectable via [`crate::OracleBackend`] both
-    /// support it.
-    fn clone_box(&self) -> Option<Box<dyn DistanceOracle + Send + Sync>> {
-        None
-    }
+    /// A deep copy of this oracle as a boxed trait object, which is how
+    /// owning facades that are themselves `Clone` (`IncrementalMatcher`)
+    /// duplicate their backend.
+    fn clone_box(&self) -> Box<dyn DistanceOracle + Send + Sync>;
 }
 
-impl DistanceOracle for DistanceMatrix {
+impl DistanceQuery for DistanceMatrix {
     #[inline]
     fn nonempty_distance(&self, _g: &DataGraph, from: NodeId, to: NodeId) -> Option<u32> {
         DistanceMatrix::nonempty_distance(self, from, to)
@@ -246,48 +219,18 @@ impl DistanceOracle for DistanceMatrix {
         "matrix"
     }
 
-    fn supports_incremental(&self) -> bool {
-        true
+    fn memory_bytes(&self) -> usize {
+        DistanceMatrix::memory_bytes(self)
     }
+}
 
-    fn apply_insert(
-        &mut self,
-        g: &DataGraph,
-        from: NodeId,
-        to: NodeId,
-        exec: &Executor,
-    ) -> AffectedPairs {
-        let m = crate::metrics::matrix();
-        let _span = m.apply_ns.span();
-        let aff =
-            crate::incremental::update_matrix_with(g, self, EdgeUpdate::Insert(from, to), exec);
-        m.note_unit(true, aff.len());
-        aff
-    }
-
-    fn apply_delete(
-        &mut self,
-        g: &DataGraph,
-        from: NodeId,
-        to: NodeId,
-        exec: &Executor,
-    ) -> AffectedPairs {
-        let m = crate::metrics::matrix();
-        let _span = m.apply_ns.span();
-        let aff =
-            crate::incremental::update_matrix_with(g, self, EdgeUpdate::Delete(from, to), exec);
-        m.note_unit(false, aff.len());
-        aff
-    }
-
+impl DistanceOracle for DistanceMatrix {
     fn apply_batch(
         &mut self,
         g: &DataGraph,
         updates: &[EdgeUpdate],
         exec: &Executor,
     ) -> AffectedPairs {
-        // The native batch path bypasses the unit methods, so account the
-        // units here (insert/delete splits and the combined AFF1 size).
         let m = crate::metrics::matrix();
         let _span = m.apply_ns.span();
         let aff = crate::incremental::update_matrix_batch_with(g, self, updates, exec);
@@ -301,12 +244,8 @@ impl DistanceOracle for DistanceMatrix {
         aff
     }
 
-    fn memory_bytes(&self) -> usize {
-        DistanceMatrix::memory_bytes(self)
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn DistanceOracle + Send + Sync>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn DistanceOracle + Send + Sync> {
+        Box::new(self.clone())
     }
 }
 
@@ -341,7 +280,6 @@ mod tests {
         assert!(oracle.within(&g, n(0), n(3), EdgeBound::Unbounded));
         assert!(!oracle.within(&g, n(3), n(0), EdgeBound::Unbounded));
         assert_eq!(oracle.name(), "matrix");
-        assert!(oracle.supports_incremental());
         assert_eq!(oracle.rebuilds(), 0);
         assert!(oracle.memory_bytes() > 0);
     }
@@ -350,7 +288,7 @@ mod tests {
     fn default_within_is_consistent_with_distance() {
         // Exercise the trait's default `within` using a thin wrapper oracle.
         struct Wrapper(DistanceMatrix);
-        impl DistanceOracle for Wrapper {
+        impl DistanceQuery for Wrapper {
             fn nonempty_distance(&self, _g: &DataGraph, a: NodeId, b: NodeId) -> Option<u32> {
                 self.0.nonempty_distance(a, b)
             }
@@ -364,26 +302,7 @@ mod tests {
         assert!(!w.within(&g, n(0), n(2), EdgeBound::Hops(1)));
         assert!(w.within(&g, n(0), n(2), EdgeBound::Unbounded));
         assert!(!w.within(&g, n(2), n(0), EdgeBound::Unbounded));
-        assert!(!w.supports_incremental());
-        assert_eq!(w.rebuilds(), 0);
         assert_eq!(w.memory_bytes(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not support incremental maintenance")]
-    fn non_incremental_oracle_panics_on_maintenance() {
-        struct Fixed;
-        impl DistanceOracle for Fixed {
-            fn nonempty_distance(&self, _g: &DataGraph, _a: NodeId, _b: NodeId) -> Option<u32> {
-                None
-            }
-            fn name(&self) -> &'static str {
-                "fixed"
-            }
-        }
-        let mut g = line();
-        g.add_edge(n(3), n(0)).unwrap();
-        Fixed.apply_insert(&g, n(3), n(0), &Executor::sequential());
     }
 
     #[test]
@@ -432,7 +351,7 @@ mod tests {
     ];
 
     /// All four back-ends over one graph.
-    fn all_oracles(g: &DataGraph) -> Vec<Box<dyn DistanceOracle>> {
+    fn all_oracles(g: &DataGraph) -> Vec<Box<dyn DistanceQuery>> {
         vec![
             Box::new(DistanceMatrix::build(g)),
             Box::new(BfsOracle::new()),

@@ -12,7 +12,7 @@
 //! same query interface; only the cover-construction heuristic differs from
 //! the cited work.
 
-use crate::oracle::DistanceOracle;
+use crate::oracle::DistanceQuery;
 use crate::UNREACHABLE;
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, NodeId};
@@ -701,7 +701,7 @@ fn pruned_bfs(
     labelled
 }
 
-/// [`DistanceOracle`] built on a [`TwoHopIndex`], mirroring the paper's
+/// [`DistanceQuery`] built on a [`TwoHopIndex`], mirroring the paper's
 /// implementation: labels answer the reachability filter, and a BFS computes
 /// the exact distance only for reachable pairs.
 #[derive(Debug)]
@@ -741,7 +741,7 @@ impl TwoHopOracle {
     }
 }
 
-impl DistanceOracle for TwoHopOracle {
+impl DistanceQuery for TwoHopOracle {
     fn nonempty_distance(&self, g: &DataGraph, from: NodeId, to: NodeId) -> Option<u32> {
         // Filter on the labels first: unreachable pairs never hit the BFS.
         if !self.index.reachable(from, to) {

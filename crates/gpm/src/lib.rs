@@ -160,8 +160,8 @@ pub use gpm_datagen::{
     UpdateStreamConfig,
 };
 pub use gpm_distance::{
-    BfsOracle, DistanceMatrix, DistanceOracle, EdgeUpdate, IncrementalTwoHop, OracleBackend,
-    TwoHopIndex, TwoHopOracle,
+    BfsOracle, DistanceMatrix, DistanceOracle, DistanceQuery, EdgeUpdate, IncrementalTwoHop,
+    OracleBackend, TwoHopIndex, TwoHopOracle,
 };
 pub use gpm_exec::{Executor, Parallelism};
 pub use gpm_graph::{
@@ -170,8 +170,8 @@ pub use gpm_graph::{
     Predicate,
 };
 pub use gpm_incremental::{
-    inc_match, inc_match_with, match_minus, match_plus, repair_match_state, IncrementalMatcher,
-    MatchState, RepairOutcome,
+    inc_match, match_minus, match_plus, repair_match_state, IncrementalMatcher, MatchState,
+    RepairOutcome,
 };
 pub use gpm_iso::{subgraph_isomorphism_ullmann, subgraph_isomorphism_vf2, IsoConfig, IsoOutcome};
 pub use gpm_service::{

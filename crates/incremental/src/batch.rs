@@ -17,37 +17,19 @@
 //! the combined repair confluent.
 
 use crate::affected::IncrementalOutcome;
-use crate::repair::repair_match_state;
+use crate::repair::maintain;
 use crate::state::MatchState;
 use gpm_distance::{DistanceOracle, EdgeUpdate};
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, GraphError, PatternGraph};
 
 /// Applies a batch `δ` of edge updates to `graph`, maintains `oracle` and
-/// `state`, and reports the affected areas.
+/// `state` on `exec`, and reports the affected areas.
 ///
 /// Updates that are no-ops at their position in the batch (inserting an
 /// existing edge, deleting a missing one) are skipped, matching the
 /// behaviour of the update-stream generator. Errors with
 /// [`GraphError::PatternNotAcyclic`] for cyclic patterns (nothing modified).
-pub fn inc_match<O: DistanceOracle + ?Sized>(
-    pattern: &PatternGraph,
-    graph: &mut DataGraph,
-    oracle: &mut O,
-    state: &mut MatchState,
-    updates: &[EdgeUpdate],
-) -> Result<IncrementalOutcome, GraphError> {
-    inc_match_with(
-        pattern,
-        graph,
-        oracle,
-        state,
-        updates,
-        &Executor::from_env(),
-    )
-}
-
-/// [`inc_match`] on an explicit executor.
 ///
 /// The expensive half of batch maintenance — `UpdateBM`'s distance repair —
 /// is partitioned by affected area across the workers (source rows for
@@ -57,7 +39,7 @@ pub fn inc_match<O: DistanceOracle + ?Sized>(
 /// identical at every thread count. The match-repair passes themselves
 /// (`Match−`/`Match+` propagation) stay sequential: their work is
 /// proportional to `|AFF2|`, which the paper shows to be small.
-pub fn inc_match_with<O: DistanceOracle + ?Sized>(
+pub fn inc_match<O: DistanceOracle + ?Sized>(
     pattern: &PatternGraph,
     graph: &mut DataGraph,
     oracle: &mut O,
@@ -66,25 +48,9 @@ pub fn inc_match_with<O: DistanceOracle + ?Sized>(
     exec: &Executor,
 ) -> Result<IncrementalOutcome, GraphError> {
     pattern.require_dag()?;
-
     // Apply the batch to the graph, remembering which updates took effect.
-    let mut applied: Vec<EdgeUpdate> = Vec::with_capacity(updates.len());
-    for u in updates {
-        if u.apply(graph) {
-            applied.push(*u);
-        }
-    }
-    let aff1 = oracle.apply_batch(graph, &applied, exec);
-
-    // Removals first, then additions (see module docs) — the shared repair
-    // entry point preserves that order; the DAG requirement is already
-    // checked above, so it cannot fail here.
-    let repair = repair_match_state(pattern, graph, oracle, state, &aff1)?;
-    Ok(IncrementalOutcome::new(
-        aff1,
-        repair.aff2,
-        repair.verifications,
-    ))
+    let applied: Vec<EdgeUpdate> = updates.iter().copied().filter(|u| u.apply(graph)).collect();
+    maintain(pattern, graph, oracle, state, &applied, exec).map_err(|(_aff1, err)| err)
 }
 
 #[cfg(test)]
@@ -95,6 +61,18 @@ mod tests {
     use gpm_distance::DistanceMatrix;
     use gpm_graph::{PatternGraphBuilder, Predicate};
     use proptest::prelude::*;
+
+    /// The tests predate the `exec` parameter: run them on the process-default
+    /// executor, so the suite follows `GPM_THREADS`.
+    fn inc_match(
+        p: &PatternGraph,
+        g: &mut DataGraph,
+        m: &mut DistanceMatrix,
+        s: &mut MatchState,
+        updates: &[EdgeUpdate],
+    ) -> Result<IncrementalOutcome, GraphError> {
+        super::inc_match(p, g, m, s, updates, &Executor::from_env())
+    }
 
     fn dag_pattern() -> PatternGraph {
         let (p, _) = PatternGraphBuilder::new()

@@ -4,32 +4,35 @@
 //! A deletion can only *increase* distances, so matches can only disappear.
 //! The algorithm:
 //!
-//! 1. update the distance matrix with `UpdateM`, obtaining `AFF1`;
-//! 2. for every data node whose outgoing distances grew, re-verify the
-//!    pattern edges of the pattern nodes it currently matches; failures are
-//!    removed from the match and pushed on a worklist (`wSet`);
+//! 1. update the distance oracle (`UpdateM`), obtaining `AFF1`;
+//! 2. for every data node with an outgoing distance that grew past one of
+//!    the pattern's bounds, re-verify the pattern edges of the pattern nodes
+//!    it currently matches; failures are removed from the match and pushed
+//!    on a worklist (`wSet`);
 //! 3. pop `(u, y)` pairs from the worklist and re-verify the affected pattern
 //!    edge for every matched ancestor candidate that could reach `y` within
 //!    the bound, cascading removals until the fixpoint.
+//!
+//! Steps 1 and 2's seeding are the crate's shared kernel (see
+//! [`crate::repair`]); [`match_minus`] is its paper-named entry point and
+//! this module owns the removal propagation, steps 2–3.
 //!
 //! The implementation deviates from the pseudo-code in one defensive way:
 //! step 2 re-verifies *all* out-edges of the affected sources rather than
 //! only the edges whose sink also appears in `AFF1` — this keeps the pass
 //! correct when several pairs of the same batch interact (see the discussion
 //! in `batch.rs`), at the cost of a few extra constant-time checks.
-//!
-//! Everything here is generic over a maintainable [`DistanceOracle`], so the
-//! same pass drives the distance matrix and the incremental 2-hop labeling.
 
 use crate::affected::{Aff2, IncrementalOutcome};
-use crate::state::MatchState;
-use gpm_distance::DistanceOracle;
+use crate::repair::maintain;
+use crate::state::{edge_witnessed, MatchState};
+use gpm_distance::{DistanceOracle, DistanceQuery, EdgeUpdate};
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, EdgeBound, GraphError, NodeId, PatternGraph, PatternNodeId};
+use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph, PatternNodeId};
 use rustc_hash::FxHashSet;
 
 /// Applies the deletion of `(from, to)` to `graph`, maintains `oracle` and
-/// `state`, and reports the affected areas.
+/// `state` on `exec`, and reports the affected areas.
 ///
 /// Errors with [`GraphError::MissingEdge`] if the edge does not exist; in
 /// that case nothing is modified.
@@ -40,50 +43,17 @@ pub fn match_minus<O: DistanceOracle + ?Sized>(
     state: &mut MatchState,
     from: NodeId,
     to: NodeId,
+    exec: &Executor,
 ) -> Result<IncrementalOutcome, GraphError> {
     graph.remove_edge(from, to)?;
-    let aff1 = oracle.apply_delete(graph, from, to, &Executor::from_env());
-
-    let sources: FxHashSet<NodeId> = aff1
-        .iter()
-        .filter(|p| p.increased())
-        .map(|p| p.source)
-        .collect();
-    let mut aff2 = Aff2::default();
-    let mut verifications = 0usize;
-    process_removals(
-        pattern,
-        graph,
-        oracle,
-        state,
-        &sources,
-        &mut aff2,
-        &mut verifications,
-    );
-    Ok(IncrementalOutcome::new(aff1, aff2, verifications))
-}
-
-/// Whether matched node `x` of pattern node `u` still has a witness for the
-/// pattern edge `(u, target)` with the given bound.
-#[inline]
-pub(crate) fn edge_witnessed<O: DistanceOracle + ?Sized>(
-    graph: &DataGraph,
-    oracle: &O,
-    state: &MatchState,
-    x: NodeId,
-    target: PatternNodeId,
-    bound: EdgeBound,
-) -> bool {
-    state
-        .matches_of(target)
-        .into_iter()
-        .any(|y| oracle.within(graph, x, y, bound))
+    let applied = [EdgeUpdate::Delete(from, to)];
+    maintain(pattern, graph, oracle, state, &applied, exec).map_err(|(_aff1, err)| err)
 }
 
 /// Removal propagation shared by `Match−` and the deletion side of
 /// `IncMatch`. `sources` are the data nodes whose *outgoing* distances
 /// increased.
-pub(crate) fn process_removals<O: DistanceOracle + ?Sized>(
+pub(crate) fn process_removals<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
@@ -104,7 +74,7 @@ pub(crate) fn process_removals<O: DistanceOracle + ?Sized>(
             let mut invalid = false;
             for e in pattern.out_edges(u) {
                 *verifications += 1;
-                if !edge_witnessed(graph, oracle, state, v, e.to, e.bound) {
+                if !edge_witnessed(graph, oracle, v, &state.matches_of(e.to), e.bound) {
                     invalid = true;
                     break;
                 }
@@ -127,7 +97,7 @@ pub(crate) fn process_removals<O: DistanceOracle + ?Sized>(
                     continue;
                 }
                 *verifications += 1;
-                if edge_witnessed(graph, oracle, state, x, u, e.bound) {
+                if edge_witnessed(graph, oracle, x, &state.matches_of(u), e.bound) {
                     continue;
                 }
                 state.remove(parent, x);
@@ -144,6 +114,19 @@ mod tests {
     use gpm_core::bounded_simulation_with_oracle;
     use gpm_distance::DistanceMatrix;
     use gpm_graph::{DataGraphBuilder, PatternGraphBuilder};
+
+    /// The tests predate the `exec` parameter: run them on the process-default
+    /// executor, so the suite follows `GPM_THREADS`.
+    fn match_minus(
+        p: &PatternGraph,
+        g: &mut DataGraph,
+        m: &mut DistanceMatrix,
+        s: &mut MatchState,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<IncrementalOutcome, GraphError> {
+        super::match_minus(p, g, m, s, from, to, &Executor::from_env())
+    }
 
     fn setup() -> (DataGraph, PatternGraph, DistanceMatrix, MatchState) {
         // a -> b -> c -> d with labels A, B, C, D; pattern A -[2]-> C -[1]-> D.

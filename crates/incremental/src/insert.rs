@@ -4,31 +4,38 @@
 //! An insertion can only *decrease* distances, so matches can only appear.
 //! The algorithm:
 //!
-//! 1. update the distance matrix with `UpdateM`, obtaining `AFF1`;
-//! 2. for every data node whose outgoing distances shrank, check whether it
-//!    is a candidate (`can(u')`) of some pattern node that now has **all** of
-//!    its pattern edges witnessed; such nodes become new matches and are
-//!    pushed on a worklist;
+//! 1. update the distance oracle (`UpdateM`), obtaining `AFF1`;
+//! 2. for every data node with an outgoing distance that shrank to within
+//!    one of the pattern's bounds, check whether it is a candidate
+//!    (`can(u')`) of some pattern node that now has **all** of its pattern
+//!    edges witnessed; such nodes become new matches and are pushed on a
+//!    worklist;
 //! 3. pop newly added matches `(u, y)` and re-examine the candidates of
 //!    pattern parents of `u` that can reach `y` within the bound, cascading
 //!    additions until the fixpoint.
+//!
+//! Steps 1 and 2's seeding are the crate's shared kernel (see
+//! [`crate::repair`]); [`match_plus`] is its paper-named entry point and
+//! this module owns the addition propagation, steps 2–3.
 //!
 //! For cyclic patterns a set of candidates can be *mutually* dependent (each
 //! needs the others to already be matched), which upward propagation cannot
 //! discover — this is exactly why the paper restricts `Match+`/`IncMatch` to
 //! DAG patterns; [`match_plus`] returns [`GraphError::PatternNotAcyclic`] in
 //! that case (the [`crate::IncrementalMatcher`] facade falls back to
-//! recomputation instead).
+//! recomputation instead, and only when a distance actually shrank across a
+//! bound).
 
 use crate::affected::{Aff2, IncrementalOutcome};
-use crate::state::MatchState;
-use gpm_distance::DistanceOracle;
+use crate::repair::maintain;
+use crate::state::{edge_witnessed, MatchState};
+use gpm_distance::{DistanceOracle, DistanceQuery, EdgeUpdate};
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph, PatternNodeId};
 use rustc_hash::FxHashSet;
 
 /// Applies the insertion of `(from, to)` to `graph`, maintains `oracle` and
-/// `state`, and reports the affected areas.
+/// `state` on `exec`, and reports the affected areas.
 ///
 /// Errors with [`GraphError::PatternNotAcyclic`] for cyclic patterns and
 /// [`GraphError::DuplicateEdge`] if the edge already exists; nothing is
@@ -40,34 +47,18 @@ pub fn match_plus<O: DistanceOracle + ?Sized>(
     state: &mut MatchState,
     from: NodeId,
     to: NodeId,
+    exec: &Executor,
 ) -> Result<IncrementalOutcome, GraphError> {
     pattern.require_dag()?;
     graph.add_edge(from, to)?;
-    let aff1 = oracle.apply_insert(graph, from, to, &Executor::from_env());
-
-    let sources: FxHashSet<NodeId> = aff1
-        .iter()
-        .filter(|p| !p.increased())
-        .map(|p| p.source)
-        .collect();
-    let mut aff2 = Aff2::default();
-    let mut verifications = 0usize;
-    process_additions(
-        pattern,
-        graph,
-        oracle,
-        state,
-        &sources,
-        &mut aff2,
-        &mut verifications,
-    );
-    Ok(IncrementalOutcome::new(aff1, aff2, verifications))
+    let applied = [EdgeUpdate::Insert(from, to)];
+    maintain(pattern, graph, oracle, state, &applied, exec).map_err(|(_aff1, err)| err)
 }
 
 /// Whether candidate `x` of pattern node `u` has every out-edge of `u`
 /// witnessed by the current match sets.
 #[inline]
-pub(crate) fn fully_witnessed<O: DistanceOracle + ?Sized>(
+pub(crate) fn fully_witnessed<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
@@ -78,11 +69,7 @@ pub(crate) fn fully_witnessed<O: DistanceOracle + ?Sized>(
 ) -> bool {
     for e in pattern.out_edges(u) {
         *verifications += 1;
-        let ok = state
-            .matches_of(e.to)
-            .into_iter()
-            .any(|y| oracle.within(graph, x, y, e.bound));
-        if !ok {
+        if !edge_witnessed(graph, oracle, x, &state.matches_of(e.to), e.bound) {
             return false;
         }
     }
@@ -92,7 +79,7 @@ pub(crate) fn fully_witnessed<O: DistanceOracle + ?Sized>(
 /// Addition propagation shared by `Match+` and the insertion side of
 /// `IncMatch`. `sources` are the data nodes whose *outgoing* distances
 /// decreased.
-pub(crate) fn process_additions<O: DistanceOracle + ?Sized>(
+pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
@@ -141,6 +128,19 @@ mod tests {
     use gpm_core::bounded_simulation_with_oracle;
     use gpm_distance::DistanceMatrix;
     use gpm_graph::{DataGraphBuilder, PatternGraphBuilder};
+
+    /// The tests predate the `exec` parameter: run them on the process-default
+    /// executor, so the suite follows `GPM_THREADS`.
+    fn match_plus(
+        p: &PatternGraph,
+        g: &mut DataGraph,
+        m: &mut DistanceMatrix,
+        s: &mut MatchState,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<IncrementalOutcome, GraphError> {
+        super::match_plus(p, g, m, s, from, to, &Executor::from_env())
+    }
 
     /// a A, b B, c C with only a -> b; pattern A -[2]-> C (not matched yet).
     fn setup() -> (DataGraph, PatternGraph, DistanceMatrix, MatchState) {

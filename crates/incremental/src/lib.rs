@@ -5,18 +5,29 @@
 //! graph is updated by edge insertions and deletions, without recomputing it
 //! from scratch.
 //!
+//! Section 4's three algorithms are one idea — maintain the distance oracle,
+//! take `AFF1`, propagate removals, then additions — so they are three
+//! paper-named wrappers (validate, mutate the graph) over **one kernel**:
+//! [`DistanceOracle::apply_batch`](gpm_distance::DistanceOracle::apply_batch)
+//! followed by [`repair_match_state`], seeded from the sources of `AFF1`
+//! whose change crosses one of the pattern's bounds.
+//!
 //! * [`match_minus`] — the paper's `Match−` (Fig. 5): unit edge **deletion**,
 //!   arbitrary (possibly cyclic) patterns;
 //! * [`match_plus`] — `Match+` (Fig. 7): unit edge **insertion**, DAG
 //!   patterns;
 //! * [`inc_match`] — `IncMatch` (Fig. 8): a batch of updates, DAG patterns;
 //! * [`IncrementalMatcher`] — an owning facade that keeps the graph, the
-//!   distance matrix `M`, and the match state together and applies update
-//!   streams (what an application would actually embed);
-//! * [`repair_match_state`] — the repair step on its own, driven by a
-//!   precomputed `AFF1`, so a multi-query service (`gpm-service`) can pay
-//!   the shared graph/matrix maintenance once per batch and replay only the
-//!   cheap per-query repair for every registered pattern.
+//!   distance oracle, and the match state together and applies update
+//!   streams through the same kernel on its own executor, recomputing the
+//!   state where the algorithms above would refuse (what an application
+//!   would actually embed);
+//! * [`repair_match_state`] — the repair half of the kernel on its own,
+//!   driven by a precomputed `AFF1` and reading the oracle through
+//!   [`DistanceQuery`](gpm_distance::DistanceQuery) only, so a multi-query
+//!   service (`gpm-service`) can pay the shared graph/oracle maintenance
+//!   once per batch and replay only the cheap per-query repair for every
+//!   registered pattern.
 //!
 //! Every operation reports the affected areas: `AFF1` (node pairs whose
 //! distance changed — from `gpm-distance`) and `AFF2` (match pairs added or
@@ -70,7 +81,7 @@ pub mod repair;
 pub mod state;
 
 pub use affected::{Aff2, IncrementalStats};
-pub use batch::{inc_match, inc_match_with};
+pub use batch::inc_match;
 pub use delete::match_minus;
 pub use insert::match_plus;
 pub use maintainer::IncrementalMatcher;

@@ -3,11 +3,12 @@
 //! The paper's workflow is: "compute matches in `G` once, and then
 //! incrementally maintain the matches when `G` is updated". This type bundles
 //! everything that workflow needs — the pattern, the evolving data graph, the
-//! maintained distance oracle and the match state — and routes updates to
-//! `Match−` / `Match+` / `IncMatch` as appropriate. For the combinations the
-//! incremental algorithms do not cover (insertions with cyclic patterns), it
-//! falls back to recomputation so callers always end up in a consistent
-//! state.
+//! maintained distance oracle and the match state — and runs every update,
+//! unit or batch, through the crate's one maintenance kernel on its own
+//! executor. For the one combination the incremental algorithms do not cover
+//! (a cyclic pattern and a distance that shrank across one of its bounds),
+//! it falls back to recomputation so callers always end up in a consistent
+//! state — the same policy `gpm-service` applies per query.
 //!
 //! The distance backend is pluggable: [`IncrementalMatcher::new`] reads
 //! [`OracleBackend::from_env`] (`GPM_ORACLE`), and
@@ -15,10 +16,8 @@
 //! paper's quadratic matrix or the sublinear-memory incremental 2-hop
 //! labeling.
 
-use crate::affected::IncrementalOutcome;
-use crate::batch::inc_match_with;
-use crate::delete::match_minus;
-use crate::insert::match_plus;
+use crate::affected::{Aff2, IncrementalOutcome};
+use crate::repair::maintain;
 use crate::state::MatchState;
 use gpm_core::{MatchRelation, ResultGraph};
 use gpm_distance::{DistanceOracle, EdgeUpdate, OracleBackend};
@@ -38,14 +37,10 @@ pub struct IncrementalMatcher {
 
 impl Clone for IncrementalMatcher {
     fn clone(&self) -> Self {
-        let oracle = self
-            .oracle
-            .clone_box()
-            .unwrap_or_else(|| panic!("distance oracle `{}` is not cloneable", self.oracle.name()));
         IncrementalMatcher {
             pattern: self.pattern.clone(),
             graph: self.graph.clone(),
-            oracle,
+            oracle: self.oracle.clone_box(),
             state: self.state.clone(),
             exec: self.exec.clone(),
             recompute_fallbacks: self.recompute_fallbacks,
@@ -137,7 +132,8 @@ impl IncrementalMatcher {
     }
 
     /// How many times an update had to fall back to full recomputation
-    /// (insertions with a cyclic pattern).
+    /// (a cyclic pattern and a distance that shrank across one of its
+    /// bounds).
     pub fn recompute_fallbacks(&self) -> usize {
         self.recompute_fallbacks
     }
@@ -154,68 +150,52 @@ impl IncrementalMatcher {
         self.graph.compact();
     }
 
-    /// Applies a single edge update incrementally.
-    ///
-    /// Deletions use `Match−` (any pattern); insertions use `Match+` for DAG
-    /// patterns and fall back to maintaining the matrix incrementally plus
-    /// recomputing the match for cyclic patterns.
+    /// Applies a single edge update incrementally: `Match−` for a deletion,
+    /// `Match+` for an insertion. Errors — leaving everything untouched — if
+    /// the update is not applicable to the graph (missing or duplicate edge,
+    /// unknown node).
     pub fn apply(&mut self, update: EdgeUpdate) -> Result<IncrementalOutcome, GraphError> {
         match update {
-            EdgeUpdate::Delete(a, b) => match_minus(
-                &self.pattern,
-                &mut self.graph,
-                self.oracle.as_mut(),
-                &mut self.state,
-                a,
-                b,
-            ),
-            EdgeUpdate::Insert(a, b) => {
-                if self.pattern.is_dag() {
-                    match_plus(
-                        &self.pattern,
-                        &mut self.graph,
-                        self.oracle.as_mut(),
-                        &mut self.state,
-                        a,
-                        b,
-                    )
-                } else {
-                    self.graph.add_edge(a, b)?;
-                    let aff1 = self.oracle.apply_insert(&self.graph, a, b, &self.exec);
-                    self.recompute_state();
-                    Ok(IncrementalOutcome::new(aff1, Default::default(), 0))
-                }
-            }
+            EdgeUpdate::Insert(a, b) => self.graph.add_edge(a, b)?,
+            EdgeUpdate::Delete(a, b) => self.graph.remove_edge(a, b)?,
         }
+        Ok(self.maintain(&[update]))
     }
 
-    /// Applies a batch of updates.
-    ///
-    /// DAG patterns use `IncMatch`; cyclic patterns maintain the oracle with
-    /// `UpdateBM` and recompute the match.
+    /// Applies a batch of updates (`IncMatch`). Updates that are no-ops at
+    /// their position in the batch are skipped.
     pub fn apply_batch(
         &mut self,
         updates: &[EdgeUpdate],
     ) -> Result<IncrementalOutcome, GraphError> {
-        if self.pattern.is_dag() {
-            return inc_match_with(
-                &self.pattern,
-                &mut self.graph,
-                self.oracle.as_mut(),
-                &mut self.state,
-                updates,
-                &self.exec,
-            );
-        }
-        let mut applied = Vec::with_capacity(updates.len());
-        for u in updates {
-            if u.apply(&mut self.graph) {
-                applied.push(*u);
+        let applied: Vec<EdgeUpdate> = updates
+            .iter()
+            .copied()
+            .filter(|u| u.apply(&mut self.graph))
+            .collect();
+        Ok(self.maintain(&applied))
+    }
+
+    /// Oracle and state maintenance for updates the graph already reflects,
+    /// recomputing the state where incremental repair does not apply (the
+    /// oracle is maintained incrementally either way).
+    fn maintain(&mut self, applied: &[EdgeUpdate]) -> IncrementalOutcome {
+        let maintained = maintain(
+            &self.pattern,
+            &self.graph,
+            self.oracle.as_mut(),
+            &mut self.state,
+            applied,
+            &self.exec,
+        );
+        match maintained {
+            Ok(outcome) => outcome,
+            Err((aff1, GraphError::PatternNotAcyclic)) => {
+                self.recompute_state();
+                IncrementalOutcome::new(aff1, Aff2::default(), 0)
             }
+            Err((_, e)) => unreachable!("repair cannot fail otherwise: {e}"),
         }
-        let aff1 = self.oracle.apply_batch(&self.graph, &applied, &self.exec);
-        self.recompute_state();
-        Ok(IncrementalOutcome::new(aff1, Default::default(), 0))
     }
 
     fn recompute_state(&mut self) {
@@ -260,6 +240,12 @@ mod tests {
         p
     }
 
+    fn assert_equals_recompute(matcher: &IncrementalMatcher) {
+        let recomputed =
+            bounded_simulation_with_oracle(matcher.pattern(), matcher.graph(), matcher.oracle());
+        assert_eq!(matcher.relation(), recomputed.relation);
+    }
+
     #[test]
     fn unit_updates_keep_matcher_consistent() {
         let g = random_graph(&RandomGraphConfig::new(40, 90, 4).with_seed(5));
@@ -267,12 +253,7 @@ mod tests {
         let updates = random_updates(&g, &UpdateStreamConfig::mixed(30).with_seed(6));
         for u in updates {
             matcher.apply(u).unwrap();
-            let recomputed = bounded_simulation_with_oracle(
-                matcher.pattern(),
-                matcher.graph(),
-                matcher.oracle(),
-            );
-            assert_eq!(matcher.relation(), recomputed.relation);
+            assert_equals_recompute(&matcher);
         }
         assert_eq!(matcher.recompute_fallbacks(), 0);
     }
@@ -284,43 +265,62 @@ mod tests {
         let updates = random_updates(&g, &UpdateStreamConfig::mixed(40).with_seed(8));
         let out = matcher.apply_batch(&updates).unwrap();
         assert_eq!(out.stats.aff1, out.aff1.len());
-        let recomputed =
-            bounded_simulation_with_oracle(matcher.pattern(), matcher.graph(), matcher.oracle());
-        assert_eq!(matcher.relation(), recomputed.relation);
+        assert_equals_recompute(&matcher);
     }
 
     #[test]
     fn cyclic_pattern_falls_back_on_insertions() {
-        let g = random_graph(&RandomGraphConfig::new(30, 60, 4).with_seed(9));
-        let mut matcher = IncrementalMatcher::new(cyclic_pattern(), g.clone());
-        // Deletion: incremental (Match− supports cyclic patterns).
-        let (a, b) = g.edges().next().unwrap();
-        matcher.apply(EdgeUpdate::Delete(a, b)).unwrap();
-        assert_eq!(matcher.recompute_fallbacks(), 0);
-        // Insertion: falls back to recomputation.
-        let mut inserted = None;
-        'outer: for x in g.nodes() {
-            for y in g.nodes() {
-                if !matcher.graph().has_edge(x, y) {
-                    inserted = Some((x, y));
-                    break 'outer;
-                }
-            }
+        // 0:a0 ← 1:a1 and a relay chain 2 → 3 → 4 of unlabelled nodes.
+        let mut g = DataGraph::new();
+        for label in ["a0", "a1", "-", "-", "-"] {
+            g.add_node(gpm_graph::Attributes::labeled(label));
         }
-        let (x, y) = inserted.unwrap();
-        matcher.apply(EdgeUpdate::Insert(x, y)).unwrap();
-        assert_eq!(matcher.recompute_fallbacks(), 1);
-        let recomputed =
-            bounded_simulation_with_oracle(matcher.pattern(), matcher.graph(), matcher.oracle());
-        assert_eq!(matcher.relation(), recomputed.relation);
+        for (a, b) in [(1, 0), (2, 3), (3, 4)] {
+            g.add_edge(NodeId::new(a), NodeId::new(b)).unwrap();
+        }
+        let mut matcher = IncrementalMatcher::new(cyclic_pattern(), g);
+        assert!(!matcher.is_match());
 
-        // Batch with a cyclic pattern also falls back but stays consistent.
-        let updates = random_updates(matcher.graph(), &UpdateStreamConfig::mixed(10).with_seed(1));
-        matcher.apply_batch(&updates).unwrap();
+        // d(2, 4) shrinks 2 → 1, inside the pattern's bound 2 on both sides:
+        // no `within` flips, so even an insertion is repaired incrementally.
+        let shortcut = EdgeUpdate::Insert(NodeId::new(2), NodeId::new(4));
+        matcher.apply(shortcut).unwrap();
+        assert_eq!(matcher.recompute_fallbacks(), 0);
+
+        // d(0, 1) shrinks ∞ → 1 across the bound: Match+ cannot handle the
+        // cycle, the matcher recomputes.
+        let closing = EdgeUpdate::Insert(NodeId::new(0), NodeId::new(1));
+        matcher.apply(closing).unwrap();
+        assert_eq!(matcher.recompute_fallbacks(), 1);
+        assert!(matcher.is_match());
+        assert_equals_recompute(&matcher);
+
+        // Deletion: incremental (Match− supports cyclic patterns).
+        matcher
+            .apply(EdgeUpdate::Delete(NodeId::new(0), NodeId::new(1)))
+            .unwrap();
+        assert_eq!(matcher.recompute_fallbacks(), 1);
+        assert!(!matcher.is_match());
+
+        // The same bound-crossing insertion inside a batch falls back too.
+        let batch = [EdgeUpdate::Delete(NodeId::new(2), NodeId::new(4)), closing];
+        matcher.apply_batch(&batch).unwrap();
         assert_eq!(matcher.recompute_fallbacks(), 2);
-        let recomputed =
-            bounded_simulation_with_oracle(matcher.pattern(), matcher.graph(), matcher.oracle());
-        assert_eq!(matcher.relation(), recomputed.relation);
+        assert_equals_recompute(&matcher);
+    }
+
+    /// A deletion-only batch never needs the fallback, whatever the pattern.
+    #[test]
+    fn cyclic_pattern_repairs_deletion_only_batches_incrementally() {
+        for seed in 0..4u64 {
+            let g = random_graph(&RandomGraphConfig::new(30, 70, 4).with_seed(seed));
+            let mut matcher = IncrementalMatcher::new(cyclic_pattern(), g.clone());
+            let updates =
+                random_updates(&g, &UpdateStreamConfig::deletions(10).with_seed(seed + 9));
+            matcher.apply_batch(&updates).unwrap();
+            assert_eq!(matcher.recompute_fallbacks(), 0, "seed {seed}");
+            assert_equals_recompute(&matcher);
+        }
     }
 
     #[test]
@@ -333,12 +333,7 @@ mod tests {
             if i % 8 == 7 {
                 matcher.compact_graph();
                 assert!(matcher.graph().is_compact());
-                let recomputed = bounded_simulation_with_oracle(
-                    matcher.pattern(),
-                    matcher.graph(),
-                    matcher.oracle(),
-                );
-                assert_eq!(matcher.relation(), recomputed.relation);
+                assert_equals_recompute(&matcher);
             }
         }
     }
@@ -349,7 +344,6 @@ mod tests {
         let matcher = IncrementalMatcher::new(dag_pattern(), g);
         assert_eq!(matcher.pattern().node_count(), 3);
         assert_eq!(matcher.graph().node_count(), 25);
-        assert!(matcher.oracle().supports_incremental());
         assert!(matcher.oracle().memory_bytes() > 0);
         let rg = matcher.result_graph();
         if matcher.is_match() {
@@ -379,21 +373,14 @@ mod tests {
         let updates = random_updates(&g, &UpdateStreamConfig::mixed(20).with_seed(18));
         for u in updates {
             matcher.apply(u).unwrap();
-            let recomputed = bounded_simulation_with_oracle(
-                matcher.pattern(),
-                matcher.graph(),
-                matcher.oracle(),
-            );
-            assert_eq!(matcher.relation(), recomputed.relation);
+            assert_equals_recompute(&matcher);
         }
         let more = random_updates(
             matcher.graph(),
             &UpdateStreamConfig::mixed(15).with_seed(19),
         );
         matcher.apply_batch(&more).unwrap();
-        let recomputed =
-            bounded_simulation_with_oracle(matcher.pattern(), matcher.graph(), matcher.oracle());
-        assert_eq!(matcher.relation(), recomputed.relation);
+        assert_equals_recompute(&matcher);
         assert_eq!(matcher.recompute_fallbacks(), 0);
     }
 

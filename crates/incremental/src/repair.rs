@@ -1,14 +1,18 @@
-//! Reusable match-state repair from a precomputed `AFF1`.
+//! The one maintenance kernel of the crate, and its repair half on its own.
 //!
-//! `Match−`/`Match+`/`IncMatch` each bundle three steps: mutate the graph,
-//! maintain the distance matrix (producing `AFF1`), and repair the match
-//! state from the affected sources. A continuous-query service maintaining
-//! *many* patterns over one graph wants to pay the first two steps — by far
-//! the expensive ones — **once per update batch** and replay only the third,
-//! cheap step per registered query. This module exposes that third step on
-//! its own: [`repair_match_state`] takes the `AFF1` produced by one shared
-//! `UpdateBM` run and repairs one query's [`MatchState`] against the
-//! already-updated matrix.
+//! `Match−`/`Match+`/`IncMatch` are one idea said three times: mutate the
+//! graph, maintain the distance oracle (producing `AFF1`), and repair the
+//! match state from the affected sources — removals first, then additions.
+//! The private `maintain` is the last two steps; [`crate::match_minus`],
+//! [`crate::match_plus`], [`crate::inc_match`] and both update methods of
+//! [`crate::IncrementalMatcher`] validate, mutate the graph and call it.
+//!
+//! A continuous-query service maintaining *many* patterns over one graph
+//! wants to pay the oracle maintenance — by far the expensive step —
+//! **once per update batch** and replay only the cheap repair per registered
+//! query. [`repair_match_state`] is that repair step on its own: it takes
+//! the `AFF1` produced by one shared `UpdateBM` run and repairs one query's
+//! [`MatchState`] against the already-updated oracle.
 //!
 //! Repair is seeded from the sources with a **bound-crossing** change. The
 //! maximum simulation is a function of the predicate `within(x, y, fe(e))`
@@ -24,13 +28,16 @@
 //!   propagation of `Match+`, which requires a DAG pattern — a cyclic
 //!   pattern whose `AFF1` contains one errors with
 //!   [`GraphError::PatternNotAcyclic`] (callers fall back to recomputation,
-//!   as `IncrementalMatcher` does).
+//!   as `IncrementalMatcher` and `gpm-service` do).
 
-use crate::affected::Aff2;
+use crate::affected::{Aff2, IncrementalOutcome};
 use crate::delete::process_removals;
 use crate::insert::process_additions;
 use crate::state::MatchState;
-use gpm_distance::{AffectedPair, AffectedPairs, DistanceOracle, UNREACHABLE};
+use gpm_distance::{
+    AffectedPair, AffectedPairs, DistanceOracle, DistanceQuery, EdgeUpdate, UNREACHABLE,
+};
+use gpm_exec::Executor;
 use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph};
 use rustc_hash::FxHashSet;
 use std::sync::{Arc, OnceLock};
@@ -116,10 +123,36 @@ fn flip_points(pattern: &PatternGraph) -> Vec<u16> {
     at
 }
 
+/// Maintains `oracle` and `state` after the effective updates `applied` were
+/// made to `graph`: `UpdateBM` on `exec`, then [`repair_match_state`] from
+/// its `AFF1`.
+///
+/// A repair that fails (cyclic pattern, bound-crossing decrease) leaves
+/// `state` untouched but has already maintained the oracle, so the error
+/// carries the `AFF1` for callers that recompute instead of giving up.
+pub(crate) fn maintain<O: DistanceOracle + ?Sized>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    oracle: &mut O,
+    state: &mut MatchState,
+    applied: &[EdgeUpdate],
+    exec: &Executor,
+) -> Result<IncrementalOutcome, (AffectedPairs, GraphError)> {
+    let aff1 = oracle.apply_batch(graph, applied, exec);
+    match repair_match_state(pattern, graph, oracle, state, &aff1) {
+        Ok(repair) => Ok(IncrementalOutcome::new(
+            aff1,
+            repair.aff2,
+            repair.verifications,
+        )),
+        Err(err) => Err((aff1, err)),
+    }
+}
+
 /// Repairs one query's match state from a shared, precomputed `AFF1`.
 ///
 /// `oracle` must already reflect the updates that produced `aff1` (i.e. the
-/// caller ran the oracle's `apply_*` maintenance first), and `graph` must be
+/// caller ran the oracle's `apply_batch` first), and `graph` must be
 /// the updated graph the oracle answers for. Removals are processed before
 /// additions, exactly as `IncMatch` does, so the repaired state equals a
 /// from-scratch recomputation on the updated graph.
@@ -128,7 +161,7 @@ fn flip_points(pattern: &PatternGraph) -> Vec<u16> {
 /// untouched — when `aff1` contains a bound-crossing distance decrease
 /// (module docs) and `pattern` is cyclic (the combination upward propagation
 /// cannot handle; see the module docs of [`crate::insert`]).
-pub fn repair_match_state<O: DistanceOracle + ?Sized>(
+pub fn repair_match_state<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,

@@ -15,9 +15,9 @@
 //! the match).
 
 use gpm_core::{bounded_simulation_with_oracle_on, MatchRelation};
-use gpm_distance::DistanceOracle;
+use gpm_distance::DistanceQuery;
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
+use gpm_graph::{DataGraph, EdgeBound, NodeId, PatternGraph, PatternNodeId};
 use serde::{Deserialize, Serialize};
 
 /// Per-pattern-node match and candidate sets.
@@ -36,7 +36,7 @@ impl MatchState {
     /// the given oracle (this is the "compute matches once" step the paper
     /// prescribes before switching to incremental maintenance). Runs on the
     /// process-default [`gpm_exec::Parallelism`] policy.
-    pub fn initialise<O: DistanceOracle + Sync + ?Sized>(
+    pub fn initialise<O: DistanceQuery + Sync + ?Sized>(
         pattern: &PatternGraph,
         graph: &DataGraph,
         oracle: &O,
@@ -48,7 +48,7 @@ impl MatchState {
     /// bitmaps are one independent task per pattern node; the batch `Match`
     /// run parallelises as described on
     /// [`bounded_simulation_with_oracle_on`]).
-    pub fn initialise_with<O: DistanceOracle + Sync + ?Sized>(
+    pub fn initialise_with<O: DistanceQuery + Sync + ?Sized>(
         pattern: &PatternGraph,
         graph: &DataGraph,
         oracle: &O,
@@ -285,10 +285,26 @@ pub struct MatchStateSnapshot {
     pub mat: Vec<Vec<u32>>,
 }
 
+/// Whether data node `x` has a witness among `targets` (the current matches
+/// of a pattern edge's head) within the edge's `bound`.
+#[inline]
+pub(crate) fn edge_witnessed<O: DistanceQuery + ?Sized>(
+    graph: &DataGraph,
+    oracle: &O,
+    x: NodeId,
+    targets: &[NodeId],
+    bound: EdgeBound,
+) -> bool {
+    targets
+        .iter()
+        .copied()
+        .any(|y| oracle.within(graph, x, y, bound))
+}
+
 /// The per-node greatest fixpoint sets (naive iteration), *without* clearing
 /// when some node ends up empty. This is the invariant the incremental state
 /// maintains.
-pub(crate) fn greatest_fixpoint_sets<O: DistanceOracle + ?Sized>(
+pub(crate) fn greatest_fixpoint_sets<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
@@ -309,8 +325,7 @@ pub(crate) fn greatest_fixpoint_sets<O: DistanceOracle + ?Sized>(
         for e in pattern.edges() {
             let targets = sets[e.to.index()].clone();
             let before = sets[e.from.index()].len();
-            sets[e.from.index()]
-                .retain(|&x| targets.iter().any(|&y| oracle.within(graph, x, y, e.bound)));
+            sets[e.from.index()].retain(|&x| edge_witnessed(graph, oracle, x, &targets, e.bound));
             if sets[e.from.index()].len() != before {
                 changed = true;
             }

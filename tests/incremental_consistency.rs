@@ -7,8 +7,10 @@
 //! two-hop leg re-proves them against the label-based oracle.
 
 use gpm::{
-    bounded_simulation_with_oracle, generate_pattern, random_updates, Dataset, DistanceMatrix,
-    EdgeUpdate, IncrementalMatcher, NodeId, PatternGenConfig, UpdateStreamConfig,
+    bounded_simulation_with_oracle, generate_pattern, random_graph, random_updates, Dataset,
+    DistanceMatrix, EdgeUpdate, IncrementalMatcher, MatchService, NodeId, OracleBackend,
+    Parallelism, PatternGenConfig, PatternGraphBuilder, Predicate, RandomGraphConfig,
+    UpdateStreamConfig,
 };
 
 fn dag_pattern(graph: &gpm::DataGraph, seed: u64) -> gpm::PatternGraph {
@@ -117,4 +119,81 @@ fn deletions_then_reinsertions_restore_the_match() {
         "round trip should restore the match"
     );
     assert_oracle_matches_rebuild(&matcher, "after round trip");
+}
+
+/// The two owners of a maintained match — the `IncrementalMatcher` facade
+/// and a single-query `MatchService` — run one policy: on the same graph and
+/// the same mixed stream of unit and batch updates they hold the same
+/// relation after every step and fall back to recomputation on exactly the
+/// same steps, for DAG and cyclic patterns, on both back-ends.
+#[test]
+fn matcher_and_single_query_service_share_one_policy() {
+    let (dag, _) = PatternGraphBuilder::new()
+        .node("x", Predicate::label("a0"))
+        .node("y", Predicate::label("a1"))
+        .node("z", Predicate::label("a2"))
+        .edge("x", "y", 2u32)
+        .edge("y", "z", 3u32)
+        .build()
+        .unwrap();
+    let (cyclic, _) = PatternGraphBuilder::new()
+        .node("x", Predicate::label("a0"))
+        .node("y", Predicate::label("a1"))
+        .edge("x", "y", 2u32)
+        .edge("y", "x", 2u32)
+        .build()
+        .unwrap();
+    assert!(dag.is_dag() && !cyclic.is_dag());
+
+    let mut cyclic_fallbacks = 0;
+    for seed in 0..4u64 {
+        let graph = random_graph(&RandomGraphConfig::new(40, 90, 4).with_seed(seed));
+        let updates = random_updates(&graph, &UpdateStreamConfig::mixed(36).with_seed(seed + 40));
+        for backend in OracleBackend::ALL {
+            for pattern in [&dag, &cyclic] {
+                let policy = Parallelism::sequential();
+                let mut matcher = IncrementalMatcher::with_backend(
+                    pattern.clone(),
+                    graph.clone(),
+                    backend,
+                    policy.clone(),
+                );
+                let mut service = MatchService::with_backend(graph.clone(), backend, policy);
+                let id = service.register(pattern.clone());
+
+                // Alternate one unit update with one batch of five.
+                let mut rest = updates.as_slice();
+                let mut step = 0;
+                while !rest.is_empty() {
+                    let take = if step % 2 == 0 { 1 } else { rest.len().min(5) };
+                    let (now, later) = rest.split_at(take);
+                    rest = later;
+                    if let [unit] = now {
+                        matcher.apply(*unit).unwrap();
+                        service.apply_one(*unit);
+                    } else {
+                        matcher.apply_batch(now).unwrap();
+                        service.apply(now);
+                    }
+                    let ctx = format!("seed {seed}, {backend}, step {step}");
+                    assert_eq!(Some(matcher.relation()), service.result(id), "{ctx}");
+                    assert_eq!(
+                        matcher.recompute_fallbacks(),
+                        service.stats().recompute_fallbacks,
+                        "{ctx}"
+                    );
+                    step += 1;
+                }
+                if pattern.is_dag() {
+                    assert_eq!(matcher.recompute_fallbacks(), 0);
+                } else {
+                    cyclic_fallbacks += matcher.recompute_fallbacks();
+                }
+            }
+        }
+    }
+    assert!(
+        cyclic_fallbacks > 0,
+        "the stream never exercised the fallback"
+    );
 }

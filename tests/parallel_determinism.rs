@@ -10,8 +10,9 @@
 use gpm::datagen::{powerlaw_graph, PowerLawConfig};
 use gpm::exec::{Executor, Parallelism};
 use gpm::{
-    bounded_simulation_with_oracle, bounded_simulation_with_oracle_on, inc_match_with,
-    random_updates, DataGraph, DistanceMatrix, MatchState, PatternGraph, UpdateStreamConfig,
+    bounded_simulation_with_oracle, bounded_simulation_with_oracle_on, inc_match, random_updates,
+    DataGraph, DistanceMatrix, IncrementalMatcher, MatchState, OracleBackend, PatternGraph,
+    UpdateStreamConfig,
 };
 use gpm::{generate_pattern, PatternGenConfig};
 use proptest::prelude::*;
@@ -86,7 +87,7 @@ proptest! {
             let mut g = g0.clone();
             let mut m = DistanceMatrix::build(&g);
             let mut s = MatchState::initialise_with(&p, &g, &m, &exec);
-            let out = inc_match_with(&p, &mut g, &mut m, &mut s, &updates, &exec).unwrap();
+            let out = inc_match(&p, &mut g, &mut m, &mut s, &updates, &exec).unwrap();
             let snapshot = (out, m, s.relation());
             match &reference {
                 None => reference = Some(snapshot),
@@ -127,6 +128,33 @@ proptest! {
             let c = CandidateSets::compute_with(&p, &g, &forced_executor(threads));
             for u in p.node_ids() {
                 prop_assert_eq!(c.of(u), baseline.of(u), "candidates diverged at {} threads", threads);
+            }
+        }
+    }
+}
+
+/// A unit `apply` stream runs on the matcher's own executor — not on a
+/// per-call `Executor::from_env()` — and reports identical outcomes (`AFF1`,
+/// `AFF2`, work counters) at every thread count, on both back-ends.
+#[test]
+fn unit_apply_stream_is_bit_identical_across_thread_counts() {
+    for seed in 0..4u64 {
+        let g0 = labelled_powerlaw(40, 120, 4, seed);
+        let p = pattern_for(&g0, 4, seed * 31);
+        let updates = random_updates(&g0, &UpdateStreamConfig::mixed(20).with_seed(seed + 7));
+        for backend in OracleBackend::ALL {
+            let mut reference = None;
+            for threads in THREAD_COUNTS {
+                let policy = Parallelism::new(threads).with_sequential_threshold(0);
+                let mut matcher =
+                    IncrementalMatcher::with_backend(p.clone(), g0.clone(), backend, policy);
+                let outcomes: Vec<_> = updates.iter().map(|&u| matcher.apply(u).unwrap()).collect();
+                let snapshot = (outcomes, matcher.relation());
+                let expected = reference.get_or_insert_with(|| snapshot.clone());
+                assert_eq!(
+                    &snapshot, expected,
+                    "seed {seed}, {backend}: diverged at {threads} threads"
+                );
             }
         }
     }
