@@ -14,9 +14,15 @@
 //! the `UpdateM` contract enumerates every distance-changed pair exactly,
 //! which is `Θ(|V|²)` per update on a connected graph for any backend; above
 //! the cap the leg switches to crafted sink-strand deletions (one ancestor
-//! column of `AFF1` each) that force the 2-hop backend onto its rebuild path,
-//! so the row prices the single deferred end-of-batch rebuild instead of
-//! skipping silently.
+//! column of `AFF1` each), so the row prices the 2-hop backend's in-place
+//! deletion repair instead of skipping silently.
+//!
+//! A second table prices that repair where it is worst: per adversarial
+//! topology of `gpm::datagen::adversarial` at two sizes, the whole teardown
+//! script repaired in place against one from-scratch `build_with` of the
+//! final graph, with the candidate pairs `|C|` the repair re-decided and the
+//! script's net `|AFF1|`. The mid-chain cut is the honest worst case: a
+//! quarter of all pairs change, and the repair costs more than the build.
 //!
 //! A construction sweep precedes the table: the rank-batched bit-parallel
 //! build at the configured thread count, against the sequential reference
@@ -30,8 +36,12 @@
 //! pattern node at any scale), so match work stays proportional to the
 //! candidate sets, not `|V|²`.
 
+use gpm::datagen::{
+    bowtie, cliques_with_bridges, cut_bridge_updates, cut_chain_updates, deep_chain,
+    delete_hub_updates, sever_waist_updates, star,
+};
 use gpm::{
-    random_updates, CmpOp, Dataset, EdgeUpdate, Executor, IncrementalMatcher, NodeId,
+    random_updates, CmpOp, DataGraph, Dataset, EdgeUpdate, Executor, IncrementalMatcher, NodeId,
     OracleBackend, PatternGraph, PatternGraphBuilder, Predicate, TwoHopIndex, UpdateStreamConfig,
 };
 use gpm_bench::{fmt_ms, time, HarnessArgs, Table};
@@ -96,15 +106,15 @@ fn anchored_pattern(g: &gpm::DataGraph, start: NodeId) -> PatternGraph {
     p
 }
 
-/// Rebuild-forcing deletions with *small* `AFF1`: in-edges `(s, t)` of pure
-/// sinks `t` (out-degree 0), with `s` itself upstream-reachable. Because `t`
-/// has no out-edges, only `(·, t)` pairs can change — the exact `AFF1` is
-/// one ancestor column, `O(|V|)` pairs, not the `Θ(|V|²)` of a random batch
-/// — and `d(s, t)` provably grows from 1 (the only length-1 route *is* the
-/// deleted edge), so every one pushes the 2-hop backend onto its rebuild
-/// path. A batch of them prices the one-rebuild-per-batch deferred path at
-/// scales where random maintenance is uncountable. At most one edge per
-/// sink, so the batch stays rebuild-forcing unit by unit.
+/// Deletions with *small* `AFF1` that still reach far upstream: in-edges
+/// `(s, t)` of pure sinks `t` (out-degree 0), with `s` itself
+/// upstream-reachable. Because `t` has no out-edges, only `(·, t)` pairs can
+/// change — the exact `AFF1` is one ancestor column, `O(|V|)` pairs, not the
+/// `Θ(|V|²)` of a random batch — and `d(s, t)` provably grows from 1 (the
+/// only length-1 route *is* the deleted edge), so every one has a non-trivial
+/// rectangle `ancestors(s) × {t}`. A batch of them prices in-place deletion
+/// repair at scales where random maintenance is uncountable. At most one
+/// edge per sink, so the units stay independent.
 fn sink_strand_deletions(g: &gpm::DataGraph, max: usize) -> Vec<EdgeUpdate> {
     let mut out = Vec::new();
     for t in g.nodes() {
@@ -178,6 +188,83 @@ fn run_leg(
     matcher.relation().pair_count()
 }
 
+/// The DynamicAttackGraphs-shaped table: per adversarial topology, the whole
+/// teardown script repaired in place (one batch) against one from-scratch
+/// build of the final graph. `|C|` is read off the deterministic obs counter
+/// the repair keeps, so observability is switched on for the table only.
+fn topology_table(exec: &Executor) {
+    let cases: Vec<(String, DataGraph, Vec<EdgeUpdate>)> = [256usize, 1024]
+        .into_iter()
+        .flat_map(|n| {
+            let clique = n / 16;
+            [
+                (
+                    format!("star({n}), every hub→leaf edge"),
+                    star(n),
+                    delete_hub_updates(n),
+                ),
+                (
+                    format!("deep_chain({n}), head cut"),
+                    deep_chain(n),
+                    cut_chain_updates(n, 0),
+                ),
+                (
+                    format!("deep_chain({n}), mid cut"),
+                    deep_chain(n),
+                    cut_chain_updates(n, n / 2 - 1),
+                ),
+                (
+                    format!("bowtie({n}), every waist→sink edge"),
+                    bowtie(n),
+                    sever_waist_updates(n),
+                ),
+                (
+                    format!("cliques_with_bridges(16, {clique}), middle bridge"),
+                    cliques_with_bridges(16, clique),
+                    cut_bridge_updates(16, clique, 7),
+                ),
+            ]
+        })
+        .collect();
+
+    let candidates = || {
+        let counters = gpm::obs::registry().snapshot().det_counters();
+        counters
+            .get("oracle.twohop.delete_candidates")
+            .copied()
+            .unwrap_or(0)
+    };
+    let was_enabled = gpm::obs::enabled();
+    gpm::obs::set_enabled(true);
+    let mut table = Table::new(
+        "exp_oracle_scale: in-place 2-hop deletion repair vs from-scratch build, per adversarial topology",
+        &["topology / script", "|V|", "deletions", "repair (ms)", "build_with (ms)", "|C|", "|AFF1|"],
+    );
+    for (name, mut graph, script) in cases {
+        let mut oracle = OracleBackend::TwoHop.build(&graph, exec);
+        for u in &script {
+            assert!(u.apply(&mut graph), "{name}: {u} must apply");
+        }
+        let before = candidates();
+        let (aff, repair) = time(|| oracle.apply_batch(&graph, &script, exec));
+        let re_decided = candidates() - before;
+        let (fresh, build) = time(|| TwoHopIndex::build_with(&graph, exec));
+        drop(fresh);
+        assert_eq!(oracle.rebuilds(), 0, "{name}: repair is in place");
+        table.row(vec![
+            name,
+            graph.node_count().to_string(),
+            script.len().to_string(),
+            fmt_ms(repair),
+            fmt_ms(build),
+            re_decided.to_string(),
+            aff.len().to_string(),
+        ]);
+    }
+    gpm::obs::set_enabled(was_enabled);
+    table.print();
+}
+
 fn main() {
     let args = HarnessArgs::from_env();
     let nodes = args.scaled(PAPER_NODES);
@@ -211,10 +298,9 @@ fn main() {
     let start = NodeId::new((args.seed % graph.node_count() as u64) as u32);
     let pattern = anchored_pattern(&graph, start);
     // Insertion batch (the Fig. 6(k) workload): the 2-hop index repairs
-    // insertions with resumed pruned BFS passes at any scale. Deletions on a
-    // well-connected graph degrade to a counted rebuild — that worst case is
-    // measured by the adversarial-topology suite, not a million-node smoke
-    // run.
+    // insertions with resumed pruned BFS passes at any scale. The worst
+    // cases of deletion repair are priced by the topology table below, not
+    // a million-node smoke run.
     // A handful of units is enough to price the per-update repair, but the
     // leg only runs on graphs small enough for exact AFF1 reporting: the
     // UpdateM contract enumerates every changed pair, and on a connected
@@ -229,25 +315,22 @@ fn main() {
         )
     } else {
         // Above the cap a random batch's exact AFF1 is Θ(|V|²) — but a
-        // sink-strand deletion's is one ancestor column, and every one
-        // demands a rebuild, so the maintenance row prices the deferred
-        // one-rebuild-per-batch path instead of skipping silently.
+        // sink-strand deletion's is one ancestor column, so the maintenance
+        // row prices in-place deletion repair instead of skipping silently.
         let dels = sink_strand_deletions(&graph, 8);
         if dels.is_empty() {
             println!(
                 "maintenance batch skipped at |V| = {} (> {MAINT_NODE_CAP}): no\n\
-                 rebuild-forcing sink-strand edges in this graph, and exact AFF1 for a\n\
-                 random batch is Θ(|V|²) per update; run with --scale ≤ 0.02 to price\n\
-                 per-update repair\n",
+                 sink-strand edges in this graph, and exact AFF1 for a random batch is\n\
+                 Θ(|V|²) per update; run with --scale ≤ 0.02 to price per-update repair\n",
                 graph.node_count()
             );
         } else {
             println!(
                 "maintenance batch at |V| = {} (> {MAINT_NODE_CAP}): {} sink-strand\n\
                  deletions, each stranding one leaf (AFF1 = one ancestor column, not the\n\
-                 Θ(|V|²) of a random batch) and each demanding a rebuild — the maintain\n\
-                 column prices the single deferred end-of-batch rebuild; random-batch\n\
-                 repair is still priced at --scale ≤ 0.02\n",
+                 Θ(|V|²) of a random batch) — the maintain column prices their in-place\n\
+                 label repair; random-batch repair is still priced at --scale ≤ 0.02\n",
                 graph.node_count(),
                 dels.len()
             );
@@ -345,6 +428,7 @@ fn main() {
         ]);
     }
     table.print();
+    topology_table(&exec);
 
     if let Some(peak) = peak_rss_bytes() {
         println!(

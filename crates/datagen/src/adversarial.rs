@@ -28,9 +28,9 @@
 //! [`delete_hub_updates`], [`cut_bridge_updates`], [`sever_waist_updates`])
 //! are the matching worst-case deltas. The root-level `adversarial_topologies` integration
 //! test drives both backends through every (topology, script) pair and
-//! asserts bit-identical distances — and records, via
-//! [`DistanceOracle::rebuilds`](gpm_distance::DistanceOracle::rebuilds),
-//! where the incremental 2-hop repair degrades to a counted rebuild.
+//! asserts bit-identical distances — and pins, via the
+//! `oracle.twohop.delete_candidates` counter, how large a rectangle the
+//! in-place 2-hop repair has to re-decide on each.
 //!
 //! Every generator is deterministic (no RNG at all) and returns a
 //! [compacted](gpm_graph::DataGraph::compact) graph.
@@ -143,9 +143,10 @@ pub fn cliques_with_bridges(cliques: usize, size: usize) -> DataGraph {
 /// [`deep_chain`] of length `len`, splitting it into a prefix of `k + 1`
 /// nodes and an unreachable suffix.
 ///
-/// `k = 0` cuts right at the head — the case the 2-hop delete repair handles
-/// in place (only the deleted edge's own source row changes); larger `k`
-/// invalidates the prefix rows one by one and exercises the rebuild path.
+/// `k = 0` cuts right at the head — only the deleted edge's own source row
+/// changes, the cheapest case of the 2-hop delete repair; larger `k`
+/// invalidates `k + 1` prefix rows at once, and `k = len / 2` is its worst
+/// case (a quarter of all pairs change).
 /// Panics if the edge does not exist (`k + 1 ≥ len`).
 pub fn cut_chain_updates(len: usize, k: usize) -> Vec<EdgeUpdate> {
     assert!(

@@ -28,7 +28,8 @@
 //! source–sink pairs (`AFF1`). Two back-ends are maintainable —
 //! [`DistanceMatrix`] (whose kernels are also free functions:
 //! [`update_matrix`], [`update_matrix_batch`]) and the sublinear-memory
-//! [`IncrementalTwoHop`] labeling — selected at runtime via [`OracleBackend`]
+//! [`IncrementalTwoHop`] labeling, which repairs insertions and deletions
+//! alike in its labels and never rebuilds — selected at runtime via [`OracleBackend`]
 //! (the `GPM_ORACLE` environment variable / `--oracle` flag). [`BfsOracle`]
 //! and [`TwoHopOracle`] are query-only: handing one to code that maintains
 //! its oracle is a compile error.

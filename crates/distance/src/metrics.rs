@@ -54,16 +54,16 @@ pub(crate) fn twohop() -> &'static OracleMetrics {
     M.get_or_init(|| OracleMetrics::new("twohop"))
 }
 
-/// 2-hop-specific metrics: label queries and delete-repair outcomes.
+/// 2-hop-specific metrics: label queries and the work of deletion repair.
 pub(crate) struct TwoHopMetrics {
     pub label_queries: Arc<Counter>,
-    pub delete_noop: Arc<Counter>,
-    pub delete_row_repair: Arc<Counter>,
-    /// Batches in which rebuild-demanding deletions were deferred into the
-    /// single end-of-batch rebuild.
-    pub batch_deferred: Arc<Counter>,
-    pub rebuilds: Arc<Counter>,
-    pub rebuild_ns: Arc<Histogram>,
+    /// Rectangle pairs a deletion examined: BFS-row lookups over `A × B`
+    /// plus label queries over the tied fringes.
+    pub delete_rect_pairs: Arc<Counter>,
+    /// Candidate pairs (`|C|`): those whose entries were re-decided.
+    pub delete_candidates: Arc<Counter>,
+    /// Candidate entries written back into the labels.
+    pub entries_rewritten: Arc<Counter>,
     /// Label entries dropped by `prune_dominated`.
     pub pruned_labels: Arc<Counter>,
 }
@@ -74,11 +74,9 @@ pub(crate) fn twohop_extra() -> &'static TwoHopMetrics {
         let scope = gpm_obs::registry().scope("oracle");
         TwoHopMetrics {
             label_queries: scope.counter("twohop.label_queries"),
-            delete_noop: scope.counter("twohop.delete_noop"),
-            delete_row_repair: scope.counter("twohop.delete_row_repair"),
-            batch_deferred: scope.counter("twohop.batch_deferred"),
-            rebuilds: scope.counter("twohop.rebuilds"),
-            rebuild_ns: scope.histogram("twohop.rebuild_ns"),
+            delete_rect_pairs: scope.counter("twohop.delete_rect_pairs"),
+            delete_candidates: scope.counter("twohop.delete_candidates"),
+            entries_rewritten: scope.counter("twohop.entries_rewritten"),
             pruned_labels: scope.counter("twohop.pruned_labels"),
         }
     })

@@ -181,8 +181,8 @@ pub trait DistanceOracle: DistanceQuery {
         self.apply_batch(g, &[EdgeUpdate::Delete(from, to)], exec)
     }
 
-    /// How many batches degraded to a full index rebuild so far (always `0`
-    /// for back-ends whose repairs never fall back — the matrix).
+    /// How many batches degraded to a full index rebuild so far (`0` for
+    /// back-ends whose repairs never fall back — both shipped ones).
     fn rebuilds(&self) -> usize {
         0
     }

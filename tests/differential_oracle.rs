@@ -142,9 +142,8 @@ fn batched_build_is_bit_identical_across_threads_and_batch_sizes() {
     }
 }
 
-/// The batched `UpdateBM` surface agrees too (the matrix overrides
-/// `apply_batch` natively; the 2-hop backend defers rebuild-demanding
-/// deletions into a single end-of-batch rebuild).
+/// The batched `UpdateBM` surface agrees too (both back-ends replay the
+/// batch unit by unit and repair in place).
 #[test]
 fn batch_updates_keep_backends_bit_identical() {
     let g0 = labelled_graph(28, 70, 3, 5);
@@ -170,6 +169,62 @@ fn batch_updates_keep_backends_bit_identical() {
             two_hop.as_ref(),
             &format!("after batch {round}"),
         );
+    }
+}
+
+/// The repo benchmark's `twohop-churn` shape — the 222-node YouTube fixture
+/// under 300 mixed batches of 2–4 — at 1, 2 and 8 threads: every batch
+/// `AFF1` is the matrix's, bit for bit, and with nothing ever rebuilding or
+/// pruning the labels stay within twice a fresh build's size and answer
+/// every pair like it. `prune_dominated()` afterwards drops entries without
+/// changing an answer and is idempotent.
+#[test]
+fn churn_script_repairs_in_place_and_stays_within_twice_a_fresh_build() {
+    use gpm::datagen::Dataset;
+    use gpm::distance::IncrementalTwoHop;
+    use gpm::DistanceOracle as _;
+
+    let g0 = Dataset::YouTube.generate(0.015, 2010);
+    assert_eq!(g0.node_count(), 222);
+    let mut entries_at_one_thread = None;
+    for threads in [1usize, 2, 8] {
+        let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
+        let mut g = g0.clone();
+        let mut matrix = OracleBackend::Matrix.build(&g, &exec);
+        let mut labels = IncrementalTwoHop::build_with(&g, &exec);
+        for i in 0..300u64 {
+            let config = UpdateStreamConfig::mixed(2 + (i % 3) as usize).with_seed(9000 + i);
+            let batch = random_updates(&g, &config);
+            for u in &batch {
+                u.apply(&mut g);
+            }
+            assert_eq!(
+                labels.apply_batch(&g, &batch, &exec),
+                matrix.apply_batch(&g, &batch, &exec),
+                "batch {i} AFF1 diverged at {threads} threads"
+            );
+        }
+        assert_eq!(labels.rebuilds(), 0);
+
+        let fresh = IncrementalTwoHop::build_with(&g, &exec);
+        let maintained = labels.index().label_entries();
+        assert!(
+            maintained <= 2 * fresh.index().label_entries(),
+            "maintained labels ({maintained} entries) outgrew twice a fresh build ({})",
+            fresh.index().label_entries()
+        );
+        assert_eq!(
+            *entries_at_one_thread.get_or_insert(maintained),
+            maintained,
+            "label writes are sequential: same labels at every thread count"
+        );
+        assert_all_pairs_agree(&g, &fresh, &labels, "maintained vs fresh build");
+        assert_all_pairs_agree(&g, matrix.as_ref(), &labels, "maintained vs matrix");
+
+        let dropped = labels.prune_dominated();
+        assert_eq!(labels.index().label_entries() + dropped, maintained);
+        assert_all_pairs_agree(&g, &fresh, &labels, "pruned vs fresh build");
+        assert_eq!(labels.prune_dominated(), 0, "idempotent at the fixpoint");
     }
 }
 
