@@ -3,8 +3,10 @@
 //! incremental maintenance vs full rebuild for unit updates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpm::distance::update_matrix;
-use gpm::{random_graph, DistanceMatrix, EdgeUpdate, NodeId, RandomGraphConfig, TwoHopIndex};
+use gpm::{
+    random_graph, DistanceMatrix, DistanceOracle as _, EdgeUpdate, Executor, NodeId,
+    RandomGraphConfig, TwoHopIndex,
+};
 
 fn bench_matrix_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("distance/matrix-build");
@@ -52,6 +54,7 @@ fn bench_incremental_vs_rebuild(c: &mut Criterion) {
     };
     let delete = graph.edges().next().unwrap();
 
+    let exec = Executor::from_env();
     let mut group = c.benchmark_group("distance/unit-update");
     group.sample_size(10);
     group.bench_function("UpdateM insert", |b| {
@@ -60,7 +63,7 @@ fn bench_incremental_vs_rebuild(c: &mut Criterion) {
             let mut m = matrix.clone();
             let u = EdgeUpdate::Insert(insert.0, insert.1);
             u.apply(&mut g);
-            update_matrix(&g, &mut m, u)
+            m.apply_batch(&g, &[u], &exec)
         });
     });
     group.bench_function("UpdateM delete", |b| {
@@ -69,7 +72,7 @@ fn bench_incremental_vs_rebuild(c: &mut Criterion) {
             let mut m = matrix.clone();
             let u = EdgeUpdate::Delete(delete.0, delete.1);
             u.apply(&mut g);
-            update_matrix(&g, &mut m, u)
+            m.apply_batch(&g, &[u], &exec)
         });
     });
     group.bench_function("full rebuild", |b| {

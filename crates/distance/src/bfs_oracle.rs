@@ -7,12 +7,12 @@
 //! variant explores (Figures 6(e)–(h) show it losing once many pairs are
 //! queried, which is what `Match` does).
 
+use crate::bfs::{distance_row, Direction};
 use crate::oracle::DistanceQuery;
 use crate::UNREACHABLE;
 use gpm_graph::{DataGraph, EdgeBound, NodeId};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
-use std::collections::VecDeque;
 
 /// A memoising BFS distance oracle.
 ///
@@ -47,31 +47,8 @@ impl BfsOracle {
         let mut rows = self.rows.lock();
         f(rows
             .entry(from)
-            .or_insert_with(|| compute_nonempty_row(g, from)))
+            .or_insert_with(|| distance_row(g, from, Direction::Forward, true)))
     }
-}
-
-/// One BFS from `from`, seeded at its out-neighbours, producing the full row
-/// of non-empty distances.
-fn compute_nonempty_row(g: &DataGraph, from: NodeId) -> Vec<u16> {
-    let mut row = vec![UNREACHABLE; g.node_count()];
-    let mut queue = VecDeque::new();
-    for &w in g.out_neighbors(from) {
-        if row[w.index()] == UNREACHABLE {
-            row[w.index()] = 1;
-            queue.push_back(w);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = row[v.index()];
-        for &w in g.out_neighbors(v) {
-            if row[w.index()] == UNREACHABLE {
-                row[w.index()] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    row
 }
 
 impl DistanceQuery for BfsOracle {
@@ -158,6 +135,26 @@ mod tests {
         assert!(o.within(&g, n(0), n(0), EdgeBound::Unbounded)); // cycle through 0
         assert!(!o.within(&g, n(3), n(3), EdgeBound::Unbounded)); // no cycle
         assert_eq!(o.name(), "bfs");
+    }
+
+    #[test]
+    fn horizon_chain_is_unreachable_past_65_534_hops_and_never_wraps() {
+        // Reproduction: the row BFS used a bare `d + 1`, so on a chain
+        // longer than the `u16` range a debug build panicked on the overflow
+        // and a release build wrapped — node 65 536 came out at distance 0
+        // and within every bound.
+        let g = gpm_datagen::adversarial::deep_chain(65_600);
+        let o = BfsOracle::new();
+        assert_eq!(o.nonempty_distance(&g, n(0), n(65_534)), Some(65_534));
+        let past = [65_535, 65_536, 65_537, 65_599].map(n);
+        for y in past {
+            assert_eq!(o.nonempty_distance(&g, n(0), y), None, "to {y}");
+            assert!(!o.within(&g, n(0), y, EdgeBound::Unbounded), "to {y}");
+            assert!(!o.within(&g, n(0), y, EdgeBound::Hops(3)), "to {y}");
+        }
+        let targets = [n(65_534), past[0], past[1], past[2], past[3]];
+        assert_eq!(o.count_within(&g, n(0), &targets, EdgeBound::Unbounded), 1);
+        assert_eq!(o.count_within(&g, n(0), &targets, EdgeBound::Hops(3)), 0);
     }
 
     proptest! {

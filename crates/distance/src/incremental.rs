@@ -30,6 +30,7 @@
 //!   the post-batch graph — never a copy of it — and the units' `AFF1`s are
 //!   folded into the batch's net `AFF1` once, at the end.
 
+use crate::bfs::{hop_sum, HORIZON};
 use crate::matrix::DistanceMatrix;
 use crate::UNREACHABLE;
 use gpm_exec::Executor;
@@ -106,8 +107,7 @@ impl AffectedPair {
 pub struct AffectedPairs {
     /// The affected pairs. A batch's `AFF1` — everything
     /// [`DistanceOracle::apply_batch`](crate::DistanceOracle::apply_batch)
-    /// returns — is sorted by `(source, sink)`; [`update_matrix`]'s is in the
-    /// order the unit kernel found the pairs.
+    /// returns — is sorted by `(source, sink)`.
     pub pairs: Vec<AffectedPair>,
 }
 
@@ -145,19 +145,12 @@ impl AffectedPairs {
     }
 }
 
-/// `UpdateM`: maintains the distance matrix under a **single** edge update.
+/// `UpdateM`: maintains the distance matrix under a **single** edge update —
+/// the unit [`DistanceMatrix`]'s `apply_batch` hands to [`replay_batch`].
 ///
 /// `g` must already reflect the update (edge inserted/removed); `matrix` must
-/// be the matrix of the graph *before* the update. Returns `AFF1`.
-pub fn update_matrix<G: Adjacency>(
-    g: &G,
-    matrix: &mut DistanceMatrix,
-    update: EdgeUpdate,
-) -> AffectedPairs {
-    update_matrix_with(g, matrix, update, &Executor::from_env())
-}
-
-/// [`update_matrix`] on an explicit executor.
+/// be the matrix of the graph *before* the update. Returns `AFF1` in the
+/// order the kernel found the pairs.
 ///
 /// The affected area is partitioned across the workers: insertions scan the
 /// `ancestors(s) × descendants(t)` rectangle one source row per task (each
@@ -166,7 +159,7 @@ pub fn update_matrix<G: Adjacency>(
 /// read-only during repair). Results are merged in source/sink order, so the
 /// outcome — including the order of `AFF1` — is identical at every thread
 /// count.
-pub fn update_matrix_with<G: Adjacency>(
+pub(crate) fn update_unit<G: Adjacency>(
     g: &G,
     matrix: &mut DistanceMatrix,
     update: EdgeUpdate,
@@ -177,40 +170,6 @@ pub fn update_matrix_with<G: Adjacency>(
         EdgeUpdate::Insert(s, t) => apply_insertion(g, matrix, s, t, exec),
         EdgeUpdate::Delete(s, t) => apply_deletion(g, matrix, s, t, exec),
     }
-}
-
-/// `UpdateBM`: maintains the distance matrix under a **batch** of edge
-/// updates, returning the combined `AFF1` (pairs whose distance differs
-/// between the state before the first update and after the last one).
-///
-/// `g` must reflect the state *after the whole batch*; `updates` lists the
-/// updates in application order. Updates that are no-ops at their position
-/// (duplicate inserts, missing deletes, unknown endpoints) are skipped.
-pub fn update_matrix_batch(
-    g: &DataGraph,
-    matrix: &mut DistanceMatrix,
-    updates: &[EdgeUpdate],
-) -> AffectedPairs {
-    update_matrix_batch_with(g, matrix, updates, &Executor::from_env())
-}
-
-/// [`update_matrix_batch`] on an explicit executor. The batch is replayed
-/// unit by unit (each update must see the matrix left by the previous one);
-/// within each unit update the affected area is partitioned across the
-/// workers as in [`update_matrix_with`].
-pub fn update_matrix_batch_with(
-    g: &DataGraph,
-    matrix: &mut DistanceMatrix,
-    updates: &[EdgeUpdate],
-    exec: &Executor,
-) -> AffectedPairs {
-    replay_batch(
-        matrix,
-        g,
-        updates,
-        |m, from, to| m.get(from, to) == 1,
-        |m, view, u| update_matrix_with(view, m, u, exec).pairs,
-    )
 }
 
 /// The one batch-replay loop of the crate: steps a [`BatchReplay`] view of
@@ -280,12 +239,7 @@ fn apply_insertion<G: Adjacency>(
         }
         let mut improved = Vec::new();
         for &(y, dy) in &sinks {
-            let via = u32::from(dx) + 1 + u32::from(dy);
-            let via = if via >= u32::from(UNREACHABLE) {
-                UNREACHABLE - 1
-            } else {
-                via as u16
-            };
+            let via = hop_sum(dx, dy);
             let old = matrix.get(x, y);
             if via < old {
                 improved.push(AffectedPair {
@@ -558,11 +512,7 @@ fn compute_sink_repair<G: Adjacency, C: ColumnStore>(
             continue;
         }
         state[x.index()] = FINAL;
-        let new = if best >= u32::from(UNREACHABLE) {
-            UNREACHABLE - 1
-        } else {
-            best as u16
-        };
+        let new = best.min(u32::from(HORIZON)) as u16;
         let old = column.get(x);
         if new != old {
             column.set(x, new);
@@ -602,6 +552,7 @@ fn compute_sink_repair<G: Adjacency, C: ColumnStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DistanceOracle as _;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom as _;
@@ -609,6 +560,23 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    // The tests below predate the single maintenance door and keep their
+    // spelling: a unit goes straight to the dispatcher (so the pinned unit
+    // orders hold), a batch through `apply_batch`.
+    use super::update_unit as update_matrix_with;
+
+    fn update_matrix(g: &DataGraph, m: &mut DistanceMatrix, u: EdgeUpdate) -> AffectedPairs {
+        update_unit(g, m, u, &Executor::from_env())
+    }
+
+    fn update_matrix_batch(
+        g: &DataGraph,
+        m: &mut DistanceMatrix,
+        updates: &[EdgeUpdate],
+    ) -> AffectedPairs {
+        m.apply_batch(g, updates, &Executor::from_env())
     }
 
     fn path_graph(len: u32) -> DataGraph {

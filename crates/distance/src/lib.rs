@@ -25,14 +25,14 @@
 //! maintenance** the incremental matching algorithms rely on, as one
 //! required method: [`DistanceOracle::apply_batch`] (the paper's `UpdateBM`;
 //! `UpdateM` is a one-element batch), reporting the set of affected
-//! source–sink pairs (`AFF1`). Two back-ends are maintainable —
-//! [`DistanceMatrix`] (whose kernels are also free functions:
-//! [`update_matrix`], [`update_matrix_batch`]) and the sublinear-memory
+//! source–sink pairs (`AFF1`). That method is the only maintenance door: no
+//! back-end exports free maintenance functions. Two back-ends are
+//! maintainable — [`DistanceMatrix`] and the sublinear-memory
 //! [`IncrementalTwoHop`] labeling, which repairs insertions and deletions
-//! alike in its labels and never rebuilds — selected at runtime via [`OracleBackend`]
-//! (the `GPM_ORACLE` environment variable / `--oracle` flag). [`BfsOracle`]
-//! and [`TwoHopOracle`] are query-only: handing one to code that maintains
-//! its oracle is a compile error.
+//! alike in its labels and never rebuilds — selected at runtime via
+//! [`OracleBackend`] (the `GPM_ORACLE` environment variable / `--oracle`
+//! flag). [`BfsOracle`] and [`TwoHopOracle`] are query-only: handing one to
+//! code that maintains its oracle is a compile error.
 //!
 //! ## Non-empty distances
 //!
@@ -42,14 +42,27 @@
 //! crate works with that convention; standard distances are available where
 //! needed via [`DistanceMatrix::standard_distance`].
 //!
+//! ## One BFS, one horizon
+//!
+//! Everything above is a breadth-first search over a `u16` store, and the
+//! crate spells it once: a private `bfs` module owns the row kernel (the
+//! matrix build and row rebuild, `BfsOracle`'s memoised rows, the rows the
+//! 2-hop repair reads), the pruned kernel (the sequential 2-hop build, the
+//! bit-parallel build's replay, the insertion repair's resumed searches) and
+//! the horizon arithmetic. Stored distances are at most 65 534, one below
+//! [`UNREACHABLE`]; neither kernel expands a node at that horizon and every
+//! sum of stored distances clamps there, so **a node farther than the
+//! horizon is reported unreachable by every back-end and no BFS wraps** —
+//! the back-ends saturate identically because they run the same function.
+//!
 //! ## Paper map
 //!
 //! | paper | here |
 //! |-------|------|
-//! | matrix `M`, Theorem 3.1 proof | [`DistanceMatrix`] (`build` = one BFS per source) |
+//! | matrix `M`, Theorem 3.1 proof | [`DistanceMatrix`] (`build` = one BFS per source: the row kernel) |
 //! | "BFS" curves, Fig. 6(f)–(h) | [`BfsOracle`] |
-//! | "2-hop" curves, Fig. 6(f)–(h) | [`TwoHopIndex`] / [`TwoHopOracle`] |
-//! | `UpdateM` / `UpdateBM`, Section 4 | [`DistanceOracle::apply_batch`]; on the matrix [`update_matrix`] / [`update_matrix_batch`] |
+//! | "2-hop" curves, Fig. 6(f)–(h) | [`TwoHopIndex`] / [`TwoHopOracle`] (pruned kernel) |
+//! | `UpdateM` / `UpdateBM`, Section 4 | [`DistanceOracle::apply_batch`] (`UpdateM` = a one-element batch) |
 //! | `AFF1` | [`AffectedPairs`] |
 //!
 //! All oracles consume the data graph through its CSR slice accessors
@@ -62,10 +75,10 @@
 //!
 //! The construction and maintenance procedures run on the shared `gpm-exec`
 //! executor: [`DistanceMatrix::build_with`] fans one BFS source chunk per
-//! task, [`update_matrix_with`] partitions the affected area (source rows
-//! for insertions, sink columns for deletions) across the workers with a
-//! deterministic merge, and the `*_with`-less entry points default to the
-//! process-wide [`gpm_exec::Parallelism::from_env`] policy.
+//! task, the matrix's `apply_batch` partitions each unit's affected area
+//! (source rows for insertions, sink columns for deletions) across the
+//! workers with a deterministic merge, and the `*_with`-less entry points
+//! default to the process-wide [`gpm_exec::Parallelism::from_env`] policy.
 //!
 //! ## Example
 //!
@@ -85,6 +98,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+mod bfs;
 pub mod bfs_oracle;
 pub mod incremental;
 pub mod matrix;
@@ -95,10 +109,7 @@ pub mod two_hop_inc;
 
 pub use backend::OracleBackend;
 pub use bfs_oracle::BfsOracle;
-pub use incremental::{
-    update_matrix, update_matrix_batch, update_matrix_batch_with, update_matrix_with, AffectedPair,
-    AffectedPairs, EdgeUpdate,
-};
+pub use incremental::{AffectedPair, AffectedPairs, EdgeUpdate};
 pub use matrix::DistanceMatrix;
 pub use oracle::{DistanceOracle, DistanceQuery};
 pub use two_hop::{TwoHopIndex, TwoHopOracle};
@@ -108,6 +119,9 @@ use gpm_graph::{EdgeBound, NodeId};
 
 /// Hop count representing "no path"; distances are stored as `u16` because
 /// no graph in this workload family has a diameter anywhere near 65k hops.
+/// The largest finite stored distance is one below it (the *horizon*,
+/// 65 534): a node farther than that is reported unreachable by every
+/// back-end, and no BFS wraps.
 pub const UNREACHABLE: u16 = u16::MAX;
 
 /// The largest stored hop count that satisfies `bound`: `Hops(k)` clamped
@@ -118,8 +132,8 @@ pub const UNREACHABLE: u16 = u16::MAX;
 #[inline]
 pub(crate) fn hop_limit(bound: EdgeBound) -> u16 {
     match bound {
-        EdgeBound::Hops(k) => k.min(u32::from(UNREACHABLE - 1)) as u16,
-        EdgeBound::Unbounded => UNREACHABLE - 1,
+        EdgeBound::Hops(k) => k.min(u32::from(bfs::HORIZON)) as u16,
+        EdgeBound::Unbounded => bfs::HORIZON,
     }
 }
 

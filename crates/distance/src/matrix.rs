@@ -10,6 +10,7 @@
 //! be rebuilt or patched in place, which is what the incremental maintenance
 //! procedures (`UpdateM` / `UpdateBM`) do.
 
+use crate::bfs::{bfs_row, Direction};
 use crate::UNREACHABLE;
 use gpm_exec::{Executor, Parallelism};
 use gpm_graph::{Adjacency, DataGraph, EdgeBound, NodeId};
@@ -47,7 +48,7 @@ impl DistanceMatrix {
             let mut queue = VecDeque::new();
             for x in g.nodes() {
                 let row = &mut dist[x.index() * n..(x.index() + 1) * n];
-                Self::bfs_row(g, x, row, &mut queue);
+                bfs_row(g, x, Direction::Forward, true, row, &mut queue);
             }
             return DistanceMatrix { n, dist };
         }
@@ -57,7 +58,7 @@ impl DistanceMatrix {
             let mut queue = VecDeque::new();
             for (i, row) in chunk.chunks_mut(n).enumerate() {
                 let x = NodeId::new((chunk_idx * rows_per_task + i) as u32);
-                Self::bfs_row(g, x, row, &mut queue);
+                bfs_row(g, x, Direction::Forward, true, row, &mut queue);
             }
         });
         DistanceMatrix { n, dist }
@@ -78,7 +79,7 @@ impl DistanceMatrix {
         let n = self.n;
         let row = &mut self.dist[x.index() * n..(x.index() + 1) * n];
         let old_row = row.to_vec();
-        Self::bfs_row(g, x, row, &mut VecDeque::new());
+        bfs_row(g, x, Direction::Forward, true, row, &mut VecDeque::new());
         old_row
             .iter()
             .zip(row.iter())
@@ -92,30 +93,6 @@ impl DistanceMatrix {
     #[inline]
     pub(crate) fn row(&self, x: NodeId) -> &[u16] {
         &self.dist[x.index() * self.n..(x.index() + 1) * self.n]
-    }
-
-    fn bfs_row<G: Adjacency>(g: &G, x: NodeId, row: &mut [u16], queue: &mut VecDeque<NodeId>) {
-        row.fill(UNREACHABLE);
-        queue.clear();
-        // Seed with out-neighbours at distance 1: paths must be non-empty.
-        for &w in g.out_neighbors(x) {
-            if row[w.index()] == UNREACHABLE {
-                row[w.index()] = 1;
-                queue.push_back(w);
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            let d = row[v.index()];
-            if d == UNREACHABLE - 1 {
-                continue; // saturate rather than overflow (never hit in practice)
-            }
-            for &w in g.out_neighbors(v) {
-                if row[w.index()] == UNREACHABLE {
-                    row[w.index()] = d + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
     }
 
     /// Number of nodes the matrix covers.

@@ -64,8 +64,6 @@ pub(crate) struct TwoHopMetrics {
     pub delete_candidates: Arc<Counter>,
     /// Candidate entries written back into the labels.
     pub entries_rewritten: Arc<Counter>,
-    /// Label entries dropped by `prune_dominated`.
-    pub pruned_labels: Arc<Counter>,
 }
 
 pub(crate) fn twohop_extra() -> &'static TwoHopMetrics {
@@ -77,7 +75,6 @@ pub(crate) fn twohop_extra() -> &'static TwoHopMetrics {
             delete_rect_pairs: scope.counter("twohop.delete_rect_pairs"),
             delete_candidates: scope.counter("twohop.delete_candidates"),
             entries_rewritten: scope.counter("twohop.entries_rewritten"),
-            pruned_labels: scope.counter("twohop.pruned_labels"),
         }
     })
 }

@@ -22,7 +22,7 @@
 //! [`crate::TwoHopOracle`] are query-only, so asking one of them to
 //! maintain itself does not compile.
 
-use crate::incremental::{AffectedPairs, EdgeUpdate};
+use crate::incremental::{replay_batch, update_unit, AffectedPairs, EdgeUpdate};
 use crate::matrix::DistanceMatrix;
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, EdgeBound, NodeId};
@@ -233,7 +233,15 @@ impl DistanceOracle for DistanceMatrix {
     ) -> AffectedPairs {
         let m = crate::metrics::matrix();
         let _span = m.apply_ns.span();
-        let aff = crate::incremental::update_matrix_batch_with(g, self, updates, exec);
+        // Each unit sees the matrix left by the previous one; within a unit
+        // the affected area is partitioned across the workers.
+        let aff = replay_batch(
+            self,
+            g,
+            updates,
+            |m, from, to| m.get(from, to) == 1,
+            |m, view, u| update_unit(view, m, u, exec).pairs,
+        );
         if gpm_obs::enabled() {
             let inserts = updates.iter().filter(|u| u.is_insert()).count();
             m.inserts.add(inserts as u64);

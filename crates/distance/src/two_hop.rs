@@ -11,7 +11,14 @@
 //! result is a correct, exact 2-hop distance/reachability labeling with the
 //! same query interface; only the cover-construction heuristic differs from
 //! the cited work.
+//!
+//! Both builds run their pruned searches on the crate's pruned BFS kernel
+//! (`bfs.rs`) and supply the prune test only: the sequential reference a
+//! label merge-join, the bit-parallel build's replay a cached value plus an
+//! intra-batch term. The word-parallel phase A is a different algorithm and
+//! keeps its own level-synchronous loop, reading the same horizon constants.
 
+use crate::bfs::{hop_sum, path_sum, pruned_bfs, Direction, HORIZON};
 use crate::oracle::DistanceQuery;
 use crate::UNREACHABLE;
 use gpm_exec::Executor;
@@ -36,6 +43,8 @@ pub struct TwoHopIndex {
     pub(crate) label_in: Vec<Vec<LabelEntry>>,
     /// Non-empty distance from each node to itself (shortest cycle length).
     pub(crate) diagonal: Vec<u16>,
+    /// Hub rank → node: the landmark order the build processed, rank 0 first.
+    pub(crate) hubs_by_rank: Vec<NodeId>,
 }
 
 impl TwoHopIndex {
@@ -66,9 +75,7 @@ impl TwoHopIndex {
     /// [`build_batched`](Self::build_batched) against it.
     pub fn build_sequential(g: &DataGraph) -> Self {
         let n = g.node_count();
-        let mut order: Vec<NodeId> = g.nodes().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.total_degree(v)), v));
-
+        let order = landmark_order(g);
         let mut label_out: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
         let mut label_in: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
 
@@ -77,37 +84,35 @@ impl TwoHopIndex {
         let mut queue = VecDeque::new();
 
         for (rank, &hub) in order.iter().enumerate() {
-            let rank = rank as u32;
-            // Forward pruned BFS: label_in of reached nodes.
-            let labelled = pruned_bfs(
-                g,
-                hub,
-                Direction::Forward,
-                &label_out,
-                &label_in,
-                &mut dist,
-                &mut queue,
-            );
-            for (v, d) in labelled {
-                label_in[v.index()].push((rank, d));
-            }
-
-            // Backward pruned BFS: label_out of nodes reaching the hub.
-            let labelled = pruned_bfs(
-                g,
-                hub,
-                Direction::Backward,
-                &label_out,
-                &label_in,
-                &mut dist,
-                &mut queue,
-            );
-            for (v, d) in labelled {
-                label_out[v.index()].push((rank, d));
+            let (rank, h) = (rank as u32, hub.index());
+            // Forward labels `label_in` of the nodes the hub reaches, then
+            // backward `label_out` of the nodes reaching it. A label is
+            // committed as its node is popped: the prune test at `v` reads
+            // the lists of `v` (popped once) and of the hub's other side
+            // (not written by this pass) only.
+            for direction in [Direction::Forward, Direction::Backward] {
+                pruned_bfs(g, hub, 0, direction, &mut dist, &mut queue, |v, d| {
+                    let v = v.index();
+                    let (already, labels) = match direction {
+                        Direction::Forward => {
+                            (merge_min(&label_out[h], &label_in[v]), &mut label_in)
+                        }
+                        Direction::Backward => {
+                            (merge_min(&label_out[v], &label_in[h]), &mut label_out)
+                        }
+                    };
+                    // Prune if labels from higher-ranked hubs already
+                    // certify `<= d`.
+                    if already <= d {
+                        return false;
+                    }
+                    labels[v].push((rank, d));
+                    true
+                });
             }
         }
 
-        Self::with_diagonal(g, &Executor::sequential(), label_out, label_in)
+        Self::with_diagonal(g, &Executor::sequential(), label_out, label_in, order)
     }
 
     /// Rank-batched, bit-parallel construction.
@@ -139,9 +144,7 @@ impl TwoHopIndex {
     pub fn build_batched(g: &DataGraph, exec: &Executor, batch_size: usize) -> Self {
         let n = g.node_count();
         let b = batch_size.clamp(1, 64);
-        let mut order: Vec<NodeId> = g.nodes().collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.total_degree(v)), v));
-
+        let order = landmark_order(g);
         let mut label_out: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
         let mut label_in: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
 
@@ -192,68 +195,79 @@ impl TwoHopIndex {
                 });
             }
 
-            // Phase B: exact replay in rank order, committing after each BFS
-            // exactly as the sequential build does.
+            // Phase B: exact replay in rank order — the traversal of the
+            // sequential build, with the label merge-join replaced by the
+            // cached phase-A prune value plus the intra-batch term over the
+            // same-batch labels committed so far.
             for j in 0..len {
                 let rank = (base + j) as u32;
                 let hub = roots[j];
                 let grp = &groups[j / gw];
                 let jl = j % gw;
-
-                // Forward: the intra-batch prune term runs over common hubs
-                // base..base+j — hub-side distances from backward commits,
-                // node-side from forward commits.
-                hub_side.clear();
-                let hub_row = &bd_bwd[hub.index() * b..hub.index() * b + j];
-                for (j2, &dh) in hub_row.iter().enumerate() {
-                    if dh != UNREACHABLE {
-                        hub_side.push((j2, dh));
+                // Forward commits `label_in`; its intra-batch term runs over
+                // common hubs base..base+j — hub-side distances from backward
+                // commits, node-side from forward commits. Backward is the
+                // mirror image. (The root's own fresh forward label is rank
+                // base+j on the in-side only, so it never joins.)
+                for direction in [Direction::Forward, Direction::Backward] {
+                    let (already, hub_bd, node_bd, touched, labels) = match direction {
+                        Direction::Forward => (
+                            &grp.already_fwd,
+                            &bd_bwd,
+                            &mut bd_fwd,
+                            &mut touched_fwd,
+                            &mut label_in,
+                        ),
+                        Direction::Backward => (
+                            &grp.already_bwd,
+                            &bd_fwd,
+                            &mut bd_bwd,
+                            &mut touched_bwd,
+                            &mut label_out,
+                        ),
+                    };
+                    let already = &already[jl * n..(jl + 1) * n];
+                    // The finite hub-side distances per lower local rank.
+                    hub_side.clear();
+                    let hub_row = &hub_bd[hub.index() * b..hub.index() * b + j];
+                    for (j2, &dh) in hub_row.iter().enumerate() {
+                        if dh != UNREACHABLE {
+                            hub_side.push((j2, dh));
+                        }
                     }
-                }
-                let labelled = replay_pruned_bfs(
-                    g,
-                    hub,
-                    Direction::Forward,
-                    &grp.already_fwd[jl * n..(jl + 1) * n],
-                    &hub_side,
-                    &bd_fwd,
-                    b,
-                    &mut dist,
-                    &mut queue,
-                );
-                for &(v, dv) in &labelled {
-                    label_in[v.index()].push((rank, dv));
-                    let slot = v.index() * b + j;
-                    bd_fwd[slot] = dv;
-                    touched_fwd.push(slot);
-                }
-
-                // Backward: hub-side from forward commits, node-side from
-                // backward commits. (The root's own fresh forward label is
-                // rank base+j on the in-side only, so it never joins.)
-                hub_side.clear();
-                let hub_row = &bd_fwd[hub.index() * b..hub.index() * b + j];
-                for (j2, &dh) in hub_row.iter().enumerate() {
-                    if dh != UNREACHABLE {
-                        hub_side.push((j2, dh));
-                    }
-                }
-                let labelled = replay_pruned_bfs(
-                    g,
-                    hub,
-                    Direction::Backward,
-                    &grp.already_bwd[jl * n..(jl + 1) * n],
-                    &hub_side,
-                    &bd_bwd,
-                    b,
-                    &mut dist,
-                    &mut queue,
-                );
-                for &(v, dv) in &labelled {
-                    label_out[v.index()].push((rank, dv));
-                    let slot = v.index() * b + j;
-                    bd_bwd[slot] = dv;
-                    touched_bwd.push(slot);
+                    pruned_bfs(g, hub, 0, direction, &mut dist, &mut queue, |v, d| {
+                        // Every node popped here was visited by phase A at
+                        // depth <= d, so the cached slot is fresh; the stored
+                        // value prunes identically to the full pre-batch
+                        // merge-join (an early-terminated value is only ever
+                        // `<= the phase-A depth <= d`, which decides the same
+                        // way).
+                        let mut best = already[v.index()];
+                        let row = v.index() * b;
+                        if best > d {
+                            for &(j2, dh) in &hub_side {
+                                let dn = node_bd[row + j2];
+                                if dn != UNREACHABLE {
+                                    let sum = path_sum(dh, dn);
+                                    if sum < best {
+                                        best = sum;
+                                        if sum <= d {
+                                            break;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        if best <= d {
+                            return false;
+                        }
+                        // Commit as the sequential build does; slot `j` of a
+                        // row is never read back by this root's own replay.
+                        labels[v.index()].push((rank, d));
+                        node_bd[row + j] = d;
+                        touched.push(row + j);
+                        true
+                    });
                 }
             }
 
@@ -268,7 +282,7 @@ impl TwoHopIndex {
             base += len;
         }
 
-        Self::with_diagonal(g, exec, label_out, label_in)
+        Self::with_diagonal(g, exec, label_out, label_in, order)
     }
 
     /// Finishes an index from committed labels: the non-empty diagonal (the
@@ -280,12 +294,14 @@ impl TwoHopIndex {
         exec: &Executor,
         label_out: Vec<Vec<LabelEntry>>,
         label_in: Vec<Vec<LabelEntry>>,
+        hubs_by_rank: Vec<NodeId>,
     ) -> Self {
         let n = g.node_count();
         let mut index = TwoHopIndex {
             label_out,
             label_in,
             diagonal: vec![UNREACHABLE; n],
+            hubs_by_rank,
         };
         index.diagonal = {
             let idx = &index;
@@ -299,9 +315,7 @@ impl TwoHopIndex {
                         idx.standard_distance_raw(s, v)
                     };
                     if d != UNREACHABLE {
-                        // Clamp: a saturated-but-finite cycle length must not
-                        // collide with the UNREACHABLE (∅) sentinel.
-                        best = best.min(d.saturating_add(1).min(UNREACHABLE - 1));
+                        best = best.min(hop_sum(0, d));
                     }
                 }
                 best
@@ -378,8 +392,8 @@ impl TwoHopIndex {
 ///
 /// Label entries are always finite, but the *sum* of two saturated entries
 /// can hit `UNREACHABLE` exactly — that would conflate a very long path with
-/// the ∅ ("no path") sentinel, so the sum is clamped to `UNREACHABLE - 1`,
-/// matching the saturation convention of the distance matrix.
+/// the ∅ ("no path") sentinel, so the sum is clamped to the horizon
+/// ([`path_sum`]), the saturation convention of every back-end.
 pub(crate) fn merge_min(out: &[LabelEntry], inc: &[LabelEntry]) -> u16 {
     let mut best = UNREACHABLE;
     let (mut i, mut j) = (0, 0);
@@ -388,8 +402,7 @@ pub(crate) fn merge_min(out: &[LabelEntry], inc: &[LabelEntry]) -> u16 {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let sum = out[i].1.saturating_add(inc[j].1).min(UNREACHABLE - 1);
-                best = best.min(sum);
+                best = best.min(path_sum(out[i].1, inc[j].1));
                 i += 1;
                 j += 1;
             }
@@ -402,12 +415,12 @@ pub(crate) fn merge_min(out: &[LabelEntry], inc: &[LabelEntry]) -> u16 {
 /// frontier (one bit per root; the word is a `u64`).
 pub(crate) const DEFAULT_BATCH: usize = 64;
 
-#[derive(Clone, Copy)]
-pub(crate) enum Direction {
-    /// Follow out-edges.
-    Forward,
-    /// Follow in-edges.
-    Backward,
+/// The landmark order of both builds, rank 0 first: descending total degree,
+/// ties by node id.
+fn landmark_order(g: &DataGraph) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = g.nodes().collect();
+    order.sort_by_key(|&v| (std::cmp::Reverse(g.total_degree(v)), v));
+    order
 }
 
 /// Per-group scratch for the batched construction, persistent across batches
@@ -514,7 +527,7 @@ impl GroupScratch {
                         bits &= bits - 1;
                         let t = self.tmp[row + j];
                         if t != UNREACHABLE {
-                            let sum = t.saturating_add(dv).min(UNREACHABLE - 1);
+                            let sum = path_sum(t, dv);
                             if sum < cur[j] {
                                 cur[j] = sum;
                                 if sum <= d {
@@ -537,13 +550,9 @@ impl GroupScratch {
                         expand |= 1u64 << j;
                     }
                 }
-                // Depth saturation, as in the sequential pruned BFS.
-                if expand != 0 && d < UNREACHABLE - 1 {
-                    let neighbours = match direction {
-                        Direction::Forward => g.out_neighbors(NodeId::new(vu)),
-                        Direction::Backward => g.in_neighbors(NodeId::new(vu)),
-                    };
-                    for &w in neighbours {
+                // Depth saturation, as in the pruned kernel.
+                if expand != 0 && d < HORIZON {
+                    for &w in direction.neighbours(g, NodeId::new(vu)) {
                         let wi = w.index();
                         let prev = self.arrived[wi];
                         let add = expand & !prev;
@@ -578,127 +587,6 @@ impl GroupScratch {
         }
         self.arrived_list.clear();
     }
-}
-
-/// Phase-B replay of one root's pruned BFS: identical traversal to
-/// [`pruned_bfs`], with the label merge-join replaced by the cached phase-A
-/// prune value plus the intra-batch term over the same-batch labels committed
-/// so far (`hub_side` lists the finite hub-side distances per lower local
-/// rank; `node_side` is the dense committed-label table, `v * b + j`).
-#[allow(clippy::too_many_arguments)]
-fn replay_pruned_bfs(
-    g: &DataGraph,
-    hub: NodeId,
-    direction: Direction,
-    already: &[u16],
-    hub_side: &[(usize, u16)],
-    node_side: &[u16],
-    b: usize,
-    dist: &mut [u16],
-    queue: &mut VecDeque<NodeId>,
-) -> Vec<(NodeId, u16)> {
-    queue.clear();
-    dist[hub.index()] = 0;
-    queue.push_back(hub);
-    let mut visited: Vec<NodeId> = vec![hub];
-    let mut labelled: Vec<(NodeId, u16)> = Vec::new();
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        // Every node popped here was visited by phase A at depth <= d, so
-        // the cached slot is fresh; the stored value prunes identically to
-        // the full pre-batch merge-join (an early-terminated value is only
-        // ever `<= the phase-A depth <= d`, which decides the same way).
-        let mut best = already[v.index()];
-        if best > d {
-            let row = v.index() * b;
-            for &(j2, dh) in hub_side {
-                let dn = node_side[row + j2];
-                if dn != UNREACHABLE {
-                    let sum = dh.saturating_add(dn).min(UNREACHABLE - 1);
-                    if sum < best {
-                        best = sum;
-                        if sum <= d {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if best <= d {
-            continue;
-        }
-        labelled.push((v, d));
-        if d >= UNREACHABLE - 1 {
-            continue;
-        }
-        let neighbours = match direction {
-            Direction::Forward => g.out_neighbors(v),
-            Direction::Backward => g.in_neighbors(v),
-        };
-        for &w in neighbours {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = d + 1;
-                visited.push(w);
-                queue.push_back(w);
-            }
-        }
-    }
-    for v in visited {
-        dist[v.index()] = UNREACHABLE;
-    }
-    labelled
-}
-
-/// Pruned BFS from `hub` following out-edges (`Forward`) or in-edges
-/// (`Backward`). Returns the nodes that should receive a label for this hub,
-/// with their distances. `dist` is scratch space and is fully reset before
-/// returning.
-fn pruned_bfs(
-    g: &DataGraph,
-    hub: NodeId,
-    direction: Direction,
-    label_out: &[Vec<LabelEntry>],
-    label_in: &[Vec<LabelEntry>],
-    dist: &mut [u16],
-    queue: &mut VecDeque<NodeId>,
-) -> Vec<(NodeId, u16)> {
-    queue.clear();
-    dist[hub.index()] = 0;
-    queue.push_back(hub);
-    let mut visited: Vec<NodeId> = vec![hub];
-    let mut labelled: Vec<(NodeId, u16)> = Vec::new();
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        // Prune if labels from higher-ranked hubs already certify `<= d`.
-        let already = match direction {
-            Direction::Forward => merge_min(&label_out[hub.index()], &label_in[v.index()]),
-            Direction::Backward => merge_min(&label_out[v.index()], &label_in[hub.index()]),
-        };
-        if already <= d {
-            continue;
-        }
-        labelled.push((v, d));
-        // Depth saturation: never hand out UNREACHABLE (∅) as a real
-        // distance — nodes beyond the horizon keep the saturated value.
-        if d >= UNREACHABLE - 1 {
-            continue;
-        }
-        let neighbours = match direction {
-            Direction::Forward => g.out_neighbors(v),
-            Direction::Backward => g.in_neighbors(v),
-        };
-        for &w in neighbours {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = d + 1;
-                visited.push(w);
-                queue.push_back(w);
-            }
-        }
-    }
-    for v in visited {
-        dist[v.index()] = UNREACHABLE;
-    }
-    labelled
 }
 
 /// [`DistanceQuery`] built on a [`TwoHopIndex`], mirroring the paper's
@@ -887,6 +775,7 @@ mod tests {
             label_out: vec![vec![(0, UNREACHABLE - 1)], Vec::new()],
             label_in: vec![Vec::new(), vec![(0, UNREACHABLE - 1)]],
             diagonal: vec![UNREACHABLE, UNREACHABLE],
+            hubs_by_rank: vec![n(0), n(1)],
         };
         assert_eq!(
             idx.standard_distance(n(0), n(1)),

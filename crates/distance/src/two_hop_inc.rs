@@ -38,9 +38,11 @@
 //! resuming one). The full query would let a lower-ranked hub cut off a
 //! canonical hub's BFS and lose (I2); rank order means every entry the prune
 //! reads is already repaired, so no entry is written for a hub ranked below
-//! the node it labels. Over-estimating entries may linger (they never win an
-//! exact minimum; [`prune_dominated`](IncrementalTwoHop::prune_dominated)
-//! drops them).
+//! the node it labels. Over-estimating entries may linger: they never win an
+//! exact minimum, and the growth they cause plateaus (≈ 1.1 × a fresh build
+//! on the churn benchmark, ≤ 2 × after 3 000 updates — both pinned by tests).
+//! Each resume is the crate's pruned BFS kernel (`bfs.rs`) started at the far
+//! endpoint of the new edge; only the prune test lives here.
 //!
 //! # Deletions
 //!
@@ -85,10 +87,11 @@
 //! Downstream match repair treats `AFF1` as a set of affected sources, so
 //! both backends drive identical match deltas.
 
+use crate::bfs::{distance_row, hop_sum, pruned_bfs, Direction};
 use crate::incremental::{replay_batch, AffectedPair, AffectedPairs, EdgeUpdate};
 use crate::oracle::{DistanceOracle, DistanceQuery};
-use crate::two_hop::{merge_min, Direction, LabelEntry, TwoHopIndex};
-use crate::UNREACHABLE;
+use crate::two_hop::{merge_min, LabelEntry, TwoHopIndex};
+use crate::{hop_limit, UNREACHABLE};
 use gpm_exec::Executor;
 use gpm_graph::{Adjacency, DataGraph, EdgeBound, NodeId};
 use std::collections::VecDeque;
@@ -103,9 +106,7 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug)]
 pub struct IncrementalTwoHop {
     index: TwoHopIndex,
-    /// Hub rank → node, recovered from the self-label entries (`d == 0`).
-    hubs_by_rank: Vec<NodeId>,
-    /// Node → hub rank, the inverse of `hubs_by_rank`.
+    /// Node → hub rank, the inverse of the index's `hubs_by_rank`.
     rank_of: Vec<u32>,
 }
 
@@ -118,12 +119,11 @@ impl IncrementalTwoHop {
     /// Builds the labeling on the shared executor.
     pub fn build_with(g: &DataGraph, exec: &Executor) -> Self {
         let index = TwoHopIndex::build_with(g, exec);
-        let (hubs_by_rank, rank_of) = recover_ranks(&index);
-        IncrementalTwoHop {
-            index,
-            hubs_by_rank,
-            rank_of,
+        let mut rank_of = vec![0; index.hubs_by_rank.len()];
+        for (rank, hub) in index.hubs_by_rank.iter().enumerate() {
+            rank_of[hub.index()] = rank as u32;
         }
+        IncrementalTwoHop { index, rank_of }
     }
 
     /// The underlying labeling.
@@ -151,7 +151,7 @@ impl IncrementalTwoHop {
         entries * entry
             + (self.index.label_out.capacity() + self.index.label_in.capacity()) * header
             + self.index.diagonal.capacity() * std::mem::size_of::<u16>()
-            + self.hubs_by_rank.capacity() * std::mem::size_of::<NodeId>()
+            + self.index.hubs_by_rank.capacity() * std::mem::size_of::<NodeId>()
             + self.rank_of.capacity() * std::mem::size_of::<u32>()
     }
 
@@ -163,68 +163,6 @@ impl IncrementalTwoHop {
     /// Standard distance (diagonal 0), `None` if unreachable.
     pub fn standard_distance(&self, x: NodeId, y: NodeId) -> Option<u32> {
         self.index.standard_distance(x, y)
-    }
-
-    /// Drops label entries that the remaining labels *strictly* dominate,
-    /// returning how many were removed.
-    ///
-    /// Insertion repair deliberately leaves stale entries behind ("may
-    /// linger", module docs): they keep queries exact — every entry is a real
-    /// path length, so an out-of-date one can only over-estimate and never
-    /// wins an exact minimum — but a long insert stream grows the index
-    /// without bound and skews [`memory_bytes`](Self::memory_bytes) trends.
-    /// An entry `(h, d)` of `label_in(v)` is dropped when the 2-hop query
-    /// `h → v` over the other common hubs is `< d`: strictness is what makes
-    /// the drop provably safe (the certificate is itself a path, so `< d`
-    /// means the entry over-estimates the true distance — it is not one of
-    /// the exact entries (I2) asks for — and can never be the unique exact
-    /// witness of any query). Self entries (`d == 0`) can never be strictly
-    /// beaten, so the rank recovery the repair paths rely on is preserved.
-    ///
-    /// `O(Σ label sizes × average label size)` and a no-op right after a
-    /// fresh build in the common case. Mirroring
-    /// [`DataGraph::compact`](gpm_graph::DataGraph::compact), long-running
-    /// incremental workloads call it at convenient quiesce points; nothing
-    /// calls it automatically.
-    pub fn prune_dominated(&mut self) -> usize {
-        let hubs = &self.hubs_by_rank;
-        let n = self.index.label_in.len();
-        let mut dropped = 0usize;
-        // In-labels first against intact out-labels, then out-labels against
-        // the pruned in-labels: each drop is individually safe, so the fixed
-        // deterministic order only matters for reproducibility.
-        for v in 0..n {
-            let mut i = 0;
-            while i < self.index.label_in[v].len() {
-                let (r, d) = self.index.label_in[v][i];
-                let hub = hubs[r as usize];
-                if merge_min(&self.index.label_out[hub.index()], &self.index.label_in[v]) < d {
-                    self.index.label_in[v].remove(i);
-                    dropped += 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        for v in 0..n {
-            let mut i = 0;
-            while i < self.index.label_out[v].len() {
-                let (r, d) = self.index.label_out[v][i];
-                let hub = hubs[r as usize];
-                if merge_min(&self.index.label_out[v], &self.index.label_in[hub.index()]) < d {
-                    self.index.label_out[v].remove(i);
-                    dropped += 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if dropped > 0 {
-            crate::metrics::twohop_extra()
-                .pruned_labels
-                .add(dropped as u64);
-        }
-        dropped
     }
 
     fn insert_repair<G: Adjacency>(
@@ -259,25 +197,40 @@ impl IncrementalTwoHop {
         resumes.sort_by_key(|&((rank, _), ..)| rank);
         let mut dist = vec![UNREACHABLE; n];
         let mut queue = VecDeque::new();
-        let hubs = &self.hubs_by_rank;
         let TwoHopIndex {
             label_out,
             label_in,
+            hubs_by_rank,
             ..
         } = &mut self.index;
         for ((rank, d), direction, start) in resumes {
-            resume_label_repair(
-                g,
-                direction,
-                rank,
-                hubs[rank as usize],
-                start,
-                d.saturating_add(1).min(UNREACHABLE - 1),
-                label_out,
-                label_in,
-                &mut dist,
-                &mut queue,
-            );
+            // Resume the hub's pruned BFS across the new edge, inserting or
+            // tightening the label of every node the edge brought closer.
+            let (hub, d0) = (hubs_by_rank[rank as usize].index(), hop_sum(d, 0));
+            pruned_bfs(g, start, d0, direction, &mut dist, &mut queue, |v, dv| {
+                let v = v.index();
+                // Prune where the hub's own entry or a higher-ranked hub
+                // already certifies `<= dv` — existing entries are valid
+                // upper bounds (insertions only shrink distances), so
+                // anything at or below the resumed frontier needs no repair.
+                // Lower-ranked hubs get no say: they must not cut off the
+                // BFS of a pair's canonical hub.
+                let (certified, list) = match direction {
+                    Direction::Forward => (
+                        prefix_min(&label_out[hub], &label_in[v], rank),
+                        &mut label_in[v],
+                    ),
+                    Direction::Backward => (
+                        prefix_min(&label_out[v], &label_in[hub], rank),
+                        &mut label_out[v],
+                    ),
+                };
+                if certified <= dv {
+                    return false;
+                }
+                upsert(list, rank, dv);
+                true
+            });
         }
 
         pairs
@@ -495,13 +448,7 @@ impl DistanceQuery for IncrementalTwoHop {
     #[inline]
     fn within(&self, _g: &DataGraph, from: NodeId, to: NodeId, bound: EdgeBound) -> bool {
         crate::metrics::twohop_extra().label_queries.inc();
-        match bound {
-            EdgeBound::Hops(k) => {
-                let d = self.index.nonempty_raw(from, to);
-                d != UNREACHABLE && u32::from(d) <= k
-            }
-            EdgeBound::Unbounded => self.index.reachable(from, to),
-        }
+        self.index.nonempty_raw(from, to) <= hop_limit(bound)
     }
 
     fn name(&self) -> &'static str {
@@ -550,30 +497,6 @@ impl DistanceOracle for IncrementalTwoHop {
     }
 }
 
-/// Recovers the hub-rank → node mapping and its inverse from the self-label
-/// entries: every node carries `(own rank, 0)` in its incoming label.
-fn recover_ranks(index: &TwoHopIndex) -> (Vec<NodeId>, Vec<u32>) {
-    let rank_of: Vec<u32> = index
-        .label_in
-        .iter()
-        .map(|label| {
-            let self_entry = label.iter().find(|&&(_, d)| d == 0);
-            self_entry.expect("every node self-labels at distance 0").0
-        })
-        .collect();
-    let mut hubs = vec![NodeId::new(0); rank_of.len()];
-    for (v, &rank) in rank_of.iter().enumerate() {
-        hubs[rank as usize] = NodeId::new(v as u32);
-    }
-    (hubs, rank_of)
-}
-
-/// Length of the route `a` hops, the updated edge, `b` hops — saturating at
-/// `UNREACHABLE - 1` like every other finite distance.
-fn hop_sum(a: u16, b: u16) -> u16 {
-    (u32::from(a) + 1 + u32::from(b)).min(u32::from(UNREACHABLE - 1)) as u16
-}
-
 /// One side of a deletion's affected rectangle: `(node, fixed distance)`.
 type Side = Vec<(NodeId, u16)>;
 
@@ -595,107 +518,6 @@ fn rectangle_side(fixed: &[u16], new: &[u16]) -> (Side, Side) {
         }
     }
     (changed, tied)
-}
-
-/// One full BFS row from `origin` (standard when `nonempty` is false,
-/// non-empty — seeded at the neighbours, diagonal = shortest cycle — when
-/// true), saturating at `UNREACHABLE - 1`.
-fn distance_row<G: Adjacency>(
-    g: &G,
-    origin: NodeId,
-    direction: Direction,
-    nonempty: bool,
-) -> Vec<u16> {
-    let n = g.node_count();
-    let mut dist = vec![UNREACHABLE; n];
-    let mut queue = VecDeque::new();
-    let neighbours_of = |v: NodeId| match direction {
-        Direction::Forward => g.out_neighbors(v),
-        Direction::Backward => g.in_neighbors(v),
-    };
-    if nonempty {
-        for &w in neighbours_of(origin) {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = 1;
-                queue.push_back(w);
-            }
-        }
-    } else {
-        dist[origin.index()] = 0;
-        queue.push_back(origin);
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        if d >= UNREACHABLE - 1 {
-            continue;
-        }
-        for &w in neighbours_of(v) {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
-/// Resumes a pruned BFS for `hub` from `start` at distance `start_dist`,
-/// inserting/tightening the labels of every node the new edge brought closer
-/// to the hub. `dist` is scratch space, fully reset before returning.
-#[allow(clippy::too_many_arguments)]
-fn resume_label_repair<G: Adjacency>(
-    g: &G,
-    direction: Direction,
-    hub_rank: u32,
-    hub: NodeId,
-    start: NodeId,
-    start_dist: u16,
-    label_out: &mut [Vec<LabelEntry>],
-    label_in: &mut [Vec<LabelEntry>],
-    dist: &mut [u16],
-    queue: &mut VecDeque<NodeId>,
-) {
-    queue.clear();
-    dist[start.index()] = start_dist;
-    queue.push_back(start);
-    let mut visited: Vec<NodeId> = vec![start];
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v.index()];
-        // Prune where the hub's own entry or a higher-ranked hub already
-        // certifies `<= dv` — existing entries are valid upper bounds
-        // (insertions only shrink distances), so anything at or below the
-        // resumed frontier needs no repair. Lower-ranked hubs get no say:
-        // they must not cut off the BFS of a pair's canonical hub.
-        let (out, inc) = match direction {
-            Direction::Forward => (&label_out[hub.index()], &label_in[v.index()]),
-            Direction::Backward => (&label_out[v.index()], &label_in[hub.index()]),
-        };
-        if prefix_min(out, inc, hub_rank) <= dv {
-            continue;
-        }
-        let list = match direction {
-            Direction::Forward => &mut label_in[v.index()],
-            Direction::Backward => &mut label_out[v.index()],
-        };
-        upsert(list, hub_rank, dv);
-        if dv >= UNREACHABLE - 1 {
-            continue;
-        }
-        let neighbours = match direction {
-            Direction::Forward => g.out_neighbors(v),
-            Direction::Backward => g.in_neighbors(v),
-        };
-        for &w in neighbours {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = dv + 1;
-                visited.push(w);
-                queue.push_back(w);
-            }
-        }
-    }
-    for v in visited {
-        dist[v.index()] = UNREACHABLE;
-    }
 }
 
 /// The prefixal query: [`merge_min`] over the hubs ranked at or above `rank`
@@ -927,7 +749,7 @@ mod tests {
         let expected = label_capacity * entry
             + (idx.label_out.capacity() + idx.label_in.capacity()) * header
             + idx.diagonal.capacity() * std::mem::size_of::<u16>()
-            + oracle.hubs_by_rank.capacity() * std::mem::size_of::<NodeId>()
+            + idx.hubs_by_rank.capacity() * std::mem::size_of::<NodeId>()
             + oracle.rank_of.capacity() * std::mem::size_of::<u32>();
         assert_eq!(oracle.memory_bytes(), expected);
         // The old entries-only formula dropped the 2·|V| label-Vec headers
@@ -1132,8 +954,7 @@ mod tests {
     fn prune_dominated_bounds_growth_and_keeps_queries_exact() {
         // A long interleaved insert/delete stream leaves dominated entries
         // behind. Without any pruning the labels must stay within a
-        // constant factor of a fresh build and answer exactly like it; the
-        // quiesce hook then drops entries without changing any answer.
+        // constant factor of a fresh build and answer exactly like it.
         for (seed, nodes, edges, updates) in [(7, 12, 24, 60), (11, 60, 150, 3000)] {
             let (mut g, stream) = random_graph_and_updates(seed, nodes, edges, updates);
             let exec = Executor::sequential();
@@ -1153,12 +974,6 @@ mod tests {
             let m = DistanceMatrix::build(&g);
             assert_all_pairs_agree(&g, &fresh, &m);
             assert_all_pairs_agree(&g, &oracle, &m);
-
-            let dropped = oracle.prune_dominated();
-            assert_eq!(oracle.index().label_entries() + dropped, before);
-            assert_all_pairs_agree(&g, &oracle, &m);
-            // Idempotent at the fixpoint.
-            assert_eq!(oracle.prune_dominated(), 0);
         }
     }
 

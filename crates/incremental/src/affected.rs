@@ -5,7 +5,7 @@
 //! rather than the size of the whole input:
 //!
 //! * `AFF1` — node pairs of the data graph whose pairwise distance changed
-//!   (produced by `gpm-distance::update_matrix[_batch]`);
+//!   (produced by `gpm_distance::DistanceOracle::apply_batch`);
 //! * `AFF2` — match pairs `(u, v)` added to or removed from the maximum
 //!   match, together with their neighbourhood.
 //!

@@ -34,7 +34,7 @@ use gpm_graph::{DataGraph, GraphError, PatternGraph};
 /// The expensive half of batch maintenance — `UpdateBM`'s distance repair —
 /// is partitioned by affected area across the workers (source rows for
 /// insertions, affected sink columns for deletions; see
-/// [`gpm_distance::update_matrix_with`]) with merges in a fixed order, so
+/// [`DistanceOracle::apply_batch`]) with merges in a fixed order, so
 /// the maintained oracle, match state and reported `AFF1`/`AFF2` are
 /// identical at every thread count. The match-repair passes themselves
 /// (`Match−`/`Match+` propagation) stay sequential: their work is

@@ -234,8 +234,17 @@ mod tests {
     use super::*;
     use gpm_core::bounded_simulation_with_oracle;
     use gpm_datagen::{random_graph, random_updates, RandomGraphConfig, UpdateStreamConfig};
-    use gpm_distance::{update_matrix_batch, EdgeUpdate};
+    use gpm_distance::DistanceMatrix;
     use gpm_graph::{EdgeBound, PatternGraphBuilder, Predicate};
+
+    /// `UpdateBM` on the matrix, as these tests have always spelled it.
+    fn update_matrix_batch(
+        g: &DataGraph,
+        m: &mut DistanceMatrix,
+        u: &[EdgeUpdate],
+    ) -> AffectedPairs {
+        m.apply_batch(g, u, &Executor::from_env())
+    }
 
     fn dag_pattern() -> PatternGraph {
         let (p, _) = PatternGraphBuilder::new()

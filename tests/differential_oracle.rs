@@ -176,8 +176,7 @@ fn batch_updates_keep_backends_bit_identical() {
 /// under 300 mixed batches of 2–4 — at 1, 2 and 8 threads: every batch
 /// `AFF1` is the matrix's, bit for bit, and with nothing ever rebuilding or
 /// pruning the labels stay within twice a fresh build's size and answer
-/// every pair like it. `prune_dominated()` afterwards drops entries without
-/// changing an answer and is idempotent.
+/// every pair like it.
 #[test]
 fn churn_script_repairs_in_place_and_stays_within_twice_a_fresh_build() {
     use gpm::datagen::Dataset;
@@ -220,11 +219,6 @@ fn churn_script_repairs_in_place_and_stays_within_twice_a_fresh_build() {
         );
         assert_all_pairs_agree(&g, &fresh, &labels, "maintained vs fresh build");
         assert_all_pairs_agree(&g, matrix.as_ref(), &labels, "maintained vs matrix");
-
-        let dropped = labels.prune_dominated();
-        assert_eq!(labels.index().label_entries() + dropped, maintained);
-        assert_all_pairs_agree(&g, &fresh, &labels, "pruned vs fresh build");
-        assert_eq!(labels.prune_dominated(), 0, "idempotent at the fixpoint");
     }
 }
 
