@@ -8,37 +8,83 @@
 //! and its size is the first factor of the `O(|AFF1| |AFF2|²)` bound of
 //! Theorem 4.1.
 //!
-//! Implementation notes:
+//! # The affected cone
 //!
-//! * **insertion** of `(s, t)` can only shorten distances, and any new
-//!   shortest path uses the new edge exactly once, so
-//!   `new(x, y) = min(old(x, y), std(x, s) + 1 + std(t, y))` computed over
-//!   `ancestors(s) × descendants(t)` — work proportional to the affected
-//!   rectangle;
-//! * **deletion** of `(s, t)` can only lengthen distances and can only affect
-//!   pairs `(x, y)` whose old shortest path went through the deleted edge
-//!   (`std(x, s) + 1 + std(t, y) = old(x, y)`). Such a pair forces `(s, y)`
-//!   to change too, so one BFS from `s` yields the affected sinks; and the
-//!   prefix `x ⇝ s → t` of its old shortest path is itself shortest
-//!   (*prefix optimality*), so `old(x, t) = std(x, s) + 1` — the mirror of
-//!   the insertion filter. The sources passing that filter are bucketed
-//!   under the affected sinks in one **row-major** pass (each source's row
-//!   is contiguous; the sinks' columns are 2·|V| bytes apart), and every
-//!   sink's column is then repaired by a Dijkstra-style pass over its
-//!   bucket;
-//! * a **batch** is replayed unit by unit against a [`BatchReplay`] view of
-//!   the post-batch graph — never a copy of it — and the units' `AFF1`s are
-//!   folded into the batch's net `AFF1` once, at the end.
+//! A unit on the edge `(s, t)` is one pruned backward sweep from `s`
+//! (`cone_sweep`; per direction `insertion_sweep` and `deletion_sweep`)
+//! that enumerates `AFF1` source by source and touches only the rows of the
+//! affected sources and of their in-neighbours. Write `std` for standard
+//! distances (diagonal 0), `old` / `new` for the non-empty distances around
+//! the unit, `via(x, y) = std(x, s) + 1 + std(t, y)` for the best route
+//! through the edge, and `Y(x)` for the sinks `y` with `(x, y) ∈ AFF1`. An
+//! insertion has
+//! `new = min(old, via)`, so `y ∈ Y(x)` iff `via(x, y) < old(x, y)`; a
+//! deletion changes `(x, y)` only if every old shortest path used the edge,
+//! which forces `old(x, y) = via(x, y)` (a *tied* pair; it is affected when
+//! no route of that length avoids the edge).
+//!
+//! **Lemma.** If `x ≠ s` and `w` is the next node on *any* shortest
+//! `x ⇝ s` path, then `Y(x) ⊆ Y(w)`.
+//!
+//! * *Insertion.* Let `y ∉ Y(w)`: `old(w, y) ≤ via(w, y)`. Then
+//!   `old(x, y) ≤ 1 + old(w, y) ≤ 1 + std(w, s) + 1 + std(t, y) = via(x, y)`,
+//!   so `y ∉ Y(x)`.
+//! * *Deletion.* Let `y ∈ Y(x)`, so `old(x, y) = via(x, y)`, and suppose
+//!   `y ∉ Y(w)`: some shortest `w ⇝ y` path avoids the edge. It is no longer
+//!   than `via(w, y) = via(x, y) − 1`, and `x → w` is not the deleted edge
+//!   (`x ≠ s`), so prefixing it gives an `x ⇝ y` route of length
+//!   `≤ old(x, y)` that survives the deletion — `(x, y)` is unaffected, a
+//!   contradiction.
+//!
+//! Distances are non-empty throughout, so both arguments cover `y = x` (the
+//! shortest cycle through `x`) and `y = w`. The affected sources are
+//! therefore exactly the cone reached backward from `s` along in-edges
+//! through sources with `Y ≠ ∅`, and a source only has to test the sinks of a
+//! successor's `Y(w)` — on its own contiguous row. The classical filters are
+//! special cases: every `Y(x) ⊆ Y(s)` (suffix optimality), and the lemma's
+//! mirror image on the sink side puts `t` in every non-empty `Y(x)` (prefix
+//! optimality).
+//!
+//! **Pre-unit values.** No shortest path into `s` or out of `t` uses
+//! `(s, t)` — it would pass its own endpoint twice — so `std(·, s)` and
+//! `std(t, ·)` are the same before and after the unit. The sweep needs
+//! `std(t, ·)` as one row (row `t`, diagonal 0) and copies it before the
+//! first write, because `t` is itself a source whenever it reaches `s` and
+//! its row is then rewritten mid-sweep. `std(·, s)` is never read: **the
+//! sweep's own BFS level is `std(p, s)`** for every source that matters. A
+//! source with `Y(p) ≠ ∅` has, by the lemma, every node of every shortest
+//! `p ⇝ s` path in the cone, so the FIFO reaches it first from a true
+//! successor, at its true level. A node reached deeper than its true level
+//! therefore has `Y = ∅`, and the over-estimated level cannot invent a pair
+//! for it: an insertion's `via` only grows with the level, and a deletion's
+//! spuriously tied entries are recomputed by the exact row repair to the
+//! value they already hold. Either way it is marked visited with `Y = ∅`
+//! and the sweep does not continue through it.
+//!
+//! **No special cases.** A self-loop (`s = t`) is the general rule with
+//! `std(t, s) = 0`: only the diagonal of `s` is tied or improves. A cycle
+//! through the edge is the sink `y = p` of source `p`, tested like any other
+//! sink of `Y(w)` against `std(t, p)`. `t` as a source is covered by the
+//! copied row.
+//!
+//! # Order
+//!
+//! A unit's `AFF1` is in **sweep order** — one run per source, sources in
+//! FIFO order from `s`, every run ascending by sink (`Y(s)` is found in sink
+//! order and every `Y(p)` is filtered out of a `Y(w)` in order); the vector
+//! doubles as the sweep's arena (`Y(w)` is a range of it). A **batch** is
+//! replayed unit by unit against a [`BatchReplay`] view of the post-batch
+//! graph — never a copy of it — and the units' `AFF1`s are folded by
+//! `AffectedPairs::net` into the batch's `AFF1`, sorted by `(source, sink)`.
 
 use crate::bfs::{hop_sum, HORIZON};
 use crate::matrix::DistanceMatrix;
+use crate::metrics::OracleMetrics;
 use crate::UNREACHABLE;
-use gpm_exec::Executor;
 use gpm_graph::{Adjacency, BatchReplay, DataGraph, NodeId};
-use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A single edge update applied to a data graph.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -130,18 +176,102 @@ impl AffectedPairs {
     /// The net `AFF1` of a sequence of unit `AFF1`s laid end to end: per
     /// pair the earliest `old` and the latest `new` value, pairs whose
     /// distance ends up unchanged dropped, sorted by `(source, sink)`.
-    pub(crate) fn net(mut sequence: Vec<AffectedPair>) -> AffectedPairs {
-        // Stable, so the entries of one pair stay in unit order.
-        sequence.sort_by_key(|p| (p.source, p.sink));
-        let mut pairs: Vec<AffectedPair> = Vec::with_capacity(sequence.len());
-        for p in sequence {
-            match pairs.last_mut() {
-                Some(last) if (last.source, last.sink) == (p.source, p.sink) => last.new = p.new,
-                _ => pairs.push(p),
-            }
+    ///
+    /// Any sequence is accepted. The pairs are bucketed by source — a stable
+    /// counting sort, no comparisons — and a source's sinks are sorted only
+    /// where they are not ascending already: a sweep emits every source's
+    /// run ascending (module docs, *Order*), which leaves the sources that
+    /// more than one unit of the batch reached.
+    pub(crate) fn net(sequence: Vec<AffectedPair>) -> AffectedPairs {
+        // `slot[x]`: where the next pair of source `x` goes.
+        let sources = 1 + sequence.iter().map(|p| p.source.index()).max().unwrap_or(0);
+        let mut slot = vec![0usize; sources + 1];
+        for p in &sequence {
+            slot[p.source.index() + 1] += 1;
         }
+        for x in 1..sources {
+            slot[x] += slot[x - 1];
+        }
+        let mut pairs = sequence.clone();
+        for p in sequence {
+            let at = &mut slot[p.source.index()];
+            pairs[*at] = p;
+            *at += 1;
+        }
+        let mut from = 0;
+        while from < pairs.len() {
+            let source = pairs[from].source;
+            let run = pairs[from..].iter().take_while(|p| p.source == source);
+            let to = from + run.count();
+            if !pairs[from..to].windows(2).all(|w| w[0].sink < w[1].sink) {
+                pairs[from..to].sort_by_key(|p| p.sink); // stable: unit order
+            }
+            from = to;
+        }
+        // The entries of one pair are adjacent now, in unit order.
+        pairs.dedup_by(|later, first| {
+            let same = (later.source, later.sink) == (first.source, first.sink);
+            if same {
+                first.new = later.new;
+            }
+            same
+        });
         pairs.retain(|p| p.old != p.new);
         AffectedPairs { pairs }
+    }
+}
+
+/// Everything a unit needs that is sized by `|V|`, allocated once per batch
+/// by [`replay_batch`] and handed from unit to unit. Each unit restores what
+/// it marked through the lists of what it touched (as `pruned_bfs` restores
+/// its `dist`), so a unit costs what it reaches, not `|V|`.
+#[derive(Default)]
+pub(crate) struct Sweep {
+    cone: Cone,
+    /// `std(t, ·)` before the unit (row `t`, diagonal 0). The caller of a
+    /// sweep fills it; every entry is overwritten per unit.
+    pub(crate) from_t: Vec<u16>,
+    repair: Repair,
+    /// `(source, sink)` pairs whose old distance was read, over the
+    /// workspace's lifetime.
+    pairs: u64,
+}
+
+/// The traversal state of [`cone_sweep`].
+#[derive(Default)]
+struct Cone {
+    /// Sources the current unit has tested; all `false` between units.
+    visited: Vec<bool>,
+    /// The nodes marked in `visited`, for the reset.
+    touched: Vec<NodeId>,
+    /// Sources with `Y ≠ ∅` still to expand: the source, its level
+    /// `std(p, s)` and `Y(p)` as a range of the unit's `AFF1`.
+    queue: VecDeque<(NodeId, u16, Range<usize>)>,
+    /// Sources tested over the workspace's lifetime.
+    rows: u64,
+}
+
+/// The scratch of a deletion's row repairs ([`Repair::run`]).
+#[derive(Default)]
+struct Repair {
+    /// Marks the candidates not yet decided; all `false` between repairs.
+    pending: Vec<bool>,
+    /// The tied sinks of the row under repair, with their old distances.
+    candidates: Vec<(NodeId, u16)>,
+    /// `(distance, candidate)`: the boundary keys, sorted, and the FIFO of
+    /// relaxations, consumed by index.
+    keys: Vec<(u16, NodeId)>,
+    relaxed: Vec<(u16, NodeId)>,
+}
+
+impl Sweep {
+    /// A workspace for graphs of `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        let mut ws = Sweep::default();
+        ws.cone.visited.resize(n, false);
+        ws.from_t.resize(n, 0);
+        ws.repair.pending.resize(n, false);
+        ws
     }
 }
 
@@ -149,26 +279,27 @@ impl AffectedPairs {
 /// the unit [`DistanceMatrix`]'s `apply_batch` hands to [`replay_batch`].
 ///
 /// `g` must already reflect the update (edge inserted/removed); `matrix` must
-/// be the matrix of the graph *before* the update. Returns `AFF1` in the
-/// order the kernel found the pairs.
-///
-/// The affected area is partitioned across the workers: insertions scan the
-/// `ancestors(s) × descendants(t)` rectangle one source row per task (each
-/// row is read/written independently), deletions repair one affected sink
-/// column per task (columns are disjoint; the shared column of `s` is
-/// read-only during repair). Results are merged in source/sink order, so the
-/// outcome — including the order of `AFF1` — is identical at every thread
-/// count.
+/// be the matrix of the graph *before* the update. Returns `AFF1` in sweep
+/// order. One sequential kernel per direction at every thread count: a whole
+/// unit costs about what opening one parallel region does.
 pub(crate) fn update_unit<G: Adjacency>(
-    g: &G,
     matrix: &mut DistanceMatrix,
+    g: &G,
     update: EdgeUpdate,
-    exec: &Executor,
-) -> AffectedPairs {
+    ws: &mut Sweep,
+) -> Vec<AffectedPair> {
     debug_assert_eq!(g.node_count(), matrix.node_count());
-    match update {
-        EdgeUpdate::Insert(s, t) => apply_insertion(g, matrix, s, t, exec),
-        EdgeUpdate::Delete(s, t) => apply_deletion(g, matrix, s, t, exec),
+    let (s, t) = update.endpoints();
+    debug_assert_eq!(g.has_edge(s, t), update.is_insert(), "g reflects {update}");
+    ws.from_t.copy_from_slice(matrix.row(t));
+    ws.from_t[t.index()] = 0;
+    if update.is_insert() {
+        insertion_sweep(g, s, ws, |p, y, via| {
+            let entry = &mut matrix.row_mut(p)[y.index()];
+            (via < *entry).then(|| std::mem::replace(entry, via))
+        })
+    } else {
+        deletion_sweep(g, matrix, s, ws)
     }
 }
 
@@ -180,379 +311,264 @@ pub(crate) fn update_unit<G: Adjacency>(
 /// `oracle` still reflects the pre-batch graph when this is called, which is
 /// what makes the rewind exact: `existed_before` answers whether a touched
 /// edge was there before the batch (its non-empty distance is 1).
+///
+/// The back-ends' shared accounting lives here, so that both count the same
+/// things under the same names: one `apply_ns` span per non-empty batch, one
+/// `note_unit` per effective update with the size of its *unit* `AFF1`, and
+/// the work tallies of the batch's one [`Sweep`] workspace.
 pub(crate) fn replay_batch<O>(
     oracle: &mut O,
     g: &DataGraph,
     updates: &[EdgeUpdate],
+    metrics: &OracleMetrics,
     existed_before: impl Fn(&O, NodeId, NodeId) -> bool,
-    mut unit: impl FnMut(&mut O, &BatchReplay<'_>, EdgeUpdate) -> Vec<AffectedPair>,
+    mut unit: impl FnMut(&mut O, &BatchReplay<'_>, EdgeUpdate, &mut Sweep) -> Vec<AffectedPair>,
 ) -> AffectedPairs {
+    if updates.is_empty() {
+        return AffectedPairs::default();
+    }
+    let _span = metrics.apply_ns.span();
     let mut view = BatchReplay::rewind(g, updates.iter().map(EdgeUpdate::endpoints), |a, b| {
         existed_before(oracle, a, b)
     });
+    let mut ws = Sweep::new(g.node_count());
     let mut sequence = Vec::new();
     for &u in updates {
         let (from, to) = u.endpoints();
         if view.set_edge(from, to, u.is_insert()) {
-            sequence.extend(unit(oracle, &view, u));
+            let pairs = unit(oracle, &view, u, &mut ws);
+            metrics.note_unit(u.is_insert(), pairs.len());
+            sequence.extend(pairs);
         }
     }
+    metrics.sweep_rows.add(ws.cone.rows);
+    metrics.pairs_examined.add(ws.pairs);
     AffectedPairs::net(sequence)
 }
 
-fn apply_insertion<G: Adjacency>(
+/// The pruned backward sweep from `s` both unit kernels are (module docs,
+/// *The affected cone*). `decide(p, level, within, aff1)` appends `Y(p)` to
+/// `aff1`, the unit's `AFF1`: `within` is `Y(w)` of the successor `p` was
+/// reached from, as a range of `aff1` — the only sinks `p` has to test — or
+/// `None` for `s` itself, which tests every sink. `level` is `std(p, s)`
+/// whenever `Y(p)` can be non-empty.
+fn cone_sweep<G: Adjacency>(
     g: &G,
-    matrix: &mut DistanceMatrix,
     s: NodeId,
-    t: NodeId,
-    exec: &Executor,
-) -> AffectedPairs {
-    debug_assert!(g.has_edge(s, t), "graph must already contain the new edge");
-    let n = g.node_count();
-
-    // Only pairs (x, y) with x an ancestor of s and y a descendant of t can
-    // improve, and x only matters if its distance *to t itself* improves
-    // (otherwise `x → s → t → y` cannot beat the existing route for any y):
-    // dist(x, t) > dist(x, s) + 1.
-    let sinks: Vec<(NodeId, u16)> = (0..n as u32)
-        .map(NodeId::new)
-        .filter_map(|y| {
-            let d = if y == t { 0 } else { matrix.get(t, y) };
-            (d != UNREACHABLE).then_some((y, d))
-        })
-        .collect();
-
-    // Phase 1 (parallel, read-only): each source row of the affected
-    // rectangle is scanned independently — every value a row needs (its own
-    // `(x, s)` / `(x, t)` entries and the captured `sinks` of row `t`) is
-    // fixed before any write happens, so computing improvements first and
-    // writing them afterwards yields exactly the sequential result.
-    let per_source: Vec<Vec<AffectedPair>> = exec.par_map_index(n, |xi| {
-        let x = NodeId::new(xi as u32);
-        let dx = if x == s { 0 } else { matrix.get(x, s) };
-        if dx == UNREACHABLE {
-            return Vec::new();
+    cone: &mut Cone,
+    mut decide: impl FnMut(NodeId, u16, Option<Range<usize>>, &mut Vec<AffectedPair>),
+) -> Vec<AffectedPair> {
+    let mut aff1 = Vec::new();
+    cone.visited[s.index()] = true;
+    cone.touched.push(s);
+    decide(s, 0, None, &mut aff1);
+    if !aff1.is_empty() {
+        cone.queue.push_back((s, 0, 0..aff1.len()));
+    }
+    while let Some((w, level, within)) = cone.queue.pop_front() {
+        if level >= HORIZON {
+            continue; // the horizon: farther nodes do not reach `s`
         }
-        let to_t = matrix.get(x, t);
-        if u32::from(to_t) <= u32::from(dx) + 1 {
-            return Vec::new(); // no improvement possible through the new edge
-        }
-        let mut improved = Vec::new();
-        for &(y, dy) in &sinks {
-            let via = hop_sum(dx, dy);
-            let old = matrix.get(x, y);
-            if via < old {
-                improved.push(AffectedPair {
-                    source: x,
-                    sink: y,
-                    old,
-                    new: via,
-                });
+        for &p in g.in_neighbors(w) {
+            // Visited even if `Y(p)` comes out empty: it is empty against
+            // every successor.
+            if std::mem::replace(&mut cone.visited[p.index()], true) {
+                continue;
+            }
+            cone.touched.push(p);
+            let start = aff1.len();
+            decide(p, level + 1, Some(within.clone()), &mut aff1);
+            if aff1.len() > start {
+                cone.queue.push_back((p, level + 1, start..aff1.len()));
             }
         }
-        improved
-    });
-
-    // Phase 2: apply the improvements in source order.
-    let mut affected = Vec::new();
-    for pairs in per_source {
-        for p in pairs {
-            matrix.set(p.source, p.sink, p.new);
-            affected.push(p);
-        }
     }
-    AffectedPairs { pairs: affected }
+    cone.rows += cone.touched.len() as u64;
+    for p in cone.touched.drain(..) {
+        cone.visited[p.index()] = false;
+    }
+    aff1
 }
 
-fn apply_deletion<G: Adjacency>(
+/// `AFF1` of inserting `(s, t)`, in sweep order: source `p` at level `l`
+/// improves exactly the sinks `y` of its successor's `Y(w)` with
+/// `l + 1 + std(t, y) < old(p, y)`; `Y(s)` is read off rows `s` and `t`.
+/// `ws.from_t` holds `std(t, ·)`. The function is generic over how `old` is
+/// read and an improvement is stored, and is shared with the 2-hop labeling:
+/// `improve(p, y, via)` compares the route of `via` hops through the new edge
+/// with `old(p, y)` and returns `old(p, y)` if the route is shorter — having
+/// stored `via`, if the caller keeps its distances in place.
+pub(crate) fn insertion_sweep<G: Adjacency>(
+    g: &G,
+    s: NodeId,
+    ws: &mut Sweep,
+    mut improve: impl FnMut(NodeId, NodeId, u16) -> Option<u16>,
+) -> Vec<AffectedPair> {
+    let Sweep {
+        cone,
+        from_t,
+        pairs,
+        ..
+    } = ws;
+    cone_sweep(g, s, cone, |p, level, within, aff1| {
+        let mut test = |y: NodeId, aff1: &mut Vec<AffectedPair>| {
+            *pairs += 1;
+            let new = hop_sum(level, from_t[y.index()]);
+            if let Some(old) = improve(p, y, new) {
+                aff1.push(AffectedPair {
+                    source: p,
+                    sink: y,
+                    old,
+                    new,
+                });
+            }
+        };
+        match within {
+            Some(sinks) => sinks.for_each(|i| test(aff1[i].sink, aff1)),
+            None => (0..from_t.len())
+                .filter(|&y| from_t[y] != UNREACHABLE)
+                .for_each(|y| test(NodeId::new(y as u32), aff1)),
+        }
+    })
+}
+
+/// `AFF1` of deleting `(s, t)`, in sweep order: source `p` collects the sinks
+/// of `Y(w)` that are tied on its row (for `s`: every tied entry of the row)
+/// and repairs them in place; those that changed are `Y(p)`. `ws.from_t`
+/// holds `std(t, ·)`.
+fn deletion_sweep<G: Adjacency>(
     g: &G,
     matrix: &mut DistanceMatrix,
     s: NodeId,
-    t: NodeId,
-    exec: &Executor,
-) -> AffectedPairs {
-    debug_assert!(
-        !g.has_edge(s, t),
-        "graph must no longer contain the deleted edge"
-    );
-    let n = g.node_count();
-
-    // A pair (x, y) can only be affected if *every* old shortest path from x
-    // to y went through the deleted edge, which forces
-    //   old(x, y) = std_old(x, s) + 1 + std_old(t, y),
-    // and in that case the distance from s to y itself must change as well.
-    // So: (1) rebuild the row of s with one BFS and diff it to obtain the set
-    // D of truly affected sinks; (2) repair each sink in D independently with
-    // a Dijkstra-style pass over its candidate sources (the Ramalingam–Reps
-    // deletion repair), touching only work proportional to the affected area.
-    let changed = matrix.rebuild_row(g, s);
-    let mut affected: Vec<AffectedPair> = changed
-        .iter()
-        .map(|&(sink, old, new)| AffectedPair {
-            source: s,
-            sink,
-            old,
-            new,
-        })
-        .collect();
-    // The changed sinks t reached, with std_old(t, y). Row t still holds old
-    // values unless it is the row just rebuilt (a self-loop deletion), and
-    // then the diff carries them.
-    let repair_sinks: Vec<(NodeId, u16)> = changed
-        .iter()
-        .filter_map(|&(y, old, _)| {
-            let from_t = if y == t {
-                0
-            } else if s == t {
-                old
-            } else {
-                matrix.get(t, y)
-            };
-            (from_t != UNREACHABLE).then_some((y, from_t))
-        })
-        .collect();
-    if repair_sinks.is_empty() {
-        return AffectedPairs { pairs: affected };
-    }
-    let candidates = gather_candidates(matrix, s, t, &repair_sinks);
-
-    // Repair the affected sinks: each repair touches only its own matrix
-    // column, so the sinks partition the affected area across the workers
-    // (and gathering every sink's candidates up front reads the same values
-    // a per-sink scan would). When the region actually runs parallel, every
-    // task computes its column's changes against the unmodified matrix
-    // (pending values in a local overlay) and the changes are applied in
-    // sink order afterwards; a single-worker region writes the matrix in
-    // place instead, skipping the overlay lookups. Both column stores run
-    // the identical repair algorithm, so the output — order included — is
-    // the same either way (the determinism suite pits the two paths against
-    // each other).
-    if repair_sinks.len() <= 1 || !exec.parallelism().should_parallelise(n) {
-        let mut state = vec![SETTLED; n];
-        for (&(y, _), candidates) in repair_sinks.iter().zip(&candidates) {
-            let mut column = DirectColumn { matrix, y };
-            compute_sink_repair(g, &mut column, y, candidates, &mut state, &mut affected);
-        }
-        return AffectedPairs { pairs: affected };
-    }
-    let snapshot: &DistanceMatrix = matrix;
-    let per_sink: Vec<Vec<AffectedPair>> = exec.map_tasks(repair_sinks.len(), n, |i| {
-        let y = repair_sinks[i].0;
-        let mut column = SnapshotColumn {
-            matrix: snapshot,
-            y,
-            settled: FxHashMap::default(),
-        };
-        let (mut changes, mut state) = (Vec::new(), vec![SETTLED; n]);
-        compute_sink_repair(g, &mut column, y, &candidates[i], &mut state, &mut changes);
-        changes
-    });
-    for changes in per_sink {
-        for p in changes {
-            matrix.set(p.source, p.sink, p.new);
-            affected.push(p);
-        }
-    }
-    AffectedPairs { pairs: affected }
-}
-
-/// The affected-source candidates of every repair sink after the deletion
-/// of `(s, t)`, in ascending source order: `x ≠ s` is a candidate for `y`
-/// iff `old(x, y) = std(x, s) + 1 + std_old(t, y)`.
-///
-/// One source-major pass. A source is skipped outright unless
-/// `old(x, t) = std(x, s) + 1` (prefix optimality, module docs); the ones
-/// left scan their own contiguous row against `repair_sinks`, the
-/// `(y, std_old(t, y))` list. Rows other than `s` and the column of `s`
-/// still hold pre-deletion values (no shortest path to `s` uses `(s, t)`).
-fn gather_candidates(
-    matrix: &DistanceMatrix,
-    s: NodeId,
-    t: NodeId,
-    repair_sinks: &[(NodeId, u16)],
-) -> Vec<Vec<NodeId>> {
-    let mut per_sink = vec![Vec::new(); repair_sinks.len()];
-    for x in (0..matrix.node_count() as u32).map(NodeId::new) {
-        let row = matrix.row(x);
-        let to_s = row[s.index()];
-        if x == s || to_s == UNREACHABLE {
-            continue;
-        }
-        let to_t = u32::from(to_s) + 1;
-        if u32::from(row[t.index()]) != to_t {
-            continue;
-        }
-        for (&(y, from_t), bucket) in repair_sinks.iter().zip(&mut per_sink) {
+    ws: &mut Sweep,
+) -> Vec<AffectedPair> {
+    let Sweep {
+        cone,
+        from_t,
+        repair,
+        pairs,
+    } = ws;
+    cone_sweep(g, s, cone, |p, level, within, aff1| {
+        let row = matrix.row_mut(p);
+        let through = u32::from(level) + 1;
+        let tied = |y: NodeId| {
             let old = row[y.index()];
-            if old != UNREACHABLE && u32::from(old) == to_t + u32::from(from_t) {
-                bucket.push(x);
-            }
-        }
-    }
-    per_sink
-}
-
-/// One matrix column as seen by a sink repair (see [`compute_sink_repair`]).
-trait ColumnStore {
-    /// The current distance from `w` to the repair's sink.
-    fn get(&self, w: NodeId) -> u16;
-    /// Records the repaired distance from `x` to the sink.
-    fn set(&mut self, x: NodeId, value: u16);
-}
-
-/// In-place column access: reads and writes go straight to the matrix
-/// (single-worker repairs, no overlay overhead).
-struct DirectColumn<'a> {
-    matrix: &'a mut DistanceMatrix,
-    y: NodeId,
-}
-
-impl ColumnStore for DirectColumn<'_> {
-    #[inline]
-    fn get(&self, w: NodeId) -> u16 {
-        self.matrix.get(w, self.y)
-    }
-    #[inline]
-    fn set(&mut self, x: NodeId, value: u16) {
-        self.matrix.set(x, self.y, value);
-    }
-}
-
-/// Read-only column access with a local overlay of the values this repair
-/// has settled, so independent sinks can be repaired concurrently against
-/// the same matrix snapshot.
-struct SnapshotColumn<'a> {
-    matrix: &'a DistanceMatrix,
-    y: NodeId,
-    settled: FxHashMap<NodeId, u16>,
-}
-
-impl ColumnStore for SnapshotColumn<'_> {
-    #[inline]
-    fn get(&self, w: NodeId) -> u16 {
-        self.settled
-            .get(&w)
-            .copied()
-            .unwrap_or_else(|| self.matrix.get(w, self.y))
-    }
-    #[inline]
-    fn set(&mut self, x: NodeId, value: u16) {
-        self.settled.insert(x, value);
-    }
-}
-
-/// Per-node state of one sink repair: everything outside the candidate list
-/// is `SETTLED`; a candidate is `PENDING` until its new distance is `FINAL`.
-const SETTLED: u8 = 0;
-const PENDING: u8 = 1;
-const FINAL: u8 = 2;
-
-/// Repairs the column of sink `y` after the deletion of `(s, t)`, reading
-/// and writing the column through a [`ColumnStore`] and appending every
-/// change to `changes`.
-///
-/// `candidates` are the only possible affected sources (see
-/// [`gather_candidates`]). Non-candidate nodes keep provably correct values
-/// and act as the fixed boundary of a Dijkstra-like repair. `state` is one
-/// entry per node, all-`SETTLED` on entry and on return, so the sinks of a
-/// deletion share it.
-fn compute_sink_repair<G: Adjacency, C: ColumnStore>(
-    g: &G,
-    column: &mut C,
-    y: NodeId,
-    candidates: &[NodeId],
-    state: &mut [u8],
-    changes: &mut Vec<AffectedPair>,
-) {
-    if candidates.is_empty() {
-        return;
-    }
-    let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
-    for &x in candidates {
-        state[x.index()] = PENDING;
-    }
-
-    // Best standard distance from `x` to `y` over the out-neighbours whose
-    // own distance is provably correct (boundary nodes and finalized
-    // candidates).
-    let best_via_neighbours = |x: NodeId, column: &C, state: &[u8]| -> Option<u32> {
-        g.out_neighbors(x)
-            .iter()
-            .filter_map(|&w| {
-                if w == y {
-                    return Some(1);
-                }
-                if state[w.index()] == PENDING {
-                    return None;
-                }
-                match column.get(w) {
-                    UNREACHABLE => None,
-                    d => Some(u32::from(d) + 1),
-                }
-            })
-            .min()
-    };
-
-    for &x in candidates {
-        if let Some(best) = best_via_neighbours(x, column, state) {
-            heap.push(Reverse((best, x)));
-        }
-    }
-
-    while let Some(Reverse((dist, x))) = heap.pop() {
-        if state[x.index()] == FINAL {
-            continue;
-        }
-        // Lazy-deletion Dijkstra: verify the entry is still the best known.
-        let Some(best) = best_via_neighbours(x, column, state) else {
-            continue;
+            let tied = u32::from(old) == through + u32::from(from_t[y.index()]);
+            (tied && old != UNREACHABLE).then_some((y, old))
         };
-        if best > dist {
-            heap.push(Reverse((best, x)));
-            continue;
-        }
-        state[x.index()] = FINAL;
-        let new = best.min(u32::from(HORIZON)) as u16;
-        let old = column.get(x);
-        if new != old {
-            column.set(x, new);
-            changes.push(AffectedPair {
-                source: x,
-                sink: y,
-                old,
-                new,
-            });
-        }
-        // Relax candidate predecessors of x.
-        for &p in g.in_neighbors(x) {
-            if state[p.index()] == PENDING {
-                heap.push(Reverse((u32::from(new) + 1, p)));
+        repair.candidates.clear();
+        match within {
+            Some(sinks) => {
+                *pairs += sinks.len() as u64;
+                let sinks = aff1[sinks].iter().map(|pair| pair.sink);
+                repair.candidates.extend(sinks.filter_map(tied));
+            }
+            None => {
+                *pairs += row.len() as u64;
+                let sinks = (0..row.len() as u32).map(NodeId::new);
+                repair.candidates.extend(sinks.filter_map(tied));
             }
         }
-    }
+        repair.run(g, p, row, aff1);
+    })
+}
 
-    // Candidates never finalized are no longer able to reach y at all.
-    for &x in candidates {
-        if state[x.index()] == PENDING {
-            let old = column.get(x);
-            if old != UNREACHABLE {
-                column.set(x, UNREACHABLE);
-                changes.push(AffectedPair {
-                    source: x,
+impl Repair {
+    /// Recomputes the entries of `row` — the row of source `p` — at
+    /// `self.candidates` against the graph without the deleted edge, and
+    /// appends those that changed to `aff1`: Ramalingam and Reps' deletion
+    /// repair, transposed so that one repair reads and writes one row.
+    ///
+    /// Every other entry of the row is provably unchanged (outside `Y(w)` by
+    /// the lemma, untied because an affected pair is tied) and acts as the
+    /// fixed boundary: the key of a candidate `y` is the minimum over its
+    /// in-neighbours `v` of `1` if `v = p`, else `new(p, v) + 1` for `v`
+    /// outside the candidates. Weights are 1, so no heap: the sorted keys and
+    /// a FIFO of relaxations are both non-decreasing, so is their merged pop
+    /// order, and **the first pop of a candidate is final** (a later pop, or
+    /// a relaxation from a later one, cannot be shorter). A candidate never
+    /// popped has lost its last path.
+    fn run<G: Adjacency>(
+        &mut self,
+        g: &G,
+        p: NodeId,
+        row: &mut [u16],
+        aff1: &mut Vec<AffectedPair>,
+    ) {
+        let Repair {
+            pending,
+            candidates,
+            keys,
+            relaxed,
+        } = self;
+        for (y, _) in candidates.iter() {
+            pending[y.index()] = true;
+        }
+        keys.clear();
+        for &(y, _) in candidates.iter() {
+            // Shortest route into `y` whose last-but-one node is `p` itself
+            // or has a final distance below the horizon.
+            let key = g.in_neighbors(y).iter().filter_map(|&v| {
+                let d = row[v.index()];
+                if v == p {
+                    Some(1)
+                } else if d < HORIZON && !pending[v.index()] {
+                    Some(d + 1)
+                } else {
+                    None
+                }
+            });
+            keys.extend(key.min().map(|key| (key, y)));
+        }
+        keys.sort_unstable();
+        relaxed.clear();
+        let (mut next_key, mut next_relaxed) = (0, 0);
+        loop {
+            // Both lists are non-decreasing: pop the smaller head
+            // (`UNREACHABLE`, which no distance equals: the list is spent).
+            let key = keys.get(next_key).map_or(UNREACHABLE, |key| key.0);
+            let hop = relaxed.get(next_relaxed).map_or(UNREACHABLE, |hop| hop.0);
+            let (list, next) = match hop < key {
+                true => (&*relaxed, &mut next_relaxed),
+                false => (&*keys, &mut next_key),
+            };
+            let Some(&(d, y)) = list.get(*next) else {
+                break;
+            };
+            *next += 1;
+            // The first pop of a candidate is final.
+            if !std::mem::take(&mut pending[y.index()]) {
+                continue;
+            }
+            row[y.index()] = d;
+            if d < HORIZON {
+                let onward = g.out_neighbors(y).iter();
+                relaxed.extend(onward.filter(|z| pending[z.index()]).map(|&z| (d + 1, z)));
+            }
+        }
+        // In candidate order, which keeps every `Y(p)` ascending by sink.
+        for &(y, old) in candidates.iter() {
+            if std::mem::take(&mut pending[y.index()]) {
+                row[y.index()] = UNREACHABLE; // never popped: no path is left
+            }
+            let new = row[y.index()];
+            if new != old {
+                aff1.push(AffectedPair {
+                    source: p,
                     sink: y,
                     old,
-                    new: UNREACHABLE,
+                    new,
                 });
             }
         }
-        state[x.index()] = SETTLED;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DistanceOracle as _;
+    use crate::{DistanceOracle as _, IncrementalTwoHop};
+    use gpm_exec::Executor;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom as _;
@@ -562,13 +578,11 @@ mod tests {
         NodeId::new(i)
     }
 
-    // The tests below predate the single maintenance door and keep their
-    // spelling: a unit goes straight to the dispatcher (so the pinned unit
-    // orders hold), a batch through `apply_batch`.
-    use super::update_unit as update_matrix_with;
-
+    /// One unit straight through the dispatcher, `AFF1` in sweep order; a
+    /// batch goes through `apply_batch`.
     fn update_matrix(g: &DataGraph, m: &mut DistanceMatrix, u: EdgeUpdate) -> AffectedPairs {
-        update_unit(g, m, u, &Executor::from_env())
+        let pairs = update_unit(m, g, u, &mut Sweep::new(g.node_count()));
+        AffectedPairs { pairs }
     }
 
     fn update_matrix_batch(
@@ -586,6 +600,15 @@ mod tests {
             g.add_edge(n(i), n(i + 1)).unwrap();
         }
         g
+    }
+
+    fn pair(source: u32, sink: u32, old: u16, new: u16) -> AffectedPair {
+        AffectedPair {
+            source: n(source),
+            sink: n(sink),
+            old,
+            new,
+        }
     }
 
     #[test]
@@ -682,12 +705,6 @@ mod tests {
 
     #[test]
     fn net_aff1_chains_units_and_sorts() {
-        let pair = |a, b, old, new| AffectedPair {
-            source: n(a),
-            sink: n(b),
-            old,
-            new,
-        };
         let net = AffectedPairs::net(vec![
             pair(2, 3, UNREACHABLE, 4),
             pair(0, 1, 3, 5),
@@ -701,6 +718,51 @@ mod tests {
             net.pairs,
             vec![pair(1, 0, 2, 7), pair(2, 3, UNREACHABLE, 1)]
         );
+    }
+
+    /// The reference fold `net` is held against: one stable sort of the pairs.
+    fn net_by_pair_sort(mut sequence: Vec<AffectedPair>) -> Vec<AffectedPair> {
+        sequence.sort_by_key(|p| (p.source, p.sink));
+        let mut pairs: Vec<AffectedPair> = Vec::new();
+        for p in sequence {
+            match pairs.last_mut() {
+                Some(last) if (last.source, last.sink) == (p.source, p.sink) => last.new = p.new,
+                _ => pairs.push(p),
+            }
+        }
+        pairs.retain(|p| p.old != p.new);
+        pairs
+    }
+
+    #[test]
+    fn net_aff1_folds_source_runs_like_a_sort_of_the_pairs() {
+        // Three units in sweep order: runs of one source, sources in no
+        // order, a source in several units, sinks of a run unsorted (a
+        // deletion's), a pair that moves three times and one that returns.
+        let units = vec![
+            pair(5, 1, 2, 3),
+            pair(5, 4, 1, 2),
+            pair(2, 7, 4, 6),
+            pair(2, 3, 3, 5),
+            pair(9, 9, 2, UNREACHABLE),
+            pair(2, 3, 5, 4),
+            pair(5, 4, 2, 1),
+            pair(5, 0, 7, 6),
+            pair(0, 8, 3, 2),
+            pair(2, 3, 4, 2),
+            pair(9, 9, UNREACHABLE, 5),
+        ];
+        let expected = vec![
+            pair(0, 8, 3, 2),
+            pair(2, 3, 3, 2),
+            pair(2, 7, 4, 6),
+            pair(5, 0, 7, 6),
+            pair(5, 1, 2, 3),
+            pair(9, 9, 2, 5),
+        ];
+        assert_eq!(net_by_pair_sort(units.clone()), expected);
+        assert_eq!(AffectedPairs::net(units).pairs, expected);
+        assert!(AffectedPairs::net(Vec::new()).is_empty());
     }
 
     #[test]
@@ -764,6 +826,33 @@ mod tests {
         assert!(aff.is_empty());
     }
 
+    /// A random stream of `updates` unit updates, each effective where it
+    /// stands when the stream is applied to `g` in order.
+    fn random_stream(g: &DataGraph, rng: &mut StdRng, updates: usize) -> Vec<EdgeUpdate> {
+        let nodes = g.node_count() as u32;
+        let mut scratch = g.clone();
+        let mut ups = Vec::new();
+        for _ in 0..updates {
+            if rng.gen_bool(0.5) && scratch.edge_count() > 0 {
+                // Delete a random existing edge.
+                let edges: Vec<_> = scratch.edges().collect();
+                let &(a, b) = edges.choose(rng).unwrap();
+                let u = EdgeUpdate::Delete(a, b);
+                u.apply(&mut scratch);
+                ups.push(u);
+            } else {
+                let a = n(rng.gen_range(0..nodes));
+                let b = n(rng.gen_range(0..nodes));
+                if !scratch.has_edge(a, b) {
+                    let u = EdgeUpdate::Insert(a, b);
+                    u.apply(&mut scratch);
+                    ups.push(u);
+                }
+            }
+        }
+        ups
+    }
+
     fn random_graph_and_updates(
         seed: u64,
         nodes: usize,
@@ -778,26 +867,7 @@ mod tests {
             let b = rng.gen_range(0..nodes as u32);
             let _ = g.try_add_edge(n(a), n(b));
         }
-        let mut scratch = g.clone();
-        let mut ups = Vec::new();
-        for _ in 0..updates {
-            if rng.gen_bool(0.5) && scratch.edge_count() > 0 {
-                // Delete a random existing edge.
-                let edges: Vec<_> = scratch.edges().collect();
-                let &(a, b) = edges.choose(&mut rng).unwrap();
-                let u = EdgeUpdate::Delete(a, b);
-                u.apply(&mut scratch);
-                ups.push(u);
-            } else {
-                let a = n(rng.gen_range(0..nodes as u32));
-                let b = n(rng.gen_range(0..nodes as u32));
-                if !scratch.has_edge(a, b) {
-                    let u = EdgeUpdate::Insert(a, b);
-                    u.apply(&mut scratch);
-                    ups.push(u);
-                }
-            }
-        }
+        let ups = random_stream(&g, &mut rng, updates);
         (g, ups)
     }
 
@@ -816,66 +886,283 @@ mod tests {
         }
     }
 
-    /// The candidate lists the pre-row-major column scan produced, computed
-    /// from the pre-deletion matrix alone: for every changed sink `y` that
-    /// `t` reached, the sources `x ≠ s` with
-    /// `old(x, y) = std(x, s) + 1 + std_old(t, y)`, ascending.
-    fn column_scan_candidates(
-        before: &DistanceMatrix,
-        s: NodeId,
-        t: NodeId,
-        changed_sinks: &[NodeId],
-    ) -> Vec<(NodeId, u16, Vec<NodeId>)> {
+    /// `AFF1` by brute force: every pair on which two matrices differ, in
+    /// `(source, sink)` order.
+    fn diff(before: &DistanceMatrix, after: &DistanceMatrix) -> Vec<AffectedPair> {
         let nodes = || (0..before.node_count() as u32).map(n);
-        changed_sinks
-            .iter()
-            .filter_map(|&y| {
-                let from_t = if y == t { 0 } else { before.get(t, y) };
-                (from_t != UNREACHABLE).then_some((y, from_t))
-            })
-            .map(|(y, from_t)| {
-                let candidates = nodes()
-                    .filter(|&x| x != s && before.get(x, s) != UNREACHABLE)
-                    .filter(|&x| {
-                        let old = before.get(x, y);
-                        old != UNREACHABLE
-                            && u32::from(old) == u32::from(before.get(x, s)) + 1 + u32::from(from_t)
-                    })
-                    .collect();
-                (y, from_t, candidates)
+        nodes()
+            .flat_map(|x| nodes().map(move |y| (x, y)))
+            .filter(|&(x, y)| before.get(x, y) != after.get(x, y))
+            .map(|(x, y)| AffectedPair {
+                source: x,
+                sink: y,
+                old: before.get(x, y),
+                new: after.get(x, y),
             })
             .collect()
     }
 
-    /// Deletes `(s, t)` from `g` and checks the row-major gather against the
-    /// column scan, then the whole unit at 1/2/8 threads (in-place and
-    /// snapshot column stores) against a rebuild and against each other.
+    /// The rows a sweep from `s` has to test to produce `unit`: `s` and the
+    /// in-neighbours of every affected source, ascending.
+    fn cone_and_fringe(g: &DataGraph, s: NodeId, unit: &[AffectedPair]) -> Vec<NodeId> {
+        let sources = unit.iter().map(|p| p.source);
+        let mut rows: Vec<NodeId> = sources.flat_map(|w| g.in_neighbors(w)).copied().collect();
+        rows.push(s);
+        rows.sort();
+        rows.dedup();
+        rows
+    }
+
+    /// The differential gate of one unit. `g` already has the effective
+    /// update `u`; `m` and `labels` reflect the graph before it. Checks the
+    /// maintained matrix against a build, the unit's `AFF1` against the
+    /// brute-force diff of the two matrices, after a deletion the repaired
+    /// row of `s` against `rebuild_row`'s BFS, the 2-hop's unit `AFF1`
+    /// (sorted by its one-element batch) against the same diff, and that the
+    /// sweep emitted one run per source and tested exactly the cone and its
+    /// fringe. Returns the unit's `AFF1` in sweep order.
+    fn check_unit(
+        g: &DataGraph,
+        m: &mut DistanceMatrix,
+        labels: &mut IncrementalTwoHop,
+        u: EdgeUpdate,
+    ) -> Vec<AffectedPair> {
+        let before = m.clone();
+        let mut ws = Sweep::new(g.node_count());
+        let unit = update_unit(m, g, u, &mut ws);
+        assert_eq!(*m, DistanceMatrix::build(g), "{u}: matrix vs build");
+        let brute = diff(&before, m);
+        let mut sorted = unit.clone();
+        sorted.sort_by_key(|p| (p.source, p.sink));
+        assert_eq!(sorted, brute, "{u}: unit AFF1 vs brute-force diff");
+        let s = u.endpoints().0;
+        if !u.is_insert() {
+            let mut bfs = before.clone();
+            bfs.rebuild_row(g, s);
+            assert_eq!(m.row(s), bfs.row(s), "{u}: repaired row of s vs BFS");
+        }
+        let by_labels = labels.apply_batch(g, &[u], &Executor::sequential());
+        assert_eq!(by_labels.pairs, brute, "{u}: 2-hop unit AFF1");
+
+        let mut runs: Vec<NodeId> = unit.iter().map(|p| p.source).collect();
+        runs.dedup();
+        let mut distinct = runs.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(runs.len(), distinct.len(), "{u}: one run per source");
+        let ascending = |w: &[AffectedPair]| w[0].source != w[1].source || w[0].sink < w[1].sink;
+        assert!(unit.windows(2).all(ascending), "{u}: runs ascend by sink");
+        let tested = cone_and_fringe(g, s, &unit).len();
+        assert_eq!(ws.cone.rows, tested as u64, "{u}: rows tested");
+        unit
+    }
+
+    /// Drives a stream through [`check_unit`], skipping the updates that are
+    /// no-ops where they stand.
+    fn check_stream(mut g: DataGraph, updates: impl IntoIterator<Item = EdgeUpdate>) {
+        let mut m = DistanceMatrix::build(&g);
+        let mut labels = IncrementalTwoHop::build(&g);
+        for u in updates {
+            if u.apply(&mut g) {
+                check_unit(&g, &mut m, &mut labels, u);
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_random_streams_pass_the_differential_gate_after_every_unit() {
+        for seed in 0..24u64 {
+            let (g, updates) = random_graph_and_updates(seed, 14, 34, 16);
+            check_stream(g, updates);
+        }
+        for seed in 100..108u64 {
+            let (g, updates) = random_graph_and_updates(seed, 30, 90, 40);
+            check_stream(g, updates);
+        }
+    }
+
+    #[test]
+    fn sweep_power_law_streams_with_hubs_pass_the_differential_gate() {
+        use gpm_datagen::{powerlaw_graph, PowerLawConfig};
+        for seed in 0..4u64 {
+            let g = powerlaw_graph(&PowerLawConfig::new(60, 200).with_seed(seed));
+            let max_in = g.nodes().map(|v| g.in_degree(v)).max().unwrap();
+            assert!(max_in >= 10, "seed {seed}: no hub (max in-degree {max_in})");
+            let updates = random_stream(&g, &mut StdRng::seed_from_u64(seed), 40);
+            check_stream(g, updates);
+        }
+    }
+
+    /// A tear-down script followed by its inverse: every update of
+    /// `deletions` (a `gpm_datagen::adversarial` script, whose `EdgeUpdate`
+    /// is the dependency's copy of this crate's), then the same edges
+    /// re-inserted in reverse order.
+    fn there_and_back(deletions: &[(NodeId, NodeId)]) -> Vec<EdgeUpdate> {
+        let down = deletions.iter().map(|&(a, b)| EdgeUpdate::Delete(a, b));
+        let up = deletions
+            .iter()
+            .rev()
+            .map(|&(a, b)| EdgeUpdate::Insert(a, b));
+        down.chain(up).collect()
+    }
+
+    #[test]
+    fn sweep_adversarial_scripts_pass_the_differential_gate() {
+        use gpm_datagen::adversarial::*;
+        macro_rules! edges {
+            ($script:expr) => {
+                $script.iter().map(|u| u.endpoints()).collect::<Vec<_>>()
+            };
+        }
+        // Hub teardown and rebuild: every leaf is a source of every unit.
+        check_stream(star(12), there_and_back(&edges!(delete_hub_updates(12))));
+        // The leaves' edges into the hub: one sink column each.
+        let spokes: Vec<_> = (1..=12).map(|leaf| (n(leaf), n(0))).collect();
+        check_stream(star(12), there_and_back(&spokes));
+        // Chain cuts at the head (many sinks), the middle, the tail (many
+        // sources), each healed again.
+        for k in [0, 7, 14] {
+            check_stream(
+                deep_chain(16),
+                there_and_back(&edges!(cut_chain_updates(16, k))),
+            );
+        }
+        // Waist → sink strands one sink from every source; source → waist
+        // empties one row.
+        check_stream(bowtie(6), there_and_back(&edges!(sever_waist_updates(6))));
+        let feeders: Vec<_> = (1..=6).map(|source| (n(source), n(0))).collect();
+        check_stream(bowtie(6), there_and_back(&feeders));
+        // Bridges: everything upstream × everything downstream; an edge
+        // inside a clique: ties everywhere.
+        for q in [0, 1] {
+            let script = there_and_back(&edges!(cut_bridge_updates(3, 4, q)));
+            check_stream(cliques_with_bridges(3, 4), script);
+        }
+        let inside = [(n(4), n(5)), (n(5), n(4)), (n(7), n(4)), (n(3), n(0))];
+        check_stream(cliques_with_bridges(3, 4), there_and_back(&inside));
+    }
+
+    /// Applies `u` to `g` and runs it through [`check_unit`] against a fresh
+    /// matrix and labeling of the graph before it.
+    fn check_one(g: &mut DataGraph, u: EdgeUpdate) -> Vec<AffectedPair> {
+        let mut m = DistanceMatrix::build(g);
+        let mut labels = IncrementalTwoHop::build(g);
+        assert!(u.apply(g), "{u} must be effective");
+        check_unit(g, &mut m, &mut labels, u)
+    }
+
+    #[test]
+    fn sweep_self_loop_insert_and_delete_touch_one_diagonal() {
+        // 0 ⇄ 1: the shortest cycle through 0 has length 2.
+        let mut g = DataGraph::from_edges(2, &[(0, 1), (1, 0)]).unwrap();
+        let aff = check_one(&mut g, EdgeUpdate::Insert(n(0), n(0)));
+        assert_eq!(aff, [pair(0, 0, 2, 1)]);
+        let aff = check_one(&mut g, EdgeUpdate::Delete(n(0), n(0)));
+        assert_eq!(aff, [pair(0, 0, 1, 2)]);
+        // On a node that lies on no other cycle.
+        let mut g = path_graph(3);
+        let aff = check_one(&mut g, EdgeUpdate::Insert(n(1), n(1)));
+        assert_eq!(aff, [pair(1, 1, UNREACHABLE, 1)]);
+        let aff = check_one(&mut g, EdgeUpdate::Delete(n(1), n(1)));
+        assert_eq!(aff, [pair(1, 1, 1, UNREACHABLE)]);
+    }
+
+    #[test]
+    fn sweep_insertion_closing_a_cycle_sets_the_diagonal_of_every_node_on_it() {
+        let mut g = path_graph(4);
+        let aff = check_one(&mut g, EdgeUpdate::Insert(n(3), n(0)));
+        for v in 0..4 {
+            assert!(aff.contains(&pair(v, v, UNREACHABLE, 4)), "{v}: {aff:?}");
+        }
+        // 4 diagonals and the 6 pairs that pointed backwards along the path.
+        assert_eq!(aff.len(), 10);
+        // Sweep order: s = 3 first, then up the path.
+        let sources: Vec<u32> = aff.iter().map(|p| p.source.0).collect();
+        assert_eq!(sources, [3, 3, 3, 3, 2, 2, 2, 1, 1, 0]);
+    }
+
+    #[test]
+    fn sweep_deleting_one_of_two_tied_paths_changes_the_deleted_pair_only() {
+        // 0 → 1 → 3 and 0 → 2 → 3 tie. The deleted pair itself always
+        // changes (its distance was 1), so that is the smallest AFF1 a
+        // deletion can have: (0, 3) is tied on row 0 and repairs to itself.
+        let mut g = DataGraph::from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]).unwrap();
+        let aff = check_one(&mut g, EdgeUpdate::Delete(n(1), n(3)));
+        assert_eq!(aff, [pair(1, 3, 1, UNREACHABLE)]);
+        // With a detour for the deleted pair too, the unit still stops at s.
+        let mut g =
+            DataGraph::from_edges(5, &[(0, 1), (1, 3), (0, 2), (2, 3), (1, 4), (4, 3)]).unwrap();
+        let aff = check_one(&mut g, EdgeUpdate::Delete(n(1), n(3)));
+        assert_eq!(aff, [pair(1, 3, 1, 2)]);
+    }
+
+    #[test]
+    fn sweep_t_reaches_s_so_row_t_is_rewritten_mid_sweep() {
+        // The 4-cycle 0 → 1 → 2 → 3 → 0 with the chord (0, 2): t = 2 reaches
+        // s = 0 through 3, so t is a source of its own unit (the cycle
+        // through it) and its row is written while later sources still
+        // need std(t, ·).
+        let mut g = DataGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 1)]).unwrap();
+        let aff = check_one(&mut g, EdgeUpdate::Insert(n(0), n(2)));
+        assert!(aff.contains(&pair(2, 2, 4, 3)), "{aff:?}");
+        assert!(aff.contains(&pair(3, 2, 3, 2)), "{aff:?}");
+        let aff = check_one(&mut g, EdgeUpdate::Delete(n(0), n(2)));
+        assert!(aff.contains(&pair(2, 2, 3, 4)), "{aff:?}");
+        assert!(aff.contains(&pair(3, 2, 2, 3)), "{aff:?}");
+        // The source 4 hangs off node 1 and never used the chord.
+        assert!(aff.iter().all(|p| p.source != n(4)));
+    }
+
+    #[test]
+    fn sweep_disconnecting_deletion_and_reconnecting_insertion_mirror_each_other() {
+        let mut g = path_graph(5);
+        let cut = check_one(&mut g, EdgeUpdate::Delete(n(1), n(2)));
+        assert_eq!(cut.len(), 2 * 3, "{{0, 1}} × {{2, 3, 4}}");
+        assert!(cut.iter().all(|p| p.new == UNREACHABLE));
+        let mut healed = check_one(&mut g, EdgeUpdate::Insert(n(1), n(2)));
+        for p in &mut healed {
+            std::mem::swap(&mut p.old, &mut p.new);
+        }
+        let by_pair = |mut pairs: Vec<AffectedPair>| {
+            pairs.sort_by_key(|p| (p.source, p.sink));
+            pairs
+        };
+        assert_eq!(by_pair(healed), by_pair(cut));
+    }
+
+    #[test]
+    fn sweep_source_with_in_degree_zero_is_the_whole_cone() {
+        let mut g = path_graph(4);
+        g.add_edge(n(0), n(2)).unwrap();
+        for u in [
+            EdgeUpdate::Delete(n(0), n(1)),
+            EdgeUpdate::Insert(n(0), n(1)),
+        ] {
+            let mut m = DistanceMatrix::build(&g);
+            assert!(u.apply(&mut g));
+            let mut ws = Sweep::new(4);
+            let aff = update_unit(&mut m, &g, u, &mut ws);
+            assert_eq!(m, DistanceMatrix::build(&g));
+            assert_eq!(aff.len(), 1, "{u}: only (0, 1) moves: {aff:?}");
+            assert_eq!(ws.cone.rows, 1, "{u}: one row");
+        }
+    }
+
+    /// Deletes `(s, t)` from `g` and holds the unit to the sweep's contract
+    /// ([`check_unit`]), then runs it through `apply_batch` at 1/2/8 threads
+    /// against a rebuild and the brute-force `AFF1`.
     fn check_deletion_kernels(g: &mut DataGraph, s: NodeId, t: NodeId) {
         let before = DistanceMatrix::build(g);
-        g.remove_edge(s, t).unwrap();
-
-        let mut m = before.clone();
-        let changed_sinks: Vec<NodeId> =
-            m.rebuild_row(g, s).into_iter().map(|(y, _, _)| y).collect();
-        let reference = column_scan_candidates(&before, s, t, &changed_sinks);
-        let repair_sinks: Vec<(NodeId, u16)> = reference
-            .iter()
-            .map(|(y, from_t, _)| (*y, *from_t))
-            .collect();
-        let gathered = gather_candidates(&m, s, t, &repair_sinks);
-        let expected: Vec<Vec<NodeId>> = reference.into_iter().map(|(_, _, c)| c).collect();
-        assert_eq!(gathered, expected, "delete ({s}, {t})");
-
+        check_one(g, EdgeUpdate::Delete(s, t));
         let rebuilt = DistanceMatrix::build(g);
-        let mut sequential = None;
+        let brute = diff(&before, &rebuilt);
         for threads in [1, 2, 8] {
             let exec =
                 Executor::new(gpm_exec::Parallelism::new(threads).with_sequential_threshold(0));
             let mut m = before.clone();
-            let aff = update_matrix_with(g, &mut m, EdgeUpdate::Delete(s, t), &exec);
+            let aff = m.apply_batch(g, &[EdgeUpdate::Delete(s, t)], &exec);
             assert_eq!(m, rebuilt, "delete ({s}, {t}) at {threads} threads");
-            let first = sequential.get_or_insert_with(|| aff.clone());
-            assert_eq!(&aff, first, "delete ({s}, {t}) at {threads} threads");
+            assert_eq!(aff.pairs, brute, "delete ({s}, {t}) at {threads} threads");
         }
     }
 
@@ -897,6 +1184,72 @@ mod tests {
         let mut g = bowtie(6);
         check_deletion_kernels(&mut g, n(0), n(7));
         check_deletion_kernels(&mut g, n(1), n(0));
+    }
+
+    #[test]
+    fn sweep_unit_inside_a_tail_visits_a_handful_of_rows_of_a_large_graph() {
+        // 2 000 well-connected nodes fed by the tail 2000 → 2001 → 2002 → 0.
+        // Nothing reaches the tail, so a unit inside it has a cone of at
+        // most three sources however many sinks each of them loses or gains.
+        let (mut g, _) = random_graph_and_updates(7, 2000, 8000, 0);
+        g.add_nodes(3);
+        for (a, b) in [(2000, 2001), (2001, 2002), (2002, 0)] {
+            g.add_edge(n(a), n(b)).unwrap();
+        }
+        let mut m = DistanceMatrix::build(&g);
+        let mut ws = Sweep::new(g.node_count());
+        let script = [
+            EdgeUpdate::Insert(n(2000), n(2002)),
+            EdgeUpdate::Delete(n(2001), n(2002)),
+            EdgeUpdate::Delete(n(2000), n(2002)),
+        ];
+        for u in script {
+            let (rows_before, pairs_before) = (ws.cone.rows, ws.pairs);
+            assert!(u.apply(&mut g));
+            let aff = update_unit(&mut m, &g, u, &mut ws);
+            assert!(aff.len() > 1000, "{u}: |AFF1| = {}", aff.len());
+            let rows = ws.cone.rows - rows_before;
+            assert!(rows < 10, "{u}: {rows} rows");
+            let examined = (ws.pairs - pairs_before) as usize;
+            assert!(examined <= 2 * g.node_count(), "{u}: {examined} pairs");
+        }
+        assert_eq!(m, DistanceMatrix::build(&g));
+    }
+
+    #[test]
+    fn sweep_pairs_examined_track_aff1_on_a_maintain_shaped_script() {
+        use gpm_datagen::{random_updates, Dataset, UpdateStreamConfig};
+        // The `inproc-maintain` shape: the 1 038-node YouTube stand-in, every
+        // op two deletions then two insertions.
+        let mut g = Dataset::YouTube.generate(0.07, 2010);
+        assert_eq!(g.node_count(), 1038);
+        let mut m = DistanceMatrix::build(&g);
+        let mut ws = Sweep::new(g.node_count());
+        let (mut aff1_total, mut fringe_in_degree) = (0, 0);
+        for i in 0..80u64 {
+            let direction = match i % 2 {
+                0 => UpdateStreamConfig::deletions(2),
+                _ => UpdateStreamConfig::insertions(2),
+            };
+            for u in random_updates(&g, &direction.with_seed(i)) {
+                let (s, t) = u.endpoints();
+                let u = match u.is_insert() {
+                    true => EdgeUpdate::Insert(s, t),
+                    false => EdgeUpdate::Delete(s, t),
+                };
+                assert!(u.apply(&mut g));
+                let aff = update_unit(&mut m, &g, u, &mut ws);
+                aff1_total += aff.len();
+                let tested = cone_and_fringe(&g, s, &aff);
+                fringe_in_degree += tested.iter().map(|&v| g.in_degree(v)).sum::<usize>();
+            }
+        }
+        assert_eq!(m, DistanceMatrix::build(&g));
+        assert!(
+            ws.pairs as usize <= 4 * aff1_total + fringe_in_degree,
+            "{} pairs examined for Σ|AFF1| = {aff1_total}, Σ in-degree = {fringe_in_degree}",
+            ws.pairs
+        );
     }
 
     proptest! {
@@ -926,9 +1279,8 @@ mod tests {
             prop_assert_eq!(changed, aff.len());
         }
 
-        /// On random graphs every deletion of a random stream gathers the
-        /// candidates of the column scan and repairs to a rebuild at every
-        /// thread count.
+        /// On random graphs every deletion of a random stream passes the
+        /// sweep's gate and lands on a rebuild at every thread count.
         #[test]
         fn prop_row_major_gather_matches_column_scan(seed in 500u64..1000) {
             let (mut g, updates) = random_graph_and_updates(seed, 14, 34, 10);
@@ -937,6 +1289,35 @@ mod tests {
                     EdgeUpdate::Delete(s, t) => check_deletion_kernels(&mut g, s, t),
                     EdgeUpdate::Insert(..) => {
                         u.apply(&mut g);
+                    }
+                }
+            }
+        }
+
+        /// The lemma the sweep rests on, on brute-force `AFF1`s alone (no
+        /// kernel involved): if `(x, y)` is affected and `x ≠ s`, then so is
+        /// `(w, y)` for every out-neighbour `w` of `x` one step closer to
+        /// `s`.
+        #[test]
+        fn sweep_lemma_affected_sinks_shrink_along_shortest_paths_to_s(seed in 1000u64..1400) {
+            let (mut g, updates) = random_graph_and_updates(seed, 12, 26, 6);
+            for u in updates {
+                let before = DistanceMatrix::build(&g);
+                prop_assert!(u.apply(&mut g));
+                let aff1 = diff(&before, &DistanceMatrix::build(&g));
+                let s = u.endpoints().0;
+                // std(·, s) is the same on both sides of the unit, and so
+                // are the out-edges of every x ≠ s.
+                let to_s = |x: NodeId| before.standard_distance(x, s);
+                for p in aff1.iter().filter(|p| p.source != s) {
+                    let level = to_s(p.source).expect("an affected source reaches s");
+                    for &w in g.out_neighbors(p.source) {
+                        if to_s(w) == Some(level - 1) {
+                            prop_assert!(
+                                aff1.iter().any(|q| (q.source, q.sink) == (w, p.sink)),
+                                "{}: ({}, {}) is affected, ({}, {}) is not", u, p.source, p.sink, w, p.sink
+                            );
+                        }
                     }
                 }
             }

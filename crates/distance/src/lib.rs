@@ -73,12 +73,14 @@
 //! graph stepped through the batch, so `apply_batch` never copies the graph
 //! (see the [`incremental`] module docs).
 //!
-//! The construction and maintenance procedures run on the shared `gpm-exec`
-//! executor: [`DistanceMatrix::build_with`] fans one BFS source chunk per
-//! task, the matrix's `apply_batch` partitions each unit's affected area
-//! (source rows for insertions, sink columns for deletions) across the
-//! workers with a deterministic merge, and the `*_with`-less entry points
-//! default to the process-wide [`gpm_exec::Parallelism::from_env`] policy.
+//! Construction runs on the shared `gpm-exec` executor:
+//! [`DistanceMatrix::build_with`] fans one BFS source chunk per task, and
+//! the `*_with`-less entry points default to the process-wide
+//! [`gpm_exec::Parallelism::from_env`] policy. A maintenance unit is one
+//! sequential sweep over its affected cone on either back-end's insertions
+//! and on the matrix's deletions (a whole unit costs about what opening a
+//! parallel region does); only the 2-hop deletion repair fans its BFS rows
+//! out.
 //!
 //! ## Example
 //!

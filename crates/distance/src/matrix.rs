@@ -6,9 +6,9 @@
 //! bound `k` and to `|E|` (Figures 6(f)–(h)).
 //!
 //! Distances are stored row-major as `u16` hop counts with
-//! [`crate::UNREACHABLE`] marking "no non-empty path". Rows can
-//! be rebuilt or patched in place, which is what the incremental maintenance
-//! procedures (`UpdateM` / `UpdateBM`) do.
+//! [`crate::UNREACHABLE`] marking "no non-empty path". Rows are patched in
+//! place, one source at a time, by the incremental maintenance procedures
+//! (`UpdateM` / `UpdateBM`, [`crate::incremental`]).
 
 use crate::bfs::{bfs_row, Direction};
 use crate::UNREACHABLE;
@@ -73,7 +73,9 @@ impl DistanceMatrix {
 
     /// Recomputes the row of source `x` against (an updated) `g`, in place.
     /// Returns the list of sinks whose distance changed, with `(old, new)`
-    /// values.
+    /// values. Maintenance does not call it (a deletion repairs the row of
+    /// `s` like every other row of its cone); it is the independent
+    /// reference the `sweep_` tests hold that repaired row against.
     pub fn rebuild_row<G: Adjacency>(&mut self, g: &G, x: NodeId) -> Vec<(NodeId, u16, u16)> {
         debug_assert_eq!(g.node_count(), self.n, "graph/matrix size mismatch");
         let n = self.n;
@@ -93,6 +95,13 @@ impl DistanceMatrix {
     #[inline]
     pub(crate) fn row(&self, x: NodeId) -> &[u16] {
         &self.dist[x.index() * self.n..(x.index() + 1) * self.n]
+    }
+
+    /// The row of source `x`, writable: a maintenance unit patches one
+    /// source's contiguous row at a time.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, x: NodeId) -> &mut [u16] {
+        &mut self.dist[x.index() * self.n..(x.index() + 1) * self.n]
     }
 
     /// Number of nodes the matrix covers.

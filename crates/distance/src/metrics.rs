@@ -15,6 +15,11 @@ pub(crate) struct OracleMetrics {
     pub aff1_pairs: Arc<Counter>,
     pub aff1_size: Arc<Histogram>,
     pub apply_ns: Arc<Histogram>,
+    /// The work of the affected-cone sweeps (`incremental.rs`), so that a
+    /// `|V|`-sized pass cannot grow back unnoticed: source rows tested, and
+    /// `(source, sink)` pairs whose old distance was read.
+    pub sweep_rows: Arc<Counter>,
+    pub pairs_examined: Arc<Counter>,
 }
 
 impl OracleMetrics {
@@ -26,6 +31,8 @@ impl OracleMetrics {
             aff1_pairs: scope.counter(&format!("{prefix}.aff1_pairs")),
             aff1_size: scope.histogram(&format!("{prefix}.aff1_size")),
             apply_ns: scope.histogram(&format!("{prefix}.apply_ns")),
+            sweep_rows: scope.counter(&format!("{prefix}.sweep_rows")),
+            pairs_examined: scope.counter(&format!("{prefix}.pairs_examined")),
         }
     }
 

@@ -225,31 +225,22 @@ impl DistanceQuery for DistanceMatrix {
 }
 
 impl DistanceOracle for DistanceMatrix {
+    /// Each unit sees the matrix left by the previous one and runs as one
+    /// sequential sweep over its affected cone; `exec` is not used.
     fn apply_batch(
         &mut self,
         g: &DataGraph,
         updates: &[EdgeUpdate],
-        exec: &Executor,
+        _exec: &Executor,
     ) -> AffectedPairs {
-        let m = crate::metrics::matrix();
-        let _span = m.apply_ns.span();
-        // Each unit sees the matrix left by the previous one; within a unit
-        // the affected area is partitioned across the workers.
-        let aff = replay_batch(
+        replay_batch(
             self,
             g,
             updates,
+            crate::metrics::matrix(),
             |m, from, to| m.get(from, to) == 1,
-            |m, view, u| update_unit(view, m, u, exec).pairs,
-        );
-        if gpm_obs::enabled() {
-            let inserts = updates.iter().filter(|u| u.is_insert()).count();
-            m.inserts.add(inserts as u64);
-            m.deletes.add((updates.len() - inserts) as u64);
-            m.aff1_pairs.add(aff.len() as u64);
-            m.aff1_size.record(aff.len() as u64);
-        }
-        aff
+            |m, view, u, ws| update_unit(m, view, u, ws),
+        )
     }
 
     fn clone_box(&self) -> Box<dyn DistanceOracle + Send + Sync> {

@@ -42,7 +42,11 @@
 //! exact minimum, and the growth they cause plateaus (≈ 1.1 × a fresh build
 //! on the churn benchmark, ≤ 2 × after 3 000 updates — both pinned by tests).
 //! Each resume is the crate's pruned BFS kernel (`bfs.rs`) started at the far
-//! endpoint of the new edge; only the prune test lives here.
+//! endpoint of the new edge; only the prune test lives here. The unit's
+//! `AFF1` is computed first, against the not-yet-repaired labels, by the
+//! function the matrix runs: the affected-cone sweep of
+//! [`crate::incremental`], with `old(x, y)` a label query instead of a row
+//! read and one BFS row for `std(t, ·)`.
 //!
 //! # Deletions
 //!
@@ -87,8 +91,10 @@
 //! Downstream match repair treats `AFF1` as a set of affected sources, so
 //! both backends drive identical match deltas.
 
-use crate::bfs::{distance_row, hop_sum, pruned_bfs, Direction};
-use crate::incremental::{replay_batch, AffectedPair, AffectedPairs, EdgeUpdate};
+use crate::bfs::{bfs_row, distance_row, hop_sum, pruned_bfs, Direction};
+use crate::incremental::{
+    insertion_sweep, replay_batch, AffectedPair, AffectedPairs, EdgeUpdate, Sweep,
+};
 use crate::oracle::{DistanceOracle, DistanceQuery};
 use crate::two_hop::{merge_min, LabelEntry, TwoHopIndex};
 use crate::{hop_limit, UNREACHABLE};
@@ -170,12 +176,12 @@ impl IncrementalTwoHop {
         g: &G,
         s: NodeId,
         t: NodeId,
-        exec: &Executor,
+        ws: &mut Sweep,
     ) -> Vec<AffectedPair> {
         let n = g.node_count();
         // `old` distances are label queries against the not-yet-repaired
         // index, which is exact for the pre-insertion graph.
-        let pairs = self.insertion_aff1(g, s, t, exec);
+        let pairs = self.insertion_aff1(g, s, t, ws);
 
         // The labels do not store the diagonal; repair it straight from the
         // AFF1 entries (new cycles through v all run v ⇝ s → t ⇝ v).
@@ -236,59 +242,26 @@ impl IncrementalTwoHop {
         pairs
     }
 
-    /// `AFF1` of the insertion of `(s, t)`, replicating the matrix
-    /// computation pair for pair (same order, same values) over the part of
-    /// the `ancestors(s) × descendants(t)` rectangle that can improve. Old
-    /// distances come from the labels.
+    /// `AFF1` of the insertion of `(s, t)`: the matrix's own affected-cone
+    /// sweep ([`insertion_sweep`]), pair for pair and in the same order, with
+    /// old distances read from the labels instead of a row.
     fn insertion_aff1<G: Adjacency>(
         &self,
         g: &G,
         s: NodeId,
         t: NodeId,
-        exec: &Executor,
+        ws: &mut Sweep,
     ) -> Vec<AffectedPair> {
         debug_assert!(g.has_edge(s, t), "graph must already contain the new edge");
-        let n = g.node_count();
-        // std(x, s) and std(t, y) are unchanged by the insertion (a path
-        // using the new edge would revisit s / t and contain a removable
-        // cycle), so BFS on the *updated* graph recovers the old values the
-        // AFF1 contract needs.
-        let to_s = distance_row(g, s, Direction::Backward, false);
-        let from_t = distance_row(g, t, Direction::Forward, false);
-        let old = |x, y| self.index.nonempty_raw(x, y);
-        // Suffix optimality: old(x, y) ≤ std(x, s) + old(s, y), so a sink
-        // improves for some source only if it improves for s itself. `old`
-        // is non-empty, which covers the new cycles through y = s.
-        let sinks: Vec<(NodeId, u16)> = (0..n as u32)
-            .map(NodeId::new)
-            .filter_map(|y| {
-                let d = from_t[y.index()];
-                (d != UNREACHABLE && old(s, y) > hop_sum(0, d)).then_some((y, d))
-            })
-            .collect();
-        let per_source: Vec<Vec<AffectedPair>> = exec.par_map_index(n, |xi| {
-            let x = NodeId::new(xi as u32);
-            let dx = to_s[xi];
-            // Prefix optimality, the mirror filter on the source side.
-            if dx == UNREACHABLE || u32::from(old(x, t)) <= u32::from(dx) + 1 {
-                return Vec::new(); // no improvement possible through the new edge
-            }
-            let mut improved = Vec::new();
-            for &(y, dy) in &sinks {
-                let new = hop_sum(dx, dy);
-                let old = old(x, y);
-                if new < old {
-                    improved.push(AffectedPair {
-                        source: x,
-                        sink: y,
-                        old,
-                        new,
-                    });
-                }
-            }
-            improved
-        });
-        per_source.into_iter().flatten().collect()
+        // std(t, y) is unchanged by the insertion (a path using the new edge
+        // would revisit t and contain a removable cycle), so a BFS on the
+        // *updated* graph recovers the old values the sweep needs.
+        let queue = &mut VecDeque::new();
+        bfs_row(g, t, Direction::Forward, false, &mut ws.from_t, queue);
+        insertion_sweep(g, s, ws, |x, y, via| {
+            let old = self.index.nonempty_raw(x, y);
+            (via < old).then_some(old)
+        })
     }
 
     /// The one deletion unit: exact `AFF1` of deleting `(s, t)` *and* the
@@ -469,25 +442,19 @@ impl DistanceOracle for IncrementalTwoHop {
         updates: &[EdgeUpdate],
         exec: &Executor,
     ) -> AffectedPairs {
-        if updates.is_empty() {
-            return AffectedPairs::default();
-        }
-        let m = crate::metrics::twohop();
-        let _span = m.apply_ns.span();
         replay_batch(
             self,
             g,
             updates,
+            crate::metrics::twohop(),
             |this, from, to| this.index.nonempty_raw(from, to) == 1,
-            |this, view, u| {
+            |this, view, u, ws| {
                 let (from, to) = u.endpoints();
-                let pairs = if u.is_insert() {
-                    this.insert_repair(view, from, to, exec)
+                if u.is_insert() {
+                    this.insert_repair(view, from, to, ws)
                 } else {
                     this.delete_repair(view, from, to, exec)
-                };
-                m.note_unit(u.is_insert(), pairs.len());
-                pairs
+                }
             },
         )
     }

@@ -32,13 +32,13 @@ use gpm_graph::{DataGraph, GraphError, PatternGraph};
 /// [`GraphError::PatternNotAcyclic`] for cyclic patterns (nothing modified).
 ///
 /// The expensive half of batch maintenance — `UpdateBM`'s distance repair —
-/// is partitioned by affected area across the workers (source rows for
-/// insertions, affected sink columns for deletions; see
-/// [`DistanceOracle::apply_batch`]) with merges in a fixed order, so
-/// the maintained oracle, match state and reported `AFF1`/`AFF2` are
-/// identical at every thread count. The match-repair passes themselves
-/// (`Match−`/`Match+` propagation) stay sequential: their work is
-/// proportional to `|AFF2|`, which the paper shows to be small.
+/// replays the batch unit by unit, each unit confined to its affected cone
+/// (see [`DistanceOracle::apply_batch`]); whatever a back-end fans out on
+/// `exec` is merged in a fixed order, so the maintained oracle, match state
+/// and reported `AFF1`/`AFF2` are identical at every thread count. The
+/// match-repair passes themselves (`Match−`/`Match+` propagation) stay
+/// sequential: their work is proportional to `|AFF2|`, which the paper shows
+/// to be small.
 pub fn inc_match<O: DistanceOracle + ?Sized>(
     pattern: &PatternGraph,
     graph: &mut DataGraph,

@@ -136,6 +136,12 @@ fn det_counters_identical_across_thread_counts() {
         baseline.keys().any(|k| k.starts_with("service.")),
         "session should populate the service scope"
     );
+    for work in ["sweep_rows", "pairs_examined"] {
+        assert!(
+            baseline.iter().any(|(k, &v)| k.ends_with(work) && v > 0),
+            "the sweep's `{work}` tally should be among the compared counters"
+        );
+    }
     for threads in [2usize, 8] {
         let counters = run(threads);
         assert_eq!(
@@ -143,6 +149,84 @@ fn det_counters_identical_across_thread_counts() {
             "deterministic counters diverged at {threads} threads"
         );
     }
+}
+
+/// The two maintainable back-ends count the same things under the same
+/// names: *effective* units (no-ops of a raw batch excluded) in
+/// `oracle.<backend>.inserts` / `deletes`, the sizes of the *unit* `AFF1`s in
+/// `aff1_pairs` / `aff1_size`, and one `apply_ns` span per non-empty batch —
+/// not the raw updates, and not the net batch `AFF1`.
+#[test]
+fn oracle_backends_count_effective_units_and_unit_aff1s_alike() {
+    use gpm::{DistanceMatrix, DistanceOracle, EdgeUpdate, Executor, IncrementalTwoHop, NodeId};
+    let _guard = obs_lock();
+    let n = NodeId::new;
+    let pre = DataGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+    let exec = Executor::sequential();
+    // What a batch adds to the registry, applied to both back-ends.
+    let record = |raw: &[EdgeUpdate]| {
+        let mut post = pre.clone();
+        for u in raw {
+            u.apply(&mut post);
+        }
+        gpm::obs::set_enabled(true);
+        gpm::obs::registry().reset();
+        let net = DistanceMatrix::build(&pre).apply_batch(&post, raw, &exec);
+        assert_eq!(
+            net,
+            IncrementalTwoHop::build(&pre).apply_batch(&post, raw, &exec)
+        );
+        let snapshot = gpm::obs::registry().snapshot();
+        gpm::obs::set_enabled(false);
+        let oracle = snapshot.scopes.get("oracle").cloned().unwrap_or_default();
+        let of = |backend: &str| -> Vec<u64> {
+            let counter = |name: &str| {
+                let c = oracle.counters.get(&format!("{backend}.{name}"));
+                c.map_or(0, |c| c.value)
+            };
+            let spans = |name: &str| {
+                let h = oracle.histograms.get(&format!("{backend}.{name}"));
+                h.map_or(0, |h| h.count)
+            };
+            let counters = ["inserts", "deletes", "aff1_pairs"].map(counter);
+            let histograms = ["aff1_size", "apply_ns"].map(spans);
+            counters.into_iter().chain(histograms).collect()
+        };
+        (net.len(), of("matrix"), of("twohop"))
+    };
+
+    // A duplicate insert, a missing delete, and {0, 1} × {2, 3} cut off by
+    // one unit and restored by the next: six raw updates, three effective
+    // units with |AFF1| = 4, 4 and 1, a net AFF1 of that last pair alone.
+    let raw = [
+        EdgeUpdate::Insert(n(0), n(1)),
+        EdgeUpdate::Delete(n(3), n(0)),
+        EdgeUpdate::Delete(n(1), n(2)),
+        EdgeUpdate::Insert(n(1), n(2)),
+        EdgeUpdate::Insert(n(0), n(3)),
+        EdgeUpdate::Insert(n(0), n(3)),
+    ];
+    let (net, matrix, twohop) = record(&raw);
+    assert_eq!(net, 1);
+    assert_eq!(
+        matrix,
+        [2, 1, 9, 3, 1],
+        "inserts, deletes, pairs, units, spans"
+    );
+    assert_eq!(matrix, twohop);
+
+    // A batch of no-ops counts no unit and no pair; an empty batch does not
+    // even open a span.
+    let (net, matrix, twohop) = record(&raw[..2]);
+    assert_eq!(
+        (net, &matrix[..], &twohop[..]),
+        (0, &[0, 0, 0, 0, 1][..], &[0, 0, 0, 0, 1][..])
+    );
+    let (net, matrix, twohop) = record(&[]);
+    assert_eq!(
+        (net, &matrix[..], &twohop[..]),
+        (0, &[0; 5][..], &[0; 5][..])
+    );
 }
 
 /// Every line of the JSONL sink parses as a JSON object, the final registry
