@@ -17,7 +17,7 @@ use gpm_graph::DataGraph;
 /// | backend | memory | build | query | incremental cost |
 /// |---------|--------|-------|-------|------------------|
 /// | [`Matrix`](OracleBackend::Matrix) | `O(\|V\|²)` | `\|V\|` BFS passes | `O(1)` | one backward sweep over the affected cone, row by row |
-/// | [`TwoHop`](OracleBackend::TwoHop) | `O(Σ labels)` | pruned landmark BFS | label merge-join | the same sweep (for `AFF1`) plus resumed BFS on insert; affected rectangle `A × B` re-decided in the labels on delete |
+/// | [`TwoHop`](OracleBackend::TwoHop) | `O(Σ labels)` | pruned landmark BFS | label merge-join | the same sweep (for `AFF1`) plus resumed BFS on insert; affected rectangle `A × B` (rows from one multi-source BFS per 64) re-decided in the labels on delete |
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum OracleBackend {
     /// The paper's all-pairs distance matrix: fastest queries, `|V|²` memory.

@@ -1,30 +1,40 @@
-//! The crate's two queue-driven breadth-first traversals and the `u16`
-//! horizon arithmetic every back-end shares.
+//! The crate's three breadth-first traversals and the `u16` horizon
+//! arithmetic every back-end shares.
 //!
 //! * [`bfs_row`] — one full row of distances from an origin, standard or
 //!   non-empty, along out- or in-edges. The matrix build and `rebuild_row`,
-//!   the memoised rows of `BfsOracle` and every row the 2-hop repair units
-//!   read are this one function.
+//!   the memoised rows of `BfsOracle` and the four rows a 2-hop deletion
+//!   takes around its edge are this one function.
 //! * [`pruned_bfs`] — a BFS whose caller decides, node by node, whether the
 //!   search labels the node and continues through it. The sequential 2-hop
 //!   build, the bit-parallel build's phase-B replay and the insertion
 //!   repair's resumed searches differ in that decision only.
+//! * [`multi_bfs`] — up to 64 standard rows at once: a level-synchronous BFS
+//!   that carries its roots as one frontier *word* per node (Then et al.,
+//!   "The More the Merrier", VLDB 2014) and reports arrivals instead of
+//!   filling rows, so that roots which walk the same part of the graph scan
+//!   its edges once. The rows of a 2-hop deletion's affected rectangle come
+//!   from it, 64 roots to a pass.
 //!
 //! # The horizon
 //!
 //! Distances are stored as `u16` with [`UNREACHABLE`] (65 535) meaning "no
 //! path", so the largest finite stored distance is [`HORIZON`] (65 534).
-//! Neither kernel expands a node at the horizon, and every sum of stored
+//! No kernel expands a node at the horizon, and every sum of stored
 //! distances goes through [`path_sum`] or [`hop_sum`], which clamp there.
 //! The contract that follows, and that the kernel tests pin: **a node
 //! farther than `HORIZON` hops is reported unreachable by every back-end;
 //! no BFS wraps** — and no sum of two finite distances collides with the
-//! sentinel. Because the back-ends take their rows from the same function
+//! sentinel. Because the back-ends take their rows from the same functions
 //! they cannot clamp differently.
 //!
-//! The bit-parallel build's phase A (`two_hop.rs`) is not a third caller: it
-//! is a different algorithm — level-synchronous, one frontier *word* per
-//! node carrying up to 64 roots — with no queue to share. It reads the same
+//! The bit-parallel build's phase A (`two_hop.rs`) has the frontier words of
+//! [`multi_bfs`] but is still not a caller: its prune test is woven into the
+//! level loop — one scan of a node's label list resolves every root bit that
+//! arrived there, a bit stops expanding where its prune value resolves, and
+//! the values are cached for phase B — where `multi_bfs` reports an arrival
+//! and always continues. A callback that could prune per bit would be phase
+//! A's loop with the caller's tables threaded through it. It reads the same
 //! constants.
 
 use crate::UNREACHABLE;
@@ -172,10 +182,86 @@ pub(crate) fn pruned_bfs<G: Adjacency>(
     }
 }
 
+/// The scratch of [`multi_bfs`], sized by `|V|` on first use; all-zero
+/// between passes (reset through the lists of what a pass reached, so a pass
+/// costs what it reaches).
+#[derive(Default)]
+pub(crate) struct MultiBfs {
+    /// The roots, one bit each, that have reached the node.
+    seen: Vec<u64>,
+    /// The roots that reach the node at the next level.
+    next: Vec<u64>,
+    /// The nodes with a bit in `seen` / in `next`.
+    seen_list: Vec<NodeId>,
+    next_list: Vec<NodeId>,
+    /// The nodes of the current level with the roots that arrived there.
+    frontier: Vec<(NodeId, u64)>,
+}
+
+impl MultiBfs {
+    /// Marks `roots` as arriving at `w` on the next level.
+    fn reach(&mut self, w: NodeId, roots: u64) {
+        if self.seen[w.index()] == 0 {
+            self.seen_list.push(w);
+        }
+        if self.next[w.index()] == 0 {
+            self.next_list.push(w);
+        }
+        self.seen[w.index()] |= roots;
+        self.next[w.index()] |= roots;
+    }
+}
+
+/// Standard BFS from every one of `roots` (at most 64) along `direction` at
+/// once: `arrive(v, mask, d)` is called once per node and level with the
+/// roots — bit `j` of `mask` is `roots[j]` — whose distance to `v` is `d`,
+/// the root itself at 0. What is never reported is unreachable, or farther
+/// than [`HORIZON`]. A repeated root is two bits that travel together.
+pub(crate) fn multi_bfs<G: Adjacency>(
+    g: &G,
+    roots: &[NodeId],
+    direction: Direction,
+    ws: &mut MultiBfs,
+    mut arrive: impl FnMut(NodeId, u64, u16),
+) {
+    assert!(roots.len() <= 64, "one frontier bit per root");
+    ws.seen.resize(g.node_count(), 0);
+    ws.next.resize(g.node_count(), 0);
+    for (j, &root) in roots.iter().enumerate() {
+        ws.reach(root, 1 << j);
+    }
+    let mut frontier = std::mem::take(&mut ws.frontier);
+    let mut d = 0;
+    while !ws.next_list.is_empty() {
+        frontier.clear();
+        for w in ws.next_list.drain(..) {
+            frontier.push((w, std::mem::take(&mut ws.next[w.index()])));
+        }
+        for &(v, roots) in &frontier {
+            arrive(v, roots, d);
+            if d >= HORIZON {
+                continue; // the horizon: saturate, never wrap
+            }
+            for &w in direction.neighbours(g, v) {
+                let new = roots & !ws.seen[w.index()];
+                if new != 0 {
+                    ws.reach(w, new);
+                }
+            }
+        }
+        d = d.saturating_add(1);
+    }
+    ws.frontier = frontier;
+    for v in ws.seen_list.drain(..) {
+        ws.seen[v.index()] = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_datagen::adversarial::deep_chain;
+    use gpm_datagen::adversarial::{bowtie, cliques_with_bridges, deep_chain, grid, star};
+    use gpm_datagen::{powerlaw_graph, random_graph, PowerLawConfig, RandomGraphConfig};
     use gpm_graph::{BatchReplay, DataGraph};
     use proptest::prelude::*;
     use Direction::{Backward, Forward};
@@ -272,6 +358,59 @@ mod tests {
         row
     }
 
+    /// The standard rows [`multi_bfs`] reports for `roots`, one per root
+    /// (repeats included); checks that no `(root, node)` is reported twice
+    /// and that the scratch comes back clean.
+    fn multi_rows<G: Adjacency>(
+        g: &G,
+        roots: &[NodeId],
+        direction: Direction,
+        ws: &mut MultiBfs,
+    ) -> Vec<Vec<u16>> {
+        let mut rows = vec![vec![UNREACHABLE; g.node_count()]; roots.len()];
+        multi_bfs(g, roots, direction, ws, |v, mut arrived, d| {
+            assert_ne!(arrived, 0, "{v} reported for no root");
+            while arrived != 0 {
+                let j = arrived.trailing_zeros() as usize;
+                arrived &= arrived - 1;
+                let slot = &mut rows[j][v.index()];
+                assert_eq!(*slot, UNREACHABLE, "root {j} reported at {v} twice");
+                *slot = d;
+            }
+        });
+        assert!(
+            ws.seen.iter().chain(&ws.next).all(|&word| word == 0),
+            "scratch not restored"
+        );
+        assert!(ws.seen_list.is_empty() && ws.next_list.is_empty());
+        rows
+    }
+
+    /// Every root's row ≡ [`bfs_row`], both directions, for 1, 2, 63 and 64
+    /// roots spread over `g` and for a set with a repeated root.
+    fn assert_multi_matches_rows(g: &DataGraph, name: &str) {
+        let n_nodes = g.node_count();
+        let spread =
+            |k: usize| -> Vec<NodeId> { (0..k).map(|i| n((i * 7 % n_nodes) as u32)).collect() };
+        let mut root_sets: Vec<Vec<NodeId>> = [1, 2, 63, 64].map(spread).into();
+        root_sets.push(vec![n(0), n(n_nodes as u32 - 1), n(0)]);
+        // One scratch for all of it: a pass must leave nothing behind.
+        let mut ws = MultiBfs::default();
+        for roots in &root_sets {
+            for direction in [Forward, Backward] {
+                let rows = multi_rows(g, roots, direction, &mut ws);
+                for (j, &root) in roots.iter().enumerate() {
+                    assert_eq!(
+                        rows[j],
+                        distance_row(g, root, direction, false),
+                        "{name}: root {j} = {root} of {}, {direction:?}",
+                        roots.len()
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -361,6 +500,81 @@ mod tests {
             pruned_row(&g, tail, Backward, None),
             distance_row(&g, tail, Backward, false)
         );
+    }
+
+    #[test]
+    fn multi_bfs_rows_match_bfs_row_on_random_and_power_law_graphs() {
+        for seed in 0..6 {
+            let g = random_graph(&RandomGraphConfig::new(90, 240, 3).with_seed(seed));
+            assert_multi_matches_rows(&g, &format!("random, seed {seed}"));
+            let g = powerlaw_graph(&PowerLawConfig::new(120, 400).with_seed(seed));
+            assert_multi_matches_rows(&g, &format!("power-law, seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn multi_bfs_rows_match_bfs_row_on_every_adversarial_topology() {
+        assert_multi_matches_rows(&star(70), "star");
+        assert_multi_matches_rows(&deep_chain(150), "deep_chain");
+        assert_multi_matches_rows(&grid(9, 11), "grid");
+        assert_multi_matches_rows(&cliques_with_bridges(5, 14), "cliques_with_bridges");
+        assert_multi_matches_rows(&bowtie(40), "bowtie");
+    }
+
+    #[test]
+    fn multi_bfs_repeated_root_travels_as_two_bits_and_strangers_never_meet() {
+        // 0 → 1 → 2 and, apart from it, 3 → 4: roots 0, 3, 0.
+        let g = DataGraph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
+        let u = UNREACHABLE;
+        let mut arrivals = Vec::new();
+        let roots = [n(0), n(3), n(0)];
+        multi_bfs(&g, &roots, Forward, &mut MultiBfs::default(), |v, m, d| {
+            arrivals.push((v, m, d))
+        });
+        arrivals.sort_unstable();
+        assert_eq!(
+            arrivals,
+            [
+                (n(0), 0b101, 0),
+                (n(1), 0b101, 1),
+                (n(2), 0b101, 2),
+                (n(3), 0b010, 0),
+                (n(4), 0b010, 1)
+            ]
+        );
+        let rows = multi_rows(&g, &roots, Backward, &mut MultiBfs::default());
+        assert_eq!(rows, [[0, u, u, u, u], [u, u, u, 0, u], [0, u, u, u, u]]);
+        // No roots: no arrivals.
+        multi_bfs(&g, &[], Forward, &mut MultiBfs::default(), |_, _, _| {
+            panic!("arrival without a root")
+        });
+    }
+
+    #[test]
+    fn horizon_multi_bfs_saturates_like_bfs_row_and_never_wraps() {
+        let g = deep_chain(CHAIN);
+        let tail = CHAIN as u32 - 1;
+        let mut ws = MultiBfs::default();
+        // Roots whose horizons end at different nodes of the chain; the
+        // third is near enough to the far end to reach it.
+        for (roots, direction) in [
+            ([n(0), n(1), n(70)], Forward),
+            ([n(tail), n(tail - 1), n(tail - 70)], Backward),
+        ] {
+            let rows = multi_rows(&g, &roots, direction, &mut ws);
+            for (row, root) in rows.iter().zip(roots) {
+                assert_eq!(*row, distance_row(&g, root, direction, false));
+            }
+            let at_horizon = |row: &Vec<u16>| row.iter().filter(|&&d| d == HORIZON).count();
+            assert_eq!(rows.iter().map(at_horizon).collect::<Vec<_>>(), [1, 1, 0]);
+        }
+        let rows = multi_rows(&g, &[n(0), n(1)], Forward, &mut ws);
+        let around_the_horizon = |row: &[u16]| (row[65_534], row[65_535], row[65_536]);
+        assert_eq!(
+            around_the_horizon(&rows[0]),
+            (65_534, UNREACHABLE, UNREACHABLE)
+        );
+        assert_eq!(around_the_horizon(&rows[1]), (65_533, 65_534, UNREACHABLE));
     }
 
     #[test]

@@ -80,6 +80,7 @@
 use crate::bfs::{hop_sum, HORIZON};
 use crate::matrix::DistanceMatrix;
 use crate::metrics::OracleMetrics;
+use crate::two_hop_inc::LabelScratch;
 use crate::UNREACHABLE;
 use gpm_graph::{Adjacency, BatchReplay, DataGraph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -232,6 +233,8 @@ pub(crate) struct Sweep {
     /// sweep fills it; every entry is overwritten per unit.
     pub(crate) from_t: Vec<u16>,
     repair: Repair,
+    /// What the 2-hop units keep between them.
+    pub(crate) labels: LabelScratch,
     /// `(source, sink)` pairs whose old distance was read, over the
     /// workspace's lifetime.
     pairs: u64,
@@ -447,6 +450,7 @@ fn deletion_sweep<G: Adjacency>(
         from_t,
         repair,
         pairs,
+        ..
     } = ws;
     cone_sweep(g, s, cone, |p, level, within, aff1| {
         let row = matrix.row_mut(p);

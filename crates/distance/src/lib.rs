@@ -79,8 +79,8 @@
 //! [`gpm_exec::Parallelism::from_env`] policy. A maintenance unit is one
 //! sequential sweep over its affected cone on either back-end's insertions
 //! and on the matrix's deletions (a whole unit costs about what opening a
-//! parallel region does); only the 2-hop deletion repair fans its BFS rows
-//! out.
+//! parallel region does); only the 2-hop deletion repair fans out — the
+//! rows of its rectangle, one multi-source BFS per chunk of 64.
 //!
 //! ## Example
 //!

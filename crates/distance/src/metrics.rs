@@ -63,9 +63,16 @@ pub(crate) fn twohop() -> &'static OracleMetrics {
 
 /// 2-hop-specific metrics: label queries and the work of deletion repair.
 pub(crate) struct TwoHopMetrics {
+    /// Queries the matcher made through `DistanceQuery`. Maintenance reads
+    /// the labels directly and counts its work in the counters below.
     pub label_queries: Arc<Counter>,
-    /// Rectangle pairs a deletion examined: BFS-row lookups over `A × B`
-    /// plus label queries over the tied fringes.
+    /// Graph traversals deletion units started: the four rows around the
+    /// edge, one multi-source pass per 64 rows of the rectangle's smaller
+    /// side, one per recomputed diagonal — so that a BFS per rectangle node
+    /// cannot grow back unnoticed.
+    pub delete_traversals: Arc<Counter>,
+    /// Rectangle pairs a deletion examined: BFS-row lookups over `A × B` and
+    /// the tied fringe beside it, plus label queries over the other fringe.
     pub delete_rect_pairs: Arc<Counter>,
     /// Candidate pairs (`|C|`): those whose entries were re-decided.
     pub delete_candidates: Arc<Counter>,
@@ -79,6 +86,7 @@ pub(crate) fn twohop_extra() -> &'static TwoHopMetrics {
         let scope = gpm_obs::registry().scope("oracle");
         TwoHopMetrics {
             label_queries: scope.counter("twohop.label_queries"),
+            delete_traversals: scope.counter("twohop.delete_traversals"),
             delete_rect_pairs: scope.counter("twohop.delete_rect_pairs"),
             delete_candidates: scope.counter("twohop.delete_candidates"),
             entries_rewritten: scope.counter("twohop.entries_rewritten"),

@@ -46,7 +46,12 @@
 //! `AFF1` is computed first, against the not-yet-repaired labels, by the
 //! function the matrix runs: the affected-cone sweep of
 //! [`crate::incremental`], with `old(x, y)` a label query instead of a row
-//! read and one BFS row for `std(t, ·)`.
+//! read and one BFS row for `std(t, ·)`. The sweep asks for the sinks of one
+//! source in a run, so the query is **source-resident** (`SourceResident`,
+//! the query Akiba et al. run at a BFS root): `L_out(x)` is scattered by hub
+//! rank once per source and `old(x, y)` is one scan of `L_in(y)` — the same
+//! minimum over the same common hubs as the merge-join, stale entries
+//! included, without walking `L_out(x)` again for every sink.
 //!
 //! # Deletions
 //!
@@ -59,17 +64,28 @@
 //!
 //! * `A' = {x : new(x, t) ≥ via(x, t)}` and `B' = {y : new(s, y) ≥ via(s, y)}`
 //!   are the nodes with an old shortest path to `t` / from `s` through the
-//!   edge, `A ⊆ A'` and `B ⊆ B'` (strict `>`) those whose distance changed;
-//!   `AFF1 ⊆ A × B`, new values from one BFS row per node of the *smaller*
-//!   side;
+//!   edge, `A ⊆ A'` and `B ⊆ B'` (strict `>`) those whose distance changed —
+//!   four BFS rows around the edge; `AFF1 ⊆ A × B`;
+//! * the **rows** of the rectangle are those of its *smaller* side, taken 64
+//!   at a time from the multi-source kernel (`multi_bfs`): the nodes of one
+//!   side sit in one cone behind `s` (ahead of `t`) and walk the same graph,
+//!   so their frontiers travel as one word per node and an edge is scanned
+//!   once per level, not once per root. A pass keeps `new` only at the
+//!   columns it will read — the side across and that side's tied fringe —
+//!   as a `64 × columns` table, never a `|V|`-row per root, and chunks of 64
+//!   are what fans out over the executor;
 //! * the **candidates** are the pairs some old shortest path of which used
 //!   the edge (`old = via`): all of those in `A × B`, and of those in
-//!   `A × (B' ∖ B)` and `(A' ∖ A) × B` — distance unchanged, found by label
-//!   query — the ones whose `x` (resp. `y`) holds an entry of a changed
-//!   pair. Only a candidate can have an entry that now under-estimates, and
-//!   only a candidate can have lost its canonical hub (the hub dropped off
-//!   the pair's shortest paths because its own distance from `x` or to `y`
+//!   `A × (B' ∖ B)` and `(A' ∖ A) × B` — distance unchanged — the ones
+//!   whose `x` (resp. `y`) holds an entry of a changed pair. Only a
+//!   candidate can have an entry that now under-estimates, and only a
+//!   candidate can have lost its canonical hub (the hub dropped off the
+//!   pair's shortest paths because its own distance from `x` or to `y`
 //!   changed);
+//! * the fringe **beside the rows** (`A × (B' ∖ B)` when `A` has the rows)
+//!   is read off them: `old = min(new, via)`, so `old = via` iff
+//!   `via ≤ new`, which is the rectangle's own test and needs no label.
+//!   The other fringe has no rows and asks the labels for `old`;
 //! * **every old value is read before the first label write** — a
 //!   half-repaired index over-estimates;
 //! * each candidate's own entries are removed, then the candidates are
@@ -83,15 +99,19 @@
 //! **Diagonal caveat.** `A'`/`B'` are defined on standard distances, so
 //! `s ∉ B'` and `t ∉ A'`, and the labels do not store the diagonal: shortest
 //! cycles get their own pass (`diag(x) = via(x, x)` with `x = s`, `x = t` or
-//! `x ∈ A ∩ B`, recomputed by one non-empty BFS each). Deleting a self-loop
-//! changes `diag(s)` only.
+//! `x ∈ A ∩ B` — those nodes are all the pass visits — recomputed by one
+//! non-empty BFS each). Deleting a self-loop changes `diag(s)` only.
+//!
+//! Everything a unit of either kind needs that is sized by `|V|` lives in
+//! the batch's workspace (`LabelScratch`) and is reset through what the unit
+//! touched: a unit allocates for what it finds, not for the graph.
 //!
 //! The reported `AFF1` is **bit-identical** to the distance matrix's: the
 //! same pairs with the same old/new values, sorted by `(source, sink)`.
 //! Downstream match repair treats `AFF1` as a set of affected sources, so
 //! both backends drive identical match deltas.
 
-use crate::bfs::{bfs_row, distance_row, hop_sum, pruned_bfs, Direction};
+use crate::bfs::{bfs_row, hop_sum, multi_bfs, path_sum, pruned_bfs, Direction, MultiBfs};
 use crate::incremental::{
     insertion_sweep, replay_batch, AffectedPair, AffectedPairs, EdgeUpdate, Sweep,
 };
@@ -101,6 +121,7 @@ use crate::{hop_limit, UNREACHABLE};
 use gpm_exec::Executor;
 use gpm_graph::{Adjacency, DataGraph, EdgeBound, NodeId};
 use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// A 2-hop labeled distance oracle with incremental maintenance.
 ///
@@ -178,7 +199,6 @@ impl IncrementalTwoHop {
         t: NodeId,
         ws: &mut Sweep,
     ) -> Vec<AffectedPair> {
-        let n = g.node_count();
         // `old` distances are label queries against the not-yet-repaired
         // index, which is exact for the pre-insertion graph.
         let pairs = self.insertion_aff1(g, s, t, ws);
@@ -201,8 +221,7 @@ impl IncrementalTwoHop {
             .chain(backward.map(|&e| (e, Direction::Backward, s)))
             .collect();
         resumes.sort_by_key(|&((rank, _), ..)| rank);
-        let mut dist = vec![UNREACHABLE; n];
-        let mut queue = VecDeque::new();
+        let LabelScratch { dist, queue, .. } = &mut ws.labels;
         let TwoHopIndex {
             label_out,
             label_in,
@@ -213,7 +232,7 @@ impl IncrementalTwoHop {
             // Resume the hub's pruned BFS across the new edge, inserting or
             // tightening the label of every node the edge brought closer.
             let (hub, d0) = (hubs_by_rank[rank as usize].index(), hop_sum(d, 0));
-            pruned_bfs(g, start, d0, direction, &mut dist, &mut queue, |v, dv| {
+            pruned_bfs(g, start, d0, direction, dist, queue, |v, dv| {
                 let v = v.index();
                 // Prune where the hub's own entry or a higher-ranked hub
                 // already certifies `<= dv` — existing entries are valid
@@ -244,7 +263,9 @@ impl IncrementalTwoHop {
 
     /// `AFF1` of the insertion of `(s, t)`: the matrix's own affected-cone
     /// sweep ([`insertion_sweep`]), pair for pair and in the same order, with
-    /// old distances read from the labels instead of a row.
+    /// old distances read from the labels instead of a row — through the
+    /// [`SourceResident`] query, because the sweep asks for one source's
+    /// sinks in a run.
     fn insertion_aff1<G: Adjacency>(
         &self,
         g: &G,
@@ -253,15 +274,22 @@ impl IncrementalTwoHop {
         ws: &mut Sweep,
     ) -> Vec<AffectedPair> {
         debug_assert!(g.has_edge(s, t), "graph must already contain the new edge");
+        ws.labels.fit(g.node_count());
         // std(t, y) is unchanged by the insertion (a path using the new edge
         // would revisit t and contain a removable cycle), so a BFS on the
         // *updated* graph recovers the old values the sweep needs.
-        let queue = &mut VecDeque::new();
+        let queue = &mut ws.labels.queue;
         bfs_row(g, t, Direction::Forward, false, &mut ws.from_t, queue);
-        insertion_sweep(g, s, ws, |x, y, via| {
-            let old = self.index.nonempty_raw(x, y);
+        // Out of the workspace for the sweep, which borrows all of it.
+        let mut out_by_rank = std::mem::take(&mut ws.labels.out_by_rank);
+        let mut labels = SourceResident::new(&self.index, &mut out_by_rank);
+        let pairs = insertion_sweep(g, s, ws, |x, y, via| {
+            let old = labels.nonempty_raw(x, y);
             (via < old).then_some(old)
-        })
+        });
+        labels.evict();
+        ws.labels.out_by_rank = out_by_rank;
+        pairs
     }
 
     /// The one deletion unit: exact `AFF1` of deleting `(s, t)` *and* the
@@ -274,93 +302,175 @@ impl IncrementalTwoHop {
         s: NodeId,
         t: NodeId,
         exec: &Executor,
+        ws: &mut Sweep,
     ) -> Vec<AffectedPair> {
         debug_assert!(
             !g.has_edge(s, t),
             "graph must no longer contain the deleted edge"
         );
         let n = g.node_count();
-        let to_s = distance_row(g, s, Direction::Backward, false);
-        let from_t = distance_row(g, t, Direction::Forward, false);
-        let new_to_t = distance_row(g, t, Direction::Backward, false);
-        let new_from_s = distance_row(g, s, Direction::Forward, false);
-        let (a, a_tied) = rectangle_side(&to_s, &new_to_t);
-        let (b, b_tied) = rectangle_side(&from_t, &new_from_s);
+        ws.labels.fit(n);
+        let from_t = &mut ws.from_t;
+        let LabelScratch {
+            queue,
+            to_s,
+            new_to_t,
+            new_from_s,
+            cycle,
+            column,
+            hit,
+            chunks,
+            ..
+        } = &mut ws.labels;
+        bfs_row(g, s, Direction::Backward, false, to_s, queue);
+        bfs_row(g, t, Direction::Forward, false, from_t, queue);
+        bfs_row(g, t, Direction::Backward, false, new_to_t, queue);
+        bfs_row(g, s, Direction::Forward, false, new_from_s, queue);
+        let mut traversals = 4;
+        let (a, a_tied) = rectangle_side(to_s, new_to_t);
+        let (b, b_tied) = rectangle_side(from_t, new_from_s);
 
-        // A × B. A candidate is an `AffectedPair` whose old value is `via`;
-        // it belongs to AFF1 when the new value differs.
-        let (rows_of, across, direction) = if a.len() <= b.len() {
-            (&a, &b, Direction::Forward)
+        // A × B, by the rows of its smaller side: `v` is a node of the side
+        // that has rows, `w` one of the side across.
+        let (rows_of, rows_tied, across, across_tied, direction) = if a.len() <= b.len() {
+            (&a, &a_tied, &b, &b_tied, Direction::Forward)
         } else {
-            (&b, &a, Direction::Backward)
+            (&b, &b_tied, &a, &a_tied, Direction::Backward)
         };
-        let per_row: Vec<Vec<AffectedPair>> = exec.map_tasks(rows_of.len(), n, |i| {
-            let (v, dv) = rows_of[i];
-            let row = distance_row(g, v, direction, false);
-            let mut found = Vec::new();
-            for &(w, dw) in across.iter().filter(|&&(w, _)| w != v) {
-                let (via, new) = (hop_sum(dv, dw), row[w.index()]);
-                if via <= new {
-                    let (source, sink) = match direction {
-                        Direction::Forward => (v, w),
-                        Direction::Backward => (w, v),
-                    };
-                    found.push(AffectedPair {
-                        source,
-                        sink,
-                        old: via,
-                        new,
-                    });
+        let rows_are_sources = matches!(direction, Direction::Forward);
+        let orient = |v: NodeId, w: NodeId| if rows_are_sources { (v, w) } else { (w, v) };
+        let candidate = |v: NodeId, w: NodeId, old: u16, new: u16| {
+            let (source, sink) = orient(v, w);
+            AffectedPair {
+                source,
+                sink,
+                old,
+                new,
+            }
+        };
+        // Whether the source (else the sink) of a changed pair holds the
+        // pair's own entry: its tied fringe may have lost a canonical hub.
+        let (index, rank_of) = (&self.index, &self.rank_of);
+        let holds_entry = |p: &AffectedPair, source: bool| {
+            let (x, y) = (p.source.index(), p.sink.index());
+            match source {
+                true => find_entry(&index.label_out[x], rank_of[y]),
+                false => find_entry(&index.label_in[y], rank_of[x]),
+            }
+            .is_ok()
+        };
+
+        // One multi-source BFS per 64 rows, read at the columns of the side
+        // across and of its tied fringe only. A candidate is an
+        // `AffectedPair` whose old value is `via`; it belongs to AFF1 when
+        // the new value differs. A row that holds an entry of a changed pair
+        // decides its tied fringe on the spot: `old = min(new, via)`, so a
+        // pair is tied iff `via <= new`.
+        let width = across.len() + across_tied.len();
+        for (c, &(w, _)) in across.iter().chain(across_tied).enumerate() {
+            column[w.index()] = c as u32;
+        }
+        let (column, chunks) = (&*column, &*chunks);
+        const POOL: &str = "no chunk panicked holding the scratch pool";
+        let per_chunk = exec.map_tasks(rows_of.len().div_ceil(64), n, |c| {
+            let rows = &rows_of[c * 64..rows_of.len().min(c * 64 + 64)];
+            let mut scratch = chunks.lock().expect(POOL).pop().unwrap_or_default();
+            let ChunkScratch { bfs, roots, table } = &mut scratch;
+            roots.clear();
+            roots.extend(rows.iter().map(|&(v, _)| v));
+            table.clear();
+            table.resize(rows.len() * width, UNREACHABLE);
+            multi_bfs(g, roots, direction, bfs, |w, mut arrived, d| {
+                let col = column[w.index()];
+                if col == NO_COLUMN {
+                    return;
+                }
+                while arrived != 0 {
+                    let j = arrived.trailing_zeros() as usize;
+                    arrived &= arrived - 1;
+                    table[j * width + col as usize] = d;
+                }
+            });
+            let (mut found, mut fringe, mut hit_rows) = (Vec::new(), Vec::new(), 0);
+            for (j, &(v, dv)) in rows.iter().enumerate() {
+                let (new_across, new_tied) = table[j * width..][..width].split_at(across.len());
+                let from = found.len();
+                for (&(w, dw), &new) in across.iter().zip(new_across) {
+                    let via = hop_sum(dv, dw);
+                    if w != v && via <= new {
+                        found.push(candidate(v, w, via, new));
+                    }
+                }
+                let mut changed = found[from..].iter().filter(|p| p.old != p.new);
+                if changed.any(|p| holds_entry(p, rows_are_sources)) {
+                    hit_rows += 1;
+                    for (&(w, dw), &new) in across_tied.iter().zip(new_tied) {
+                        let via = hop_sum(dv, dw);
+                        if w != v && via <= new {
+                            fringe.push(candidate(v, w, via, via));
+                        }
+                    }
                 }
             }
-            found
+            chunks.lock().expect(POOL).push(scratch);
+            (found, fringe, hit_rows)
         });
-        let mut candidates: Vec<AffectedPair> = per_row.into_iter().flatten().collect();
+        traversals += per_chunk.len();
+        let (mut candidates, mut row_fringe, mut hit_rows) = (Vec::new(), Vec::new(), 0);
+        for (found, fringe, hits) in per_chunk {
+            candidates.extend(found);
+            row_fringe.extend(fringe);
+            hit_rows += hits;
+        }
         let mut aff1: Vec<AffectedPair> = candidates
             .iter()
             .filter(|p| p.old != p.new)
             .copied()
             .collect();
 
-        // The tied fringes: distance unchanged, but the canonical hub is
-        // gone if x (resp. y) held an entry of a changed pair.
-        let (mut out_hit, mut in_hit) = (vec![false; n], vec![false; n]);
+        // The tied fringe of the side across has no rows: label queries,
+        // for the nodes across that hold an entry of a changed pair.
+        hit.clear();
+        hit.resize(across.len(), false);
         for p in &aff1 {
-            let (x, y) = (p.source.index(), p.sink.index());
-            out_hit[x] |= find_entry(&self.index.label_out[x], self.rank_of[y]).is_ok();
-            in_hit[y] |= find_entry(&self.index.label_in[y], self.rank_of[x]).is_ok();
+            let w = if rows_are_sources { p.sink } else { p.source };
+            hit[column[w.index()] as usize] |= holds_entry(p, !rows_are_sources);
         }
-        let mut rect_pairs = (a.len() * b.len()) as u64;
-        let mut fringe = |(x, dx): (NodeId, u16), (y, dy): (NodeId, u16)| {
-            rect_pairs += 1;
-            let via = hop_sum(dx, dy);
-            if x != y && self.index.standard_distance_raw(x, y) == via {
-                candidates.push(AffectedPair {
-                    source: x,
-                    sink: y,
-                    old: via,
-                    new: via,
-                });
+        let mut label_fringe = Vec::new();
+        let hit_across = across.iter().zip(hit.iter()).filter(|(_, &hit)| hit);
+        for (&(w, dw), _) in hit_across.clone() {
+            for &(v, dv) in rows_tied {
+                let (via, (x, y)) = (hop_sum(dv, dw), orient(v, w));
+                if x != y && index.standard_distance_raw(x, y) == via {
+                    label_fringe.push(candidate(v, w, via, via));
+                }
             }
+        }
+        let rect_pairs =
+            a.len() * b.len() + hit_rows * across_tied.len() + hit_across.count() * rows_tied.len();
+        // The fringe of A's nodes goes before the fringe of B's.
+        let fringes = match rows_are_sources {
+            true => [row_fringe, label_fringe],
+            false => [label_fringe, row_fringe],
         };
-        for &x in a.iter().filter(|x| out_hit[x.0.index()]) {
-            b_tied.iter().for_each(|&y| fringe(x, y));
-        }
-        for &y in b.iter().filter(|y| in_hit[y.0.index()]) {
-            a_tied.iter().for_each(|&x| fringe(x, y));
-        }
+        candidates.extend(fringes.into_iter().flatten());
 
-        // Shortest cycles (module docs, *Diagonal caveat*).
-        for xi in 0..n {
-            let x = NodeId::new(xi as u32);
+        // Shortest cycles (module docs, *Diagonal caveat*), in node order.
+        let in_both = |v: &NodeId| (column[v.index()] as usize) < across.len();
+        let mut on_cycle: Vec<NodeId> = rows_of.iter().map(|&(v, _)| v).filter(in_both).collect();
+        on_cycle.extend([s, t]);
+        on_cycle.sort_unstable();
+        on_cycle.dedup();
+        for x in on_cycle {
+            let xi = x.index();
             let old = self.index.diagonal[xi];
             let through_edge = to_s[xi] != UNREACHABLE
                 && from_t[xi] != UNREACHABLE
                 && old == hop_sum(to_s[xi], from_t[xi]);
-            let lost_both =
-                new_to_t[xi] > hop_sum(to_s[xi], 0) && new_from_s[xi] > hop_sum(0, from_t[xi]);
-            if through_edge && (x == s || x == t || lost_both) {
-                let new = distance_row(g, x, Direction::Forward, true)[xi];
+            if through_edge {
+                traversals += 1;
+                bfs_row(g, x, Direction::Forward, true, cycle, queue);
+                let new = cycle[xi];
                 if new != old {
                     self.index.diagonal[xi] = new;
                     aff1.push(AffectedPair {
@@ -371,6 +481,10 @@ impl IncrementalTwoHop {
                     });
                 }
             }
+        }
+        let column = &mut ws.labels.column;
+        for &(w, _) in across.iter().chain(across_tied) {
+            column[w.index()] = NO_COLUMN;
         }
 
         // Label writes, sequential: drop every candidate's own entries, then
@@ -404,7 +518,8 @@ impl IncrementalTwoHop {
         }
 
         let mx = crate::metrics::twohop_extra();
-        mx.delete_rect_pairs.add(rect_pairs);
+        mx.delete_traversals.add(traversals as u64);
+        mx.delete_rect_pairs.add(rect_pairs as u64);
         mx.delete_candidates.add(candidates.len() as u64);
         mx.entries_rewritten.add(rewritten);
         aff1
@@ -453,7 +568,7 @@ impl DistanceOracle for IncrementalTwoHop {
                 if u.is_insert() {
                     this.insert_repair(view, from, to, ws)
                 } else {
-                    this.delete_repair(view, from, to, exec)
+                    this.delete_repair(view, from, to, exec, ws)
                 }
             },
         )
@@ -461,6 +576,124 @@ impl DistanceOracle for IncrementalTwoHop {
 
     fn clone_box(&self) -> Box<dyn DistanceOracle + Send + Sync> {
         Box::new(self.clone())
+    }
+}
+
+/// The 2-hop units' share of the batch's [`Sweep`] workspace: everything
+/// they need that is sized by `|V|`, sized by the first unit of the batch
+/// that needs it (a matrix batch never does) and handed from unit to unit.
+/// The rows are overwritten whole by `bfs_row`; everything else is restored
+/// by the unit that marked it, through what it touched.
+#[derive(Default)]
+pub(crate) struct LabelScratch {
+    queue: VecDeque<NodeId>,
+    /// The distances of a resumed `pruned_bfs`.
+    dist: Vec<u16>,
+    /// [`SourceResident`]'s row: all [`UNREACHABLE`] between units.
+    out_by_rank: Vec<u16>,
+    /// A deletion's rows beside `Sweep::from_t`: `std(·, s)`, and without
+    /// the edge `std(·, t)` and `std(s, ·)`.
+    to_s: Vec<u16>,
+    new_to_t: Vec<u16>,
+    new_from_s: Vec<u16>,
+    /// The non-empty row of a diagonal under recomputation.
+    cycle: Vec<u16>,
+    /// Node → its column in the rectangle chunks' tables: the side across,
+    /// then its tied fringe. All [`NO_COLUMN`] between units.
+    column: Vec<u32>,
+    /// Per column of the side across: holds an entry of a changed pair.
+    hit: Vec<bool>,
+    /// One per rectangle chunk in flight; a chunk takes one and returns it.
+    chunks: Mutex<Vec<ChunkScratch>>,
+}
+
+/// Not a column of the rectangle in hand.
+const NO_COLUMN: u32 = u32::MAX;
+
+/// What one chunk of rectangle rows — at most 64 roots — works in.
+#[derive(Default)]
+struct ChunkScratch {
+    bfs: MultiBfs,
+    roots: Vec<NodeId>,
+    /// `new(root j, column c)` at `j * width + c`.
+    table: Vec<u16>,
+}
+
+impl LabelScratch {
+    /// Sizes the scratch for graphs of `n` nodes.
+    fn fit(&mut self, n: usize) {
+        if self.column.len() == n {
+            return;
+        }
+        let Self {
+            dist,
+            out_by_rank,
+            to_s,
+            new_to_t,
+            new_from_s,
+            cycle,
+            column,
+            ..
+        } = self;
+        for row in [dist, out_by_rank, to_s, new_to_t, new_from_s, cycle] {
+            row.clear();
+            row.resize(n, UNREACHABLE);
+        }
+        column.clear();
+        column.resize(n, NO_COLUMN);
+    }
+}
+
+/// The pre-repair label query of a sweep that asks for one source's sinks in
+/// a run (Akiba, Iwata and Yoshida's query at a BFS root): `L_out` of the
+/// current source lies scattered by hub rank, so `old(x, y)` is one scan of
+/// `L_in(y)` instead of a merge-join that walks `L_out(x)` again for every
+/// sink. Answers exactly [`TwoHopIndex::nonempty_raw`].
+struct SourceResident<'a> {
+    index: &'a TwoHopIndex,
+    /// `dist(source, hub)` by hub rank, [`UNREACHABLE`] where `L_out(source)`
+    /// has no entry.
+    out_by_rank: &'a mut [u16],
+    source: Option<NodeId>,
+}
+
+impl<'a> SourceResident<'a> {
+    /// `out_by_rank` is all [`UNREACHABLE`], and is again after
+    /// [`evict`](Self::evict).
+    fn new(index: &'a TwoHopIndex, out_by_rank: &'a mut [u16]) -> Self {
+        SourceResident {
+            index,
+            out_by_rank,
+            source: None,
+        }
+    }
+
+    fn nonempty_raw(&mut self, x: NodeId, y: NodeId) -> u16 {
+        if x == y {
+            return self.index.diagonal[x.index()];
+        }
+        if self.source != Some(x) {
+            self.evict();
+            for &(rank, d) in &self.index.label_out[x.index()] {
+                self.out_by_rank[rank as usize] = d;
+            }
+            self.source = Some(x);
+        }
+        let sums = self.index.label_in[y.index()].iter().map(|&(rank, d)| {
+            match self.out_by_rank[rank as usize] {
+                UNREACHABLE => UNREACHABLE,
+                out => path_sum(out, d),
+            }
+        });
+        sums.min().unwrap_or(UNREACHABLE)
+    }
+
+    fn evict(&mut self) {
+        if let Some(x) = self.source.take() {
+            for &(rank, _) in &self.index.label_out[x.index()] {
+                self.out_by_rank[rank as usize] = UNREACHABLE;
+            }
+        }
     }
 }
 
@@ -522,8 +755,11 @@ fn remove_entry(list: &mut Vec<LabelEntry>, rank: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bfs::distance_row;
     use crate::incremental::EdgeUpdate;
     use crate::matrix::DistanceMatrix;
+    use gpm_datagen::adversarial::{cut_chain_updates, deep_chain};
+    use gpm_exec::Parallelism;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom as _;
@@ -870,6 +1106,131 @@ mod tests {
         assert_all_pairs_agree(&g, &IncrementalTwoHop::build(&g), &m);
     }
 
+    /// `sources` nodes fan into `s = 0` and `t = 1` fans out to `sinks`
+    /// nodes; the detour `0 → 2 → 3 → 1` survives the edge, `4` (through
+    /// `5`) ties into `t` and `6` (through `7`) ties out of `s`, and the
+    /// first sink points back at the first source, so that both are on a
+    /// cycle through the edge and in both sides of its rectangle:
+    /// `|A| = sources + 2` and `|B| = sinks + 2`.
+    fn fan_through_an_edge(sources: u32, sinks: u32) -> DataGraph {
+        let (first_source, first_sink) = (8, 8 + sources);
+        let mut edges = vec![(0, 1), (0, 2), (2, 3), (3, 1)];
+        edges.extend([(4, 0), (4, 5), (5, 1), (1, 6), (0, 7), (7, 6)]);
+        edges.extend((0..sources).map(|i| (first_source + i, 0)));
+        edges.extend((0..sinks).map(|i| (1, first_sink + i)));
+        edges.push((first_sink, first_source));
+        DataGraph::from_edges((first_sink + sinks) as usize, &edges).unwrap()
+    }
+
+    /// Deletes `(s, t)` from `g` at 1, 2 and 8 threads: `AFF1` and labels
+    /// bit-identical at every thread count, `AFF1` ≡ the brute-force diff
+    /// of two matrix builds, distances ≡ a fresh build's. `smaller` is the
+    /// size of the smaller rectangle side, checked so that the chunking the
+    /// caller means to exercise is the one that runs.
+    fn assert_deletion_is_thread_independent(g: &DataGraph, s: NodeId, t: NodeId, smaller: usize) {
+        let mut after = g.clone();
+        after.remove_edge(s, t).unwrap();
+        let side = |fixed: (NodeId, Direction), new: (NodeId, Direction)| {
+            let row = |(origin, direction)| distance_row(&after, origin, direction, false);
+            rectangle_side(&row(fixed), &row(new)).0.len()
+        };
+        let a = side((s, Direction::Backward), (t, Direction::Backward));
+        let b = side((t, Direction::Forward), (s, Direction::Forward));
+        assert_eq!(a.min(b), smaller, "|A| = {a}, |B| = {b}");
+
+        let (m_before, m_after) = (DistanceMatrix::build(g), DistanceMatrix::build(&after));
+        let mut brute = Vec::new();
+        for source in g.nodes() {
+            for sink in g.nodes() {
+                let (old, new) = (m_before.get(source, sink), m_after.get(source, sink));
+                if old != new {
+                    brute.push(AffectedPair {
+                        source,
+                        sink,
+                        old,
+                        new,
+                    });
+                }
+            }
+        }
+        let built = IncrementalTwoHop::build(g);
+        let repaired = [1, 2, 8].map(|threads| {
+            let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
+            let mut oracle = built.clone();
+            let aff = oracle.apply_batch(&after, &[EdgeUpdate::Delete(s, t)], &exec);
+            assert_eq!(aff.pairs, brute, "{threads} threads");
+            assert_all_pairs_agree(&after, &oracle, &m_after);
+            oracle.index
+        });
+        assert_eq!(repaired[0], repaired[1], "labels at 1 and 2 threads");
+        assert_eq!(repaired[0], repaired[2], "labels at 1 and 8 threads");
+        let fresh = TwoHopIndex::build_with(&after, &Executor::sequential());
+        for x in g.nodes() {
+            for y in g.nodes() {
+                assert_eq!(repaired[0].nonempty_raw(x, y), fresh.nonempty_raw(x, y));
+            }
+        }
+    }
+
+    #[test]
+    fn multi_bfs_chunks_of_63_64_65_and_130_rows_repair_bit_identically_at_every_thread_count() {
+        for rows in [63, 64, 65, 130] {
+            // Rows on the source side, rows on the sink side, and a chain
+            // cut `rows` nodes from its head (no row shares a step there).
+            let g = fan_through_an_edge(rows - 2, rows + 3);
+            assert_deletion_is_thread_independent(&g, n(0), n(1), rows as usize);
+            let g = fan_through_an_edge(rows + 3, rows - 2);
+            assert_deletion_is_thread_independent(&g, n(0), n(1), rows as usize);
+            let len = 2 * rows as usize + 9;
+            let (s, t) = cut_chain_updates(len, rows as usize - 1)[0].endpoints();
+            assert_deletion_is_thread_independent(&deep_chain(len), s, t, rows as usize);
+        }
+    }
+
+    #[test]
+    fn source_resident_query_equals_nonempty_raw_on_maintained_labels() {
+        let mut stale = 0;
+        for seed in 0..6 {
+            let (mut g, stream) = random_graph_and_updates(seed, 30, 90, 700);
+            assert!(stream.len() >= 300, "every generated update is effective");
+            let exec = Executor::sequential();
+            let mut oracle = IncrementalTwoHop::build(&g);
+            for u in stream {
+                assert!(u.apply(&mut g));
+                oracle.apply_batch(&g, &[u], &exec);
+            }
+            // Entries that over-estimate (module docs, *Insertions*) must
+            // lose in the scattered scan as they lose in the merge-join.
+            let m = DistanceMatrix::build(&g);
+            let index = &oracle.index;
+            for x in g.nodes() {
+                let entries = index.label_out[x.index()].iter();
+                let hubs = entries.map(|&(rank, d)| (index.hubs_by_rank[rank as usize], d));
+                stale += hubs
+                    .filter(|&(hub, d)| hub != x && d > m.get(x, hub))
+                    .count();
+            }
+
+            let mut row = vec![UNREACHABLE; g.node_count()];
+            let mut resident = SourceResident::new(index, &mut row);
+            // A run of sinks per source, as the sweep asks; then a new
+            // source at every query.
+            for x in g.nodes() {
+                for y in g.nodes() {
+                    assert_eq!(resident.nonempty_raw(x, y), index.nonempty_raw(x, y));
+                }
+            }
+            for y in g.nodes() {
+                for x in g.nodes() {
+                    assert_eq!(resident.nonempty_raw(x, y), index.nonempty_raw(x, y));
+                }
+            }
+            resident.evict();
+            assert!(row.iter().all(|&d| d == UNREACHABLE), "row not restored");
+        }
+        assert!(stale > 0, "the streams should leave stale entries behind");
+    }
+
     /// `total` stream seeds in an optimised build (the CI step that runs
     /// these by name), a quarter of them in the debug build of tier-1,
     /// where one label query costs ten times as much.
@@ -989,6 +1350,37 @@ mod tests {
         fn prop_unit_updates_agree_with_matrix(seed in 0u64..400) {
             let (g, updates) = random_graph_and_updates(seed, 13, 26, 10);
             drive_stream(g, updates);
+        }
+
+        /// The fringe read off the rectangle's rows is the fringe the labels
+        /// decide: before a deletion is repaired, `via <= new` exactly where
+        /// the old distance (a query of the not-yet-repaired labels) is
+        /// `via` — over all of `A' × B'`, at every deletion of a stream.
+        #[test]
+        fn prop_row_decided_fringe_equals_label_decided_fringe(seed in 0u64..400) {
+            let (mut g, updates) = random_graph_and_updates(seed, 14, 34, 30);
+            let exec = Executor::sequential();
+            let mut oracle = IncrementalTwoHop::build(&g);
+            for u in updates {
+                prop_assert!(u.apply(&mut g));
+                let (s, t) = u.endpoints();
+                if !u.is_insert() {
+                    let to_s = distance_row(&g, s, Direction::Backward, false);
+                    let from_t = distance_row(&g, t, Direction::Forward, false);
+                    for x in g.nodes().filter(|x| to_s[x.index()] != UNREACHABLE) {
+                        let new = distance_row(&g, x, Direction::Forward, false);
+                        for y in g.nodes().filter(|&y| y != x && from_t[y.index()] != UNREACHABLE) {
+                            let via = hop_sum(to_s[x.index()], from_t[y.index()]);
+                            prop_assert_eq!(
+                                via <= new[y.index()],
+                                oracle.index.standard_distance_raw(x, y) == via,
+                                "seed {}, {}: ({}, {})", seed, u, x, y
+                            );
+                        }
+                    }
+                }
+                oracle.apply_batch(&g, &[u], &exec);
+            }
         }
 
         /// Whole random batches (mixed inserts and deletes) produce the same

@@ -229,6 +229,60 @@ fn oracle_backends_count_effective_units_and_unit_aff1s_alike() {
     );
 }
 
+/// `oracle.twohop.delete_traversals` keeps a BFS per rectangle node from
+/// growing back: a deletion unit whose smaller rectangle side has `m` nodes
+/// starts the four rows around its edge, one multi-source pass per 64 of the
+/// `m`, and one more per diagonal it recomputes — exactly, and the same at
+/// 1, 2 and 8 threads. Maintenance asks the labels through no counted door:
+/// `twohop.label_queries` counts the matcher's reads only, so no fringe —
+/// read off the rows or asked of the labels — shows up there.
+#[test]
+fn twohop_delete_traversals_are_pinned_and_thread_independent() {
+    use gpm::{DistanceOracle, EdgeUpdate, Executor, IncrementalTwoHop, NodeId};
+    let _guard = obs_lock();
+    let n = NodeId::new;
+    // What deleting `(s, t)` from `pre` adds to the 2-hop's counters.
+    let record = |pre: &DataGraph, (s, t): (u32, u32), threads: usize| {
+        let mut post = pre.clone();
+        post.remove_edge(n(s), n(t)).unwrap();
+        let mut oracle = IncrementalTwoHop::build(pre);
+        let exec = Executor::new(forced(threads));
+        gpm::obs::set_enabled(true);
+        gpm::obs::registry().reset();
+        oracle.apply_batch(&post, &[EdgeUpdate::Delete(n(s), n(t))], &exec);
+        let mut counters = gpm::obs::registry().snapshot().det_counters();
+        gpm::obs::set_enabled(false);
+        counters.retain(|name, _| name.starts_with("oracle.twohop."));
+        counters
+    };
+    let traversals = |counters: &BTreeMap<String, u64>| counters["oracle.twohop.delete_traversals"];
+
+    // m sources → s → t → m + 5 sinks, no cycle: A = sources + s.
+    for (m, passes) in [(1u32, 1), (64, 1), (65, 2), (130, 3)] {
+        let sources = (0..m - 1).map(|i| (2 + i, 0));
+        let sinks = (0..m + 4).map(|i| (1, 1 + m + i));
+        let edges: Vec<(u32, u32)> = [(0, 1)].into_iter().chain(sources).chain(sinks).collect();
+        let pre = DataGraph::from_edges(2 * m as usize + 5, &edges).unwrap();
+        let baseline = record(&pre, (0, 1), 1);
+        assert_eq!(traversals(&baseline), 4 + passes, "smaller side of {m}");
+        assert_eq!(
+            baseline["oracle.twohop.delete_candidates"],
+            u64::from(m * (m + 5))
+        );
+        assert_eq!(baseline["oracle.twohop.label_queries"], 0);
+        for threads in [2, 8] {
+            assert_eq!(baseline, record(&pre, (0, 1), threads), "{threads} threads");
+        }
+    }
+
+    // 0 → 1 → 2 → 0 with the detour 0 → 3 → 1: A = {0, 2}, one pass, and
+    // the shortest cycles of 0, 1 and 2 ran through the edge.
+    let pre = DataGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 3), (3, 1)]).unwrap();
+    let baseline = record(&pre, (0, 1), 1);
+    assert_eq!(traversals(&baseline), 4 + 1 + 3);
+    assert_eq!(baseline, record(&pre, (0, 1), 8));
+}
+
 /// Every line of the JSONL sink parses as a JSON object, the final registry
 /// snapshot is among them, and each line round-trips through the vendored
 /// `serde_json` unchanged in meaning.
