@@ -16,7 +16,7 @@ use gpm_graph::DataGraph;
 ///
 /// | backend | memory | build | query | incremental cost |
 /// |---------|--------|-------|-------|------------------|
-/// | [`Matrix`](OracleBackend::Matrix) | `O(\|V\|²)` | `\|V\|` BFS passes | `O(1)` | one backward sweep over the affected cone, row by row |
+/// | [`Matrix`](OracleBackend::Matrix) | `O(\|V\|²)` | `⌈\|V\| / 64⌉` multi-source BFS passes, 64 rows each | `O(1)` | one backward sweep over the affected cone, row by row |
 /// | [`TwoHop`](OracleBackend::TwoHop) | `O(Σ labels)` | pruned landmark BFS | label merge-join | the same sweep (for `AFF1`) plus resumed BFS on insert; affected rectangle `A × B` (rows from one multi-source BFS per 64) re-decided in the labels on delete |
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum OracleBackend {
@@ -82,12 +82,12 @@ impl OracleBackend {
             let m = crate::metrics::build_metrics();
             m.builds.inc();
             m.build_ns.record(ns);
-            gpm_obs::emit_event(
-                "oracle",
-                "build",
-                &[("dur_ns", ns), ("nodes", g.node_count() as u64)],
-                &[("backend", self.name())],
-            );
+            let nodes = g.node_count();
+            let mut fields = vec![("dur_ns", ns), ("nodes", nodes as u64)];
+            if self == OracleBackend::Matrix {
+                fields.push(("traversals", crate::matrix::build_traversals(nodes)));
+            }
+            gpm_obs::emit_event("oracle", "build", &fields, &[("backend", self.name())]);
         }
         oracle
     }

@@ -2,19 +2,22 @@
 //! arithmetic every back-end shares.
 //!
 //! * [`bfs_row`] — one full row of distances from an origin, standard or
-//!   non-empty, along out- or in-edges. The matrix build and `rebuild_row`,
-//!   the memoised rows of `BfsOracle` and the four rows a 2-hop deletion
-//!   takes around its edge are this one function.
+//!   non-empty, along out- or in-edges. The memoised rows of `BfsOracle`, the
+//!   four rows a 2-hop deletion takes around its edge and the diagonals it
+//!   recomputes are this one function; so is the per-row reference the
+//!   matrix tests hold the build against (`DistanceMatrix::rebuild_row`).
 //! * [`pruned_bfs`] — a BFS whose caller decides, node by node, whether the
 //!   search labels the node and continues through it. The sequential 2-hop
 //!   build, the bit-parallel build's phase-B replay and the insertion
 //!   repair's resumed searches differ in that decision only.
-//! * [`multi_bfs`] — up to 64 standard rows at once: a level-synchronous BFS
-//!   that carries its roots as one frontier *word* per node (Then et al.,
-//!   "The More the Merrier", VLDB 2014) and reports arrivals instead of
-//!   filling rows, so that roots which walk the same part of the graph scan
-//!   its edges once. The rows of a 2-hop deletion's affected rectangle come
-//!   from it, 64 roots to a pass.
+//! * [`multi_bfs`] — up to 64 rows at once, standard or non-empty: a
+//!   level-synchronous BFS that carries its roots as one frontier *word* per
+//!   node (Then et al., "The More the Merrier", VLDB 2014) and reports
+//!   arrivals instead of filling rows, so that roots which walk the same
+//!   part of the graph scan its edges once. Two callers: the matrix build
+//!   takes every row from it, 64 consecutive sources to a pass (non-empty,
+//!   arrivals written straight into the rows), and a 2-hop deletion the rows
+//!   of its affected rectangle (standard, kept at the rectangle's columns).
 //!
 //! # The horizon
 //!
@@ -189,17 +192,18 @@ pub(crate) fn pruned_bfs<G: Adjacency>(
 pub(crate) struct MultiBfs {
     /// The roots, one bit each, that have reached the node.
     seen: Vec<u64>,
-    /// The roots that reach the node at the next level.
+    /// The roots that reach the node on the current level / on the next.
+    level: Vec<u64>,
     next: Vec<u64>,
-    /// The nodes with a bit in `seen` / in `next`.
+    /// The nodes with a bit in `seen` / in `level` / in `next`.
     seen_list: Vec<NodeId>,
+    level_list: Vec<NodeId>,
     next_list: Vec<NodeId>,
-    /// The nodes of the current level with the roots that arrived there.
-    frontier: Vec<(NodeId, u64)>,
 }
 
 impl MultiBfs {
     /// Marks `roots` as arriving at `w` on the next level.
+    #[inline]
     fn reach(&mut self, w: NodeId, roots: u64) {
         if self.seen[w.index()] == 0 {
             self.seen_list.push(w);
@@ -212,32 +216,46 @@ impl MultiBfs {
     }
 }
 
-/// Standard BFS from every one of `roots` (at most 64) along `direction` at
-/// once: `arrive(v, mask, d)` is called once per node and level with the
-/// roots — bit `j` of `mask` is `roots[j]` — whose distance to `v` is `d`,
-/// the root itself at 0. What is never reported is unreachable, or farther
-/// than [`HORIZON`]. A repeated root is two bits that travel together.
+/// BFS from every one of `roots` (at most 64) along `direction` at once:
+/// `arrive(v, mask, d)` is called once per node and level with the roots —
+/// bit `j` of `mask` is `roots[j]` — whose distance to `v` is `d`. What is
+/// never reported is unreachable, or farther than [`HORIZON`]. A repeated
+/// root is two bits that travel together.
+///
+/// As in [`bfs_row`], a standard pass reports each root at itself at 0; a
+/// `nonempty` pass starts with each root's neighbours at 1 and does not mark
+/// the root as seen at itself, so a root on a cycle is reported at itself
+/// with the length of its shortest cycle.
 pub(crate) fn multi_bfs<G: Adjacency>(
     g: &G,
     roots: &[NodeId],
     direction: Direction,
+    nonempty: bool,
     ws: &mut MultiBfs,
     mut arrive: impl FnMut(NodeId, u64, u16),
 ) {
     assert!(roots.len() <= 64, "one frontier bit per root");
     ws.seen.resize(g.node_count(), 0);
+    ws.level.resize(g.node_count(), 0);
     ws.next.resize(g.node_count(), 0);
     for (j, &root) in roots.iter().enumerate() {
-        ws.reach(root, 1 << j);
-    }
-    let mut frontier = std::mem::take(&mut ws.frontier);
-    let mut d = 0;
-    while !ws.next_list.is_empty() {
-        frontier.clear();
-        for w in ws.next_list.drain(..) {
-            frontier.push((w, std::mem::take(&mut ws.next[w.index()])));
+        if nonempty {
+            for &w in direction.neighbours(g, root) {
+                ws.reach(w, 1 << j);
+            }
+        } else {
+            ws.reach(root, 1 << j);
         }
-        for &(v, roots) in &frontier {
+    }
+    let mut d = u16::from(nonempty);
+    while !ws.next_list.is_empty() {
+        // The next level becomes the current one; what was current is
+        // all-zero and empty again.
+        std::mem::swap(&mut ws.level, &mut ws.next);
+        std::mem::swap(&mut ws.level_list, &mut ws.next_list);
+        let mut level_list = std::mem::take(&mut ws.level_list);
+        for v in level_list.drain(..) {
+            let roots = std::mem::take(&mut ws.level[v.index()]);
             arrive(v, roots, d);
             if d >= HORIZON {
                 continue; // the horizon: saturate, never wrap
@@ -249,9 +267,9 @@ pub(crate) fn multi_bfs<G: Adjacency>(
                 }
             }
         }
+        ws.level_list = level_list;
         d = d.saturating_add(1);
     }
-    ws.frontier = frontier;
     for v in ws.seen_list.drain(..) {
         ws.seen[v.index()] = 0;
     }
@@ -358,17 +376,18 @@ mod tests {
         row
     }
 
-    /// The standard rows [`multi_bfs`] reports for `roots`, one per root
-    /// (repeats included); checks that no `(root, node)` is reported twice
-    /// and that the scratch comes back clean.
+    /// The rows [`multi_bfs`] reports for `roots`, one per root (repeats
+    /// included); checks that no `(root, node)` is reported twice and that
+    /// the scratch comes back clean.
     fn multi_rows<G: Adjacency>(
         g: &G,
         roots: &[NodeId],
         direction: Direction,
+        nonempty: bool,
         ws: &mut MultiBfs,
     ) -> Vec<Vec<u16>> {
         let mut rows = vec![vec![UNREACHABLE; g.node_count()]; roots.len()];
-        multi_bfs(g, roots, direction, ws, |v, mut arrived, d| {
+        multi_bfs(g, roots, direction, nonempty, ws, |v, mut arrived, d| {
             assert_ne!(arrived, 0, "{v} reported for no root");
             while arrived != 0 {
                 let j = arrived.trailing_zeros() as usize;
@@ -378,16 +397,15 @@ mod tests {
                 *slot = d;
             }
         });
-        assert!(
-            ws.seen.iter().chain(&ws.next).all(|&word| word == 0),
-            "scratch not restored"
-        );
-        assert!(ws.seen_list.is_empty() && ws.next_list.is_empty());
+        let words = ws.seen.iter().chain(&ws.level).chain(&ws.next);
+        assert!(words.copied().all(|word| word == 0), "scratch not restored");
+        assert!(ws.seen_list.is_empty() && ws.level_list.is_empty() && ws.next_list.is_empty());
         rows
     }
 
-    /// Every root's row ≡ [`bfs_row`], both directions, for 1, 2, 63 and 64
-    /// roots spread over `g` and for a set with a repeated root.
+    /// Every root's row ≡ [`bfs_row`], standard and non-empty, both
+    /// directions, for 1, 2, 63 and 64 roots spread over `g` and for a set
+    /// with a repeated root.
     fn assert_multi_matches_rows(g: &DataGraph, name: &str) {
         let n_nodes = g.node_count();
         let spread =
@@ -397,13 +415,18 @@ mod tests {
         // One scratch for all of it: a pass must leave nothing behind.
         let mut ws = MultiBfs::default();
         for roots in &root_sets {
-            for direction in [Forward, Backward] {
-                let rows = multi_rows(g, roots, direction, &mut ws);
+            for (direction, nonempty) in [
+                (Forward, false),
+                (Backward, false),
+                (Forward, true),
+                (Backward, true),
+            ] {
+                let rows = multi_rows(g, roots, direction, nonempty, &mut ws);
                 for (j, &root) in roots.iter().enumerate() {
                     assert_eq!(
                         rows[j],
-                        distance_row(g, root, direction, false),
-                        "{name}: root {j} = {root} of {}, {direction:?}",
+                        distance_row(g, root, direction, nonempty),
+                        "{name}: root {j} = {root} of {}, {direction:?}, nonempty = {nonempty}",
                         roots.len()
                     );
                 }
@@ -526,14 +549,18 @@ mod tests {
         // 0 → 1 → 2 and, apart from it, 3 → 4: roots 0, 3, 0.
         let g = DataGraph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
         let u = UNREACHABLE;
-        let mut arrivals = Vec::new();
         let roots = [n(0), n(3), n(0)];
-        multi_bfs(&g, &roots, Forward, &mut MultiBfs::default(), |v, m, d| {
-            arrivals.push((v, m, d))
-        });
-        arrivals.sort_unstable();
+        let arrivals = |nonempty: bool| {
+            let mut arrivals = Vec::new();
+            let ws = &mut MultiBfs::default();
+            multi_bfs(&g, &roots, Forward, nonempty, ws, |v, m, d| {
+                arrivals.push((v, m, d))
+            });
+            arrivals.sort_unstable();
+            arrivals
+        };
         assert_eq!(
-            arrivals,
+            arrivals(false),
             [
                 (n(0), 0b101, 0),
                 (n(1), 0b101, 1),
@@ -542,12 +569,40 @@ mod tests {
                 (n(4), 0b010, 1)
             ]
         );
-        let rows = multi_rows(&g, &roots, Backward, &mut MultiBfs::default());
+        // Non-empty: the same without the roots at themselves.
+        assert_eq!(
+            arrivals(true),
+            [(n(1), 0b101, 1), (n(2), 0b101, 2), (n(4), 0b010, 1)]
+        );
+        let rows = multi_rows(&g, &roots, Backward, false, &mut MultiBfs::default());
         assert_eq!(rows, [[0, u, u, u, u], [u, u, u, 0, u], [0, u, u, u, u]]);
+        let rows = multi_rows(&g, &roots, Backward, true, &mut MultiBfs::default());
+        assert_eq!(rows, [[u; 5]; 3]);
         // No roots: no arrivals.
-        multi_bfs(&g, &[], Forward, &mut MultiBfs::default(), |_, _, _| {
-            panic!("arrival without a root")
-        });
+        for nonempty in [false, true] {
+            let ws = &mut MultiBfs::default();
+            multi_bfs(&g, &[], Forward, nonempty, ws, |_, _, _| {
+                panic!("arrival without a root")
+            });
+        }
+    }
+
+    #[test]
+    fn multi_bfs_nonempty_reports_a_root_on_a_cycle_at_its_shortest_cycle() {
+        // 0 → 1 → 2 → 0, the loop 3 → 3, and 4 → 0 on no cycle.
+        let g = DataGraph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 3), (4, 0)]).unwrap();
+        let u = UNREACHABLE;
+        let roots = [n(0), n(3), n(4), n(2)];
+        let rows = multi_rows(&g, &roots, Forward, true, &mut MultiBfs::default());
+        assert_eq!(
+            rows,
+            [
+                [3, 1, 2, u, u],
+                [u, u, u, 1, u],
+                [1, 2, 3, u, u],
+                [1, 2, 3, u, u]
+            ]
+        );
     }
 
     #[test]
@@ -561,20 +616,51 @@ mod tests {
             ([n(0), n(1), n(70)], Forward),
             ([n(tail), n(tail - 1), n(tail - 70)], Backward),
         ] {
-            let rows = multi_rows(&g, &roots, direction, &mut ws);
+            let rows = multi_rows(&g, &roots, direction, false, &mut ws);
             for (row, root) in rows.iter().zip(roots) {
                 assert_eq!(*row, distance_row(&g, root, direction, false));
             }
             let at_horizon = |row: &Vec<u16>| row.iter().filter(|&&d| d == HORIZON).count();
             assert_eq!(rows.iter().map(at_horizon).collect::<Vec<_>>(), [1, 1, 0]);
         }
-        let rows = multi_rows(&g, &[n(0), n(1)], Forward, &mut ws);
+        let rows = multi_rows(&g, &[n(0), n(1)], Forward, false, &mut ws);
         let around_the_horizon = |row: &[u16]| (row[65_534], row[65_535], row[65_536]);
         assert_eq!(
             around_the_horizon(&rows[0]),
             (65_534, UNREACHABLE, UNREACHABLE)
         );
         assert_eq!(around_the_horizon(&rows[1]), (65_533, 65_534, UNREACHABLE));
+    }
+
+    #[test]
+    fn horizon_multi_bfs_cycle_longer_than_the_horizon_has_no_diagonal() {
+        // The chain closed into one cycle of CHAIN hops: every node reaches
+        // every other, but its own shortest cycle lies past the horizon.
+        let mut g = deep_chain(CHAIN);
+        let tail = CHAIN as u32 - 1;
+        g.add_edge(n(tail), n(0)).unwrap();
+        let mut ws = MultiBfs::default();
+        let roots = [n(0), n(1), n(tail), n(40_000)];
+        for direction in [Forward, Backward] {
+            let rows = multi_rows(&g, &roots, direction, true, &mut ws);
+            for (row, root) in rows.iter().zip(roots) {
+                assert_eq!(*row, distance_row(&g, root, direction, true));
+                assert_eq!(row[root.index()], UNREACHABLE, "diagonal of {root}");
+                // Exactly the HORIZON nodes ahead of the root are reached,
+                // once each: 1, 2, …, HORIZON, and nothing wraps to a small
+                // distance.
+                let finite = row.iter().filter(|&&d| d != UNREACHABLE);
+                assert_eq!(finite.clone().count(), usize::from(HORIZON));
+                assert_eq!(finite.clone().min(), Some(&1));
+                assert_eq!(finite.max(), Some(&HORIZON));
+            }
+        }
+        // The far side of root 0's horizon, going forward.
+        let rows = multi_rows(&g, &[n(0)], Forward, true, &mut ws);
+        assert_eq!(
+            (rows[0][65_534], rows[0][65_535], rows[0][0]),
+            (65_534, UNREACHABLE, UNREACHABLE)
+        );
     }
 
     #[test]

@@ -45,12 +45,14 @@
 //! ## One BFS, one horizon
 //!
 //! Everything above is a breadth-first search over a `u16` store, and the
-//! crate spells it once: a private `bfs` module owns the row kernel (the
-//! matrix build and row rebuild, `BfsOracle`'s memoised rows, the rows the
-//! 2-hop repair reads), the pruned kernel (the sequential 2-hop build, the
-//! bit-parallel build's replay, the insertion repair's resumed searches) and
+//! crate spells it once: a private `bfs` module owns the row kernel
+//! (`BfsOracle`'s memoised rows, the four rows a 2-hop deletion takes around
+//! its edge), the pruned kernel (the sequential 2-hop build, the
+//! bit-parallel build's replay, the insertion repair's resumed searches),
+//! the multi-source kernel — 64 rows to a traversal, one frontier word per
+//! node (the matrix build, the rows of a 2-hop deletion's rectangle) — and
 //! the horizon arithmetic. Stored distances are at most 65 534, one below
-//! [`UNREACHABLE`]; neither kernel expands a node at that horizon and every
+//! [`UNREACHABLE`]; no kernel expands a node at that horizon and every
 //! sum of stored distances clamps there, so **a node farther than the
 //! horizon is reported unreachable by every back-end and no BFS wraps** —
 //! the back-ends saturate identically because they run the same function.
@@ -59,7 +61,7 @@
 //!
 //! | paper | here |
 //! |-------|------|
-//! | matrix `M`, Theorem 3.1 proof | [`DistanceMatrix`] (`build` = one BFS per source: the row kernel) |
+//! | matrix `M`, Theorem 3.1 proof | [`DistanceMatrix`] (`build` = the proof's BFS per source, 64 sources to a word-parallel traversal: the multi-source kernel; same `O(\|V\|(\|V\| + \|E\|))` bound) |
 //! | "BFS" curves, Fig. 6(f)–(h) | [`BfsOracle`] |
 //! | "2-hop" curves, Fig. 6(f)–(h) | [`TwoHopIndex`] / [`TwoHopOracle`] (pruned kernel) |
 //! | `UpdateM` / `UpdateBM`, Section 4 | [`DistanceOracle::apply_batch`] (`UpdateM` = a one-element batch) |
@@ -74,7 +76,8 @@
 //! (see the [`incremental`] module docs).
 //!
 //! Construction runs on the shared `gpm-exec` executor:
-//! [`DistanceMatrix::build_with`] fans one BFS source chunk per task, and
+//! [`DistanceMatrix::build_with`] deals one block of 64 rows — one
+//! multi-source traversal — per task on every executor, and
 //! the `*_with`-less entry points default to the process-wide
 //! [`gpm_exec::Parallelism::from_env`] policy. A maintenance unit is one
 //! sequential sweep over its affected cone on either back-end's insertions

@@ -94,10 +94,15 @@ pub(crate) fn twohop_extra() -> &'static TwoHopMetrics {
     })
 }
 
-/// Build-time metrics, recorded by [`crate::OracleBackend::build`].
+/// Build-time metrics: `builds` and `build_ns` recorded by
+/// [`crate::OracleBackend::build`], the traversal count by the matrix build
+/// itself.
 pub(crate) struct BuildMetrics {
     pub builds: Arc<Counter>,
     pub build_ns: Arc<Histogram>,
+    /// Multi-source traversals matrix builds ran, `⌈|V| / 64⌉` each — so
+    /// that a BFS per source cannot grow back unnoticed.
+    pub matrix_traversals: Arc<Counter>,
 }
 
 pub(crate) fn build_metrics() -> &'static BuildMetrics {
@@ -107,6 +112,7 @@ pub(crate) fn build_metrics() -> &'static BuildMetrics {
         BuildMetrics {
             builds: scope.counter("builds"),
             build_ns: scope.histogram("build_ns"),
+            matrix_traversals: scope.counter("matrix.build_traversals"),
         }
     })
 }

@@ -380,7 +380,7 @@ impl IncrementalTwoHop {
             roots.extend(rows.iter().map(|&(v, _)| v));
             table.clear();
             table.resize(rows.len() * width, UNREACHABLE);
-            multi_bfs(g, roots, direction, bfs, |w, mut arrived, d| {
+            multi_bfs(g, roots, direction, false, bfs, |w, mut arrived, d| {
                 let col = column[w.index()];
                 if col == NO_COLUMN {
                     return;

@@ -3,12 +3,11 @@
 
 use std::sync::OnceLock;
 
-/// Default number of work items below which a region runs inline.
-///
-/// Chosen to match the pre-executor heuristic of
-/// `DistanceMatrix::build_parallel` (which fell back to the sequential build
-/// under 256 BFS sources): below this, per-region thread spawning costs more
-/// than the work itself.
+/// Default number of work items below which a region runs inline: with
+/// fewer, spawning the region's scoped worker threads costs more than the
+/// work itself. A combinator passes its own item count as the work hint
+/// (`map_tasks` takes one from the caller), so what 256 items are depends on
+/// the call site — data nodes, slice elements, queries.
 pub const DEFAULT_SEQUENTIAL_THRESHOLD: usize = 256;
 
 /// Execution policy for parallel regions.

@@ -283,6 +283,66 @@ fn twohop_delete_traversals_are_pinned_and_thread_independent() {
     assert_eq!(baseline, record(&pre, (0, 1), 8));
 }
 
+/// A matrix build takes its rows 64 to a multi-source traversal:
+/// `oracle.matrix.build_traversals` counts `⌈|V| / 64⌉` per build — exactly,
+/// the same at 1, 2 and 8 threads — and the `oracle`/`build` event of a
+/// matrix carries the same number, so that a BFS per source cannot grow back
+/// unnoticed.
+#[test]
+fn matrix_build_traversals_are_pinned_and_thread_independent() {
+    use gpm::{DistanceMatrix, Executor, OracleBackend};
+    let _guard = obs_lock();
+    let ring = |nodes: u32| {
+        let edges: Vec<(u32, u32)> = (0..nodes).map(|i| (i, (i + 1) % nodes)).collect();
+        DataGraph::from_edges(nodes as usize, &edges).unwrap()
+    };
+    let record = |g: &DataGraph, threads: usize| {
+        let exec = Executor::new(forced(threads));
+        gpm::obs::set_enabled(true);
+        gpm::obs::registry().reset();
+        DistanceMatrix::build_with(g, &exec);
+        let mut counters = gpm::obs::registry().snapshot().det_counters();
+        gpm::obs::set_enabled(false);
+        counters.retain(|name, _| name.starts_with("oracle."));
+        counters
+    };
+    for (nodes, passes) in [(0, 0), (1, 1), (64, 1), (65, 2), (130, 3), (1_038, 17)] {
+        let g = ring(nodes);
+        let baseline = record(&g, 1);
+        assert_eq!(
+            baseline["oracle.matrix.build_traversals"], passes,
+            "{nodes} nodes"
+        );
+        for threads in [2, 8] {
+            assert_eq!(baseline, record(&g, threads), "{threads} threads");
+        }
+    }
+
+    // The build event, through the door the service and the bins use.
+    let path = std::env::temp_dir().join(format!("gpm-obs-build-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    gpm::obs::set_enabled(true);
+    gpm::obs::registry().reset();
+    assert!(gpm::obs::set_out_path(&path), "sink must open");
+    let g = ring(130);
+    for backend in OracleBackend::ALL {
+        backend.build(&g, &Executor::new(forced(2)));
+    }
+    let counters = gpm::obs::registry().snapshot().det_counters();
+    gpm::obs::set_enabled(false);
+    assert_eq!(counters["oracle.builds"], 2);
+    assert_eq!(counters["oracle.matrix.build_traversals"], 3);
+    let text = std::fs::read_to_string(&path).expect("sink file readable");
+    let _ = std::fs::remove_file(&path);
+    let builds: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"scope\":\"oracle\",\"name\":\"build\""))
+        .collect();
+    assert_eq!(builds.len(), 2, "{text}");
+    assert!(builds[0].contains("\"nodes\":130,\"traversals\":3,\"backend\":\"matrix\""));
+    assert!(builds[1].contains("\"backend\":\"two-hop\"") && !builds[1].contains("traversals"));
+}
+
 /// Every line of the JSONL sink parses as a JSON object, the final registry
 /// snapshot is among them, and each line round-trips through the vendored
 /// `serde_json` unchanged in meaning.
