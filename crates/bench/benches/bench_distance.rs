@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpm::{
-    random_graph, DistanceMatrix, DistanceOracle as _, EdgeUpdate, Executor, NodeId,
+    random_graph, DistanceMatrix, DistanceOracle as _, EdgeUpdate, Executor, NodeId, Parallelism,
     RandomGraphConfig, TwoHopIndex,
 };
 
@@ -17,7 +17,8 @@ fn bench_matrix_build(c: &mut Criterion) {
             b.iter(|| DistanceMatrix::build(g));
         });
         group.bench_with_input(BenchmarkId::new("parallel", nodes), &graph, |b, g| {
-            b.iter(|| DistanceMatrix::build_parallel(g, 4));
+            let exec = Executor::new(Parallelism::new(4));
+            b.iter(|| DistanceMatrix::build_with(g, &exec));
         });
     }
     group.finish();

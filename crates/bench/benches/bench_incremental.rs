@@ -31,7 +31,7 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("IncMatch", delta), &updates, |b, ups| {
             b.iter(|| {
                 let mut matcher = base.clone();
-                matcher.apply_batch(ups).unwrap()
+                matcher.apply_batch(ups)
             });
         });
         group.bench_with_input(

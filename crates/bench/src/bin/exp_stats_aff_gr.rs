@@ -63,7 +63,7 @@ fn main() {
         );
         let mut matcher = base.clone();
         gpm::obs::registry().reset();
-        let outcome = matcher.apply_batch(&updates).expect("DAG pattern");
+        let outcome = matcher.apply_batch(&updates);
         let counters = gpm::obs::registry().snapshot().det_counters();
         let get = |name: &str| {
             counters

@@ -110,7 +110,7 @@ fn main() {
         let (_, ind_time) = time(|| {
             for batch in &script {
                 for m in matchers.iter_mut() {
-                    let outcome = m.apply_batch(batch).expect("DAG pattern");
+                    let outcome = m.apply_batch(batch);
                     if !outcome.aff1.is_empty() {
                         ind_affs += 1;
                     }

@@ -108,7 +108,7 @@ pub fn run_update_experiment(
 
         // Incremental: start from the shared precomputed state.
         let mut matcher = base.clone();
-        let (outcome, inc_time) = time(|| matcher.apply_batch(&updates).expect("DAG pattern"));
+        let (outcome, inc_time) = time(|| matcher.apply_batch(&updates));
 
         // Batch baseline: apply updates, rebuild the matrix (cost counted),
         // re-run Match.

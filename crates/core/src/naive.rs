@@ -38,24 +38,9 @@ pub fn bounded_simulation_naive_with_oracle<O: DistanceQuery + ?Sized>(
 
     let mut outcome = MatchOutcome::default();
     outcome.stats.initial_candidates = mat.iter().map(Vec::len).sum();
-
-    loop {
-        let mut changed = false;
-        for e in pattern.edges() {
-            let targets = mat[e.to.index()].clone();
-            let before = mat[e.from.index()].len();
-            mat[e.from.index()]
-                .retain(|&x| targets.iter().any(|&y| oracle.within(graph, x, y, e.bound)));
-            let removed = before - mat[e.from.index()].len();
-            if removed > 0 {
-                changed = true;
-                outcome.stats.removed_candidates += removed;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    naive_fixpoint(pattern, graph, oracle, &mut mat);
+    outcome.stats.removed_candidates =
+        outcome.stats.initial_candidates - mat.iter().map(Vec::len).sum::<usize>();
 
     if mat.iter().any(Vec::is_empty) {
         outcome.stats.failed_early = true;
@@ -64,6 +49,31 @@ pub fn bounded_simulation_naive_with_oracle<O: DistanceQuery + ?Sized>(
     }
     outcome.relation = MatchRelation::from_sets(mat);
     outcome
+}
+
+/// The loop of the naive fixpoint on its own: refines per-pattern-node
+/// candidate sets to the greatest fixpoint *without* clearing the relation
+/// when some node ends up empty — the invariant `gpm-incremental`'s match
+/// state maintains, and the starting point of an unmatched query.
+pub fn naive_fixpoint<O: DistanceQuery + ?Sized>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    oracle: &O,
+    sets: &mut [Vec<NodeId>],
+) {
+    loop {
+        let mut changed = false;
+        for e in pattern.edges() {
+            let targets = sets[e.to.index()].clone();
+            let before = sets[e.from.index()].len();
+            sets[e.from.index()]
+                .retain(|&x| targets.iter().any(|&y| oracle.within(graph, x, y, e.bound)));
+            changed |= sets[e.from.index()].len() != before;
+        }
+        if !changed {
+            return;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use crate::bfs::{multi_bfs, Direction, MultiBfs};
 use crate::UNREACHABLE;
-use gpm_exec::{Executor, Parallelism};
+use gpm_exec::Executor;
 use gpm_graph::{DataGraph, EdgeBound, NodeId};
 use std::sync::Mutex;
 
@@ -89,13 +89,6 @@ impl DistanceMatrix {
             m.matrix_traversals.add(build_traversals(n));
         }
         DistanceMatrix { n, dist }
-    }
-
-    /// Builds the matrix using `threads` worker threads. Convenience wrapper
-    /// over [`DistanceMatrix::build_with`] with a default [`Parallelism`]
-    /// policy at that thread count.
-    pub fn build_parallel(g: &DataGraph, threads: usize) -> Self {
-        Self::build_with(g, &Executor::new(Parallelism::new(threads)))
     }
 
     /// Recomputes the row of source `x` against (an updated) `g`, in place,
@@ -217,6 +210,7 @@ mod tests {
     use super::*;
     use gpm_datagen::adversarial::{bowtie, cliques_with_bridges, deep_chain, grid, star};
     use gpm_datagen::{powerlaw_graph, random_graph, PowerLawConfig, RandomGraphConfig};
+    use gpm_exec::Parallelism;
     use gpm_graph::Attributes;
     use proptest::prelude::*;
     use std::collections::VecDeque;
@@ -326,7 +320,7 @@ mod tests {
             }
         }
         let seq = DistanceMatrix::build(&g);
-        let par = DistanceMatrix::build_parallel(&g, 4);
+        let par = DistanceMatrix::build_with(&g, &Executor::new(Parallelism::new(4)));
         assert_eq!(seq, par);
     }
 

@@ -127,7 +127,7 @@ impl TwoHopIndex {
     ///    every (root, node) visit is cached, replacing the sequential
     ///    build's per-pop label merge-join with a dense table lookup shared
     ///    across up to 64 roots. Roots are split into contiguous groups, one
-    ///    `gpm-exec` task each.
+    ///    `gpm-exec` item each.
     /// 2. **Phase B** (sequential): the batch's pruned BFSes are replayed in
     ///    exact rank order, with the prune test assembled from the cached
     ///    phase-A value plus the intra-batch term over the labels committed
@@ -174,26 +174,13 @@ impl TwoHopIndex {
             let roots = &order[base..base + len];
             let gw = len.div_ceil(n_groups);
 
-            // Phase A: one task per root group, both directions.
-            {
-                let label_out = &label_out;
-                let label_in = &label_in;
-                let slots: Vec<&mut GroupScratch> = groups.iter_mut().collect();
-                exec.scope(|s| {
-                    for (gi, group) in slots.into_iter().enumerate() {
-                        let j0 = (gi * gw).min(len);
-                        let j1 = ((gi + 1) * gw).min(len);
-                        if j0 >= j1 {
-                            continue;
-                        }
-                        let roots = &roots[j0..j1];
-                        s.spawn(move || {
-                            group.phase_a(g, roots, Direction::Forward, label_out, label_in);
-                            group.phase_a(g, roots, Direction::Backward, label_out, label_in);
-                        });
-                    }
-                });
-            }
+            // Phase A: one item per non-empty root group, both directions.
+            // A handful of heavy items: the hint says fan out regardless.
+            exec.for_each_mut(&mut groups[..len.div_ceil(gw)], usize::MAX, |gi, group| {
+                let roots = &roots[gi * gw..((gi + 1) * gw).min(len)];
+                group.phase_a(g, roots, Direction::Forward, &label_out, &label_in);
+                group.phase_a(g, roots, Direction::Backward, &label_out, &label_in);
+            });
 
             // Phase B: exact replay in rank order — the traversal of the
             // sequential build, with the label merge-join replaced by the
@@ -611,14 +598,6 @@ impl TwoHopOracle {
     pub fn build_with(g: &DataGraph, exec: &Executor) -> Self {
         TwoHopOracle {
             index: TwoHopIndex::build_with(g, exec),
-            bfs: crate::bfs_oracle::BfsOracle::new(),
-        }
-    }
-
-    /// Wraps an existing index.
-    pub fn from_index(index: TwoHopIndex) -> Self {
-        TwoHopOracle {
-            index,
             bfs: crate::bfs_oracle::BfsOracle::new(),
         }
     }

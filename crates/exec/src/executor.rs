@@ -1,55 +1,24 @@
-//! The [`Executor`]: scoped fork-join regions scheduled over work-stealing
-//! deques.
+//! The [`Executor`]: scoped fork-join regions whose workers pull items from
+//! one shared cursor.
 
-use crate::deque::StealDeque;
 use crate::parallelism::Parallelism;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Shared handles into the `exec` observability scope. All executor counters
-/// are scheduling-dependent (chunk counts, steal opportunities and busy time
-/// vary with `GPM_THREADS`), so they register as nondeterministic.
-struct ExecMetrics {
-    scope: Arc<gpm_obs::Scope>,
-    regions: Arc<gpm_obs::Counter>,
-    tasks_spawned: Arc<gpm_obs::Counter>,
-    steals: Arc<gpm_obs::Counter>,
-    busy_ns: Arc<gpm_obs::Counter>,
-}
-
-fn metrics() -> &'static ExecMetrics {
-    static METRICS: OnceLock<ExecMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let scope = gpm_obs::registry().scope("exec");
-        ExecMetrics {
-            regions: scope.nondet_counter("regions"),
-            tasks_spawned: scope.nondet_counter("tasks_spawned"),
-            steals: scope.nondet_counter("steals"),
-            busy_ns: scope.nondet_counter("busy_ns"),
-            scope,
-        }
-    })
-}
-
-/// A task queued in a parallel region: borrowed-data fork-join closures.
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// How many tasks each worker thread is dealt (on average) by the chunked
-/// combinators. More tasks than workers is what gives stealing room to
-/// balance skewed per-item costs; 4 is plenty for the coarse-grained work in
-/// this codebase.
+/// How many chunks [`Executor::par_map_index`] cuts per worker thread. More
+/// items than workers is what gives the shared cursor room to balance skewed
+/// per-item costs; 4 is plenty for the coarse-grained work in this codebase.
 const TASKS_PER_WORKER: usize = 4;
 
 /// A scoped fork-join executor over a [`Parallelism`] policy.
 ///
 /// The executor is a cheap value type (a policy, not a thread pool): worker
-/// threads are `std::thread::scope`d to each parallel region, so tasks can
+/// threads are `std::thread::scope`d to each parallel region, so items can
 /// borrow from the caller's stack and every region joins before returning.
 /// See the [crate docs](crate) for the design rationale.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Executor {
     cfg: Parallelism,
 }
@@ -81,19 +50,26 @@ impl Executor {
         self.cfg.threads()
     }
 
-    /// Runs a fork-join region: `f` spawns any number of tasks on the
-    /// [`Scope`]; all of them have completed when `scope` returns.
+    /// Runs `f(index, item)` for every element of `items`, each handed out
+    /// exactly once as a disjoint `&mut`, so no synchronisation is needed
+    /// inside `f`. `f` must tolerate any execution order.
     ///
-    /// Tasks may borrow data living outside the call. A panicking task
-    /// panics the region: remaining unstarted tasks may be skipped and the
-    /// first panic payload is re-raised on the caller thread.
-    pub fn scope<'env, F>(&self, f: F)
+    /// `work_hint` is the region's size for the sequential-fallback decision
+    /// — not necessarily `items.len()`: a caller with a handful of heavy
+    /// items passes `usize::MAX` to fan out regardless. Below the threshold
+    /// (or with one worker, or at most one item) the items run inline on the
+    /// caller, in index order.
+    ///
+    /// A panicking item panics the region: items not yet handed out are
+    /// skipped and the first panic payload is re-raised on the caller thread.
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], work_hint: usize, f: F)
     where
-        F: FnOnce(&mut Scope<'env>),
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
     {
-        let mut scope = Scope { tasks: Vec::new() };
-        f(&mut scope);
-        self.run_tasks(scope.tasks);
+        self.run(items.iter_mut().enumerate(), work_hint, |(i, item)| {
+            f(i, item)
+        });
     }
 
     /// Runs `n` index-addressed tasks and returns their results **in index
@@ -112,57 +88,16 @@ impl Executor {
         if n <= 1 || !self.cfg.should_parallelise(work_hint) {
             return (0..n).map(f).collect();
         }
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        self.scope(|s| {
-            let f = &f;
-            for (i, slot) in slots.iter().enumerate() {
-                s.spawn(move || {
-                    let value = f(i);
-                    *slot.lock().unwrap() = Some(value);
-                });
-            }
-        });
+        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        self.for_each_mut(&mut slots, work_hint, |i, slot| *slot = Some(f(i)));
         slots
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("scope joined every task, so every slot is filled")
-            })
+            .map(|slot| slot.expect("the region joined every task, so every slot is filled"))
             .collect()
     }
 
-    /// Runs `f` for every index in `0..n`, splitting the range into chunks
-    /// scheduled across the workers. `f` must tolerate any execution order.
-    pub fn par_for_each_index<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if !self.cfg.should_parallelise(n) {
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        let chunk = chunk_len(n, self.threads());
-        self.scope(|s| {
-            let f = &f;
-            let mut start = 0;
-            while start < n {
-                let end = (start + chunk).min(n);
-                s.spawn(move || {
-                    for i in start..end {
-                        f(i);
-                    }
-                });
-                start = end;
-            }
-        });
-    }
-
-    /// Maps every index in `0..n`, returning the results in index order.
-    /// Chunked like [`Executor::par_for_each_index`]; deterministic like
-    /// [`Executor::map_tasks`].
+    /// Maps every index in `0..n`, returning the results in index order:
+    /// [`Executor::map_tasks`] over chunks of the range, a few per worker.
     pub fn par_map_index<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -171,43 +106,18 @@ impl Executor {
         if !self.cfg.should_parallelise(n) {
             return (0..n).map(f).collect();
         }
-        let chunk = chunk_len(n, self.threads());
-        let n_chunks = n.div_ceil(chunk);
-        let mut per_chunk = self.map_tasks(n_chunks, n, |c| {
-            let start = c * chunk;
+        let chunk = n.div_ceil(self.threads() * TASKS_PER_WORKER).max(1);
+        let per_chunk = self.map_tasks(n.div_ceil(chunk), n, |c| {
             let end = ((c + 1) * chunk).min(n);
-            (start..end).map(&f).collect::<Vec<R>>()
+            (c * chunk..end).map(&f).collect::<Vec<R>>()
         });
-        let mut out = Vec::with_capacity(n);
-        for vals in per_chunk.drain(..) {
-            out.extend(vals);
-        }
-        out
-    }
-
-    /// Maps a slice, returning results in element order.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.par_map_index(items.len(), |i| f(&items[i]))
-    }
-
-    /// Runs `f` for every element of a slice (any execution order).
-    pub fn par_for_each<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(usize, &T) + Sync,
-    {
-        self.par_for_each_index(items.len(), |i| f(i, &items[i]));
+        per_chunk.into_iter().flatten().collect()
     }
 
     /// Splits `data` into consecutive chunks of (at most) `chunk_len`
     /// elements and runs `f(chunk_index, chunk)` for each, in parallel.
     /// Chunks are disjoint `&mut` slices, so no synchronisation is needed
-    /// inside `f`.
+    /// inside `f`. The work hint is `data.len()`.
     ///
     /// # Panics
     /// Panics if `chunk_len` is zero.
@@ -217,206 +127,94 @@ impl Executor {
         F: Fn(usize, &mut [T]) + Sync,
     {
         assert!(chunk_len > 0, "chunk_len must be positive");
-        if data.len() <= chunk_len || !self.cfg.should_parallelise(data.len()) {
-            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                f(i, chunk);
-            }
-            return;
-        }
-        self.scope(|s| {
-            let f = &f;
-            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                s.spawn(move || f(i, chunk));
-            }
-        });
+        let work_hint = data.len();
+        self.run(
+            data.chunks_mut(chunk_len).enumerate(),
+            work_hint,
+            |(i, chunk)| f(i, chunk),
+        );
     }
 
-    /// Parallel reduction: maps every index in `0..n` and folds the results
-    /// with `fold`, starting from `identity()`.
+    /// One region: every item of `items` goes through `f` exactly once.
     ///
-    /// In deterministic mode ([`Parallelism::deterministic`], the default)
-    /// partial results are folded in index order; otherwise they are folded
-    /// in completion order, which is only observably different when `fold`
-    /// is not commutative/associative.
-    pub fn par_reduce<R, I, F, G>(&self, n: usize, identity: I, map: F, fold: G) -> R
+    /// Inline, in order, when the region is degenerate (`<= 1` item) or the
+    /// policy says so. Otherwise the iterator becomes the region's shared
+    /// cursor: `min(threads, items)` scoped workers — the caller is one of
+    /// them — each pull the next item until none is left, so a worker stuck
+    /// on an expensive item simply pulls fewer. The first panic payload sits
+    /// beside the cursor, under the same lock: once it is stored nothing
+    /// more is handed out. The lock is never held while `f` runs.
+    fn run<I, F>(&self, items: I, work_hint: usize, f: F)
     where
-        R: Send,
-        I: Fn() -> R,
-        F: Fn(usize) -> R + Sync,
-        G: Fn(R, R) -> R + Sync,
+        I: ExactSizeIterator + Send,
+        F: Fn(I::Item) + Sync,
     {
-        if !self.cfg.should_parallelise(n) {
-            return (0..n).map(&map).fold(identity(), &fold);
-        }
-        let chunk = chunk_len(n, self.threads());
-        let n_chunks = n.div_ceil(chunk);
-        let partials: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n_chunks));
-        self.scope(|s| {
-            let map = &map;
-            let fold = &fold;
-            let partials = &partials;
-            for c in 0..n_chunks {
-                s.spawn(move || {
-                    let start = c * chunk;
-                    let end = ((c + 1) * chunk).min(n);
-                    let mut acc: Option<R> = None;
-                    for i in start..end {
-                        let v = map(i);
-                        acc = Some(match acc {
-                            None => v,
-                            Some(a) => fold(a, v),
-                        });
-                    }
-                    if let Some(a) = acc {
-                        partials.lock().unwrap().push((c, a));
-                    }
-                });
-            }
-        });
-        let mut partials = partials.into_inner().unwrap();
-        if self.cfg.deterministic() {
-            partials.sort_unstable_by_key(|&(c, _)| c);
-        }
-        partials.into_iter().map(|(_, r)| r).fold(identity(), fold)
-    }
-
-    /// Executes a collected task list: inline when the region is degenerate
-    /// (`<= 1` task or a single worker), otherwise over scoped workers with
-    /// round-robin dealing and work stealing.
-    fn run_tasks<'env>(&self, tasks: Vec<Task<'env>>) {
-        let n = tasks.len();
-        if gpm_obs::enabled() && n > 0 {
-            let m = metrics();
-            m.regions.inc();
-            m.tasks_spawned.add(n as u64);
-        }
-        let workers = self.cfg.threads().min(n);
-        if workers <= 1 {
-            for task in tasks {
-                task();
-            }
+        let n = items.len();
+        if n <= 1 || !self.cfg.should_parallelise(work_hint) {
+            items.for_each(f);
             return;
         }
-        let deques: Vec<StealDeque<Task<'env>>> = (0..workers).map(|_| StealDeque::new()).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            deques[i % workers].push_bottom(task);
+        // Every `exec` counter is scheduling-dependent (which regions fan
+        // out and how busy each worker is vary with `GPM_THREADS`), so all
+        // register as nondeterministic.
+        let obs = gpm_obs::enabled().then(|| gpm_obs::registry().scope("exec"));
+        if let Some(scope) = &obs {
+            scope.nondet_counter("regions").inc();
+            scope.nondet_counter("tasks_spawned").add(n as u64);
         }
-        let panicked = AtomicBool::new(false);
-        let payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        std::thread::scope(|s| {
-            for w in 1..workers {
-                let deques = &deques;
-                let panicked = &panicked;
-                let payload = &payload;
-                s.spawn(move || worker_loop(w, deques, panicked, payload));
+        const HELD_BRIEFLY: &str = "the region lock is held for one `next()` or one store";
+        let region = Mutex::new((items, None::<Box<dyn Any + Send>>));
+        let worker = |me: usize| {
+            // Busy time accumulates in a local and flushes once at region
+            // exit, so the loop stays free of shared-counter traffic.
+            let mut busy_ns = 0u64;
+            loop {
+                let next = {
+                    let mut region = region.lock().expect(HELD_BRIEFLY);
+                    let (cursor, first_panic) = &mut *region;
+                    if first_panic.is_some() {
+                        break;
+                    }
+                    cursor.next()
+                };
+                let Some(item) = next else { break };
+                let start = obs.as_ref().map(|_| Instant::now());
+                let result = catch_unwind(AssertUnwindSafe(|| f(item)));
+                if let Some(start) = start {
+                    busy_ns += start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                }
+                if let Err(payload) = result {
+                    region.lock().expect(HELD_BRIEFLY).1.get_or_insert(payload);
+                    break;
+                }
             }
-            worker_loop(0, &deques, &panicked, &payload);
-        });
-        if panicked.load(Ordering::Relaxed) {
-            let p = payload
-                .into_inner()
-                .unwrap()
-                .expect("panicked flag implies a stored payload");
-            resume_unwind(p);
-        }
-    }
-}
-
-/// Collects the tasks of one fork-join region (see [`Executor::scope`]).
-pub struct Scope<'env> {
-    tasks: Vec<Task<'env>>,
-}
-
-impl<'env> Scope<'env> {
-    /// Queues a task; it runs when the surrounding [`Executor::scope`] call
-    /// executes the region.
-    pub fn spawn<F>(&mut self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        self.tasks.push(Box::new(f));
-    }
-
-    /// Number of tasks queued so far.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no task has been queued yet.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
-
-/// One worker: drain the own deque bottom-first, then steal from the others
-/// top-first; stop when every deque is empty or the region has panicked.
-fn worker_loop<'env>(
-    me: usize,
-    deques: &[StealDeque<Task<'env>>],
-    panicked: &AtomicBool,
-    payload: &Mutex<Option<Box<dyn Any + Send>>>,
-) {
-    // Steals and busy time accumulate in locals and flush once at region
-    // exit, so the hot loop stays free of shared-counter traffic.
-    let obs = gpm_obs::enabled().then(metrics);
-    let mut steals = 0u64;
-    let mut busy_ns = 0u64;
-    loop {
-        if panicked.load(Ordering::Relaxed) {
-            break;
-        }
-        let mut stolen = false;
-        let task = deques[me].pop_bottom().or_else(|| {
-            (1..deques.len())
-                .find_map(|k| deques[(me + k) % deques.len()].steal_top())
-                .map(|t| {
-                    stolen = true;
-                    t
-                })
-        });
-        let Some(task) = task else { break };
-        if stolen {
-            steals += 1;
-        }
-        let result = if obs.is_some() {
-            let start = Instant::now();
-            let r = catch_unwind(AssertUnwindSafe(task));
-            busy_ns += start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            r
-        } else {
-            catch_unwind(AssertUnwindSafe(task))
+            if let (Some(scope), true) = (&obs, busy_ns > 0) {
+                scope.nondet_counter("busy_ns").add(busy_ns);
+                scope
+                    .nondet_counter(&format!("worker{me}.busy_ns"))
+                    .add(busy_ns);
+            }
         };
-        if let Err(p) = result {
-            let mut slot = payload.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(p);
+        std::thread::scope(|s| {
+            for w in 1..self.threads().min(n) {
+                let worker = &worker;
+                s.spawn(move || worker(w));
             }
-            panicked.store(true, Ordering::Relaxed);
-            break;
+            worker(0);
+        });
+        if let Some(payload) = region.into_inner().expect(HELD_BRIEFLY).1 {
+            resume_unwind(payload);
         }
     }
-    if let Some(m) = obs {
-        if steals > 0 {
-            m.steals.add(steals);
-        }
-        if busy_ns > 0 {
-            m.busy_ns.add(busy_ns);
-            m.scope
-                .nondet_counter(&format!("worker{me}.busy_ns"))
-                .add(busy_ns);
-        }
-    }
-}
-
-/// Chunk length that deals roughly [`TASKS_PER_WORKER`] tasks per worker.
-fn chunk_len(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers.max(1) * TASKS_PER_WORKER).max(1)
 }
 
 #[cfg(test)]
 mod tests {
+    // The schedule itself — concurrency on the hint, dynamic balance, what a
+    // panic stops — is pinned under real rendezvous in `tests/scheduling.rs`.
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::thread::current;
 
     fn forced(threads: usize) -> Executor {
         // Threshold 0: even tiny regions exercise the threaded machinery.
@@ -426,7 +224,7 @@ mod tests {
     #[test]
     fn zero_and_single_task_regions() {
         for exec in [Executor::sequential(), forced(4)] {
-            exec.scope(|_| {}); // empty region is a no-op
+            exec.for_each_mut(&mut [] as &mut [u8], usize::MAX, |_, _| unreachable!());
             assert!(exec.par_map_index(0, |i| i).is_empty());
             assert_eq!(exec.map_tasks(0, usize::MAX, |i| i), Vec::<usize>::new());
             assert_eq!(exec.par_map_index(1, |i| i + 7), vec![7]);
@@ -437,17 +235,12 @@ mod tests {
     #[test]
     fn threads_1_is_a_passthrough() {
         let exec = Executor::new(Parallelism::new(1).with_sequential_threshold(0));
-        // Inline execution happens in task order on the caller thread.
-        let caller = std::thread::current().id();
+        // Inline execution happens in index order on the caller thread.
+        let caller = current().id();
         let order = Mutex::new(Vec::new());
-        exec.scope(|s| {
-            for i in 0..5 {
-                let order = &order;
-                s.spawn(move || {
-                    assert_eq!(std::thread::current().id(), caller);
-                    order.lock().unwrap().push(i);
-                });
-            }
+        exec.for_each_mut(&mut [(); 5], usize::MAX, |i, _| {
+            assert_eq!(current().id(), caller);
+            order.lock().unwrap().push(i);
         });
         assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
     }
@@ -458,24 +251,18 @@ mod tests {
         let expected: Vec<usize> = (0..1000).map(|i| i * 3).collect();
         assert_eq!(exec.par_map_index(1000, |i| i * 3), expected);
         assert_eq!(exec.map_tasks(100, usize::MAX, |i| i * 3), expected[..100]);
-        let items: Vec<usize> = (0..500).collect();
-        assert_eq!(exec.par_map(&items, |&v| v * 3), expected[..500]);
     }
 
     #[test]
     fn for_each_visits_every_index_once() {
-        let exec = forced(3);
-        let counts: Vec<AtomicUsize> = (0..777).map(|_| AtomicUsize::new(0)).collect();
-        exec.par_for_each_index(777, |i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
+        let mut visits = vec![0usize; 777];
+        let index_sum = AtomicUsize::new(0);
+        forced(3).for_each_mut(&mut visits, usize::MAX, |i, visit| {
+            *visit += 1;
+            index_sum.fetch_add(i, Relaxed);
         });
-        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-        let items = vec![2u64; 40];
-        let sum = AtomicUsize::new(0);
-        exec.par_for_each(&items, |_, &v| {
-            sum.fetch_add(v as usize, Ordering::Relaxed);
-        });
-        assert_eq!(sum.into_inner(), 80);
+        assert!(visits.iter().all(|&v| v == 1));
+        assert_eq!(index_sum.into_inner(), 777 * 776 / 2);
     }
 
     #[test]
@@ -491,44 +278,23 @@ mod tests {
         assert_eq!(data, expected);
     }
 
+    /// The region is scoped: items are `&mut` borrows of the caller's own
+    /// data, written without any synchronisation.
     #[test]
-    fn reduce_deterministic_and_not() {
-        let exec = forced(4);
-        let sum = exec.par_reduce(1000, || 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(sum, 499_500);
-        // Non-deterministic mode still produces the right answer for a
-        // commutative fold.
-        let loose = Executor::new(
-            Parallelism::new(4)
-                .with_sequential_threshold(0)
-                .with_deterministic(false),
-        );
-        assert_eq!(
-            loose.par_reduce(1000, || 0u64, |i| i as u64, |a, b| a + b),
-            499_500
-        );
-        // Deterministic mode folds partials in index order even for a
-        // non-commutative fold (string concatenation).
-        let cat = exec.par_reduce(
-            26,
-            String::new,
-            |i| char::from(b'a' + i as u8).to_string(),
-            |a, b| a + &b,
-        );
-        assert_eq!(cat, "abcdefghijklmnopqrstuvwxyz");
+    fn borrowed_data_mutation_through_scope() {
+        let mut out = vec![0usize; 8];
+        forced(2).for_each_mut(&mut out, usize::MAX, |i, slot| *slot = i * i);
+        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
     }
 
+    /// A panic in a region (the scope of its worker threads) reaches the
+    /// caller with its payload, threaded or inline.
     #[test]
     fn scope_panics_propagate() {
-        let exec = forced(4);
         let err = catch_unwind(AssertUnwindSafe(|| {
-            exec.scope(|s| {
-                for i in 0..64 {
-                    s.spawn(move || {
-                        if i == 13 {
-                            panic!("boom {i}");
-                        }
-                    });
+            forced(4).for_each_mut(&mut [(); 64], usize::MAX, |i, _| {
+                if i == 13 {
+                    panic!("boom {i}");
                 }
             });
         }))
@@ -536,38 +302,14 @@ mod tests {
         let msg = err.downcast_ref::<String>().map(String::as_str);
         assert_eq!(msg, Some("boom 13"));
         // And inline regions propagate identically.
-        let seq = Executor::sequential();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            seq.scope(|s| s.spawn(|| panic!("inline boom")));
+            Executor::sequential().for_each_mut(&mut [(); 3], usize::MAX, |i, _| {
+                assert_eq!(i, 0, "items after the panicking one are skipped");
+                panic!("inline boom");
+            });
         }))
         .unwrap_err();
         assert_eq!(err.downcast_ref::<&str>(), Some(&"inline boom"));
-    }
-
-    #[test]
-    fn borrowed_data_mutation_through_scope() {
-        let exec = forced(2);
-        let mut out = vec![0usize; 8];
-        {
-            let slots: Vec<_> = out.chunks_mut(1).collect();
-            exec.scope(|s| {
-                for (i, slot) in slots.into_iter().enumerate() {
-                    s.spawn(move || slot[0] = i * i);
-                }
-            });
-        }
-        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-    }
-
-    #[test]
-    fn scope_len_accessors() {
-        let exec = Executor::sequential();
-        exec.scope(|s| {
-            assert!(s.is_empty());
-            s.spawn(|| {});
-            assert_eq!(s.len(), 1);
-            assert!(!s.is_empty());
-        });
     }
 
     #[test]
@@ -575,8 +317,8 @@ mod tests {
         // With a high threshold and a small hint, map_tasks runs inline even
         // for many tasks — observable through the thread id.
         let exec = Executor::new(Parallelism::new(4).with_sequential_threshold(1_000_000));
-        let caller = std::thread::current().id();
-        let ids = exec.map_tasks(32, 10, |_| std::thread::current().id());
+        let caller = current().id();
+        let ids = exec.map_tasks(32, 10, |_| current().id());
         assert!(ids.iter().all(|&id| id == caller));
     }
 }

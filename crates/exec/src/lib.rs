@@ -1,34 +1,35 @@
 //! # gpm-exec
 //!
-//! A small work-stealing parallel runtime for the gpm workspace: scoped
-//! fork-join execution over borrowed data, with a [`Parallelism`] policy
-//! shared by every hot path (the `Match` candidate refinement in `gpm-core`,
-//! the BFS-per-source matrix build in `gpm-distance`, candidate computation
-//! in `gpm-iso` and batch-update repair in `gpm-incremental`).
+//! A small parallel runtime for the gpm workspace: scoped fork-join
+//! execution over borrowed data, with a [`Parallelism`] policy shared by
+//! every hot path (the `Match` candidate refinement in `gpm-core`, the
+//! block-of-rows matrix build and the 2-hop construction in `gpm-distance`,
+//! candidate computation in `gpm-iso`, state initialisation in
+//! `gpm-incremental` and the per-query repair of `gpm-service`).
 //!
 //! ## Design
 //!
-//! * **Scoped fork-join.** A parallel region collects its tasks and runs
-//!   them to completion before returning ([`Executor::scope`]); tasks may
-//!   borrow from the caller's stack (no `'static` bound, no `Arc` plumbing).
-//!   Worker threads live for the duration of one region — the executor is a
-//!   cheap, copyable *policy* handle, not a long-lived thread pool, which
-//!   keeps the whole crate free of `unsafe` lifetime laundering.
-//! * **Work stealing.** Each worker owns a [`StealDeque`]; tasks are dealt
-//!   round-robin, owners pop LIFO from the bottom, idle workers steal FIFO
-//!   from the top (the Chase–Lev discipline, synchronised with a `std` mutex
-//!   rather than the original lock-free atomics — see [`StealDeque`]). This
-//!   balances the skewed task costs typical of per-source BFS and per-node
-//!   refinement without any tuning.
+//! * **Index-addressed regions.** Every parallel step in this workspace is
+//!   *n items, each addressed by its index* — a pattern node, an (edge,
+//!   chunk) pair, a block of rows, a root group, a query. A region runs its
+//!   items to completion before returning; items may borrow from the
+//!   caller's stack (no `'static` bound, no `Arc` plumbing). Worker threads
+//!   live for the duration of one region — the executor is a cheap, copyable
+//!   *policy* handle, not a long-lived thread pool, which keeps the whole
+//!   crate free of `unsafe` lifetime laundering.
+//! * **One shared cursor.** The region's items sit behind a single mutex-
+//!   guarded iterator; every worker, the caller included, pulls the next
+//!   item until none is left. That is dynamic load balancing — a worker
+//!   held up by an expensive item pulls fewer — and it hands out disjoint
+//!   `&mut` items without `unsafe`. Items in this codebase are coarse (a
+//!   64-row BFS block, a pattern-node scan), so one lock per item is noise.
 //! * **Deterministic merges.** The mapping combinators
-//!   ([`Executor::par_map_index`], [`Executor::map_tasks`]) always deliver
+//!   ([`Executor::map_tasks`], [`Executor::par_map_index`]) always deliver
 //!   results in task-index order, whatever interleaving the workers produce,
-//!   so parallel `Match` is bit-identical to sequential `Match`. The
-//!   [`Parallelism::deterministic`] flag only relaxes *reduction* order
-//!   ([`Executor::par_reduce`]) for callers that fold commutative monoids.
+//!   so parallel `Match` is bit-identical to sequential `Match`.
 //! * **Sequential fallback.** Regions whose work hint falls below
-//!   [`Parallelism::sequential_threshold`] (or when `threads <= 1`) run
-//!   inline on the caller thread, in task order — the passthrough executes
+//!   [`Parallelism::with_sequential_threshold`] (or when `threads <= 1`) run
+//!   inline on the caller thread, in index order — the passthrough executes
 //!   the same code as the parallel path, so results cannot diverge.
 //!
 //! The default thread count honours the `GPM_THREADS` environment variable
@@ -47,25 +48,18 @@
 //! let squares = exec.par_map_index(1_000, |i| i * i);
 //! assert_eq!(squares[31], 961);
 //!
-//! // Scoped fork-join over borrowed data.
-//! let words = ["work", "stealing", "deque"];
-//! let lens = std::sync::Mutex::new([0usize; 3]);
-//! exec.scope(|s| {
-//!     for (i, w) in words.iter().enumerate() {
-//!         let lens = &lens;
-//!         s.spawn(move || lens.lock().unwrap()[i] = w.len());
-//!     }
-//! });
-//! assert_eq!(lens.into_inner().unwrap(), [4, 8, 5]);
+//! // Disjoint `&mut` items over borrowed data, no lock in sight.
+//! let words = ["one", "shared", "cursor"];
+//! let mut lens = [0usize; 3];
+//! exec.for_each_mut(&mut lens, usize::MAX, |i, len| *len = words[i].len());
+//! assert_eq!(lens, [3, 6, 6]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod deque;
 pub mod executor;
 pub mod parallelism;
 
-pub use deque::StealDeque;
-pub use executor::{Executor, Scope};
+pub use executor::Executor;
 pub use parallelism::Parallelism;

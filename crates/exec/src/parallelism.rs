@@ -1,12 +1,11 @@
-//! The [`Parallelism`] policy: how many threads, when to bother, and whether
-//! reduction merges must be deterministic.
+//! The [`Parallelism`] policy: how many threads, and when to bother.
 
 use std::sync::OnceLock;
 
 /// Default number of work items below which a region runs inline: with
 /// fewer, spawning the region's scoped worker threads costs more than the
 /// work itself. A combinator passes its own item count as the work hint
-/// (`map_tasks` takes one from the caller), so what 256 items are depends on
+/// (`map_tasks` and `for_each_mut` take one from the caller), so what 256 items are depends on
 /// the call site — data nodes, slice elements, queries.
 pub const DEFAULT_SEQUENTIAL_THRESHOLD: usize = 256;
 
@@ -21,7 +20,6 @@ pub const DEFAULT_SEQUENTIAL_THRESHOLD: usize = 256;
 pub struct Parallelism {
     threads: usize,
     sequential_threshold: usize,
-    deterministic: bool,
 }
 
 impl Parallelism {
@@ -30,18 +28,12 @@ impl Parallelism {
         Parallelism {
             threads: threads.max(1),
             sequential_threshold: DEFAULT_SEQUENTIAL_THRESHOLD,
-            deterministic: true,
         }
     }
 
     /// The single-threaded policy: every region runs inline on the caller.
     pub fn sequential() -> Self {
         Parallelism::new(1)
-    }
-
-    /// A policy using every core the OS reports as available.
-    pub fn available() -> Self {
-        Parallelism::new(available_threads())
     }
 
     /// The process-wide default policy: `GPM_THREADS` if set to a positive
@@ -58,16 +50,10 @@ impl Parallelism {
                 .and_then(|v| v.parse::<usize>().ok())
             {
                 Some(n) if n > 0 => n,
-                _ => available_threads(),
+                _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
             }
         });
         Parallelism::new(threads)
-    }
-
-    /// Replaces the thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Replaces the sequential-fallback threshold. Regions whose work hint
@@ -78,30 +64,10 @@ impl Parallelism {
         self
     }
 
-    /// Sets deterministic-merge mode (default `true`). Only
-    /// [`crate::Executor::par_reduce`] observes this: mapping combinators
-    /// merge in task order unconditionally.
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
-        self
-    }
-
     /// Number of worker threads (including the caller thread), `>= 1`.
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Work-item count below which a region runs inline.
-    #[inline]
-    pub fn sequential_threshold(&self) -> usize {
-        self.sequential_threshold
-    }
-
-    /// Whether reductions must fold partial results in task order.
-    #[inline]
-    pub fn deterministic(&self) -> bool {
-        self.deterministic
     }
 
     /// Whether a region with `work_hint` items should use worker threads.
@@ -109,19 +75,6 @@ impl Parallelism {
     pub fn should_parallelise(&self, work_hint: usize) -> bool {
         self.threads > 1 && work_hint >= self.sequential_threshold
     }
-}
-
-impl Default for Parallelism {
-    /// Same as [`Parallelism::from_env`].
-    fn default() -> Self {
-        Parallelism::from_env()
-    }
-}
-
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -133,19 +86,15 @@ mod tests {
         assert_eq!(Parallelism::new(0).threads(), 1);
         assert_eq!(Parallelism::new(8).threads(), 8);
         assert_eq!(Parallelism::sequential().threads(), 1);
-        assert_eq!(Parallelism::new(4).with_threads(0).threads(), 1);
     }
 
     #[test]
     fn builders_and_accessors() {
-        let p = Parallelism::new(4)
-            .with_sequential_threshold(10)
-            .with_deterministic(false);
+        let p = Parallelism::new(4).with_sequential_threshold(10);
         assert_eq!(p.threads(), 4);
-        assert_eq!(p.sequential_threshold(), 10);
-        assert!(!p.deterministic());
+        assert_eq!(p.sequential_threshold, 10);
         assert_eq!(
-            Parallelism::new(2).sequential_threshold(),
+            Parallelism::new(2).sequential_threshold,
             DEFAULT_SEQUENTIAL_THRESHOLD
         );
     }
@@ -164,8 +113,8 @@ mod tests {
 
     #[test]
     fn env_and_available_produce_positive_counts() {
-        assert!(Parallelism::available().threads() >= 1);
         assert!(Parallelism::from_env().threads() >= 1);
-        assert_eq!(Parallelism::from_env(), Parallelism::default());
+        // Read once per process: every call sees the same policy.
+        assert_eq!(Parallelism::from_env(), Parallelism::from_env());
     }
 }

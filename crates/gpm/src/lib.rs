@@ -8,7 +8,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`graph`] | attributed data graphs, pattern graphs, predicates, traversals, dataset IO |
-//! | [`exec`] | the work-stealing fork-join executor and its [`Parallelism`] policy |
+//! | [`exec`] | the scoped fork-join executor and its [`Parallelism`] policy |
 //! | [`distance`] | distance matrix, BFS and 2-hop oracles, incremental shortest paths, pluggable backends ([`OracleBackend`]) |
 //! | [`matching`] | the cubic-time `Match` (bounded simulation), graph simulation, result graphs |
 //! | [`incremental`] | `Match−`, `Match+`, `IncMatch`, shared-AFF repair, and the `IncrementalMatcher` facade |
@@ -28,7 +28,7 @@
 //!
 //! The hot paths — `Match`'s candidate refinement, distance-matrix
 //! construction, candidate computation and batch-update repair — run on a
-//! shared work-stealing executor (the [`exec`] module). Every entry point
+//! shared fork-join executor (the [`exec`] module). Every entry point
 //! defaults to the process-wide [`Parallelism::from_env`] policy (all
 //! available cores, overridable with the `GPM_THREADS` environment
 //! variable); `*_on`/`*_with` variants accept an explicit [`Executor`] or
@@ -91,7 +91,7 @@ pub mod graph {
     pub use gpm_graph::*;
 }
 
-/// The work-stealing fork-join executor (re-export of `gpm-exec`).
+/// The scoped fork-join executor (re-export of `gpm-exec`).
 pub mod exec {
     pub use gpm_exec::*;
 }

@@ -81,10 +81,7 @@ pub use error::GraphError;
 pub use node_id::{NodeId, PatternNodeId};
 pub use pattern_graph::{PatternEdge, PatternGraph, PatternNode};
 pub use predicate::{AtomicFormula, CmpOp, Predicate};
-pub use traversal::{
-    bfs_distances_bounded, bfs_order, dfs_postorder, is_dag, reachable_from, reaches,
-    strongly_connected_components, topological_order,
-};
+pub use traversal::{bfs_distances_bounded, is_dag, topological_order};
 pub use value::{AttrType, AttrValue};
 
 /// Convenient result alias used across the graph crate.

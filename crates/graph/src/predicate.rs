@@ -164,12 +164,6 @@ impl Predicate {
         self
     }
 
-    /// Adds an already-constructed atom to the conjunction.
-    pub fn and_atom(mut self, atom: AtomicFormula) -> Self {
-        self.atoms.push(atom);
-        self
-    }
-
     /// The atoms of the conjunction, in insertion order.
     pub fn atoms(&self) -> &[AtomicFormula] {
         &self.atoms

@@ -1,9 +1,7 @@
-//! Generic traversals over data graphs.
-//!
-//! These are the shared building blocks of the distance oracles and the
-//! matching algorithms: BFS (orders and bounded distances), DFS postorder,
-//! reachability, topological sorting and Tarjan's strongly connected
-//! components.
+//! Generic traversals over data graphs: bounded BFS distances and
+//! topological sorting. The distance oracles bring their own BFS kernels
+//! (`gpm-distance`); what is left here is what a caller outside this crate
+//! still uses.
 
 use crate::data_graph::DataGraph;
 use crate::node_id::NodeId;
@@ -11,26 +9,6 @@ use std::collections::VecDeque;
 
 /// Distance value used by the traversal helpers: `None` = unreachable.
 pub type Hops = Option<u32>;
-
-/// Breadth-first order of the nodes reachable from `start` (including
-/// `start` itself, first).
-pub fn bfs_order(g: &DataGraph, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &w in g.out_neighbors(v) {
-            if !visited[w.index()] {
-                visited[w.index()] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    order
-}
 
 /// Shortest distances (in hops) from `start` to every node, stopping the
 /// expansion at `max_hops` when given. `dist[start] == Some(0)`.
@@ -57,62 +35,6 @@ pub fn bfs_distances_bounded(g: &DataGraph, start: NodeId, max_hops: Option<u32>
         }
     }
     dist
-}
-
-/// The set of nodes reachable from `start` (including `start`), as a boolean
-/// mask indexed by node id.
-pub fn reachable_from(g: &DataGraph, start: NodeId) -> Vec<bool> {
-    let mut visited = vec![false; g.node_count()];
-    let mut stack = vec![start];
-    visited[start.index()] = true;
-    while let Some(v) = stack.pop() {
-        for &w in g.out_neighbors(v) {
-            if !visited[w.index()] {
-                visited[w.index()] = true;
-                stack.push(w);
-            }
-        }
-    }
-    visited
-}
-
-/// Whether there is a (possibly empty) path from `from` to `to`.
-pub fn reaches(g: &DataGraph, from: NodeId, to: NodeId) -> bool {
-    if from == to {
-        return true;
-    }
-    reachable_from(g, from)[to.index()]
-}
-
-/// Depth-first postorder of the whole graph (every node appears exactly once,
-/// roots chosen in ascending id order). Iterative, so deep graphs do not
-/// overflow the stack.
-pub fn dfs_postorder(g: &DataGraph) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut visited = vec![false; n];
-    let mut post = Vec::with_capacity(n);
-    for root in g.nodes() {
-        if visited[root.index()] {
-            continue;
-        }
-        // (node, next child index) explicit stack.
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-        visited[root.index()] = true;
-        while let Some((v, ci)) = stack.pop() {
-            let outs = g.out_neighbors(v);
-            if ci < outs.len() {
-                stack.push((v, ci + 1));
-                let w = outs[ci];
-                if !visited[w.index()] {
-                    visited[w.index()] = true;
-                    stack.push((w, 0));
-                }
-            } else {
-                post.push(v);
-            }
-        }
-    }
-    post
 }
 
 /// Whether the data graph is a DAG.
@@ -143,66 +65,6 @@ pub fn topological_order(g: &DataGraph) -> Option<Vec<NodeId>> {
     }
 }
 
-/// Strongly connected components (Tarjan, iterative). Returns one `Vec` of
-/// node ids per component, in reverse topological order of the condensation.
-pub fn strongly_connected_components(g: &DataGraph) -> Vec<Vec<NodeId>> {
-    let n = g.node_count();
-    const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut next_index = 0u32;
-    let mut components = Vec::new();
-
-    // Explicit DFS stack: (node, next-out-edge position).
-    let mut call_stack: Vec<(NodeId, usize)> = Vec::new();
-
-    for root in g.nodes() {
-        if index[root.index()] != UNSET {
-            continue;
-        }
-        call_stack.push((root, 0));
-        while let Some(&mut (v, ref mut ei)) = call_stack.last_mut() {
-            if *ei == 0 {
-                index[v.index()] = next_index;
-                lowlink[v.index()] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v.index()] = true;
-            }
-            let outs = g.out_neighbors(v);
-            if *ei < outs.len() {
-                let w = outs[*ei];
-                *ei += 1;
-                if index[w.index()] == UNSET {
-                    call_stack.push((w, 0));
-                } else if on_stack[w.index()] {
-                    lowlink[v.index()] = lowlink[v.index()].min(index[w.index()]);
-                }
-            } else {
-                call_stack.pop();
-                if let Some(&(parent, _)) = call_stack.last() {
-                    lowlink[parent.index()] = lowlink[parent.index()].min(lowlink[v.index()]);
-                }
-                if lowlink[v.index()] == index[v.index()] {
-                    let mut component = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack invariant");
-                        on_stack[w.index()] = false;
-                        component.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    components.push(component);
-                }
-            }
-        }
-    }
-    components
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +86,7 @@ mod tests {
         g
     }
 
-    /// Two SCCs: {0,1,2} cycle and {3}; edge from the cycle to 3.
+    /// A cycle {0,1,2} with an edge out of it to 3.
     fn cyclic_graph() -> DataGraph {
         let mut g = DataGraph::new();
         g.add_nodes(4);
@@ -233,18 +95,6 @@ mod tests {
         g.add_edge(n(2), n(0)).unwrap();
         g.add_edge(n(2), n(3)).unwrap();
         g
-    }
-
-    #[test]
-    fn bfs_order_visits_reachable_once() {
-        let g = chain_graph();
-        let order = bfs_order(&g, n(0));
-        assert_eq!(order[0], n(0));
-        assert_eq!(order.len(), 4); // node 4 unreachable
-        let mut sorted = order.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 4);
     }
 
     #[test]
@@ -268,27 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability() {
-        let g = chain_graph();
-        assert!(reaches(&g, n(0), n(3)));
-        assert!(reaches(&g, n(2), n(2))); // empty path
-        assert!(!reaches(&g, n(3), n(0)));
-        assert!(!reaches(&g, n(0), n(4)));
-        let mask = reachable_from(&g, n(1));
-        assert_eq!(mask, vec![false, true, true, true, false]);
-    }
-
-    #[test]
-    fn postorder_contains_every_node_once() {
-        let g = cyclic_graph();
-        let post = dfs_postorder(&g);
-        assert_eq!(post.len(), 4);
-        let mut sorted = post.clone();
-        sorted.sort();
-        assert_eq!(sorted, vec![n(0), n(1), n(2), n(3)]);
-    }
-
-    #[test]
     fn dag_and_topological_order() {
         let g = chain_graph();
         assert!(is_dag(&g));
@@ -301,37 +130,12 @@ mod tests {
         let c = cyclic_graph();
         assert!(!is_dag(&c));
         assert!(topological_order(&c).is_none());
-    }
 
-    #[test]
-    fn scc_detects_cycle_and_singletons() {
-        let g = cyclic_graph();
-        let mut sccs = strongly_connected_components(&g);
-        for c in &mut sccs {
-            c.sort();
-        }
-        sccs.sort_by_key(|c| c.len());
-        assert_eq!(sccs.len(), 2);
-        assert_eq!(sccs[0], vec![n(3)]);
-        assert_eq!(sccs[1], vec![n(0), n(1), n(2)]);
-    }
-
-    #[test]
-    fn scc_on_dag_gives_singletons() {
-        let g = chain_graph();
-        let sccs = strongly_connected_components(&g);
-        assert_eq!(sccs.len(), 5);
-        assert!(sccs.iter().all(|c| c.len() == 1));
-    }
-
-    #[test]
-    fn self_loop_is_its_own_scc_and_breaks_dagness() {
-        let mut g = DataGraph::new();
-        g.add_node(Attributes::new());
-        g.add_edge(n(0), n(0)).unwrap();
-        assert!(!is_dag(&g));
-        let sccs = strongly_connected_components(&g);
-        assert_eq!(sccs, vec![vec![n(0)]]);
+        // A self-loop is a cycle too.
+        let mut l = DataGraph::new();
+        l.add_node(Attributes::new());
+        l.add_edge(n(0), n(0)).unwrap();
+        assert!(!is_dag(&l));
     }
 
     fn arbitrary_graph(max_n: usize, max_e: usize) -> impl Strategy<Value = DataGraph> {
@@ -361,28 +165,6 @@ mod tests {
                     prop_assert!(dw <= dv + 1);
                 }
             }
-        }
-
-        /// Every node belongs to exactly one SCC.
-        #[test]
-        fn prop_sccs_partition_nodes(g in arbitrary_graph(25, 100)) {
-            let sccs = strongly_connected_components(&g);
-            let mut seen = vec![0usize; g.node_count()];
-            for c in &sccs {
-                for v in c {
-                    seen[v.index()] += 1;
-                }
-            }
-            prop_assert!(seen.iter().all(|&c| c == 1));
-        }
-
-        /// A graph is a DAG iff every SCC is a singleton without a self-loop.
-        #[test]
-        fn prop_dag_iff_trivial_sccs(g in arbitrary_graph(20, 60)) {
-            let trivial = strongly_connected_components(&g)
-                .iter()
-                .all(|c| c.len() == 1 && !g.has_edge(c[0], c[0]));
-            prop_assert_eq!(is_dag(&g), trivial);
         }
     }
 }

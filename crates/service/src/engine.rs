@@ -9,8 +9,10 @@
 //!    (this is the expensive step, and it is paid per batch, not per query);
 //! 2. every active query repairs its own match state from that shared
 //!    `AFF1` (`gpm_incremental::repair_match_state`), fanned out across the
-//!    `gpm-exec` work-stealing executor — queries are independent, so each
-//!    task owns exactly one query's state;
+//!    `gpm-exec` executor — queries are independent, so each item owns
+//!    exactly one query's state. The fan-out's work hint is the number of
+//!    queries to repair, so below `gpm-exec`'s threshold (256) it runs
+//!    inline at every thread count;
 //! 3. deltas are emitted sequentially in registration order, so the
 //!    per-query streams (and the batch outcome) are bit-identical at any
 //!    thread count.
@@ -368,11 +370,6 @@ impl MatchService {
                 self.result(QueryId(*id));
             }
         }
-    }
-
-    /// Whether this service persists its operations.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
     }
 
     /// The durable root directory, if this service is durable.

@@ -17,7 +17,7 @@
 //!   `AFF1`; every active query then repairs its own
 //!   [`gpm_incremental::MatchState`] from that `AFF1`
 //!   ([`gpm_incremental::repair_match_state`]), fanned out across the
-//!   `gpm-exec` work-stealing executor;
+//!   `gpm-exec` executor;
 //! * results leave the service as per-query [`MatchDelta`]s — the pairs
 //!   entering and leaving each query's visible result — through pull
 //!   ([`MatchService::apply`]'s [`BatchOutcome`]) and push

@@ -53,7 +53,7 @@ fn main() {
         );
 
         let t_inc = Instant::now();
-        let outcome = matcher.apply_batch(&updates).expect("DAG pattern");
+        let outcome = matcher.apply_batch(&updates);
         let inc_time = t_inc.elapsed();
 
         let t_batch = Instant::now();

@@ -243,8 +243,8 @@ fn maintained_matches_are_identical_across_backends() {
             on_matrix.graph(),
             &UpdateStreamConfig::mixed(10).with_seed(round + 60),
         );
-        let out_m = on_matrix.apply_batch(&updates).unwrap();
-        let out_t = on_two_hop.apply_batch(&updates).unwrap();
+        let out_m = on_matrix.apply_batch(&updates);
+        let out_t = on_two_hop.apply_batch(&updates);
         assert_eq!(
             out_m.stats.aff1, out_t.stats.aff1,
             "|AFF1| diverged at round {round}"

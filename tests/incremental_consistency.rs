@@ -51,7 +51,7 @@ fn incremental_matcher_tracks_batch_recompute_on_youtube() {
             matcher.graph(),
             &UpdateStreamConfig::mixed(40).with_seed(round + 100),
         );
-        matcher.apply_batch(&updates).unwrap();
+        matcher.apply_batch(&updates);
 
         // Maintained oracle equals a rebuilt matrix.
         assert_oracle_matches_rebuild(&matcher, &format!("round {round}"));
@@ -82,7 +82,7 @@ fn unit_updates_match_batch_updates() {
     }
 
     let mut batch = IncrementalMatcher::new(pattern, graph);
-    batch.apply_batch(&updates).unwrap();
+    batch.apply_batch(&updates);
 
     assert_eq!(unit.relation(), batch.relation());
     assert_eq!(unit.graph().edge_count(), batch.graph().edge_count());
@@ -172,7 +172,7 @@ fn matcher_and_single_query_service_share_one_policy() {
                         matcher.apply(*unit).unwrap();
                         service.apply_one(*unit);
                     } else {
-                        matcher.apply_batch(now).unwrap();
+                        matcher.apply_batch(now);
                         service.apply(now);
                     }
                     let ctx = format!("seed {seed}, {backend}, step {step}");

@@ -4,14 +4,14 @@
 
 use gpm::{
     bounded_simulation_with_oracle, generate_pattern, graph_simulation, random_graph,
-    random_updates, DistanceMatrix, IncrementalMatcher, PatternGenConfig, RandomGraphConfig,
-    UpdateStreamConfig,
+    random_updates, DistanceMatrix, Executor, IncrementalMatcher, Parallelism, PatternGenConfig,
+    RandomGraphConfig, UpdateStreamConfig,
 };
 
 #[test]
 fn match_on_a_five_thousand_edge_graph() {
     let graph = random_graph(&RandomGraphConfig::new(2_000, 5_000, 40).with_seed(77));
-    let matrix = DistanceMatrix::build_parallel(&graph, 4);
+    let matrix = DistanceMatrix::build_with(&graph, &Executor::new(Parallelism::new(4)));
     assert_eq!(matrix.node_count(), 2_000);
 
     let mut matched = 0;
@@ -33,7 +33,7 @@ fn match_on_a_five_thousand_edge_graph() {
 fn parallel_and_sequential_matrix_agree_at_scale() {
     let graph = random_graph(&RandomGraphConfig::new(1_200, 4_800, 25).with_seed(3));
     let seq = DistanceMatrix::build(&graph);
-    let par = DistanceMatrix::build_parallel(&graph, 8);
+    let par = DistanceMatrix::build_with(&graph, &Executor::new(Parallelism::new(8)));
     assert_eq!(seq, par);
 }
 
@@ -67,7 +67,7 @@ fn incremental_maintenance_over_a_long_update_stream() {
         .expect("some seed yields a DAG pattern");
     let mut matcher = IncrementalMatcher::new(pattern.clone(), graph.clone());
     let updates = random_updates(&graph, &UpdateStreamConfig::mixed(300).with_seed(13));
-    matcher.apply_batch(&updates).unwrap();
+    matcher.apply_batch(&updates);
 
     let rebuilt = DistanceMatrix::build(matcher.graph());
     let recomputed = bounded_simulation_with_oracle(&pattern, matcher.graph(), &rebuilt);

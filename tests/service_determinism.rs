@@ -108,7 +108,10 @@ proptest! {
 }
 
 /// A fixed-seed session large enough to clear the *default* sequential
-/// threshold, so the default-policy fan-out path is covered end to end.
+/// threshold where the hint is the graph (300 nodes: the oracle build and
+/// the registration `Match` runs fan out). The per-query repair does not:
+/// its hint is the number of queries, 6 here, so on the default policy it
+/// runs inline at every thread count (ROADMAP item 5).
 #[test]
 fn default_policy_session_agrees_with_sequential() {
     let build = |threads: usize| {
