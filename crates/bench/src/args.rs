@@ -150,19 +150,21 @@ impl HarnessArgs {
     pub fn from_env() -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
             Ok(args) => {
-                std::env::set_var("GPM_ORACLE", args.oracle.name());
-                if args.obs {
-                    gpm::obs::set_enabled(true);
-                }
-                if let Some(path) = &args.obs_out {
-                    gpm::obs::set_out_path(path);
-                }
+                args.install();
                 args
             }
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
+            Err(msg) => exit_with(&msg),
+        }
+    }
+
+    /// Makes the parsed `--oracle`/`--obs`/`--obs-out` choices process-wide.
+    fn install(&self) {
+        std::env::set_var("GPM_ORACLE", self.oracle.name());
+        if self.obs {
+            gpm::obs::set_enabled(true);
+        }
+        if let Some(path) = &self.obs_out {
+            gpm::obs::set_out_path(path);
         }
     }
 
@@ -339,13 +341,7 @@ impl LoadgenArgs {
     pub fn from_env() -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
             Ok(args) => {
-                std::env::set_var("GPM_ORACLE", args.harness.oracle.name());
-                if args.harness.obs {
-                    gpm::obs::set_enabled(true);
-                }
-                if let Some(path) = &args.harness.obs_out {
-                    gpm::obs::set_out_path(path);
-                }
+                args.harness.install();
                 args
             }
             Err(msg) => exit_with(&msg),

@@ -15,37 +15,12 @@
 //! tables, and `--obs-out <path>` streams JSONL (self-checked: every line
 //! must parse).
 
-use gpm::{
-    random_updates, EdgeUpdate, IncrementalMatcher, MatchService, PatternGraph, UpdateStreamConfig,
-};
+use gpm::{IncrementalMatcher, MatchService, PatternGraph};
 use gpm_bench::{
-    dag_pattern, fmt_ms, load_source_or_exit, percentile_exact, time, HarnessArgs, Table,
+    dag_pattern, fmt_ms, load_source_or_exit, percentile_exact, scripted_batches, time,
+    HarnessArgs, Table,
 };
 use std::time::Duration;
-
-/// Pre-generates `batches` update batches of `batch_size` updates each
-/// against an evolving copy of the graph, so every run replays the exact
-/// same stream.
-fn scripted_batches(
-    graph: &gpm::DataGraph,
-    batches: usize,
-    batch_size: usize,
-    seed: u64,
-) -> Vec<Vec<EdgeUpdate>> {
-    let mut scratch = graph.clone();
-    let mut script = Vec::with_capacity(batches);
-    for round in 0..batches {
-        let updates = random_updates(
-            &scratch,
-            &UpdateStreamConfig::mixed(batch_size).with_seed(seed + round as u64),
-        );
-        for u in &updates {
-            u.apply(&mut scratch);
-        }
-        script.push(updates);
-    }
-    script
-}
 
 fn main() {
     let args = HarnessArgs::from_env();

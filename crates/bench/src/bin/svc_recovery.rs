@@ -21,37 +21,15 @@
 //! Durable runs force `--threads`-independent results by construction, so
 //! the cross-check is exact equality, not approximation.
 
-use gpm::{random_updates, service::wal::WAL_FILE};
-use gpm::{DurableOptions, EdgeUpdate, MatchService, PatternGraph, UpdateStreamConfig};
+use gpm::service::wal::WAL_FILE;
+use gpm::{DurableOptions, MatchService, PatternGraph};
 use gpm_bench::{
-    dag_pattern, fmt_ms, load_source_or_exit, percentile_exact, time, HarnessArgs, Table,
+    dag_pattern, fmt_ms, load_source_or_exit, percentile_exact, scripted_batches, time,
+    HarnessArgs, Table,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-
-/// Pre-generates `batches` update batches against an evolving copy of the
-/// graph, so every mode replays the exact same stream.
-fn scripted_batches(
-    graph: &gpm::DataGraph,
-    batches: usize,
-    batch_size: usize,
-    seed: u64,
-) -> Vec<Vec<EdgeUpdate>> {
-    let mut scratch = graph.clone();
-    let mut script = Vec::with_capacity(batches);
-    for round in 0..batches {
-        let updates = random_updates(
-            &scratch,
-            &UpdateStreamConfig::mixed(batch_size).with_seed(seed + round as u64),
-        );
-        for u in &updates {
-            u.apply(&mut scratch);
-        }
-        script.push(updates);
-    }
-    script
-}
 
 fn dir_bytes(path: &Path) -> u64 {
     let Ok(entries) = fs::read_dir(path) else {

@@ -15,7 +15,7 @@
 
 use crate::{fmt_ms, load_source_or_exit, time, HarnessArgs, Table};
 use gpm::{
-    bounded_simulation_with_oracle, generate_pattern, random_updates, DistanceMatrix,
+    bounded_simulation_with_oracle, generate_pattern, random_updates, DistanceMatrix, EdgeUpdate,
     IncrementalMatcher, PatternGenConfig, PatternGraph, UpdateStreamConfig,
 };
 
@@ -38,6 +38,30 @@ impl UpdateMix {
             UpdateMix::Insertions => UpdateStreamConfig::insertions(count),
         }
     }
+}
+
+/// Pre-generates `batches` update batches of `batch_size` mixed updates each
+/// against an evolving copy of the graph, so every run of a `svc_*` bin
+/// replays the exact same stream.
+pub fn scripted_batches(
+    graph: &gpm::DataGraph,
+    batches: usize,
+    batch_size: usize,
+    seed: u64,
+) -> Vec<Vec<EdgeUpdate>> {
+    let mut scratch = graph.clone();
+    let mut script = Vec::with_capacity(batches);
+    for round in 0..batches {
+        let updates = random_updates(
+            &scratch,
+            &UpdateStreamConfig::mixed(batch_size).with_seed(seed + round as u64),
+        );
+        for u in &updates {
+            u.apply(&mut scratch);
+        }
+        script.push(updates);
+    }
+    script
 }
 
 /// Generates a DAG pattern for the incremental experiments (IncMatch requires

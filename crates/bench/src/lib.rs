@@ -77,7 +77,7 @@ pub mod incremental_exp;
 pub mod table;
 
 pub use args::{load_source_or_exit, HarnessArgs, LoadgenArgs};
-pub use incremental_exp::{dag_pattern, run_update_experiment, UpdateMix};
+pub use incremental_exp::{dag_pattern, run_update_experiment, scripted_batches, UpdateMix};
 pub use table::Table;
 
 /// Measures the wall-clock time of a closure, returning its result as well.

@@ -15,7 +15,7 @@
 
 use crate::match_relation::MatchRelation;
 use gpm_graph::{DataGraph, EdgeBound, NodeId, PatternGraph, PatternNodeId};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 /// An edge of the result graph, annotated with the pattern edge(s) it
@@ -186,23 +186,6 @@ impl ResultGraph {
     pub fn pair_count(&self) -> usize {
         self.roles.values().map(Vec::len).sum()
     }
-
-    /// The set of data-graph edges `(v1, v2)` of the result graph that are
-    /// also *direct* edges of the data graph (as opposed to bounded paths).
-    pub fn direct_edges<'a>(
-        &'a self,
-        graph: &'a DataGraph,
-    ) -> impl Iterator<Item = &'a ResultEdge> {
-        self.edges.iter().filter(|e| graph.has_edge(e.from, e.to))
-    }
-
-    /// Set of pattern edges that are witnessed by at least one result edge.
-    pub fn covered_pattern_edges(&self) -> FxHashSet<(PatternNodeId, PatternNodeId)> {
-        self.edges
-            .iter()
-            .flat_map(|e| e.pattern_edges.iter().map(|&(a, b, _)| (a, b)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -210,6 +193,7 @@ mod tests {
     use super::*;
     use crate::bounded_simulation;
     use gpm_graph::{Attributes, DataGraphBuilder, PatternGraphBuilder, Predicate};
+    use rustc_hash::FxHashSet;
 
     /// Example 2.2/2.3-style instance: P2 over G2 (academic collaboration).
     fn p2_g2() -> (DataGraph, PatternGraph, MatchRelation) {
@@ -266,7 +250,12 @@ mod tests {
             }
         }
         // Every pattern edge is covered (all pattern nodes are matched).
-        assert_eq!(r.covered_pattern_edges().len(), p.edge_count());
+        let covered: FxHashSet<_> = r
+            .edges()
+            .iter()
+            .flat_map(|e| e.pattern_edges.iter().map(|&(a, b, _)| (a, b)))
+            .collect();
+        assert_eq!(covered.len(), p.edge_count());
     }
 
     #[test]
@@ -306,16 +295,5 @@ mod tests {
         let comps = r.weakly_connected_components();
         let total: usize = comps.iter().map(Vec::len).sum();
         assert_eq!(total, r.node_count());
-    }
-
-    #[test]
-    fn direct_edges_subset() {
-        let (g, p, rel) = p2_g2();
-        let r = ResultGraph::build(&p, &g, &rel);
-        let direct: Vec<_> = r.direct_edges(&g).collect();
-        assert!(direct.len() <= r.edge_count());
-        for e in direct {
-            assert!(g.has_edge(e.from, e.to));
-        }
     }
 }

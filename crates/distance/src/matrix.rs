@@ -182,23 +182,6 @@ impl DistanceMatrix {
         self.get(x, y) != UNREACHABLE
     }
 
-    /// Iterates over all finite entries as `(source, sink, hops)`.
-    pub fn finite_entries(&self) -> impl Iterator<Item = (NodeId, NodeId, u16)> + '_ {
-        let n = self.n;
-        self.dist.iter().enumerate().filter_map(move |(i, &d)| {
-            if d == UNREACHABLE {
-                None
-            } else {
-                Some((NodeId::new((i / n) as u32), NodeId::new((i % n) as u32), d))
-            }
-        })
-    }
-
-    /// Number of finite (reachable) entries; useful for density diagnostics.
-    pub fn reachable_pair_count(&self) -> usize {
-        self.dist.iter().filter(|&&d| d != UNREACHABLE).count()
-    }
-
     /// Approximate heap size of the matrix in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.dist.len() * std::mem::size_of::<u16>()
@@ -271,23 +254,11 @@ mod tests {
         let g = DataGraph::new();
         let m = DistanceMatrix::build(&g);
         assert_eq!(m.node_count(), 0);
-        assert_eq!(m.reachable_pair_count(), 0);
 
         let mut g1 = DataGraph::new();
         g1.add_node(Attributes::new());
         let m1 = DistanceMatrix::build(&g1);
         assert_eq!(m1.nonempty_distance(n(0), n(0)), None);
-    }
-
-    #[test]
-    fn finite_entries_enumeration() {
-        let g = triangle_plus_tail();
-        let m = DistanceMatrix::build(&g);
-        let entries: Vec<_> = m.finite_entries().collect();
-        assert_eq!(entries.len(), m.reachable_pair_count());
-        assert!(entries.contains(&(n(0), n(3), 3)));
-        // 3 has no outgoing edges: no finite entries in its row.
-        assert!(entries.iter().all(|&(x, _, _)| x != n(3)));
     }
 
     #[test]

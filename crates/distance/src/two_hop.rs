@@ -349,14 +349,6 @@ impl TwoHopIndex {
             + self.label_in.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// Average number of label entries per node.
-    pub fn average_label_size(&self) -> f64 {
-        if self.label_out.is_empty() {
-            return 0.0;
-        }
-        self.label_entries() as f64 / self.label_out.len() as f64
-    }
-
     pub(crate) fn standard_distance_raw(&self, x: NodeId, y: NodeId) -> u16 {
         if x == y {
             return 0;
@@ -682,7 +674,6 @@ mod tests {
         let g = sample();
         let idx = TwoHopIndex::build(&g);
         assert!(idx.label_entries() > 0);
-        assert!(idx.average_label_size() > 0.0);
     }
 
     #[test]
@@ -706,7 +697,6 @@ mod tests {
         let g = DataGraph::new();
         let idx = TwoHopIndex::build(&g);
         assert_eq!(idx.label_entries(), 0);
-        assert_eq!(idx.average_label_size(), 0.0);
     }
 
     #[test]

@@ -250,33 +250,6 @@ impl DataGraph {
         g
     }
 
-    /// The subgraph induced by `keep`: nodes in `keep` (re-indexed densely in
-    /// the order given) plus every edge between two kept nodes. Returns the
-    /// subgraph and the mapping from new ids to original ids.
-    pub fn induced_subgraph(&self, keep: &[NodeId]) -> (DataGraph, Vec<NodeId>) {
-        let mut g = DataGraph::with_capacity(keep.len());
-        let mut old_to_new = vec![None::<NodeId>; self.node_count()];
-        let mut new_to_old = Vec::with_capacity(keep.len());
-        for &v in keep {
-            if old_to_new[v.index()].is_some() {
-                continue;
-            }
-            let nv = g.add_node(self.attributes(v).clone());
-            old_to_new[v.index()] = Some(nv);
-            new_to_old.push(v);
-        }
-        for &v in &new_to_old {
-            let nv = old_to_new[v.index()].expect("kept node was mapped");
-            for &w in self.out_neighbors(v) {
-                if let Some(nw) = old_to_new[w.index()] {
-                    g.add_edge(nv, nw).expect("induced edges are unique");
-                }
-            }
-        }
-        g.compact();
-        (g, new_to_old)
-    }
-
     /// Total degree (in + out) of `v`; handy for hub-ordering heuristics.
     pub fn total_degree(&self, v: NodeId) -> usize {
         self.out_degree(v) + self.in_degree(v)
@@ -441,31 +414,6 @@ mod tests {
         assert!(r.has_edge(n(1), n(0)));
         assert!(r.has_edge(n(2), n(1)));
         assert!(r.has_edge(n(0), n(2)));
-    }
-
-    #[test]
-    fn induced_subgraph_remaps_ids() {
-        let mut g = DataGraph::new();
-        g.add_node(Attributes::labeled("A"));
-        g.add_node(Attributes::labeled("B"));
-        g.add_node(Attributes::labeled("C"));
-        g.add_edge(n(0), n(1)).unwrap();
-        g.add_edge(n(1), n(2)).unwrap();
-        g.add_edge(n(2), n(0)).unwrap();
-        let (sub, mapping) = g.induced_subgraph(&[n(0), n(2)]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.edge_count(), 1); // only (2, 0) survives
-        assert_eq!(mapping, vec![n(0), n(2)]);
-        assert_eq!(sub.attributes(n(1)).label(), Some("C"));
-        assert!(sub.has_edge(n(1), n(0)));
-    }
-
-    #[test]
-    fn induced_subgraph_ignores_duplicates_in_keep() {
-        let g = triangle();
-        let (sub, mapping) = g.induced_subgraph(&[n(1), n(1), n(2)]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(mapping, vec![n(1), n(2)]);
     }
 
     #[test]

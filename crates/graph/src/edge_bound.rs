@@ -50,15 +50,6 @@ impl EdgeBound {
     pub fn is_unbounded(self) -> bool {
         matches!(self, EdgeBound::Unbounded)
     }
-
-    /// Returns a bound that admits every path this one admits and every path
-    /// `other` admits (the pointwise maximum). Useful for pattern rewriting.
-    pub fn loosest(self, other: EdgeBound) -> EdgeBound {
-        match (self, other) {
-            (EdgeBound::Unbounded, _) | (_, EdgeBound::Unbounded) => EdgeBound::Unbounded,
-            (EdgeBound::Hops(a), EdgeBound::Hops(b)) => EdgeBound::Hops(a.max(b)),
-        }
-    }
 }
 
 impl Default for EdgeBound {
@@ -132,18 +123,6 @@ mod tests {
         assert_eq!(EdgeBound::Unbounded.hops(), None);
         assert!(EdgeBound::Unbounded.is_unbounded());
         assert!(!EdgeBound::Hops(2).is_unbounded());
-    }
-
-    #[test]
-    fn loosest_combination() {
-        assert_eq!(
-            EdgeBound::Hops(2).loosest(EdgeBound::Hops(5)),
-            EdgeBound::Hops(5)
-        );
-        assert_eq!(
-            EdgeBound::Hops(2).loosest(EdgeBound::Unbounded),
-            EdgeBound::Unbounded
-        );
     }
 
     #[test]

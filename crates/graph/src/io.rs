@@ -1,19 +1,10 @@
 //! Plain-text and JSON (de)serialization of graphs and patterns.
 //!
-//! Three formats are supported:
+//! Two formats are supported here (the attributed `.edges`/`.attrs` dataset
+//! pair is [`crate::dataset`]):
 //!
 //! * **JSON** via `serde_json` — lossless round trips of [`DataGraph`] and
 //!   [`PatternGraph`], used to persist generated workloads;
-//! * a **line-oriented edge-list** format for data graphs, convenient for
-//!   importing external datasets:
-//!
-//!   ```text
-//!   # comment
-//!   n 0 label="Music" rate=4.5
-//!   n 1 label="People"
-//!   e 0 1
-//!   ```
-//!
 //! * the **SNAP edge-list** format used by the real crawls the paper
 //!   evaluates on (YouTube, Amazon, …): `#`-comment lines plus one
 //!   whitespace-separated `from to` pair of arbitrary `u64` node ids per
@@ -24,7 +15,6 @@ use crate::data_graph::DataGraph;
 use crate::error::GraphError;
 use crate::node_id::NodeId;
 use crate::pattern_graph::PatternGraph;
-use crate::value::AttrValue;
 use crate::Result;
 use rustc_hash::FxHashMap;
 use std::io::BufRead;
@@ -47,91 +37,6 @@ pub fn pattern_to_json(p: &PatternGraph) -> Result<String> {
 /// Deserializes a pattern graph from a JSON string.
 pub fn pattern_from_json(text: &str) -> Result<PatternGraph> {
     serde_json::from_str(text).map_err(|e| GraphError::Parse(e.to_string()))
-}
-
-/// Writes a data graph in the line-oriented edge-list format.
-pub fn data_graph_to_edge_list(g: &DataGraph) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# gpm edge list: {} nodes, {} edges\n",
-        g.node_count(),
-        g.edge_count()
-    ));
-    for v in g.nodes() {
-        out.push_str(&format!("n {}", v.0));
-        for (key, value) in g.attributes(v).iter() {
-            out.push(' ');
-            out.push_str(key);
-            out.push('=');
-            match value {
-                AttrValue::Str(s) => out.push_str(&format!("{s:?}")),
-                other => out.push_str(&other.to_string()),
-            }
-        }
-        out.push('\n');
-    }
-    for (a, b) in g.edges() {
-        out.push_str(&format!("e {} {}\n", a.0, b.0));
-    }
-    out
-}
-
-/// Parses a data graph from the line-oriented edge-list format.
-pub fn data_graph_from_edge_list(text: &str) -> Result<DataGraph> {
-    let mut nodes: Vec<(u32, Attributes)> = Vec::new();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut max_id: Option<u32> = None;
-
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let tokens = tokenize_line(line);
-        let mut parts = tokens.iter().map(String::as_str);
-        let kind = parts.next().unwrap_or_default();
-        match kind {
-            "n" => {
-                let id: u32 = parse_field(parts.next(), lineno, "node id")?;
-                let mut attrs = Attributes::new();
-                for item in parts {
-                    let (key, value) = item.split_once('=').ok_or_else(|| {
-                        GraphError::Parse(format!(
-                            "line {}: attribute `{item}` is not key=value",
-                            lineno + 1
-                        ))
-                    })?;
-                    attrs.set(key, parse_attr_value(value));
-                }
-                max_id = Some(max_id.map_or(id, |m| m.max(id)));
-                nodes.push((id, attrs));
-            }
-            "e" => {
-                let a: u32 = parse_field(parts.next(), lineno, "edge source")?;
-                let b: u32 = parse_field(parts.next(), lineno, "edge target")?;
-                max_id = Some(max_id.map_or(a.max(b), |m| m.max(a).max(b)));
-                edges.push((a, b));
-            }
-            other => {
-                return Err(GraphError::Parse(format!(
-                    "line {}: unknown record type `{other}`",
-                    lineno + 1
-                )))
-            }
-        }
-    }
-
-    let node_count = max_id.map_or(0, |m| m as usize + 1);
-    let mut g = DataGraph::with_capacity(node_count);
-    g.add_nodes(node_count);
-    for (id, attrs) in nodes {
-        *g.attributes_mut(NodeId::new(id)) = attrs;
-    }
-    for (a, b) in edges {
-        g.try_add_edge(NodeId::new(a), NodeId::new(b))?;
-    }
-    g.compact();
-    Ok(g)
 }
 
 /// The dense `u64 → NodeId` remap shared by the SNAP edge-list reader and
@@ -262,58 +167,10 @@ pub fn data_graph_from_snap_str(text: &str) -> Result<(DataGraph, Vec<u64>)> {
     read_snap_edge_list(text.as_bytes())
 }
 
-/// Splits a line on whitespace while keeping double-quoted segments (which
-/// may contain spaces) inside a single token.
-fn tokenize_line(line: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    let mut in_quotes = false;
-    for c in line.chars() {
-        match c {
-            '"' => {
-                in_quotes = !in_quotes;
-                current.push(c);
-            }
-            c if c.is_whitespace() && !in_quotes => {
-                if !current.is_empty() {
-                    tokens.push(std::mem::take(&mut current));
-                }
-            }
-            c => current.push(c),
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
-    tokens
-}
-
 fn parse_field<T: std::str::FromStr>(field: Option<&str>, lineno: usize, what: &str) -> Result<T> {
     field
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| GraphError::Parse(format!("line {}: missing/invalid {what}", lineno + 1)))
-}
-
-fn parse_attr_value(text: &str) -> AttrValue {
-    if let Some(stripped) = text
-        .strip_prefix('"')
-        .and_then(|rest| rest.strip_suffix('"'))
-    {
-        return AttrValue::Str(stripped.to_string());
-    }
-    if text == "true" {
-        return AttrValue::Bool(true);
-    }
-    if text == "false" {
-        return AttrValue::Bool(false);
-    }
-    if let Ok(i) = text.parse::<i64>() {
-        return AttrValue::Int(i);
-    }
-    if let Ok(f) = text.parse::<f64>() {
-        return AttrValue::Float(f);
-    }
-    AttrValue::Str(text.to_string())
 }
 
 #[cfg(test)]
@@ -366,66 +223,6 @@ mod tests {
     fn json_parse_error_is_reported() {
         assert!(data_graph_from_json("{not json").is_err());
         assert!(pattern_from_json("[]").is_err());
-    }
-
-    #[test]
-    fn edge_list_roundtrip() {
-        let g = sample_graph();
-        let text = data_graph_to_edge_list(&g);
-        let back = data_graph_from_edge_list(&text).unwrap();
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        for v in g.nodes() {
-            assert_eq!(back.attributes(v), g.attributes(v), "attrs of {v}");
-        }
-        for (a, b) in g.edges() {
-            assert!(back.has_edge(a, b));
-        }
-    }
-
-    #[test]
-    fn edge_list_parses_comments_and_types() {
-        let text = r#"
-            # a comment
-            n 0 label="A B" rate=4.5 views=10 ok=true
-            n 2 label=plain
-            e 0 2
-        "#;
-        let g = data_graph_from_edge_list(text).unwrap();
-        assert_eq!(g.node_count(), 3); // ids 0..=2, id 1 implicit
-        assert_eq!(g.attributes(NodeId::new(0)).label(), Some("A B"));
-        assert_eq!(
-            g.attributes(NodeId::new(0)).get("rate"),
-            Some(&AttrValue::Float(4.5))
-        );
-        assert_eq!(
-            g.attributes(NodeId::new(0)).get("views"),
-            Some(&AttrValue::Int(10))
-        );
-        assert_eq!(
-            g.attributes(NodeId::new(0)).get("ok"),
-            Some(&AttrValue::Bool(true))
-        );
-        assert_eq!(
-            g.attributes(NodeId::new(2)).get("label"),
-            Some(&AttrValue::Str("plain".into()))
-        );
-        assert!(g.has_edge(NodeId::new(0), NodeId::new(2)));
-    }
-
-    #[test]
-    fn edge_list_errors() {
-        assert!(data_graph_from_edge_list("x 1 2").is_err());
-        assert!(data_graph_from_edge_list("e 1").is_err());
-        assert!(data_graph_from_edge_list("n").is_err());
-        assert!(data_graph_from_edge_list("n 0 oops").is_err());
-    }
-
-    #[test]
-    fn empty_edge_list_is_empty_graph() {
-        let g = data_graph_from_edge_list("# nothing\n").unwrap();
-        assert_eq!(g.node_count(), 0);
-        assert_eq!(g.edge_count(), 0);
     }
 
     #[test]

@@ -246,28 +246,6 @@ impl PatternGraph {
             .unwrap_or(0)
     }
 
-    /// Whether any edge is unbounded (`*`).
-    pub fn has_unbounded_edge(&self) -> bool {
-        self.edges.iter().any(|e| e.bound.is_unbounded())
-    }
-
-    /// Returns a copy of the pattern with every edge bound replaced by 1 hop.
-    ///
-    /// This is the "traditional" projection used when comparing against plain
-    /// graph simulation and the subgraph-isomorphism baselines.
-    pub fn with_unit_bounds(&self) -> PatternGraph {
-        let mut p = PatternGraph::new();
-        for node in &self.nodes {
-            let id = p.add_node(node.predicate.clone());
-            p.nodes[id.index()].name = node.name.clone();
-        }
-        for e in &self.edges {
-            p.add_edge(e.from, e.to, EdgeBound::ONE)
-                .expect("copying a valid pattern cannot fail");
-        }
-        p
-    }
-
     fn find_edge(&self, from: PatternNodeId, to: PatternNodeId) -> Option<usize> {
         self.out_adj
             .get(from.index())?
@@ -407,26 +385,12 @@ mod tests {
     fn bounds_summary() {
         let p = p0();
         assert_eq!(p.max_bound(), 3);
-        assert!(!p.has_unbounded_edge());
 
         let mut q = PatternGraph::new();
         let a = q.add_node(Predicate::any());
         let b = q.add_node(Predicate::any());
         q.add_edge(a, b, EdgeBound::Unbounded).unwrap();
-        assert!(q.has_unbounded_edge());
         assert_eq!(q.max_bound(), 0);
-    }
-
-    #[test]
-    fn with_unit_bounds_flattens_every_edge() {
-        let p = p0();
-        let flat = p.with_unit_bounds();
-        assert_eq!(flat.node_count(), p.node_count());
-        assert_eq!(flat.edge_count(), p.edge_count());
-        for e in flat.edges() {
-            assert_eq!(e.bound, EdgeBound::ONE);
-        }
-        assert_eq!(flat.name(u(1)), "AM");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn inc_match<O: DistanceOracle + ?Sized>(
     pattern.require_dag()?;
     // Apply the batch to the graph, remembering which updates took effect.
     let applied: Vec<EdgeUpdate> = updates.iter().copied().filter(|u| u.apply(graph)).collect();
-    maintain(pattern, graph, oracle, state, &applied, exec).map_err(|(_aff1, err)| err)
+    maintain(pattern, graph, oracle, state, &applied, exec)
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub fn match_minus<O: DistanceOracle + ?Sized>(
 ) -> Result<IncrementalOutcome, GraphError> {
     graph.remove_edge(from, to)?;
     let applied = [EdgeUpdate::Delete(from, to)];
-    maintain(pattern, graph, oracle, state, &applied, exec).map_err(|(_aff1, err)| err)
+    maintain(pattern, graph, oracle, state, &applied, exec)
 }
 
 /// Removal propagation shared by `Match−` and the deletion side of

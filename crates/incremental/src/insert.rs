@@ -52,7 +52,7 @@ pub fn match_plus<O: DistanceOracle + ?Sized>(
     pattern.require_dag()?;
     graph.add_edge(from, to)?;
     let applied = [EdgeUpdate::Insert(from, to)];
-    maintain(pattern, graph, oracle, state, &applied, exec).map_err(|(_aff1, err)| err)
+    maintain(pattern, graph, oracle, state, &applied, exec)
 }
 
 /// Whether candidate `x` of pattern node `u` has every out-edge of `u`

@@ -28,6 +28,9 @@
 //!   service (`gpm-service`) can pay the shared graph/oracle maintenance
 //!   once per batch and replay only the cheap per-query repair for every
 //!   registered pattern.
+//! * [`refresh_match_state`] — the policy around that repair, written once:
+//!   a refused repair becomes a recomputation of the state on the maintained
+//!   oracle. [`IncrementalMatcher`] and `gpm-service` both call it.
 //!
 //! Every operation reports the affected areas: `AFF1` (node pairs whose
 //! distance changed — from `gpm-distance`) and `AFF2` (match pairs added or
@@ -85,7 +88,9 @@ pub use batch::inc_match;
 pub use delete::match_minus;
 pub use insert::match_plus;
 pub use maintainer::IncrementalMatcher;
-pub use repair::{repair_match_state, split_aff1_sources, RepairOutcome};
+pub use repair::{
+    refresh_match_state, repair_match_state, split_aff1_sources, Refreshed, RepairOutcome,
+};
 pub use state::{MatchState, MatchStateSnapshot};
 
 /// Result alias for incremental operations.

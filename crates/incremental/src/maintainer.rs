@@ -4,11 +4,11 @@
 //! incrementally maintain the matches when `G` is updated". This type bundles
 //! everything that workflow needs — the pattern, the evolving data graph, the
 //! maintained distance oracle and the match state — and runs every update,
-//! unit or batch, through the crate's one maintenance kernel on its own
+//! unit or batch, through `UpdateBM` and [`refresh_match_state`] on its own
 //! executor. For the one combination the incremental algorithms do not cover
 //! (a cyclic pattern and a distance that shrank across one of its bounds),
-//! it falls back to recomputation so callers always end up in a consistent
-//! state — the same policy `gpm-service` applies per query.
+//! that policy recomputes, so callers always end up in a consistent state —
+//! `gpm-service` runs the same function per query.
 //!
 //! The distance backend is pluggable: [`IncrementalMatcher::new`] reads
 //! [`OracleBackend::from_env`] (`GPM_ORACLE`), and
@@ -16,8 +16,8 @@
 //! paper's quadratic matrix or the sublinear-memory incremental 2-hop
 //! labeling.
 
-use crate::affected::{Aff2, IncrementalOutcome};
-use crate::repair::maintain;
+use crate::affected::IncrementalOutcome;
+use crate::repair::{refresh_match_state, Refreshed, RepairOutcome};
 use crate::state::MatchState;
 use gpm_core::{MatchRelation, ResultGraph};
 use gpm_distance::{DistanceOracle, EdgeUpdate, OracleBackend};
@@ -173,37 +173,27 @@ impl IncrementalMatcher {
         self.maintain(&applied)
     }
 
-    /// Oracle and state maintenance for updates the graph already reflects,
-    /// recomputing the state where incremental repair does not apply (the
-    /// oracle is maintained incrementally either way).
+    /// Oracle and state maintenance for updates the graph already reflects:
+    /// `UpdateBM`, then the crate's repair-or-recompute policy.
     fn maintain(&mut self, applied: &[EdgeUpdate]) -> IncrementalOutcome {
-        let maintained = maintain(
-            &self.pattern,
-            &self.graph,
-            self.oracle.as_mut(),
-            &mut self.state,
-            applied,
-            &self.exec,
-        );
-        match maintained {
-            Ok(outcome) => outcome,
-            Err((aff1, GraphError::PatternNotAcyclic)) => {
-                self.recompute_state();
-                IncrementalOutcome::new(aff1, Aff2::default(), 0)
-            }
-            Err((_, e)) => unreachable!("repair cannot fail otherwise: {e}"),
-        }
-    }
-
-    fn recompute_state(&mut self) {
-        self.recompute_fallbacks += 1;
-        crate::repair::metrics().recompute_fallbacks.inc();
-        self.state = MatchState::initialise_with(
+        let aff1 = self.oracle.apply_batch(&self.graph, applied, &self.exec);
+        let refreshed = refresh_match_state(
             &self.pattern,
             &self.graph,
             self.oracle.as_ref(),
+            &mut self.state,
+            &aff1,
             &self.exec,
         );
+        let repair = match refreshed {
+            Refreshed::Repaired(repair) => repair,
+            Refreshed::Rebuilt => {
+                self.recompute_fallbacks += 1;
+                crate::repair::metrics().recompute_fallbacks.inc();
+                RepairOutcome::default()
+            }
+        };
+        IncrementalOutcome::new(aff1, repair.aff2, repair.verifications)
     }
 }
 

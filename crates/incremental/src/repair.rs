@@ -4,8 +4,8 @@
 //! graph, maintain the distance oracle (producing `AFF1`), and repair the
 //! match state from the affected sources — removals first, then additions.
 //! The private `maintain` is the last two steps; [`crate::match_minus`],
-//! [`crate::match_plus`], [`crate::inc_match`] and both update methods of
-//! [`crate::IncrementalMatcher`] validate, mutate the graph and call it.
+//! [`crate::match_plus`] and [`crate::inc_match`] validate, mutate the graph
+//! and call it.
 //!
 //! A continuous-query service maintaining *many* patterns over one graph
 //! wants to pay the oracle maintenance — by far the expensive step —
@@ -27,8 +27,8 @@
 //! * bound-crossing **decreases** are repaired with the addition
 //!   propagation of `Match+`, which requires a DAG pattern — a cyclic
 //!   pattern whose `AFF1` contains one errors with
-//!   [`GraphError::PatternNotAcyclic`] (callers fall back to recomputation,
-//!   as `IncrementalMatcher` and `gpm-service` do).
+//!   [`GraphError::PatternNotAcyclic`]; [`refresh_match_state`] is the
+//!   repair-or-recompute policy `IncrementalMatcher` and `gpm-service` run.
 
 use crate::affected::{Aff2, IncrementalOutcome};
 use crate::delete::process_removals;
@@ -125,11 +125,8 @@ fn flip_points(pattern: &PatternGraph) -> Vec<u16> {
 
 /// Maintains `oracle` and `state` after the effective updates `applied` were
 /// made to `graph`: `UpdateBM` on `exec`, then [`repair_match_state`] from
-/// its `AFF1`.
-///
-/// A repair that fails (cyclic pattern, bound-crossing decrease) leaves
-/// `state` untouched but has already maintained the oracle, so the error
-/// carries the `AFF1` for callers that recompute instead of giving up.
+/// its `AFF1`. A repair that refuses leaves `state` untouched, but the
+/// oracle is maintained either way.
 pub(crate) fn maintain<O: DistanceOracle + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -137,16 +134,14 @@ pub(crate) fn maintain<O: DistanceOracle + ?Sized>(
     state: &mut MatchState,
     applied: &[EdgeUpdate],
     exec: &Executor,
-) -> Result<IncrementalOutcome, (AffectedPairs, GraphError)> {
+) -> Result<IncrementalOutcome, GraphError> {
     let aff1 = oracle.apply_batch(graph, applied, exec);
-    match repair_match_state(pattern, graph, oracle, state, &aff1) {
-        Ok(repair) => Ok(IncrementalOutcome::new(
-            aff1,
-            repair.aff2,
-            repair.verifications,
-        )),
-        Err(err) => Err((aff1, err)),
-    }
+    let repair = repair_match_state(pattern, graph, oracle, state, &aff1)?;
+    Ok(IncrementalOutcome::new(
+        aff1,
+        repair.aff2,
+        repair.verifications,
+    ))
 }
 
 /// Repairs one query's match state from a shared, precomputed `AFF1`.
@@ -227,6 +222,41 @@ pub fn repair_match_state<O: DistanceQuery + ?Sized>(
         aff2,
         verifications,
     })
+}
+
+/// What [`refresh_match_state`] did to bring a state up to date.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Refreshed {
+    /// The state was repaired incrementally from `AFF1`.
+    Repaired(RepairOutcome),
+    /// The repair refused and the state was recomputed on the maintained
+    /// oracle.
+    Rebuilt,
+}
+
+/// The paper's workflow as one policy: repair `state` from `aff1` where
+/// `Match−`/`Match+` apply, recompute it on `exec` where they refuse — a
+/// cyclic pattern whose batch holds a bound-crossing decrease. Either way
+/// `state` ends equal to a from-scratch `Match` against `oracle`, which must
+/// already reflect the batch (see [`repair_match_state`]). Counting
+/// fallbacks is the caller's business.
+pub fn refresh_match_state<O: DistanceQuery + Sync + ?Sized>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    oracle: &O,
+    state: &mut MatchState,
+    aff1: &AffectedPairs,
+    exec: &Executor,
+) -> Refreshed {
+    match repair_match_state(pattern, graph, oracle, state, aff1) {
+        Ok(repair) => Refreshed::Repaired(repair),
+        // A refused repair left `state` as it was; a rebuild is right
+        // whatever the refusal, and `PatternNotAcyclic` is the only one.
+        Err(_) => {
+            *state = MatchState::initialise_with(pattern, graph, oracle, exec);
+            Refreshed::Rebuilt
+        }
+    }
 }
 
 #[cfg(test)]

@@ -61,16 +61,6 @@ impl Default for IsoConfig {
     }
 }
 
-impl IsoConfig {
-    /// A configuration that stops at the first embedding (existence check).
-    pub fn first_match_only() -> Self {
-        IsoConfig {
-            max_embeddings: 1,
-            ..Default::default()
-        }
-    }
-}
-
 /// The outcome of a subgraph-isomorphism enumeration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IsoOutcome {
@@ -189,6 +179,5 @@ mod tests {
     fn config_defaults() {
         let c = IsoConfig::default();
         assert!(c.max_embeddings > 0 && c.max_steps > 0);
-        assert_eq!(IsoConfig::first_match_only().max_embeddings, 1);
     }
 }

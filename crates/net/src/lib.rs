@@ -4,7 +4,8 @@
 //! register, deregister, suspend, resume, apply-batch, result and
 //! subscribe all work over a TCP connection with exactly the in-process
 //! semantics — the server serialises every mutation through one service
-//! lock and forwards each wire subscriber a real in-process subscription,
+//! lock and registers each wire subscriber as a sink of the service's own
+//! emission loop ([`gpm_service::MatchService::subscribe_with`]),
 //! so a delta stream observed over the wire is **bit-identical** to the
 //! stream an embedded [`gpm_service::Subscription`] yields (the
 //! `net_differential` suite pins this at several thread counts and on both

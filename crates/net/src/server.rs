@@ -7,22 +7,21 @@
 //!
 //! # Delta fan-out
 //!
-//! Each wire subscriber is backed by a real in-process
-//! [`gpm_service::Subscription`] — the service's own channel is the source
-//! of truth for what a subscriber must see. After every request that can
-//! emit deltas the server *pumps*: still holding the service lock, it
-//! drains each backing subscription and forwards the deltas into that
-//! subscriber's bounded queue. A writer thread per subscriber moves queue
-//! entries onto the socket. Because the pump runs under the service lock,
-//! the interleaving of batches and forwarded deltas is identical for every
-//! subscriber regardless of thread count.
+//! A wire subscriber is a sink of the service's own emission loop
+//! ([`MatchService::subscribe_with`]): the service hands the snapshot and
+//! every later delta of the query straight into that subscriber's bounded
+//! queue, and a writer thread per subscriber moves queue entries onto the
+//! socket. The emission runs under the service lock and in registration
+//! order, so the interleaving of batches and forwarded deltas is identical
+//! for every subscriber regardless of thread count, and that queue is the
+//! only one a delta sits in between the service and the socket.
 //!
 //! # Backpressure
 //!
 //! The per-subscriber queue is bounded ([`ServerOptions::subscriber_queue`]).
 //! When it fills, [`ServerOptions::backpressure`] decides:
 //!
-//! * [`BackpressurePolicy::Block`] — the pump blocks, which blocks the
+//! * [`BackpressurePolicy::Block`] — the emission blocks, which blocks the
 //!   request being served. Slow subscribers slow the service; nothing is
 //!   ever dropped.
 //! * [`BackpressurePolicy::Disconnect`] — the subscriber is kicked: its
@@ -34,7 +33,7 @@ use crate::codec::{read_message, write_message, ReadOutcome};
 use crate::error::NetError;
 use crate::metrics;
 use crate::proto::{EndReason, ErrorCode, Request, Response, StreamMsg, PROTOCOL_VERSION};
-use gpm_service::{MatchDelta, MatchService, QueryId, Subscription, SubscriptionPoll};
+use gpm_service::{MatchDelta, MatchService, QueryId};
 use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -73,57 +72,40 @@ impl Default for ServerOptions {
     }
 }
 
-/// One wire subscriber: the in-process subscription it mirrors, the bounded
-/// queue its writer thread drains, and the slot that records why its stream
-/// ended.
-struct NetSub {
-    sub: Subscription,
-    tx: SyncSender<MatchDelta>,
-    end: Arc<Mutex<Option<EndReason>>>,
-}
-
 struct Shared {
     svc: Mutex<MatchService>,
-    subs: Mutex<Vec<NetSub>>,
     opts: ServerOptions,
 }
 
-impl Shared {
-    /// Forwards every newly buffered delta from each backing subscription
-    /// into its wire queue. Must run while the caller still holds the
-    /// service lock, so stream order is the service's emission order.
-    fn pump(&self) {
+/// The service-side end of one wire subscriber: pushes a delta into the
+/// bounded queue its writer thread drains, deciding backpressure on a full
+/// one. `false` — the service then forgets the sink, which hangs up the
+/// queue — when the writer is gone (client hung up) or the subscriber is
+/// kicked; `end` tells the writer which. A sink the service drops with its
+/// query leaves `end` empty: [`EndReason::QueryClosed`].
+fn wire_sink(
+    tx: SyncSender<MatchDelta>,
+    end: Arc<Mutex<Option<EndReason>>>,
+    policy: BackpressurePolicy,
+) -> impl FnMut(&MatchDelta) -> bool + Send {
+    move |delta| {
         let obs = metrics::net();
-        let mut subs = self.subs.lock();
-        subs.retain(|s| loop {
-            match s.sub.poll() {
-                SubscriptionPoll::Delta(d) => {
-                    match self.opts.backpressure {
-                        BackpressurePolicy::Block => {
-                            if s.tx.send(d).is_err() {
-                                // Writer gone (client hung up); forget it.
-                                return false;
-                            }
-                        }
-                        BackpressurePolicy::Disconnect => match s.tx.try_send(d) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(_)) => {
-                                *s.end.lock() = Some(EndReason::Backpressure);
-                                obs.kicked_subscribers.inc();
-                                return false;
-                            }
-                            Err(TrySendError::Disconnected(_)) => return false,
-                        },
-                    }
-                    obs.deltas_streamed.inc();
+        let queued = match policy {
+            BackpressurePolicy::Block => tx.send(delta.clone()).is_ok(),
+            BackpressurePolicy::Disconnect => match tx.try_send(delta.clone()) {
+                Ok(()) => true,
+                Err(TrySendError::Full(_)) => {
+                    *end.lock() = Some(EndReason::Backpressure);
+                    obs.kicked_subscribers.inc();
+                    false
                 }
-                SubscriptionPoll::Empty => return true,
-                SubscriptionPoll::Closed => {
-                    *s.end.lock() = Some(EndReason::QueryClosed);
-                    return false;
-                }
-            }
-        });
+                Err(TrySendError::Disconnected(_)) => false,
+            },
+        };
+        if queued {
+            obs.deltas_streamed.inc();
+        }
+        queued
     }
 }
 
@@ -148,7 +130,6 @@ impl NetServer {
             listener,
             shared: Arc::new(Shared {
                 svc: Mutex::new(service),
-                subs: Mutex::new(Vec::new()),
                 opts,
             }),
         })
@@ -203,21 +184,16 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting new connections and joins the accept loop.
-    /// Established connections run until their client disconnects.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
+    /// Stops accepting new connections and joins the accept loop (what
+    /// dropping the handle does). Established connections run until their
+    /// client disconnects.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(join) = self.join.take() {
             let _ = join.join();
@@ -314,34 +290,21 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> Result<(), NetErr
                 message: "connection is already past its handshake".to_string(),
             },
             Request::Ping => Response::Pong,
-            Request::Register { pattern } => {
-                let mut svc = shared.svc.lock();
-                let id = svc.register(pattern);
-                shared.pump();
-                Response::Registered { query: id.value() }
-            }
-            Request::Deregister { query } => {
-                let mut svc = shared.svc.lock();
-                let known = svc.deregister(QueryId::from_raw(query));
-                shared.pump(); // closes that query's wire streams
-                Response::Done { known }
-            }
-            Request::Suspend { query } => {
-                let mut svc = shared.svc.lock();
-                let known = svc.suspend(QueryId::from_raw(query));
-                shared.pump();
-                Response::Done { known }
-            }
-            Request::Resume { query } => {
-                let mut svc = shared.svc.lock();
-                let known = svc.resume(QueryId::from_raw(query));
-                shared.pump();
-                Response::Done { known }
-            }
+            Request::Register { pattern } => Response::Registered {
+                query: shared.svc.lock().register(pattern).value(),
+            },
+            // Dropping the query drops its sinks, which ends its wire streams.
+            Request::Deregister { query } => Response::Done {
+                known: shared.svc.lock().deregister(QueryId::from_raw(query)),
+            },
+            Request::Suspend { query } => Response::Done {
+                known: shared.svc.lock().suspend(QueryId::from_raw(query)),
+            },
+            Request::Resume { query } => Response::Done {
+                known: shared.svc.lock().resume(QueryId::from_raw(query)),
+            },
             Request::ApplyBatch { updates } => {
-                let mut svc = shared.svc.lock();
-                let out = svc.apply(&updates);
-                shared.pump();
+                let out = shared.svc.lock().apply(&updates);
                 Response::Applied {
                     epoch: out.epoch,
                     applied: out.applied as u64,
@@ -349,36 +312,27 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> Result<(), NetErr
                     deltas: out.deltas,
                 }
             }
-            Request::Result { query } => {
-                let mut svc = shared.svc.lock();
-                let relation = svc.result(QueryId::from_raw(query));
-                shared.pump(); // lazy reactivation may emit catch-up deltas
-                Response::ResultRelation { relation }
-            }
+            Request::Result { query } => Response::ResultRelation {
+                relation: shared.svc.lock().result(QueryId::from_raw(query)),
+            },
             Request::Subscribe { query } => {
-                let mut svc = shared.svc.lock();
-                match svc.subscribe(QueryId::from_raw(query)) {
-                    None => Response::Error {
-                        code: ErrorCode::UnknownQuery,
-                        message: format!("no registered query with id {query}"),
-                    },
-                    Some(sub) => {
-                        obs.subscriptions.inc();
-                        let (tx, rx) = sync_channel(shared.opts.subscriber_queue);
-                        let end = Arc::new(Mutex::new(None));
-                        shared.subs.lock().push(NetSub {
-                            sub,
-                            tx,
-                            end: Arc::clone(&end),
-                        });
-                        // Forward the snapshot (and anything else buffered)
-                        // before the lock drops, so the Subscribed reply is
-                        // immediately followed by the snapshot delta.
-                        shared.pump();
-                        drop(svc);
-                        send(&mut stream, &Response::Subscribed { query })?;
-                        return stream_subscriber(stream, rx, end);
-                    }
+                let (tx, rx) = sync_channel(shared.opts.subscriber_queue);
+                let end = Arc::new(Mutex::new(None));
+                let sink = wire_sink(tx, Arc::clone(&end), shared.opts.backpressure);
+                // The snapshot is queued before the lock drops, so the
+                // Subscribed reply is immediately followed by it.
+                if shared
+                    .svc
+                    .lock()
+                    .subscribe_with(QueryId::from_raw(query), sink)
+                {
+                    obs.subscriptions.inc();
+                    send(&mut stream, &Response::Subscribed { query })?;
+                    return stream_subscriber(stream, rx, end);
+                }
+                Response::Error {
+                    code: ErrorCode::UnknownQuery,
+                    message: format!("no registered query with id {query}"),
                 }
             }
         };
@@ -401,7 +355,7 @@ fn stream_subscriber(
                 obs.bytes_out.add(n as u64);
             }
             Err(_) => {
-                // The pump dropped our sender: every queued delta has been
+                // The service dropped our sink: every queued delta has been
                 // written, and the slot says why the stream ended.
                 let reason = end.lock().take().unwrap_or(EndReason::QueryClosed);
                 let _ = write_message(&mut stream, &StreamMsg::End { reason });

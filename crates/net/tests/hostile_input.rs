@@ -254,20 +254,28 @@ fn mid_catchup_disconnect_does_not_poison_the_service() {
     }
 
     // The service keeps applying batches and serving live subscribers; the
-    // dead subscribers' writer threads fail on their sockets and the pump
-    // forgets them.
+    // dead subscribers' writer threads fail on their sockets and the
+    // service's emission forgets their sinks.
     let g = random_graph(&RandomGraphConfig::new(60, 200, 4).with_seed(7));
     let mut live = NetClient::connect(addr).unwrap().subscribe(q).unwrap();
     let snapshot = live.next().unwrap().expect("snapshot");
     let mut folded = snapshot.clone();
-    for round in 0..3u64 {
+    // One more peer reads its snapshot, follows the first round and then
+    // hangs up mid-stream: it is forgotten on a later emission the same way.
+    let mut quitter = Some(NetClient::connect(addr).unwrap().subscribe(q).unwrap());
+    quitter.as_mut().unwrap().next().unwrap().expect("snapshot");
+    for round in 0..6u64 {
         let updates = random_updates(&g, &UpdateStreamConfig::mixed(12).with_seed(round + 40));
         let out = admin.apply(&updates).unwrap();
         for d in out.deltas.iter().filter(|d| d.query.value() == q) {
             let wire = live.next().unwrap().expect("live delta");
             assert_eq!(&wire, d, "live subscriber diverged after dead peers");
+            if let Some(quitter) = quitter.as_mut() {
+                assert_eq!(quitter.next().unwrap().as_ref(), Some(d));
+            }
             folded = wire;
         }
+        quitter = None;
     }
     let _ = folded;
     assert_service_healthy(addr);

@@ -2,8 +2,10 @@
 //!
 //! Each registered pattern owns a [`QueryEntry`]: the pattern itself, its
 //! (lazily materialised) [`MatchState`], the last relation its subscribers
-//! were told about, and the subscriber channels. The catalog supports
-//! deregistration (the entry and its channels are dropped) and **lazy
+//! were told about, and the subscriber sinks the emission loop pushes into
+//! (they run under the service lock and must not call back into the
+//! service). The catalog supports deregistration (the entry and its sinks
+//! are dropped, which closes their streams) and **lazy
 //! (re)activation**: suspending a query frees its match state and removes it
 //! from the per-batch repair fan-out entirely; resuming marks it active
 //! again, and the state is rebuilt from the shared distance matrix on the
@@ -14,7 +16,6 @@ use crate::delta::{MatchDelta, QueryId};
 use gpm_core::MatchRelation;
 use gpm_graph::PatternGraph;
 use gpm_incremental::MatchState;
-use std::sync::mpsc::Sender;
 
 /// How a query's state was brought up to date during one batch.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -36,8 +37,11 @@ pub(crate) struct BatchWork {
     pub verifications: usize,
 }
 
+/// Where a query's deltas go: handed each one from inside the emission
+/// loop, `false` means "forget me" (see `MatchService::subscribe_with`).
+pub(crate) type DeltaSink = Box<dyn FnMut(&MatchDelta) -> bool + Send>;
+
 /// One registered query.
-#[derive(Debug)]
 pub struct QueryEntry {
     pub(crate) id: QueryId,
     pub(crate) pattern: PatternGraph,
@@ -47,8 +51,22 @@ pub struct QueryEntry {
     /// everything subscribers have been sent.
     pub(crate) emitted: MatchRelation,
     pub(crate) active: bool,
-    pub(crate) subscribers: Vec<Sender<MatchDelta>>,
+    pub(crate) subscribers: Vec<DeltaSink>,
     pub(crate) pending: Option<BatchWork>,
+}
+
+impl std::fmt::Debug for QueryEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryEntry")
+            .field("id", &self.id)
+            .field("pattern", &self.pattern)
+            .field("state", &self.state)
+            .field("emitted", &self.emitted)
+            .field("active", &self.active)
+            .field("subscribers", &self.subscribers.len())
+            .field("pending", &self.pending)
+            .finish()
+    }
 }
 
 impl QueryEntry {
@@ -113,8 +131,8 @@ impl QueryCatalog {
         id
     }
 
-    /// Removes a query; its subscriber channels close. Returns whether the
-    /// id was present.
+    /// Removes a query; its subscriber sinks are dropped. Returns whether
+    /// the id was present.
     pub fn deregister(&mut self, id: QueryId) -> bool {
         let before = self.entries.len();
         self.entries.retain(|e| e.id != id);

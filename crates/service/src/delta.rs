@@ -2,10 +2,12 @@
 //!
 //! Every update batch ends with one [`MatchDelta`] per registered query
 //! whose *visible* result changed: the pairs that entered and left the
-//! query's match relation. Deltas are self-describing (query id + epoch) and
-//! fold: replaying a query's delta stream over an empty relation, in epoch
-//! order, reconstructs its current result — the property the differential
-//! test suite leans on.
+//! query's match relation. The service's emission loop pushes each delta
+//! into the query's subscriber sinks; a [`Subscription`] is the receiving
+//! end of the channel sink `MatchService::subscribe` registers. Deltas are
+//! self-describing (query id + epoch) and fold: replaying a query's delta
+//! stream over an empty relation, in epoch order, reconstructs its current
+//! result — the property the differential test suite leans on.
 //!
 //! Deltas follow the paper's `∅` convention for the visible result: when a
 //! pattern node loses its last match the *entire* relation empties, so the
@@ -184,32 +186,6 @@ impl Subscription {
     pub fn drain(&self) -> Vec<MatchDelta> {
         self.rx.try_iter().collect()
     }
-
-    /// Non-blocking single-delta poll, distinguishing "nothing buffered
-    /// right now" from "the stream has ended" (query deregistered or the
-    /// service dropped). Consumers that forward a subscription elsewhere —
-    /// the `gpm-net` server pumps each wire subscriber's stream this way —
-    /// need the distinction to propagate end-of-stream instead of spinning.
-    pub fn poll(&self) -> SubscriptionPoll {
-        match self.rx.try_recv() {
-            Ok(delta) => SubscriptionPoll::Delta(delta),
-            Err(mpsc::TryRecvError::Empty) => SubscriptionPoll::Empty,
-            Err(mpsc::TryRecvError::Disconnected) => SubscriptionPoll::Closed,
-        }
-    }
-}
-
-/// One non-blocking observation of a [`Subscription`] (see
-/// [`Subscription::poll`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SubscriptionPoll {
-    /// The next buffered delta, in emission order.
-    Delta(MatchDelta),
-    /// Nothing buffered; the stream is still live.
-    Empty,
-    /// The stream has ended: every buffered delta was drained and no more
-    /// can arrive.
-    Closed,
 }
 
 #[cfg(test)]

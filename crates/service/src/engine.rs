@@ -7,20 +7,25 @@
 //! 1. the batch is applied to the graph and the oracle is maintained with
 //!    `UpdateBM` **once**, producing the shared affected area `AFF1`
 //!    (this is the expensive step, and it is paid per batch, not per query);
-//! 2. every active query repairs its own match state from that shared
-//!    `AFF1` (`gpm_incremental::repair_match_state`), fanned out across the
-//!    `gpm-exec` executor — queries are independent, so each item owns
-//!    exactly one query's state. The fan-out's work hint is the number of
-//!    queries to repair, so below `gpm-exec`'s threshold (256) it runs
+//! 2. every active query brings its own match state up to date from that
+//!    shared `AFF1` (`gpm_incremental::refresh_match_state`), fanned out
+//!    across the `gpm-exec` executor — queries are independent, so each item
+//!    owns exactly one query's state. The fan-out's work hint is the number
+//!    of queries to repair, so below `gpm-exec`'s threshold (256) it runs
 //!    inline at every thread count;
-//! 3. deltas are emitted sequentially in registration order, so the
-//!    per-query streams (and the batch outcome) are bit-identical at any
-//!    thread count.
+//! 3. deltas are emitted sequentially in registration order — counted once,
+//!    then pushed into the query's subscriber sinks — so the per-query
+//!    streams (and the batch outcome) are bit-identical at any thread count.
+//!
+//! Steps 2 and 3 are two private functions, and a [`MatchService::result`]
+//! that materialises a lazily resumed query runs the same two with an empty
+//! `AFF1`: there is one place that builds a state, one that diffs it against
+//! what subscribers were told, and one that counts and hands out the delta.
 //!
 //! Cyclic patterns are first-class: batches that only increase distances
-//! repair them incrementally (`Match−` propagation); batches with distance
-//! decreases fall back to recomputing that query's state against the
-//! already-maintained oracle — never the oracle itself.
+//! repair them incrementally (`Match−` propagation); batches with a
+//! bound-crossing distance decrease fall back to recomputing that query's
+//! state against the already-maintained oracle — never the oracle itself.
 //!
 //! The distance backend is pluggable ([`MatchService::with_backend`] /
 //! `GPM_ORACLE`): the paper's quadratic matrix, or the sublinear-memory
@@ -33,8 +38,8 @@ use crate::wal::{self, DurabilityError, WalOp, WalReadOutcome, WalWriter, WAL_FI
 use gpm_core::MatchRelation;
 use gpm_distance::{AffectedPairs, DistanceOracle, EdgeUpdate, OracleBackend};
 use gpm_exec::{Executor, Parallelism};
-use gpm_graph::{DataGraph, GraphError, PatternGraph};
-use gpm_incremental::{repair_match_state, MatchState};
+use gpm_graph::{DataGraph, PatternGraph};
+use gpm_incremental::{refresh_match_state, MatchState, Refreshed};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
@@ -372,11 +377,6 @@ impl MatchService {
         }
     }
 
-    /// The durable root directory, if this service is durable.
-    pub fn durable_dir(&self) -> Option<&Path> {
-        self.durability.as_ref().map(|d| d.dir.as_path())
-    }
-
     /// Folds the current state into a fresh snapshot and truncates the log
     /// (the swap is atomic — a crash mid-snapshot recovers to either the
     /// old or the new one, never a mix). Errors on non-durable services.
@@ -539,14 +539,32 @@ impl MatchService {
     /// empty relation reproduces the query's result. Returns `None` for
     /// unknown ids.
     pub fn subscribe(&mut self, id: QueryId) -> Option<Subscription> {
-        let epoch = self.epoch;
-        let entry = self.catalog.get_mut(id)?;
         let (tx, rx) = mpsc::channel();
-        let snapshot = MatchDelta::snapshot(id, epoch, &entry.emitted);
-        // A send to a channel whose receiver we still hold cannot fail.
-        let _ = tx.send(snapshot);
-        entry.subscribers.push(tx);
-        Some(Subscription { query: id, rx })
+        self.subscribe_with(id, move |delta| tx.send(delta.clone()).is_ok())
+            .then_some(Subscription { query: id, rx })
+    }
+
+    /// [`MatchService::subscribe`] with the consumer's own sink in place of
+    /// a channel: `sink` is handed the snapshot right here and every later
+    /// delta of the query from inside the emission loop, in emission order,
+    /// until it returns `false` (it is then forgotten) or the query is
+    /// deregistered (it is then dropped). The sink runs while the service is
+    /// mutably borrowed — under the service lock of `gpm-net` — so it must
+    /// not call back into the service, and a sink that blocks blocks the
+    /// batch being applied. Returns `false` for unknown ids.
+    pub fn subscribe_with(
+        &mut self,
+        id: QueryId,
+        mut sink: impl FnMut(&MatchDelta) -> bool + Send + 'static,
+    ) -> bool {
+        let epoch = self.epoch;
+        let Some(entry) = self.catalog.get_mut(id) else {
+            return false;
+        };
+        if sink(&MatchDelta::snapshot(id, epoch, &entry.emitted)) {
+            entry.subscribers.push(Box::new(sink));
+        }
+        true
     }
 
     /// The query's current visible result. Materialises the state if the
@@ -565,31 +583,19 @@ impl MatchService {
         if activates {
             self.log_op(WalOp::Read(id.0));
         }
-        // Split borrows: the entry is mutated, graph/oracle/exec are read.
-        let (graph, oracle, exec) = (&self.graph, self.oracle.as_ref(), &self.exec);
-        let epoch = self.epoch;
-        let entry = self.catalog.get_mut(id)?;
-        if !entry.active {
-            return None;
+        let entry = self.catalog.get_mut(id).filter(|e| e.active)?;
+        if activates {
+            // The batch path with nothing to repair: activation, then the
+            // emission every delta goes through.
+            let (oracle, no_change) = (self.oracle.as_ref(), AffectedPairs::default());
+            refresh_entry(entry, &self.graph, oracle, &no_change, self.epoch);
+            emit_pending(entry, &mut self.stats);
         }
-        if entry.state.is_none() {
-            let state = MatchState::initialise_with(&entry.pattern, graph, oracle, exec);
-            let visible = state.relation();
-            entry.state = Some(state);
-            self.stats.activations += 1;
-            // Reconcile subscribers with everything missed while suspended.
-            let delta = MatchDelta::between(id, epoch, &entry.emitted, &visible);
-            entry.emitted = visible.clone();
-            if !delta.is_empty() {
-                self.stats.deltas_emitted += 1;
-                entry
-                    .subscribers
-                    .retain(|tx| tx.send(delta.clone()).is_ok());
-            }
+        let relation = entry.state.as_ref().map(MatchState::relation);
+        if activates {
             self.maybe_autosnapshot();
-            return Some(visible);
         }
-        entry.state.as_ref().map(MatchState::relation)
+        relation
     }
 
     /// Applies one update (sugar for a one-element [`MatchService::apply`]).
@@ -651,7 +657,7 @@ impl MatchService {
         obs.fanout_size.record(work.len() as u64);
         exec.par_chunks_mut(&mut work, 1, |_, chunk| {
             for entry in chunk.iter_mut() {
-                repair_entry(entry, graph, oracle, &aff1, epoch);
+                refresh_entry(entry, graph, oracle, &aff1, epoch);
             }
         });
 
@@ -663,54 +669,11 @@ impl MatchService {
             deltas: Vec::new(),
         };
         for entry in self.catalog.iter_mut() {
-            let Some(batch_work) = entry.pending.take() else {
-                continue;
-            };
-            match batch_work.kind {
-                RepairKind::Incremental => {
-                    self.stats.repairs += 1;
-                    obs.repairs.inc();
-                }
-                RepairKind::Recompute => {
-                    self.stats.recompute_fallbacks += 1;
-                    obs.recompute_fallbacks.inc();
-                }
-                RepairKind::Activation => {
-                    self.stats.activations += 1;
-                    obs.activations.inc();
-                }
-            }
-            self.stats.verifications += batch_work.verifications;
-            obs.verifications.add(batch_work.verifications as u64);
-            if batch_work.delta.is_empty() {
-                continue;
-            }
-            self.stats.deltas_emitted += 1;
-            let pairs = batch_work.delta.added.len() + batch_work.delta.removed.len();
-            if gpm_obs::enabled() {
-                obs.deltas_emitted.inc();
-                obs.delta_pairs.add(pairs as u64);
-                obs.delta_size.record(pairs as u64);
-                obs.scope
-                    .counter(&format!("q{}.deltas", batch_work.delta.query.0))
-                    .inc();
-            }
-            // Push to subscribers, dropping the ones that hung up.
-            entry
-                .subscribers
-                .retain(|tx| tx.send(batch_work.delta.clone()).is_ok());
-            outcome.deltas.push(batch_work.delta);
+            outcome.deltas.extend(emit_pending(entry, &mut self.stats));
         }
         self.maybe_autosnapshot();
         batch_span.finish();
         outcome
-    }
-
-    /// Folds the graph's CSR delta overlay back into its base arrays at a
-    /// quiesce point (see `DataGraph::compact`). Never needed for
-    /// correctness.
-    pub fn compact_graph(&mut self) {
-        self.graph.compact();
     }
 }
 
@@ -720,7 +683,7 @@ impl MatchService {
 /// the state build and repair are bit-identical at any thread count, and
 /// the per-query executor is sequential (the batch-level fan-out is the
 /// parallelism).
-fn repair_entry(
+fn refresh_entry(
     entry: &mut QueryEntry,
     graph: &DataGraph,
     oracle: &(dyn DistanceOracle + Send + Sync),
@@ -729,23 +692,18 @@ fn repair_entry(
 ) {
     // Only activation and the recompute fallback build a state; a repair
     // needs no executor at all.
-    let pattern = &entry.pattern;
-    let build = || MatchState::initialise_with(pattern, graph, oracle, &Executor::sequential());
+    let (pattern, exec) = (&entry.pattern, Executor::sequential());
     let (kind, verifications) = match entry.state.as_mut() {
         None => {
-            entry.state = Some(build());
+            let state = MatchState::initialise_with(pattern, graph, oracle, &exec);
+            entry.state = Some(state);
             (RepairKind::Activation, 0)
         }
-        Some(state) => match repair_match_state(pattern, graph, oracle, state, aff1) {
-            Ok(out) => (RepairKind::Incremental, out.verifications),
-            Err(GraphError::PatternNotAcyclic) => {
-                // Cyclic pattern with a bound-crossing distance decrease:
-                // rebuild this query's state; the shared oracle is already
-                // correct.
-                *state = build();
-                (RepairKind::Recompute, 0)
-            }
-            Err(e) => unreachable!("repair cannot fail otherwise: {e}"),
+        // The shared oracle is already correct, so a refused repair
+        // recomputes this query's state only.
+        Some(state) => match refresh_match_state(pattern, graph, oracle, state, aff1, &exec) {
+            Refreshed::Repaired(out) => (RepairKind::Incremental, out.verifications),
+            Refreshed::Rebuilt => (RepairKind::Recompute, 0),
         },
     };
     let visible = entry
@@ -760,6 +718,50 @@ fn repair_entry(
         kind,
         verifications,
     });
+}
+
+/// The sequential half of [`refresh_entry`]: counts what the refresh did —
+/// [`ServiceStats`] and its `service.*` twins at one site — and hands a
+/// non-empty delta to the entry's subscribers, dropping the sinks that
+/// decline it. Returns that delta for the batch outcome.
+fn emit_pending(entry: &mut QueryEntry, stats: &mut ServiceStats) -> Option<MatchDelta> {
+    let BatchWork {
+        delta,
+        kind,
+        verifications,
+    } = entry.pending.take()?;
+    let obs = crate::metrics::service();
+    match kind {
+        RepairKind::Incremental => {
+            stats.repairs += 1;
+            obs.repairs.inc();
+        }
+        RepairKind::Recompute => {
+            stats.recompute_fallbacks += 1;
+            obs.recompute_fallbacks.inc();
+        }
+        RepairKind::Activation => {
+            stats.activations += 1;
+            obs.activations.inc();
+        }
+    }
+    stats.verifications += verifications;
+    obs.verifications.add(verifications as u64);
+    if delta.is_empty() {
+        return None;
+    }
+    stats.deltas_emitted += 1;
+    if gpm_obs::enabled() {
+        let pairs = delta.len() as u64;
+        obs.deltas_emitted.inc();
+        obs.delta_pairs.add(pairs);
+        obs.delta_size.record(pairs);
+        obs.scope
+            .counter(&format!("q{}.deltas", delta.query.0))
+            .inc();
+    }
+    entry.subscribers.retain_mut(|sink| sink(&delta));
+    Some(delta)
 }
 
 #[cfg(test)]

@@ -15,14 +15,17 @@
 //!   [`gpm_distance::DistanceMatrix`] shared by every registered query;
 //! * each update batch runs `UpdateBM` **once**, producing one shared
 //!   `AFF1`; every active query then repairs its own
-//!   [`gpm_incremental::MatchState`] from that `AFF1`
-//!   ([`gpm_incremental::repair_match_state`]), fanned out across the
-//!   `gpm-exec` executor;
+//!   [`gpm_incremental::MatchState`] from that `AFF1` — or recomputes it
+//!   where repair refuses ([`gpm_incremental::refresh_match_state`]) —
+//!   fanned out across the `gpm-exec` executor;
 //! * results leave the service as per-query [`MatchDelta`]s — the pairs
 //!   entering and leaving each query's visible result — through pull
-//!   ([`MatchService::apply`]'s [`BatchOutcome`]) and push
-//!   ([`Subscription`]) channels, emitted in registration order so streams
-//!   are bit-identical at any thread count;
+//!   ([`MatchService::apply`]'s [`BatchOutcome`]) and push: one emission
+//!   loop, in registration order so streams are bit-identical at any thread
+//!   count, hands each delta to the query's subscriber sinks — a
+//!   [`Subscription`] channel, or the caller's own closure
+//!   ([`MatchService::subscribe_with`]; it runs inside that loop, under the
+//!   service lock of `gpm-net`, and must not call back into the service);
 //! * the [`QueryCatalog`] supports deregistration and **lazy
 //!   (re)activation**: suspended queries cost nothing per batch and are
 //!   rebuilt on demand, with a catch-up delta reconciling their
@@ -76,7 +79,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use catalog::{QueryCatalog, QueryEntry, RepairKind};
-pub use delta::{fold_deltas, MatchDelta, QueryId, Subscription, SubscriptionPoll};
+pub use delta::{fold_deltas, MatchDelta, QueryId, Subscription};
 pub use engine::{BatchOutcome, DurableOptions, MatchService, ServiceStats};
 pub use snapshot::{GraphFormat, Manifest, QuerySnapshot, SegmentMeta};
 pub use wal::{DurabilityError, FailpointWriter, WalOp, WalReadOutcome, WalRecord, WalWriter};

@@ -78,8 +78,12 @@ fn graph_serialization_roundtrip_preserves_matching() {
     let after = bounded_simulation(&pattern, &restored);
     assert_eq!(original.relation, after.relation);
 
-    let edge_list = gpm::graph::io::data_graph_to_edge_list(&graph);
-    let restored = gpm::graph::io::data_graph_from_edge_list(&edge_list).unwrap();
+    use gpm::graph::dataset::{dataset_attrs_string, dataset_edges_string, read_dataset_strs};
+    let (edges, attrs) = (
+        dataset_edges_string(&graph),
+        dataset_attrs_string(&graph).unwrap(),
+    );
+    let (restored, _, _) = read_dataset_strs(&edges, &attrs).unwrap();
     let after = bounded_simulation(&pattern, &restored);
     assert_eq!(original.relation, after.relation);
 }

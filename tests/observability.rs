@@ -151,6 +151,60 @@ fn det_counters_identical_across_thread_counts() {
     }
 }
 
+/// A read that materialises a lazily resumed query is an activation and an
+/// emission like any other: `register → subscribe → suspend → apply → resume
+/// → result` hands the subscriber one catch-up delta, and `ServiceStats` and
+/// the `service` scope both say so — on both back-ends, and bit-identically
+/// at 1, 2 and 8 threads.
+#[test]
+fn read_activation_is_counted_where_it_is_emitted() {
+    use gpm::{DataGraphBuilder, EdgeUpdate, OracleBackend, PatternGraphBuilder};
+    let _guard = obs_lock();
+    let (g, ids) = DataGraphBuilder::new()
+        .labeled_node("boss")
+        .labeled_node("mid")
+        .labeled_node("worker")
+        .edge("boss", "mid")
+        .build()
+        .unwrap();
+    let (p, _) = PatternGraphBuilder::new()
+        .labeled_node("boss")
+        .labeled_node("worker")
+        .edge("boss", "worker", 2u32)
+        .build()
+        .unwrap();
+    for backend in OracleBackend::ALL {
+        let mut baseline: Option<BTreeMap<String, u64>> = None;
+        for threads in [1usize, 2, 8] {
+            gpm::obs::set_enabled(true);
+            gpm::obs::registry().reset();
+            let mut svc = MatchService::with_backend(g.clone(), backend, forced(threads));
+            let q = svc.register(p.clone());
+            let sub = svc.subscribe(q).unwrap();
+            svc.suspend(q);
+            svc.apply(&[EdgeUpdate::Insert(ids["mid"], ids["worker"])]);
+            svc.resume(q);
+            let live = svc.result(q).expect("resumed query answers");
+            let counters = gpm::obs::registry().snapshot().det_counters();
+            gpm::obs::set_enabled(false);
+
+            let stream = sub.drain();
+            assert_eq!(stream.len(), 2, "snapshot, then the catch-up delta");
+            assert_eq!(stream[1].len(), 2, "(boss, boss) and (worker, worker)");
+            assert_eq!(gpm::fold_deltas(2, stream.iter()), live);
+            let stats = svc.stats();
+            assert_eq!((stats.activations, stats.deltas_emitted), (1, 1));
+            let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+            assert_eq!(count("service.activations"), stats.activations as u64);
+            assert_eq!(count("service.deltas_emitted"), stats.deltas_emitted as u64);
+            assert_eq!(count("service.delta_pairs"), stream[1].len() as u64);
+            assert_eq!(count(&format!("service.q{}.deltas", q.value())), 1);
+            let baseline = baseline.get_or_insert_with(|| counters.clone());
+            assert_eq!(*baseline, counters, "{backend:?} at {threads} threads");
+        }
+    }
+}
+
 /// The two maintainable back-ends count the same things under the same
 /// names: *effective* units (no-ops of a raw batch excluded) in
 /// `oracle.<backend>.inserts` / `deletes`, the sizes of the *unit* `AFF1`s in
