@@ -380,7 +380,7 @@ pub fn load_source_or_exit(source: &DatasetSource, args: &HarnessArgs) -> gpm::D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm::export_dataset;
+    use gpm::graph::dataset::write_dataset;
     use std::path::Path;
 
     fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
@@ -536,8 +536,8 @@ mod tests {
     fn dataset_dir_discovers_on_disk_sources_with_no_synthetic_fallback() {
         let dir = std::env::temp_dir().join(format!("gpm-args-test-{}", std::process::id()));
         let g = Dataset::PBlog.generate(0.01, 1);
-        export_dataset(&dir, "crawl-a", &g).unwrap();
-        export_dataset(&dir, "crawl-b", &g).unwrap();
+        write_dataset(&dir, "crawl-a", &g).unwrap();
+        write_dataset(&dir, "crawl-b", &g).unwrap();
 
         let a = parse(&["--dataset-dir", dir.to_str().unwrap()]).unwrap();
         let sources = a.dataset_sources().unwrap();

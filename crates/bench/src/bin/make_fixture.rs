@@ -12,7 +12,8 @@
 //! cargo run --release -p gpm-bench --bin make_fixture -- --dir fixtures
 //! ```
 
-use gpm::{export_dataset, Dataset};
+use gpm::graph::dataset::write_dataset;
+use gpm::Dataset;
 use std::path::PathBuf;
 
 /// `Dataset::YouTube.generate` at this scale yields exactly 200 nodes
@@ -37,7 +38,7 @@ fn main() {
     }
 
     let graph = Dataset::YouTube.generate(FIXTURE_SCALE, FIXTURE_SEED);
-    match export_dataset(&dir, FIXTURE_NAME, &graph) {
+    match write_dataset(&dir, FIXTURE_NAME, &graph) {
         Ok((edges_path, attrs_path)) => {
             println!(
                 "wrote {} ({} nodes) and {} ({} edges)",

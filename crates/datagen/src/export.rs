@@ -1,54 +1,36 @@
 //! Exporting generated graphs in the on-disk attributed-dataset format.
 //!
 //! Any graph the generators produce can be written as a
-//! `<name>.edges`/`<name>.attrs` pair (the format of
-//! [`gpm_graph::dataset`]) and reloaded bit-identically — same node ids,
-//! same edges, same attributes. That round trip is what makes the checked-in
-//! `fixtures/` mini-dataset testable offline and regenerable on demand.
+//! `<name>.edges`/`<name>.attrs` pair by
+//! [`gpm_graph::dataset::write_dataset`] and reloaded bit-identically — same
+//! node ids, same edges, same attributes: the writer emits attribute rows in
+//! `NodeId` order and edges in [`DataGraph::edges`](gpm_graph::DataGraph::edges)
+//! order. That round trip is what makes the checked-in `fixtures/`
+//! mini-dataset testable offline and regenerable on demand.
 //!
 //! ```
-//! use gpm_datagen::{export_dataset, Dataset, DatasetSource};
+//! use gpm_datagen::{Dataset, DatasetSource};
+//! use gpm_graph::dataset::write_dataset;
 //!
 //! let dir = std::env::temp_dir().join(format!("gpm-export-doc-{}", std::process::id()));
 //! let g = Dataset::YouTube.generate(0.002, 42);
-//! export_dataset(&dir, "yt-tiny", &g).unwrap();
+//! write_dataset(&dir, "yt-tiny", &g).unwrap();
 //!
 //! let back = DatasetSource::discover(&dir).unwrap()[0].load(1.0, 0).unwrap();
 //! assert_eq!(back.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-use gpm_graph::dataset::write_dataset;
-use gpm_graph::{DataGraph, GraphError};
-use std::path::{Path, PathBuf};
-
-/// Writes `<dir>/<name>.edges` and `<dir>/<name>.attrs` for a generated
-/// graph, creating `dir` if needed. Returns the paths written.
-///
-/// The writer emits attribute rows in `NodeId` order and edges in
-/// [`DataGraph::edges`] order, so reloading the pair through
-/// [`gpm_graph::dataset::load_dataset`] (or
-/// [`DatasetSource`](crate::DatasetSource)) reproduces the graph
-/// bit-identically — the golden property the round-trip tests assert.
-pub fn export_dataset(
-    dir: &Path,
-    name: &str,
-    g: &DataGraph,
-) -> Result<(PathBuf, PathBuf), GraphError> {
-    write_dataset(dir, name, g)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::datasets::Dataset;
-    use gpm_graph::dataset::load_dataset;
+    use gpm_graph::dataset::{load_dataset, write_dataset};
 
     #[test]
     fn export_import_is_bit_identical() {
         let dir = std::env::temp_dir().join(format!("gpm-export-test-{}", std::process::id()));
         let g = Dataset::YouTube.generate(0.005, 5);
-        let (edges_path, attrs_path) = export_dataset(&dir, "yt", &g).unwrap();
+        let (edges_path, attrs_path) = write_dataset(&dir, "yt", &g).unwrap();
         assert!(edges_path.ends_with("yt.edges"));
         assert!(attrs_path.ends_with("yt.attrs"));
 

@@ -21,7 +21,7 @@
 //!   for stress-testing the pluggable distance backends;
 //! * [`source`] — [`DatasetSource`], abstracting "generate a stand-in" vs
 //!   "load a real crawl from disk" for the experiment harness;
-//! * [`export`] — writes any generated graph as an on-disk
+//! * [`export`] — how any generated graph is written as an on-disk
 //!   `<name>.edges`/`<name>.attrs` dataset (the format of
 //!   [`gpm_graph::dataset`]) that reloads bit-identically.
 //!
@@ -60,7 +60,6 @@ pub use adversarial::{
     delete_hub_updates, grid, sever_waist_updates, star,
 };
 pub use datasets::{Dataset, DatasetSpec};
-pub use export::export_dataset;
 pub use pattern_gen::{generate_pattern, PatternGenConfig};
 pub use powerlaw::{powerlaw_graph, PowerLawConfig};
 pub use random_graph::{random_graph, RandomGraphConfig};

@@ -105,7 +105,7 @@ impl std::fmt::Display for DatasetSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::export_dataset;
+    use gpm_graph::dataset::write_dataset;
 
     #[test]
     fn synthetic_source_generates() {
@@ -124,7 +124,7 @@ mod tests {
     fn discover_and_load_on_disk() {
         let dir = std::env::temp_dir().join(format!("gpm-source-test-{}", std::process::id()));
         let g = Dataset::PBlog.generate(0.02, 11);
-        export_dataset(&dir, "pblog-mini", &g).unwrap();
+        write_dataset(&dir, "pblog-mini", &g).unwrap();
         // A stray non-dataset file must not be discovered.
         std::fs::write(dir.join("README.txt"), "not a dataset").unwrap();
 

@@ -2,7 +2,9 @@
 //! bit-identical (graph, attributes, and re-serialized bytes).
 
 use gpm_datagen::{Dataset, DatasetSource};
-use gpm_graph::dataset::{dataset_attrs_string, dataset_edges_string, read_dataset_strs};
+use gpm_graph::dataset::{
+    dataset_attrs_string, dataset_edges_string, read_dataset_strs, write_dataset,
+};
 use gpm_graph::{AttrValue, Attributes, DataGraph, NodeId};
 use proptest::prelude::*;
 
@@ -95,7 +97,7 @@ proptest! {
             "gpm-roundtrip-{}-{seed}",
             std::process::id()
         ));
-        gpm_datagen::export_dataset(&dir, "case", &g).expect("export");
+        write_dataset(&dir, "case", &g).expect("export");
         let back = DatasetSource::OnDisk { dir: dir.clone(), name: "case".into() }
             .load(1.0, 0)
             .expect("load");

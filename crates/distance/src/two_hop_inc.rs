@@ -1231,9 +1231,9 @@ mod tests {
         assert!(stale > 0, "the streams should leave stale entries behind");
     }
 
-    /// `total` stream seeds in an optimised build (the CI step that runs
-    /// these by name), a quarter of them in the debug build of tier-1,
-    /// where one label query costs ten times as much.
+    /// `total` stream seeds in an optimised build (the release test runs
+    /// of CI), a quarter of them in the debug build of tier-1, where one
+    /// label query costs ten times as much.
     fn stream_seeds(total: u64) -> std::ops::Range<u64> {
         0..if cfg!(debug_assertions) {
             total / 4

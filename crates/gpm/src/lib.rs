@@ -155,9 +155,8 @@ pub use gpm_core::{
     ResultGraph,
 };
 pub use gpm_datagen::{
-    export_dataset, generate_pattern, random_graph, random_updates, timed_update_stream, Dataset,
-    DatasetSource, PatternGenConfig, RandomGraphConfig, TimedBatch, TimedStreamConfig,
-    UpdateStreamConfig,
+    generate_pattern, random_graph, random_updates, timed_update_stream, Dataset, DatasetSource,
+    PatternGenConfig, RandomGraphConfig, TimedBatch, TimedStreamConfig, UpdateStreamConfig,
 };
 pub use gpm_distance::{
     BfsOracle, DistanceMatrix, DistanceOracle, DistanceQuery, EdgeUpdate, IncrementalTwoHop,

@@ -22,11 +22,10 @@
 //! `O(deg(v))` on first touch and `O(1)`/`O(deg(v))` afterwards — never the
 //! `O(|E|)` a full CSR rebuild would cost. [`CsrAdjacency::compact`] folds
 //! the overlay back into a fresh base in `O(|V| + |E|)`; bulk constructors
-//! (builders, IO loaders, generators) call it once after loading.
+//! (builders, loaders, decoders, generators) call it once after loading.
 
 use crate::node_id::NodeId;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// One direction of adjacency: a CSR base plus a per-node delta overlay.
 ///
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// * `offsets` is non-decreasing and `*offsets.last() == targets.len()`;
 /// * an overlay entry for `v` holds `v`'s *complete, current* neighbour
 ///   list — the base slice of `v` is stale and ignored until `compact`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct CsrAdjacency {
     offsets: Vec<u32>,
     targets: Vec<NodeId>,

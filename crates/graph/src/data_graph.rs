@@ -19,6 +19,14 @@
 //! * `O(1)` expected edge-membership tests (incremental updates check for
 //!   duplicates);
 //! * dense `u32` node ids so per-node state can live in flat vectors.
+//!
+//! None of that layout crosses a boundary. The serde encoding — wire, WAL,
+//! snapshot — is the graph's logical content, `{"attrs": [...],
+//! "edge_set": [[from, to], ...]}` (one attribute tuple per node in id
+//! order, the edges in [`DataGraph::edges`] order), and decoding rebuilds
+//! the graph through [`DataGraph::add_node`] and [`DataGraph::add_edge`]
+//! before one [`DataGraph::compact`]: an unknown endpoint or a repeated
+//! edge is a decode error, never a malformed index.
 
 use crate::attributes::Attributes;
 use crate::csr::CsrAdjacency;
@@ -30,7 +38,7 @@ use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
 
 /// An attributed directed data graph.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DataGraph {
     attrs: Vec<Attributes>,
     out_adj: CsrAdjacency,
@@ -190,9 +198,9 @@ impl DataGraph {
     /// CSR bases, restoring contiguous iteration for every node.
     ///
     /// `O(|V| + |E|)` and a no-op when already compact. Bulk constructors
-    /// (builders, IO loaders, the `gpm-datagen` generators) call this once
-    /// after loading; long-running incremental workloads may call it at
-    /// convenient quiesce points.
+    /// (builders, loaders, decoding, the `gpm-datagen` generators) call
+    /// this once after loading; long-running incremental workloads may call
+    /// it at convenient quiesce points.
     pub fn compact(&mut self) {
         self.out_adj.compact();
         self.in_adj.compact();
@@ -275,6 +283,50 @@ impl DataGraph {
         } else {
             Err(GraphError::UnknownNode(v))
         }
+    }
+}
+
+/// The serde form of a [`DataGraph`] (see the module docs).
+#[derive(Serialize, Deserialize)]
+struct DataGraphForm {
+    attrs: Vec<Attributes>,
+    edge_set: Vec<(NodeId, NodeId)>,
+}
+
+impl From<&DataGraph> for DataGraphForm {
+    fn from(g: &DataGraph) -> Self {
+        DataGraphForm {
+            attrs: g.attrs.clone(),
+            edge_set: g.edges().collect(),
+        }
+    }
+}
+
+impl TryFrom<DataGraphForm> for DataGraph {
+    type Error = GraphError;
+
+    fn try_from(form: DataGraphForm) -> Result<Self> {
+        let mut g = DataGraph::with_capacity(form.attrs.len());
+        for attrs in form.attrs {
+            g.add_node(attrs);
+        }
+        for (from, to) in form.edge_set {
+            g.add_edge(from, to)?;
+        }
+        g.compact();
+        Ok(g)
+    }
+}
+
+impl Serialize for DataGraph {
+    fn to_value(&self) -> serde::Value {
+        DataGraphForm::from(self).to_value()
+    }
+}
+
+impl Deserialize for DataGraph {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        DataGraph::try_from(DataGraphForm::from_value(v)?).map_err(serde::Error::custom)
     }
 }
 
@@ -483,6 +535,38 @@ mod tests {
         assert_eq!(g.out_neighbors(v), &[n(0)]);
         assert_eq!(g.in_neighbors(n(0)), &[v]);
         assert_eq!(g.attributes(v).label(), Some("late"));
+    }
+
+    #[test]
+    fn json_roundtrip_data_graph() {
+        let mut g = DataGraph::new();
+        let a = g.add_node(Attributes::labeled("Music").with("rate", 4.5));
+        let b = g.add_node(Attributes::labeled("People").with("views", 700));
+        let c = g.add_node(Attributes::new());
+        g.add_edge(a, b).unwrap();
+        g.add_edge(b, c).unwrap();
+        g.add_edge(c, a).unwrap();
+        let text = serde_json::to_string(&g).unwrap();
+        assert_eq!(
+            text,
+            r#"{"attrs":[{"entries":[["label",{"Str":"Music"}],["rate",{"Float":4.5}]]},{"entries":[["label",{"Str":"People"}],["views",{"Int":700}]]},{"entries":[]}],"edge_set":[[0,1],[1,2],[2,0]]}"#
+        );
+        let back: DataGraph = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.node_count(), g.node_count());
+        assert_eq!(
+            back.edges().collect::<Vec<_>>(),
+            g.edges().collect::<Vec<_>>()
+        );
+        for v in g.nodes() {
+            assert_eq!(back.attributes(v), g.attributes(v));
+        }
+        assert!(back.is_compact(), "decoding compacts once");
+    }
+
+    #[test]
+    fn json_parse_error_is_reported() {
+        assert!(serde_json::from_str::<DataGraph>("{not json").is_err());
+        assert!(serde_json::from_str::<crate::PatternGraph>("[]").is_err());
     }
 
     proptest! {

@@ -8,7 +8,7 @@
 //!
 //! * **`<name>.edges`** — a SNAP-style edge list (`#` comments, one
 //!   whitespace-separated `from to` pair of `u64` ids per line), exactly the
-//!   format of [`crate::io::read_snap_edge_list`];
+//!   format the SNAP collection ships the paper's crawls in;
 //! * **`<name>.attrs`** — a CSV of typed node attributes. The first
 //!   non-comment line is the schema header `id,<name>:<type>,...` (types:
 //!   `int`, `float`, `str`, `bool`); every following line declares one node:
@@ -26,20 +26,18 @@
 //!
 //! **Node identity.** The attribute CSV *declares* the node set: rows are
 //! processed in file order and assign dense [`NodeId`]s `0, 1, 2, …`, seeding
-//! the same `u64 → NodeId` remap that [`crate::io::read_snap_edge_list`]
-//! grows on first appearance. The edge file is then streamed through that
-//! seeded remap, so edge endpoints bind to the declared nodes and an id
-//! without an attribute row is a positioned error. This makes the format
+//! the `u64 → NodeId` remap that a raw crawl grows on first appearance. The
+//! edge file is then streamed through that seeded remap, so edge endpoints
+//! bind to the declared nodes and an id without an attribute row is a
+//! positioned error. This makes the format
 //! closed under export → import: the writer emits attribute rows in
 //! [`NodeId`] order, so a round trip reproduces the graph bit-identically —
 //! including isolated nodes, which an edge list alone cannot represent.
 //!
 //! For a **raw crawl** (a downloaded SNAP file with no `.attrs` companion),
-//! [`load_dataset`] falls back to the attribute-less
-//! [`read_snap_edge_list`](crate::io::read_snap_edge_list) pass, and
-//! [`attach_attrs_csv`] can later bind a (possibly partial) attribute CSV to
-//! the edge-derived remap — attribute rows bind to remapped ids, and an id
-//! the crawl never mentioned is a positioned error.
+//! [`load_dataset`] streams the edge list alone: ids are remapped densely in
+//! first-appearance order, nodes carry no attributes, duplicate edges are
+//! skipped and self-loops kept.
 //!
 //! All parse errors carry 1-based line numbers (and CSV column positions
 //! where applicable) via [`GraphError::ParseAt`].
@@ -47,7 +45,6 @@
 use crate::attributes::Attributes;
 use crate::data_graph::DataGraph;
 use crate::error::GraphError;
-use crate::io::{read_snap_edges_into, IdRemap};
 use crate::node_id::NodeId;
 use crate::value::{AttrType, AttrValue};
 use crate::Result;
@@ -199,15 +196,14 @@ pub struct OnDiskDataset {
 /// When the attribute CSV is present it is streamed first, declaring the
 /// node set (see the module docs); the edge list is then streamed through
 /// the seeded remap and may only reference declared ids. Without an
-/// attribute CSV this is a plain
-/// [`read_snap_edge_list`](crate::io::read_snap_edge_list) pass — the
-/// raw-crawl path. Each file is read in one buffered streaming pass.
+/// attribute CSV the edge list alone declares the nodes — the raw-crawl
+/// path. Each file is read in one buffered streaming pass.
 pub fn load_dataset(dir: &Path, name: &str) -> Result<OnDiskDataset> {
     let edges_path = dir.join(format!("{name}.{EDGES_EXT}"));
     let attrs_path = dir.join(format!("{name}.{ATTRS_EXT}"));
 
     let mut g = DataGraph::new();
-    let mut remap = IdRemap::new();
+    let mut remap = IdRemap::default();
     let schema = if attrs_path.is_file() {
         let reader = open_buffered(&attrs_path)?;
         let schema = read_attrs_declaring(reader, &mut g, &mut remap)
@@ -232,49 +228,10 @@ pub fn load_dataset(dir: &Path, name: &str) -> Result<OnDiskDataset> {
 /// examples). Returns `(graph, original_ids, schema)`.
 pub fn read_dataset_strs(edges: &str, attrs: &str) -> Result<(DataGraph, Vec<u64>, AttrSchema)> {
     let mut g = DataGraph::new();
-    let mut remap = IdRemap::new();
+    let mut remap = IdRemap::default();
     let schema = read_attrs_declaring(attrs.as_bytes(), &mut g, &mut remap)?;
     read_snap_edges_into(edges.as_bytes(), &mut g, &mut remap, false)?;
     Ok((g, remap.into_ids(), schema))
-}
-
-/// Binds a typed attribute CSV to a graph loaded from a raw SNAP edge list.
-///
-/// `original_ids` is the remap vector returned by
-/// [`read_snap_edge_list`](crate::io::read_snap_edge_list); each CSV row's
-/// id is resolved through it, so attribute rows bind to the remapped
-/// [`NodeId`]s. The CSV may cover only part of the node set, but a row whose
-/// id never appeared in the edge list — or appears twice — is a positioned
-/// error.
-pub fn attach_attrs_csv<R: BufRead>(
-    g: &mut DataGraph,
-    original_ids: &[u64],
-    reader: R,
-) -> Result<AttrSchema> {
-    let remap: FxHashMap<u64, NodeId> = original_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &raw)| (raw, NodeId::new(i as u32)))
-        .collect();
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    parse_attrs_stream(reader, |raw, attrs, lineno| {
-        let id = *remap.get(&raw).ok_or_else(|| {
-            err_at(
-                lineno,
-                1,
-                format!("unknown node id {raw}: not present in the edge list"),
-            )
-        })?;
-        if !seen.insert(raw) {
-            return Err(err_at(
-                lineno,
-                1,
-                format!("duplicate row for node id {raw}"),
-            ));
-        }
-        *g.attributes_mut(id) = attrs;
-        Ok(())
-    })
 }
 
 /// Serializes a graph's edge list in the dataset format (`<name>.edges`).
@@ -334,8 +291,7 @@ pub fn dataset_attrs_string(g: &DataGraph) -> Result<String> {
 /// Writes `<dir>/<name>.edges` and `<dir>/<name>.attrs` for a graph,
 /// creating `dir` if needed. Returns the two paths written.
 ///
-/// This is the writer [`load_dataset`] round-trips with; `gpm-datagen`'s
-/// `export_dataset` wraps it for generated workloads.
+/// This is the writer [`load_dataset`] round-trips with.
 pub fn write_dataset(dir: &Path, name: &str, g: &DataGraph) -> Result<(PathBuf, PathBuf)> {
     let attrs_text = dataset_attrs_string(g)?;
     let edges_text = dataset_edges_string(g);
@@ -348,31 +304,123 @@ pub fn write_dataset(dir: &Path, name: &str, g: &DataGraph) -> Result<(PathBuf, 
 }
 
 // ---------------------------------------------------------------------------
+// Streaming edge-list parsing
+// ---------------------------------------------------------------------------
+
+/// The dense `u64 → NodeId` remap shared by the `.edges` and `.attrs`
+/// readers.
+///
+/// SNAP ids are sparse and can exceed `u32`, so loaders assign [`NodeId`]s
+/// densely and keep the reverse `ids` vector (index = [`NodeId`] index,
+/// value = original id). The remap is either seeded from the attribute CSV,
+/// so edge endpoints bind to the declared nodes, or grown on first
+/// appearance by a raw crawl's edge list.
+#[derive(Debug, Default)]
+struct IdRemap {
+    map: FxHashMap<u64, NodeId>,
+    ids: Vec<u64>,
+}
+
+impl IdRemap {
+    /// Registers `raw → id` (used while seeding from an attribute CSV).
+    /// Returns `false` when `raw` was already registered.
+    fn insert(&mut self, raw: u64, id: NodeId) -> bool {
+        let fresh = self.map.insert(raw, id).is_none();
+        if fresh {
+            self.ids.push(raw);
+        }
+        fresh
+    }
+
+    fn get(&self, raw: u64) -> Option<NodeId> {
+        self.map.get(&raw).copied()
+    }
+
+    fn into_ids(self) -> Vec<u64> {
+        self.ids
+    }
+}
+
+/// Streams a SNAP-style edge list into `g`, interning node ids through
+/// `remap`.
+///
+/// With `allow_new = true` unseen ids create fresh (attribute-less) nodes in
+/// first-appearance order; with `allow_new = false` every endpoint must
+/// already be registered in `remap` and an unknown id is a positioned
+/// [`GraphError::ParseAt`] — how an attributed dataset enforces that the
+/// edge file only references nodes declared by the attribute CSV.
+fn read_snap_edges_into<R: BufRead>(
+    mut reader: R,
+    g: &mut DataGraph,
+    remap: &mut IdRemap,
+    allow_new: bool,
+) -> Result<()> {
+    let mut intern = |raw: u64, field: usize, lineno: usize, g: &mut DataGraph| -> Result<NodeId> {
+        if let Some(id) = remap.get(raw) {
+            return Ok(id);
+        }
+        if !allow_new {
+            return Err(GraphError::ParseAt {
+                line: lineno + 1,
+                column: field,
+                msg: format!("unknown node id {raw}: no attribute row declares it"),
+            });
+        }
+        let id = g.add_node(Attributes::new());
+        remap.insert(raw, id);
+        Ok(id)
+    };
+
+    // One reused line buffer: real crawls run to tens of millions of lines,
+    // so the loop must not allocate per line (as `reader.lines()` would).
+    let mut buf = String::new();
+    let mut lineno = 0usize;
+    loop {
+        buf.clear();
+        let read = reader
+            .read_line(&mut buf)
+            .map_err(|e| GraphError::Parse(format!("line {}: {e}", lineno + 1)))?;
+        if read == 0 {
+            break;
+        }
+        let line = buf.trim();
+        if !(line.is_empty() || line.starts_with('#')) {
+            let mut fields = line.split_whitespace();
+            let from: u64 = parse_field(fields.next(), lineno, "SNAP edge source")?;
+            let to: u64 = parse_field(fields.next(), lineno, "SNAP edge target")?;
+            if fields.next().is_some() {
+                return Err(GraphError::Parse(format!(
+                    "line {}: expected `from to`, found extra fields",
+                    lineno + 1
+                )));
+            }
+            let a = intern(from, 1, lineno, g)?;
+            let b = intern(to, 2, lineno, g)?;
+            let _ = g.try_add_edge(a, b)?; // duplicates in the crawl are skipped
+        }
+        lineno += 1;
+    }
+    g.compact();
+    Ok(())
+}
+
+fn parse_field<T: std::str::FromStr>(field: Option<&str>, lineno: usize, what: &str) -> Result<T> {
+    field
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| GraphError::Parse(format!("line {}: missing/invalid {what}", lineno + 1)))
+}
+
+// ---------------------------------------------------------------------------
 // Streaming attribute-CSV parsing
 // ---------------------------------------------------------------------------
 
 /// Streams an attribute CSV, creating one graph node per row (in row order,
-/// which seeds the dense remap) — the attributed-dataset loading mode.
+/// which seeds the dense remap). Comments (`#`) and blank lines are
+/// skipped. Uses one reused line buffer, like the edge-list reader.
 fn read_attrs_declaring<R: BufRead>(
-    reader: R,
+    mut reader: R,
     g: &mut DataGraph,
     remap: &mut IdRemap,
-) -> Result<AttrSchema> {
-    parse_attrs_stream(reader, |raw, attrs, lineno| {
-        let id = g.add_node(attrs);
-        if !remap.insert(raw, id) {
-            return Err(err_at(lineno, 1, format!("duplicate node id {raw}")));
-        }
-        Ok(())
-    })
-}
-
-/// The shared streaming pass: parses the header, then feeds each row's
-/// `(original_id, attributes, lineno)` to `on_row`. Comments (`#`) and blank
-/// lines are skipped. Uses one reused line buffer, like the SNAP reader.
-fn parse_attrs_stream<R: BufRead>(
-    mut reader: R,
-    mut on_row: impl FnMut(u64, Attributes, usize) -> Result<()>,
 ) -> Result<AttrSchema> {
     let mut schema: Option<AttrSchema> = None;
     let mut buf = String::new();
@@ -395,7 +443,10 @@ fn parse_attrs_stream<R: BufRead>(
             None => schema = Some(AttrSchema::parse_header(line, lineno)?),
             Some(schema) => {
                 let (raw, attrs) = parse_attrs_row(line, lineno, schema)?;
-                on_row(raw, attrs, lineno)?;
+                let id = g.add_node(attrs);
+                if !remap.insert(raw, id) {
+                    return Err(err_at(lineno, 1, format!("duplicate node id {raw}")));
+                }
             }
         }
         lineno += 1;
@@ -854,36 +905,61 @@ mod tests {
         assert!(err.to_string().contains("line break"), "{err}");
     }
 
-    #[test]
-    fn attach_attrs_to_raw_snap_graph() {
-        let (mut g, ids) = crate::io::data_graph_from_snap_str("100 200\n200 300\n").unwrap();
-        let schema =
-            attach_attrs_csv(&mut g, &ids, "id,label:str\n200,b\n100,a\n".as_bytes()).unwrap();
-        assert_eq!(schema.len(), 1);
-        // 100 -> NodeId 0, 200 -> NodeId 1, 300 -> NodeId 2 (first appearance).
-        assert_eq!(
-            g.attributes(NodeId::new(0)).get("label"),
-            Some(&AttrValue::Str("a".into()))
-        );
-        assert_eq!(
-            g.attributes(NodeId::new(1)).get("label"),
-            Some(&AttrValue::Str("b".into()))
-        );
-        assert!(
-            g.attributes(NodeId::new(2)).is_empty(),
-            "partial coverage ok"
-        );
+    /// A raw crawl's edge list alone, as [`load_dataset`] reads it when no
+    /// `.attrs` file is present.
+    fn raw_crawl(reader: impl BufRead) -> Result<(DataGraph, Vec<u64>)> {
+        let mut g = DataGraph::new();
+        let mut remap = IdRemap::default();
+        read_snap_edges_into(reader, &mut g, &mut remap, true)?;
+        Ok((g, remap.into_ids()))
     }
 
     #[test]
-    fn attach_rejects_unknown_and_duplicate_ids() {
-        let (mut g, ids) = crate::io::data_graph_from_snap_str("1 2\n").unwrap();
-        let err = attach_attrs_csv(&mut g, &ids, "id,x:int\n7,1\n".as_bytes()).unwrap_err();
-        let err = expect_line(err, 2);
-        assert!(err.to_string().contains("unknown node id 7"), "{err}");
+    fn snap_loader_parses_comments_whitespace_and_dense_remap() {
+        let text = "# Directed graph: web-Sample.txt\n\
+                    # FromNodeId\tToNodeId\n\
+                    9999999999 17\n\
+                    17\t42\n\
+                    \n\
+                    42   9999999999\n";
+        let (g, ids) = raw_crawl(text.as_bytes()).unwrap();
+        // First-appearance order: 9999999999, 17, 42.
+        assert_eq!(ids, vec![9_999_999_999, 17, 42]);
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.edge_count(), 3);
+        assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
+        assert!(g.has_edge(NodeId::new(1), NodeId::new(2)));
+        assert!(g.has_edge(NodeId::new(2), NodeId::new(0)));
+        assert!(g.is_compact(), "loader compacts after the single pass");
+    }
 
-        let err = attach_attrs_csv(&mut g, &ids, "id,x:int\n1,1\n1,2\n".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("duplicate row"), "{err}");
+    #[test]
+    fn snap_loader_skips_duplicates_and_keeps_self_loops() {
+        let (g, ids) = raw_crawl("1 2\n1 2\n2 2\n".as_bytes()).unwrap();
+        assert_eq!(ids, vec![1, 2]);
+        assert_eq!(g.edge_count(), 2); // duplicate (1, 2) skipped
+        assert!(g.has_edge(NodeId::new(1), NodeId::new(1))); // self-loop kept
+    }
+
+    #[test]
+    fn snap_loader_streams_from_a_bufread() {
+        // Exercise the BufRead path (not just a byte slice): a buffered
+        // reader over bytes, as a file reader would present them.
+        let bytes: &[u8] = b"# c\n3 4\n4 5\n";
+        let (g, ids) = raw_crawl(std::io::BufReader::new(bytes)).unwrap();
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.edge_count(), 2);
+        assert_eq!(ids, vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn snap_loader_rejects_malformed_lines() {
+        assert!(raw_crawl("1\n".as_bytes()).is_err());
+        assert!(raw_crawl("1 2 3\n".as_bytes()).is_err());
+        assert!(raw_crawl("a b\n".as_bytes()).is_err());
+        let (g, ids) = raw_crawl("# only comments\n\n".as_bytes()).unwrap();
+        assert_eq!(g.node_count(), 0);
+        assert!(ids.is_empty());
     }
 
     #[test]

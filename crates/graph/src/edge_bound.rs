@@ -6,7 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// The bound `f_e(u, u')` carried by a pattern edge.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -74,22 +73,6 @@ impl fmt::Display for EdgeBound {
     }
 }
 
-impl FromStr for EdgeBound {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s == "*" {
-            return Ok(EdgeBound::Unbounded);
-        }
-        match s.parse::<u32>() {
-            Ok(0) => Err("edge bound must be >= 1".to_string()),
-            Ok(k) => Ok(EdgeBound::Hops(k)),
-            Err(_) => Err(format!("cannot parse edge bound `{s}`")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,12 +110,6 @@ mod tests {
 
     #[test]
     fn parse_and_display() {
-        assert_eq!("3".parse::<EdgeBound>().unwrap(), EdgeBound::Hops(3));
-        assert_eq!("*".parse::<EdgeBound>().unwrap(), EdgeBound::Unbounded);
-        assert_eq!(" 7 ".parse::<EdgeBound>().unwrap(), EdgeBound::Hops(7));
-        assert!("0".parse::<EdgeBound>().is_err());
-        assert!("-1".parse::<EdgeBound>().is_err());
-        assert!("abc".parse::<EdgeBound>().is_err());
         assert_eq!(EdgeBound::Hops(4).to_string(), "4");
         assert_eq!(EdgeBound::Unbounded.to_string(), "*");
     }

@@ -15,8 +15,15 @@
 //!
 //! This crate deliberately contains no matching logic: it provides the graph
 //! model, attribute values and predicates, generic traversals, construction
-//! builders and (de)serialization. Matching lives in `gpm-core`,
-//! `gpm-incremental` and `gpm-iso`; distance oracles live in `gpm-distance`.
+//! builders, the serde encoding of both graph kinds and the on-disk dataset
+//! format ([`dataset`]). Matching lives in `gpm-core`, `gpm-incremental` and
+//! `gpm-iso`; distance oracles live in `gpm-distance`.
+//!
+//! A graph's serde encoding is its logical content — a [`DataGraph`] is its
+//! attribute tuples plus its edge list, a [`PatternGraph`] its predicated
+//! nodes plus its bounded edges — and decoding rebuilds it through the same
+//! `add_node`/`add_edge` a caller uses, so the wire, the write-ahead log and
+//! the snapshot never see (or trust) the indexes below.
 //!
 //! ## Physical layout
 //!
@@ -27,8 +34,8 @@
 //! return one contiguous slice, so the BFS loops of the distance oracles and
 //! the matcher's candidate refinement scan linear memory.
 //! [`DataGraph::compact`] folds the overlay back into the CSR base; bulk
-//! constructors (builders, IO loaders, the `gpm-datagen` generators) do so
-//! automatically.
+//! constructors (builders, loaders, decoding, the `gpm-datagen` generators)
+//! do so automatically.
 //!
 //! ## Quick tour
 //!
@@ -64,7 +71,6 @@ pub mod data_graph;
 pub mod dataset;
 pub mod edge_bound;
 pub mod error;
-pub mod io;
 pub mod node_id;
 pub mod pattern_graph;
 pub mod predicate;

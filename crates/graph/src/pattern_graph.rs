@@ -9,6 +9,14 @@
 //! semantics would require every match of `u` to lie on a cycle, which the
 //! paper's pattern model never uses, and the incremental algorithms assume
 //! loop-free patterns.
+//!
+//! The serde encoding — wire, WAL, snapshot — is the pattern itself,
+//! `{"nodes": [{"predicate", "name"}], "edges": [{"from", "to", "bound"}]}`,
+//! never the adjacency indexes built over it: decoding rebuilds the pattern
+//! through [`PatternGraph::add_node`]/[`PatternGraph::add_named_node`] and
+//! [`PatternGraph::add_edge`], so whatever `add_edge` refuses (an unknown
+//! endpoint, a self-loop, a zero bound, a duplicate edge) is a decode
+//! error.
 
 use crate::edge_bound::EdgeBound;
 use crate::error::GraphError;
@@ -40,7 +48,7 @@ pub struct PatternEdge {
 }
 
 /// A pattern graph.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PatternGraph {
     nodes: Vec<PatternNode>,
     edges: Vec<PatternEdge>,
@@ -264,6 +272,63 @@ impl PatternGraph {
     }
 }
 
+/// The serde form of a [`PatternGraph`] (see the module docs).
+#[derive(Serialize, Deserialize)]
+struct PatternGraphForm {
+    nodes: Vec<PatternNodeForm>,
+    edges: Vec<PatternEdge>,
+}
+
+/// The serde form of one pattern node: its id is its position.
+#[derive(Serialize, Deserialize)]
+struct PatternNodeForm {
+    predicate: Predicate,
+    name: Option<String>,
+}
+
+impl From<&PatternGraph> for PatternGraphForm {
+    fn from(p: &PatternGraph) -> Self {
+        let nodes = p.nodes.iter().map(|n| PatternNodeForm {
+            predicate: n.predicate.clone(),
+            name: n.name.clone(),
+        });
+        PatternGraphForm {
+            nodes: nodes.collect(),
+            edges: p.edges.clone(),
+        }
+    }
+}
+
+impl TryFrom<PatternGraphForm> for PatternGraph {
+    type Error = GraphError;
+
+    fn try_from(form: PatternGraphForm) -> Result<Self> {
+        let mut p = PatternGraph::new();
+        for node in form.nodes {
+            match node.name {
+                Some(name) => p.add_named_node(name, node.predicate),
+                None => p.add_node(node.predicate),
+            };
+        }
+        for e in form.edges {
+            p.add_edge(e.from, e.to, e.bound)?;
+        }
+        Ok(p)
+    }
+}
+
+impl Serialize for PatternGraph {
+    fn to_value(&self) -> serde::Value {
+        PatternGraphForm::from(self).to_value()
+    }
+}
+
+impl Deserialize for PatternGraph {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        PatternGraph::try_from(PatternGraphForm::from_value(v)?).map_err(serde::Error::custom)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,6 +463,21 @@ mod tests {
         let mut p = PatternGraph::new();
         let n = p.add_node(Predicate::label_eq("category", "People").and("rate", CmpOp::Gt, 4.5));
         assert_eq!(p.predicate(n).len(), 2);
+    }
+
+    #[test]
+    fn json_roundtrip_pattern() {
+        let mut p = PatternGraph::new();
+        let x = p.add_named_node("x", Predicate::label("Music").and("rate", CmpOp::Gt, 3.0));
+        let y = p.add_node(Predicate::any());
+        p.add_edge(x, y, EdgeBound::Hops(2)).unwrap();
+        let text = serde_json::to_string(&p).unwrap();
+        let back: PatternGraph = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.node_count(), 2);
+        assert_eq!(back.bound(x, y), Some(EdgeBound::Hops(2)));
+        assert_eq!(back.predicate(x), p.predicate(x));
+        assert_eq!(back.name(x), "x");
+        assert_eq!(back, p);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::value::AttrValue;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
-use std::str::FromStr;
 
 /// Comparison operator of an atomic formula.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -66,22 +65,6 @@ impl CmpOp {
 impl fmt::Display for CmpOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.symbol())
-    }
-}
-
-impl FromStr for CmpOp {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "<" => Ok(CmpOp::Lt),
-            "<=" => Ok(CmpOp::Le),
-            "=" | "==" => Ok(CmpOp::Eq),
-            "!=" | "<>" => Ok(CmpOp::Ne),
-            ">" => Ok(CmpOp::Gt),
-            ">=" => Ok(CmpOp::Ge),
-            other => Err(format!("unknown comparison operator `{other}`")),
-        }
     }
 }
 
@@ -183,77 +166,6 @@ impl Predicate {
     pub fn satisfied_by(&self, attrs: &Attributes) -> bool {
         self.atoms.iter().all(|a| a.satisfied_by(attrs))
     }
-
-    /// Parses a predicate from a compact textual form, e.g.
-    /// `category = "Music" && rate > 4.5 && age <= 500`.
-    ///
-    /// Supported constants: double-quoted strings, booleans (`true`/`false`),
-    /// integers and floats. The empty string parses to the wildcard predicate.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let text = text.trim();
-        if text.is_empty() {
-            return Ok(Predicate::any());
-        }
-        let mut pred = Predicate::any();
-        for clause in text.split("&&") {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                return Err("empty conjunct in predicate".to_string());
-            }
-            pred.atoms.push(parse_atom(clause)?);
-        }
-        Ok(pred)
-    }
-}
-
-fn parse_atom(clause: &str) -> Result<AtomicFormula, String> {
-    // Operators are matched longest-first so `<=` is not mis-split as `<`.
-    const OPS: [&str; 7] = ["<=", ">=", "!=", "<>", "==", "<", ">"];
-    // `=` handled separately to avoid clashing with `==`/`<=`/`>=`/`!=`.
-    let (idx, op_str) = OPS
-        .iter()
-        .filter_map(|op| clause.find(op).map(|i| (i, *op)))
-        .min_by_key(|(i, _)| *i)
-        .or_else(|| clause.find('=').map(|i| (i, "=")))
-        .ok_or_else(|| format!("no comparison operator in `{clause}`"))?;
-
-    let attr = clause[..idx].trim();
-    let value_str = clause[idx + op_str.len()..].trim();
-    if attr.is_empty() {
-        return Err(format!("missing attribute name in `{clause}`"));
-    }
-    if value_str.is_empty() {
-        return Err(format!("missing constant in `{clause}`"));
-    }
-    let op: CmpOp = op_str.parse()?;
-    let value = parse_value(value_str)?;
-    Ok(AtomicFormula::new(attr, op, value))
-}
-
-fn parse_value(text: &str) -> Result<AttrValue, String> {
-    if let Some(stripped) = text
-        .strip_prefix('"')
-        .and_then(|rest| rest.strip_suffix('"'))
-    {
-        return Ok(AttrValue::Str(stripped.to_string()));
-    }
-    if text == "true" {
-        return Ok(AttrValue::Bool(true));
-    }
-    if text == "false" {
-        return Ok(AttrValue::Bool(false));
-    }
-    if let Ok(i) = text.parse::<i64>() {
-        return Ok(AttrValue::Int(i));
-    }
-    if let Ok(f) = text.parse::<f64>() {
-        return Ok(AttrValue::Float(f));
-    }
-    // Bare words are treated as strings for convenience (`category = Music`).
-    if text.chars().all(|c| c.is_alphanumeric() || c == '_') {
-        return Ok(AttrValue::Str(text.to_string()));
-    }
-    Err(format!("cannot parse constant `{text}`"))
 }
 
 impl fmt::Display for Predicate {
@@ -268,14 +180,6 @@ impl fmt::Display for Predicate {
             write!(f, "{atom}")?;
         }
         Ok(())
-    }
-}
-
-impl FromStr for Predicate {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Predicate::parse(s)
     }
 }
 
@@ -305,20 +209,16 @@ mod tests {
 
     #[test]
     fn cmp_op_parsing_and_display() {
-        for op in [
+        let ops = [
             CmpOp::Lt,
             CmpOp::Le,
             CmpOp::Eq,
             CmpOp::Ne,
             CmpOp::Gt,
             CmpOp::Ge,
-        ] {
-            let round: CmpOp = op.symbol().parse().unwrap();
-            assert_eq!(round, op);
-        }
-        assert_eq!("==".parse::<CmpOp>().unwrap(), CmpOp::Eq);
-        assert_eq!("<>".parse::<CmpOp>().unwrap(), CmpOp::Ne);
-        assert!("~".parse::<CmpOp>().is_err());
+        ];
+        let shown: Vec<String> = ops.iter().map(CmpOp::to_string).collect();
+        assert_eq!(shown, ["<", "<=", "=", "!=", ">", ">="]);
     }
 
     #[test]
@@ -374,47 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_simple_and_compound() {
-        let p = Predicate::parse("category = \"Music\" && rate > 4.5").unwrap();
-        assert_eq!(p.len(), 2);
-        assert!(p.satisfied_by(&video("Music", 4.8, 1)));
-        assert!(!p.satisfied_by(&video("Music", 4.2, 1)));
-
-        let q = Predicate::parse("age <= 500").unwrap();
-        assert!(q.satisfied_by(&video("Any", 1.0, 500)));
-        assert!(!q.satisfied_by(&video("Any", 1.0, 501)));
-    }
-
-    #[test]
-    fn parse_bare_word_bool_float() {
-        let p = Predicate::parse("category = Music && ok = true && score >= 2.5").unwrap();
-        let attrs = Attributes::from([("category", AttrValue::from("Music"))])
-            .with("ok", true)
-            .with("score", 2.5);
-        assert!(p.satisfied_by(&attrs));
-    }
-
-    #[test]
-    fn parse_empty_is_wildcard() {
-        assert!(Predicate::parse("").unwrap().is_empty());
-        assert!(Predicate::parse("   ").unwrap().is_empty());
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(Predicate::parse("category").is_err());
-        assert!(Predicate::parse("= 3").is_err());
-        assert!(Predicate::parse("x = ").is_err());
-        assert!(Predicate::parse("a = 1 && ").is_err());
-    }
-
-    #[test]
     fn display_roundtrip() {
         let p = Predicate::label_eq("category", "Music").and("rate", CmpOp::Gt, 4.5);
         let text = p.to_string();
         assert_eq!(text, "category = \"Music\" && rate > 4.5");
-        let q: Predicate = text.parse().unwrap();
-        assert_eq!(p, q);
         assert_eq!(Predicate::any().to_string(), "true");
     }
 

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// Version carried by the [`Request::Hello`]/[`Response::HelloAck`]
 /// handshake. Servers refuse clients whose version differs; there is no
 /// negotiation below the newest version (the protocol is young).
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// A client-to-server message.
 ///
@@ -219,7 +219,7 @@ mod tests {
         let frames = [
             (
                 "Hello",
-                crate::codec::encode_message(&Request::Hello { version: 1 }).unwrap(),
+                crate::codec::encode_message(&Request::Hello { version: 2 }).unwrap(),
             ),
             (
                 "Register",
@@ -250,12 +250,15 @@ mod tests {
         // The exact frames shown in PROTOCOL.md's "A worked exchange".
         assert_eq!(
             hex(&frames[0].1),
-            "170000001d7e03f97b2248656c6c6f223a7b2276657273696f6e223a317d7d"
+            "1700000044c045fb7b2248656c6c6f223a7b2276657273696f6e223a327d7d"
         );
-        assert_eq!(payload(&frames[0].1), r#"{"Hello":{"version":1}}"#);
+        assert_eq!(payload(&frames[0].1), r#"{"Hello":{"version":2}}"#);
 
-        assert_eq!(hex(&frames[1].1)[..16], *"2e010000090ee3d1");
-        assert!(payload(&frames[1].1).starts_with(r#"{"Register":{"pattern":{"nodes":"#));
+        assert_eq!(hex(&frames[1].1)[..16], *"fb000000604c384f");
+        assert_eq!(
+            payload(&frames[1].1),
+            r#"{"Register":{"pattern":{"nodes":[{"predicate":{"atoms":[{"attr":"label","op":"Eq","value":{"Str":"a"}}]},"name":"a"},{"predicate":{"atoms":[{"attr":"label","op":"Eq","value":{"Str":"b"}}]},"name":"b"}],"edges":[{"from":0,"to":1,"bound":{"Hops":2}}]}}}"#
+        );
 
         assert_eq!(
             hex(&frames[2].1),

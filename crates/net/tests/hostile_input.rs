@@ -1,7 +1,7 @@
 //! Hostile-input tests: a live server fed garbage, torn frames, oversized
-//! length fields, protocol violations and mid-catch-up disconnects must
-//! fail each *connection* cleanly while the *service* behind it keeps
-//! serving well-behaved clients with correct results.
+//! length fields, malformed patterns, protocol violations and mid-catch-up
+//! disconnects must fail each *connection* cleanly while the *service*
+//! behind it keeps serving well-behaved clients with correct results.
 
 use gpm_datagen::{random_graph, random_updates, RandomGraphConfig, UpdateStreamConfig};
 use gpm_exec::Parallelism;
@@ -11,9 +11,18 @@ use gpm_net::{
     ErrorCode, NetClient, NetError, NetServer, Request, Response, ServerHandle, ServerOptions,
     PROTOCOL_VERSION,
 };
+use gpm_service::wal::encode_frame;
 use gpm_service::MatchService;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// `net.bad_frames` is process-global: every test here that provokes bad
+/// frames holds this lock, so one of them can count its own.
+fn bad_frames_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn dag_pattern(labels: [&str; 2]) -> PatternGraph {
     let (p, _) = PatternGraphBuilder::new()
@@ -58,6 +67,7 @@ fn assert_service_healthy(addr: SocketAddr) {
 
 #[test]
 fn garbage_bytes_fail_the_connection_not_the_service() {
+    let _bad_frames = bad_frames_lock();
     let (handle, addr) = serve();
     for seed in 0u8..4 {
         let mut raw = TcpStream::connect(addr).unwrap();
@@ -82,6 +92,7 @@ fn garbage_bytes_fail_the_connection_not_the_service() {
 
 #[test]
 fn truncated_frame_is_rejected_and_service_survives() {
+    let _bad_frames = bad_frames_lock();
     let (handle, addr) = serve();
     // A valid handshake, then a frame cut off mid-payload.
     let mut raw = TcpStream::connect(addr).unwrap();
@@ -112,6 +123,7 @@ fn truncated_frame_is_rejected_and_service_survives() {
 
 #[test]
 fn oversized_length_field_is_refused_without_allocation() {
+    let _bad_frames = bad_frames_lock();
     let (handle, addr) = serve();
     let mut raw = TcpStream::connect(addr).unwrap();
     // A length field claiming ~4 GiB; the server must refuse at the header.
@@ -138,6 +150,7 @@ fn oversized_length_field_is_refused_without_allocation() {
 
 #[test]
 fn single_bit_garbled_payload_is_a_bad_frame() {
+    let _bad_frames = bad_frames_lock();
     let (handle, addr) = serve();
     let frame = encode_message(&Request::Hello {
         version: PROTOCOL_VERSION,
@@ -160,6 +173,84 @@ fn single_bit_garbled_payload_is_a_bad_frame() {
             Ok(ReadOutcome::Eof) | Err(_) => {}
         }
     }
+    assert_service_healthy(addr);
+    handle.shutdown();
+}
+
+/// A raw `Register` frame in the version-1 form — node ids and adjacency
+/// lists included, so the decoder of that version accepted it — whose
+/// two-node pattern has the given edges and adjacency lists.
+fn register_frame(edges: &[(u32, u32, &str)], out_adj: &str, in_adj: &str) -> Vec<u8> {
+    let node = |id: u32| format!(r#"{{"id":{id},"predicate":{{"atoms":[]}},"name":null}}"#);
+    let edges: Vec<String> = edges
+        .iter()
+        .map(|(from, to, bound)| format!(r#"{{"from":{from},"to":{to},"bound":{bound}}}"#))
+        .collect();
+    let json = format!(
+        r#"{{"Register":{{"pattern":{{"nodes":[{},{}],"edges":[{}],"out_adj":{out_adj},"in_adj":{in_adj}}}}}}}"#,
+        node(0),
+        node(1),
+        edges.join(",")
+    );
+    encode_frame(json.as_bytes()).unwrap()
+}
+
+#[test]
+fn malformed_patterns_are_bad_frames_and_register_nothing() {
+    let _bad_frames = bad_frames_lock();
+    gpm_obs::set_enabled(true);
+    let bad_frames = gpm_obs::registry().scope("net").counter("bad_frames");
+    let (handle, addr) = serve();
+    let (one, two) = (r#"{"Hops":1}"#, r#"{"Hops":2}"#);
+    let cases = [
+        (
+            "unknown node",
+            register_frame(&[(0, 9, one)], "[[0],[]]", "[[],[]]"),
+        ),
+        (
+            "self-loop",
+            register_frame(&[(0, 0, one)], "[[0],[]]", "[[0],[]]"),
+        ),
+        (
+            "zero bound",
+            register_frame(&[(0, 1, r#"{"Hops":0}"#)], "[[0],[]]", "[[],[0]]"),
+        ),
+        (
+            "duplicate edge",
+            register_frame(&[(0, 1, one), (0, 1, two)], "[[0,1],[]]", "[[],[0,1]]"),
+        ),
+        (
+            // The lists name the second edge only, hiding the duplicate.
+            "adjacency disagreeing with the edges",
+            register_frame(&[(0, 1, one), (0, 1, two)], "[[1],[]]", "[[],[1]]"),
+        ),
+    ];
+    for (case, frame) in cases {
+        let before = bad_frames.get();
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(
+            &encode_message(&Request::Hello {
+                version: PROTOCOL_VERSION,
+            })
+            .unwrap(),
+        )
+        .unwrap();
+        let ReadOutcome::Msg(Response::HelloAck { .. }, _) =
+            read_message::<_, Response>(&mut raw).unwrap()
+        else {
+            panic!("{case}: expected HelloAck");
+        };
+        raw.write_all(&frame).unwrap();
+        match read_message::<_, Response>(&mut raw) {
+            Ok(ReadOutcome::Msg(Response::Error { code, .. }, _)) => {
+                assert_eq!(code, ErrorCode::BadFrame, "{case}")
+            }
+            other => panic!("{case}: expected a BadFrame error, got {other:?}"),
+        }
+        assert_eq!(bad_frames.get(), before + 1, "{case}");
+    }
+    let mut c = NetClient::connect(addr).unwrap();
+    assert_eq!(c.result(0).unwrap(), None, "a malformed pattern registered");
     assert_service_healthy(addr);
     handle.shutdown();
 }

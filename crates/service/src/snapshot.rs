@@ -8,18 +8,19 @@
 //!   MANIFEST.bin    framed (len+crc32) JSON Manifest
 //!   graph.edges     byte-exact dataset edge list      (format = "dataset")
 //!   graph.attrs     typed attribute CSV               (format = "dataset")
-//!   graph.json      full graph JSON                   (format = "json")
+//!   graph.json      the graph's serde JSON            (format = "json")
 //! ```
 //!
 //! The graph prefers the byte-exact dataset writers from `gpm_graph::dataset`
 //! (human-inspectable, identical to the experiment fixtures); graphs whose
 //! attributes the CSV schema cannot carry (conflicting column types, CSV
-//! metacharacters) fall back to the JSON codec. The manifest records which,
-//! plus a CRC-32 and length for every segment, the oracle-backend choice,
-//! the service epoch, the WAL position (`next_seq`) the snapshot covers,
-//! and the full catalog: per query its pattern, active flag, canonical
-//! match-state encoding ([`gpm_incremental::MatchStateSnapshot`]) and last
-//! emitted relation.
+//! metacharacters) fall back to the graph's serde encoding — its attributes
+//! and edge list, decoded through `add_node`/`add_edge` like the dataset
+//! pair. The manifest records which, plus a CRC-32 and length for every
+//! segment, the oracle-backend choice, the service epoch, the WAL position
+//! (`next_seq`) the snapshot covers, and the full catalog: per query its
+//! pattern, active flag, canonical match-state encoding
+//! ([`gpm_incremental::MatchStateSnapshot`]) and last emitted relation.
 //!
 //! ## Atomicity
 //!
@@ -42,7 +43,7 @@ use crate::delta::QueryId;
 use crate::wal::{crc32, decode_frame_exact, encode_frame, DurabilityError};
 use gpm_core::MatchRelation;
 use gpm_distance::OracleBackend;
-use gpm_graph::{dataset, io as graph_io, DataGraph, PatternGraph};
+use gpm_graph::{dataset, DataGraph, PatternGraph};
 use gpm_incremental::{MatchState, MatchStateSnapshot};
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
@@ -67,7 +68,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 pub enum GraphFormat {
     /// `graph.edges` + `graph.attrs`, the byte-exact dataset pair.
     Dataset,
-    /// `graph.json`, the full JSON codec (fallback for graphs the CSV
+    /// `graph.json`, the graph's serde JSON (fallback for graphs the CSV
     /// attribute schema cannot represent).
     Json,
 }
@@ -199,7 +200,7 @@ fn encode_graph(
             ],
         )),
         Err(_) => {
-            let json = graph_io::data_graph_to_json(graph)
+            let json = serde_json::to_string(graph)
                 .map_err(|e| DurabilityError::Codec(format!("graph JSON encoding failed: {e}")))?;
             Ok((GraphFormat::Json, vec![("graph.json".to_string(), json)]))
         }
@@ -252,7 +253,7 @@ fn decode_graph(dir: &Path, manifest: &Manifest) -> Result<DataGraph, Durability
                 )?;
             Ok(graph)
         }
-        GraphFormat::Json => graph_io::data_graph_from_json(find("graph.json")?).map_err(|e| {
+        GraphFormat::Json => serde_json::from_str(find("graph.json")?).map_err(|e| {
             DurabilityError::Corrupt(format!("snapshot graph JSON did not parse: {e}"))
         }),
     }

@@ -2,8 +2,8 @@
 //! distance oracles, bounded simulation, result graphs and serialization.
 
 use gpm::{
-    bounded_simulation, bounded_simulation_with_oracle, generate_pattern, BfsOracle, Dataset,
-    DistanceMatrix, PatternGenConfig, ResultGraph, TwoHopOracle,
+    bounded_simulation, bounded_simulation_with_oracle, generate_pattern, BfsOracle, DataGraph,
+    Dataset, DistanceMatrix, PatternGenConfig, PatternGraph, ResultGraph, TwoHopOracle,
 };
 
 #[test]
@@ -69,8 +69,8 @@ fn all_three_oracles_agree_on_every_dataset() {
 #[test]
 fn graph_serialization_roundtrip_preserves_matching() {
     let graph = Dataset::PBlog.generate(0.02, 3);
-    let json = gpm::graph::io::data_graph_to_json(&graph).unwrap();
-    let restored = gpm::graph::io::data_graph_from_json(&json).unwrap();
+    let json = serde_json::to_string(&graph).unwrap();
+    let restored = serde_json::from_str::<DataGraph>(&json).unwrap();
 
     let cfg = PatternGenConfig::new(3, 3, 2).with_seed(5);
     let (pattern, _) = generate_pattern(&graph, &cfg);
@@ -92,8 +92,8 @@ fn graph_serialization_roundtrip_preserves_matching() {
 fn pattern_serialization_roundtrip() {
     let graph = Dataset::Matter.generate(0.01, 9);
     let (pattern, _) = generate_pattern(&graph, &PatternGenConfig::new(5, 6, 3).with_seed(1));
-    let json = gpm::graph::io::pattern_to_json(&pattern).unwrap();
-    let restored = gpm::graph::io::pattern_from_json(&json).unwrap();
+    let json = serde_json::to_string(&pattern).unwrap();
+    let restored = serde_json::from_str::<PatternGraph>(&json).unwrap();
     let a = bounded_simulation(&pattern, &graph);
     let b = bounded_simulation(&restored, &graph);
     assert_eq!(a.relation, b.relation);

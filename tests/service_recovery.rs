@@ -24,12 +24,12 @@
 //! before the damage replays exactly.
 
 use gpm::exec::Parallelism;
-use gpm::service::wal::{read_wal_bytes, WalOp, WAL_FILE, WAL_MAGIC};
+use gpm::service::wal::{encode_frame, read_wal_bytes, WalOp, WAL_FILE, WAL_MAGIC};
 use gpm::{datagen::powerlaw_graph, datagen::PowerLawConfig};
 use gpm::{
-    fold_deltas, generate_pattern, random_updates, BatchOutcome, DataGraph, DurableOptions,
-    EdgeUpdate, MatchDelta, MatchService, OracleBackend, PatternGenConfig, PatternGraph, QueryId,
-    UpdateStreamConfig,
+    fold_deltas, generate_pattern, random_updates, BatchOutcome, DataGraph, DurabilityError,
+    DurableOptions, EdgeUpdate, MatchDelta, MatchService, OracleBackend, PatternGenConfig,
+    PatternGraph, QueryId, UpdateStreamConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
@@ -631,6 +631,51 @@ fn snapshot_plus_wal_tail_recovers_at_every_cut() {
     }
 }
 
+/// A graph the dataset CSV cannot carry (one attribute key, two types) is
+/// snapshotted as its serde JSON, and reopening from that snapshot restores
+/// the graph and every query bit-identically.
+#[test]
+fn json_snapshot_fallback_reopens_bit_identically() {
+    let seed = 0x150;
+    let mut graph = labelled_graph(20, 45, 3, seed);
+    graph.attributes_mut(gpm::NodeId::new(0)).set("label", 7);
+    let schedule = build_schedule(&graph, seed, 8);
+    let root = TempRoot::new("jsonsnap");
+    let dir = root.path("svc");
+    let mut svc =
+        MatchService::create_durable_with(&dir, graph, OracleBackend::Matrix, forced(1), WAL_ONLY)
+            .unwrap();
+    let mut roster = Vec::new();
+    for op in &schedule {
+        exec_op(&mut svc, &mut roster, op);
+    }
+    svc.snapshot_now().unwrap();
+    assert!(dir.join("snapshot").join("graph.json").is_file());
+    let sorted_edges = |g: &DataGraph| {
+        let mut edges: Vec<_> = g.edges().collect();
+        edges.sort();
+        edges
+    };
+    let edges = sorted_edges(svc.graph());
+    let attrs: Vec<_> = svc
+        .graph()
+        .nodes()
+        .map(|v| svc.graph().attributes(v).clone())
+        .collect();
+    let live = fingerprint(&mut svc);
+    drop(svc);
+
+    let mut reopened = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
+    assert_eq!(sorted_edges(reopened.graph()), edges);
+    let reopened_attrs: Vec<_> = reopened
+        .graph()
+        .nodes()
+        .map(|v| reopened.graph().attributes(v).clone())
+        .collect();
+    assert_eq!(reopened_attrs, attrs);
+    assert_eq!(fingerprint(&mut reopened), live);
+}
+
 /// `create_durable` refuses to clobber an existing root, and `open_durable`
 /// refuses a directory that never finished `create_durable`.
 #[test]
@@ -684,4 +729,35 @@ fn persisted_backend_choice_survives_reopen() {
         "two-hop",
         "the manifest's backend choice must win on reopen"
     );
+}
+
+/// A CRC-valid `Register` record whose pattern names node 9 of 2 fails to
+/// decode on reopen — a codec error, not a replay that panics on every
+/// later open of the directory.
+#[test]
+fn a_malformed_register_record_is_a_codec_error() {
+    let root = TempRoot::new("badregister");
+    let dir = root.path("svc");
+    let graph = labelled_graph(10, 20, 2, 1);
+    drop(
+        MatchService::create_durable_with(&dir, graph, OracleBackend::Matrix, forced(1), WAL_ONLY)
+            .unwrap(),
+    );
+    // The version-1 field set (node ids, adjacency lists), which that
+    // version's decoder accepted.
+    let node = |id: u32| format!(r#"{{"id":{id},"predicate":{{"atoms":[]}},"name":null}}"#);
+    let record = format!(
+        r#"{{"seq":0,"op":{{"Register":{{"nodes":[{},{}],"edges":[{{"from":0,"to":9,"bound":{{"Hops":1}}}}],"out_adj":[[0],[]],"in_adj":[[],[]]}}}}}}"#,
+        node(0),
+        node(1)
+    );
+    let mut wal = fs::read(dir.join(WAL_FILE)).unwrap();
+    wal.extend_from_slice(&encode_frame(record.as_bytes()).unwrap());
+    fs::write(dir.join(WAL_FILE), wal).unwrap();
+    match MatchService::open_durable_with(&dir, forced(1), WAL_ONLY) {
+        Err(DurabilityError::Codec(msg)) => {
+            assert!(msg.contains("unknown pattern node u9"), "{msg}")
+        }
+        other => panic!("expected a codec error, got {:?}", other.map(|_| ())),
+    }
 }
