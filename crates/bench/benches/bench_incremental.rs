@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpm::{
-    bounded_simulation_with_oracle, random_graph, random_updates, DistanceMatrix,
-    IncrementalMatcher, PatternGraphBuilder, Predicate, RandomGraphConfig, UpdateStreamConfig,
+    bounded_simulation_with_oracle, inc_match, random_graph, random_updates, DistanceMatrix,
+    Executor, MatchState, PatternGraphBuilder, Predicate, RandomGraphConfig, UpdateStreamConfig,
 };
 
 fn dag_pattern() -> gpm::PatternGraph {
@@ -22,7 +22,10 @@ fn dag_pattern() -> gpm::PatternGraph {
 
 fn bench_incremental_vs_batch(c: &mut Criterion) {
     let graph = random_graph(&RandomGraphConfig::new(1_500, 4_500, 10).with_seed(6));
-    let base = IncrementalMatcher::new(dag_pattern(), graph.clone());
+    let pattern = dag_pattern();
+    let exec = Executor::from_env();
+    let matrix = DistanceMatrix::build_with(&graph, &exec);
+    let state = MatchState::initialise_with(&pattern, &graph, &matrix, &exec);
 
     let mut group = c.benchmark_group("incremental/batch-size");
     group.sample_size(10);
@@ -30,8 +33,8 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
         let updates = random_updates(&graph, &UpdateStreamConfig::mixed(delta).with_seed(9));
         group.bench_with_input(BenchmarkId::new("IncMatch", delta), &updates, |b, ups| {
             b.iter(|| {
-                let mut matcher = base.clone();
-                matcher.apply_batch(ups)
+                let (mut g, mut m, mut s) = (graph.clone(), matrix.clone(), state.clone());
+                inc_match(&pattern, &mut g, &mut m, &mut s, ups, &exec).unwrap()
             });
         });
         group.bench_with_input(
@@ -44,7 +47,7 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
                         u.apply(&mut g);
                     }
                     let matrix = DistanceMatrix::build(&g);
-                    bounded_simulation_with_oracle(base.pattern(), &g, &matrix)
+                    bounded_simulation_with_oracle(&pattern, &g, &matrix)
                 });
             },
         );

@@ -145,8 +145,8 @@ impl HarnessArgs {
     ///
     /// Propagates the selected backend to `GPM_ORACLE`, so every entry point
     /// that defaults to [`OracleBackend::from_env`] — `MatchService::new`,
-    /// `IncrementalMatcher::new`, `bounded_simulation` — honours the
-    /// `--oracle` flag without threading the value through every call site.
+    /// `bounded_simulation` — honours the `--oracle` flag without threading
+    /// the value through every call site.
     pub fn from_env() -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
             Ok(args) => {

@@ -41,7 +41,7 @@ use gpm::datagen::{
     delete_hub_updates, sever_waist_updates, star,
 };
 use gpm::{
-    random_updates, CmpOp, DataGraph, Dataset, EdgeUpdate, Executor, IncrementalMatcher, NodeId,
+    inc_match, random_updates, CmpOp, DataGraph, Dataset, EdgeUpdate, Executor, MatchState, NodeId,
     OracleBackend, PatternGraph, PatternGraphBuilder, Predicate, TwoHopIndex, UpdateStreamConfig,
 };
 use gpm_bench::{fmt_ms, time, HarnessArgs, Table};
@@ -144,19 +144,17 @@ fn run_leg(
     pattern: &PatternGraph,
     graph: &gpm::DataGraph,
     updates: &[gpm::EdgeUpdate],
-    args: &HarnessArgs,
+    exec: &Executor,
     table: &mut Table,
 ) -> usize {
-    let (mut matcher, build) = time(|| {
-        IncrementalMatcher::with_backend(
-            pattern.clone(),
-            graph.clone(),
-            backend,
-            args.parallelism(),
-        )
+    let mut graph = graph.clone();
+    let ((mut oracle, mut state), build) = time(|| {
+        let oracle = backend.build(&graph, exec);
+        let state = MatchState::initialise_with(pattern, &graph, oracle.as_ref(), exec);
+        (oracle, state)
     });
-    let matches = matcher.relation().pair_count();
-    let oracle_bytes = matcher.oracle().memory_bytes();
+    let matches = state.relation().pair_count();
+    let oracle_bytes = oracle.memory_bytes();
     if updates.is_empty() {
         // The maintenance leg was capped out — say so in the table rather
         // than timing a no-op batch that looks like a measurement.
@@ -168,12 +166,21 @@ fn run_leg(
             skipped,
             "-".into(),
             "-".into(),
-            matcher.oracle().rebuilds().to_string(),
             fmt_bytes(oracle_bytes),
         ]);
         return matches;
     }
-    let (outcome, maintain) = time(|| matcher.apply_batch(updates));
+    let (outcome, maintain) = time(|| {
+        inc_match(
+            pattern,
+            &mut graph,
+            oracle.as_mut(),
+            &mut state,
+            updates,
+            exec,
+        )
+    });
+    let outcome = outcome.expect("the anchored chain pattern is a DAG");
     table.row(vec![
         name.into(),
         fmt_ms(build),
@@ -181,10 +188,9 @@ fn run_leg(
         fmt_ms(maintain),
         outcome.stats.aff1.to_string(),
         outcome.stats.aff2.to_string(),
-        matcher.oracle().rebuilds().to_string(),
         fmt_bytes(oracle_bytes),
     ]);
-    matcher.relation().pair_count()
+    state.relation().pair_count()
 }
 
 /// The DynamicAttackGraphs-shaped table: per adversarial topology, the whole
@@ -249,7 +255,6 @@ fn topology_table(exec: &Executor) {
         let re_decided = candidates() - before;
         let (fresh, build) = time(|| TwoHopIndex::build_with(&graph, exec));
         drop(fresh);
-        assert_eq!(oracle.rebuilds(), 0, "{name}: repair is in place");
         table.row(vec![
             name,
             graph.node_count().to_string(),
@@ -385,7 +390,6 @@ fn main() {
             "maintain (ms)",
             "|AFF1|",
             "|AFF2|",
-            "rebuilds",
             "oracle memory",
         ],
     );
@@ -396,7 +400,7 @@ fn main() {
         &pattern,
         &graph,
         &updates,
-        &args,
+        &exec,
         &mut table,
     );
 
@@ -407,7 +411,7 @@ fn main() {
             &pattern,
             &graph,
             &updates,
-            &args,
+            &exec,
             &mut table,
         );
         assert_eq!(
@@ -418,7 +422,6 @@ fn main() {
         table.row(vec![
             "matrix".into(),
             "unallocatable".into(),
-            "-".into(),
             "-".into(),
             "-".into(),
             "-".into(),

@@ -3,7 +3,7 @@
 //! current match), complementing Exp-2/Exp-3.
 
 use gpm::{
-    bounded_simulation_with_oracle, random_updates, IncrementalMatcher, ResultGraph,
+    bounded_simulation_with_oracle, inc_match, random_updates, Executor, MatchState, ResultGraph,
     UpdateStreamConfig,
 };
 use gpm_bench::{dag_pattern, load_source_or_exit, patterns_for, HarnessArgs, Subject, Table};
@@ -51,19 +51,29 @@ fn main() {
     // JSONL consumer see the same numbers.
     gpm::obs::set_enabled(true);
     let pattern = dag_pattern(&subject.graph, 4, 4, 3, args.seed);
-    let base = IncrementalMatcher::new(pattern, subject.graph.clone());
+    let exec = Executor::from_env();
+    let base = MatchState::initialise_with(&pattern, &subject.graph, &subject.matrix, &exec);
     let mut table = Table::new(
         "Affected areas for insertion batches",
         &["|δ|", "|AFF1|", "|AFF1| relevant", "|AFF2|"],
     );
     for &delta in &[50usize, 100, 200, 400] {
         let updates = random_updates(
-            base.graph(),
+            &subject.graph,
             &UpdateStreamConfig::insertions(delta).with_seed(args.seed + delta as u64),
         );
-        let mut matcher = base.clone();
+        let (mut g, mut state) = (subject.graph.clone(), base.clone());
+        let mut oracle = args.oracle.build(&g, &exec);
         gpm::obs::registry().reset();
-        let outcome = matcher.apply_batch(&updates);
+        let outcome = inc_match(
+            &pattern,
+            &mut g,
+            oracle.as_mut(),
+            &mut state,
+            &updates,
+            &exec,
+        )
+        .expect("the pattern is a DAG");
         let counters = gpm::obs::registry().snapshot().det_counters();
         let get = |name: &str| {
             counters

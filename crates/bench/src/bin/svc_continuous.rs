@@ -1,21 +1,23 @@
 //! `svc_continuous` — the continuous multi-pattern service under a shared
 //! update stream: N registered patterns × U update batches, versus N
-//! independent `IncrementalMatcher`s fed the same stream.
+//! single-query services fed the same stream.
 //!
 //! The point under measurement is **shared-AFF amortisation**: the service
 //! maintains one graph + one distance matrix and computes the affected area
-//! (`UpdateBM`) once per batch, where N independent matchers each maintain
-//! their own copies and compute it N times. The table reports both wall
-//! clock and the affected-area computation counts, and cross-checks that
-//! every service query's result equals its independent matcher's.
+//! (`UpdateBM`) once per batch, where N single-query services each maintain
+//! their own copies and compute it N times. Both sides run the same engine —
+//! repair, recompute fallback and delta emission alike — and count their
+//! affected-area computations with the same rule
+//! (`ServiceStats::aff_computations`). The table reports both wall clock
+//! and those counts, and cross-checks that every query's result is the same
+//! on both sides.
 //!
 //! A second table reports **per-batch apply latency** over a longer scripted
-//! stream — exact nearest-rank p50/p99/p999 plus the oracle's rebuild count
-//! and resident size. With `--obs` the `gpm-obs` registry report follows the
-//! tables, and `--obs-out <path>` streams JSONL (self-checked: every line
-//! must parse).
+//! stream — exact nearest-rank p50/p99/p999 plus the oracle's resident
+//! size. With `--obs` the `gpm-obs` registry report follows the tables, and
+//! `--obs-out <path>` streams JSONL (self-checked: every line must parse).
 
-use gpm::{IncrementalMatcher, MatchService, PatternGraph};
+use gpm::{MatchService, PatternGraph};
 use gpm_bench::{
     dag_pattern, fmt_ms, load_source_or_exit, percentile_exact, scripted_batches, time,
     HarnessArgs, Table,
@@ -44,11 +46,11 @@ fn main() {
     let script = scripted_batches(&graph, batches, batch_size, args.seed + 77);
 
     let mut table = Table::new(
-        "svc_continuous: shared incremental maintenance vs independent matchers",
+        "svc_continuous: shared incremental maintenance vs K single-query services",
         &[
             "K queries",
             "service (ms)",
-            "K matchers (ms)",
+            "K services (ms)",
             "service AFF comps",
             "independent AFF comps",
             "AFF amortisation",
@@ -71,32 +73,32 @@ fn main() {
         });
         let svc_affs = svc.stats().aff_computations;
 
-        // Baseline: K fully independent incremental matchers.
-        let mut matchers: Vec<IncrementalMatcher> = patterns
+        // Baseline: K single-query services, each with its own graph and
+        // oracle.
+        let mut singles: Vec<_> = patterns
             .iter()
             .map(|p| {
-                IncrementalMatcher::with_parallelism(p.clone(), graph.clone(), parallelism.clone())
+                let mut single = MatchService::with_parallelism(graph.clone(), parallelism.clone());
+                let id = single.register(p.clone());
+                (single, id)
             })
             .collect();
-        // Count the baseline's affected-area computations the same way the
-        // service counts its own: one per (matcher, batch) whose updates
-        // touched the distance matrix.
-        let mut ind_affs = 0usize;
         let (_, ind_time) = time(|| {
             for batch in &script {
-                for m in matchers.iter_mut() {
-                    let outcome = m.apply_batch(batch);
-                    if !outcome.aff1.is_empty() {
-                        ind_affs += 1;
-                    }
+                for (single, _) in singles.iter_mut() {
+                    single.apply(batch);
                 }
             }
         });
+        let ind_affs: usize = singles
+            .iter()
+            .map(|(s, _)| s.stats().aff_computations)
+            .sum();
 
         let agree = ids
             .iter()
-            .zip(&matchers)
-            .all(|(&id, m)| svc.result(id).unwrap() == m.relation());
+            .zip(singles.iter_mut())
+            .all(|(&id, (single, single_id))| svc.result(id) == single.result(*single_id));
 
         table.row(vec![
             k.to_string(),
@@ -110,16 +112,15 @@ fn main() {
     }
     table.print();
     println!(
-        "\nThe service computes the shared affected area once per batch; K independent\n\
-         matchers compute it K times. The `AFF amortisation` column is exactly K when\n\
+        "\nThe service computes the shared affected area once per batch; K single-query\n\
+         services compute it K times. The `AFF amortisation` column is exactly K when\n\
          every batch touches the matrix; wall-clock follows on update-dominated loads."
     );
 
     // Per-batch apply latency over a longer stream (BENCHMARKS.md batch 7).
-    // Exact nearest-rank percentiles from the full sample; the oracle
-    // columns surface `DistanceOracle::rebuilds`/`memory_bytes` so backend
-    // degradation (2-hop rebuild storms, matrix growth) shows up next to
-    // the latencies it causes.
+    // Exact nearest-rank percentiles from the full sample; the memory
+    // column surfaces `DistanceOracle::memory_bytes` so backend growth
+    // shows up next to the latencies it causes.
     let lat_batches = 40usize;
     let lat_script = scripted_batches(&graph, lat_batches, batch_size, args.seed + 177);
     let mut latency = Table::new(
@@ -130,7 +131,6 @@ fn main() {
             "p99 (ms)",
             "p999 (ms)",
             "max (ms)",
-            "oracle rebuilds",
             "oracle mem (MiB)",
         ],
     );
@@ -153,7 +153,6 @@ fn main() {
             fmt_ms(percentile_exact(&samples, 0.99)),
             fmt_ms(percentile_exact(&samples, 0.999)),
             fmt_ms(samples.iter().max().copied().unwrap_or_default()),
-            svc.oracle().rebuilds().to_string(),
             format!(
                 "{:.1}",
                 svc.oracle().memory_bytes() as f64 / (1024.0 * 1024.0)

@@ -14,7 +14,7 @@
 //! 3. **Footprint**: bytes on disk per mode (WAL + snapshot segments).
 //!
 //! A per-batch latency table (exact nearest-rank p50/p99/p999 plus the
-//! oracle's rebuild count and resident size) shows where the fsync cost
+//! oracle's resident size) shows where the fsync cost
 //! lands; `--obs` appends the `gpm-obs` registry report (the `wal` scope
 //! breaks appends into encode and fsync time) and `--obs-out` streams JSONL.
 //!
@@ -130,8 +130,8 @@ fn main() {
     );
 
     // Per-batch apply latency per mode: the WAL's fsync cost lands in the
-    // tail, and the oracle columns (`DistanceOracle::rebuilds`/
-    // `memory_bytes`) tie backend degradation to the mode that caused it.
+    // tail, and the memory column (`DistanceOracle::memory_bytes`) ties
+    // backend growth to the mode that caused it.
     let mut latency = Table::new(
         "svc_recovery: per-batch apply latency",
         &[
@@ -140,22 +140,16 @@ fn main() {
             "p99 (ms)",
             "p999 (ms)",
             "max (ms)",
-            "oracle rebuilds",
             "oracle mem (MiB)",
         ],
     );
-    let latency_row = |latency: &mut Table,
-                       mode: &str,
-                       samples: &[Duration],
-                       rebuilds: usize,
-                       mem_bytes: usize| {
+    let latency_row = |latency: &mut Table, mode: &str, samples: &[Duration], mem_bytes: usize| {
         latency.row(vec![
             mode.into(),
             fmt_ms(percentile_exact(samples, 0.50)),
             fmt_ms(percentile_exact(samples, 0.99)),
             fmt_ms(percentile_exact(samples, 0.999)),
             fmt_ms(samples.iter().max().copied().unwrap_or_default()),
-            rebuilds.to_string(),
             format!("{:.1}", mem_bytes as f64 / (1024.0 * 1024.0)),
         ]);
     };
@@ -163,7 +157,6 @@ fn main() {
         &mut latency,
         "ephemeral",
         &ref_samples,
-        reference.oracle().rebuilds(),
         reference.oracle().memory_bytes(),
     );
 
@@ -186,13 +179,7 @@ fn main() {
             samples.push(d);
         }
         let apply: Duration = samples.iter().sum();
-        latency_row(
-            &mut latency,
-            mode,
-            &samples,
-            svc.oracle().rebuilds(),
-            svc.oracle().memory_bytes(),
-        );
+        latency_row(&mut latency, mode, &samples, svc.oracle().memory_bytes());
         drop(svc); // crash
 
         let wal_bytes = fs::metadata(root.join(WAL_FILE)).map_or(0, |m| m.len());

@@ -6,7 +6,10 @@
 //! driver:
 //!
 //! 1. generates an update stream with the requested insert/delete mix;
-//! 2. runs `IncMatch` starting from the precomputed match and matrix;
+//! 2. runs the paper's [`inc_match`] on its own copy of the graph, of the
+//!    precomputed match state and of the distance oracle (`--oracle`); the
+//!    copies are made before the clock starts, so the time covers graph
+//!    mutation, `UpdateBM` and the repair;
 //! 3. runs the batch baseline: apply the updates to a copy of the graph,
 //!    **recompute the distance matrix** (its cost is counted, as in the
 //!    paper) and re-run `Match`;
@@ -15,8 +18,8 @@
 
 use crate::{fmt_ms, load_source_or_exit, time, HarnessArgs, Table};
 use gpm::{
-    bounded_simulation_with_oracle, generate_pattern, random_updates, DistanceMatrix, EdgeUpdate,
-    IncrementalMatcher, PatternGenConfig, PatternGraph, UpdateStreamConfig,
+    bounded_simulation_with_oracle, generate_pattern, inc_match, random_updates, DistanceMatrix,
+    EdgeUpdate, Executor, MatchState, PatternGenConfig, PatternGraph, UpdateStreamConfig,
 };
 
 /// Which update mix an experiment uses.
@@ -104,7 +107,11 @@ pub fn run_update_experiment(
     );
 
     let pattern = dag_pattern(&graph, 4, 4, 3, args.seed);
-    let (base, setup_time) = time(|| IncrementalMatcher::new(pattern.clone(), graph.clone()));
+    let exec = Executor::from_env();
+    let (base, setup_time) = time(|| {
+        let oracle = args.oracle.build(&graph, &exec);
+        MatchState::initialise_with(&pattern, &graph, oracle.as_ref(), &exec)
+    });
     println!(
         "initial Match (matrix + maximum match): {} ms, {} pairs\n",
         fmt_ms(setup_time),
@@ -126,17 +133,29 @@ pub fn run_update_experiment(
     for &paper_delta in paper_deltas {
         let delta = ((paper_delta as f64 * args.scale).round() as usize).max(4);
         let updates = random_updates(
-            base.graph(),
+            &graph,
             &mix.config(delta).with_seed(args.seed + paper_delta as u64),
         );
 
-        // Incremental: start from the shared precomputed state.
-        let mut matcher = base.clone();
-        let (outcome, inc_time) = time(|| matcher.apply_batch(&updates));
+        // Incremental: start from the shared precomputed state, on copies
+        // made (and an oracle rebuilt) outside the timed region.
+        let (mut g, mut state) = (graph.clone(), base.clone());
+        let mut oracle = args.oracle.build(&g, &exec);
+        let (outcome, inc_time) = time(|| {
+            inc_match(
+                &pattern,
+                &mut g,
+                oracle.as_mut(),
+                &mut state,
+                &updates,
+                &exec,
+            )
+        });
+        let outcome = outcome.expect("the experiment pattern is a DAG");
 
         // Batch baseline: apply updates, rebuild the matrix (cost counted),
         // re-run Match.
-        let mut updated_graph = base.graph().clone();
+        let mut updated_graph = graph.clone();
         for u in &updates {
             u.apply(&mut updated_graph);
         }
@@ -145,7 +164,7 @@ pub fn run_update_experiment(
             bounded_simulation_with_oracle(&pattern, &updated_graph, &matrix).relation
         });
 
-        let agree = matcher.relation() == batch_relation;
+        let agree = state.relation() == batch_relation;
         let aff_per_update = if updates.is_empty() {
             0
         } else {

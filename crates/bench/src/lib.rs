@@ -46,7 +46,7 @@
 //! | Fig. 6(i)–(k) | `exp_fig6i_batch_updates`, `exp_fig6j_deletions`, `exp_fig6k_insertions` |
 //! | Fig. 9 | `exp_fig9_vary_bound` |
 //! | `\|AFF\|`, `\|Gr\|` stats (Section 5) | `exp_stats_aff_gr` |
-//! | service layer (beyond the paper) | `svc_continuous` — shared-AFF amortisation of `gpm-service` vs independent matchers |
+//! | service layer (beyond the paper) | `svc_continuous` — shared-AFF amortisation of `gpm-service` vs K single-query services |
 //! | oracle scaling (beyond the paper) | `exp_oracle_scale` — match + update a Fig. 6-class graph on the 2-hop backend where the `\|V\|²` matrix cannot allocate |
 //!
 //! See BENCHMARKS.md at the repository root for the measurement protocol and

@@ -17,8 +17,8 @@
 //! [`DistanceOracle::apply_batch`], and reports `AFF1`, the set of node
 //! pairs whose distance changed. Only the quadratic [`DistanceMatrix`] and
 //! the sublinear-memory [`crate::IncrementalTwoHop`] labeling implement it —
-//! they are what `IncrementalMatcher` and `MatchService` own, selected at
-//! runtime via [`crate::OracleBackend`]. [`crate::BfsOracle`] and
+//! they are what `MatchService` owns and what `inc_match` maintains,
+//! selected at runtime via [`crate::OracleBackend`]. [`crate::BfsOracle`] and
 //! [`crate::TwoHopOracle`] are query-only, so asking one of them to
 //! maintain itself does not compile.
 
@@ -186,11 +186,6 @@ pub trait DistanceOracle: DistanceQuery {
     fn rebuilds(&self) -> usize {
         0
     }
-
-    /// A deep copy of this oracle as a boxed trait object, which is how
-    /// owning facades that are themselves `Clone` (`IncrementalMatcher`)
-    /// duplicate their backend.
-    fn clone_box(&self) -> Box<dyn DistanceOracle + Send + Sync>;
 }
 
 impl DistanceQuery for DistanceMatrix {
@@ -241,10 +236,6 @@ impl DistanceOracle for DistanceMatrix {
             |m, from, to| m.get(from, to) == 1,
             |m, view, u, ws| update_unit(m, view, u, ws),
         )
-    }
-
-    fn clone_box(&self) -> Box<dyn DistanceOracle + Send + Sync> {
-        Box::new(self.clone())
     }
 }
 

@@ -573,10 +573,6 @@ impl DistanceOracle for IncrementalTwoHop {
             },
         )
     }
-
-    fn clone_box(&self) -> Box<dyn DistanceOracle + Send + Sync> {
-        Box::new(self.clone())
-    }
 }
 
 /// The 2-hop units' share of the batch's [`Sweep`] workspace: everything

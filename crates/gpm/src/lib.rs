@@ -11,7 +11,7 @@
 //! | [`exec`] | the scoped fork-join executor and its [`Parallelism`] policy |
 //! | [`distance`] | distance matrix, BFS and 2-hop oracles, incremental shortest paths, pluggable backends ([`OracleBackend`]) |
 //! | [`matching`] | the cubic-time `Match` (bounded simulation), graph simulation, result graphs |
-//! | [`incremental`] | `Match−`, `Match+`, `IncMatch`, shared-AFF repair, and the `IncrementalMatcher` facade |
+//! | [`incremental`] | `Match−`, `Match+`, `IncMatch`, shared-AFF repair |
 //! | [`service`] | the continuous multi-pattern matching service (`MatchService`: register/apply/subscribe) |
 //! | [`net`] | network front-end for the service (CRC-framed wire protocol, server, client; see PROTOCOL.md) |
 //! | [`iso`] | subgraph-isomorphism baselines (Ullmann `SubIso`, VF2) |
@@ -169,8 +169,7 @@ pub use gpm_graph::{
     Predicate,
 };
 pub use gpm_incremental::{
-    inc_match, match_minus, match_plus, repair_match_state, IncrementalMatcher, MatchState,
-    RepairOutcome,
+    inc_match, match_minus, match_plus, repair_match_state, MatchState, RepairOutcome,
 };
 pub use gpm_iso::{subgraph_isomorphism_ullmann, subgraph_isomorphism_vf2, IsoConfig, IsoOutcome};
 pub use gpm_service::{

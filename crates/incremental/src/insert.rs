@@ -22,9 +22,8 @@
 //! needs the others to already be matched), which upward propagation cannot
 //! discover — this is exactly why the paper restricts `Match+`/`IncMatch` to
 //! DAG patterns; [`match_plus`] returns [`GraphError::PatternNotAcyclic`] in
-//! that case (the [`crate::IncrementalMatcher`] facade falls back to
-//! recomputation instead, and only when a distance actually shrank across a
-//! bound).
+//! that case (`gpm-service` falls back to recomputation instead, and only
+//! when a distance actually shrank across a bound).
 
 use crate::affected::{Aff2, IncrementalOutcome};
 use crate::repair::maintain;

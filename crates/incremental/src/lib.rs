@@ -17,20 +17,14 @@
 //! * [`match_plus`] — `Match+` (Fig. 7): unit edge **insertion**, DAG
 //!   patterns;
 //! * [`inc_match`] — `IncMatch` (Fig. 8): a batch of updates, DAG patterns;
-//! * [`IncrementalMatcher`] — an owning facade that keeps the graph, the
-//!   distance oracle, and the match state together and applies update
-//!   streams through the same kernel on its own executor, recomputing the
-//!   state where the algorithms above would refuse (what an application
-//!   would actually embed);
 //! * [`repair_match_state`] — the repair half of the kernel on its own,
 //!   driven by a precomputed `AFF1` and reading the oracle through
 //!   [`DistanceQuery`](gpm_distance::DistanceQuery) only, so a multi-query
 //!   service (`gpm-service`) can pay the shared graph/oracle maintenance
 //!   once per batch and replay only the cheap per-query repair for every
-//!   registered pattern.
-//! * [`refresh_match_state`] — the policy around that repair, written once:
-//!   a refused repair becomes a recomputation of the state on the maintained
-//!   oracle. [`IncrementalMatcher`] and `gpm-service` both call it.
+//!   registered pattern. The service owns the graph, the oracle and the
+//!   states, and recomputes a state where this repair refuses — it is what
+//!   an application embeds, with one query or many.
 //!
 //! Every operation reports the affected areas: `AFF1` (node pairs whose
 //! distance changed — from `gpm-distance`) and `AFF2` (match pairs added or
@@ -39,17 +33,18 @@
 //!
 //! Updates mutate the data graph's CSR layout through its delta overlay
 //! (`O(deg)` per touched node, no full rebuild);
-//! [`IncrementalMatcher::compact_graph`] folds the overlay back at quiesce
-//! points.
+//! [`DataGraph::compact`](gpm_graph::DataGraph::compact) folds the overlay
+//! back at quiesce points.
 //!
 //! ## Example
 //!
 //! ```
+//! use gpm_distance::DistanceMatrix;
+//! use gpm_exec::Executor;
 //! use gpm_graph::{DataGraphBuilder, PatternGraphBuilder};
-//! use gpm_incremental::IncrementalMatcher;
-//! use gpm_distance::EdgeUpdate;
+//! use gpm_incremental::{match_plus, MatchState};
 //!
-//! let (g, ids) = DataGraphBuilder::new()
+//! let (mut g, ids) = DataGraphBuilder::new()
 //!     .labeled_node("boss")
 //!     .labeled_node("mid")
 //!     .labeled_node("worker")
@@ -63,13 +58,16 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let mut matcher = IncrementalMatcher::new(p, g);
-//! assert!(!matcher.is_match()); // no path from boss to worker yet
+//! // Compute the match once ...
+//! let mut m = DistanceMatrix::build(&g);
+//! let mut state = MatchState::initialise(&p, &g, &m);
+//! assert!(!state.all_matched()); // no path from boss to worker yet
 //!
-//! // One inserted edge completes boss -> mid -> worker: Match+ repairs the
-//! // match without recomputing it from scratch.
-//! matcher.apply(EdgeUpdate::Insert(ids["mid"], ids["worker"])).unwrap();
-//! assert!(matcher.is_match());
+//! // ... then one inserted edge completes boss -> mid -> worker: Match+
+//! // repairs the match without recomputing it from scratch.
+//! let exec = Executor::sequential();
+//! match_plus(&p, &mut g, &mut m, &mut state, ids["mid"], ids["worker"], &exec).unwrap();
+//! assert!(state.all_matched());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -79,7 +77,6 @@ pub mod affected;
 pub mod batch;
 pub mod delete;
 pub mod insert;
-pub mod maintainer;
 pub mod repair;
 pub mod state;
 
@@ -87,10 +84,7 @@ pub use affected::{Aff2, IncrementalStats};
 pub use batch::inc_match;
 pub use delete::match_minus;
 pub use insert::match_plus;
-pub use maintainer::IncrementalMatcher;
-pub use repair::{
-    refresh_match_state, repair_match_state, split_aff1_sources, Refreshed, RepairOutcome,
-};
+pub use repair::{repair_match_state, split_aff1_sources, RepairOutcome};
 pub use state::{MatchState, MatchStateSnapshot};
 
 /// Result alias for incremental operations.

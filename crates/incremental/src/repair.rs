@@ -27,8 +27,8 @@
 //! * bound-crossing **decreases** are repaired with the addition
 //!   propagation of `Match+`, which requires a DAG pattern — a cyclic
 //!   pattern whose `AFF1` contains one errors with
-//!   [`GraphError::PatternNotAcyclic`]; [`refresh_match_state`] is the
-//!   repair-or-recompute policy `IncrementalMatcher` and `gpm-service` run.
+//!   [`GraphError::PatternNotAcyclic`], and `gpm-service` recomputes that
+//!   query's state instead.
 
 use crate::affected::{Aff2, IncrementalOutcome};
 use crate::delete::process_removals;
@@ -53,7 +53,6 @@ pub(crate) struct RepairMetrics {
     pub aff1_relevant: Arc<gpm_obs::Counter>,
     pub aff2_pairs: Arc<gpm_obs::Counter>,
     pub dag_rejections: Arc<gpm_obs::Counter>,
-    pub recompute_fallbacks: Arc<gpm_obs::Counter>,
     pub aff2_size: Arc<gpm_obs::Histogram>,
     pub repair_ns: Arc<gpm_obs::Histogram>,
 }
@@ -69,7 +68,6 @@ pub(crate) fn metrics() -> &'static RepairMetrics {
             aff1_relevant: scope.counter("aff1_relevant"),
             aff2_pairs: scope.counter("aff2_pairs"),
             dag_rejections: scope.counter("dag_rejections"),
-            recompute_fallbacks: scope.counter("recompute_fallbacks"),
             aff2_size: scope.histogram("aff2_size"),
             repair_ns: scope.histogram("repair_ns"),
         }
@@ -222,41 +220,6 @@ pub fn repair_match_state<O: DistanceQuery + ?Sized>(
         aff2,
         verifications,
     })
-}
-
-/// What [`refresh_match_state`] did to bring a state up to date.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Refreshed {
-    /// The state was repaired incrementally from `AFF1`.
-    Repaired(RepairOutcome),
-    /// The repair refused and the state was recomputed on the maintained
-    /// oracle.
-    Rebuilt,
-}
-
-/// The paper's workflow as one policy: repair `state` from `aff1` where
-/// `Match−`/`Match+` apply, recompute it on `exec` where they refuse — a
-/// cyclic pattern whose batch holds a bound-crossing decrease. Either way
-/// `state` ends equal to a from-scratch `Match` against `oracle`, which must
-/// already reflect the batch (see [`repair_match_state`]). Counting
-/// fallbacks is the caller's business.
-pub fn refresh_match_state<O: DistanceQuery + Sync + ?Sized>(
-    pattern: &PatternGraph,
-    graph: &DataGraph,
-    oracle: &O,
-    state: &mut MatchState,
-    aff1: &AffectedPairs,
-    exec: &Executor,
-) -> Refreshed {
-    match repair_match_state(pattern, graph, oracle, state, aff1) {
-        Ok(repair) => Refreshed::Repaired(repair),
-        // A refused repair left `state` as it was; a rebuild is right
-        // whatever the refusal, and `PatternNotAcyclic` is the only one.
-        Err(_) => {
-            *state = MatchState::initialise_with(pattern, graph, oracle, exec);
-            Refreshed::Rebuilt
-        }
-    }
 }
 
 #[cfg(test)]

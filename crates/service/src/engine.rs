@@ -8,11 +8,13 @@
 //!    `UpdateBM` **once**, producing the shared affected area `AFF1`
 //!    (this is the expensive step, and it is paid per batch, not per query);
 //! 2. every active query brings its own match state up to date from that
-//!    shared `AFF1` (`gpm_incremental::refresh_match_state`), fanned out
-//!    across the `gpm-exec` executor — queries are independent, so each item
-//!    owns exactly one query's state. The fan-out's work hint is the number
-//!    of queries to repair, so below `gpm-exec`'s threshold (256) it runs
-//!    inline at every thread count;
+//!    shared `AFF1` (`gpm_incremental::repair_match_state`, or a recompute
+//!    where that repair refuses), fanned out across the `gpm-exec`
+//!    executor — queries are independent, so each item owns exactly one
+//!    query's state. The service is the one owner of a maintained match, so
+//!    the repair-or-recompute decision is made here, in `refresh_entry`.
+//!    The fan-out's work hint is the number of queries to repair, so below
+//!    `gpm-exec`'s threshold (256) it runs inline at every thread count;
 //! 3. deltas are emitted sequentially in registration order — counted once,
 //!    then pushed into the query's subscriber sinks — so the per-query
 //!    streams (and the batch outcome) are bit-identical at any thread count.
@@ -39,7 +41,7 @@ use gpm_core::MatchRelation;
 use gpm_distance::{AffectedPairs, DistanceOracle, EdgeUpdate, OracleBackend};
 use gpm_exec::{Executor, Parallelism};
 use gpm_graph::{DataGraph, PatternGraph};
-use gpm_incremental::{refresh_match_state, MatchState, Refreshed};
+use gpm_incremental::{repair_match_state, MatchState};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
@@ -47,8 +49,8 @@ use std::sync::mpsc;
 ///
 /// `aff_computations` is the headline amortisation metric: a service with
 /// `K` registered queries performs **one** affected-area computation per
-/// update batch, where `K` independent [`gpm_incremental::IncrementalMatcher`]s
-/// would perform `K` (the `svc_continuous` experiment prints both sides).
+/// update batch, where `K` single-query services would perform `K` (the
+/// `svc_continuous` experiment prints both sides).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Update batches applied.
@@ -699,11 +701,15 @@ fn refresh_entry(
             entry.state = Some(state);
             (RepairKind::Activation, 0)
         }
-        // The shared oracle is already correct, so a refused repair
+        // The shared oracle is already correct, so a refused repair — which
+        // leaves `state` as it was; `PatternNotAcyclic` is the only refusal —
         // recomputes this query's state only.
-        Some(state) => match refresh_match_state(pattern, graph, oracle, state, aff1, &exec) {
-            Refreshed::Repaired(out) => (RepairKind::Incremental, out.verifications),
-            Refreshed::Rebuilt => (RepairKind::Recompute, 0),
+        Some(state) => match repair_match_state(pattern, graph, oracle, state, aff1) {
+            Ok(out) => (RepairKind::Incremental, out.verifications),
+            Err(_) => {
+                *state = MatchState::initialise_with(pattern, graph, oracle, &exec);
+                (RepairKind::Recompute, 0)
+            }
         },
     };
     let visible = entry
@@ -889,6 +895,37 @@ mod tests {
         let ins = random_updates(svc.graph(), &UpdateStreamConfig::insertions(8).with_seed(4));
         svc.apply(&ins);
         assert_eq!(svc.stats().recompute_fallbacks, 1);
+        assert_consistent(&mut svc, &[q]);
+
+        // By hand: 0:a0 ← 1:a1 and a relay 2 → 3 → 4 of unlabelled nodes.
+        use gpm_graph::{Attributes, NodeId};
+        let mut g = DataGraph::new();
+        for label in ["a0", "a1", "-", "-", "-"] {
+            g.add_node(Attributes::labeled(label));
+        }
+        for (a, b) in [(1, 0), (2, 3), (3, 4)] {
+            g.add_edge(NodeId::new(a), NodeId::new(b)).unwrap();
+        }
+        let mut svc = MatchService::new(g);
+        let q = svc.register(cyclic_pattern());
+        assert!(svc.result(q).unwrap().is_empty());
+        // d(2, 4) shrinks 2 → 1, inside the bound 2 on both sides: no
+        // `within` flips, so even an insertion is repaired incrementally.
+        svc.apply_one(EdgeUpdate::Insert(NodeId::new(2), NodeId::new(4)));
+        assert_eq!(svc.stats().recompute_fallbacks, 0);
+        // d(0, 1) shrinks ∞ → 1 across the bound: recompute.
+        let closing = EdgeUpdate::Insert(NodeId::new(0), NodeId::new(1));
+        svc.apply_one(closing);
+        assert_eq!(svc.stats().recompute_fallbacks, 1);
+        assert!(!svc.result(q).unwrap().is_empty());
+        assert_consistent(&mut svc, &[q]);
+        // The deletion is repaired (`Match−` handles cycles).
+        svc.apply_one(EdgeUpdate::Delete(NodeId::new(0), NodeId::new(1)));
+        assert_eq!(svc.stats().recompute_fallbacks, 1);
+        assert!(svc.result(q).unwrap().is_empty());
+        // The same crossing insertion inside a batch falls back once more.
+        svc.apply(&[EdgeUpdate::Delete(NodeId::new(2), NodeId::new(4)), closing]);
+        assert_eq!(svc.stats().recompute_fallbacks, 2);
         assert_consistent(&mut svc, &[q]);
     }
 

@@ -15,8 +15,9 @@
 //!   [`gpm_distance::DistanceMatrix`] shared by every registered query;
 //! * each update batch runs `UpdateBM` **once**, producing one shared
 //!   `AFF1`; every active query then repairs its own
-//!   [`gpm_incremental::MatchState`] from that `AFF1` — or recomputes it
-//!   where repair refuses ([`gpm_incremental::refresh_match_state`]) —
+//!   [`gpm_incremental::MatchState`] from that `AFF1`
+//!   ([`gpm_incremental::repair_match_state`]) — or recomputes it where
+//!   repair refuses, a decision made in the service and nowhere else —
 //!   fanned out across the `gpm-exec` executor;
 //! * results leave the service as per-query [`MatchDelta`]s — the pairs
 //!   entering and leaving each query's visible result — through pull
@@ -32,9 +33,9 @@
 //!   subscribers.
 //!
 //! With `K` registered queries and `U` update batches the service performs
-//! `U` affected-area computations where `K` independent
-//! [`gpm_incremental::IncrementalMatcher`]s perform `K·U` — the
-//! amortisation the `svc_continuous` experiment measures.
+//! `U` affected-area computations where `K` single-query services perform
+//! `K·U` — the amortisation the `svc_continuous` experiment measures. A
+//! single-query service is also how an application maintains one pattern.
 //!
 //! ## Example
 //!

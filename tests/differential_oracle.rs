@@ -12,8 +12,8 @@
 use gpm::datagen::{powerlaw_graph, PowerLawConfig};
 use gpm::distance::AffectedPairs;
 use gpm::{
-    fold_deltas, generate_pattern, random_updates, BatchOutcome, DataGraph, EdgeUpdate, Executor,
-    IncrementalMatcher, MatchRelation, MatchService, NodeId, OracleBackend, Parallelism,
+    fold_deltas, generate_pattern, inc_match, random_updates, BatchOutcome, DataGraph, EdgeUpdate,
+    Executor, MatchRelation, MatchService, MatchState, NodeId, OracleBackend, Parallelism,
     PatternGenConfig, PatternGraph, PatternGraphBuilder, Predicate, UpdateStreamConfig,
 };
 
@@ -222,29 +222,33 @@ fn churn_script_repairs_in_place_and_stays_within_twice_a_fresh_build() {
     }
 }
 
-/// `IncrementalMatcher` maintains the *same match* on either backend: the
-/// folded `AFF1 → AFF2 → relation` chain is backend-independent.
+/// `IncMatch` maintains the *same match* on either backend: the folded
+/// `AFF1 → AFF2 → relation` chain is backend-independent.
 #[test]
 fn maintained_matches_are_identical_across_backends() {
     let g = labelled_graph(35, 90, 4, 3);
     let pattern = dag_pattern(&g, 1);
-    let mut on_matrix = IncrementalMatcher::with_backend(
-        pattern.clone(),
-        g.clone(),
-        OracleBackend::Matrix,
-        Parallelism::new(1),
+    let exec = Executor::new(Parallelism::new(1));
+    // Each back-end maintains a graph, an oracle and a state of its own.
+    let [mut on_matrix, mut on_two_hop] = [OracleBackend::Matrix, OracleBackend::TwoHop].map(|b| {
+        let oracle = b.build(&g, &exec);
+        let state = MatchState::initialise_with(&pattern, &g, oracle.as_ref(), &exec);
+        (g.clone(), oracle, state)
+    });
+    assert_eq!(
+        on_matrix.2.relation(),
+        on_two_hop.2.relation(),
+        "initial Match"
     );
-    let mut on_two_hop =
-        IncrementalMatcher::with_backend(pattern, g, OracleBackend::TwoHop, Parallelism::new(1));
-    assert_eq!(on_matrix.relation(), on_two_hop.relation(), "initial Match");
 
     for round in 0..3u64 {
         let updates = random_updates(
-            on_matrix.graph(),
+            &on_matrix.0,
             &UpdateStreamConfig::mixed(10).with_seed(round + 60),
         );
-        let out_m = on_matrix.apply_batch(&updates);
-        let out_t = on_two_hop.apply_batch(&updates);
+        let [out_m, out_t] = [&mut on_matrix, &mut on_two_hop].map(|(g, oracle, state)| {
+            inc_match(&pattern, g, oracle.as_mut(), state, &updates, &exec).unwrap()
+        });
         assert_eq!(
             out_m.stats.aff1, out_t.stats.aff1,
             "|AFF1| diverged at round {round}"
@@ -254,8 +258,8 @@ fn maintained_matches_are_identical_across_backends() {
             "|AFF2| diverged at round {round}"
         );
         assert_eq!(
-            on_matrix.relation(),
-            on_two_hop.relation(),
+            on_matrix.2.relation(),
+            on_two_hop.2.relation(),
             "maintained match diverged at round {round}"
         );
     }

@@ -7,10 +7,10 @@
 //! two-hop leg re-proves them against the label-based oracle.
 
 use gpm::{
-    bounded_simulation_with_oracle, generate_pattern, random_graph, random_updates, Dataset,
-    DistanceMatrix, EdgeUpdate, IncrementalMatcher, MatchService, NodeId, OracleBackend,
-    Parallelism, PatternGenConfig, PatternGraphBuilder, Predicate, RandomGraphConfig,
-    UpdateStreamConfig,
+    bounded_simulation_with_oracle, generate_pattern, inc_match, match_minus, match_plus,
+    random_graph, random_updates, Dataset, DistanceMatrix, EdgeUpdate, Executor, MatchService,
+    MatchState, NodeId, OracleBackend, Parallelism, PatternGenConfig, PatternGraphBuilder,
+    Predicate, RandomGraphConfig, UpdateStreamConfig,
 };
 
 fn dag_pattern(graph: &gpm::DataGraph, seed: u64) -> gpm::PatternGraph {
@@ -26,13 +26,13 @@ fn dag_pattern(graph: &gpm::DataGraph, seed: u64) -> gpm::PatternGraph {
 
 /// The maintained oracle answers every pair exactly like a matrix rebuilt
 /// from scratch on the updated graph.
-fn assert_oracle_matches_rebuild(matcher: &IncrementalMatcher, ctx: &str) {
-    let rebuilt = DistanceMatrix::build(matcher.graph());
-    let n = matcher.graph().node_count() as u32;
+fn assert_oracle_matches_rebuild(svc: &MatchService, ctx: &str) {
+    let rebuilt = DistanceMatrix::build(svc.graph());
+    let n = svc.graph().node_count() as u32;
     for x in (0..n).map(NodeId::new) {
         for y in (0..n).map(NodeId::new) {
             assert_eq!(
-                matcher.oracle().nonempty_distance(matcher.graph(), x, y),
+                svc.oracle().nonempty_distance(svc.graph(), x, y),
                 rebuilt.nonempty_distance(x, y),
                 "{ctx}: oracle diverged at ({x:?}, {y:?})"
             );
@@ -40,32 +40,38 @@ fn assert_oracle_matches_rebuild(matcher: &IncrementalMatcher, ctx: &str) {
     }
 }
 
+/// Applies one update that must take effect.
+fn apply_unit(svc: &mut MatchService, update: EdgeUpdate) {
+    assert_eq!(svc.apply_one(update).applied, 1, "{update} must apply");
+}
+
 #[test]
 fn incremental_matcher_tracks_batch_recompute_on_youtube() {
     let graph = Dataset::YouTube.generate(0.015, 11);
     let pattern = dag_pattern(&graph, 1);
-    let mut matcher = IncrementalMatcher::new(pattern.clone(), graph.clone());
+    let mut svc = MatchService::new(graph);
+    let q = svc.register(pattern.clone());
 
     for round in 0..4u64 {
         let updates = random_updates(
-            matcher.graph(),
+            svc.graph(),
             &UpdateStreamConfig::mixed(40).with_seed(round + 100),
         );
-        matcher.apply_batch(&updates);
+        svc.apply(&updates);
 
         // Maintained oracle equals a rebuilt matrix.
-        assert_oracle_matches_rebuild(&matcher, &format!("round {round}"));
+        assert_oracle_matches_rebuild(&svc, &format!("round {round}"));
 
         // Maintained match equals recomputation.
-        let rebuilt = DistanceMatrix::build(matcher.graph());
-        let recomputed = bounded_simulation_with_oracle(&pattern, matcher.graph(), &rebuilt);
+        let rebuilt = DistanceMatrix::build(svc.graph());
+        let recomputed = bounded_simulation_with_oracle(&pattern, svc.graph(), &rebuilt);
         assert_eq!(
-            matcher.relation(),
+            svc.result(q).unwrap(),
             recomputed.relation,
             "match diverged at round {round}"
         );
     }
-    assert_eq!(matcher.recompute_fallbacks(), 0);
+    assert_eq!(svc.stats().recompute_fallbacks, 0);
 }
 
 #[test]
@@ -76,15 +82,17 @@ fn unit_updates_match_batch_updates() {
     let pattern = dag_pattern(&graph, 2);
     let updates = random_updates(&graph, &UpdateStreamConfig::mixed(30).with_seed(9));
 
-    let mut unit = IncrementalMatcher::new(pattern.clone(), graph.clone());
+    let mut unit = MatchService::new(graph.clone());
+    let unit_q = unit.register(pattern.clone());
     for u in &updates {
-        unit.apply(*u).unwrap();
+        apply_unit(&mut unit, *u);
     }
 
-    let mut batch = IncrementalMatcher::new(pattern, graph);
-    batch.apply_batch(&updates);
+    let mut batch = MatchService::new(graph);
+    let batch_q = batch.register(pattern);
+    batch.apply(&updates);
 
-    assert_eq!(unit.relation(), batch.relation());
+    assert_eq!(unit.result(unit_q), batch.result(batch_q));
     assert_eq!(unit.graph().edge_count(), batch.graph().edge_count());
     let n = unit.graph().node_count() as u32;
     for x in (0..n).map(NodeId::new) {
@@ -102,30 +110,35 @@ fn unit_updates_match_batch_updates() {
 fn deletions_then_reinsertions_restore_the_match() {
     let graph = Dataset::Matter.generate(0.01, 21);
     let pattern = dag_pattern(&graph, 3);
-    let mut matcher = IncrementalMatcher::new(pattern, graph.clone());
-    let initial = matcher.relation();
+    let mut svc = MatchService::new(graph.clone());
+    let q = svc.register(pattern);
+    let initial = svc.result(q).unwrap();
 
     // Delete a handful of edges, then re-insert them in reverse order.
     let victims: Vec<(gpm::NodeId, gpm::NodeId)> = graph.edges().take(12).collect();
     for &(a, b) in &victims {
-        matcher.apply(EdgeUpdate::Delete(a, b)).unwrap();
+        apply_unit(&mut svc, EdgeUpdate::Delete(a, b));
     }
     for &(a, b) in victims.iter().rev() {
-        matcher.apply(EdgeUpdate::Insert(a, b)).unwrap();
+        apply_unit(&mut svc, EdgeUpdate::Insert(a, b));
     }
     assert_eq!(
-        matcher.relation(),
+        svc.result(q).unwrap(),
         initial,
         "round trip should restore the match"
     );
-    assert_oracle_matches_rebuild(&matcher, "after round trip");
+    assert_oracle_matches_rebuild(&svc, "after round trip");
 }
 
-/// The two owners of a maintained match — the `IncrementalMatcher` facade
-/// and a single-query `MatchService` — run one policy: on the same graph and
-/// the same mixed stream of unit and batch updates they hold the same
-/// relation after every step and fall back to recomputation on exactly the
-/// same steps, for DAG and cyclic patterns, on both back-ends.
+/// One owner of a maintained match: a single-query `MatchService` runs the
+/// paper's algorithms where they apply and recomputes where they refuse. On
+/// the same graph and the same mixed stream of unit and batch updates, on
+/// both back-ends, it holds after every step
+///
+/// * for a DAG pattern: exactly what `Match−`/`Match+`/`IncMatch` hold on
+///   their own graph, oracle and state — and it never falls back;
+/// * for a cyclic pattern: a from-scratch `Match` — falling back to it
+///   somewhere in the stream.
 #[test]
 fn matcher_and_single_query_service_share_one_policy() {
     let (dag, _) = PatternGraphBuilder::new()
@@ -145,6 +158,7 @@ fn matcher_and_single_query_service_share_one_policy() {
         .unwrap();
     assert!(dag.is_dag() && !cyclic.is_dag());
 
+    let exec = Executor::sequential();
     let mut cyclic_fallbacks = 0;
     for seed in 0..4u64 {
         let graph = random_graph(&RandomGraphConfig::new(40, 90, 4).with_seed(seed));
@@ -152,14 +166,12 @@ fn matcher_and_single_query_service_share_one_policy() {
         for backend in OracleBackend::ALL {
             for pattern in [&dag, &cyclic] {
                 let policy = Parallelism::sequential();
-                let mut matcher = IncrementalMatcher::with_backend(
-                    pattern.clone(),
-                    graph.clone(),
-                    backend,
-                    policy.clone(),
-                );
                 let mut service = MatchService::with_backend(graph.clone(), backend, policy);
                 let id = service.register(pattern.clone());
+                // The paper's algorithms on a (graph, oracle, state) of their own.
+                let mut g = graph.clone();
+                let mut oracle = backend.build(&g, &exec);
+                let mut state = MatchState::initialise_with(pattern, &g, oracle.as_ref(), &exec);
 
                 // Alternate one unit update with one batch of five.
                 let mut rest = updates.as_slice();
@@ -169,25 +181,34 @@ fn matcher_and_single_query_service_share_one_policy() {
                     let (now, later) = rest.split_at(take);
                     rest = later;
                     if let [unit] = now {
-                        matcher.apply(*unit).unwrap();
                         service.apply_one(*unit);
                     } else {
-                        matcher.apply_batch(now);
                         service.apply(now);
                     }
                     let ctx = format!("seed {seed}, {backend}, step {step}");
-                    assert_eq!(Some(matcher.relation()), service.result(id), "{ctx}");
-                    assert_eq!(
-                        matcher.recompute_fallbacks(),
-                        service.stats().recompute_fallbacks,
-                        "{ctx}"
-                    );
+                    let expected = if pattern.is_dag() {
+                        let o = oracle.as_mut();
+                        match now {
+                            [EdgeUpdate::Delete(a, b)] => {
+                                match_minus(pattern, &mut g, o, &mut state, *a, *b, &exec)
+                            }
+                            [EdgeUpdate::Insert(a, b)] => {
+                                match_plus(pattern, &mut g, o, &mut state, *a, *b, &exec)
+                            }
+                            batch => inc_match(pattern, &mut g, o, &mut state, batch, &exec),
+                        }
+                        .unwrap();
+                        assert_eq!(service.stats().recompute_fallbacks, 0, "{ctx}");
+                        state.relation()
+                    } else {
+                        let fresh = DistanceMatrix::build(service.graph());
+                        bounded_simulation_with_oracle(pattern, service.graph(), &fresh).relation
+                    };
+                    assert_eq!(Some(expected), service.result(id), "{ctx}");
                     step += 1;
                 }
-                if pattern.is_dag() {
-                    assert_eq!(matcher.recompute_fallbacks(), 0);
-                } else {
-                    cyclic_fallbacks += matcher.recompute_fallbacks();
+                if !pattern.is_dag() {
+                    cyclic_fallbacks += service.stats().recompute_fallbacks;
                 }
             }
         }

@@ -11,7 +11,7 @@ use gpm::datagen::{powerlaw_graph, PowerLawConfig};
 use gpm::exec::{Executor, Parallelism};
 use gpm::{
     bounded_simulation_with_oracle, bounded_simulation_with_oracle_on, inc_match, random_updates,
-    DataGraph, DistanceMatrix, IncrementalMatcher, MatchState, OracleBackend, PatternGraph,
+    DataGraph, DistanceMatrix, MatchService, MatchState, OracleBackend, PatternGraph,
     UpdateStreamConfig,
 };
 use gpm::{generate_pattern, PatternGenConfig};
@@ -133,9 +133,10 @@ proptest! {
     }
 }
 
-/// A unit `apply` stream runs on the matcher's own executor — not on a
-/// per-call `Executor::from_env()` — and reports identical outcomes (`AFF1`,
-/// `AFF2`, work counters) at every thread count, on both back-ends.
+/// A unit `apply` stream on a single-query service runs on the service's own
+/// executor — not on a per-call `Executor::from_env()` — and reports
+/// identical outcomes (`|AFF1|`, the `AFF2` deltas, work counters) at every
+/// thread count, on both back-ends.
 #[test]
 fn unit_apply_stream_is_bit_identical_across_thread_counts() {
     for seed in 0..4u64 {
@@ -146,10 +147,14 @@ fn unit_apply_stream_is_bit_identical_across_thread_counts() {
             let mut reference = None;
             for threads in THREAD_COUNTS {
                 let policy = Parallelism::new(threads).with_sequential_threshold(0);
-                let mut matcher =
-                    IncrementalMatcher::with_backend(p.clone(), g0.clone(), backend, policy);
-                let outcomes: Vec<_> = updates.iter().map(|&u| matcher.apply(u).unwrap()).collect();
-                let snapshot = (outcomes, matcher.relation());
+                let mut svc = MatchService::with_backend(g0.clone(), backend, policy);
+                let q = svc.register(p.clone());
+                let outcomes: Vec<_> = updates.iter().map(|&u| svc.apply_one(u)).collect();
+                assert!(
+                    outcomes.iter().all(|o| o.applied == 1),
+                    "every unit applies"
+                );
+                let snapshot = (outcomes, svc.stats().clone(), svc.result(q));
                 let expected = reference.get_or_insert_with(|| snapshot.clone());
                 assert_eq!(
                     &snapshot, expected,

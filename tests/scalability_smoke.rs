@@ -3,9 +3,9 @@
 //! scalability study is the benchmark harness in `crates/bench`.)
 
 use gpm::{
-    bounded_simulation_with_oracle, generate_pattern, graph_simulation, random_graph,
-    random_updates, DistanceMatrix, Executor, IncrementalMatcher, Parallelism, PatternGenConfig,
-    RandomGraphConfig, UpdateStreamConfig,
+    bounded_simulation_with_oracle, generate_pattern, graph_simulation, inc_match, random_graph,
+    random_updates, DistanceMatrix, Executor, MatchState, OracleBackend, Parallelism,
+    PatternGenConfig, RandomGraphConfig, UpdateStreamConfig,
 };
 
 #[test]
@@ -65,11 +65,22 @@ fn incremental_maintenance_over_a_long_update_stream() {
         .map(|seed| generate_pattern(&graph, &PatternGenConfig::new(4, 4, 3).with_seed(seed)).0)
         .find(|p| p.is_dag())
         .expect("some seed yields a DAG pattern");
-    let mut matcher = IncrementalMatcher::new(pattern.clone(), graph.clone());
+    let exec = Executor::from_env();
+    let mut g = graph.clone();
+    let mut oracle = OracleBackend::from_env().build(&g, &exec);
+    let mut state = MatchState::initialise_with(&pattern, &g, oracle.as_ref(), &exec);
     let updates = random_updates(&graph, &UpdateStreamConfig::mixed(300).with_seed(13));
-    matcher.apply_batch(&updates);
+    inc_match(
+        &pattern,
+        &mut g,
+        oracle.as_mut(),
+        &mut state,
+        &updates,
+        &exec,
+    )
+    .unwrap();
 
-    let rebuilt = DistanceMatrix::build(matcher.graph());
-    let recomputed = bounded_simulation_with_oracle(&pattern, matcher.graph(), &rebuilt);
-    assert_eq!(matcher.relation(), recomputed.relation);
+    let rebuilt = DistanceMatrix::build(&g);
+    let recomputed = bounded_simulation_with_oracle(&pattern, &g, &rebuilt);
+    assert_eq!(state.relation(), recomputed.relation);
 }
