@@ -197,7 +197,7 @@ fn main() {
             .expect("clean log")
             .records
             .len();
-        let (mut recovered, reopen) = time(|| {
+        let (recovered, reopen) = time(|| {
             MatchService::open_durable_with(&root, parallelism.clone(), opts)
                 .expect("recoverable root")
         });

@@ -58,7 +58,8 @@ pub enum Request {
         /// Raw [`gpm_service::QueryId`] value.
         query: u64,
     },
-    /// `MatchService::resume` (lazy, exactly like the in-process call).
+    /// `MatchService::resume`: the state is rebuilt and the catch-up delta
+    /// is queued for the query's subscribers before `Done` is sent.
     Resume {
         /// Raw [`gpm_service::QueryId`] value.
         query: u64,

@@ -1,40 +1,30 @@
 //! The query catalog: per-query state behind stable [`QueryId`]s.
 //!
 //! Each registered pattern owns a [`QueryEntry`]: the pattern itself, its
-//! (lazily materialised) [`MatchState`], the last relation its subscribers
-//! were told about, and the subscriber sinks the emission loop pushes into
-//! (they run under the service lock and must not call back into the
-//! service). The catalog supports deregistration (the entry and its sinks
-//! are dropped, which closes their streams) and **lazy
-//! (re)activation**: suspending a query frees its match state and removes it
-//! from the per-batch repair fan-out entirely; resuming marks it active
-//! again, and the state is rebuilt from the shared distance matrix on the
-//! next batch or result read — at which point subscribers receive one
-//! catch-up delta that reconciles everything they missed while suspended.
+//! [`MatchState`], the last relation its subscribers were told about, and
+//! the subscriber sinks the emission loop pushes into (they run under the
+//! service lock and must not call back into the service). A query is
+//! active iff it holds a state. The catalog supports deregistration (the
+//! entry and its sinks are dropped, which closes their streams) and
+//! suspension: suspending a query frees its match state, so batches skip
+//! it entirely; resuming rebuilds the state from the shared distance oracle
+//! at once, and subscribers receive one catch-up delta that reconciles
+//! everything they missed while suspended.
 
 use crate::delta::{MatchDelta, QueryId};
 use gpm_core::MatchRelation;
 use gpm_graph::PatternGraph;
 use gpm_incremental::MatchState;
 
-/// How a query's state was brought up to date during one batch.
+/// How a query's state was brought up to date: by a batch, or by `resume`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RepairKind {
     /// Incremental repair from the shared `AFF1` (the common path).
     Incremental,
     /// Full recomputation fallback (cyclic pattern with distance decreases).
     Recompute,
-    /// Lazy activation: the state was (re)built because none existed.
+    /// Activation: `resume` rebuilt the state of a suspended query.
     Activation,
-}
-
-/// The per-batch scratch a repair task leaves behind for the sequential
-/// emission pass.
-#[derive(Clone, Debug)]
-pub(crate) struct BatchWork {
-    pub delta: MatchDelta,
-    pub kind: RepairKind,
-    pub verifications: usize,
 }
 
 /// Where a query's deltas go: handed each one from inside the emission
@@ -45,14 +35,12 @@ pub(crate) type DeltaSink = Box<dyn FnMut(&MatchDelta) -> bool + Send>;
 pub struct QueryEntry {
     pub(crate) id: QueryId,
     pub(crate) pattern: PatternGraph,
-    /// `None` while suspended or awaiting lazy activation.
+    /// `None` exactly while the query is suspended.
     pub(crate) state: Option<MatchState>,
     /// The visible relation as of the last delta emission — the fold of
     /// everything subscribers have been sent.
     pub(crate) emitted: MatchRelation,
-    pub(crate) active: bool,
     pub(crate) subscribers: Vec<DeltaSink>,
-    pub(crate) pending: Option<BatchWork>,
 }
 
 impl std::fmt::Debug for QueryEntry {
@@ -62,9 +50,7 @@ impl std::fmt::Debug for QueryEntry {
             .field("pattern", &self.pattern)
             .field("state", &self.state)
             .field("emitted", &self.emitted)
-            .field("active", &self.active)
             .field("subscribers", &self.subscribers.len())
-            .field("pending", &self.pending)
             .finish()
     }
 }
@@ -80,14 +66,9 @@ impl QueryEntry {
         &self.pattern
     }
 
-    /// Whether the query participates in per-batch repair.
+    /// Whether the query participates in per-batch repair: it holds a
+    /// match state, which only suspension frees.
     pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    /// Whether the match state is currently materialised (suspended or
-    /// not-yet-activated queries hold none).
-    pub fn has_state(&self) -> bool {
         self.state.is_some()
     }
 }
@@ -124,9 +105,7 @@ impl QueryCatalog {
             pattern,
             state: Some(state),
             emitted,
-            active: true,
             subscribers: Vec::new(),
-            pending: None,
         });
         id
     }
@@ -201,16 +180,13 @@ impl QueryCatalog {
         pattern: PatternGraph,
         state: Option<MatchState>,
         emitted: MatchRelation,
-        active: bool,
     ) -> QueryEntry {
         QueryEntry {
             id,
             pattern,
             state,
             emitted,
-            active,
             subscribers: Vec::new(),
-            pending: None,
         }
     }
 
@@ -270,7 +246,6 @@ mod tests {
         assert_eq!(e.id(), id);
         assert_eq!(e.pattern().node_count(), 2);
         assert!(e.is_active());
-        assert!(e.has_state());
         assert!(c.get(QueryId(999)).is_none());
         assert_eq!(c.iter().count(), 1);
     }

@@ -50,7 +50,7 @@ impl std::fmt::Display for QueryId {
 }
 
 /// The change to one query's visible result produced by one update batch
-/// (or by a subscription snapshot / lazy reactivation catch-up).
+/// (or by a subscription snapshot / a `resume` catch-up).
 ///
 /// Both pair lists are sorted by `(pattern node, data node)` and disjoint,
 /// so equal streams are bit-identical — the determinism suite compares them
@@ -60,7 +60,7 @@ pub struct MatchDelta {
     /// The query this delta belongs to.
     pub query: QueryId,
     /// The batch sequence number current when this delta was produced.
-    /// Subscription snapshots and lazy-reactivation catch-up deltas carry
+    /// Subscription snapshots and `resume` catch-up deltas carry
     /// the epoch of the moment they were emitted (0 only if that moment
     /// precedes the first batch), so a stream's epochs are non-decreasing
     /// but a snapshot is identified by its position (first in the stream),

@@ -7,22 +7,21 @@
 //! 1. the batch is applied to the graph and the oracle is maintained with
 //!    `UpdateBM` **once**, producing the shared affected area `AFF1`
 //!    (this is the expensive step, and it is paid per batch, not per query);
-//! 2. every active query brings its own match state up to date from that
-//!    shared `AFF1` (`gpm_incremental::repair_match_state`, or a recompute
-//!    where that repair refuses), fanned out across the `gpm-exec`
-//!    executor — queries are independent, so each item owns exactly one
-//!    query's state. The service is the one owner of a maintained match, so
-//!    the repair-or-recompute decision is made here, in `refresh_entry`.
-//!    The fan-out's work hint is the number of queries to repair, so below
-//!    `gpm-exec`'s threshold (256) it runs inline at every thread count;
-//! 3. deltas are emitted sequentially in registration order — counted once,
-//!    then pushed into the query's subscriber sinks — so the per-query
-//!    streams (and the batch outcome) are bit-identical at any thread count.
+//! 2. if that `AFF1` is non-empty, one sequential loop in registration
+//!    order brings each active query's match state up to date from it
+//!    (`gpm_incremental::repair_match_state`, or a recompute where that
+//!    repair refuses) and emits the query's delta — counted once, then
+//!    pushed into its subscriber sinks — so the per-query streams (and the
+//!    batch outcome) are bit-identical at any thread count. The service is
+//!    the one owner of a maintained match, so the repair-or-recompute
+//!    decision is made here, in [`MatchService::apply`].
 //!
-//! Steps 2 and 3 are two private functions, and a [`MatchService::result`]
-//! that materialises a lazily resumed query runs the same two with an empty
-//! `AFF1`: there is one place that builds a state, one that diffs it against
-//! what subscribers were told, and one that counts and hands out the delta.
+//! A query is active iff it holds a match state. [`MatchService::suspend`]
+//! frees it; [`MatchService::resume`] rebuilds it at once and hands the
+//! catch-up delta to the same private `emit` every batch delta goes
+//! through, so there is one place that diffs a state against what
+//! subscribers were told, counts it and hands it out, and
+//! [`MatchService::result`] is a pure read.
 //!
 //! Cyclic patterns are first-class: batches that only increase distances
 //! repair them incrementally (`Match−` propagation); batches with a
@@ -33,7 +32,7 @@
 //! `GPM_ORACLE`): the paper's quadratic matrix, or the sublinear-memory
 //! incremental 2-hop labeling for graphs where `|V|²` does not fit.
 
-use crate::catalog::{BatchWork, QueryCatalog, QueryEntry, RepairKind};
+use crate::catalog::{QueryCatalog, QueryEntry, RepairKind};
 use crate::delta::{MatchDelta, QueryId, Subscription};
 use crate::snapshot::{self, SNAPSHOT_DIR};
 use crate::wal::{self, DurabilityError, WalOp, WalReadOutcome, WalWriter, WAL_FILE};
@@ -63,7 +62,7 @@ pub struct ServiceStats {
     pub repairs: usize,
     /// Per-query full recomputations (cyclic pattern + distance decreases).
     pub recompute_fallbacks: usize,
-    /// Lazy (re)activations: match states built on demand.
+    /// Activations: match states rebuilt by [`MatchService::resume`].
     pub activations: usize,
     /// Non-empty per-query deltas emitted.
     pub deltas_emitted: usize,
@@ -176,7 +175,8 @@ impl MatchService {
     }
 
     /// [`MatchService::new`] with an explicit [`Parallelism`] policy, used
-    /// for the oracle build, query registration and every batch's fan-out.
+    /// for the oracle build and every match-state build (registration,
+    /// resume and the recompute fallback).
     pub fn with_parallelism(graph: DataGraph, parallelism: Parallelism) -> Self {
         Self::with_backend(graph, OracleBackend::from_env(), parallelism)
     }
@@ -312,6 +312,11 @@ impl MatchService {
         let mut svc = Self::with_backend(loaded.graph, backend, parallelism);
         svc.epoch = loaded.manifest.epoch;
         svc.catalog = snapshot::restore_catalog(&loaded.manifest, &svc.graph)?;
+        // Versions that resumed lazily could snapshot a query as active
+        // before its state was built: build it now, as `resume` does.
+        for q in loaded.manifest.queries.iter().filter(|q| q.active) {
+            svc.activate(QueryId(q.id));
+        }
 
         let wal_path = dir.join(WAL_FILE);
         let outcome = if wal_path.exists() {
@@ -373,9 +378,9 @@ impl MatchService {
             WalOp::Resume(id) => {
                 self.resume(QueryId(*id));
             }
-            WalOp::Read(id) => {
-                self.result(QueryId(*id));
-            }
+            // Versions that resumed lazily logged the read that built a
+            // resumed query's state; `resume` builds it now, so it is pure.
+            WalOp::Read(_) => {}
         }
     }
 
@@ -506,34 +511,54 @@ impl MatchService {
         removed
     }
 
-    /// Suspends a query: it stops participating in per-batch repair and its
-    /// match state is freed. Subscriptions stay open but silent. Returns
-    /// `false` for unknown ids.
+    /// Suspends a query: its match state is freed, so it stops
+    /// participating in per-batch repair. Subscriptions stay open but
+    /// silent. Returns `false` for unknown ids.
     pub fn suspend(&mut self, id: QueryId) -> bool {
         if self.catalog.get(id).is_none() {
             return false;
         }
         self.log_op(WalOp::Suspend(id.0));
-        let e = self.catalog.get_mut(id).expect("checked above");
-        e.active = false;
-        e.state = None;
+        self.catalog.get_mut(id).expect("checked above").state = None;
         self.maybe_autosnapshot();
         true
     }
 
-    /// Resumes a suspended query **lazily**: the query is marked active, but
-    /// its state is only rebuilt on the next batch or [`MatchService::result`]
-    /// call — at which point subscribers receive one catch-up delta covering
-    /// everything missed while suspended. Returns `false` for unknown ids.
+    /// Resumes a suspended query: its state is rebuilt against the current
+    /// graph right here (counted in [`ServiceStats::activations`]), and
+    /// subscribers receive one catch-up delta covering everything missed
+    /// while suspended. Resuming an active query changes nothing. Returns
+    /// `false` for unknown ids.
     pub fn resume(&mut self, id: QueryId) -> bool {
         if self.catalog.get(id).is_none() {
             return false;
         }
         self.log_op(WalOp::Resume(id.0));
-        let e = self.catalog.get_mut(id).expect("checked above");
-        e.active = true;
+        self.activate(id);
         self.maybe_autosnapshot();
         true
+    }
+
+    /// Builds a suspended query's state and emits its catch-up delta; a
+    /// no-op for a query that holds a state.
+    fn activate(&mut self, id: QueryId) {
+        let (graph, oracle, exec) = (&self.graph, self.oracle.as_ref(), &self.exec);
+        let Some(entry) = self.catalog.get_mut(id).filter(|e| e.state.is_none()) else {
+            return;
+        };
+        entry.state = Some(MatchState::initialise_with(
+            &entry.pattern,
+            graph,
+            oracle,
+            exec,
+        ));
+        emit(
+            entry,
+            RepairKind::Activation,
+            0,
+            self.epoch,
+            &mut self.stats,
+        );
     }
 
     /// Subscribes to a query's delta stream. The first delta is a snapshot
@@ -569,35 +594,15 @@ impl MatchService {
         true
     }
 
-    /// The query's current visible result. Materialises the state if the
-    /// query was lazily resumed (counted in [`ServiceStats::activations`]) —
-    /// in that case subscribers receive the catch-up delta right here, so
-    /// their folded stream always equals the returned relation. Returns
-    /// `None` for unknown or suspended queries.
-    pub fn result(&mut self, id: QueryId) -> Option<MatchRelation> {
-        // A read that materialises a lazily-resumed state mutates the
-        // query's visible emitted relation (the catch-up delta), so it must
-        // be logged for replay to reproduce the stream. Pure reads are not.
-        let activates = self
-            .catalog
-            .get(id)
-            .is_some_and(|e| e.active && !e.has_state());
-        if activates {
-            self.log_op(WalOp::Read(id.0));
-        }
-        let entry = self.catalog.get_mut(id).filter(|e| e.active)?;
-        if activates {
-            // The batch path with nothing to repair: activation, then the
-            // emission every delta goes through.
-            let (oracle, no_change) = (self.oracle.as_ref(), AffectedPairs::default());
-            refresh_entry(entry, &self.graph, oracle, &no_change, self.epoch);
-            emit_pending(entry, &mut self.stats);
-        }
-        let relation = entry.state.as_ref().map(MatchState::relation);
-        if activates {
-            self.maybe_autosnapshot();
-        }
-        relation
+    /// The query's current visible result — what its subscribers' folded
+    /// streams equal. A pure read. Returns `None` for unknown or suspended
+    /// queries.
+    pub fn result(&self, id: QueryId) -> Option<MatchRelation> {
+        self.catalog
+            .get(id)?
+            .state
+            .as_ref()
+            .map(MatchState::relation)
     }
 
     /// Applies one update (sugar for a one-element [`MatchService::apply`]).
@@ -605,8 +610,7 @@ impl MatchService {
         self.apply(&[update])
     }
 
-    /// Applies a batch of updates and fans the repair out to every active
-    /// query.
+    /// Applies a batch of updates and brings every active query up to date.
     ///
     /// Updates that are no-ops at their position in the batch — inserting an
     /// existing edge, deleting a missing one, or touching an unknown node —
@@ -644,98 +648,58 @@ impl MatchService {
             aff1
         };
 
-        // Step 2: fan the per-query repair out across the executor. Each
-        // task owns one query's state; merges are per-entry slots, so the
-        // result is independent of scheduling. A batch that left the oracle
-        // untouched cannot change any up-to-date query, so only lazily
-        // resumed entries (no state yet) need work then.
-        let (graph, oracle, exec) = (&self.graph, self.oracle.as_ref(), &self.exec);
+        // Step 2: refresh and emit each active query, in registration
+        // order. A batch that left the oracle untouched changes no query.
         let epoch = self.epoch;
-        let mut work: Vec<&mut QueryEntry> = self
-            .catalog
-            .iter_mut()
-            .filter(|e| e.active && (e.state.is_none() || !aff1.is_empty()))
-            .collect();
-        obs.fanout_size.record(work.len() as u64);
-        exec.par_chunks_mut(&mut work, 1, |_, chunk| {
-            for entry in chunk.iter_mut() {
-                refresh_entry(entry, graph, oracle, &aff1, epoch);
-            }
-        });
-
-        // Step 3: emit sequentially, in registration order.
         let mut outcome = BatchOutcome {
             epoch,
             applied: applied.len(),
             aff1: aff1.len(),
             deltas: Vec::new(),
         };
-        for entry in self.catalog.iter_mut() {
-            outcome.deltas.extend(emit_pending(entry, &mut self.stats));
+        let mut refreshed = 0u64;
+        if !aff1.is_empty() {
+            let (graph, oracle, exec) = (&self.graph, self.oracle.as_ref(), &self.exec);
+            for entry in self.catalog.iter_mut() {
+                let pattern = &entry.pattern;
+                let Some(state) = entry.state.as_mut() else {
+                    continue;
+                };
+                // The shared oracle is already correct, so a refused repair —
+                // which leaves `state` as it was; `PatternNotAcyclic` is the
+                // only refusal — recomputes this query's state only.
+                let (kind, verifications) =
+                    match repair_match_state(pattern, graph, oracle, state, &aff1) {
+                        Ok(out) => (RepairKind::Incremental, out.verifications),
+                        Err(_) => {
+                            *state = MatchState::initialise_with(pattern, graph, oracle, exec);
+                            (RepairKind::Recompute, 0)
+                        }
+                    };
+                refreshed += 1;
+                let delta = emit(entry, kind, verifications, epoch, &mut self.stats);
+                outcome.deltas.extend(delta);
+            }
         }
+        obs.fanout_size.record(refreshed);
         self.maybe_autosnapshot();
         batch_span.finish();
         outcome
     }
 }
 
-/// Brings one query's state up to date against the already-maintained
-/// oracle and parks the resulting delta in the entry's pending slot. Runs
-/// inside the fan-out region, so everything here must be deterministic —
-/// the state build and repair are bit-identical at any thread count, and
-/// the per-query executor is sequential (the batch-level fan-out is the
-/// parallelism).
-fn refresh_entry(
-    entry: &mut QueryEntry,
-    graph: &DataGraph,
-    oracle: &(dyn DistanceOracle + Send + Sync),
-    aff1: &AffectedPairs,
-    epoch: u64,
-) {
-    // Only activation and the recompute fallback build a state; a repair
-    // needs no executor at all.
-    let (pattern, exec) = (&entry.pattern, Executor::sequential());
-    let (kind, verifications) = match entry.state.as_mut() {
-        None => {
-            let state = MatchState::initialise_with(pattern, graph, oracle, &exec);
-            entry.state = Some(state);
-            (RepairKind::Activation, 0)
-        }
-        // The shared oracle is already correct, so a refused repair — which
-        // leaves `state` as it was; `PatternNotAcyclic` is the only refusal —
-        // recomputes this query's state only.
-        Some(state) => match repair_match_state(pattern, graph, oracle, state, aff1) {
-            Ok(out) => (RepairKind::Incremental, out.verifications),
-            Err(_) => {
-                *state = MatchState::initialise_with(pattern, graph, oracle, &exec);
-                (RepairKind::Recompute, 0)
-            }
-        },
-    };
-    let visible = entry
-        .state
-        .as_ref()
-        .expect("state materialised above")
-        .relation();
-    let delta = MatchDelta::between(entry.id, epoch, &entry.emitted, &visible);
-    entry.emitted = visible;
-    entry.pending = Some(BatchWork {
-        delta,
-        kind,
-        verifications,
-    });
-}
-
-/// The sequential half of [`refresh_entry`]: counts what the refresh did —
-/// [`ServiceStats`] and its `service.*` twins at one site — and hands a
-/// non-empty delta to the entry's subscribers, dropping the sinks that
+/// Hands one query's freshly refreshed state to its subscribers: counts
+/// what the refresh did — [`ServiceStats`] and its `service.*` twins at one
+/// site — diffs the state against what subscribers were last told, and
+/// pushes a non-empty delta into the entry's sinks, dropping the sinks that
 /// decline it. Returns that delta for the batch outcome.
-fn emit_pending(entry: &mut QueryEntry, stats: &mut ServiceStats) -> Option<MatchDelta> {
-    let BatchWork {
-        delta,
-        kind,
-        verifications,
-    } = entry.pending.take()?;
+fn emit(
+    entry: &mut QueryEntry,
+    kind: RepairKind,
+    verifications: usize,
+    epoch: u64,
+    stats: &mut ServiceStats,
+) -> Option<MatchDelta> {
     let obs = crate::metrics::service();
     match kind {
         RepairKind::Incremental => {
@@ -753,6 +717,13 @@ fn emit_pending(entry: &mut QueryEntry, stats: &mut ServiceStats) -> Option<Matc
     }
     stats.verifications += verifications;
     obs.verifications.add(verifications as u64);
+    let visible = entry
+        .state
+        .as_ref()
+        .expect("a refreshed query holds a state")
+        .relation();
+    let delta = MatchDelta::between(entry.id, epoch, &entry.emitted, &visible);
+    entry.emitted = visible;
     if delta.is_empty() {
         return None;
     }
@@ -856,8 +827,8 @@ mod tests {
         }
     }
 
-    /// The whole engine — registration, batches, cyclic fallbacks, lazy
-    /// resume — works unchanged on the 2-hop backend.
+    /// The whole engine — registration, batches, cyclic fallbacks — works
+    /// unchanged on the 2-hop backend.
     #[test]
     fn two_hop_backend_runs_the_service() {
         let g = random_graph(&RandomGraphConfig::new(35, 90, 5).with_seed(21));
@@ -974,8 +945,6 @@ mod tests {
         );
 
         svc.resume(q);
-        // Still lazy: nothing rebuilt until the next batch or result read.
-        assert!(!svc.catalog().get(q).unwrap().has_state());
         svc.apply(&[]);
         assert_eq!(svc.stats().activations, 1);
 
@@ -985,10 +954,10 @@ mod tests {
         assert_consistent(&mut svc, &[q]);
     }
 
-    /// A `result()` read — without any intervening batch — must also
-    /// reconcile subscribers when it materialises a lazily-resumed state.
+    /// `resume` itself reconciles subscribers: with no batch after it, the
+    /// catch-up delta has already been emitted when `result()` is read.
     #[test]
-    fn result_read_after_resume_emits_catchup_delta() {
+    fn resume_emits_catchup_delta_before_any_batch() {
         let g = random_graph(&RandomGraphConfig::new(40, 90, 4).with_seed(31));
         let mut svc = MatchService::new(g);
         let q = svc.register(dag_pattern(["a0", "a1", "a2"]));
@@ -1004,17 +973,17 @@ mod tests {
         }
         svc.resume(q);
 
-        // No apply() after resume: the read itself reconciles.
+        // No apply() after resume: the resume itself reconciled.
         let live = svc.result(q).unwrap();
         assert_eq!(svc.stats().activations, 1);
         let folded = crate::delta::fold_deltas(3, sub.drain().iter());
-        assert_eq!(folded, live, "catch-up delta must flow from result()");
-        // The reconciliation is idempotent: another read emits nothing new.
+        assert_eq!(folded, live, "catch-up delta must flow from resume()");
+        // Reads are pure: another read emits nothing new.
         let _ = svc.result(q);
         assert!(sub.drain().is_empty());
     }
 
-    /// Empty batches skip the fan-out entirely for up-to-date queries.
+    /// Empty batches do no per-query work.
     #[test]
     fn empty_batch_skips_repair_for_live_queries() {
         let g = random_graph(&RandomGraphConfig::new(25, 60, 3).with_seed(33));

@@ -17,20 +17,21 @@
 //!   `AFF1`; every active query then repairs its own
 //!   [`gpm_incremental::MatchState`] from that `AFF1`
 //!   ([`gpm_incremental::repair_match_state`]) — or recomputes it where
-//!   repair refuses, a decision made in the service and nowhere else —
-//!   fanned out across the `gpm-exec` executor;
+//!   repair refuses, a decision made in the service and nowhere else;
 //! * results leave the service as per-query [`MatchDelta`]s — the pairs
 //!   entering and leaving each query's visible result — through pull
-//!   ([`MatchService::apply`]'s [`BatchOutcome`]) and push: one emission
-//!   loop, in registration order so streams are bit-identical at any thread
-//!   count, hands each delta to the query's subscriber sinks — a
+//!   ([`MatchService::apply`]'s [`BatchOutcome`]) and push: one sequential
+//!   loop refreshes each query and emits its delta, in registration order so
+//!   streams are bit-identical at any thread count, handing each delta to
+//!   the query's subscriber sinks — a
 //!   [`Subscription`] channel, or the caller's own closure
 //!   ([`MatchService::subscribe_with`]; it runs inside that loop, under the
 //!   service lock of `gpm-net`, and must not call back into the service);
-//! * the [`QueryCatalog`] supports deregistration and **lazy
-//!   (re)activation**: suspended queries cost nothing per batch and are
-//!   rebuilt on demand, with a catch-up delta reconciling their
-//!   subscribers.
+//! * the [`QueryCatalog`] supports deregistration and suspension: a query
+//!   is active iff it holds a match state, suspended queries cost nothing
+//!   per batch, and [`MatchService::resume`] rebuilds the state at once,
+//!   with a catch-up delta reconciling its subscribers;
+//!   [`MatchService::result`] is a pure read.
 //!
 //! With `K` registered queries and `U` update batches the service performs
 //! `U` affected-area computations where `K` single-query services perform
@@ -83,4 +84,4 @@ pub use catalog::{QueryCatalog, QueryEntry, RepairKind};
 pub use delta::{fold_deltas, MatchDelta, QueryId, Subscription};
 pub use engine::{BatchOutcome, DurableOptions, MatchService, ServiceStats};
 pub use snapshot::{GraphFormat, Manifest, QuerySnapshot, SegmentMeta};
-pub use wal::{DurabilityError, FailpointWriter, WalOp, WalReadOutcome, WalRecord, WalWriter};
+pub use wal::{DurabilityError, WalOp, WalReadOutcome, WalRecord, WalWriter};

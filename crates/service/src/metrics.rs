@@ -1,5 +1,5 @@
 //! Observability handles for the service layer: the `"service"` scope
-//! (batch apply, fan-out and delta accounting) and the `"wal"` scope
+//! (batch apply, per-query refresh and delta accounting) and the `"wal"` scope
 //! (append/fsync timing and volume).
 
 use gpm_obs::{Counter, Histogram};
@@ -21,7 +21,7 @@ pub(crate) struct ServiceMetrics {
     pub batch_ns: Arc<Histogram>,
     /// Shared AFF1 maintenance (`UpdateBM`) duration per batch.
     pub aff_ns: Arc<Histogram>,
-    /// Queries repaired per batch (the fan-out width).
+    /// Queries refreshed per batch (0 when `AFF1` is empty).
     pub fanout_size: Arc<Histogram>,
     /// Pairs per emitted delta (added + removed).
     pub delta_size: Arc<Histogram>,

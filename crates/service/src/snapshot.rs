@@ -91,10 +91,12 @@ pub struct QuerySnapshot {
     pub id: u64,
     /// The registered pattern.
     pub pattern: PatternGraph,
-    /// Whether the query participates in per-batch repair.
+    /// Whether the query participates in per-batch repair: written as
+    /// `state.is_some()`. Versions that resumed lazily could write `true`
+    /// with no state; reopening builds that state. `false` with a state is
+    /// corrupt.
     pub active: bool,
-    /// The materialised match state; `None` while suspended or awaiting
-    /// lazy activation (exactly the in-memory convention).
+    /// The match state; `None` exactly while suspended.
     pub state: Option<MatchStateSnapshot>,
     /// The relation as of the last delta emission.
     pub emitted: MatchRelation,
@@ -367,7 +369,9 @@ pub(crate) fn load_snapshot(root: &Path) -> Result<LoadedSnapshot, DurabilityErr
 }
 
 /// Rebuilds the in-memory catalog from a manifest, validating every
-/// persisted state against the recovered graph and its pattern.
+/// persisted state against the recovered graph and its pattern. An active
+/// query persisted without a state comes back suspended; the caller builds
+/// its state.
 pub(crate) fn restore_catalog(
     manifest: &Manifest,
     graph: &DataGraph,
@@ -384,6 +388,12 @@ pub(crate) fn restore_catalog(
         }
         let state = match &q.state {
             None => None,
+            Some(_) if !q.active => {
+                return Err(DurabilityError::Corrupt(format!(
+                    "query q{}: suspended, yet it holds a state",
+                    q.id
+                )));
+            }
             Some(snap) => {
                 if snap.nodes != graph.node_count() {
                     return Err(DurabilityError::Corrupt(format!(
@@ -411,7 +421,6 @@ pub(crate) fn restore_catalog(
             q.pattern.clone(),
             state,
             q.emitted.clone(),
-            q.active,
         ));
     }
     QueryCatalog::restore(manifest.next_query_id, entries).map_err(DurabilityError::Corrupt)

@@ -1,8 +1,8 @@
 //! Write-ahead log for [`crate::MatchService`] durability.
 //!
-//! Every state-changing operation the service performs — an update batch,
-//! a catalog change, or a lazy activation triggered by a read — is appended
-//! to a single log file **before** it is considered applied, so a crashed
+//! Every state-changing operation the service performs — an update batch
+//! or a catalog change (register, deregister, suspend, resume) — is
+//! appended to a single log file **before** it is considered applied, so a crashed
 //! service can be reopened and replayed into the exact state (and the exact
 //! subsequent [`crate::Subscription`] stream) of an uninterrupted run.
 //!
@@ -24,11 +24,6 @@
 //! truncated on recovery and never silently replayed. A CRC-valid frame
 //! that fails to decode is *not* a torn tail — the bytes were written that
 //! way — and surfaces as a hard [`DurabilityError::Codec`] error instead.
-//!
-//! [`FailpointWriter`] is the crash-point injection layer used by the
-//! differential recovery suites: it models the kernel losing every byte
-//! past an fsync horizon, letting tests materialise the log as it would
-//! look after a crash at **any** byte boundary.
 
 use gpm_distance::EdgeUpdate;
 use gpm_graph::PatternGraph;
@@ -128,10 +123,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// One logged state-changing operation.
 ///
 /// Everything that can alter what a future [`crate::MatchService::apply`] or
-/// [`crate::MatchService::result`] observes must appear here — including
-/// [`WalOp::Read`], because reading a lazily-resumed query *materialises*
-/// its state and emits a catch-up delta, mutating the query's visible
-/// emitted relation.
+/// [`crate::MatchService::result`] observes must appear here; reads do not.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WalOp {
     /// One `apply` call with its (possibly empty) update batch. Empty
@@ -143,11 +135,11 @@ pub enum WalOp {
     Deregister(u64),
     /// `suspend(id)` — frees the match state.
     Suspend(u64),
-    /// `resume(id)` — reactivates lazily; no state is rebuilt yet.
+    /// `resume(id)` — rebuilds the state and emits the catch-up delta.
     Resume(u64),
-    /// A `result(id)` call that materialised a lazily-resumed state and
-    /// emitted its catch-up delta. Reads that observed an already-live
-    /// state are pure and are **not** logged.
+    /// A `result(id)` read. Versions that resumed lazily logged the read
+    /// that built a resumed query's state; nothing writes it now, and it
+    /// replays as the pure read it is.
     Read(u64),
 }
 
@@ -385,76 +377,6 @@ impl WalWriter {
     }
 }
 
-/// Crash-point injection: an [`io::Write`] adapter that silently discards
-/// every byte past a budget, modelling a kernel that lost the unsynced tail
-/// of a file at a crash. Optionally garbles (XOR-flips) one byte inside the
-/// surviving prefix, modelling a torn sector.
-///
-/// Writes past the budget still report success — exactly like `write(2)`
-/// into a page cache that never reaches the platter — so the code under
-/// test cannot observe the failpoint.
-///
-/// ```
-/// use gpm_service::wal::FailpointWriter;
-/// use std::io::Write;
-///
-/// let mut out = Vec::new();
-/// let mut w = FailpointWriter::new(&mut out, Some(4), None);
-/// w.write_all(b"abcdefgh").unwrap(); // reports success…
-/// drop(w);
-/// assert_eq!(out, b"abcd"); // …but only 4 bytes survived the "crash"
-/// ```
-#[derive(Debug)]
-pub struct FailpointWriter<W: Write> {
-    inner: W,
-    /// Bytes still allowed through; `None` = unlimited.
-    remaining: Option<u64>,
-    /// `(absolute_offset, xor_mask)` applied to at most one surviving byte.
-    garble: Option<(u64, u8)>,
-    offset: u64,
-}
-
-impl<W: Write> FailpointWriter<W> {
-    /// Wraps `inner`, letting at most `budget` bytes through (`None` for
-    /// unlimited) and XOR-flipping the byte at `garble.0` with `garble.1`.
-    pub fn new(inner: W, budget: Option<u64>, garble: Option<(u64, u8)>) -> Self {
-        FailpointWriter {
-            inner,
-            remaining: budget,
-            garble,
-            offset: 0,
-        }
-    }
-}
-
-impl<W: Write> Write for FailpointWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let survive = match self.remaining {
-            None => buf.len(),
-            Some(r) => buf.len().min(r as usize),
-        };
-        if survive > 0 {
-            let mut chunk = buf[..survive].to_vec();
-            if let Some((at, mask)) = self.garble {
-                if at >= self.offset && at < self.offset + survive as u64 {
-                    chunk[(at - self.offset) as usize] ^= mask;
-                }
-            }
-            self.inner.write_all(&chunk)?;
-            if let Some(r) = self.remaining.as_mut() {
-                *r -= survive as u64;
-            }
-        }
-        self.offset += survive as u64;
-        // Report the full length: the crash is invisible to the writer.
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,16 +464,6 @@ mod tests {
             read_wal_bytes(&bytes),
             Err(DurabilityError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn failpoint_writer_truncates_and_garbles() {
-        let mut out = Vec::new();
-        let mut w = FailpointWriter::new(&mut out, Some(6), Some((2, 0xFF)));
-        w.write_all(b"abcd").unwrap();
-        w.write_all(b"efgh").unwrap();
-        w.flush().unwrap();
-        assert_eq!(out, [b'a', b'b', b'c' ^ 0xFF, b'd', b'e', b'f']);
     }
 
     #[test]

@@ -46,8 +46,8 @@ fn labelled_graph(nodes: usize, edges: usize, labels: usize, seed: u64) -> DataG
 }
 
 /// The scripted session every test replays: register K queries, subscribe,
-/// suspend/resume one mid-stream (covering the lazy activation path), apply
-/// a mixed update stream, and return everything observable.
+/// suspend/resume one mid-stream (covering the activation `resume` counts),
+/// apply a mixed update stream, and return everything observable.
 fn run_session(
     threads: usize,
     seed: u64,
@@ -151,13 +151,13 @@ fn det_counters_identical_across_thread_counts() {
     }
 }
 
-/// A read that materialises a lazily resumed query is an activation and an
+/// The `resume` that rebuilds a suspended query is an activation and an
 /// emission like any other: `register → subscribe → suspend → apply → resume
 /// → result` hands the subscriber one catch-up delta, and `ServiceStats` and
 /// the `service` scope both say so — on both back-ends, and bit-identically
 /// at 1, 2 and 8 threads.
 #[test]
-fn read_activation_is_counted_where_it_is_emitted() {
+fn resume_activation_is_counted_where_it_is_emitted() {
     use gpm::{DataGraphBuilder, EdgeUpdate, OracleBackend, PatternGraphBuilder};
     let _guard = obs_lock();
     let (g, ids) = DataGraphBuilder::new()

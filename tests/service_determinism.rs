@@ -1,13 +1,14 @@
-//! Determinism suite for the service's parallel fan-out: with identical
-//! inputs, the per-query delta streams, batch outcomes and work counters
-//! are **bit-for-bit identical** at 1, 2 and 8 worker threads.
+//! Determinism suite for the service: with identical inputs, the per-query
+//! delta streams, batch outcomes and work counters are **bit-for-bit
+//! identical** at 1, 2 and 8 worker threads.
 //!
-//! Mirrors `parallel_determinism.rs` for `gpm-service`: repair tasks are
-//! fanned out across the `gpm-exec` executor, but every merge lands in a
-//! per-query slot and emission walks the catalog in registration order, so
-//! scheduling cannot leak into the output. Thread policies force
-//! `sequential_threshold(0)` so even test-sized catalogs genuinely hit the
-//! threaded path. (Per BENCHMARKS.md: a single-vCPU host verifies
+//! Mirrors `parallel_determinism.rs` for `gpm-service`: the oracle build and
+//! every match-state build (registration, resume, recompute fallback) run
+//! on the `gpm-exec` executor, while the per-batch refresh-and-emit loop
+//! walks the catalog sequentially in registration order, so scheduling
+//! cannot leak into the output. Thread policies force
+//! `sequential_threshold(0)` so even test-sized inputs genuinely hit the
+//! threaded paths. (Per BENCHMARKS.md: a single-vCPU host verifies
 //! determinism, not speedup.)
 
 use gpm::exec::Parallelism;
@@ -62,8 +63,8 @@ fn run_session(
         .collect();
     let subs: Vec<_> = ids.iter().map(|&id| svc.subscribe(id).unwrap()).collect();
 
-    // Suspend one query mid-stream and resume it later so the lazy
-    // activation path is covered by the determinism contract too.
+    // Suspend one query mid-stream and resume it later so the activation
+    // path is covered by the determinism contract too.
     let parked = ids[1];
     let mut outcomes = Vec::new();
     for round in 0..batches as u64 {
@@ -109,9 +110,8 @@ proptest! {
 
 /// A fixed-seed session large enough to clear the *default* sequential
 /// threshold where the hint is the graph (300 nodes: the oracle build and
-/// the registration `Match` runs fan out). The per-query repair does not:
-/// its hint is the number of queries, 6 here, so on the default policy it
-/// runs inline at every thread count (ROADMAP item 5).
+/// the registration `Match` runs fan out). The per-query repair is a
+/// sequential loop at every thread count.
 #[test]
 fn default_policy_session_agrees_with_sequential() {
     let build = |threads: usize| {

@@ -12,7 +12,7 @@
 //! * reopen successfully (torn tails are detected and truncated, never
 //!   silently replayed);
 //! * hold exactly the state of an uninterrupted run over the records that
-//!   survived (epoch, catalog, active flags, materialised states, and the
+//!   survived (epoch, catalog, which queries hold a state, and the
 //!   subscription snapshot each query would stream — compared as raw
 //!   `MatchDelta`s, i.e. byte-identical);
 //! * when driven onward with the rest of the schedule, produce
@@ -24,13 +24,16 @@
 //! before the damage replays exactly.
 
 use gpm::exec::Parallelism;
-use gpm::service::wal::{encode_frame, read_wal_bytes, WalOp, WAL_FILE, WAL_MAGIC};
-use gpm::{datagen::powerlaw_graph, datagen::PowerLawConfig};
-use gpm::{
-    fold_deltas, generate_pattern, random_updates, BatchOutcome, DataGraph, DurabilityError,
-    DurableOptions, EdgeUpdate, MatchDelta, MatchService, OracleBackend, PatternGenConfig,
-    PatternGraph, QueryId, UpdateStreamConfig,
+use gpm::service::snapshot::{MANIFEST_FILE, MANIFEST_MAGIC, SNAPSHOT_DIR};
+use gpm::service::wal::{
+    encode_frame, encode_record, read_wal_bytes, WalOp, WalRecord, WAL_FILE, WAL_MAGIC,
 };
+use gpm::{
+    bounded_simulation_with_oracle, fold_deltas, generate_pattern, random_updates, BatchOutcome,
+    DataGraph, DistanceMatrix, DurabilityError, DurableOptions, EdgeUpdate, MatchDelta,
+    MatchService, OracleBackend, PatternGenConfig, PatternGraph, QueryId, UpdateStreamConfig,
+};
+use gpm::{datagen::powerlaw_graph, datagen::PowerLawConfig};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 use std::fs;
@@ -163,21 +166,18 @@ fn build_schedule(graph: &DataGraph, seed: u64, ops: usize) -> Vec<Op> {
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     epoch: u64,
-    queries: Vec<(u64, bool, bool, MatchDelta)>,
+    queries: Vec<(u64, bool, MatchDelta)>,
 }
 
 fn fingerprint(svc: &mut MatchService) -> Fingerprint {
     let ids = svc.catalog().ids();
     let mut queries = Vec::new();
     for id in ids {
-        let (active, has_state) = {
-            let e = svc.catalog().get(id).unwrap();
-            (e.is_active(), e.has_state())
-        };
+        let active = svc.catalog().get(id).unwrap().is_active();
         let sub = svc.subscribe(id).unwrap();
         let mut stream = sub.drain();
         assert_eq!(stream.len(), 1, "a fresh subscription streams its snapshot");
-        queries.push((id.value(), active, has_state, stream.remove(0)));
+        queries.push((id.value(), active, stream.remove(0)));
     }
     Fingerprint {
         epoch: svc.epoch(),
@@ -513,14 +513,14 @@ fn recovery_is_bit_identical_across_backends_and_threads() {
     }
 }
 
-/// A `result()` read that materialises a lazily-resumed state mutates the
-/// emitted relation, so it is logged (`WalOp::Read`) and replayed: crashing
-/// after the read recovers the catch-up delta exactly once.
+/// `resume` rebuilds the state and emits the catch-up delta, so its
+/// `Resume` record is the last one logged and reads log nothing: crashing
+/// after the resume recovers the catch-up exactly once.
 #[test]
-fn read_activation_is_logged_and_replayed() {
+fn resume_activation_is_logged_and_replayed() {
     let seed = 0xAC71;
     let graph = labelled_graph(18, 40, 3, seed);
-    let root = TempRoot::new("readlog");
+    let root = TempRoot::new("resumelog");
     let dir = root.path("svc");
     let mut svc = MatchService::create_durable_with(
         &dir,
@@ -541,29 +541,221 @@ fn read_activation_is_logged_and_replayed() {
         svc.apply(&updates);
     }
     svc.resume(q);
-    // The read materialises the state and must appear in the log.
-    let live = svc.result(q).unwrap();
     let wal = fs::read(dir.join(WAL_FILE)).unwrap();
     let decoded = read_wal_bytes(&wal).unwrap();
-    assert!(
-        matches!(decoded.records.last().unwrap().op, WalOp::Read(_)),
-        "the activating read must be the last WAL record"
+    assert_eq!(
+        decoded.records.last().unwrap().op,
+        WalOp::Resume(q.value()),
+        "the resume must be the last WAL record"
     );
-    // A pure re-read is not logged.
+    // Reads are pure: none grows the log.
+    let live = svc.result(q).unwrap();
     let _ = svc.result(q);
     let wal2 = fs::read(dir.join(WAL_FILE)).unwrap();
-    assert_eq!(wal.len(), wal2.len(), "pure reads must not grow the log");
+    assert_eq!(wal.len(), wal2.len(), "reads must not grow the log");
     drop(svc);
 
     let mut reopened = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
-    // The replayed read rebuilt the state and already emitted the catch-up:
-    // a fresh subscriber sees exactly the live relation, and result() agrees
-    // without emitting anything further.
+    // The replayed resume rebuilt the state and already emitted the
+    // catch-up: a fresh subscriber sees exactly the live relation, and
+    // neither a read nor an empty batch emits anything further.
     let sub = reopened.subscribe(q).unwrap();
     assert_eq!(reopened.result(q).unwrap(), live);
+    reopened.apply(&[]);
     let stream = sub.drain();
     assert_eq!(stream.len(), 1, "no second catch-up after recovery");
     assert_eq!(fold_deltas(p.node_count(), stream.iter()), live);
+}
+
+/// Every state a crash can leave the snapshot swap in reopens to the
+/// uninterrupted service, on both back-ends. The copies taken before and
+/// after a `snapshot_now` supply the pieces: (a) a stale `snapshot.tmp/`
+/// beside the live snapshot, (b) `snapshot/` renamed away to
+/// `snapshot.prev/` with the log not yet truncated, (c) the new `snapshot/`
+/// promoted while `snapshot.prev/` and the un-truncated log remain.
+#[test]
+fn every_snapshot_swap_crash_state_reopens() {
+    let seed = 0x5A9;
+    let graph = labelled_graph(18, 40, 3, seed);
+    let schedule = build_schedule(&graph, seed, 8);
+    let half = schedule.len() / 2;
+    for backend in OracleBackend::ALL {
+        let root = TempRoot::new(&format!("swap-{}", backend.name()));
+        let dir = root.path("svc");
+        let mut svc =
+            MatchService::create_durable_with(&dir, graph.clone(), backend, forced(1), WAL_ONLY)
+                .unwrap();
+        let mut roster = Vec::new();
+        for (i, op) in schedule.iter().enumerate() {
+            if i == half {
+                svc.snapshot_now().unwrap();
+            }
+            exec_op(&mut svc, &mut roster, op);
+        }
+        let (before, after) = (root.path("before"), root.path("after"));
+        copy_dir(&dir, &before);
+        svc.snapshot_now().unwrap();
+        copy_dir(&dir, &after);
+        let expected = fingerprint(&mut svc);
+        drop(svc);
+
+        let old_snapshot = before.join(SNAPSHOT_DIR);
+        let new_snapshot = after.join(SNAPSHOT_DIR);
+        let states: [(&str, &[(&Path, &str)]); 3] = [
+            (
+                "a",
+                &[(&old_snapshot, "snapshot"), (&new_snapshot, "snapshot.tmp")],
+            ),
+            (
+                "b",
+                &[
+                    (&old_snapshot, "snapshot.prev"),
+                    (&new_snapshot, "snapshot.tmp"),
+                ],
+            ),
+            (
+                "c",
+                &[
+                    (&new_snapshot, "snapshot"),
+                    (&old_snapshot, "snapshot.prev"),
+                ],
+            ),
+        ];
+        for (state, dirs) in states {
+            let crash = root.path(&format!("crash-{state}"));
+            fs::create_dir_all(&crash).unwrap();
+            fs::copy(before.join(WAL_FILE), crash.join(WAL_FILE)).unwrap();
+            for (from, name) in dirs {
+                copy_dir(from, &crash.join(name));
+            }
+            let mut recovered = MatchService::open_durable_with(&crash, forced(1), WAL_ONLY)
+                .unwrap_or_else(|e| panic!("state ({state}) on {backend:?} did not reopen: {e}"));
+            assert_eq!(
+                fingerprint(&mut recovered),
+                expected,
+                "state ({state}) on {backend:?}"
+            );
+            for leftover in ["snapshot.tmp", "snapshot.prev"] {
+                assert!(!crash.join(leftover).exists(), "({state}) kept {leftover}");
+            }
+        }
+    }
+}
+
+/// A from-scratch `Match` of `pattern` on the service's graph.
+fn recomputed(svc: &MatchService, pattern: &PatternGraph) -> gpm::MatchRelation {
+    let matrix = DistanceMatrix::build(svc.graph());
+    bounded_simulation_with_oracle(pattern, svc.graph(), &matrix).relation
+}
+
+/// A durable root holding one registered query, suspended, with a batch
+/// applied since: the starting point of the compatibility tests.
+fn suspended_root(root: &TempRoot) -> (PathBuf, PatternGraph) {
+    let seed = 0xC0DE;
+    let dir = root.path("svc");
+    let graph = labelled_graph(18, 40, 3, seed);
+    let mut svc =
+        MatchService::create_durable_with(&dir, graph, OracleBackend::Matrix, forced(1), WAL_ONLY)
+            .unwrap();
+    let (p, _) = generate_pattern(svc.graph(), &PatternGenConfig::new(3, 3, 3).with_seed(seed));
+    let q = svc.register(p.clone());
+    assert_eq!(q.value(), 0);
+    svc.suspend(q);
+    let updates = random_updates(svc.graph(), &UpdateStreamConfig::mixed(6).with_seed(seed));
+    svc.apply(&updates);
+    (dir, p)
+}
+
+/// Versions that resumed lazily logged `Resume` and then the `Read` that
+/// built the state. Such a log still opens, and the read replays as the
+/// pure read it now is.
+#[test]
+fn a_lazy_resume_log_with_a_read_record_reopens() {
+    let root = TempRoot::new("readrecord");
+    let (dir, p) = suspended_root(&root);
+    // Register, Suspend, Batch: records 0–2. Then the two frames, byte for
+    // byte as those versions wrote them.
+    let resume = r#"{"seq":3,"op":{"Resume":0}}"#;
+    let read = r#"{"seq":4,"op":{"Read":0}}"#;
+    let pinned = WalRecord {
+        seq: 3,
+        op: WalOp::Resume(0),
+    };
+    assert_eq!(
+        encode_record(&pinned).unwrap(),
+        encode_frame(resume.as_bytes()).unwrap()
+    );
+    let mut wal = fs::read(dir.join(WAL_FILE)).unwrap();
+    assert_eq!(read_wal_bytes(&wal).unwrap().records.len(), 3);
+    for frame in [resume, read] {
+        wal.extend_from_slice(&encode_frame(frame.as_bytes()).unwrap());
+    }
+    fs::write(dir.join(WAL_FILE), wal).unwrap();
+
+    let mut svc = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
+    let q = svc.catalog().ids()[0];
+    let sub = svc.subscribe(q).unwrap();
+    let live = svc.result(q).expect("the resumed query answers");
+    assert_eq!(live, recomputed(&svc, &p));
+    assert_eq!(fold_deltas(p.node_count(), sub.drain().iter()), live);
+    // The log goes on from the records it holds.
+    svc.apply(&[]);
+    drop(svc);
+    let records = read_wal_bytes(&fs::read(dir.join(WAL_FILE)).unwrap())
+        .unwrap()
+        .records;
+    assert_eq!(records.len(), 6);
+    assert_eq!(records[4].op, WalOp::Read(0));
+}
+
+/// Replaces `from`, which must occur once, by `to` in the JSON payload of
+/// the manifest at `path` (after its magic and 8-byte frame header) and
+/// frames the payload again.
+fn rewrite_manifest(path: &Path, from: &str, to: &str) {
+    let bytes = fs::read(path).unwrap();
+    let json = std::str::from_utf8(&bytes[MANIFEST_MAGIC.len() + 8..]).unwrap();
+    assert_eq!(json.matches(from).count(), 1, "{json}");
+    let mut framed = MANIFEST_MAGIC.to_vec();
+    framed.extend(encode_frame(json.replace(from, to).as_bytes()).unwrap());
+    fs::write(path, framed).unwrap();
+}
+
+/// Versions that resumed lazily could snapshot a resumed query before its
+/// state was built: `"active":true,"state":null`. Such a manifest still
+/// opens, with the state built; a suspended query that holds a state is
+/// corrupt.
+#[test]
+fn a_lazy_resume_manifest_reopens_and_a_suspended_state_is_corrupt() {
+    let root = TempRoot::new("lazymanifest");
+    let (dir, p) = suspended_root(&root);
+    let mut svc = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
+    svc.snapshot_now().unwrap();
+    drop(svc);
+    let manifest = dir.join(SNAPSHOT_DIR).join(MANIFEST_FILE);
+    rewrite_manifest(
+        &manifest,
+        r#""active":false,"state":null"#,
+        r#""active":true,"state":null"#,
+    );
+    let mut svc = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
+    let q = svc.catalog().ids()[0];
+    assert!(svc.catalog().get(q).unwrap().is_active());
+    let sub = svc.subscribe(q).unwrap();
+    let live = svc.result(q).expect("the resumed query answers");
+    assert_eq!(live, recomputed(&svc, &p));
+    assert_eq!(fold_deltas(p.node_count(), sub.drain().iter()), live);
+    svc.snapshot_now().unwrap();
+    drop(svc);
+
+    rewrite_manifest(
+        &manifest,
+        r#""active":true,"state":{"#,
+        r#""active":false,"state":{"#,
+    );
+    match MatchService::open_durable_with(&dir, forced(1), WAL_ONLY) {
+        Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("suspended"), "{msg}"),
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    }
 }
 
 /// Crashes on a root that mixes a mid-history snapshot with a WAL tail:
