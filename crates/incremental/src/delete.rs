@@ -74,7 +74,7 @@ pub(crate) fn process_removals<O: DistanceQuery + ?Sized>(
             let mut invalid = false;
             for e in pattern.out_edges(u) {
                 *verifications += 1;
-                if !edge_witnessed(graph, oracle, v, &state.matches_of(e.to), e.bound) {
+                if !edge_witnessed(graph, oracle, v, state.matches_of(e.to), e.bound) {
                     invalid = true;
                     break;
                 }
@@ -92,17 +92,21 @@ pub(crate) fn process_removals<O: DistanceQuery + ?Sized>(
         for e in pattern.in_edges(u) {
             let parent = e.from;
             // Only matched nodes that could use y as a witness are affected.
-            for x in state.matches_of(parent) {
-                if !oracle.within(graph, x, y, e.bound) {
-                    continue;
+            // `mat(parent)` is walked in place: a removal takes out only the
+            // node just visited, so the walk sees every node matched when it
+            // began, in ascending order.
+            let mut i = 0;
+            while let Some(&x) = state.matches_of(parent).get(i) {
+                if oracle.within(graph, x, y, e.bound) {
+                    *verifications += 1;
+                    if !edge_witnessed(graph, oracle, x, state.matches_of(u), e.bound) {
+                        state.remove(parent, x);
+                        aff2.removed.push((parent, x));
+                        worklist.push((parent, x));
+                        continue;
+                    }
                 }
-                *verifications += 1;
-                if edge_witnessed(graph, oracle, x, &state.matches_of(u), e.bound) {
-                    continue;
-                }
-                state.remove(parent, x);
-                aff2.removed.push((parent, x));
-                worklist.push((parent, x));
+                i += 1;
             }
         }
     }

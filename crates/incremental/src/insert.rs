@@ -68,7 +68,7 @@ pub(crate) fn fully_witnessed<O: DistanceQuery + ?Sized>(
 ) -> bool {
     for e in pattern.out_edges(u) {
         *verifications += 1;
-        if !edge_witnessed(graph, oracle, x, &state.matches_of(e.to), e.bound) {
+        if !edge_witnessed(graph, oracle, x, state.matches_of(e.to), e.bound) {
             return false;
         }
     }
@@ -107,8 +107,12 @@ pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
     while let Some((u, y)) = worklist.pop() {
         for e in pattern.in_edges(u) {
             let parent = e.from;
-            for x in state.candidates_of(parent) {
-                if !oracle.within(graph, x, y, e.bound) {
+            // `can(parent)` is walked over the predicate list, which edge
+            // updates never change: an addition moves only the node just
+            // visited into `mat(parent)`.
+            for i in 0..state.satisfying(parent).len() {
+                let x = state.satisfying(parent)[i];
+                if state.in_mat(parent, x) || !oracle.within(graph, x, y, e.bound) {
                     continue;
                 }
                 if fully_witnessed(pattern, graph, oracle, state, parent, x, verifications) {

@@ -31,6 +31,12 @@
 //! removed), whose sizes drive the `O(|AFF1| |AFF2|²)` bound of Theorem 4.1
 //! and the `|AFF|` annotations of Figures 6(i)–(k).
 //!
+//! The repair keeps to that bound's shape: it is seeded from the sources of
+//! `AFF1`, and every verification and cascade step reads the packed match
+//! and predicate lists of [`MatchState`] (module [`state`]), so its cost
+//! follows the matches it visits, never `|V|`. What it cannot shrink is
+//! `AFF1` itself, which the oracle enumerates in full.
+//!
 //! Updates mutate the data graph's CSR layout through its delta overlay
 //! (`O(deg)` per touched node, no full rebuild);
 //! [`DataGraph::compact`](gpm_graph::DataGraph::compact) folds the overlay

@@ -9,6 +9,15 @@
 //!   Since node attributes never change under edge updates, candidacy is
 //!   computed once.
 //!
+//! Both sets are held in two forms, the layout `Match` uses for its
+//! candidates: a `|V|`-wide bitmap answers membership in `O(1)`, and a packed
+//! ascending `NodeId` list beside it is what the repair walks and what the
+//! relation, the snapshot and the service's deltas copy. `add`/`remove` keep
+//! the match list sorted by binary search, so the repair pays for the matches
+//! it visits — `O(|mat(u)|)` per cascade step — and never for `|V|`. The
+//! persisted form ([`MatchStateSnapshot`]) is the two lists per pattern node;
+//! loading it rebuilds the bitmaps.
+//!
 //! The externally reported relation follows the paper's convention: if some
 //! pattern node has an empty `mat(u)`, the match is `∅` (but the internal
 //! sets are kept so maintenance can continue and later insertions can revive
@@ -28,8 +37,10 @@ pub struct MatchState {
     satisfies: Vec<Vec<bool>>,
     /// `mat[u][v]`: is `(u, v)` in the current maximum match?
     mat: Vec<Vec<bool>>,
-    /// Number of `true` entries per row of `mat`.
-    live: Vec<usize>,
+    /// The set entries of `satisfies[u]`, ascending.
+    satisfying: Vec<Vec<NodeId>>,
+    /// The set entries of `mat[u]`, ascending.
+    matched: Vec<Vec<NodeId>>,
 }
 
 impl MatchState {
@@ -45,8 +56,8 @@ impl MatchState {
         Self::initialise_with(pattern, graph, oracle, &Executor::from_env())
     }
 
-    /// [`MatchState::initialise`] on an explicit executor (the satisfaction
-    /// bitmaps are one independent task per pattern node; the batch `Match`
+    /// [`MatchState::initialise`] on an explicit executor (the predicate
+    /// lists are one independent task per pattern node; the batch `Match`
     /// run parallelises as described on
     /// [`bounded_simulation_with_oracle_on`]).
     pub fn initialise_with<O: DistanceQuery + Sync + ?Sized>(
@@ -57,50 +68,54 @@ impl MatchState {
     ) -> Self {
         let nv = graph.node_count();
         let np = pattern.node_count();
-        let satisfies: Vec<Vec<bool>> = exec.map_tasks(np, nv, |ui| {
+        let satisfying: Vec<Vec<NodeId>> = exec.map_tasks(np, nv, |ui| {
             let u = PatternNodeId::new(ui as u32);
-            let mut row = vec![false; nv];
-            for v in graph.nodes_satisfying(pattern.predicate(u)) {
-                row[v.index()] = true;
-            }
-            row
+            graph.nodes_satisfying(pattern.predicate(u)).collect()
         });
 
         let outcome = bounded_simulation_with_oracle_on(pattern, graph, oracle, exec);
-        let mut mat = vec![vec![false; nv]; np];
-        let mut live = vec![0usize; np];
         // `Match` clears the whole relation when P ⋬ G, but the state to
         // maintain is the per-node greatest fixpoint, where some nodes may
         // still hold matches: the naive loop gives it without the clearing
         // step (a non-clearing `Match` starts an unmatched query 2.4× slower).
-        if outcome.relation.is_match(pattern) {
-            for (u, v) in outcome.relation.iter_pairs() {
-                mat[u.index()][v.index()] = true;
-                live[u.index()] += 1;
-            }
+        let matched = if outcome.relation.is_match(pattern) {
+            pattern
+                .node_ids()
+                .map(|u| outcome.relation.matches_of(u).to_vec())
+                .collect()
         } else {
-            let mut sets: Vec<Vec<NodeId>> = satisfies
-                .iter()
-                .map(|row| graph.nodes().filter(|v| row[v.index()]).collect())
-                .collect();
+            let mut sets = satisfying.clone();
             naive_fixpoint(pattern, graph, oracle, &mut sets);
-            for (u_idx, row) in sets.into_iter().enumerate() {
-                for v in row {
-                    mat[u_idx][v.index()] = true;
-                    live[u_idx] += 1;
-                }
-            }
-        }
+            sets
+        };
+        Self::from_lists(nv, satisfying, matched)
+    }
+
+    /// Builds the bitmaps of `nodes` bits beside ascending, in-range lists.
+    fn from_lists(nodes: usize, satisfying: Vec<Vec<NodeId>>, matched: Vec<Vec<NodeId>>) -> Self {
+        let bitmaps = |lists: &[Vec<NodeId>]| -> Vec<Vec<bool>> {
+            lists
+                .iter()
+                .map(|list| {
+                    let mut row = vec![false; nodes];
+                    for v in list {
+                        row[v.index()] = true;
+                    }
+                    row
+                })
+                .collect()
+        };
         MatchState {
-            satisfies,
-            mat,
-            live,
+            satisfies: bitmaps(&satisfying),
+            mat: bitmaps(&matched),
+            satisfying,
+            matched,
         }
     }
 
     /// Number of pattern nodes.
     pub fn pattern_node_count(&self) -> usize {
-        self.mat.len()
+        self.matched.len()
     }
 
     /// Whether `(u, v)` is in the current maximum match.
@@ -128,7 +143,8 @@ impl MatchState {
             return false;
         }
         *slot = true;
-        self.live[u.index()] += 1;
+        let list = &mut self.matched[u.index()];
+        list.insert(list.partition_point(|&w| w < v), v);
         true
     }
 
@@ -139,78 +155,61 @@ impl MatchState {
             return false;
         }
         *slot = false;
-        self.live[u.index()] -= 1;
+        let list = &mut self.matched[u.index()];
+        list.remove(list.partition_point(|&w| w < v));
         true
     }
 
-    /// Number of matches of pattern node `u`.
-    pub fn live_count(&self, u: PatternNodeId) -> usize {
-        self.live[u.index()]
-    }
-
     /// The data nodes currently matching `u` (ascending order).
-    pub fn matches_of(&self, u: PatternNodeId) -> Vec<NodeId> {
-        self.mat[u.index()]
-            .iter()
-            .enumerate()
-            .filter(|&(_v, &b)| b)
-            .map(|(v, &_b)| NodeId::new(v as u32))
-            .collect()
+    #[inline]
+    pub fn matches_of(&self, u: PatternNodeId) -> &[NodeId] {
+        &self.matched[u.index()]
     }
 
-    /// The candidate (non-matched, predicate-satisfying) nodes of `u`.
-    pub fn candidates_of(&self, u: PatternNodeId) -> Vec<NodeId> {
-        self.satisfies[u.index()]
+    /// The data nodes satisfying the predicate of `u` (ascending order):
+    /// `mat(u)` and `can(u)` together. Edge updates never change it.
+    #[inline]
+    pub(crate) fn satisfying(&self, u: PatternNodeId) -> &[NodeId] {
+        &self.satisfying[u.index()]
+    }
+
+    /// The candidate (non-matched, predicate-satisfying) nodes of `u`, in
+    /// ascending order.
+    pub fn candidates_of(&self, u: PatternNodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.satisfying(u)
             .iter()
-            .enumerate()
-            .filter(|&(v, &s)| s && !self.mat[u.index()][v])
-            .map(|(v, &_s)| NodeId::new(v as u32))
-            .collect()
+            .copied()
+            .filter(move |&v| !self.in_mat(u, v))
     }
 
     /// Whether every pattern node currently has at least one match.
     pub fn all_matched(&self) -> bool {
-        self.live.iter().all(|&c| c > 0)
+        self.matched.iter().all(|list| !list.is_empty())
     }
 
     /// The externally visible relation, following the paper's convention:
     /// `∅` when some pattern node is unmatched, otherwise the mat sets.
     pub fn relation(&self) -> MatchRelation {
         if !self.all_matched() {
-            return MatchRelation::empty(self.mat.len());
+            return MatchRelation::empty(self.matched.len());
         }
-        MatchRelation::from_sets(
-            (0..self.mat.len())
-                .map(|u| self.matches_of(PatternNodeId::new(u as u32)))
-                .collect(),
-        )
-    }
-
-    /// The internal per-node sets as a relation, *without* the ∅ convention.
-    /// Used by tests to compare against a from-scratch greatest fixpoint.
-    pub fn raw_relation(&self) -> MatchRelation {
-        MatchRelation::from_sets(
-            (0..self.mat.len())
-                .map(|u| self.matches_of(PatternNodeId::new(u as u32)))
-                .collect(),
-        )
+        MatchRelation::from_sets(self.matched.clone())
     }
 
     /// Folds the state into its canonical persisted form: per pattern node,
     /// the ascending `NodeId` lists of the satisfaction and match sets (the
-    /// dense bitmap layout is an in-memory concern, not an encoding).
+    /// dense bitmaps are an in-memory index, not an encoding).
     pub fn to_snapshot(&self) -> MatchStateSnapshot {
-        let ids = |row: &[bool]| -> Vec<u32> {
-            row.iter()
-                .enumerate()
-                .filter(|&(_v, &b)| b)
-                .map(|(v, &_b)| v as u32)
+        let ids = |lists: &[Vec<NodeId>]| -> Vec<Vec<u32>> {
+            lists
+                .iter()
+                .map(|list| list.iter().map(|v| v.index() as u32).collect())
                 .collect()
         };
         MatchStateSnapshot {
             nodes: self.satisfies.first().map_or(0, Vec::len),
-            satisfies: self.satisfies.iter().map(|r| ids(r)).collect(),
-            mat: self.mat.iter().map(|r| ids(r)).collect(),
+            satisfies: ids(&self.satisfying),
+            mat: ids(&self.matched),
         }
     }
 
@@ -227,45 +226,36 @@ impl MatchState {
             ));
         }
         let nv = snap.nodes;
-        let fill = |list: &[u32], what: &str, u: usize| -> std::result::Result<Vec<bool>, String> {
-            let mut row = vec![false; nv];
-            let mut prev: Option<u32> = None;
-            for &v in list {
-                if (v as usize) >= nv {
-                    return Err(format!(
-                        "match-state snapshot: {what}[{u}] contains node {v} >= |V| = {nv}"
-                    ));
+        let nodes =
+            |list: &[u32], what: &str, u: usize| -> std::result::Result<Vec<NodeId>, String> {
+                let mut prev: Option<u32> = None;
+                for &v in list {
+                    if (v as usize) >= nv {
+                        return Err(format!(
+                            "match-state snapshot: {what}[{u}] contains node {v} >= |V| = {nv}"
+                        ));
+                    }
+                    if prev.is_some_and(|p| p >= v) {
+                        return Err(format!(
+                            "match-state snapshot: {what}[{u}] is not strictly ascending at {v}"
+                        ));
+                    }
+                    prev = Some(v);
                 }
-                if prev.is_some_and(|p| p >= v) {
-                    return Err(format!(
-                        "match-state snapshot: {what}[{u}] is not strictly ascending at {v}"
-                    ));
-                }
-                prev = Some(v);
-                row[v as usize] = true;
-            }
-            Ok(row)
-        };
-        let mut satisfies = Vec::with_capacity(snap.satisfies.len());
-        let mut mat = Vec::with_capacity(snap.mat.len());
-        let mut live = Vec::with_capacity(snap.mat.len());
-        for (u, (sat, matched)) in snap.satisfies.iter().zip(&snap.mat).enumerate() {
-            let sat_row = fill(sat, "satisfies", u)?;
-            let mat_row = fill(matched, "mat", u)?;
-            if let Some(&v) = matched.iter().find(|&&v| !sat_row[v as usize]) {
+                Ok(list.iter().map(|&v| NodeId::new(v)).collect())
+            };
+        let mut satisfying = Vec::with_capacity(snap.satisfies.len());
+        let mut matched = Vec::with_capacity(snap.mat.len());
+        for (u, (sat, mat)) in snap.satisfies.iter().zip(&snap.mat).enumerate() {
+            satisfying.push(nodes(sat, "satisfies", u)?);
+            matched.push(nodes(mat, "mat", u)?);
+            if let Some(&v) = mat.iter().find(|v| sat.binary_search(v).is_err()) {
                 return Err(format!(
                     "match-state snapshot: mat[{u}] contains node {v} outside satisfies[{u}]"
                 ));
             }
-            live.push(matched.len());
-            satisfies.push(sat_row);
-            mat.push(mat_row);
         }
-        Ok(MatchState {
-            satisfies,
-            mat,
-            live,
-        })
+        Ok(Self::from_lists(nv, satisfying, matched))
     }
 }
 
@@ -337,8 +327,8 @@ mod tests {
         let (g, p, m) = setup();
         let state = MatchState::initialise(&p, &g, &m);
         assert!(state.all_matched());
-        assert_eq!(state.live_count(pn(0)), 1);
-        assert_eq!(state.matches_of(pn(0)), vec![NodeId::new(0)]);
+        assert_eq!(state.matches_of(pn(0)).len(), 1);
+        assert_eq!(state.matches_of(pn(0)), [NodeId::new(0)]);
         assert!(state.in_mat(pn(1), NodeId::new(2)));
         // Node B satisfies neither predicate.
         assert!(!state.satisfies(pn(0), NodeId::new(1)));
@@ -356,7 +346,7 @@ mod tests {
         let state = MatchState::initialise(&p, &g, &m);
         assert!(state.in_can(pn(0), extra));
         assert!(!state.in_mat(pn(0), extra));
-        assert_eq!(state.candidates_of(pn(0)), vec![extra]);
+        assert_eq!(state.candidates_of(pn(0)).collect::<Vec<_>>(), [extra]);
     }
 
     #[test]
@@ -367,11 +357,12 @@ mod tests {
         assert!(!state.add(pn(0), v), "already present");
         assert!(state.remove(pn(0), v));
         assert!(!state.remove(pn(0), v));
-        assert_eq!(state.live_count(pn(0)), 0);
+        assert_eq!(state.matches_of(pn(0)).len(), 0);
         assert!(!state.all_matched());
-        // The reported relation collapses to ∅, but the raw sets keep node C.
+        // The reported relation collapses to ∅, but the internal sets keep
+        // node C.
         assert!(state.relation().is_empty());
-        assert_eq!(state.raw_relation().matches_of(pn(1)).len(), 1);
+        assert_eq!(state.matches_of(pn(1)).len(), 1);
         assert!(state.add(pn(0), v));
         assert!(state.all_matched());
     }
@@ -390,8 +381,12 @@ mod tests {
         let m = DistanceMatrix::build(&g);
         let state = MatchState::initialise(&p, &g, &m);
         assert!(!state.all_matched());
-        assert_eq!(state.live_count(pn(0)), 1, "A still has its fixpoint match");
-        assert_eq!(state.live_count(pn(1)), 0);
+        assert_eq!(
+            state.matches_of(pn(0)).len(),
+            1,
+            "A still has its fixpoint match"
+        );
+        assert_eq!(state.matches_of(pn(1)).len(), 0);
         assert!(state.relation().is_empty());
     }
 }

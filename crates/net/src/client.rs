@@ -40,6 +40,8 @@ impl NetClient {
     /// Connects and performs the `Hello`/`HelloAck` handshake.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<NetClient, NetError> {
         let mut stream = TcpStream::connect(addr)?;
+        // Every frame is one complete write: send it now (see the server).
+        stream.set_nodelay(true)?;
         write_message(
             &mut stream,
             &Request::Hello {

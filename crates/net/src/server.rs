@@ -154,6 +154,10 @@ impl NetServer {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
+                // A subscriber stream is one-way: with Nagle on, a delta
+                // written while the previous one is unacknowledged would wait
+                // for the peer's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 let shared = Arc::clone(&shared);
                 thread::spawn(move || {
                     metrics::net().connections.inc();
