@@ -12,10 +12,8 @@ fn main() {
         "Fig. 6(i): IncMatch vs Match, mixed updates",
         UpdateMix::Mixed,
         &[400, 800, 1200, 1600, 2000, 2400, 2800, 3200],
+        "IncMatch outperforms Match for |δ| <= 2800 and loses for larger\n\
+         batches; the affected area grows with |δ|.",
         &args,
-    );
-    println!(
-        "paper reference: IncMatch outperforms Match for |δ| <= 2800 and loses for larger\n\
-         batches; the affected area grows with |δ|."
     );
 }

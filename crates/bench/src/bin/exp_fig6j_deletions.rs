@@ -10,10 +10,8 @@ fn main() {
         "Fig. 6(j): IncMatch vs Match, deletions only",
         UpdateMix::Deletions,
         &[200, 400, 600, 800, 1000, 1200, 1400, 1600],
+        "IncMatch is not sensitive to edge deletions — the affected area per\n\
+         deletion stays tiny (|AFF| around 7-12), so IncMatch wins across the whole range.",
         &args,
-    );
-    println!(
-        "paper reference: IncMatch is not sensitive to edge deletions — the affected area per\n\
-         deletion stays tiny (|AFF| around 7-12), so IncMatch wins across the whole range."
     );
 }

@@ -10,11 +10,9 @@ fn main() {
         "Fig. 6(k): IncMatch vs Match, insertions only",
         UpdateMix::Insertions,
         &[200, 400, 600, 800, 1000, 1200, 1400, 1600],
-        &args,
-    );
-    println!(
-        "paper reference: insertions have a stronger impact than deletions — the affected area\n\
+        "insertions have a stronger impact than deletions — the affected area\n\
          per insertion grows quickly (|AFF| up to thousands), so the advantage of IncMatch\n\
-         narrows as |δ| grows."
+         narrows as |δ| grows.",
+        &args,
     );
 }

@@ -15,6 +15,10 @@
 //!    paper) and re-run `Match`;
 //! 4. checks the two results agree and reports both times plus
 //!    `|AFF| = |AFF1| + |AFF2|` per update.
+//!
+//! Under the table it prints the paper's sentence about the figure and,
+//! beneath it, this run's verdict on the same terms: the rows IncMatch won
+//! and the median `|AFF|` per update.
 
 use crate::{fmt_ms, load_source_or_exit, time, HarnessArgs, Table};
 use gpm::{
@@ -89,11 +93,13 @@ pub fn dag_pattern(
     generate_pattern(graph, &cfg).0
 }
 
-/// Runs one of the incremental experiments and prints its table.
+/// Runs one of the incremental experiments and prints its table, then
+/// `paper_reference` with the run's measured verdict under it.
 pub fn run_update_experiment(
     title: &str,
     mix: UpdateMix,
     paper_deltas: &[usize],
+    paper_reference: &str,
     args: &HarnessArgs,
 ) {
     let source = args.update_source_or_exit();
@@ -130,6 +136,8 @@ pub fn run_update_experiment(
         ],
     );
 
+    let mut inc_wins = 0;
+    let mut aff_per_row = Vec::with_capacity(paper_deltas.len());
     for &paper_delta in paper_deltas {
         let delta = ((paper_delta as f64 * args.scale).round() as usize).max(4);
         let updates = random_updates(
@@ -170,6 +178,8 @@ pub fn run_update_experiment(
         } else {
             outcome.stats.total_affected() / updates.len()
         };
+        inc_wins += usize::from(inc_time < batch_time);
+        aff_per_row.push(aff_per_update);
         table.row(vec![
             paper_delta.to_string(),
             updates.len().to_string(),
@@ -180,4 +190,37 @@ pub fn run_update_experiment(
         ]);
     }
     table.print();
+    println!("paper reference: {paper_reference}");
+    println!(
+        "measured: IncMatch won {inc_wins}/{} rows; median |AFF|/update {}",
+        paper_deltas.len(),
+        median(&mut aff_per_row)
+    );
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+fn median(values: &mut [usize]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_unstable();
+    let mid = values.len() / 2;
+    if values.len() % 2 == 0 {
+        (values[mid - 1] + values[mid]) as f64 / 2.0
+    } else {
+        values[mid] as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::median;
+
+    #[test]
+    fn median_of_odd_and_even_counts() {
+        assert_eq!(median(&mut []), 0.0);
+        assert_eq!(median(&mut [7]), 7.0);
+        assert_eq!(median(&mut [9, 1, 5]), 5.0);
+        assert_eq!(median(&mut [400, 300, 500, 350]), 375.0);
+    }
 }

@@ -9,9 +9,16 @@
 //!
 //! The structure follows the paper: initial candidate sets `mat(u)` from the
 //! node predicates, then iterative removal of nodes that cannot witness some
-//! pattern edge, propagated upward until a fixpoint. Three representation
+//! pattern edge, propagated upward until a fixpoint. Four representation
 //! choices differ from the pseudo-code but keep the bound:
 //!
+//! * the initial `mat(u)` (lines 4–5) is read from the data graph's
+//!   attribute index ([`DataGraph::nodes_satisfying`]) rather than tested
+//!   node by node: each predicate atom is evaluated once per distinct value
+//!   of its attribute, and the nodes of the passing values come off their
+//!   posting lists — or off one scan of the attribute's code column, when
+//!   that reads fewer entries — so selection stays within the paper's
+//!   `O(|V_p||V|)`;
 //! * each `mat(u)` is held twice: as a packed ascending list of its
 //!   *initial* candidates, which every pass iterates, and as a membership
 //!   bitmap, which is the only part that shrinks. The witness-counter pass
@@ -205,17 +212,18 @@ fn match_inner<O: DistanceQuery + Sync + ?Sized>(
     }
 
     // mat(u) as a packed ascending candidate list per pattern node (lines
-    // 4-5 of Fig. 4), one independent task per pattern node (work hint: each
-    // task scans all |V| data nodes). The lists are what the refinement
+    // 4-5 of Fig. 4), one independent task per pattern node, read from the
+    // graph's attribute index (work hint: a task may scan one |V|-long code
+    // column). The lists are what the refinement
     // iterates; `member` below is their O(1) membership test, and the only
     // one of the two that shrinks.
     let cand: Vec<Vec<NodeId>> = exec.map_tasks(np, nv, |ui| {
         let u = PatternNodeId::new(ui as u32);
-        let needs_out_edge = pattern.out_degree(u) > 0;
-        graph
-            .nodes_satisfying(pattern.predicate(u))
-            .filter(|&v| !needs_out_edge || graph.out_degree(v) > 0)
-            .collect()
+        let mut list = graph.nodes_satisfying(pattern.predicate(u));
+        if pattern.out_degree(u) > 0 {
+            list.retain(|&v| graph.out_degree(v) > 0);
+        }
+        list
     });
     let mut member: Vec<Vec<bool>> = Vec::with_capacity(np);
     let mut live_count: Vec<usize> = Vec::with_capacity(np);

@@ -33,7 +33,7 @@ pub fn bounded_simulation_naive_with_oracle<O: DistanceQuery + ?Sized>(
     // Initial candidates: predicate satisfaction only.
     let mut mat: Vec<Vec<NodeId>> = pattern
         .node_ids()
-        .map(|u| graph.nodes_satisfying(pattern.predicate(u)).collect())
+        .map(|u| graph.nodes_satisfying(pattern.predicate(u)))
         .collect();
 
     let mut outcome = MatchOutcome::default();

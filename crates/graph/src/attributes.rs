@@ -71,8 +71,11 @@ impl Attributes {
     /// lengths before any byte, so at the handful of attributes a node
     /// carries most entries are ruled out without touching their heap
     /// buffers, where every probe of an ordered search is a full `str::cmp`.
-    /// This is the inner loop of candidate selection
-    /// ([`DataGraph::nodes_satisfying`](crate::DataGraph::nodes_satisfying)).
+    /// It serves per-tuple checks ([`Predicate::satisfied_by`](crate::Predicate::satisfied_by),
+    /// [`DataGraph::satisfies`](crate::DataGraph::satisfies)); candidate
+    /// selection over a whole graph
+    /// ([`DataGraph::nodes_satisfying`](crate::DataGraph::nodes_satisfying))
+    /// reads the graph's attribute index instead and never calls it.
     pub fn get(&self, key: &str) -> Option<&AttrValue> {
         self.entries
             .iter()

@@ -18,7 +18,13 @@
 //!   `O(|E|)` rebuild); [`DataGraph::compact`] folds the overlay back;
 //! * `O(1)` expected edge-membership tests (incremental updates check for
 //!   duplicates);
-//! * dense `u32` node ids so per-node state can live in flat vectors.
+//! * dense `u32` node ids so per-node state can live in flat vectors;
+//! * a derived **attribute index** (one dictionary-encoded column per key,
+//!   with a posting list per distinct value) so candidate selection,
+//!   [`DataGraph::nodes_satisfying`], evaluates each predicate atom once per
+//!   distinct value rather than once per node. It is built on the first
+//!   predicate query and dropped by the only attribute writers,
+//!   [`DataGraph::add_node`] and [`DataGraph::attributes_mut`].
 //!
 //! None of that layout crosses a boundary. The serde encoding — wire, WAL,
 //! snapshot — is the graph's logical content, `{"attrs": [...],
@@ -28,6 +34,7 @@
 //! before one [`DataGraph::compact`]: an unknown endpoint or a repeated
 //! edge is a decode error, never a malformed index.
 
+use crate::attr_index::AttrIndex;
 use crate::attributes::Attributes;
 use crate::csr::CsrAdjacency;
 use crate::error::GraphError;
@@ -36,6 +43,7 @@ use crate::predicate::Predicate;
 use crate::Result;
 use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// An attributed directed data graph.
 #[derive(Clone, Debug, Default)]
@@ -45,6 +53,9 @@ pub struct DataGraph {
     in_adj: CsrAdjacency,
     edge_set: FxHashSet<(u32, u32)>,
     edge_count: usize,
+    /// Derived from `attrs` on the first predicate query; reset by every
+    /// attribute write.
+    attr_index: OnceLock<AttrIndex>,
 }
 
 impl DataGraph {
@@ -61,6 +72,7 @@ impl DataGraph {
             in_adj: CsrAdjacency::with_capacity(nodes),
             edge_set: FxHashSet::default(),
             edge_count: 0,
+            attr_index: OnceLock::new(),
         }
     }
 
@@ -91,6 +103,7 @@ impl DataGraph {
     pub fn add_node(&mut self, attrs: impl Into<Attributes>) -> NodeId {
         let id = NodeId::new(self.attrs.len() as u32);
         self.attrs.push(attrs.into());
+        self.attr_index.take();
         self.out_adj.push_node();
         self.in_adj.push_node();
         id
@@ -214,6 +227,7 @@ impl DataGraph {
 
     /// Mutable access to the attribute tuple of `v`.
     pub fn attributes_mut(&mut self, v: NodeId) -> &mut Attributes {
+        self.attr_index.take();
         &mut self.attrs[v.index()]
     }
 
@@ -228,34 +242,27 @@ impl DataGraph {
             .flat_map(move |from| self.out_neighbors(from).iter().map(move |&to| (from, to)))
     }
 
-    /// All nodes whose attributes satisfy `pred` — the initial candidate set
-    /// `mat(u)` of the matching algorithms.
-    pub fn nodes_satisfying<'a>(
-        &'a self,
-        pred: &'a Predicate,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        self.nodes()
-            .filter(move |&v| pred.satisfied_by(self.attributes(v)))
+    /// All nodes whose attributes satisfy `pred`, ascending — the initial
+    /// candidate set `mat(u)` of the matching algorithms.
+    ///
+    /// Answered from the attribute index (see the module docs): the first
+    /// atom is evaluated once per distinct value of its key, and each later
+    /// atom once per distinct value of its own. The result equals filtering
+    /// [`DataGraph::nodes`] by [`DataGraph::satisfies`].
+    pub fn nodes_satisfying(&self, pred: &Predicate) -> Vec<NodeId> {
+        match pred.atoms().split_first() {
+            None => self.nodes().collect(),
+            Some((first, rest)) => self
+                .attr_index
+                .get_or_init(|| AttrIndex::build(&self.attrs))
+                .select(first, rest),
+        }
     }
 
     /// Whether the attributes of `v` satisfy `pred`.
     #[inline]
     pub fn satisfies(&self, v: NodeId, pred: &Predicate) -> bool {
         pred.satisfied_by(self.attributes(v))
-    }
-
-    /// Returns the graph with every edge reversed (attributes shared).
-    pub fn reversed(&self) -> DataGraph {
-        let mut g = DataGraph::with_capacity(self.node_count());
-        for v in self.nodes() {
-            g.add_node(self.attributes(v).clone());
-        }
-        for (a, b) in self.edges() {
-            // Original graph has no duplicates, so neither does the reverse.
-            g.add_edge(b, a).expect("reversed edge cannot be duplicate");
-        }
-        g.compact();
-        g
     }
 
     /// Total degree (in + out) of `v`; handy for hub-ordering heuristics.
@@ -333,6 +340,7 @@ impl Deserialize for DataGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::CmpOp;
     use crate::value::AttrValue;
     use proptest::prelude::*;
 
@@ -451,21 +459,61 @@ mod tests {
         g.add_node(Attributes::labeled("B"));
         g.add_node(Attributes::labeled("A"));
         let p = Predicate::label("A");
-        let matched: Vec<_> = g.nodes_satisfying(&p).collect();
+        let matched = g.nodes_satisfying(&p);
         assert_eq!(matched, vec![n(0), n(2)]);
         assert!(g.satisfies(n(0), &p));
         assert!(!g.satisfies(n(1), &p));
     }
 
+    /// The node-by-node filter `nodes_satisfying` must agree with.
+    fn satisfying_reference(g: &DataGraph, pred: &Predicate) -> Vec<NodeId> {
+        g.nodes().filter(|&v| g.satisfies(v, pred)).collect()
+    }
+
     #[test]
-    fn reversed_graph() {
-        let g = triangle();
-        let r = g.reversed();
-        assert_eq!(r.node_count(), 3);
-        assert_eq!(r.edge_count(), 3);
-        assert!(r.has_edge(n(1), n(0)));
-        assert!(r.has_edge(n(2), n(1)));
-        assert!(r.has_edge(n(0), n(2)));
+    fn nodes_satisfying_edge_cases() {
+        let mut g = DataGraph::new();
+        g.add_node([("x", AttrValue::Float(0.0))]);
+        g.add_node([("x", AttrValue::Float(-0.0))]);
+        g.add_node([("x", AttrValue::Float(f64::NAN))]);
+        g.add_node([("x", AttrValue::Int(0))]);
+        g.add_node([("y", AttrValue::from("0"))]);
+        let sat = |g: &DataGraph, p: Predicate| g.nodes_satisfying(&p);
+        // 0.0 and -0.0 are distinct dictionary entries but compare equal;
+        // Int(0) compares equal to both; NaN compares with nothing.
+        assert_eq!(
+            sat(&g, Predicate::atom("x", CmpOp::Eq, 0.0)),
+            vec![n(0), n(1), n(3)]
+        );
+        assert_eq!(
+            sat(&g, Predicate::atom("x", CmpOp::Eq, -0.0)),
+            vec![n(0), n(1), n(3)]
+        );
+        assert_eq!(sat(&g, Predicate::atom("x", CmpOp::Ne, 0)), vec![]);
+        assert_eq!(sat(&g, Predicate::atom("x", CmpOp::Ne, f64::NAN)), vec![]);
+        assert_eq!(
+            sat(&g, Predicate::atom("x", CmpOp::Le, 0)),
+            vec![n(0), n(1), n(3)]
+        );
+        // `!=` on a key a node lacks is false, not true.
+        assert_eq!(sat(&g, Predicate::atom("y", CmpOp::Ne, "1")), vec![n(4)]);
+        // A key no node carries selects nothing, for every operator.
+        assert_eq!(sat(&g, Predicate::atom("z", CmpOp::Ne, 1)), vec![]);
+        assert_eq!(
+            sat(
+                &g,
+                Predicate::atom("x", CmpOp::Ge, 0).and("z", CmpOp::Ne, 1)
+            ),
+            vec![]
+        );
+        // The empty conjunction selects every node.
+        assert_eq!(sat(&g, Predicate::any()), g.nodes().collect::<Vec<_>>());
+        // An attribute write reaches the next query.
+        g.attributes_mut(n(2)).set("x", 0);
+        assert_eq!(
+            sat(&g, Predicate::atom("x", CmpOp::Eq, 0)),
+            vec![n(0), n(1), n(2), n(3)]
+        );
     }
 
     #[test]
@@ -569,7 +617,112 @@ mod tests {
         assert!(serde_json::from_str::<crate::PatternGraph>("[]").is_err());
     }
 
+    /// The attribute values the selection property draws from: every type,
+    /// a NaN, both zeros, and an `Int`/`Float` pair that compare equal.
+    fn palette() -> Vec<AttrValue> {
+        vec![
+            AttrValue::Int(-1),
+            AttrValue::Int(0),
+            AttrValue::Int(1),
+            AttrValue::Int(2),
+            AttrValue::Float(0.0),
+            AttrValue::Float(-0.0),
+            AttrValue::Float(f64::NAN),
+            AttrValue::Float(1.0),
+            AttrValue::Float(1.5),
+            AttrValue::from(""),
+            AttrValue::from("a"),
+            AttrValue::from("b"),
+            AttrValue::Bool(false),
+            AttrValue::Bool(true),
+        ]
+    }
+
+    /// Keys of the selection property: `"ghost"` is on no node.
+    const KEYS: [&str; 4] = ["k0", "k1", "k2", "ghost"];
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// A node tuple over `k0..k2`; a draw past the palette leaves the key
+    /// undefined.
+    fn tuple_of(draws: (u8, u8, u8)) -> Attributes {
+        let palette = palette();
+        [draws.0, draws.1, draws.2]
+            .into_iter()
+            .enumerate()
+            .filter_map(|(k, d)| palette.get(d as usize).map(|v| (KEYS[k], v.clone())))
+            .collect()
+    }
+
+    fn predicate_of(atoms: &[(u8, u8, u8)]) -> Predicate {
+        let palette = palette();
+        atoms.iter().fold(Predicate::any(), |p, &(k, op, d)| {
+            p.and(
+                KEYS[k as usize],
+                OPS[op as usize],
+                palette[d as usize].clone(),
+            )
+        })
+    }
+
     proptest! {
+        /// `nodes_satisfying` equals the node-by-node filter for 0–3-atom
+        /// conjunctions of every operator over mixed-type, partly missing
+        /// keys — on a fresh graph, after an `attributes_mut` write, after
+        /// an `add_node`, and on a clone.
+        #[test]
+        fn prop_nodes_satisfying_equals_node_filter(
+            nodes in collection::vec((0u8..20, 0u8..20, 0u8..20), 0..24),
+            preds in collection::vec(collection::vec((0u8..4, 0u8..6, 0u8..14), 0..4), 1..6),
+            write in (0u32..24, 0u8..3, 0u8..20),
+            added in (0u8..20, 0u8..20, 0u8..20),
+        ) {
+            let preds: Vec<Predicate> = preds.iter().map(|atoms| predicate_of(atoms)).collect();
+            let check = |g: &DataGraph, stage: &str| -> proptest::TestCaseResult {
+                for p in &preds {
+                    prop_assert_eq!(
+                        g.nodes_satisfying(p),
+                        satisfying_reference(g, p),
+                        "{} on `{}`",
+                        stage,
+                        p
+                    );
+                }
+                Ok(())
+            };
+            let mut g = DataGraph::new();
+            for &draws in &nodes {
+                g.add_node(tuple_of(draws));
+            }
+            check(&g, "fresh")?;
+
+            let (v, k, d) = write;
+            if (v as usize) < g.node_count() {
+                let (tuple, key) = (g.attributes_mut(n(v)), KEYS[k as usize]);
+                match palette().get(d as usize) {
+                    Some(value) => {
+                        tuple.set(key, value.clone());
+                    }
+                    None => {
+                        tuple.remove(key);
+                    }
+                }
+            }
+            check(&g, "after attributes_mut")?;
+
+            g.add_node(tuple_of(added));
+            check(&g, "after add_node")?;
+
+            let copy = g.clone();
+            check(&copy, "on a clone")?;
+        }
+
         /// Adding then removing a random set of edges leaves counts and
         /// adjacency membership consistent with the edge set.
         #[test]
@@ -661,21 +814,6 @@ mod tests {
                     prop_assert_eq!(ins, expected, "in({}) pass {}", a, pass);
                 }
                 g.compact();
-            }
-        }
-
-        /// `reversed` is an involution on the edge set.
-        #[test]
-        fn prop_reverse_involution(edges in proptest::collection::vec((0u32..12, 0u32..12), 0..60)) {
-            let mut g = DataGraph::new();
-            g.add_nodes(12);
-            for &(a, b) in &edges {
-                let _ = g.try_add_edge(n(a), n(b)).unwrap();
-            }
-            let rr = g.reversed().reversed();
-            prop_assert_eq!(rr.edge_count(), g.edge_count());
-            for (a, b) in g.edges() {
-                prop_assert!(rr.has_edge(a, b));
             }
         }
     }

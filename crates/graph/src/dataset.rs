@@ -85,7 +85,7 @@ impl AttrSchema {
 
     /// Parses a header line (already CSV-split is *not* required — pass the
     /// raw line). `lineno` is 0-based and only used for error positions.
-    pub fn parse_header(line: &str, lineno: usize) -> Result<AttrSchema> {
+    fn parse_header(line: &str, lineno: usize) -> Result<AttrSchema> {
         let fields = split_csv_line(line, lineno)?;
         if fields.first().map(CsvField::text) != Some("id") {
             return Err(err_at(lineno, 1, "header must start with an `id` column"));

@@ -35,7 +35,10 @@
 //! the matcher's candidate refinement scan linear memory.
 //! [`DataGraph::compact`] folds the overlay back into the CSR base; bulk
 //! constructors (builders, loaders, decoding, the `gpm-datagen` generators)
-//! do so automatically.
+//! do so automatically. A derived **attribute index** — per key, a
+//! dictionary of distinct values, a value code per node and a posting list
+//! per value — answers [`DataGraph::nodes_satisfying`], so a predicate atom
+//! is evaluated once per distinct value rather than once per node.
 //!
 //! ## Quick tour
 //!
@@ -64,6 +67,7 @@
 #![warn(missing_docs)]
 
 pub mod adjacency;
+mod attr_index;
 pub mod attributes;
 pub mod builder;
 mod csr;

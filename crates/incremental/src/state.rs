@@ -70,7 +70,7 @@ impl MatchState {
         let np = pattern.node_count();
         let satisfying: Vec<Vec<NodeId>> = exec.map_tasks(np, nv, |ui| {
             let u = PatternNodeId::new(ui as u32);
-            graph.nodes_satisfying(pattern.predicate(u)).collect()
+            graph.nodes_satisfying(pattern.predicate(u))
         });
 
         let outcome = bounded_simulation_with_oracle_on(pattern, graph, oracle, exec);

@@ -22,7 +22,8 @@ impl CandidateSets {
     }
 
     /// Computes the candidate sets on an explicit executor: one task per
-    /// pattern node (each scans all data nodes, so the work hint is `|V|`);
+    /// pattern node (each reads the graph's attribute index and filters by
+    /// degree, at most `|V|` entries, so the work hint is `|V|`);
     /// results are merged in pattern-node order, so the outcome is identical
     /// at every thread count.
     pub fn compute_with(pattern: &PatternGraph, graph: &DataGraph, exec: &Executor) -> Self {
@@ -31,10 +32,9 @@ impl CandidateSets {
             let u = PatternNodeId::new(ui as u32);
             let need_out = pattern.out_degree(u);
             let need_in = pattern.in_degree(u);
-            graph
-                .nodes_satisfying(pattern.predicate(u))
-                .filter(|&v| graph.out_degree(v) >= need_out && graph.in_degree(v) >= need_in)
-                .collect()
+            let mut list = graph.nodes_satisfying(pattern.predicate(u));
+            list.retain(|&v| graph.out_degree(v) >= need_out && graph.in_degree(v) >= need_in);
+            list
         });
         CandidateSets { per_pattern }
     }
