@@ -2,7 +2,7 @@
 //!
 //! Only a handful of flags are needed (`--scale`, `--seed`, `--patterns`,
 //! `--threads`, `--oracle`, `--dataset-dir`, `--dataset`, `--obs`,
-//! `--obs-out`), so a tiny hand-rolled parser keeps the harness free of CLI
+//! `--obs-out`, `--json`), so a tiny hand-rolled parser keeps the harness free of CLI
 //! dependencies.
 
 use gpm::{Dataset, DatasetSource, OracleBackend, Parallelism};
@@ -45,6 +45,9 @@ pub struct HarnessArgs {
     /// JSONL sink path for `gpm-obs` events and snapshots (`--obs-out`,
     /// equivalent to `GPM_OBS_OUT`). Implies `--obs`.
     pub obs_out: Option<PathBuf>,
+    /// File every printed [`Table`](crate::Table) is also appended to, one
+    /// JSON line per table (`--json`).
+    pub json: Option<PathBuf>,
 }
 
 impl Default for HarnessArgs {
@@ -60,6 +63,7 @@ impl Default for HarnessArgs {
             cutoff_ms: 2_000,
             obs: false,
             obs_out: None,
+            json: None,
         }
     }
 }
@@ -118,11 +122,15 @@ impl HarnessArgs {
                     out.obs_out = Some(PathBuf::from(take_value("--obs-out")?));
                     out.obs = true;
                 }
+                "--json" => {
+                    out.json = Some(PathBuf::from(take_value("--json")?));
+                }
                 "--help" | "-h" => {
                     return Err(
                         "usage: <experiment> [--scale <f>] [--seed <n>] [--patterns <n>] \
                          [--threads <n>] [--oracle matrix|two-hop] [--dataset-dir <path>] \
-                         [--dataset <name>] [--cutoff-ms <n>] [--obs] [--obs-out <path>]"
+                         [--dataset <name>] [--cutoff-ms <n>] [--obs] [--obs-out <path>] \
+                         [--json <path>]"
                             .to_string(),
                     )
                 }
@@ -157,7 +165,8 @@ impl HarnessArgs {
         }
     }
 
-    /// Makes the parsed `--oracle`/`--obs`/`--obs-out` choices process-wide.
+    /// Makes the parsed `--oracle`/`--obs`/`--obs-out`/`--json` choices
+    /// process-wide.
     fn install(&self) {
         std::env::set_var("GPM_ORACLE", self.oracle.name());
         if self.obs {
@@ -165,6 +174,9 @@ impl HarnessArgs {
         }
         if let Some(path) = &self.obs_out {
             gpm::obs::set_out_path(path);
+        }
+        if let Some(path) = &self.json {
+            crate::table::set_json_path(path);
         }
     }
 
@@ -416,6 +428,8 @@ mod tests {
             "750",
             "--obs-out",
             "/tmp/obs.jsonl",
+            "--json",
+            "/tmp/tables.jsonl",
         ])
         .unwrap();
         assert_eq!(a.scale, 0.5);
@@ -429,6 +443,7 @@ mod tests {
         assert_eq!(a.cutoff_ms, 750);
         assert!(a.obs, "--obs-out implies --obs");
         assert_eq!(a.obs_out.as_deref(), Some(Path::new("/tmp/obs.jsonl")));
+        assert_eq!(a.json.as_deref(), Some(Path::new("/tmp/tables.jsonl")));
 
         let b = parse(&["--obs"]).unwrap();
         assert!(b.obs);
@@ -456,6 +471,7 @@ mod tests {
         assert!(parse(&["--cutoff-ms", "0"]).is_err());
         assert!(parse(&["--cutoff-ms", "abc"]).is_err());
         assert!(parse(&["--obs-out"]).is_err());
+        assert!(parse(&["--json"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--help"]).is_err());
     }

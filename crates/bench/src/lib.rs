@@ -33,7 +33,9 @@
 //! * `--obs` / `--obs-out <path>` — enable the `gpm-obs` observability layer
 //!   (equivalent to `GPM_OBS=1` / `GPM_OBS_OUT=<path>`): `svc_continuous`
 //!   and `svc_recovery` append a `Registry::report()` dump, and `--obs-out`
-//!   additionally streams JSONL events plus a final registry snapshot.
+//!   additionally streams JSONL events plus a final registry snapshot;
+//! * `--json <path>` — append every table the binary prints to `path`, one
+//!   JSON line per table: `{"title": …, "headers": […], "rows": [[…], …]}`.
 //!
 //! ## Paper map
 //!

@@ -2,10 +2,26 @@
 //!
 //! Each harness binary prints one table whose rows correspond to the x-axis
 //! points of the figure it regenerates, so the output can be compared line by
-//! line with the paper (and pasted into BENCHMARKS.md).
+//! line with the paper (and pasted into BENCHMARKS.md). With `--json <path>`
+//! every printed table is also appended to `path` as one JSON line, `{"title": …, "headers": […], "rows": [[…], …]}`.
+
+use serde::Serialize;
+use std::fs::OpenOptions;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+
+/// Where [`Table::print`] appends JSON lines, if anywhere.
+static JSON_PATH: OnceLock<PathBuf> = OnceLock::new();
+
+/// Makes every later [`Table::print`] of this process also append its table
+/// to `path` as one JSON line. The first registered path wins.
+pub(crate) fn set_json_path(path: &Path) {
+    let _ = JSON_PATH.set(path.to_path_buf());
+}
 
 /// A simple left-aligned text table.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -71,9 +87,28 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout.
+    /// The table as one JSON line (no trailing newline).
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("a table of strings serializes")
+    }
+
+    /// Prints the table to stdout and, when a JSON path is registered
+    /// (`--json`), appends [`Table::to_json`] to that file. A file
+    /// that cannot be opened or written ends the process with a message and
+    /// exit code 2, like a malformed flag.
     pub fn print(&self) {
         println!("{}", self.render());
+        if let Some(path) = JSON_PATH.get() {
+            let appended = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut file| writeln!(file, "{}", self.to_json()));
+            if let Err(e) = appended {
+                eprintln!("cannot append a table to {}: {e}", path.display());
+                std::process::exit(2);
+            }
+        }
     }
 }
 
@@ -94,6 +129,16 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         // Header, separator and two rows after the title line.
         assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    fn json_line_holds_title_headers_and_rows() {
+        let mut t = Table::new("Fig \"X\"", &["a", "b"]);
+        t.row(vec!["1".into(), "x, y".into()]);
+        assert_eq!(
+            t.to_json(),
+            r#"{"title":"Fig \"X\"","headers":["a","b"],"rows":[["1","x, y"]]}"#
+        );
     }
 
     #[test]

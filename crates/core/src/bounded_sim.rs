@@ -14,11 +14,11 @@
 //!
 //! * the initial `mat(u)` (lines 4–5) is read from the data graph's
 //!   attribute index ([`DataGraph::nodes_satisfying`]) rather than tested
-//!   node by node: each predicate atom is evaluated once per distinct value
-//!   of its attribute, and the nodes of the passing values come off their
-//!   posting lists — or off one scan of the attribute's code column, when
-//!   that reads fewer entries — so selection stays within the paper's
-//!   `O(|V_p||V|)`;
+//!   node by node: each predicate atom is a binary search for at most three
+//!   ranges of its attribute's sorted value codes, and the nodes of those
+//!   ranges come off contiguous posting slices — or off one scan of the
+//!   attribute's code column, when that reads fewer entries — so selection
+//!   stays within the paper's `O(|V_p||V|)`;
 //! * each `mat(u)` is held twice: as a packed ascending list of its
 //!   *initial* candidates, which every pass iterates, and as a membership
 //!   bitmap, which is the only part that shrinks. The witness-counter pass

@@ -30,10 +30,17 @@ pub fn bounded_simulation_naive_with_oracle<O: DistanceQuery + ?Sized>(
         return MatchOutcome::default();
     }
 
-    // Initial candidates: predicate satisfaction only.
+    // Initial candidates: predicate satisfaction only, tested node by node
+    // so that the reference shares no code with the attribute index.
     let mut mat: Vec<Vec<NodeId>> = pattern
         .node_ids()
-        .map(|u| graph.nodes_satisfying(pattern.predicate(u)))
+        .map(|u| {
+            let pred = pattern.predicate(u);
+            graph
+                .nodes()
+                .filter(|&v| graph.satisfies(v, pred))
+                .collect()
+        })
         .collect();
 
     let mut outcome = MatchOutcome::default();

@@ -848,7 +848,7 @@ mod tests {
     }
 
     #[test]
-    fn deletion_with_upstream_sources_rebuilds() {
+    fn deletion_with_upstream_sources_repairs_labels_in_place() {
         // Cutting an interior chain edge affects upstream sources too — the
         // case that used to cost a rebuild is repaired in the labels, which
         // end up answering exactly like a fresh build.
@@ -960,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_rebuild_demanding_deletes_pays_one_rebuild() {
+    fn batch_of_upstream_source_deletes_lands_on_the_unit_labels() {
         // Star with an upstream source: 0 → 1 → {2..2+LEAVES}. Deleting any
         // (1, leaf) edge changes the row of 1 while 0 still reaches 1 — the
         // shape every unit of which used to demand a rebuild. The batch now

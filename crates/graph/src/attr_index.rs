@@ -2,16 +2,38 @@
 //! [`DataGraph::nodes_satisfying`](crate::DataGraph::nodes_satisfying).
 //!
 //! Candidate selection (lines 4–5 of Fig. 4) asks, for every pattern node,
-//! which data nodes satisfy a conjunction of atoms `A op a`. Evaluated node
-//! by node that is one string-keyed [`Attributes::get`] and one
-//! [`CmpOp::eval`](crate::CmpOp::eval) per node and atom. The index
-//! factorises each key's column the way a factorised database does: the set
-//! of nodes holding the key is the union of `{value} × nodes(value)` over
-//! the key's distinct values. An atom is then evaluated once per distinct
-//! value, and the nodes of the values that pass are read off their posting
-//! lists. Most domains are far smaller than `V` (a `label` drawn from a few
-//! hundred values); a key with a value per node (an id) costs one `eval` per
-//! node, as before, but no string-keyed lookups.
+//! which data nodes satisfy a conjunction of atoms `A op c`. The index keeps
+//! one column per key, dictionary-encoded with *order-preserving* codes: the
+//! key's distinct values are sorted once, a value's code is its rank, and the
+//! posting lists are laid out in code order. The nodes of a code range
+//! `lo..hi` are then the single slice `postings[offsets[lo]..offsets[hi]]`,
+//! and its size is read in O(1). Each key's column is the union of
+//! `{value} × nodes(value)` products, as in a factorised database; sorting
+//! the values makes the products that pass a comparison one contiguous run.
+//!
+//! The order agrees with [`AttrValue::partial_cmp_value`] on every pair it
+//! can compare:
+//!
+//! * **numeric** values first, `Int` and non-NaN `Float`, by their `f64`
+//!   image; equal images put `Int`s before `Float`s, `Int`s by their `i64`
+//!   and `Float`s by their bits;
+//! * then NaN floats (by bits), then `Str` in byte order, then `Bool`.
+//!
+//! Two nodes share a code iff they hold the same `AttrValue`, floats compared
+//! by their bits: `0.0` and `-0.0`, or two NaN payloads, get codes of their
+//! own, and `Int(1)` and `Float(1.0)` do too.
+//!
+//! An atom `A op c` compiles by binary search to at most three ascending
+//! code ranges. Only `c`'s own class can pass: a NaN constant selects
+//! nothing, and so does a constant no value of the key is comparable with.
+//! Inside the class, `c` splits the codes at its *tie band*, the entries
+//! whose image equals `c`'s (for `Str` and `Bool`, the entry equal to `c`).
+//! Below the band every entry compares `Less` and above it `Greater`, exactly,
+//! because rounding to `f64` is monotone. Inside the band
+//! [`CmpOp::eval`](crate::CmpOp::eval) decides entry by entry; this is the
+//! only place the index calls it. The band holds 0–1 entries, and more only
+//! when `Int`s beyond 2⁵³ or an `Int` and a `Float` share an image. A node
+//! without the key holds no code and never passes, whatever the operator.
 //!
 //! The index is derived data: [`DataGraph`](crate::DataGraph) builds it on
 //! the first predicate query and drops it when an attribute tuple is written
@@ -22,6 +44,7 @@ use crate::node_id::NodeId;
 use crate::predicate::AtomicFormula;
 use crate::value::AttrValue;
 use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 
 /// The code of a node that does not carry the key.
 const NONE: u32 = u32::MAX;
@@ -32,38 +55,84 @@ pub(crate) struct AttrIndex {
     columns: FxHashMap<String, Column>,
 }
 
-/// A key's column, dictionary-encoded.
+/// A key's column, dictionary-encoded with order-preserving codes.
 #[derive(Clone, Debug)]
 struct Column {
-    /// The key's distinct values; a value's position is its code.
+    /// The key's distinct values in [`Rank`] order; a value's position is
+    /// its code.
     values: Vec<AttrValue>,
     /// Per node, the code of its value, or [`NONE`].
     codes: Vec<u32>,
     /// `postings[offsets[c]..offsets[c + 1]]`: the nodes holding code `c`,
-    /// ascending.
+    /// ascending. Codes are laid out in order, so a code range is one slice.
     offsets: Vec<u32>,
     postings: Vec<NodeId>,
 }
 
-/// The identity of a value inside one column. Floats are keyed by their
-/// bits, so two nodes share a code only when their values are the same
-/// `AttrValue` (`0.0` and `-0.0`, or two NaN payloads, get codes of their
-/// own) and every atom therefore treats them alike.
-#[derive(PartialEq, Eq, Hash)]
-enum ValueKey<'a> {
-    Int(i64),
-    Float(u64),
+/// A value's place in the dictionary order (see the module docs): the
+/// derived `Ord` is that order, and two ranks are equal only for the same
+/// value, floats compared by their bits.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Rank<'a> {
+    /// An `Int` or a non-NaN `Float`: its `f64` image as an order-preserving
+    /// `u64`, then `Int`s (`false`) before `Float`s, then the `i64` (as an
+    /// order-preserving `u64`) or the bits.
+    Numeric(u64, bool, u64),
+    Nan(u64),
     Str(&'a str),
     Bool(bool),
 }
 
-impl<'a> ValueKey<'a> {
-    fn of(value: &'a AttrValue) -> Self {
-        match value {
-            AttrValue::Int(i) => ValueKey::Int(*i),
-            AttrValue::Float(f) => ValueKey::Float(f.to_bits()),
-            AttrValue::Str(s) => ValueKey::Str(s),
-            AttrValue::Bool(b) => ValueKey::Bool(*b),
+fn rank(value: &AttrValue) -> Rank<'_> {
+    let image = |f: f64| {
+        // `+ 0.0` maps `-0.0` to `0.0`; flipping the sign bit of positive
+        // and every bit of negative images orders their bits like the values.
+        let bits = (f + 0.0).to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    };
+    match value {
+        AttrValue::Int(i) => Rank::Numeric(image(*i as f64), false, *i as u64 ^ 1 << 63),
+        AttrValue::Float(f) if f.is_nan() => Rank::Nan(f.to_bits()),
+        AttrValue::Float(f) => Rank::Numeric(image(*f), true, f.to_bits()),
+        AttrValue::Str(s) => Rank::Str(s),
+        AttrValue::Bool(b) => Rank::Bool(*b),
+    }
+}
+
+impl Rank<'_> {
+    /// The value ranked: `rank` loses nothing.
+    fn value(&self) -> AttrValue {
+        match *self {
+            Rank::Numeric(_, false, i) => AttrValue::Int((i ^ 1 << 63) as i64),
+            Rank::Numeric(_, true, bits) | Rank::Nan(bits) => {
+                AttrValue::Float(f64::from_bits(bits))
+            }
+            Rank::Str(s) => AttrValue::Str(s.to_string()),
+            Rank::Bool(b) => AttrValue::Bool(b),
+        }
+    }
+
+    /// The order class: numeric, NaN, `Str`, `Bool`. A constant compares
+    /// only with values of its own class.
+    fn class(&self) -> u8 {
+        match self {
+            Rank::Numeric(..) => 0,
+            Rank::Nan(_) => 1,
+            Rank::Str(_) => 2,
+            Rank::Bool(_) => 3,
+        }
+    }
+
+    /// Where this rank lies against `c`'s, of the same class, up to the tie
+    /// band: numeric values by their image alone, the others exactly.
+    fn band_cmp(&self, c: &Rank<'_>) -> Ordering {
+        match (self, c) {
+            (Rank::Numeric(x, ..), Rank::Numeric(y, ..)) => x.cmp(y),
+            _ => self.cmp(c),
         }
     }
 }
@@ -71,41 +140,27 @@ impl<'a> ValueKey<'a> {
 impl AttrIndex {
     /// Indexes the attribute tuples of nodes `0..attrs.len()`.
     pub(crate) fn build(attrs: &[Attributes]) -> AttrIndex {
-        let n = attrs.len();
-        let mut building: FxHashMap<&str, (Column, FxHashMap<ValueKey<'_>, u32>)> =
-            FxHashMap::default();
+        let mut entries: FxHashMap<&str, Vec<Entry<'_>>> = FxHashMap::default();
         for (v, tuple) in attrs.iter().enumerate() {
             for (key, value) in tuple.iter() {
-                let (column, dictionary) = building.entry(key).or_insert_with(|| {
-                    let column = Column {
-                        values: Vec::new(),
-                        codes: vec![NONE; n],
-                        offsets: Vec::new(),
-                        postings: Vec::new(),
-                    };
-                    (column, FxHashMap::default())
-                });
-                let code = *dictionary.entry(ValueKey::of(value)).or_insert_with(|| {
-                    column.values.push(value.clone());
-                    (column.values.len() - 1) as u32
-                });
-                column.codes[v] = code;
+                entries
+                    .entry(key)
+                    .or_default()
+                    .push((rank(value), v as u32));
             }
         }
-        let columns = building
+        let columns = entries
             .into_iter()
-            .map(|(key, (mut column, _))| {
-                column.fill_postings();
-                (key.to_string(), column)
-            })
+            .map(|(key, entries)| (key.to_string(), Column::build(attrs.len(), entries)))
             .collect();
         AttrIndex { columns }
     }
 
     /// The nodes satisfying the conjunction `first ∧ rest`, ascending.
     ///
-    /// `first` selects; each atom of `rest` filters the survivors through
-    /// its key's code column. A key no node carries selects nothing.
+    /// `first` selects; each atom of `rest` filters the survivors with a
+    /// range test on its key's code column. A key no node carries selects
+    /// nothing.
     pub(crate) fn select(&self, first: &AtomicFormula, rest: &[AtomicFormula]) -> Vec<NodeId> {
         let Some(column) = self.columns.get(first.attr.as_str()) else {
             return Vec::new();
@@ -115,54 +170,112 @@ impl AttrIndex {
             let Some(column) = self.columns.get(atom.attr.as_str()) else {
                 return Vec::new();
             };
-            let pass = column.passing(atom);
-            selected.retain(|v| Column::passes(&pass, column.codes[v.index()]));
+            let ranges = column.ranges(atom);
+            let mut kept = 0;
+            for i in 0..selected.len() {
+                let v = selected[i];
+                selected[kept] = v;
+                kept += holds_code(&ranges, column.codes[v.index()]) as usize;
+            }
+            selected.truncate(kept);
         }
         selected
     }
 }
 
+/// A node's entry in a key's column while the index is built: its value's
+/// rank and its id.
+type Entry<'a> = (Rank<'a>, u32);
+
+/// The codes that satisfy an atom: up to three ascending, disjoint code
+/// ranges `start..end`, unused ones empty. Three suffice: below the tie
+/// band every entry compares `Less` and above it `Greater`, and inside it an
+/// `Int` constant meets `Int`s in `i64` order (`Less`, then `Equal`, then
+/// `Greater`) and then `Float`s (all `Equal`), any other constant only
+/// `Equal`s; no operator's passing entries form more than three runs of
+/// that sequence.
+type CodeRanges = [(u32, u32); 3];
+
+/// Whether `code` lies in one of `ranges`; [`NONE`] lies in none.
+///
+/// Free of branches on `code`, as are the loops that call it: they write
+/// every node and advance past the ones that pass, because whether a node
+/// passes follows no pattern a branch predictor could learn.
+#[inline]
+fn holds_code(ranges: &CodeRanges, code: u32) -> bool {
+    ranges.iter().fold(false, |hit, &(start, end)| {
+        hit | (code.wrapping_sub(start) < end - start)
+    })
+}
+
 impl Column {
-    /// Counting sort of the nodes by code: `offsets` and `postings` from
-    /// `codes`, each posting list ascending because nodes are visited in id
-    /// order.
-    fn fill_postings(&mut self) {
-        let mut offsets = vec![0u32; self.values.len() + 1];
-        for &c in self.codes.iter().filter(|&&c| c != NONE) {
-            offsets[c as usize + 1] += 1;
+    /// One sort of the key's `(value, node)` entries yields the dictionary,
+    /// each node's code, the offsets and the postings.
+    fn build(n: usize, mut entries: Vec<Entry<'_>>) -> Column {
+        entries.sort_unstable();
+        let mut column = Column {
+            values: Vec::new(),
+            codes: vec![NONE; n],
+            offsets: Vec::new(),
+            postings: Vec::with_capacity(entries.len()),
+        };
+        let mut last = None;
+        for (rank, v) in entries {
+            if last != Some(rank) {
+                last = Some(rank);
+                column.offsets.push(column.postings.len() as u32);
+                column.values.push(rank.value());
+            }
+            column.codes[v as usize] = (column.values.len() - 1) as u32;
+            column.postings.push(NodeId::new(v));
         }
-        for c in 0..self.values.len() {
-            offsets[c + 1] += offsets[c];
-        }
-        let mut next = offsets.clone();
-        let mut postings = vec![NodeId::new(0); offsets[self.values.len()] as usize];
-        for (v, &c) in self.codes.iter().enumerate().filter(|&(_, &c)| c != NONE) {
-            postings[next[c as usize] as usize] = NodeId::new(v as u32);
-            next[c as usize] += 1;
-        }
-        self.offsets = offsets;
-        self.postings = postings;
+        column.offsets.push(column.postings.len() as u32);
+        column
     }
 
-    /// The posting list of code `c`.
-    fn posting(&self, c: usize) -> &[NodeId] {
-        &self.postings[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    /// The codes whose values satisfy `atom`.
+    fn ranges(&self, atom: &AtomicFormula) -> CodeRanges {
+        let c = rank(&atom.value);
+        let mut ranges = [(0, 0); 3];
+        if let Rank::Nan(_) = c {
+            return ranges;
+        }
+        let values = &self.values;
+        let start = values.partition_point(|v| rank(v).class() < c.class());
+        let end = start + values[start..].partition_point(|v| rank(v).class() == c.class());
+        let lo = start + values[start..end].partition_point(|v| rank(v).band_cmp(&c).is_lt());
+        let hi = lo + values[lo..end].partition_point(|v| rank(v).band_cmp(&c).is_eq());
+        let mut used = 0;
+        let mut push = |start: usize, end: usize| {
+            let (start, end) = (start as u32, end as u32);
+            if start == end {
+                return;
+            }
+            if used > 0 && ranges[used - 1].1 == start {
+                ranges[used - 1].1 = end;
+            } else {
+                ranges[used] = (start, end);
+                used += 1;
+            }
+        };
+        if atom.op.holds(Ordering::Less) {
+            push(start, lo);
+        }
+        for (code, value) in (lo..hi).zip(&values[lo..hi]) {
+            if atom.op.eval(value, &atom.value) {
+                push(code, code + 1);
+            }
+        }
+        if atom.op.holds(Ordering::Greater) {
+            push(hi, end);
+        }
+        ranges
     }
 
-    /// `atom` evaluated once per distinct value: `pass[c]` is whether the
-    /// nodes holding code `c` satisfy it.
-    fn passing(&self, atom: &AtomicFormula) -> Vec<bool> {
-        self.values
-            .iter()
-            .map(|value| atom.op.eval(value, &atom.value))
-            .collect()
-    }
-
-    /// Whether a node with `code` passes; [`NONE`] (the key is undefined)
-    /// never does, whatever the operator.
-    #[inline]
-    fn passes(pass: &[bool], code: u32) -> bool {
-        pass.get(code as usize).copied().unwrap_or(false)
+    /// The postings of the codes `start..end`: one slice, ascending per
+    /// code.
+    fn postings_of(&self, (start, end): (u32, u32)) -> &[NodeId] {
+        &self.postings[self.offsets[start as usize] as usize..self.offsets[end as usize] as usize]
     }
 
     /// The nodes satisfying `atom`, ascending, by whichever of two plans
@@ -171,15 +284,17 @@ impl Column {
     /// pass, `⌈log₂ k⌉` passes (none for a single list); scanning reads all
     /// `|V|` codes.
     fn select(&self, atom: &AtomicFormula) -> Vec<NodeId> {
-        let pass = self.passing(atom);
-        let passing_codes = || (0..self.values.len()).filter(|&c| pass[c]);
-        let k = passing_codes().count();
-        let m: usize = passing_codes().map(|c| self.posting(c).len()).sum();
+        let ranges = self.ranges(atom);
+        let k: usize = ranges
+            .iter()
+            .map(|&(start, end)| (end - start) as usize)
+            .sum();
+        let m: usize = ranges.iter().map(|&r| self.postings_of(r).len()).sum();
         let merge_passes = k.next_power_of_two().trailing_zeros() as usize;
         if m * merge_passes < self.codes.len() {
             let mut selected = Vec::with_capacity(m);
-            for c in passing_codes() {
-                selected.extend_from_slice(self.posting(c));
+            for &r in &ranges {
+                selected.extend_from_slice(self.postings_of(r));
             }
             if k > 1 {
                 // `k` ascending runs: the stable sort finds and merges them.
@@ -187,12 +302,14 @@ impl Column {
             }
             selected
         } else {
-            self.codes
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| Self::passes(&pass, c))
-                .map(|(v, _)| NodeId::new(v as u32))
-                .collect()
+            let mut selected = vec![NodeId::new(0); m + 1];
+            let mut kept = 0;
+            for (v, &c) in self.codes.iter().enumerate() {
+                selected[kept] = NodeId::new(v as u32);
+                kept += holds_code(&ranges, c) as usize;
+            }
+            selected.truncate(kept);
+            selected
         }
     }
 }

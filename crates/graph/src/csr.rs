@@ -127,11 +127,6 @@ impl CsrAdjacency {
         self.overlay.is_empty()
     }
 
-    /// Number of nodes whose lists currently live in the overlay.
-    pub(crate) fn overlay_len(&self) -> usize {
-        self.overlay.len()
-    }
-
     /// Folds the overlay back into a freshly-packed CSR base.
     /// `O(|V| + |E|)`; a no-op when already compact.
     pub(crate) fn compact(&mut self) {
@@ -188,14 +183,13 @@ mod tests {
 
         a.compact();
         assert!(a.is_compact());
-        assert_eq!(a.overlay_len(), 0);
         assert_eq!(a.neighbors(n(0)), &[n(1), n(2)]);
         assert_eq!(a.neighbors(n(1)), &[] as &[NodeId]);
         assert_eq!(a.neighbors(n(2)), &[n(0)]);
 
         // Mutating after compaction touches only the affected node.
         a.remove(n(0), n(1));
-        assert_eq!(a.overlay_len(), 1);
+        assert!(!a.is_compact());
         assert_eq!(a.neighbors(n(0)), &[n(2)]);
         assert_eq!(a.neighbors(n(2)), &[n(0)]); // untouched node: base slice
     }

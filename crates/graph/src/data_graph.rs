@@ -19,12 +19,13 @@
 //! * `O(1)` expected edge-membership tests (incremental updates check for
 //!   duplicates);
 //! * dense `u32` node ids so per-node state can live in flat vectors;
-//! * a derived **attribute index** (one dictionary-encoded column per key,
-//!   with a posting list per distinct value) so candidate selection,
-//!   [`DataGraph::nodes_satisfying`], evaluates each predicate atom once per
-//!   distinct value rather than once per node. It is built on the first
-//!   predicate query and dropped by the only attribute writers,
-//!   [`DataGraph::add_node`] and [`DataGraph::attributes_mut`].
+//! * a derived **attribute index** (one column per key, its distinct values
+//!   sorted so that a value's code is its rank, with a posting list per
+//!   code) so candidate selection, [`DataGraph::nodes_satisfying`], turns
+//!   each predicate atom into a binary search for a few code ranges rather
+//!   than a test per node. It is built on the first predicate query and
+//!   dropped by the only attribute writers, [`DataGraph::add_node`] and
+//!   [`DataGraph::attributes_mut`].
 //!
 //! None of that layout crosses a boundary. The serde encoding — wire, WAL,
 //! snapshot — is the graph's logical content, `{"attrs": [...],
@@ -199,14 +200,6 @@ impl DataGraph {
         self.out_adj.is_compact() && self.in_adj.is_compact()
     }
 
-    /// Number of nodes whose neighbour lists currently live in the delta
-    /// overlay rather than the CSR base, per direction `(out, in)`.
-    /// Diagnostic for deciding when a [`compact`](DataGraph::compact) pays
-    /// off.
-    pub fn overlay_sizes(&self) -> (usize, usize) {
-        (self.out_adj.overlay_len(), self.in_adj.overlay_len())
-    }
-
     /// Folds the delta overlays of both directions back into freshly-packed
     /// CSR bases, restoring contiguous iteration for every node.
     ///
@@ -245,10 +238,15 @@ impl DataGraph {
     /// All nodes whose attributes satisfy `pred`, ascending — the initial
     /// candidate set `mat(u)` of the matching algorithms.
     ///
-    /// Answered from the attribute index (see the module docs): the first
-    /// atom is evaluated once per distinct value of its key, and each later
-    /// atom once per distinct value of its own. The result equals filtering
-    /// [`DataGraph::nodes`] by [`DataGraph::satisfies`].
+    /// Answered from the attribute index: each atom `A op c` compiles by
+    /// binary search over `A`'s sorted dictionary to at most three code
+    /// ranges. The first atom's ranges select their posting slices (or a
+    /// scan of the code column, whichever reads fewer entries); each later
+    /// atom filters the survivors with a range test on its own key's codes.
+    /// [`CmpOp::eval`](crate::CmpOp::eval) runs only on the dictionary
+    /// entries whose `f64` image ties with a numeric `c` (or that equal a
+    /// string or boolean `c`), normally 0–1 per atom. The result equals
+    /// filtering [`DataGraph::nodes`] by [`DataGraph::satisfies`].
     pub fn nodes_satisfying(&self, pred: &Predicate) -> Vec<NodeId> {
         match pred.atoms().split_first() {
             None => self.nodes().collect(),
@@ -514,6 +512,95 @@ mod tests {
             sat(&g, Predicate::atom("x", CmpOp::Eq, 0)),
             vec![n(0), n(1), n(2), n(3)]
         );
+
+        // One key over every class, with tie bands wider than one entry:
+        // `Int(2⁵³ + 1)` rounds to `Float(2⁵³)`, `Int(i64::MAX)` to 2⁶³.
+        const P53: i64 = 1 << 53;
+        let mut g = DataGraph::new();
+        for value in [
+            AttrValue::Int(P53),                                     // 0
+            AttrValue::Int(P53 + 1),                                 // 1
+            AttrValue::Float(P53 as f64),                            // 2
+            AttrValue::Int(i64::MIN),                                // 3
+            AttrValue::Int(i64::MAX),                                // 4
+            AttrValue::Float(f64::NAN),                              // 5
+            AttrValue::Float(f64::from_bits(0xfff8_0000_0000_0001)), // 6, NaN
+            AttrValue::from("ab"),                                   // 7
+            AttrValue::from("é"),                                    // 8
+            AttrValue::Bool(true),                                   // 9
+            AttrValue::Int(-P53),                                    // 10
+            AttrValue::Float(9_223_372_036_854_775_808.0),           // 11, 2⁶³
+        ] {
+            g.add_node([("x", value)]);
+        }
+        let ids = |ids: &[u32]| ids.iter().map(|&i| n(i)).collect::<Vec<_>>();
+        let x = |op, value: AttrValue| Predicate::atom("x", op, value);
+        let table = [
+            (x(CmpOp::Eq, AttrValue::Int(P53 + 1)), ids(&[1, 2])),
+            (x(CmpOp::Lt, AttrValue::Int(P53 + 1)), ids(&[0, 3, 10])),
+            (x(CmpOp::Le, AttrValue::Int(P53)), ids(&[0, 2, 3, 10])),
+            (x(CmpOp::Gt, AttrValue::Int(P53)), ids(&[1, 4, 11])),
+            (x(CmpOp::Ge, AttrValue::Int(P53 + 1)), ids(&[1, 2, 4, 11])),
+            (
+                x(CmpOp::Ne, AttrValue::Int(P53 + 1)),
+                ids(&[0, 3, 4, 10, 11]),
+            ),
+            (x(CmpOp::Gt, AttrValue::Float(P53 as f64)), ids(&[4, 11])),
+            (x(CmpOp::Eq, AttrValue::Int(i64::MAX)), ids(&[4, 11])),
+            (
+                x(CmpOp::Lt, AttrValue::Int(i64::MAX)),
+                ids(&[0, 1, 2, 3, 10]),
+            ),
+            (x(CmpOp::Le, AttrValue::Int(i64::MIN)), ids(&[3])),
+            // Constants below the minimum, above the maximum, absent.
+            (x(CmpOp::Le, AttrValue::Float(f64::NEG_INFINITY)), ids(&[])),
+            (
+                x(CmpOp::Gt, AttrValue::Float(f64::NEG_INFINITY)),
+                ids(&[0, 1, 2, 3, 4, 10, 11]),
+            ),
+            (
+                x(CmpOp::Ne, AttrValue::Float(f64::INFINITY)),
+                ids(&[0, 1, 2, 3, 4, 10, 11]),
+            ),
+            (x(CmpOp::Eq, AttrValue::Int(7)), ids(&[])),
+            (x(CmpOp::Ne, AttrValue::Float(f64::NAN)), ids(&[])),
+            (x(CmpOp::Eq, AttrValue::Float(f64::NAN)), ids(&[])),
+            // Strings in byte order: shared prefixes, non-ASCII.
+            (x(CmpOp::Lt, AttrValue::from("ab")), ids(&[])),
+            (x(CmpOp::Gt, AttrValue::from("a")), ids(&[7, 8])),
+            (x(CmpOp::Eq, AttrValue::from("abc")), ids(&[])),
+            (x(CmpOp::Lt, AttrValue::from("abc")), ids(&[7])),
+            (x(CmpOp::Ge, AttrValue::from("é")), ids(&[8])),
+            (x(CmpOp::Le, AttrValue::from("\u{10FFFF}")), ids(&[7, 8])),
+            (x(CmpOp::Ne, AttrValue::from("")), ids(&[7, 8])),
+            (x(CmpOp::Lt, AttrValue::Bool(true)), ids(&[])),
+            (x(CmpOp::Ne, AttrValue::Bool(false)), ids(&[9])),
+            // Later atoms filter through the same ranges.
+            (
+                x(CmpOp::Ge, AttrValue::Int(i64::MIN)).and("x", CmpOp::Ne, P53 + 1),
+                ids(&[0, 3, 4, 10, 11]),
+            ),
+            (
+                x(CmpOp::Ne, AttrValue::Int(0)).and("x", CmpOp::Eq, P53 as f64),
+                ids(&[0, 1, 2]),
+            ),
+            (
+                x(CmpOp::Ne, AttrValue::Int(0)).and("x", CmpOp::Lt, P53 + 1),
+                ids(&[0, 3, 10]),
+            ),
+            (
+                x(CmpOp::Gt, AttrValue::from("")).and("x", CmpOp::Le, "ab"),
+                ids(&[7]),
+            ),
+            (
+                x(CmpOp::Le, AttrValue::Int(i64::MAX)).and("x", CmpOp::Gt, i64::MIN),
+                ids(&[0, 1, 2, 4, 10, 11]),
+            ),
+        ];
+        for (p, expected) in &table {
+            assert_eq!(&satisfying_reference(&g, p), expected, "reference on `{p}`");
+            assert_eq!(&sat(&g, p.clone()), expected, "index on `{p}`");
+        }
     }
 
     #[test]
@@ -540,17 +627,15 @@ mod tests {
     #[test]
     fn compact_folds_overlay_and_preserves_neighbors() {
         let mut g = triangle();
-        assert_eq!(g.overlay_sizes(), (3, 3)); // built edge-by-edge
+        assert!(!g.is_compact()); // built edge-by-edge
         g.compact();
         assert!(g.is_compact());
-        assert_eq!(g.overlay_sizes(), (0, 0));
         assert_eq!(g.out_neighbors(n(0)), &[n(1)]);
         assert_eq!(g.in_neighbors(n(0)), &[n(2)]);
 
         // A post-compaction update dirties exactly the touched endpoints.
         g.add_edge(n(0), n(2)).unwrap();
         assert!(!g.is_compact());
-        assert_eq!(g.overlay_sizes(), (1, 1));
         let mut outs = g.out_neighbors(n(0)).to_vec();
         outs.sort();
         assert_eq!(outs, vec![n(1), n(2)]);
@@ -617,25 +702,59 @@ mod tests {
         assert!(serde_json::from_str::<crate::PatternGraph>("[]").is_err());
     }
 
-    /// The attribute values the selection property draws from: every type,
-    /// a NaN, both zeros, and an `Int`/`Float` pair that compare equal.
+    /// The attribute values the selection property draws from: every type;
+    /// `Int`s at ±2⁵³ and the `i64` extremes; `Int`/`Float` pairs with equal
+    /// images (`Int(0)`/`Float(±0.0)`, `Int(2⁵³ + 1)`/`Float(2⁵³)`,
+    /// `Int(i64::MAX)`/`Float(2⁶³)`); NaNs with different payloads; strings
+    /// that share prefixes or are not ASCII.
     fn palette() -> Vec<AttrValue> {
+        const P53: i64 = 1 << 53;
         vec![
+            AttrValue::Int(i64::MIN),
+            AttrValue::Int(-P53),
             AttrValue::Int(-1),
             AttrValue::Int(0),
             AttrValue::Int(1),
             AttrValue::Int(2),
+            AttrValue::Int(P53),
+            AttrValue::Int(P53 + 1),
+            AttrValue::Int(i64::MAX - 1),
+            AttrValue::Int(i64::MAX),
             AttrValue::Float(0.0),
             AttrValue::Float(-0.0),
-            AttrValue::Float(f64::NAN),
             AttrValue::Float(1.0),
             AttrValue::Float(1.5),
+            AttrValue::Float(P53 as f64),
+            AttrValue::Float(9_223_372_036_854_775_808.0),
+            AttrValue::Float(f64::NAN),
+            AttrValue::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            AttrValue::Float(f64::from_bits(0xfff8_0000_0000_0000)),
             AttrValue::from(""),
             AttrValue::from("a"),
+            AttrValue::from("ab"),
+            AttrValue::from("abc"),
             AttrValue::from("b"),
+            AttrValue::from("é"),
+            AttrValue::from("éa"),
             AttrValue::Bool(false),
             AttrValue::Bool(true),
         ]
+    }
+
+    /// The constants the selection property draws: the palette, then
+    /// constants no node holds — below every value of their class, above
+    /// it, or between two palette values.
+    fn constants() -> Vec<AttrValue> {
+        let mut constants = palette();
+        constants.extend([
+            AttrValue::Float(f64::NEG_INFINITY),
+            AttrValue::Float(f64::INFINITY),
+            AttrValue::Int(3),
+            AttrValue::Float(0.5),
+            AttrValue::from("aa"),
+            AttrValue::from("\u{10FFFF}"),
+        ]);
+        constants
     }
 
     /// Keys of the selection property: `"ghost"` is on no node.
@@ -661,12 +780,12 @@ mod tests {
     }
 
     fn predicate_of(atoms: &[(u8, u8, u8)]) -> Predicate {
-        let palette = palette();
+        let constants = constants();
         atoms.iter().fold(Predicate::any(), |p, &(k, op, d)| {
             p.and(
                 KEYS[k as usize],
                 OPS[op as usize],
-                palette[d as usize].clone(),
+                constants[d as usize].clone(),
             )
         })
     }
@@ -678,10 +797,10 @@ mod tests {
         /// an `add_node`, and on a clone.
         #[test]
         fn prop_nodes_satisfying_equals_node_filter(
-            nodes in collection::vec((0u8..20, 0u8..20, 0u8..20), 0..24),
-            preds in collection::vec(collection::vec((0u8..4, 0u8..6, 0u8..14), 0..4), 1..6),
-            write in (0u32..24, 0u8..3, 0u8..20),
-            added in (0u8..20, 0u8..20, 0u8..20),
+            nodes in collection::vec((0u8..36, 0u8..36, 0u8..36), 0..32),
+            preds in collection::vec(collection::vec((0u8..4, 0u8..6, 0u8..34), 0..4), 1..6),
+            write in (0u32..32, 0u8..3, 0u8..36),
+            added in (0u8..36, 0u8..36, 0u8..36),
         ) {
             let preds: Vec<Predicate> = preds.iter().map(|atoms| predicate_of(atoms)).collect();
             let check = |g: &DataGraph, stage: &str| -> proptest::TestCaseResult {

@@ -35,10 +35,11 @@
 //! the matcher's candidate refinement scan linear memory.
 //! [`DataGraph::compact`] folds the overlay back into the CSR base; bulk
 //! constructors (builders, loaders, decoding, the `gpm-datagen` generators)
-//! do so automatically. A derived **attribute index** — per key, a
-//! dictionary of distinct values, a value code per node and a posting list
-//! per value — answers [`DataGraph::nodes_satisfying`], so a predicate atom
-//! is evaluated once per distinct value rather than once per node.
+//! do so automatically. A derived **attribute index** — per key, a sorted
+//! dictionary of distinct values, a value code per node (its value's rank)
+//! and a posting list per code, laid out in code order — answers
+//! [`DataGraph::nodes_satisfying`], so a predicate atom is a binary search
+//! for a few code ranges rather than a test per node.
 //!
 //! ## Quick tour
 //!

@@ -34,18 +34,23 @@ impl CmpOp {
     /// comparable (different incompatible types, or NaN).
     pub fn eval(self, lhs: &AttrValue, rhs: &AttrValue) -> bool {
         match lhs.partial_cmp_value(rhs) {
-            Some(ord) => match self {
-                CmpOp::Lt => ord == Ordering::Less,
-                CmpOp::Le => ord != Ordering::Greater,
-                CmpOp::Eq => ord == Ordering::Equal,
-                CmpOp::Ne => ord != Ordering::Equal,
-                CmpOp::Gt => ord == Ordering::Greater,
-                CmpOp::Ge => ord != Ordering::Less,
-            },
+            Some(ord) => self.holds(ord),
             // `!=` over incomparable values: the paper requires `v.A = a'` to
             // be *defined* and `a' op a` to hold; an incomparable pair cannot
             // witness any comparison, so every operator fails.
             None => false,
+        }
+    }
+
+    /// Whether `lhs op rhs` holds when `lhs` compares `ord` to `rhs`.
+    pub(crate) fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ne => ord != Ordering::Equal,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
         }
     }
 

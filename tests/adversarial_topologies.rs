@@ -192,7 +192,7 @@ fn chain_cut_at_head_repairs_in_place() {
 /// node to every node past the cut — the honest worst case of in-place
 /// repair: the rectangle is a quarter of all pairs and all of it changes.
 #[test]
-fn chain_cut_midway_degrades_to_one_rebuild() {
+fn chain_cut_midway_decides_prefix_times_suffix() {
     let candidates = drive(deep_chain(64), &cut_chain_updates(64, 31), "chain k=31");
     assert_eq!(candidates, 32 * 32, "prefix × suffix");
 }
@@ -202,7 +202,7 @@ fn chain_cut_midway_degrades_to_one_rebuild() {
 /// changes the column of its leaf — the hub and the other leaves — and
 /// nothing else.
 #[test]
-fn star_hub_teardown_rebuilds_per_deletion() {
+fn star_hub_teardown_decides_one_column_per_deletion() {
     const LEAVES: usize = 24;
     let candidates = drive(star(LEAVES), &delete_hub_updates(LEAVES), "star hub");
     assert_eq!(
@@ -216,7 +216,7 @@ fn star_hub_teardown_rebuilds_per_deletion() {
 /// everything downstream, after which all three oracles agree the
 /// components are mutually unreachable.
 #[test]
-fn clique_bridge_cut_rebuilds_once() {
+fn clique_bridge_cut_decides_upstream_cliques_times_downstream() {
     const CLIQUES: usize = 3;
     const SIZE: usize = 5;
     let candidates = drive(
@@ -235,7 +235,7 @@ fn clique_bridge_cut_rebuilds_once() {
 /// waist *and* every source at once — like the star teardown, each edge
 /// changes one whole column.
 #[test]
-fn bowtie_waist_severing_rebuilds_per_sink() {
+fn bowtie_waist_severing_decides_one_column_per_sink() {
     const WING: usize = 12;
     let candidates = drive(bowtie(WING), &sever_waist_updates(WING), "bowtie out-wing");
     assert_eq!(
@@ -263,7 +263,7 @@ fn bowtie_source_cut_repairs_in_place() {
 /// Insertions never touch the deletion path, even on the high-diameter grid
 /// where a single shortcut changes a quadratic number of distances.
 #[test]
-fn grid_shortcut_insertions_never_rebuild() {
+fn grid_shortcut_insertions_decide_no_deletion_pair() {
     const ROWS: usize = 8;
     const COLS: usize = 8;
     let g = grid(ROWS, COLS);
@@ -311,7 +311,7 @@ fn star_teardown_batch_matches_unit_semantics() {
 /// to force a rebuild: the batch `AFF1` matches the matrix as a set, every
 /// pair agrees, and the work is E columns, as unit by unit.
 #[test]
-fn bowtie_waist_teardown_batch_rebuilds_once() {
+fn bowtie_waist_teardown_batch_decides_one_column_per_sink() {
     const WING: usize = 12;
     let script = sever_waist_updates(WING);
     assert!(script.len() > 1, "the batch must contain E > 1 deletions");
