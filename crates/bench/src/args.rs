@@ -180,6 +180,22 @@ impl HarnessArgs {
         }
     }
 
+    /// Closes the run's observability output; every binary calls it last.
+    /// With `--obs` it prints the registry's report; with `--obs-out` it
+    /// also appends a final full-registry snapshot to the JSONL sink and
+    /// checks that every line of the sink parses.
+    pub fn finish_obs(&self) {
+        if !self.obs {
+            return;
+        }
+        println!("\n{}", gpm::obs::registry().report());
+        if let Some(path) = &self.obs_out {
+            gpm::obs::registry().export_snapshot();
+            let lines = crate::obs_jsonl_check_or_exit(path);
+            println!("obs JSONL OK ({lines} lines, {})", path.display());
+        }
+    }
+
     /// Scales one of the paper's workload sizes.
     pub fn scaled(&self, paper_size: usize) -> usize {
         ((paper_size as f64 * self.scale).round() as usize).max(8)

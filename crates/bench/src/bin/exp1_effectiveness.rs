@@ -93,4 +93,5 @@ fn main() {
         "paper reference: SubIso failed on 2/20 patterns; Match found ~5-9 matches per pattern \
          node vs 1 for SubIso."
     );
+    args.finish_obs();
 }

@@ -157,4 +157,5 @@ fn main() {
          a smaller size). The Match total is dominated by the shared, one-off matrix build.",
         args.cutoff_ms
     );
+    args.finish_obs();
 }

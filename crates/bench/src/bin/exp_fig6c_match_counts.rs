@@ -53,4 +53,5 @@ fn main() {
     }
     table.print();
     println!("paper reference: Match finds far more matches than VF2 in all cases (Fig. 6(c)).");
+    args.finish_obs();
 }

@@ -58,4 +58,5 @@ fn main() {
         "paper reference: with 1 extra edge every pattern matches; by ~8 extra edges most\n\
          patterns stop matching — each added edge is an extra constraint."
     );
+    args.finish_obs();
 }

@@ -82,4 +82,5 @@ fn main() {
         "paper reference: Match (distance matrix) is fastest on every dataset; 2-hop helps over\n\
          plain BFS when many node pairs are unreachable (e.g. Matter), less so on dense graphs."
     );
+    args.finish_obs();
 }

@@ -137,4 +137,5 @@ fn main() {
         "paper reference: Match is fastest everywhere and insensitive to |E| (constant-time\n\
          distance checks); 2-hop helps at |E| = 20K but fades as the graph gets denser."
     );
+    args.finish_obs();
 }

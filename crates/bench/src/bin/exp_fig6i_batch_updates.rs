@@ -16,4 +16,5 @@ fn main() {
          batches; the affected area grows with |δ|.",
         &args,
     );
+    args.finish_obs();
 }

@@ -14,4 +14,5 @@ fn main() {
          deletion stays tiny (|AFF| around 7-12), so IncMatch wins across the whole range.",
         &args,
     );
+    args.finish_obs();
 }

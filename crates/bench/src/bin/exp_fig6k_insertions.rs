@@ -15,4 +15,5 @@ fn main() {
          narrows as |δ| grows.",
         &args,
     );
+    args.finish_obs();
 }

@@ -56,4 +56,5 @@ fn main() {
         "paper reference: increasing the bound k admits more matches, up to a saturation point\n\
          beyond which no new matches appear."
     );
+    args.finish_obs();
 }

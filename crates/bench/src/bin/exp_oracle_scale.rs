@@ -444,4 +444,5 @@ fn main() {
         "paper reference: Section 6 points past the |V|^2 matrix via distance\n\
          indexing; the 2-hop labeling answers the same queries in label space."
     );
+    args.finish_obs();
 }

@@ -99,4 +99,5 @@ fn main() {
          the match, and |AFF2| stays far smaller than |AFF1| — bounded simulation is relatively\n\
          insensitive to data-graph updates."
     );
+    args.finish_obs();
 }

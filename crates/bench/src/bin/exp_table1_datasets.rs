@@ -46,4 +46,5 @@ fn main() {
         ]);
     }
     table.print();
+    args.finish_obs();
 }

@@ -162,15 +162,5 @@ fn main() {
     println!();
     latency.print();
 
-    if args.obs {
-        // The registry accumulated across every run above; the service
-        // scope's `batch_ns` histogram is the log-bucketed counterpart of
-        // the exact table (≤ 1/16 relative error).
-        println!("\n{}", gpm::obs::registry().report());
-        if let Some(path) = &args.obs_out {
-            gpm::obs::registry().export_snapshot();
-            let lines = gpm_bench::obs_jsonl_check_or_exit(path);
-            println!("obs JSONL OK ({lines} lines, {})", path.display());
-        }
-    }
+    args.finish_obs();
 }

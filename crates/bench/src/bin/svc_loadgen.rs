@@ -227,12 +227,5 @@ fn main() {
          keep the batch schedule; the driver never drops or reorders batches to hide it."
     );
 
-    if args.harness.obs {
-        println!("\n{}", gpm::obs::registry().report());
-        if let Some(path) = &args.harness.obs_out {
-            gpm::obs::registry().export_snapshot();
-            let lines = gpm_bench::obs_jsonl_check_or_exit(path);
-            println!("obs JSONL OK ({lines} lines, {})", path.display());
-        }
-    }
+    args.harness.finish_obs();
 }

@@ -231,14 +231,5 @@ fn main() {
         let _ = fs::remove_dir_all(&root);
     }
 
-    if args.obs {
-        // The `wal` scope (append/fsync timing, bytes) only populates in
-        // the durable modes; `service.batch_ns` spans all three.
-        println!("\n{}", gpm::obs::registry().report());
-        if let Some(path) = &args.obs_out {
-            gpm::obs::registry().export_snapshot();
-            let lines = gpm_bench::obs_jsonl_check_or_exit(path);
-            println!("obs JSONL OK ({lines} lines, {})", path.display());
-        }
-    }
+    args.finish_obs();
 }

@@ -31,9 +31,10 @@
 //! * `--cutoff-ms <n>` — wall-clock budget per curve for baselines with
 //!   exponential worst cases (VF2 in the extended Fig. 6(b) sweep);
 //! * `--obs` / `--obs-out <path>` — enable the `gpm-obs` observability layer
-//!   (equivalent to `GPM_OBS=1` / `GPM_OBS_OUT=<path>`): `svc_continuous`
-//!   and `svc_recovery` append a `Registry::report()` dump, and `--obs-out`
-//!   additionally streams JSONL events plus a final registry snapshot;
+//!   (equivalent to `GPM_OBS=1` / `GPM_OBS_OUT=<path>`): every binary
+//!   appends a `Registry::report()` dump, and `--obs-out` additionally
+//!   streams JSONL events plus a final full-registry snapshot, both written
+//!   by [`HarnessArgs::finish_obs`];
 //! * `--json <path>` — append every table the binary prints to `path`, one
 //!   JSON line per table: `{"title": …, "headers": […], "rows": [[…], …]}`.
 //!
@@ -94,7 +95,7 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 /// experiment binaries' shared error path). Returns the object count — the
 /// structured output is only useful if downstream tooling can consume it
 /// blind, so the binaries fail loudly instead of shipping a corrupt sink.
-pub fn obs_jsonl_check_or_exit(path: &std::path::Path) -> usize {
+pub(crate) fn obs_jsonl_check_or_exit(path: &std::path::Path) -> usize {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {

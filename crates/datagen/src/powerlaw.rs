@@ -205,7 +205,12 @@ mod tests {
             ..Default::default()
         };
         let g = powerlaw_graph(&cfg);
-        assert!(!gpm_graph::is_dag(&g), "back edges should create cycles");
+        // A node on a cycle has a finite non-empty distance to itself.
+        let m = gpm_distance::DistanceMatrix::build(&g);
+        assert!(
+            g.nodes().any(|v| m.nonempty_distance(v, v).is_some()),
+            "back edges should create cycles"
+        );
     }
 
     #[test]

@@ -10,14 +10,19 @@
 //!   search labels the node and continues through it. The sequential 2-hop
 //!   build, the bit-parallel build's phase-B replay and the insertion
 //!   repair's resumed searches differ in that decision only.
-//! * [`multi_bfs`] — up to 64 rows at once, standard or non-empty: a
+//! * [`multi_bfs`] — up to 64 searches at once, standard or non-empty: a
 //!   level-synchronous BFS that carries its roots as one frontier *word* per
 //!   node (Then et al., "The More the Merrier", VLDB 2014) and reports
 //!   arrivals instead of filling rows, so that roots which walk the same
-//!   part of the graph scan its edges once. Two callers: the matrix build
-//!   takes every row from it, 64 consecutive sources to a pass (non-empty,
-//!   arrivals written straight into the rows), and a 2-hop deletion the rows
-//!   of its affected rectangle (standard, kept at the rectangle's columns).
+//!   part of the graph scan its edges once. Its caller decides, per node,
+//!   which of the roots that arrived continue — [`pruned_bfs`]'s decision,
+//!   one bit per root. Three callers: the matrix build takes every row from
+//!   it, 64 consecutive sources to a pass (non-empty, arrivals written
+//!   straight into the rows); a 2-hop deletion the rows of its affected
+//!   rectangle (standard, kept at the rectangle's columns) — both let every
+//!   root continue; and phase A of the bit-parallel 2-hop build (`two_hop.rs`)
+//!   its pruned searches, one scan of a node's label list resolving every
+//!   root that arrived there.
 //!
 //! # The horizon
 //!
@@ -30,15 +35,6 @@
 //! no BFS wraps** — and no sum of two finite distances collides with the
 //! sentinel. Because the back-ends take their rows from the same functions
 //! they cannot clamp differently.
-//!
-//! The bit-parallel build's phase A (`two_hop.rs`) has the frontier words of
-//! [`multi_bfs`] but is still not a caller: its prune test is woven into the
-//! level loop — one scan of a node's label list resolves every root bit that
-//! arrived there, a bit stops expanding where its prune value resolves, and
-//! the values are cached for phase B — where `multi_bfs` reports an arrival
-//! and always continues. A callback that could prune per bit would be phase
-//! A's loop with the caller's tables threaded through it. It reads the same
-//! constants.
 
 use crate::UNREACHABLE;
 use gpm_graph::{Adjacency, NodeId};
@@ -218,9 +214,13 @@ impl MultiBfs {
 
 /// BFS from every one of `roots` (at most 64) along `direction` at once:
 /// `arrive(v, mask, d)` is called once per node and level with the roots —
-/// bit `j` of `mask` is `roots[j]` — whose distance to `v` is `d`. What is
-/// never reported is unreachable, or farther than [`HORIZON`]. A repeated
-/// root is two bits that travel together.
+/// bit `j` of `mask` is `roots[j]` — whose distance to `v` is `d`, and
+/// returns the roots of `mask` that continue through `v`. A root it leaves
+/// out is pruned at `v` as [`pruned_bfs`] prunes a refused node: reported
+/// there, expanded no further from there. So each root's bit runs one pruned
+/// search, and a caller that prunes nothing returns `mask`. What is never
+/// reported is unreachable (past the root's prunes), or farther than
+/// [`HORIZON`]. A repeated root is two bits that travel together.
 ///
 /// As in [`bfs_row`], a standard pass reports each root at itself at 0; a
 /// `nonempty` pass starts with each root's neighbours at 1 and does not mark
@@ -232,7 +232,7 @@ pub(crate) fn multi_bfs<G: Adjacency>(
     direction: Direction,
     nonempty: bool,
     ws: &mut MultiBfs,
-    mut arrive: impl FnMut(NodeId, u64, u16),
+    mut arrive: impl FnMut(NodeId, u64, u16) -> u64,
 ) {
     assert!(roots.len() <= 64, "one frontier bit per root");
     ws.seen.resize(g.node_count(), 0);
@@ -256,12 +256,13 @@ pub(crate) fn multi_bfs<G: Adjacency>(
         let mut level_list = std::mem::take(&mut ws.level_list);
         for v in level_list.drain(..) {
             let roots = std::mem::take(&mut ws.level[v.index()]);
-            arrive(v, roots, d);
-            if d >= HORIZON {
-                continue; // the horizon: saturate, never wrap
+            let go = arrive(v, roots, d);
+            debug_assert_eq!(go & !roots, 0, "only a root that arrived continues");
+            if go == 0 || d >= HORIZON {
+                continue; // pruned, or the horizon: saturate, never wrap
             }
             for &w in direction.neighbours(g, v) {
-                let new = roots & !ws.seen[w.index()];
+                let new = go & !ws.seen[w.index()];
                 if new != 0 {
                     ws.reach(w, new);
                 }
@@ -343,13 +344,15 @@ mod tests {
         }
     }
 
-    /// The standard row [`pruned_bfs`] reports when `keep` refuses `refuse`
-    /// and nothing else; checks the scratch comes back clean.
-    fn pruned_row<G: Adjacency>(
+    /// The row of what one standard [`pruned_bfs`] from `start` hands to
+    /// its callback, which takes the nodes `keep` holds and refuses the
+    /// rest; checks that no node is handed over twice and that the scratch
+    /// comes back clean.
+    fn reported_row<G: Adjacency>(
         g: &G,
         start: NodeId,
         direction: Direction,
-        refuse: Option<NodeId>,
+        keep: impl Fn(NodeId) -> bool,
     ) -> Vec<u16> {
         let mut row = vec![UNREACHABLE; g.node_count()];
         let mut dist = vec![UNREACHABLE; g.node_count()];
@@ -362,11 +365,8 @@ mod tests {
             &mut VecDeque::new(),
             |v, d| {
                 assert_eq!(row[v.index()], UNREACHABLE, "{v} reported twice");
-                if Some(v) == refuse {
-                    return false;
-                }
                 row[v.index()] = d;
-                true
+                keep(v)
             },
         );
         assert!(
@@ -376,26 +376,48 @@ mod tests {
         row
     }
 
+    /// The standard row [`pruned_bfs`] labels when `keep` refuses `refuse`
+    /// and nothing else.
+    fn pruned_row<G: Adjacency>(
+        g: &G,
+        start: NodeId,
+        direction: Direction,
+        refuse: Option<NodeId>,
+    ) -> Vec<u16> {
+        let mut row = reported_row(g, start, direction, |v| Some(v) != refuse);
+        if let Some(v) = refuse {
+            row[v.index()] = UNREACHABLE;
+        }
+        row
+    }
+
     /// The rows [`multi_bfs`] reports for `roots`, one per root (repeats
-    /// included); checks that no `(root, node)` is reported twice and that
-    /// the scratch comes back clean.
-    fn multi_rows<G: Adjacency>(
+    /// included), when root `r` continues through `v` iff `keep(r, v)`;
+    /// checks that no `(root, node)` is reported twice and that the scratch
+    /// comes back clean.
+    fn pruned_multi_rows<G: Adjacency>(
         g: &G,
         roots: &[NodeId],
         direction: Direction,
         nonempty: bool,
         ws: &mut MultiBfs,
+        keep: impl Fn(NodeId, NodeId) -> bool,
     ) -> Vec<Vec<u16>> {
         let mut rows = vec![vec![UNREACHABLE; g.node_count()]; roots.len()];
-        multi_bfs(g, roots, direction, nonempty, ws, |v, mut arrived, d| {
+        multi_bfs(g, roots, direction, nonempty, ws, |v, arrived, d| {
             assert_ne!(arrived, 0, "{v} reported for no root");
-            while arrived != 0 {
-                let j = arrived.trailing_zeros() as usize;
-                arrived &= arrived - 1;
+            let (mut bits, mut go) = (arrived, 0);
+            while bits != 0 {
+                let j = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 let slot = &mut rows[j][v.index()];
                 assert_eq!(*slot, UNREACHABLE, "root {j} reported at {v} twice");
                 *slot = d;
+                if keep(roots[j], v) {
+                    go |= 1 << j;
+                }
             }
+            go
         });
         let words = ws.seen.iter().chain(&ws.level).chain(&ws.next);
         assert!(words.copied().all(|word| word == 0), "scratch not restored");
@@ -403,18 +425,33 @@ mod tests {
         rows
     }
 
-    /// Every root's row ≡ [`bfs_row`], standard and non-empty, both
-    /// directions, for 1, 2, 63 and 64 roots spread over `g` and for a set
-    /// with a repeated root.
-    fn assert_multi_matches_rows(g: &DataGraph, name: &str) {
-        let n_nodes = g.node_count();
+    /// [`pruned_multi_rows`] with every root continuing everywhere.
+    fn multi_rows<G: Adjacency>(
+        g: &G,
+        roots: &[NodeId],
+        direction: Direction,
+        nonempty: bool,
+        ws: &mut MultiBfs,
+    ) -> Vec<Vec<u16>> {
+        pruned_multi_rows(g, roots, direction, nonempty, ws, |_, _| true)
+    }
+
+    /// 1, 2, 63 and 64 roots spread over a graph of `n_nodes` nodes, and a
+    /// set with a repeated root.
+    fn root_sets(n_nodes: usize) -> Vec<Vec<NodeId>> {
         let spread =
             |k: usize| -> Vec<NodeId> { (0..k).map(|i| n((i * 7 % n_nodes) as u32)).collect() };
         let mut root_sets: Vec<Vec<NodeId>> = [1, 2, 63, 64].map(spread).into();
         root_sets.push(vec![n(0), n(n_nodes as u32 - 1), n(0)]);
+        root_sets
+    }
+
+    /// Every root's row ≡ [`bfs_row`], standard and non-empty, both
+    /// directions, for every set of [`root_sets`].
+    fn assert_multi_matches_rows(g: &DataGraph, name: &str) {
         // One scratch for all of it: a pass must leave nothing behind.
         let mut ws = MultiBfs::default();
-        for roots in &root_sets {
+        for roots in &root_sets(g.node_count()) {
             for (direction, nonempty) in [
                 (Forward, false),
                 (Backward, false),
@@ -427,6 +464,36 @@ mod tests {
                         rows[j],
                         distance_row(g, root, direction, nonempty),
                         "{name}: root {j} = {root} of {}, {direction:?}, nonempty = {nonempty}",
+                        roots.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each root refuses a seeded share (1/8 to 4/8) of the nodes, its own
+    /// choice per node: for every set of [`root_sets`] and both directions,
+    /// the `(root, node, distance)` triples [`multi_bfs`] reports are those
+    /// of one [`pruned_bfs`] per root that refuses the same nodes.
+    fn assert_multi_prunes_like_pruned_bfs(g: &DataGraph, name: &str, seed: u64) {
+        let share = seed % 4 + 1;
+        let keep = |root: NodeId, v: NodeId| {
+            // SplitMix64's finaliser over (seed, root, node).
+            let mut h = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ ((root.index() as u64) << 32 | v.index() as u64);
+            h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (h ^ (h >> 31)) % 8 >= share
+        };
+        let mut ws = MultiBfs::default();
+        for roots in &root_sets(g.node_count()) {
+            for direction in [Forward, Backward] {
+                let rows = pruned_multi_rows(g, roots, direction, false, &mut ws, keep);
+                for (j, &root) in roots.iter().enumerate() {
+                    assert_eq!(
+                        rows[j],
+                        reported_row(g, root, direction, |v| keep(root, v)),
+                        "{name}, seed {seed}: root {j} = {root} of {}, {direction:?}",
                         roots.len()
                     );
                 }
@@ -545,6 +612,24 @@ mod tests {
     }
 
     #[test]
+    fn multi_bfs_prunes_each_root_like_one_pruned_bfs_per_root() {
+        for seed in 0..6 {
+            let g = random_graph(&RandomGraphConfig::new(90, 240, 3).with_seed(seed));
+            assert_multi_prunes_like_pruned_bfs(&g, "random", seed);
+            let g = powerlaw_graph(&PowerLawConfig::new(120, 400).with_seed(seed));
+            assert_multi_prunes_like_pruned_bfs(&g, "power-law", seed);
+        }
+        for seed in 0..4 {
+            assert_multi_prunes_like_pruned_bfs(&star(70), "star", seed);
+            assert_multi_prunes_like_pruned_bfs(&deep_chain(150), "deep_chain", seed);
+            assert_multi_prunes_like_pruned_bfs(&grid(9, 11), "grid", seed);
+            let g = cliques_with_bridges(5, 14);
+            assert_multi_prunes_like_pruned_bfs(&g, "cliques_with_bridges", seed);
+            assert_multi_prunes_like_pruned_bfs(&bowtie(40), "bowtie", seed);
+        }
+    }
+
+    #[test]
     fn multi_bfs_repeated_root_travels_as_two_bits_and_strangers_never_meet() {
         // 0 → 1 → 2 and, apart from it, 3 → 4: roots 0, 3, 0.
         let g = DataGraph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
@@ -554,7 +639,8 @@ mod tests {
             let mut arrivals = Vec::new();
             let ws = &mut MultiBfs::default();
             multi_bfs(&g, &roots, Forward, nonempty, ws, |v, m, d| {
-                arrivals.push((v, m, d))
+                arrivals.push((v, m, d));
+                m
             });
             arrivals.sort_unstable();
             arrivals

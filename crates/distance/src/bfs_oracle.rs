@@ -16,9 +16,9 @@ use rustc_hash::FxHashMap;
 
 /// A memoising BFS distance oracle.
 ///
-/// Cloning the oracle clears nothing — the cache is shared per instance, not
-/// global — but the oracle is cheap to construct, so callers typically create
-/// one per (graph, pattern) matching run.
+/// The cache belongs to the instance, and nothing clears it: the oracle is
+/// cheap to construct, so callers create one per (graph, pattern) matching
+/// run.
 #[derive(Debug, Default)]
 pub struct BfsOracle {
     /// Memoised rows of non-empty distances, keyed by source node.
@@ -34,11 +34,6 @@ impl BfsOracle {
     /// Number of sources whose BFS row is currently cached.
     pub fn cached_sources(&self) -> usize {
         self.rows.lock().len()
-    }
-
-    /// Drops every cached row. Call this after mutating the graph.
-    pub fn invalidate(&self) {
-        self.rows.lock().clear();
     }
 
     /// Runs `f` on the (memoised, computed on first use) row of `from`
@@ -113,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn caching_and_invalidation() {
+    fn rows_are_cached_once_per_source() {
         let g = sample();
         let o = BfsOracle::new();
         assert_eq!(o.cached_sources(), 0);
@@ -122,8 +117,6 @@ mod tests {
         assert_eq!(o.cached_sources(), 1);
         let _ = o.nonempty_distance(&g, n(2), n(1));
         assert_eq!(o.cached_sources(), 2);
-        o.invalidate();
-        assert_eq!(o.cached_sources(), 0);
     }
 
     #[test]

@@ -74,12 +74,14 @@ impl DistanceMatrix {
             let sources: Vec<NodeId> = (first..first + rows.len() / n)
                 .map(|x| NodeId::new(x as u32))
                 .collect();
-            let write = |y: NodeId, mut arrived: u64, d: u16| {
-                while arrived != 0 {
-                    let j = arrived.trailing_zeros() as usize;
-                    arrived &= arrived - 1;
+            let write = |y: NodeId, arrived: u64, d: u16| {
+                let mut bits = arrived;
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     rows[j * n + y.index()] = d;
                 }
+                arrived
             };
             multi_bfs(g, &sources, Direction::Forward, true, &mut bfs, write);
             pool.lock().expect(POOL).push(bfs);

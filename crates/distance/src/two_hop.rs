@@ -12,13 +12,21 @@
 //! same query interface; only the cover-construction heuristic differs from
 //! the cited work.
 //!
-//! Both builds run their pruned searches on the crate's pruned BFS kernel
+//! Both builds run their pruned searches on the crate's BFS kernels
 //! (`bfs.rs`) and supply the prune test only: the sequential reference a
-//! label merge-join, the bit-parallel build's replay a cached value plus an
-//! intra-batch term. The word-parallel phase A is a different algorithm and
-//! keeps its own level-synchronous loop, reading the same horizon constants.
+//! label merge-join per popped node (`pruned_bfs`); the bit-parallel build's
+//! phase A one label scan per node for every root that arrived there
+//! (`multi_bfs`, the kernel the matrix build runs on), and its phase-B replay
+//! a cached phase-A value plus an intra-batch term (`pruned_bfs`).
+//!
+//! [`TwoHopOracle`] stays a filter in front of a BFS although the labels
+//! alone give exact distances ([`TwoHopIndex::nonempty_distance`], which
+//! `IncrementalTwoHop` answers from): it is the paper's Fig. 6(f)–(h) "2-hop"
+//! variant, whose curve measures exactly that filter-then-BFS cost, and it
+//! already holds the one `TwoHopIndex` of the crate. Answering from the
+//! labels would change what that curve measures.
 
-use crate::bfs::{hop_sum, path_sum, pruned_bfs, Direction, HORIZON};
+use crate::bfs::{hop_sum, multi_bfs, path_sum, pruned_bfs, Direction, MultiBfs};
 use crate::oracle::DistanceQuery;
 use crate::UNREACHABLE;
 use gpm_exec::Executor;
@@ -120,13 +128,13 @@ impl TwoHopIndex {
     /// Landmarks are processed in batches of `batch_size` (clamped to
     /// `1..=64`) consecutive ranks. Each batch runs in two phases:
     ///
-    /// 1. **Phase A** (parallel): per direction, one word-parallel
-    ///    level-synchronous BFS carries all of the batch's roots as bits of a
-    ///    `u64` frontier mask, pruning each root's bit against the labels
-    ///    committed by *earlier batches* only. The prune value computed for
-    ///    every (root, node) visit is cached, replacing the sequential
-    ///    build's per-pop label merge-join with a dense table lookup shared
-    ///    across up to 64 roots. Roots are split into contiguous groups, one
+    /// 1. **Phase A** (parallel): per direction, one word-parallel BFS
+    ///    (the crate's multi-source kernel) carries a group of the batch's
+    ///    roots as bits of a `u64` frontier mask, pruning each root's bit
+    ///    against the labels committed by *earlier batches* only. The prune
+    ///    value computed for every (root, node) visit is cached, replacing
+    ///    the sequential build's per-pop label merge-join with a dense table
+    ///    lookup shared across up to 64 roots. Roots are split into contiguous groups, one
     ///    `gpm-exec` item each.
     /// 2. **Phase B** (sequential): the batch's pruned BFSes are replayed in
     ///    exact rank order, with the prune test assembled from the cached
@@ -322,12 +330,7 @@ impl TwoHopIndex {
 
     /// Non-empty distance between two nodes (diagonal = shortest cycle).
     pub fn nonempty_distance(&self, x: NodeId, y: NodeId) -> Option<u32> {
-        let d = if x == y {
-            self.diagonal[x.index()]
-        } else {
-            self.standard_distance_raw(x, y)
-        };
-        match d {
+        match self.nonempty_raw(x, y) {
             UNREACHABLE => None,
             d => Some(u32::from(d)),
         }
@@ -336,11 +339,7 @@ impl TwoHopIndex {
     /// Whether a non-empty path from `x` to `y` exists, answered from the
     /// labels alone (the "filter" the paper describes).
     pub fn reachable(&self, x: NodeId, y: NodeId) -> bool {
-        if x == y {
-            self.diagonal[x.index()] != UNREACHABLE
-        } else {
-            self.standard_distance_raw(x, y) != UNREACHABLE
-        }
+        self.nonempty_raw(x, y) != UNREACHABLE
     }
 
     /// Total number of label entries (a proxy for index size).
@@ -408,10 +407,8 @@ struct GroupScratch {
     n: usize,
     /// Row capacity: max roots this group handles per batch.
     cap: usize,
-    /// Bitmask of roots that reached each node (phase A), reset per pass.
-    arrived: Vec<u64>,
-    /// Next-level mask accumulator, cleared while draining `next_list`.
-    next: Vec<u64>,
+    /// The word-parallel pruned search of phase A.
+    bfs: MultiBfs,
     /// Dense hub-side label table: `tmp[rank * cap + j]` = pre-batch
     /// `label_out`/`label_in` entry of root `j`'s hub for `rank`.
     tmp: Vec<u16>,
@@ -420,9 +417,6 @@ struct GroupScratch {
     /// phase-A BFS visited this batch are ever read back, so no reset.
     already_fwd: Vec<u16>,
     already_bwd: Vec<u16>,
-    frontier: Vec<(u32, u64)>,
-    next_list: Vec<u32>,
-    arrived_list: Vec<u32>,
 }
 
 impl GroupScratch {
@@ -430,15 +424,11 @@ impl GroupScratch {
         GroupScratch {
             n,
             cap,
-            arrived: vec![0; n],
-            next: vec![0; n],
+            bfs: MultiBfs::default(),
             tmp: vec![UNREACHABLE; n * cap],
             tmp_touched: Vec::new(),
             already_fwd: vec![0; n * cap],
             already_bwd: vec![0; n * cap],
-            frontier: Vec::new(),
-            next_list: Vec::new(),
-            arrived_list: Vec::new(),
         }
     }
 
@@ -457,8 +447,7 @@ impl GroupScratch {
         label_in: &[Vec<LabelEntry>],
     ) {
         let (n, cap) = (self.n, self.cap);
-        let width = roots.len();
-        debug_assert!(width <= cap && width <= 64);
+        debug_assert!(roots.len() <= cap);
 
         // Dense hub-side table: one column per root, rows indexed by the
         // pre-batch rank of the joining hub.
@@ -474,37 +463,36 @@ impl GroupScratch {
             }
         }
 
-        self.frontier.clear();
-        for (j, &hub) in roots.iter().enumerate() {
-            self.arrived[hub.index()] |= 1u64 << j;
-            self.arrived_list.push(hub.index() as u32);
-            self.frontier.push((hub.index() as u32, 1u64 << j));
-        }
+        let tmp = &self.tmp;
         let already = match direction {
             Direction::Forward => &mut self.already_fwd,
             Direction::Backward => &mut self.already_bwd,
         };
-
-        let mut d: u16 = 0;
-        while !self.frontier.is_empty() {
-            for &(vu, m) in &self.frontier {
-                let v = vu as usize;
+        multi_bfs(
+            g,
+            roots,
+            direction,
+            false,
+            &mut self.bfs,
+            |v, arrived, d| {
+                let v = v.index();
                 let node_labels = match direction {
                     Direction::Forward => &label_in[v],
                     Direction::Backward => &label_out[v],
                 };
                 // One scan of the node-side label list serves every root bit
                 // that arrived at this level; a bit leaves the alive mask as
-                // soon as a common-hub sum resolves it as pruned.
+                // soon as a common-hub sum resolves it as pruned, and the bits
+                // still alive after the scan are the roots that continue.
                 let mut cur = [UNREACHABLE; 64];
-                let mut alive = m;
+                let mut alive = arrived;
                 'scan: for &(r, dv) in node_labels {
                     let row = r as usize * cap;
                     let mut bits = alive;
                     while bits != 0 {
                         let j = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        let t = self.tmp[row + j];
+                        let t = tmp[row + j];
                         if t != UNREACHABLE {
                             let sum = path_sum(t, dv);
                             if sum < cur[j] {
@@ -519,52 +507,20 @@ impl GroupScratch {
                         }
                     }
                 }
-                let mut expand = 0u64;
-                let mut bits = m;
+                let mut bits = arrived;
                 while bits != 0 {
                     let j = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     already[j * n + v] = cur[j];
-                    if cur[j] > d {
-                        expand |= 1u64 << j;
-                    }
                 }
-                // Depth saturation, as in the pruned kernel.
-                if expand != 0 && d < HORIZON {
-                    for &w in direction.neighbours(g, NodeId::new(vu)) {
-                        let wi = w.index();
-                        let prev = self.arrived[wi];
-                        let add = expand & !prev;
-                        if add != 0 {
-                            if prev == 0 {
-                                self.arrived_list.push(wi as u32);
-                            }
-                            if self.next[wi] == 0 {
-                                self.next_list.push(wi as u32);
-                            }
-                            self.arrived[wi] |= add;
-                            self.next[wi] |= add;
-                        }
-                    }
-                }
-            }
-            self.frontier.clear();
-            for &w in &self.next_list {
-                self.frontier.push((w, self.next[w as usize]));
-                self.next[w as usize] = 0;
-            }
-            self.next_list.clear();
-            d = d.saturating_add(1);
-        }
+                alive
+            },
+        );
 
         for &slot in &self.tmp_touched {
             self.tmp[slot] = UNREACHABLE;
         }
         self.tmp_touched.clear();
-        for &v in &self.arrived_list {
-            self.arrived[v as usize] = 0;
-        }
-        self.arrived_list.clear();
     }
 }
 

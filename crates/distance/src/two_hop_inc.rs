@@ -380,16 +380,17 @@ impl IncrementalTwoHop {
             roots.extend(rows.iter().map(|&(v, _)| v));
             table.clear();
             table.resize(rows.len() * width, UNREACHABLE);
-            multi_bfs(g, roots, direction, false, bfs, |w, mut arrived, d| {
+            multi_bfs(g, roots, direction, false, bfs, |w, arrived, d| {
                 let col = column[w.index()];
-                if col == NO_COLUMN {
-                    return;
+                if col != NO_COLUMN {
+                    let mut bits = arrived;
+                    while bits != 0 {
+                        let j = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        table[j * width + col as usize] = d;
+                    }
                 }
-                while arrived != 0 {
-                    let j = arrived.trailing_zeros() as usize;
-                    arrived &= arrived - 1;
-                    table[j * width + col as usize] = d;
-                }
+                arrived
             });
             let (mut found, mut fringe, mut hit_rows) = (Vec::new(), Vec::new(), 0);
             for (j, &(v, dv)) in rows.iter().enumerate() {

@@ -92,7 +92,7 @@ pub use error::GraphError;
 pub use node_id::{NodeId, PatternNodeId};
 pub use pattern_graph::{PatternEdge, PatternGraph, PatternNode};
 pub use predicate::{AtomicFormula, CmpOp, Predicate};
-pub use traversal::{bfs_distances_bounded, is_dag, topological_order};
+pub use traversal::bfs_distances_bounded;
 pub use value::{AttrType, AttrValue};
 
 /// Convenient result alias used across the graph crate.

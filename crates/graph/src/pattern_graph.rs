@@ -25,11 +25,10 @@ use crate::predicate::Predicate;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
-/// A node of a pattern graph: an id plus its search condition.
+/// A node of a pattern graph: its search condition. Its id is its position
+/// in the pattern.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PatternNode {
-    /// The node's id within the pattern.
-    pub id: PatternNodeId,
     /// The predicate `f_v(u)` a data node must satisfy to be a candidate.
     pub predicate: Predicate,
     /// Optional human-readable name (e.g. "AM", "p3") used in displays.
@@ -89,7 +88,6 @@ impl PatternGraph {
     pub fn add_node(&mut self, predicate: Predicate) -> PatternNodeId {
         let id = PatternNodeId::new(self.nodes.len() as u32);
         self.nodes.push(PatternNode {
-            id,
             predicate,
             name: None,
         });
@@ -275,25 +273,14 @@ impl PatternGraph {
 /// The serde form of a [`PatternGraph`] (see the module docs).
 #[derive(Serialize, Deserialize)]
 struct PatternGraphForm {
-    nodes: Vec<PatternNodeForm>,
+    nodes: Vec<PatternNode>,
     edges: Vec<PatternEdge>,
-}
-
-/// The serde form of one pattern node: its id is its position.
-#[derive(Serialize, Deserialize)]
-struct PatternNodeForm {
-    predicate: Predicate,
-    name: Option<String>,
 }
 
 impl From<&PatternGraph> for PatternGraphForm {
     fn from(p: &PatternGraph) -> Self {
-        let nodes = p.nodes.iter().map(|n| PatternNodeForm {
-            predicate: n.predicate.clone(),
-            name: n.name.clone(),
-        });
         PatternGraphForm {
-            nodes: nodes.collect(),
+            nodes: p.nodes.clone(),
             edges: p.edges.clone(),
         }
     }

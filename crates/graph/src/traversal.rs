@@ -1,7 +1,6 @@
-//! Generic traversals over data graphs: bounded BFS distances and
-//! topological sorting. The distance oracles bring their own BFS kernels
-//! (`gpm-distance`); what is left here is what a caller outside this crate
-//! still uses.
+//! Generic traversals over data graphs: bounded BFS distances. The distance
+//! oracles bring their own BFS kernels (`gpm-distance`); what is left here is
+//! what a caller outside this crate still uses.
 
 use crate::data_graph::DataGraph;
 use crate::node_id::NodeId;
@@ -37,38 +36,9 @@ pub fn bfs_distances_bounded(g: &DataGraph, start: NodeId, max_hops: Option<u32>
     dist
 }
 
-/// Whether the data graph is a DAG.
-pub fn is_dag(g: &DataGraph) -> bool {
-    topological_order(g).is_some()
-}
-
-/// A topological order of the data graph, or `None` if it contains a cycle.
-/// Kahn's algorithm with a FIFO queue (deterministic for a fixed graph).
-pub fn topological_order(g: &DataGraph) -> Option<Vec<NodeId>> {
-    let n = g.node_count();
-    let mut indeg: Vec<usize> = g.nodes().map(|v| g.in_degree(v)).collect();
-    let mut queue: VecDeque<NodeId> = g.nodes().filter(|v| indeg[v.index()] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &w in g.out_neighbors(v) {
-            indeg[w.index()] -= 1;
-            if indeg[w.index()] == 0 {
-                queue.push_back(w);
-            }
-        }
-    }
-    if order.len() == n {
-        Some(order)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attributes::Attributes;
     use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
@@ -83,17 +53,6 @@ mod tests {
         g.add_edge(n(1), n(2)).unwrap();
         g.add_edge(n(2), n(3)).unwrap();
         g.add_edge(n(0), n(2)).unwrap();
-        g
-    }
-
-    /// A cycle {0,1,2} with an edge out of it to 3.
-    fn cyclic_graph() -> DataGraph {
-        let mut g = DataGraph::new();
-        g.add_nodes(4);
-        g.add_edge(n(0), n(1)).unwrap();
-        g.add_edge(n(1), n(2)).unwrap();
-        g.add_edge(n(2), n(0)).unwrap();
-        g.add_edge(n(2), n(3)).unwrap();
         g
     }
 
@@ -115,27 +74,6 @@ mod tests {
         assert_eq!(d[1], Some(1));
         assert_eq!(d[2], Some(1));
         assert_eq!(d[3], None); // beyond the 1-hop horizon
-    }
-
-    #[test]
-    fn dag_and_topological_order() {
-        let g = chain_graph();
-        assert!(is_dag(&g));
-        let order = topological_order(&g).unwrap();
-        let pos = |x: NodeId| order.iter().position(|&y| y == x).unwrap();
-        assert!(pos(n(0)) < pos(n(1)));
-        assert!(pos(n(1)) < pos(n(2)));
-        assert!(pos(n(2)) < pos(n(3)));
-
-        let c = cyclic_graph();
-        assert!(!is_dag(&c));
-        assert!(topological_order(&c).is_none());
-
-        // A self-loop is a cycle too.
-        let mut l = DataGraph::new();
-        l.add_node(Attributes::new());
-        l.add_edge(n(0), n(0)).unwrap();
-        assert!(!is_dag(&l));
     }
 
     fn arbitrary_graph(max_n: usize, max_e: usize) -> impl Strategy<Value = DataGraph> {

@@ -313,9 +313,9 @@ impl MatchService {
         svc.epoch = loaded.manifest.epoch;
         svc.catalog = snapshot::restore_catalog(&loaded.manifest, &svc.graph)?;
         // Versions that resumed lazily could snapshot a query as active
-        // before its state was built: build it now, as `resume` does.
+        // before its state was built: `resume` builds it now.
         for q in loaded.manifest.queries.iter().filter(|q| q.active) {
-            svc.activate(QueryId(q.id));
+            svc.resume(QueryId(q.id));
         }
 
         let wal_path = dir.join(WAL_FILE);
@@ -484,15 +484,18 @@ impl MatchService {
 
     /// Registers a standing pattern; its initial match is computed against
     /// the current graph immediately. Returns the query's stable id.
+    ///
+    /// The match is computed before the registration is logged, so a build
+    /// that panics leaves the log and the catalog as they were.
     pub fn register(&mut self, pattern: PatternGraph) -> QueryId {
         let obs = crate::metrics::service();
         obs.registers.inc();
         let _span = obs.register_ns.span();
+        let state =
+            MatchState::initialise_with(&pattern, &self.graph, self.oracle.as_ref(), &self.exec);
         if self.durability.is_some() {
             self.log_op(WalOp::Register(pattern.clone()));
         }
-        let state =
-            MatchState::initialise_with(&pattern, &self.graph, self.oracle.as_ref(), &self.exec);
         let emitted = state.relation();
         let id = self.catalog.register(pattern, state, emitted);
         self.maybe_autosnapshot();
@@ -513,52 +516,50 @@ impl MatchService {
 
     /// Suspends a query: its match state is freed, so it stops
     /// participating in per-batch repair. Subscriptions stay open but
-    /// silent. Returns `false` for unknown ids.
+    /// silent. Suspending a suspended query changes nothing and logs
+    /// nothing. Returns `false` for unknown ids.
     pub fn suspend(&mut self, id: QueryId) -> bool {
-        if self.catalog.get(id).is_none() {
+        let Some(entry) = self.catalog.get(id) else {
             return false;
+        };
+        if entry.state.is_some() {
+            self.log_op(WalOp::Suspend(id.0));
+            self.catalog.get_mut(id).expect("checked above").state = None;
+            self.maybe_autosnapshot();
         }
-        self.log_op(WalOp::Suspend(id.0));
-        self.catalog.get_mut(id).expect("checked above").state = None;
-        self.maybe_autosnapshot();
         true
     }
 
     /// Resumes a suspended query: its state is rebuilt against the current
     /// graph right here (counted in [`ServiceStats::activations`]), and
     /// subscribers receive one catch-up delta covering everything missed
-    /// while suspended. Resuming an active query changes nothing. Returns
-    /// `false` for unknown ids.
+    /// while suspended. The state is built before the resume is logged, as
+    /// in [`MatchService::register`]. Resuming an active query changes
+    /// nothing and logs nothing. Returns `false` for unknown ids.
     pub fn resume(&mut self, id: QueryId) -> bool {
-        if self.catalog.get(id).is_none() {
+        let Some(entry) = self.catalog.get(id) else {
             return false;
-        }
-        self.log_op(WalOp::Resume(id.0));
-        self.activate(id);
-        self.maybe_autosnapshot();
-        true
-    }
-
-    /// Builds a suspended query's state and emits its catch-up delta; a
-    /// no-op for a query that holds a state.
-    fn activate(&mut self, id: QueryId) {
-        let (graph, oracle, exec) = (&self.graph, self.oracle.as_ref(), &self.exec);
-        let Some(entry) = self.catalog.get_mut(id).filter(|e| e.state.is_none()) else {
-            return;
         };
-        entry.state = Some(MatchState::initialise_with(
-            &entry.pattern,
-            graph,
-            oracle,
-            exec,
-        ));
-        emit(
-            entry,
-            RepairKind::Activation,
-            0,
-            self.epoch,
-            &mut self.stats,
-        );
+        if entry.state.is_none() {
+            let state = MatchState::initialise_with(
+                &entry.pattern,
+                &self.graph,
+                self.oracle.as_ref(),
+                &self.exec,
+            );
+            self.log_op(WalOp::Resume(id.0));
+            let entry = self.catalog.get_mut(id).expect("checked above");
+            entry.state = Some(state);
+            emit(
+                entry,
+                RepairKind::Activation,
+                0,
+                self.epoch,
+                &mut self.stats,
+            );
+            self.maybe_autosnapshot();
+        }
+        true
     }
 
     /// Subscribes to a query's delta stream. The first delta is a snapshot

@@ -122,12 +122,13 @@ fn unit_updates_keep_backends_bit_identical() {
 /// scheduled: the sequential reference loop and the rank-batched,
 /// bit-parallel build must produce the same labels entry for entry, at 1, 2
 /// and 8 threads and batch sizes 1, 7 and 64 (degenerate, straddling and
-/// full-word batches).
+/// full-word batches). On the 170-node input the production batch size, 64,
+/// spans three batches, the last of them partial.
 #[test]
 fn batched_build_is_bit_identical_across_threads_and_batch_sizes() {
     use gpm::TwoHopIndex;
-    for seed in [5u64, 23] {
-        let g = labelled_graph(40, 110, 3, seed);
+    for (nodes, edges, seed) in [(40, 110, 5u64), (40, 110, 23), (170, 520, 7)] {
+        let g = labelled_graph(nodes, edges, 3, seed);
         let reference = TwoHopIndex::build_sequential(&g);
         for threads in [1usize, 2, 8] {
             let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
@@ -135,7 +136,8 @@ fn batched_build_is_bit_identical_across_threads_and_batch_sizes() {
                 let built = TwoHopIndex::build_batched(&g, &exec, batch);
                 assert_eq!(
                     built, reference,
-                    "batched build diverged (seed {seed}, {threads} threads, batch {batch})"
+                    "batched build diverged ({nodes} nodes, seed {seed}, {threads} threads, \
+                     batch {batch})"
                 );
             }
         }

@@ -567,6 +567,29 @@ fn resume_activation_is_logged_and_replayed() {
     assert_eq!(fold_deltas(p.node_count(), stream.iter()), live);
 }
 
+/// A `suspend` of a suspended query and a `resume` of an active one change
+/// nothing, so they log nothing (and count nothing toward `snapshot_every`).
+#[test]
+fn no_op_suspend_and_resume_log_nothing() {
+    let root = TempRoot::new("noop");
+    let (dir, _) = suspended_root(&root);
+    let records = || {
+        read_wal_bytes(&fs::read(dir.join(WAL_FILE)).unwrap())
+            .unwrap()
+            .records
+            .len()
+    };
+    let mut svc = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
+    let q = svc.catalog().ids()[0];
+    let logged = records();
+    assert!(svc.suspend(q));
+    assert_eq!(records(), logged, "suspending a suspended query was logged");
+    assert!(svc.resume(q));
+    assert_eq!(records(), logged + 1, "a real resume is logged");
+    assert!(svc.resume(q));
+    assert_eq!(records(), logged + 1, "resuming an active query was logged");
+}
+
 /// Every state a crash can leave the snapshot swap in reopens to the
 /// uninterrupted service, on both back-ends. The copies taken before and
 /// after a `snapshot_now` supply the pieces: (a) a stale `snapshot.tmp/`
