@@ -7,6 +7,10 @@
 //! for BENCHMARKS.md. A per-figure thread-scaling table for `Match` on the
 //! matrix oracle is printed as well, so a single invocation on a
 //! multi-core machine records the sweep.
+//!
+//! Under the paper's sentence the bin prints this run's verdict on the same
+//! terms: the rows `Match` won against both 2-hop and BFS, and, per pattern
+//! size, `Match`'s time on 6(h) ÷ its time on 6(f) (1 = insensitive to |E|).
 
 use gpm::{
     bounded_simulation_with_oracle_on, random_graph, BfsOracle, Executor, Parallelism,
@@ -19,6 +23,10 @@ fn main() {
     let args = HarnessArgs::from_env();
     let nodes = args.scaled(20_000);
     let exec = Executor::new(args.parallelism());
+    let sizes: Vec<usize> = (4..=10).step_by(2).collect();
+    // `Match`'s time per pattern size, one vector per figure.
+    let mut match_times: Vec<Vec<Duration>> = Vec::new();
+    let mut match_wins = 0;
 
     for (figure, paper_edges) in [("6(f)", 20_000usize), ("6(g)", 40_000), ("6(h)", 60_000)] {
         let edges = args.scaled(paper_edges);
@@ -43,7 +51,8 @@ fn main() {
             ),
             &["pattern", "Match", "2-hop", "BFS"],
         );
-        for size in (4..=10usize).step_by(2) {
+        let mut figure_times = Vec::with_capacity(sizes.len());
+        for &size in &sizes {
             let patterns = patterns_for(
                 &subject.graph,
                 size,
@@ -76,6 +85,8 @@ fn main() {
                 t_bfs += t;
             }
             let n = patterns.len() as u32;
+            match_wins += usize::from(t_matrix < t_two_hop && t_matrix < t_bfs);
+            figure_times.push(t_matrix / n);
             table.row(vec![
                 format!("P({size},{size},3)"),
                 fmt_ms(t_matrix / n),
@@ -84,6 +95,7 @@ fn main() {
             ]);
         }
         table.print();
+        match_times.push(figure_times);
 
         // Thread-scaling sweep: Match (matrix oracle, prebuilt matrix) on
         // the largest pattern size, at 1/2/4/8 workers. Outputs are
@@ -136,6 +148,22 @@ fn main() {
     println!(
         "paper reference: Match is fastest everywhere and insensitive to |E| (constant-time\n\
          distance checks); 2-hop helps at |E| = 20K but fades as the graph gets denser."
+    );
+    let (first, last) = (&match_times[0], &match_times[match_times.len() - 1]);
+    let ratios: Vec<String> = sizes
+        .iter()
+        .zip(first.iter().zip(last))
+        .map(|(size, (f, h))| {
+            format!(
+                "P({size},{size},3) {:.2}",
+                h.as_secs_f64() / f.as_secs_f64().max(1e-9)
+            )
+        })
+        .collect();
+    println!(
+        "measured: Match won {match_wins}/{} rows; Match 6(h) ÷ 6(f): {}",
+        sizes.len() * match_times.len(),
+        ratios.join(", ")
     );
     args.finish_obs();
 }

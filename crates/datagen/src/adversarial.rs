@@ -32,8 +32,7 @@
 //! `oracle.twohop.delete_candidates` counter, how large a rectangle the
 //! in-place 2-hop repair has to re-decide on each.
 //!
-//! Every generator is deterministic (no RNG at all) and returns a
-//! [compacted](gpm_graph::DataGraph::compact) graph.
+//! Every generator is deterministic (no RNG at all).
 
 use gpm_distance::EdgeUpdate;
 use gpm_graph::{Attributes, DataGraph, NodeId};
@@ -49,7 +48,6 @@ pub fn star(leaves: usize) -> DataGraph {
         g.add_edge(hub, leaf).expect("fresh edge");
         g.add_edge(leaf, hub).expect("fresh edge");
     }
-    g.compact();
     g
 }
 
@@ -74,7 +72,6 @@ pub fn deep_chain(len: usize) -> DataGraph {
         g.add_edge(NodeId::new((i - 1) as u32), NodeId::new(i as u32))
             .expect("fresh edge");
     }
-    g.compact();
     g
 }
 
@@ -103,7 +100,6 @@ pub fn grid(rows: usize, cols: usize) -> DataGraph {
             }
         }
     }
-    g.compact();
     g
 }
 
@@ -135,7 +131,6 @@ pub fn cliques_with_bridges(cliques: usize, size: usize) -> DataGraph {
                 .expect("fresh edge");
         }
     }
-    g.compact();
     g
 }
 
@@ -196,7 +191,6 @@ pub fn bowtie(wing: usize) -> DataGraph {
         let sink = g.add_node(Attributes::labeled("sink").with("idx", (wing + i + 1) as i64));
         g.add_edge(waist, sink).expect("fresh edge");
     }
-    g.compact();
     g
 }
 
@@ -219,7 +213,6 @@ mod tests {
         let g = star(10);
         assert_eq!(g.node_count(), 11);
         assert_eq!(g.edge_count(), 20);
-        assert!(g.is_compact());
         let hub = NodeId::new(0);
         assert_eq!(g.out_degree(hub), 10);
         assert_eq!(g.attributes(hub).label(), Some("hub"));
@@ -265,7 +258,6 @@ mod tests {
         let g = bowtie(wing);
         assert_eq!(g.node_count(), 2 * wing + 1);
         assert_eq!(g.edge_count(), 2 * wing);
-        assert!(g.is_compact());
         let waist = NodeId::new(0);
         assert_eq!(g.attributes(waist).label(), Some("waist"));
         assert_eq!(g.out_degree(waist), wing);

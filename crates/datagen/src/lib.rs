@@ -25,9 +25,8 @@
 //!   `<name>.edges`/`<name>.attrs` dataset (the format of
 //!   [`gpm_graph::dataset`]) that reloads bit-identically.
 //!
-//! All generators are deterministic given a seed, and every generated graph
-//! is returned [compacted](gpm_graph::DataGraph::compact) — neighbour lists
-//! fully packed in the CSR base, ready for read-heavy matching.
+//! All generators are deterministic given a seed: the same seed gives the
+//! same graph, down to the order of every neighbour list.
 //!
 //! ## Example
 //!
@@ -37,7 +36,6 @@
 //! let cfg = RandomGraphConfig::new(100, 300, 10).with_seed(42);
 //! let g = random_graph(&cfg);
 //! assert_eq!((g.node_count(), g.edge_count()), (100, 300));
-//! assert!(g.is_compact());
 //! // Same seed, same graph.
 //! let h = random_graph(&cfg);
 //! assert_eq!(g.edges().collect::<Vec<_>>(), h.edges().collect::<Vec<_>>());

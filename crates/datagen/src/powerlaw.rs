@@ -143,9 +143,6 @@ pub fn powerlaw_graph(config: &PowerLawConfig) -> DataGraph {
         let b = rng.gen_range(0..n as u32);
         let _ = g.try_add_edge(NodeId::new(a), NodeId::new(b));
     }
-    // Fold the build-time delta overlay into the CSR base: generated graphs
-    // are read-heavy from here on.
-    g.compact();
     g
 }
 

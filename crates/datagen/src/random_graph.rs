@@ -99,9 +99,6 @@ pub fn random_graph(config: &RandomGraphConfig) -> DataGraph {
             }
         }
     }
-    // Fold the build-time delta overlay into the CSR base: generated graphs
-    // are read-heavy from here on.
-    g.compact();
     g
 }
 

@@ -45,7 +45,6 @@ fn build_graph(n: u32, edges: &[(u32, u32)], attr_recipes: &[(u8, u8, i64, u8)])
         let (a, b) = (NodeId::new(a % n), NodeId::new(b % n));
         let _ = g.try_add_edge(a, b);
     }
-    g.compact();
     g
 }
 
@@ -114,7 +113,6 @@ fn absent_vs_empty_string_attributes_stay_distinct() {
     let mut g = DataGraph::new();
     g.add_node(Attributes::new().with("s", ""));
     g.add_node(Attributes::new());
-    g.compact();
     let edges_text = dataset_edges_string(&g);
     let attrs_text = dataset_attrs_string(&g).unwrap();
     let (back, _, _) = read_dataset_strs(&edges_text, &attrs_text).unwrap();

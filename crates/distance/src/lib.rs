@@ -67,9 +67,10 @@
 //! | `UpdateM` / `UpdateBM`, Section 4 | [`DistanceOracle::apply_batch`] (`UpdateM` = a one-element batch) |
 //! | `AFF1` | [`AffectedPairs`] |
 //!
-//! All oracles consume the data graph through its CSR slice accessors
-//! (`out_neighbors`/`in_neighbors`), so every BFS expansion scans contiguous
-//! memory. The maintenance kernels are generic over
+//! All oracles consume the data graph through its neighbour-list accessors
+//! (`out_neighbors`/`in_neighbors`), each one contiguous slice, so a BFS
+//! expansion scans one node's neighbours without chasing pointers. The
+//! maintenance kernels are generic over
 //! [`gpm_graph::Adjacency`]: a unit update reads the [`gpm_graph::DataGraph`]
 //! itself, a batch reads a [`gpm_graph::BatchReplay`] view of the post-batch
 //! graph stepped through the batch, so `apply_batch` never copies the graph
@@ -77,9 +78,11 @@
 //!
 //! Construction runs on the shared `gpm-exec` executor:
 //! [`DistanceMatrix::build_with`] deals one block of 64 rows — one
-//! multi-source traversal — per task on every executor, and
-//! the `*_with`-less entry points default to the process-wide
-//! [`gpm_exec::Parallelism::from_env`] policy. A maintenance unit is one
+//! multi-source traversal — per task on every executor. The `*_with`-less
+//! entry points default to the process-wide
+//! [`gpm_exec::Parallelism::from_env`] policy, except
+//! [`DistanceMatrix::build`], which runs on the caller thread whatever
+//! `GPM_THREADS` says. A maintenance unit is one
 //! sequential sweep over its affected cone on either back-end's insertions
 //! and on the matrix's deletions (a whole unit costs about what opening a
 //! parallel region does); only the 2-hop deletion repair fans out — the

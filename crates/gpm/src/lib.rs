@@ -20,9 +20,9 @@
 //!
 //! The most common entry points are also re-exported at the crate root.
 //!
-//! Data graphs store their adjacency in compressed-sparse-row form with a
-//! delta overlay for incremental updates — see the "Physical layout" section
-//! of the [`graph`] module docs and [`DataGraph::compact`].
+//! Data graphs keep one neighbour list per node and direction, edited in
+//! place by incremental updates — see the "Physical layout" section of the
+//! [`graph`] module docs.
 //!
 //! ## Parallelism
 //!

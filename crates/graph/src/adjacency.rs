@@ -7,7 +7,7 @@
 //! it borrows the post-batch graph and owns only the neighbour lists of the
 //! endpoints the batch touches, rewound to the pre-batch state and stepped
 //! forward one unit at a time. A batch costs `O(Σ deg(touched endpoints))`
-//! plus one slot per node — no attributes, no edge set, no CSR copy. The
+//! plus one slot per node — no attributes, no edge set, no other lists. The
 //! maintenance kernels read either graph through [`Adjacency`].
 
 use crate::data_graph::DataGraph;
@@ -258,7 +258,6 @@ mod tests {
             for &(a, b) in &edges {
                 let _ = pre.try_add_edge(n(a), n(b)).unwrap();
             }
-            pre.compact();
             let mut post = pre.clone();
             for &(a, b, kind) in &batch {
                 if kind == 0 {

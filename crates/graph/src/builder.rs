@@ -85,7 +85,6 @@ impl DataGraphBuilder {
                 .ok_or_else(|| GraphError::Parse(format!("unknown node name `{to}`")))?;
             self.graph.try_add_edge(f, t)?;
         }
-        self.graph.compact();
         Ok((self.graph, self.names))
     }
 }

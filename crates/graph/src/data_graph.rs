@@ -8,14 +8,11 @@
 //! The structure is optimised for the access patterns of the matching
 //! algorithms:
 //!
-//! * forward and reverse adjacency in **compressed-sparse-row** form
-//!   (offsets + one flat neighbour array per direction),
-//!   so the BFS-heavy distance oracles and the matcher's candidate
-//!   refinement scan contiguous memory; `Match` walks edges both ways when
-//!   propagating removals to ancestors;
-//! * a **delta overlay** on top of each CSR base so the incremental
-//!   algorithms can insert/delete edges in `O(deg)` per update (never a full
-//!   `O(|E|)` rebuild); [`DataGraph::compact`] folds the overlay back;
+//! * forward and reverse adjacency as **one neighbour list per node and
+//!   direction**, so a BFS reads each node's neighbours as one contiguous
+//!   slice and the incremental algorithms insert (push) or delete
+//!   (swap-remove) an edge in `O(deg)`, with no rebuild and no maintenance
+//!   call; the distance oracles walk edges both ways;
 //! * `O(1)` expected edge-membership tests (incremental updates check for
 //!   duplicates);
 //! * dense `u32` node ids so per-node state can live in flat vectors;
@@ -31,13 +28,14 @@
 //! snapshot — is the graph's logical content, `{"attrs": [...],
 //! "edge_set": [[from, to], ...]}` (one attribute tuple per node in id
 //! order, the edges in [`DataGraph::edges`] order), and decoding rebuilds
-//! the graph through [`DataGraph::add_node`] and [`DataGraph::add_edge`]
-//! before one [`DataGraph::compact`]: an unknown endpoint or a repeated
-//! edge is a decode error, never a malformed index.
+//! the graph through [`DataGraph::add_node`] and [`DataGraph::add_edge`]:
+//! an unknown endpoint or a repeated edge is a decode error, never a
+//! malformed index. Re-adding the edges in that order rebuilds every
+//! out-neighbour list in its original order, so a decoded graph encodes to
+//! the same bytes.
 
 use crate::attr_index::AttrIndex;
 use crate::attributes::Attributes;
-use crate::csr::CsrAdjacency;
 use crate::error::GraphError;
 use crate::node_id::NodeId;
 use crate::predicate::Predicate;
@@ -50,10 +48,11 @@ use std::sync::OnceLock;
 #[derive(Clone, Debug, Default)]
 pub struct DataGraph {
     attrs: Vec<Attributes>,
-    out_adj: CsrAdjacency,
-    in_adj: CsrAdjacency,
+    /// `out_adj[v]`: the out-neighbours of `v`.
+    out_adj: Vec<Vec<NodeId>>,
+    /// `in_adj[v]`: the in-neighbours of `v`.
+    in_adj: Vec<Vec<NodeId>>,
     edge_set: FxHashSet<(u32, u32)>,
-    edge_count: usize,
     /// Derived from `attrs` on the first predicate query; reset by every
     /// attribute write.
     attr_index: OnceLock<AttrIndex>,
@@ -69,10 +68,9 @@ impl DataGraph {
     pub fn with_capacity(nodes: usize) -> Self {
         DataGraph {
             attrs: Vec::with_capacity(nodes),
-            out_adj: CsrAdjacency::with_capacity(nodes),
-            in_adj: CsrAdjacency::with_capacity(nodes),
+            out_adj: Vec::with_capacity(nodes),
+            in_adj: Vec::with_capacity(nodes),
             edge_set: FxHashSet::default(),
-            edge_count: 0,
             attr_index: OnceLock::new(),
         }
     }
@@ -86,7 +84,7 @@ impl DataGraph {
     /// Number of edges `|E|`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.edge_set.len()
     }
 
     /// Whether the graph has no nodes.
@@ -105,8 +103,8 @@ impl DataGraph {
         let id = NodeId::new(self.attrs.len() as u32);
         self.attrs.push(attrs.into());
         self.attr_index.take();
-        self.out_adj.push_node();
-        self.in_adj.push_node();
+        self.out_adj.push(Vec::new());
+        self.in_adj.push(Vec::new());
         id
     }
 
@@ -129,9 +127,8 @@ impl DataGraph {
         if !self.edge_set.insert((from.0, to.0)) {
             return Err(GraphError::DuplicateEdge(from, to));
         }
-        self.out_adj.insert(from, to);
-        self.in_adj.insert(to, from);
-        self.edge_count += 1;
+        self.out_adj[from.index()].push(to);
+        self.in_adj[to.index()].push(from);
         Ok(())
     }
 
@@ -154,9 +151,8 @@ impl DataGraph {
         if !self.edge_set.remove(&(from.0, to.0)) {
             return Err(GraphError::MissingEdge(from, to));
         }
-        self.out_adj.remove(from, to);
-        self.in_adj.remove(to, from);
-        self.edge_count -= 1;
+        swap_remove_first(&mut self.out_adj[from.index()], to);
+        swap_remove_first(&mut self.in_adj[to.index()], from);
         Ok(())
     }
 
@@ -166,50 +162,41 @@ impl DataGraph {
         self.edge_set.contains(&(from.0, to.0))
     }
 
-    /// The out-neighbours ("children") of `v`, in insertion order, as one
-    /// contiguous slice (the CSR base, or the node's overlay list if `v` was
-    /// mutated since the last [`compact`](DataGraph::compact)).
+    /// The out-neighbours ("children") of `v`, as one contiguous slice.
+    ///
+    /// An insertion appends its target; a removal moves the list's last
+    /// neighbour into the removed one's slot. So the order is insertion
+    /// order only until the first removal from this list.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.out_adj.neighbors(v)
+        &self.out_adj[v.index()]
     }
 
-    /// The in-neighbours ("parents") of `v`, in insertion order, as one
-    /// contiguous slice.
+    /// The in-neighbours ("parents") of `v`, as one contiguous slice, in
+    /// the order [`out_neighbors`](DataGraph::out_neighbors) describes.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.in_adj.neighbors(v)
+        &self.in_adj[v.index()]
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_adj.degree(v)
+        self.out_adj[v.index()].len()
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_adj.degree(v)
+        self.in_adj[v.index()].len()
     }
 
-    /// Whether both adjacency directions are fully packed in their CSR base
-    /// (no node's neighbour list lives in the delta overlay).
-    #[inline]
-    pub fn is_compact(&self) -> bool {
-        self.out_adj.is_compact() && self.in_adj.is_compact()
-    }
-
-    /// Folds the delta overlays of both directions back into freshly-packed
-    /// CSR bases, restoring contiguous iteration for every node.
-    ///
-    /// `O(|V| + |E|)` and a no-op when already compact. Bulk constructors
-    /// (builders, loaders, decoding, the `gpm-datagen` generators) call
-    /// this once after loading; long-running incremental workloads may call
-    /// it at convenient quiesce points.
+    /// Releases the spare capacity of every neighbour list. The graph and
+    /// the order of every list are unchanged; nothing needs this call.
     pub fn compact(&mut self) {
-        self.out_adj.compact();
-        self.in_adj.compact();
+        for list in self.out_adj.iter_mut().chain(self.in_adj.iter_mut()) {
+            list.shrink_to_fit();
+        }
     }
 
     /// The attribute tuple of `v`.
@@ -277,7 +264,6 @@ impl DataGraph {
         for &(a, b) in edges {
             g.try_add_edge(NodeId::new(a), NodeId::new(b))?;
         }
-        g.compact();
         Ok(g)
     }
 
@@ -288,6 +274,13 @@ impl DataGraph {
         } else {
             Err(GraphError::UnknownNode(v))
         }
+    }
+}
+
+/// Removes the first `w` from `list` by moving the last entry into its slot.
+fn swap_remove_first(list: &mut Vec<NodeId>, w: NodeId) {
+    if let Some(pos) = list.iter().position(|&x| x == w) {
+        list.swap_remove(pos);
     }
 }
 
@@ -318,7 +311,6 @@ impl TryFrom<DataGraphForm> for DataGraph {
         for (from, to) in form.edge_set {
             g.add_edge(from, to)?;
         }
-        g.compact();
         Ok(g)
     }
 }
@@ -625,46 +617,12 @@ mod tests {
     }
 
     #[test]
-    fn compact_folds_overlay_and_preserves_neighbors() {
-        let mut g = triangle();
-        assert!(!g.is_compact()); // built edge-by-edge
-        g.compact();
-        assert!(g.is_compact());
-        assert_eq!(g.out_neighbors(n(0)), &[n(1)]);
-        assert_eq!(g.in_neighbors(n(0)), &[n(2)]);
-
-        // A post-compaction update dirties exactly the touched endpoints.
-        g.add_edge(n(0), n(2)).unwrap();
-        assert!(!g.is_compact());
-        let mut outs = g.out_neighbors(n(0)).to_vec();
-        outs.sort();
-        assert_eq!(outs, vec![n(1), n(2)]);
-        assert_eq!(g.out_neighbors(n(1)), &[n(2)]); // untouched: CSR base
-
-        g.compact();
-        assert!(g.is_compact());
-        assert_eq!(g.edge_count(), 4);
-    }
-
-    #[test]
-    fn compact_is_idempotent_and_cheap_on_compact_graphs() {
-        let mut g = DataGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        assert!(g.is_compact()); // from_edges compacts on return
-        g.compact();
-        g.compact();
-        assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_neighbors(n(1)), &[n(2)]);
-    }
-
-    #[test]
     fn nodes_added_while_overlay_dirty() {
         let mut g = DataGraph::new();
         g.add_nodes(2);
         g.add_edge(n(0), n(1)).unwrap();
         let v = g.add_node(Attributes::labeled("late"));
         g.add_edge(v, n(0)).unwrap();
-        assert_eq!(g.out_neighbors(v), &[n(0)]);
-        g.compact();
         assert_eq!(g.out_neighbors(v), &[n(0)]);
         assert_eq!(g.in_neighbors(n(0)), &[v]);
         assert_eq!(g.attributes(v).label(), Some("late"));
@@ -693,7 +651,6 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(back.attributes(v), g.attributes(v));
         }
-        assert!(back.is_compact(), "decoding compacts once");
     }
 
     #[test]
@@ -879,60 +836,59 @@ mod tests {
             }
         }
 
-        /// Interleaving edge insertions, deletions and compactions leaves
-        /// the neighbour sets exactly as the pre-CSR `Vec<Vec<_>>` layout
-        /// would have them: equal to the edge set, in both directions.
+        /// Under random interleaved edge insertions, deletions and node
+        /// additions, every neighbour list equals, entry for entry, a
+        /// `Vec<Vec<_>>` model that pushes on insert and swap-removes the
+        /// first occurrence on delete: `edges()`, BFS order and the
+        /// encoded bytes all follow that order.
         #[test]
-        fn prop_csr_overlay_matches_edge_set_under_compaction(
-            ops in proptest::collection::vec((0u32..15, 0u32..15, 0u8..8), 0..160),
+        fn prop_neighbor_lists_follow_push_swap_remove_model(
+            ops in proptest::collection::vec((0u32..15, 0u32..15, 0u8..9), 0..200),
         ) {
+            fn unlink(list: &mut Vec<u32>, w: u32) {
+                let pos = list.iter().position(|&x| x == w).unwrap();
+                list.swap_remove(pos);
+            }
             let mut g = DataGraph::new();
-            g.add_nodes(15);
+            g.add_nodes(10);
+            let mut outs: Vec<Vec<u32>> = vec![Vec::new(); 10];
+            let mut ins: Vec<Vec<u32>> = vec![Vec::new(); 10];
             let mut reference = std::collections::HashSet::new();
             for &(a, b, kind) in &ops {
+                let nodes = g.node_count() as u32;
+                let (a, b) = (a % nodes, b % nodes);
                 match kind {
                     0..=4 => {
                         let inserted = g.try_add_edge(n(a), n(b)).unwrap();
                         prop_assert_eq!(inserted, reference.insert((a, b)));
+                        if inserted {
+                            outs[a as usize].push(b);
+                            ins[b as usize].push(a);
+                        }
                     }
-                    5..=6 => {
+                    5..=7 => {
                         if reference.remove(&(a, b)) {
                             g.remove_edge(n(a), n(b)).unwrap();
+                            unlink(&mut outs[a as usize], b);
+                            unlink(&mut ins[b as usize], a);
                         } else {
                             prop_assert!(g.remove_edge(n(a), n(b)).is_err());
                         }
                     }
                     _ => {
-                        g.compact();
-                        prop_assert!(g.is_compact());
+                        g.add_node(Attributes::new());
+                        outs.push(Vec::new());
+                        ins.push(Vec::new());
                     }
                 }
                 prop_assert_eq!(g.edge_count(), reference.len());
-            }
-            // Neighbour sets agree with the reference edge set in both
-            // directions, before and after a final compaction.
-            for pass in 0..2 {
-                for a in 0..15u32 {
-                    let mut outs: Vec<u32> = g.out_neighbors(n(a)).iter().map(|w| w.0).collect();
-                    outs.sort_unstable();
-                    let mut expected: Vec<u32> = reference
-                        .iter()
-                        .filter(|&&(x, _)| x == a)
-                        .map(|&(_, y)| y)
-                        .collect();
-                    expected.sort_unstable();
-                    prop_assert_eq!(outs, expected, "out({}) pass {}", a, pass);
-                    let mut ins: Vec<u32> = g.in_neighbors(n(a)).iter().map(|w| w.0).collect();
-                    ins.sort_unstable();
-                    let mut expected: Vec<u32> = reference
-                        .iter()
-                        .filter(|&&(_, y)| y == a)
-                        .map(|&(x, _)| x)
-                        .collect();
-                    expected.sort_unstable();
-                    prop_assert_eq!(ins, expected, "in({}) pass {}", a, pass);
+                for v in g.nodes() {
+                    let ids = |s: &[NodeId]| s.iter().map(|w| w.0).collect::<Vec<_>>();
+                    prop_assert_eq!(ids(g.out_neighbors(v)), outs[v.index()].clone(), "out({})", v.0);
+                    prop_assert_eq!(ids(g.in_neighbors(v)), ins[v.index()].clone(), "in({})", v.0);
+                    prop_assert_eq!(g.out_degree(v), outs[v.index()].len());
+                    prop_assert_eq!(g.in_degree(v), ins[v.index()].len());
                 }
-                g.compact();
             }
         }
     }

@@ -183,7 +183,7 @@ impl fmt::Display for AttrSchema {
 pub struct OnDiskDataset {
     /// The dataset name (file stem of the `.edges`/`.attrs` pair).
     pub name: String,
-    /// The loaded graph, compacted and ready for matching.
+    /// The loaded graph, ready for matching.
     pub graph: DataGraph,
     /// Maps each [`NodeId`] index back to the file's original `u64` id.
     pub original_ids: Vec<u64>,
@@ -400,7 +400,6 @@ fn read_snap_edges_into<R: BufRead>(
         }
         lineno += 1;
     }
-    g.compact();
     Ok(())
 }
 
@@ -719,7 +718,6 @@ mod tests {
         let a2 = g.attributes(NodeId::new(2));
         assert_eq!(a2.len(), 1);
         assert_eq!(a2.get("views"), Some(&AttrValue::Int(7)));
-        assert!(g.is_compact());
     }
 
     #[test]
@@ -856,7 +854,6 @@ mod tests {
         let c = g.add_node(Attributes::new()); // isolated, attribute-less
         g.add_edge(b, a).unwrap();
         g.add_edge(a, b).unwrap();
-        g.compact();
         let _ = c;
 
         let edges = dataset_edges_string(&g);
@@ -930,7 +927,6 @@ mod tests {
         assert!(g.has_edge(NodeId::new(0), NodeId::new(1)));
         assert!(g.has_edge(NodeId::new(1), NodeId::new(2)));
         assert!(g.has_edge(NodeId::new(2), NodeId::new(0)));
-        assert!(g.is_compact(), "loader compacts after the single pass");
     }
 
     #[test]
@@ -969,7 +965,6 @@ mod tests {
         let a = g.add_node(Attributes::labeled("x").with("views", 9));
         let b = g.add_node(Attributes::labeled("y"));
         g.add_edge(a, b).unwrap();
-        g.compact();
         write_dataset(&dir, "tiny", &g).unwrap();
 
         let loaded = load_dataset(&dir, "tiny").unwrap();

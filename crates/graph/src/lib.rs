@@ -27,15 +27,13 @@
 //!
 //! ## Physical layout
 //!
-//! [`DataGraph`] stores each adjacency direction in **compressed-sparse-row**
-//! form — an offsets array plus one flat neighbour array — with a per-node
-//! **delta overlay** absorbing edge insertions/deletions in `O(deg)` per
-//! update. [`DataGraph::out_neighbors`]/[`DataGraph::in_neighbors`] always
-//! return one contiguous slice, so the BFS loops of the distance oracles and
-//! the matcher's candidate refinement scan linear memory.
-//! [`DataGraph::compact`] folds the overlay back into the CSR base; bulk
-//! constructors (builders, loaders, decoding, the `gpm-datagen` generators)
-//! do so automatically. A derived **attribute index** — per key, a sorted
+//! [`DataGraph`] keeps one neighbour list per node and direction. An edge
+//! insertion pushes onto the two lists it touches and a deletion
+//! swap-removes from them, so an update costs `O(deg)` and the graph never
+//! needs a rebuild or a maintenance call.
+//! [`DataGraph::out_neighbors`]/[`DataGraph::in_neighbors`] return that
+//! list as one contiguous slice, which the BFS loops of the distance
+//! oracles scan. A derived **attribute index** — per key, a sorted
 //! dictionary of distinct values, a value code per node (its value's rank)
 //! and a posting list per code, laid out in code order — answers
 //! [`DataGraph::nodes_satisfying`], so a predicate atom is a binary search
@@ -71,7 +69,6 @@ pub mod adjacency;
 mod attr_index;
 pub mod attributes;
 pub mod builder;
-mod csr;
 pub mod data_graph;
 pub mod dataset;
 pub mod edge_bound;

@@ -37,10 +37,8 @@
 //! follows the matches it visits, never `|V|`. What it cannot shrink is
 //! `AFF1` itself, which the oracle enumerates in full.
 //!
-//! Updates mutate the data graph's CSR layout through its delta overlay
-//! (`O(deg)` per touched node, no full rebuild);
-//! [`DataGraph::compact`](gpm_graph::DataGraph::compact) folds the overlay
-//! back at quiesce points.
+//! Updates edit the data graph's neighbour lists in place (`O(deg)` per
+//! touched node, no rebuild, no maintenance call).
 //!
 //! ## Example
 //!

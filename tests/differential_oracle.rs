@@ -3,7 +3,7 @@
 //! [`OracleBackend::TwoHop`] — must be observationally identical.
 //!
 //! Identical means bit-identical, not merely "both correct": the same `AFF1`
-//! sets under interleaved insert / delete / `compact()`, the same maintained
+//! sets under interleaved inserts and deletes, the same maintained
 //! match relations, and the same per-batch service deltas at 1, 2 and 8
 //! worker threads. Any divergence pinpoints a bug in exactly one backend's
 //! `UpdateM` implementation (or a thread-count dependence in the folding
@@ -66,8 +66,7 @@ fn assert_all_pairs_agree(
     }
 }
 
-/// Unit-at-a-time maintenance with `compact()` interleaved mid-stream:
-/// both back-ends report the same `AFF1` for every update and answer every
+/// Unit-at-a-time maintenance: both back-ends report the same `AFF1` for every update and answer every
 /// pair identically afterwards.
 #[test]
 fn unit_updates_keep_backends_bit_identical() {
@@ -86,10 +85,6 @@ fn unit_updates_keep_backends_bit_identical() {
                 continue; // no-op against the evolved graph
             }
             applied += 1;
-            if i % 5 == 3 {
-                // A representation change must be invisible to maintenance.
-                g.compact();
-            }
             let (a, b) = u.endpoints();
             let (aff_m, aff_t) = if u.is_insert() {
                 (
