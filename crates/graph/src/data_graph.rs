@@ -891,5 +891,66 @@ mod tests {
                 }
             }
         }
+
+        /// Interleaving edge insertions, deletions and compactions leaves
+        /// the neighbour sets equal to the edge set in both directions;
+        /// `compact` only releases spare capacity, so it changes no list.
+        #[test]
+        fn prop_csr_overlay_matches_edge_set_under_compaction(
+            ops in proptest::collection::vec((0u32..15, 0u32..15, 0u8..8), 0..160),
+        ) {
+            let mut g = DataGraph::new();
+            g.add_nodes(15);
+            let mut reference = std::collections::HashSet::new();
+            for &(a, b, kind) in &ops {
+                match kind {
+                    0..=4 => {
+                        let inserted = g.try_add_edge(n(a), n(b)).unwrap();
+                        prop_assert_eq!(inserted, reference.insert((a, b)));
+                    }
+                    5..=6 => {
+                        if reference.remove(&(a, b)) {
+                            g.remove_edge(n(a), n(b)).unwrap();
+                        } else {
+                            prop_assert!(g.remove_edge(n(a), n(b)).is_err());
+                        }
+                    }
+                    _ => {
+                        let before = g.clone();
+                        g.compact();
+                        for v in g.nodes() {
+                            prop_assert_eq!(g.out_neighbors(v), before.out_neighbors(v));
+                            prop_assert_eq!(g.in_neighbors(v), before.in_neighbors(v));
+                        }
+                    }
+                }
+                prop_assert_eq!(g.edge_count(), reference.len());
+            }
+            // Neighbour sets agree with the reference edge set in both
+            // directions, before and after a final compaction.
+            for pass in 0..2 {
+                for a in 0..15u32 {
+                    let mut outs: Vec<u32> = g.out_neighbors(n(a)).iter().map(|w| w.0).collect();
+                    outs.sort_unstable();
+                    let mut expected: Vec<u32> = reference
+                        .iter()
+                        .filter(|&&(x, _)| x == a)
+                        .map(|&(_, y)| y)
+                        .collect();
+                    expected.sort_unstable();
+                    prop_assert_eq!(outs, expected, "out({}) pass {}", a, pass);
+                    let mut ins: Vec<u32> = g.in_neighbors(n(a)).iter().map(|w| w.0).collect();
+                    ins.sort_unstable();
+                    let mut expected: Vec<u32> = reference
+                        .iter()
+                        .filter(|&&(_, y)| y == a)
+                        .map(|&(x, _)| x)
+                        .collect();
+                    expected.sort_unstable();
+                    prop_assert_eq!(ins, expected, "in({}) pass {}", a, pass);
+                }
+                g.compact();
+            }
+        }
     }
 }
