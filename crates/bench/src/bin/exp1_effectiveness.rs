@@ -7,10 +7,7 @@
 //! finds sensible communities, and (b) the average number of matches per
 //! pattern node for both approaches.
 
-use gpm::{
-    bounded_simulation_with_oracle, generate_pattern, subgraph_isomorphism_ullmann, IsoConfig,
-    PatternGenConfig,
-};
+use gpm::{generate_pattern, subgraph_isomorphism_ullmann, IsoConfig, PatternGenConfig};
 use gpm_bench::{fmt_ms, load_source_or_exit, time, HarnessArgs, Subject, Table};
 
 fn main() {
@@ -18,7 +15,7 @@ fn main() {
     let pattern_count = args.patterns.max(20);
     let source = args.update_source_or_exit();
     let graph = load_source_or_exit(&source, &args);
-    let subject = Subject::new(graph);
+    let subject = Subject::with_parallelism(graph, args.parallelism());
     println!(
         "{}: |V| = {}, |E| = {}, distance matrix built in {} ms [{}]\n",
         source.name(),
@@ -52,8 +49,7 @@ fn main() {
         let cfg = PatternGenConfig::new(4, 4, 4).with_seed(args.seed + i as u64);
         let (pattern, _) = generate_pattern(&subject.graph, &cfg);
 
-        let (outcome, match_time) =
-            time(|| bounded_simulation_with_oracle(&pattern, &subject.graph, &subject.matrix));
+        let (outcome, match_time) = time(|| subject.run_match(&pattern));
         let (iso, iso_time) =
             time(|| subgraph_isomorphism_ullmann(&pattern, &subject.graph, &IsoConfig::default()));
 

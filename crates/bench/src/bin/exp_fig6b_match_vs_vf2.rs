@@ -25,7 +25,7 @@
 //!   truncation is flagged with `*` in the table.
 
 use gpm::datagen::{powerlaw_graph, PowerLawConfig};
-use gpm::{bounded_simulation_with_oracle, subgraph_isomorphism_vf2, DataGraph, IsoConfig};
+use gpm::{subgraph_isomorphism_vf2, DataGraph, IsoConfig};
 use gpm_bench::{fmt_ms, load_source_or_exit, patterns_for, time, HarnessArgs, Subject, Table};
 use std::time::Duration;
 
@@ -70,8 +70,7 @@ fn sweep(title: &str, graph: DataGraph, iso: &IsoConfig, args: &HarnessArgs) {
         let mut vf2_runs = 0usize;
         let mut vf2_truncated = false;
         for pattern in &patterns {
-            let (_, t) =
-                time(|| bounded_simulation_with_oracle(pattern, &subject.graph, &subject.matrix));
+            let (_, t) = time(|| subject.run_match(pattern));
             match_time += t;
             // The wall-clock guard: stop burning budget on this size the
             // moment it is exhausted (each individual run stays bounded by

@@ -5,13 +5,13 @@
 //! (pattern node, data node) pairs); VF2 reports the number of isomorphic
 //! embeddings it enumerates (capped).
 
-use gpm::{bounded_simulation_with_oracle, subgraph_isomorphism_vf2, Dataset, IsoConfig};
+use gpm::{subgraph_isomorphism_vf2, Dataset, IsoConfig};
 use gpm_bench::{patterns_for, HarnessArgs, Subject, Table};
 
 fn main() {
     let args = HarnessArgs::from_env();
     let graph = Dataset::YouTube.generate(args.scale, args.seed);
-    let subject = Subject::new(graph);
+    let subject = Subject::with_parallelism(graph, args.parallelism());
     println!(
         "simulated YouTube: |V| = {}, |E| = {}\n",
         subject.graph.node_count(),
@@ -35,7 +35,7 @@ fn main() {
         let mut vf2_embeddings = 0usize;
         let mut truncated = 0usize;
         for pattern in &patterns {
-            let outcome = bounded_simulation_with_oracle(pattern, &subject.graph, &subject.matrix);
+            let outcome = subject.run_match(pattern);
             match_pairs += outcome.relation.pair_count();
             let iso = subgraph_isomorphism_vf2(pattern, &subject.graph, &IsoConfig::default());
             vf2_embeddings += iso.count();

@@ -5,10 +5,7 @@
 //! positive spanning structure (|Vp| - 1 edges), 1..8 extra edges are added;
 //! the y-axis reports how much of the pattern still finds matches.
 
-use gpm::{
-    bounded_simulation_with_oracle, generate_pattern, random_graph, PatternGenConfig,
-    RandomGraphConfig,
-};
+use gpm::{generate_pattern, random_graph, PatternGenConfig, RandomGraphConfig};
 use gpm_bench::{HarnessArgs, Subject, Table};
 
 fn main() {
@@ -18,7 +15,7 @@ fn main() {
     let graph = random_graph(
         &RandomGraphConfig::new(nodes, edges, 2_000.min(nodes / 10).max(4)).with_seed(args.seed),
     );
-    let subject = Subject::new(graph);
+    let subject = Subject::with_parallelism(graph, args.parallelism());
     println!(
         "synthetic graph: |V| = {}, |E| = {}\n",
         subject.graph.node_count(),
@@ -45,8 +42,7 @@ fn main() {
                 let cfg = PatternGenConfig::new(vp, (vp - 1) + added, 9)
                     .with_seed(args.seed + (vp * 1_000 + rep) as u64);
                 let (pattern, _) = generate_pattern(&subject.graph, &cfg);
-                let outcome =
-                    bounded_simulation_with_oracle(&pattern, &subject.graph, &subject.matrix);
+                let outcome = subject.run_match(&pattern);
                 matched_pairs += outcome.relation.pair_count();
             }
             cells.push((matched_pairs / args.patterns).to_string());

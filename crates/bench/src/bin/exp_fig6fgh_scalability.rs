@@ -22,7 +22,6 @@ use std::time::Duration;
 fn main() {
     let args = HarnessArgs::from_env();
     let nodes = args.scaled(20_000);
-    let exec = Executor::new(args.parallelism());
     let sizes: Vec<usize> = (4..=10).step_by(2).collect();
     // `Match`'s time per pattern size, one vector per figure.
     let mut match_times: Vec<Vec<Duration>> = Vec::new();
@@ -33,8 +32,9 @@ fn main() {
         let graph = random_graph(
             &RandomGraphConfig::new(nodes, edges, (nodes / 10).max(4)).with_seed(args.seed),
         );
-        let subject = Subject::with_parallelism(graph, exec.parallelism().clone());
-        let (two_hop, label_time) = time(|| TwoHopOracle::build_with(&subject.graph, &exec));
+        let subject = Subject::with_parallelism(graph, args.parallelism());
+        let exec = &subject.exec;
+        let (two_hop, label_time) = time(|| TwoHopOracle::build_with(&subject.graph, exec));
         eprintln!(
             "fig {figure}: |V| = {}, |E| = {}, matrix {} ms, 2-hop labels {} ms",
             subject.graph.node_count(),
@@ -65,23 +65,15 @@ fn main() {
             let mut t_two_hop = Duration::ZERO;
             let mut t_bfs = Duration::ZERO;
             for pattern in &patterns {
-                let (_, t) = time(|| {
-                    bounded_simulation_with_oracle_on(
-                        pattern,
-                        &subject.graph,
-                        &subject.matrix,
-                        &exec,
-                    )
-                });
+                let (_, t) = time(|| subject.run_match(pattern));
                 t_matrix += t;
                 let (_, t) = time(|| {
-                    bounded_simulation_with_oracle_on(pattern, &subject.graph, &two_hop, &exec)
+                    bounded_simulation_with_oracle_on(pattern, &subject.graph, &two_hop, exec)
                 });
                 t_two_hop += t;
                 let bfs = BfsOracle::new();
-                let (_, t) = time(|| {
-                    bounded_simulation_with_oracle_on(pattern, &subject.graph, &bfs, &exec)
-                });
+                let (_, t) =
+                    time(|| bounded_simulation_with_oracle_on(pattern, &subject.graph, &bfs, exec));
                 t_bfs += t;
             }
             let n = patterns.len() as u32;

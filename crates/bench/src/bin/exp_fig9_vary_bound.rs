@@ -4,10 +4,7 @@
 //! and k = 4..13 over a synthetic graph; the cell reports the average number
 //! of matches (|S|), which grows with k up to a saturation point.
 
-use gpm::{
-    bounded_simulation_with_oracle, generate_pattern, random_graph, PatternGenConfig,
-    RandomGraphConfig,
-};
+use gpm::{generate_pattern, random_graph, PatternGenConfig, RandomGraphConfig};
 use gpm_bench::{HarnessArgs, Subject, Table};
 
 fn main() {
@@ -17,7 +14,7 @@ fn main() {
     let graph = random_graph(
         &RandomGraphConfig::new(nodes, edges, (nodes / 10).max(4)).with_seed(args.seed),
     );
-    let subject = Subject::new(graph);
+    let subject = Subject::with_parallelism(graph, args.parallelism());
     println!(
         "synthetic graph: |V| = {}, |E| = {}\n",
         subject.graph.node_count(),
@@ -43,8 +40,7 @@ fn main() {
                         .with_seed(args.seed + (vp * 100 + rep) as u64)
                 };
                 let (pattern, _) = generate_pattern(&subject.graph, &cfg);
-                let outcome =
-                    bounded_simulation_with_oracle(&pattern, &subject.graph, &subject.matrix);
+                let outcome = subject.run_match(&pattern);
                 total += outcome.relation.pair_count();
             }
             cells.push((total / args.patterns).to_string());

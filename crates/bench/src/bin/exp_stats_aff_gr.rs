@@ -2,17 +2,14 @@
 //! between |AFF1|, |AFF2| and the "relevant" part of AFF1 (pairs that touch a
 //! current match), complementing Exp-2/Exp-3.
 
-use gpm::{
-    bounded_simulation_with_oracle, inc_match, random_updates, Executor, MatchState, ResultGraph,
-    UpdateStreamConfig,
-};
+use gpm::{inc_match, random_updates, MatchState, ResultGraph, UpdateStreamConfig};
 use gpm_bench::{dag_pattern, load_source_or_exit, patterns_for, HarnessArgs, Subject, Table};
 
 fn main() {
     let args = HarnessArgs::from_env();
     let source = args.update_source_or_exit();
     let graph = load_source_or_exit(&source, &args);
-    let subject = Subject::new(graph);
+    let subject = Subject::with_parallelism(graph, args.parallelism());
     println!(
         "{}: |V| = {}, |E| = {} [{}]\n",
         source.name(),
@@ -28,7 +25,7 @@ fn main() {
     );
     let patterns = patterns_for(&subject.graph, 4, 4, 3, args.patterns, args.seed);
     for (i, pattern) in patterns.iter().enumerate() {
-        let outcome = bounded_simulation_with_oracle(pattern, &subject.graph, &subject.matrix);
+        let outcome = subject.run_match(pattern);
         let rg = ResultGraph::build(pattern, &subject.graph, &outcome.relation);
         table.row(vec![
             format!("P#{i}"),
@@ -51,8 +48,8 @@ fn main() {
     // JSONL consumer see the same numbers.
     gpm::obs::set_enabled(true);
     let pattern = dag_pattern(&subject.graph, 4, 4, 3, args.seed);
-    let exec = Executor::from_env();
-    let base = MatchState::initialise_with(&pattern, &subject.graph, &subject.matrix, &exec);
+    let exec = &subject.exec;
+    let base = MatchState::initialise_with(&pattern, &subject.graph, &subject.matrix, exec);
     let mut table = Table::new(
         "Affected areas for insertion batches",
         &["|δ|", "|AFF1|", "|AFF1| relevant", "|AFF2|"],
@@ -63,7 +60,7 @@ fn main() {
             &UpdateStreamConfig::insertions(delta).with_seed(args.seed + delta as u64),
         );
         let (mut g, mut state) = (subject.graph.clone(), base.clone());
-        let mut oracle = args.oracle.build(&g, &exec);
+        let mut oracle = args.oracle.build(&g, exec);
         gpm::obs::registry().reset();
         let outcome = inc_match(
             &pattern,
@@ -71,7 +68,7 @@ fn main() {
             oracle.as_mut(),
             &mut state,
             &updates,
-            &exec,
+            exec,
         )
         .expect("the pattern is a DAG");
         let counters = gpm::obs::registry().snapshot().det_counters();

@@ -72,7 +72,10 @@
 //! assert_eq!(table.len(), 1);
 //! ```
 
-use gpm::{DataGraph, DistanceMatrix, Executor, Parallelism, PatternGraph};
+use gpm::{
+    bounded_simulation_with_oracle_on, DataGraph, DistanceMatrix, Executor, MatchOutcome,
+    Parallelism, PatternGraph,
+};
 use std::time::{Duration, Instant};
 
 pub mod args;
@@ -153,7 +156,8 @@ pub fn fmt_ms(d: Duration) -> String {
 }
 
 /// The standard experimental subject: a data graph plus its distance matrix
-/// (which the paper precomputes once and shares across patterns).
+/// (which the paper precomputes once and shares across patterns), and the
+/// executor both were made for.
 pub struct Subject {
     /// The data graph under test.
     pub graph: DataGraph,
@@ -162,17 +166,14 @@ pub struct Subject {
     /// How long the matrix construction took (reported separately, as in
     /// Fig. 6(b)'s "Match(Total)" vs "Match(Match Process)" curves).
     pub matrix_build_time: Duration,
+    /// The executor the matrix was built on and `Match` runs on.
+    pub exec: Executor,
 }
 
 impl Subject {
     /// Builds the subject for a data graph, timing the matrix construction
-    /// (process-default [`Parallelism`] policy).
-    pub fn new(graph: DataGraph) -> Self {
-        Self::with_parallelism(graph, Parallelism::from_env())
-    }
-
-    /// Builds the subject with an explicit [`Parallelism`] policy (the
-    /// experiment binaries pass `--threads` through here).
+    /// on the given [`Parallelism`] policy (the experiment binaries pass
+    /// `--threads` through here).
     pub fn with_parallelism(graph: DataGraph, parallelism: Parallelism) -> Self {
         let exec = Executor::new(parallelism);
         let (matrix, matrix_build_time) = time(|| DistanceMatrix::build_with(&graph, &exec));
@@ -180,7 +181,13 @@ impl Subject {
             graph,
             matrix,
             matrix_build_time,
+            exec,
         }
+    }
+
+    /// Runs `Match` for `pattern` on the subject's matrix and executor.
+    pub fn run_match(&self, pattern: &PatternGraph) -> MatchOutcome {
+        bounded_simulation_with_oracle_on(pattern, &self.graph, &self.matrix, &self.exec)
     }
 }
 
@@ -233,7 +240,7 @@ mod tests {
     #[test]
     fn subject_builds_matrix() {
         let g = random_graph(&RandomGraphConfig::new(50, 120, 5).with_seed(1));
-        let s = Subject::new(g);
+        let s = Subject::with_parallelism(g, Parallelism::new(2));
         assert_eq!(s.matrix.node_count(), 50);
         assert_eq!(s.graph.node_count(), 50);
     }

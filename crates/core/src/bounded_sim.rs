@@ -149,16 +149,16 @@ pub fn bounded_simulation_with_oracle<O: DistanceQuery + Sync + ?Sized>(
 ///
 /// ## Parallel structure (and why the output is exactly sequential)
 ///
-/// The three phases of the refinement are data-parallel over disjoint
+/// The initial candidates come off the attribute index on the caller thread
+/// (a few microseconds per pattern node, below the cost of a region). The
+/// two phases of the refinement after them are data-parallel over disjoint
 /// state, and every merge is performed in a fixed (pattern-edge, data-node)
 /// order that does not depend on the thread count or chunking:
 ///
-/// 1. **initial candidates** — one task per pattern node, each producing its
-///    packed `mat(u)` list;
-/// 2. **witness-counter initialisation** — the `Σ_e |mat(from)|·|mat(to)|`
+/// 1. **witness-counter initialisation** — the `Σ_e |mat(from)|·|mat(to)|`
 ///    pass is split into (pattern edge × chunk of `mat(from)`) tasks, each
 ///    owning a disjoint counter range;
-/// 3. **removal propagation** — processed in *waves*: all removals of the
+/// 2. **removal propagation** — processed in *waves*: all removals of the
 ///    current wave are grouped per pattern node, the counter decrements they
 ///    imply are computed in parallel against the wave-start membership
 ///    (pure reads), and then applied in the fixed merge order, emitting the
@@ -212,19 +212,21 @@ fn match_inner<O: DistanceQuery + Sync + ?Sized>(
     }
 
     // mat(u) as a packed ascending candidate list per pattern node (lines
-    // 4-5 of Fig. 4), one independent task per pattern node, read from the
-    // graph's attribute index (work hint: a task may scan one |V|-long code
-    // column). The lists are what the refinement
+    // 4-5 of Fig. 4), read from the graph's attribute index on the caller
+    // thread: a list is a few binary searches and posting-slice copies, less
+    // than a region's thread spawns. The lists are what the refinement
     // iterates; `member` below is their O(1) membership test, and the only
     // one of the two that shrinks.
-    let cand: Vec<Vec<NodeId>> = exec.map_tasks(np, nv, |ui| {
-        let u = PatternNodeId::new(ui as u32);
-        let mut list = graph.nodes_satisfying(pattern.predicate(u));
-        if pattern.out_degree(u) > 0 {
-            list.retain(|&v| graph.out_degree(v) > 0);
-        }
-        list
-    });
+    let cand: Vec<Vec<NodeId>> = pattern
+        .node_ids()
+        .map(|u| {
+            let mut list = graph.nodes_satisfying(pattern.predicate(u));
+            if pattern.out_degree(u) > 0 {
+                list.retain(|&v| graph.out_degree(v) > 0);
+            }
+            list
+        })
+        .collect();
     let mut member: Vec<Vec<bool>> = Vec::with_capacity(np);
     let mut live_count: Vec<usize> = Vec::with_capacity(np);
     for list in &cand {
@@ -244,7 +246,7 @@ fn match_inner<O: DistanceQuery + Sync + ?Sized>(
         live_count.push(list.len());
     }
 
-    // Chunking of every `cand[from]` list, shared by phases 2 and 3. The
+    // Chunking of every `cand[from]` list, shared by both parallel phases. The
     // merge order below is (edge, x ascending) for *any* chunk count, so this
     // choice affects scheduling only, never results.
     let n_chunks = if exec.parallelism().should_parallelise(nv) {

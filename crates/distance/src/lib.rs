@@ -78,15 +78,18 @@
 //!
 //! Construction runs on the shared `gpm-exec` executor:
 //! [`DistanceMatrix::build_with`] deals one block of 64 rows — one
-//! multi-source traversal — per task on every executor. The `*_with`-less
-//! entry points default to the process-wide
+//! multi-source traversal — per task on every executor, and
+//! [`TwoHopIndex::build_with`] one group of a batch's roots per task in
+//! phase A. The `*_with`-less entry points default to the process-wide
 //! [`gpm_exec::Parallelism::from_env`] policy, except
 //! [`DistanceMatrix::build`], which runs on the caller thread whatever
-//! `GPM_THREADS` says. A maintenance unit is one
-//! sequential sweep over its affected cone on either back-end's insertions
-//! and on the matrix's deletions (a whole unit costs about what opening a
-//! parallel region does); only the 2-hop deletion repair fans out — the
-//! rows of its rectangle, one multi-source BFS per chunk of 64.
+//! `GPM_THREADS` says. Maintenance runs on the caller thread on both
+//! back-ends: an insertion or a matrix deletion is one sweep over its
+//! affected cone (a whole unit costs about what opening a parallel region
+//! does), and a 2-hop deletion runs the rows of its rectangle one
+//! multi-source BFS per chunk of 64, chunk after chunk, before its
+//! sequential label writes (ARCHITECTURE.md § `gpm-exec` has the two-thread
+//! measurements).
 //!
 //! ## Example
 //!

@@ -150,6 +150,12 @@ pub trait DistanceOracle: DistanceQuery {
     /// touches nothing. Implementations replay the batch against a
     /// [`BatchReplay`](gpm_graph::BatchReplay) view of `g` — `g` is never
     /// copied.
+    ///
+    /// Neither shipped back-end reads `exec`: both replay the batch on the
+    /// caller thread, where two threads measured no faster (ARCHITECTURE.md
+    /// § `gpm-exec`). The parameter stays for the matrix's planned
+    /// per-batch row recompute, the one maintenance step wide enough to fan
+    /// out.
     fn apply_batch(
         &mut self,
         g: &DataGraph,

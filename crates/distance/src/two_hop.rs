@@ -120,7 +120,7 @@ impl TwoHopIndex {
             }
         }
 
-        Self::with_diagonal(g, &Executor::sequential(), label_out, label_in, order)
+        Self::with_diagonal(g, label_out, label_in, order)
     }
 
     /// Rank-batched, bit-parallel construction.
@@ -277,37 +277,34 @@ impl TwoHopIndex {
             base += len;
         }
 
-        Self::with_diagonal(g, exec, label_out, label_in, order)
+        Self::with_diagonal(g, label_out, label_in, order)
     }
 
     /// Finishes an index from committed labels: the non-empty diagonal (the
     /// shortest cycle through `v` is `1 + min over out-neighbours s of
-    /// dist(s, v)`) is pure label queries, fanned out across the workers one
-    /// node-range chunk per task.
+    /// dist(s, v)`) is pure label queries, one pass over the nodes on the
+    /// caller thread.
     fn with_diagonal(
         g: &DataGraph,
-        exec: &Executor,
         label_out: Vec<Vec<LabelEntry>>,
         label_in: Vec<Vec<LabelEntry>>,
         hubs_by_rank: Vec<NodeId>,
     ) -> Self {
-        let n = g.node_count();
         let mut index = TwoHopIndex {
             label_out,
             label_in,
-            diagonal: vec![UNREACHABLE; n],
+            diagonal: Vec::new(),
             hubs_by_rank,
         };
-        index.diagonal = {
-            let idx = &index;
-            exec.par_map_index(n, |vi| {
-                let v = NodeId::new(vi as u32);
+        index.diagonal = g
+            .nodes()
+            .map(|v| {
                 let mut best = UNREACHABLE;
                 for &s in g.out_neighbors(v) {
                     let d = if s == v {
                         0 // self-loop: cycle of length 1
                     } else {
-                        idx.standard_distance_raw(s, v)
+                        index.standard_distance_raw(s, v)
                     };
                     if d != UNREACHABLE {
                         best = best.min(hop_sum(0, d));
@@ -315,7 +312,7 @@ impl TwoHopIndex {
                 }
                 best
             })
-        };
+            .collect();
         index
     }
 

@@ -72,8 +72,9 @@
 //!   so their frontiers travel as one word per node and an edge is scanned
 //!   once per level, not once per root. A pass keeps `new` only at the
 //!   columns it will read — the side across and that side's tied fringe —
-//!   as a `64 × columns` table, never a `|V|`-row per root, and chunks of 64
-//!   are what fans out over the executor;
+//!   as a `64 × columns` table, never a `|V|`-row per root. The chunks run
+//!   one after another on the caller thread: the label writes after them are
+//!   sequential and dominate the unit, so a second thread never paid;
 //! * the **candidates** are the pairs some old shortest path of which used
 //!   the edge (`old = via`): all of those in `A × B`, and of those in
 //!   `A × (B' ∖ B)` and `(A' ∖ A) × B` — distance unchanged — the ones
@@ -121,7 +122,6 @@ use crate::{hop_limit, UNREACHABLE};
 use gpm_exec::Executor;
 use gpm_graph::{Adjacency, DataGraph, EdgeBound, NodeId};
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// A 2-hop labeled distance oracle with incremental maintenance.
 ///
@@ -301,7 +301,6 @@ impl IncrementalTwoHop {
         g: &G,
         s: NodeId,
         t: NodeId,
-        exec: &Executor,
         ws: &mut Sweep,
     ) -> Vec<AffectedPair> {
         debug_assert!(
@@ -319,7 +318,9 @@ impl IncrementalTwoHop {
             cycle,
             column,
             hit,
-            chunks,
+            bfs,
+            roots,
+            table,
             ..
         } = &mut ws.labels;
         bfs_row(g, s, Direction::Backward, false, to_s, queue);
@@ -370,12 +371,9 @@ impl IncrementalTwoHop {
         for (c, &(w, _)) in across.iter().chain(across_tied).enumerate() {
             column[w.index()] = c as u32;
         }
-        let (column, chunks) = (&*column, &*chunks);
-        const POOL: &str = "no chunk panicked holding the scratch pool";
-        let per_chunk = exec.map_tasks(rows_of.len().div_ceil(64), n, |c| {
-            let rows = &rows_of[c * 64..rows_of.len().min(c * 64 + 64)];
-            let mut scratch = chunks.lock().expect(POOL).pop().unwrap_or_default();
-            let ChunkScratch { bfs, roots, table } = &mut scratch;
+        let (mut candidates, mut row_fringe, mut hit_rows) = (Vec::new(), Vec::new(), 0);
+        for rows in rows_of.chunks(64) {
+            traversals += 1;
             roots.clear();
             roots.extend(rows.iter().map(|&(v, _)| v));
             table.clear();
@@ -392,36 +390,26 @@ impl IncrementalTwoHop {
                 }
                 arrived
             });
-            let (mut found, mut fringe, mut hit_rows) = (Vec::new(), Vec::new(), 0);
             for (j, &(v, dv)) in rows.iter().enumerate() {
                 let (new_across, new_tied) = table[j * width..][..width].split_at(across.len());
-                let from = found.len();
+                let from = candidates.len();
                 for (&(w, dw), &new) in across.iter().zip(new_across) {
                     let via = hop_sum(dv, dw);
                     if w != v && via <= new {
-                        found.push(candidate(v, w, via, new));
+                        candidates.push(candidate(v, w, via, new));
                     }
                 }
-                let mut changed = found[from..].iter().filter(|p| p.old != p.new);
+                let mut changed = candidates[from..].iter().filter(|p| p.old != p.new);
                 if changed.any(|p| holds_entry(p, rows_are_sources)) {
                     hit_rows += 1;
                     for (&(w, dw), &new) in across_tied.iter().zip(new_tied) {
                         let via = hop_sum(dv, dw);
                         if w != v && via <= new {
-                            fringe.push(candidate(v, w, via, via));
+                            row_fringe.push(candidate(v, w, via, via));
                         }
                     }
                 }
             }
-            chunks.lock().expect(POOL).push(scratch);
-            (found, fringe, hit_rows)
-        });
-        traversals += per_chunk.len();
-        let (mut candidates, mut row_fringe, mut hit_rows) = (Vec::new(), Vec::new(), 0);
-        for (found, fringe, hits) in per_chunk {
-            candidates.extend(found);
-            row_fringe.extend(fringe);
-            hit_rows += hits;
         }
         let mut aff1: Vec<AffectedPair> = candidates
             .iter()
@@ -556,7 +544,7 @@ impl DistanceOracle for IncrementalTwoHop {
         &mut self,
         g: &DataGraph,
         updates: &[EdgeUpdate],
-        exec: &Executor,
+        _exec: &Executor,
     ) -> AffectedPairs {
         replay_batch(
             self,
@@ -569,7 +557,7 @@ impl DistanceOracle for IncrementalTwoHop {
                 if u.is_insert() {
                     this.insert_repair(view, from, to, ws)
                 } else {
-                    this.delete_repair(view, from, to, exec, ws)
+                    this.delete_repair(view, from, to, ws)
                 }
             },
         )
@@ -600,21 +588,15 @@ pub(crate) struct LabelScratch {
     column: Vec<u32>,
     /// Per column of the side across: holds an entry of a changed pair.
     hit: Vec<bool>,
-    /// One per rectangle chunk in flight; a chunk takes one and returns it.
-    chunks: Mutex<Vec<ChunkScratch>>,
+    /// What one chunk of rectangle rows — at most 64 roots — works in;
+    /// `table` holds `new(root j, column c)` at `j * width + c`.
+    bfs: MultiBfs,
+    roots: Vec<NodeId>,
+    table: Vec<u16>,
 }
 
 /// Not a column of the rectangle in hand.
 const NO_COLUMN: u32 = u32::MAX;
-
-/// What one chunk of rectangle rows — at most 64 roots — works in.
-#[derive(Default)]
-struct ChunkScratch {
-    bfs: MultiBfs,
-    roots: Vec<NodeId>,
-    /// `new(root j, column c)` at `j * width + c`.
-    table: Vec<u16>,
-}
 
 impl LabelScratch {
     /// Sizes the scratch for graphs of `n` nodes.
@@ -756,7 +738,6 @@ mod tests {
     use crate::incremental::EdgeUpdate;
     use crate::matrix::DistanceMatrix;
     use gpm_datagen::adversarial::{cut_chain_updates, deep_chain};
-    use gpm_exec::Parallelism;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom as _;
@@ -1119,12 +1100,11 @@ mod tests {
         DataGraph::from_edges((first_sink + sinks) as usize, &edges).unwrap()
     }
 
-    /// Deletes `(s, t)` from `g` at 1, 2 and 8 threads: `AFF1` and labels
-    /// bit-identical at every thread count, `AFF1` ≡ the brute-force diff
-    /// of two matrix builds, distances ≡ a fresh build's. `smaller` is the
-    /// size of the smaller rectangle side, checked so that the chunking the
-    /// caller means to exercise is the one that runs.
-    fn assert_deletion_is_thread_independent(g: &DataGraph, s: NodeId, t: NodeId, smaller: usize) {
+    /// Deletes `(s, t)` from `g`: `AFF1` ≡ the brute-force diff of two
+    /// matrix builds, distances ≡ a fresh build's. `smaller` is the size of
+    /// the smaller rectangle side, checked so that the chunking the caller
+    /// means to exercise is the one that runs.
+    fn assert_deletion_repairs_exactly(g: &DataGraph, s: NodeId, t: NodeId, smaller: usize) {
         let mut after = g.clone();
         after.remove_edge(s, t).unwrap();
         let side = |fixed: (NodeId, Direction), new: (NodeId, Direction)| {
@@ -1150,37 +1130,31 @@ mod tests {
                 }
             }
         }
-        let built = IncrementalTwoHop::build(g);
-        let repaired = [1, 2, 8].map(|threads| {
-            let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
-            let mut oracle = built.clone();
-            let aff = oracle.apply_batch(&after, &[EdgeUpdate::Delete(s, t)], &exec);
-            assert_eq!(aff.pairs, brute, "{threads} threads");
-            assert_all_pairs_agree(&after, &oracle, &m_after);
-            oracle.index
-        });
-        assert_eq!(repaired[0], repaired[1], "labels at 1 and 2 threads");
-        assert_eq!(repaired[0], repaired[2], "labels at 1 and 8 threads");
-        let fresh = TwoHopIndex::build_with(&after, &Executor::sequential());
+        let mut oracle = IncrementalTwoHop::build(g);
+        let exec = Executor::sequential();
+        let aff = oracle.apply_batch(&after, &[EdgeUpdate::Delete(s, t)], &exec);
+        assert_eq!(aff.pairs, brute);
+        assert_all_pairs_agree(&after, &oracle, &m_after);
+        let fresh = TwoHopIndex::build_with(&after, &exec);
         for x in g.nodes() {
             for y in g.nodes() {
-                assert_eq!(repaired[0].nonempty_raw(x, y), fresh.nonempty_raw(x, y));
+                assert_eq!(oracle.index.nonempty_raw(x, y), fresh.nonempty_raw(x, y));
             }
         }
     }
 
     #[test]
-    fn multi_bfs_chunks_of_63_64_65_and_130_rows_repair_bit_identically_at_every_thread_count() {
+    fn multi_bfs_chunks_of_63_64_65_and_130_rows_repair_exactly() {
         for rows in [63, 64, 65, 130] {
             // Rows on the source side, rows on the sink side, and a chain
             // cut `rows` nodes from its head (no row shares a step there).
             let g = fan_through_an_edge(rows - 2, rows + 3);
-            assert_deletion_is_thread_independent(&g, n(0), n(1), rows as usize);
+            assert_deletion_repairs_exactly(&g, n(0), n(1), rows as usize);
             let g = fan_through_an_edge(rows + 3, rows - 2);
-            assert_deletion_is_thread_independent(&g, n(0), n(1), rows as usize);
+            assert_deletion_repairs_exactly(&g, n(0), n(1), rows as usize);
             let len = 2 * rows as usize + 9;
             let (s, t) = cut_chain_updates(len, rows as usize - 1)[0].endpoints();
-            assert_deletion_is_thread_independent(&deep_chain(len), s, t, rows as usize);
+            assert_deletion_repairs_exactly(&deep_chain(len), s, t, rows as usize);
         }
     }
 

@@ -7,11 +7,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// How many chunks [`Executor::par_map_index`] cuts per worker thread. More
-/// items than workers is what gives the shared cursor room to balance skewed
-/// per-item costs; 4 is plenty for the coarse-grained work in this codebase.
-const TASKS_PER_WORKER: usize = 4;
-
 /// A scoped fork-join executor over a [`Parallelism`] policy.
 ///
 /// The executor is a cheap value type (a policy, not a thread pool): worker
@@ -94,24 +89,6 @@ impl Executor {
             .into_iter()
             .map(|slot| slot.expect("the region joined every task, so every slot is filled"))
             .collect()
-    }
-
-    /// Maps every index in `0..n`, returning the results in index order:
-    /// [`Executor::map_tasks`] over chunks of the range, a few per worker.
-    pub fn par_map_index<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if !self.cfg.should_parallelise(n) {
-            return (0..n).map(f).collect();
-        }
-        let chunk = n.div_ceil(self.threads() * TASKS_PER_WORKER).max(1);
-        let per_chunk = self.map_tasks(n.div_ceil(chunk), n, |c| {
-            let end = ((c + 1) * chunk).min(n);
-            (c * chunk..end).map(&f).collect::<Vec<R>>()
-        });
-        per_chunk.into_iter().flatten().collect()
     }
 
     /// Splits `data` into consecutive chunks of (at most) `chunk_len`
@@ -225,9 +202,8 @@ mod tests {
     fn zero_and_single_task_regions() {
         for exec in [Executor::sequential(), forced(4)] {
             exec.for_each_mut(&mut [] as &mut [u8], usize::MAX, |_, _| unreachable!());
-            assert!(exec.par_map_index(0, |i| i).is_empty());
             assert_eq!(exec.map_tasks(0, usize::MAX, |i| i), Vec::<usize>::new());
-            assert_eq!(exec.par_map_index(1, |i| i + 7), vec![7]);
+            assert_eq!(exec.map_tasks(1, usize::MAX, |i| i + 7), vec![7]);
             exec.par_chunks_mut(&mut [] as &mut [u8], 3, |_, _| unreachable!());
         }
     }
@@ -249,8 +225,7 @@ mod tests {
     fn map_results_are_in_index_order() {
         let exec = forced(4);
         let expected: Vec<usize> = (0..1000).map(|i| i * 3).collect();
-        assert_eq!(exec.par_map_index(1000, |i| i * 3), expected);
-        assert_eq!(exec.map_tasks(100, usize::MAX, |i| i * 3), expected[..100]);
+        assert_eq!(exec.map_tasks(1000, usize::MAX, |i| i * 3), expected);
     }
 
     #[test]

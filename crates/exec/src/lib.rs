@@ -2,16 +2,18 @@
 //!
 //! A small parallel runtime for the gpm workspace: scoped fork-join
 //! execution over borrowed data, with a [`Parallelism`] policy shared by
-//! every hot path (the `Match` candidate refinement in `gpm-core`, the
-//! block-of-rows matrix build and the 2-hop construction in `gpm-distance`,
-//! candidate computation in `gpm-iso`, state initialisation in
-//! `gpm-incremental` and the per-query repair of `gpm-service`).
+//! the hot paths that earn it. Four regions fan out: the block-of-rows
+//! matrix build and the 2-hop build's phase A in `gpm-distance`, and the
+//! `Match` witness-counter initialisation and removal waves in `gpm-core`.
+//! Each was measured ≥ 1.3× faster at two threads; everything
+//! else runs on the caller thread. ARCHITECTURE.md § `gpm-exec` lists every
+//! site with its measured ratio.
 //!
 //! ## Design
 //!
 //! * **Index-addressed regions.** Every parallel step in this workspace is
-//!   *n items, each addressed by its index* — a pattern node, an (edge,
-//!   chunk) pair, a block of rows, a root group, a query. A region runs its
+//!   *n items, each addressed by its index* — an (edge, chunk) pair, a
+//!   block of rows, a root group. A region runs its
 //!   items to completion before returning; items may borrow from the
 //!   caller's stack (no `'static` bound, no `Arc` plumbing). Worker threads
 //!   live for the duration of one region — the executor is a cheap, copyable
@@ -22,9 +24,8 @@
 //!   item until none is left. That is dynamic load balancing — a worker
 //!   held up by an expensive item pulls fewer — and it hands out disjoint
 //!   `&mut` items without `unsafe`. Items in this codebase are coarse (a
-//!   64-row BFS block, a pattern-node scan), so one lock per item is noise.
-//! * **Deterministic merges.** The mapping combinators
-//!   ([`Executor::map_tasks`], [`Executor::par_map_index`]) always deliver
+//!   64-row BFS block, a chunk of candidates), so one lock per item is noise.
+//! * **Deterministic merges.** [`Executor::map_tasks`] always delivers
 //!   results in task-index order, whatever interleaving the workers produce,
 //!   so parallel `Match` is bit-identical to sequential `Match`.
 //! * **Sequential fallback.** Regions whose work hint falls below
@@ -45,7 +46,7 @@
 //! let exec = Executor::new(Parallelism::new(4).with_sequential_threshold(1));
 //!
 //! // Deterministic map: results are in index order regardless of scheduling.
-//! let squares = exec.par_map_index(1_000, |i| i * i);
+//! let squares = exec.map_tasks(1_000, 1_000, |i| i * i);
 //! assert_eq!(squares[31], 961);
 //!
 //! // Disjoint `&mut` items over borrowed data, no lock in sight.

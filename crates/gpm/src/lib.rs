@@ -26,9 +26,11 @@
 //!
 //! ## Parallelism
 //!
-//! The hot paths — `Match`'s candidate refinement, distance-matrix
-//! construction, candidate computation and batch-update repair — run on a
-//! shared fork-join executor (the [`exec`] module). Every entry point
+//! Three hot paths — `Match`'s candidate refinement, the distance-matrix
+//! build and the 2-hop build — run on a shared fork-join executor (the
+//! [`exec`] module). Candidate selection and batch-update maintenance run on
+//! the caller thread: fanned out, they never ran faster at two threads
+//! (ARCHITECTURE.md § `gpm-exec` lists every site). Every entry point
 //! defaults to the process-wide [`Parallelism::from_env`] policy (all
 //! available cores, overridable with the `GPM_THREADS` environment
 //! variable); `*_on`/`*_with` variants accept an explicit [`Executor`] or

@@ -88,7 +88,7 @@ pub use affected::{Aff2, IncrementalStats};
 pub use batch::inc_match;
 pub use delete::match_minus;
 pub use insert::match_plus;
-pub use repair::{repair_match_state, split_aff1_sources, RepairOutcome};
+pub use repair::{crosses_a_bound, repair_match_state, split_aff1_sources, RepairOutcome};
 pub use state::{MatchState, MatchStateSnapshot};
 
 /// Result alias for incremental operations.

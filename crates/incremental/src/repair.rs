@@ -90,6 +90,19 @@ pub fn split_aff1_sources(aff1: &AffectedPairs) -> (FxHashSet<NodeId>, FxHashSet
     split_sources(aff1, |_| true)
 }
 
+/// The bound-crossing test of `pattern` (module docs): whether a changed
+/// pair has some bound `k` of `pattern` with `min(old, new) ≤ k <
+/// max(old, new)` — for a `*` edge, whether reachability flipped. Only such
+/// pairs can change `pattern`'s match; [`repair_match_state`] seeds its
+/// repair from their sources.
+pub fn crosses_a_bound(pattern: &PatternGraph) -> impl Fn(&AffectedPair) -> bool {
+    let flips = flip_points(pattern);
+    move |p| {
+        let (lo, hi) = (p.old.min(p.new), p.old.max(p.new));
+        flips.iter().any(|&k| lo <= k && k < hi)
+    }
+}
+
 fn split_sources(
     aff1: &AffectedPairs,
     keep: impl Fn(&AffectedPair) -> bool,
@@ -168,11 +181,7 @@ pub fn repair_match_state<O: DistanceQuery + ?Sized>(
     let matched_before: Option<FxHashSet<NodeId>> =
         gpm_obs::enabled().then(|| state.relation().iter_pairs().map(|(_, v)| v).collect());
 
-    let flips = flip_points(pattern);
-    let (increased, decreased) = split_sources(aff1, |p| {
-        let (lo, hi) = (p.old.min(p.new), p.old.max(p.new));
-        flips.iter().any(|&k| lo <= k && k < hi)
-    });
+    let (increased, decreased) = split_sources(aff1, crosses_a_bound(pattern));
     if !decreased.is_empty() {
         if let Err(err) = pattern.require_dag() {
             m.dag_rejections.inc();

@@ -56,10 +56,11 @@ impl MatchState {
         Self::initialise_with(pattern, graph, oracle, &Executor::from_env())
     }
 
-    /// [`MatchState::initialise`] on an explicit executor (the predicate
-    /// lists are one independent task per pattern node; the batch `Match`
-    /// run parallelises as described on
-    /// [`bounded_simulation_with_oracle_on`]).
+    /// [`MatchState::initialise`] on an explicit executor. The predicate
+    /// lists are read off the attribute index on the caller thread (a few
+    /// microseconds per pattern node); `exec` drives the batch `Match` run,
+    /// which parallelises as described on
+    /// [`bounded_simulation_with_oracle_on`].
     pub fn initialise_with<O: DistanceQuery + Sync + ?Sized>(
         pattern: &PatternGraph,
         graph: &DataGraph,
@@ -67,11 +68,10 @@ impl MatchState {
         exec: &Executor,
     ) -> Self {
         let nv = graph.node_count();
-        let np = pattern.node_count();
-        let satisfying: Vec<Vec<NodeId>> = exec.map_tasks(np, nv, |ui| {
-            let u = PatternNodeId::new(ui as u32);
-            graph.nodes_satisfying(pattern.predicate(u))
-        });
+        let satisfying: Vec<Vec<NodeId>> = pattern
+            .node_ids()
+            .map(|u| graph.nodes_satisfying(pattern.predicate(u)))
+            .collect();
 
         let outcome = bounded_simulation_with_oracle_on(pattern, graph, oracle, exec);
         // `Match` clears the whole relation when P ⋬ G, but the state to

@@ -5,7 +5,6 @@
 //! host the pattern node's edges. This is the standard "label and degree
 //! filter" pruning.
 
-use gpm_exec::Executor;
 use gpm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
 
 /// Candidate data nodes per pattern node (predicate + degree filter).
@@ -15,27 +14,20 @@ pub struct CandidateSets {
 }
 
 impl CandidateSets {
-    /// Computes the candidate sets for `pattern` over `graph` on the
-    /// process-default [`gpm_exec::Parallelism`] policy.
+    /// Computes the candidate sets for `pattern` over `graph`, in
+    /// pattern-node order on the caller thread: each list is the graph's
+    /// attribute index for the node predicate, filtered by degree.
     pub fn compute(pattern: &PatternGraph, graph: &DataGraph) -> Self {
-        Self::compute_with(pattern, graph, &Executor::from_env())
-    }
-
-    /// Computes the candidate sets on an explicit executor: one task per
-    /// pattern node (each reads the graph's attribute index and filters by
-    /// degree, at most `|V|` entries, so the work hint is `|V|`);
-    /// results are merged in pattern-node order, so the outcome is identical
-    /// at every thread count.
-    pub fn compute_with(pattern: &PatternGraph, graph: &DataGraph, exec: &Executor) -> Self {
-        let np = pattern.node_count();
-        let per_pattern = exec.map_tasks(np, graph.node_count(), |ui| {
-            let u = PatternNodeId::new(ui as u32);
-            let need_out = pattern.out_degree(u);
-            let need_in = pattern.in_degree(u);
-            let mut list = graph.nodes_satisfying(pattern.predicate(u));
-            list.retain(|&v| graph.out_degree(v) >= need_out && graph.in_degree(v) >= need_in);
-            list
-        });
+        let per_pattern = pattern
+            .node_ids()
+            .map(|u| {
+                let need_out = pattern.out_degree(u);
+                let need_in = pattern.in_degree(u);
+                let mut list = graph.nodes_satisfying(pattern.predicate(u));
+                list.retain(|&v| graph.out_degree(v) >= need_out && graph.in_degree(v) >= need_in);
+                list
+            })
+            .collect();
         CandidateSets { per_pattern }
     }
 

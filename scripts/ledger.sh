@@ -8,8 +8,8 @@
 #                                        # the deterministic columns with
 #                                        # <ledger>'s; exit 1 on a difference
 #
-# Deterministic columns: `|δ| (paper)`, `|δ| (scaled)`, `|AFF|/update` and
-# `agree` of the Fig. 6(i)–(k) tables; `|V|`, `deletions`, `|C|` and
+# Deterministic columns: `|δ| (paper)`, `|δ| (scaled)`, `|AFF|/update`,
+# `|AFF1| crossing/update` and `agree` of the Fig. 6(i)–(k) tables; `|V|`, `deletions`, `|C|` and
 # `|AFF1|` of the `exp_oracle_scale` topology table. Time columns are
 # recorded, never compared. The environment reaches the bins unchanged
 # (`GPM_THREADS`, `GPM_ASSERT_BUILD_MS`); the oracle is pinned to the
@@ -95,7 +95,7 @@ PY
 [[ -n "$committed" ]] || exit 0
 python3 - "$committed" "$out" <<'PY'
 import json, sys
-FIG6 = ["|δ| (paper)", "|δ| (scaled)", "|AFF|/update", "agree"]
+FIG6 = ["|δ| (paper)", "|δ| (scaled)", "|AFF|/update", "|AFF1| crossing/update", "agree"]
 # (bin, title prefix, deterministic columns)
 CHECKED = [
     ("exp_fig6i_batch_updates", "Fig. 6(i)", FIG6),
