@@ -117,11 +117,6 @@ impl MatchRelation {
         all
     }
 
-    /// Whether `self ⊆ other` (every pair of `self` is a pair of `other`).
-    pub fn is_subrelation_of(&self, other: &MatchRelation) -> bool {
-        self.iter_pairs().all(|(u, v)| other.contains(u, v))
-    }
-
     /// Number of matches per pattern node, averaged — the metric reported in
     /// Exp-1 ("matches per pattern node").
     pub fn average_matches_per_pattern_node(&self) -> f64 {
@@ -252,17 +247,6 @@ mod tests {
             MatchRelation::empty(0).average_matches_per_pattern_node(),
             0.0
         );
-    }
-
-    #[test]
-    fn subrelation() {
-        let mut a = MatchRelation::empty(1);
-        a.insert(pn(0), dn(1));
-        let mut b = a.clone();
-        b.insert(pn(0), dn(2));
-        assert!(a.is_subrelation_of(&b));
-        assert!(!b.is_subrelation_of(&a));
-        assert!(a.is_subrelation_of(&a));
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl BfsOracle {
         BfsOracle::default()
     }
 
-    /// Number of sources whose BFS row is currently cached.
-    pub fn cached_sources(&self) -> usize {
-        self.rows.lock().len()
-    }
-
     /// Runs `f` on the (memoised, computed on first use) row of `from`
     /// under one lock acquisition.
     fn with_row<R>(&self, g: &DataGraph, from: NodeId, f: impl FnOnce(&[u16]) -> R) -> R {
@@ -111,12 +106,13 @@ mod tests {
     fn rows_are_cached_once_per_source() {
         let g = sample();
         let o = BfsOracle::new();
-        assert_eq!(o.cached_sources(), 0);
+        let cached = || o.rows.lock().len();
+        assert_eq!(cached(), 0);
         let _ = o.nonempty_distance(&g, n(0), n(3));
         let _ = o.nonempty_distance(&g, n(0), n(4));
-        assert_eq!(o.cached_sources(), 1);
+        assert_eq!(cached(), 1);
         let _ = o.nonempty_distance(&g, n(2), n(1));
-        assert_eq!(o.cached_sources(), 2);
+        assert_eq!(cached(), 2);
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //! successor, at its true level. A node reached deeper than its true level
 //! therefore has `Y = ∅`, and the over-estimated level cannot invent a pair
 //! for it: an insertion's `via` only grows with the level, and a deletion's
-//! spuriously tied entries are recomputed by the exact row repair to the
+//! spuriously tied entries are settled by the exact row repair at the
 //! value they already hold. Either way it is marked visited with `Y = ∅`
 //! and the sweep does not continue through it.
 //!
@@ -66,6 +66,23 @@
 //! through the edge is the sink `y = p` of source `p`, tested like any other
 //! sink of `Y(w)` against `std(t, p)`. `t` as a source is covered by the
 //! copied row.
+//!
+//! # The deletion's row repair
+//!
+//! A deletion source decides its tied sinks on its own row with Ramalingam
+//! and Reps' two phases (`Repair::run`). **Phase 1** visits the candidates in
+//! ascending old distance and settles every `y` that an in-neighbour still
+//! gives `old(p, y)`: `p` itself at distance 1, or a `v` already final with
+//! `row[v] + 1 = old`. It is *sound in any order* — a final in-neighbour
+//! bounds `new ≤ old`, and a deletion never shortens a distance — and
+//! *complete in ascending order*: the node before an unchanged `y` on a
+//! shortest surviving path is `p`, a non-candidate (unchanged by the lemma)
+//! or an unchanged candidate with a smaller `old`, settled first. So what
+//! phase 1 leaves pending is exactly `Y(p)`, and **phase 2**, a search from
+//! the fixed boundary, pays only for the pairs that change. The repair's
+//! two tallies make that a counted bound: `matrix.repair_searched` is the
+//! summed `|AFF1|` of the deletion units, below `matrix.repair_candidates`,
+//! below `matrix.pairs_examined`.
 //!
 //! # Order
 //!
@@ -261,10 +278,20 @@ struct Repair {
     pending: Vec<bool>,
     /// The tied sinks of the row under repair, with their old distances.
     candidates: Vec<(NodeId, u16)>,
-    /// `(distance, candidate)`: the boundary keys, sorted, and the FIFO of
-    /// relaxations, consumed by index.
+    /// `(old distance, candidate)`, in phase 1's order.
+    order: Vec<(u16, NodeId)>,
+    /// `(old distance, candidate)`: the pending candidates whose key phase 1
+    /// could not know yet.
+    unsure: Vec<(u16, NodeId)>,
+    /// `(distance, candidate)`: phase 2's boundary keys, sorted, and its
+    /// FIFO of relaxations, consumed by index.
     keys: Vec<(u16, NodeId)>,
     relaxed: Vec<(u16, NodeId)>,
+    /// Candidates handed to the repair, over the workspace's lifetime.
+    handed: u64,
+    /// Candidates still pending after phase 1, over the workspace's
+    /// lifetime: exactly the pairs the repairs changed.
+    searched: u64,
 }
 
 impl Sweep {
@@ -346,6 +373,10 @@ pub(crate) fn replay_batch<O>(
     }
     metrics.sweep_rows.add(ws.cone.rows);
     metrics.pairs_examined.add(ws.pairs);
+    if let Some(repair) = &metrics.repair {
+        repair.candidates.add(ws.repair.handed);
+        repair.searched.add(ws.repair.searched);
+    }
     AffectedPairs::net(sequence)
 }
 
@@ -481,17 +512,34 @@ impl Repair {
     /// Recomputes the entries of `row` — the row of source `p` — at
     /// `self.candidates` against the graph without the deleted edge, and
     /// appends those that changed to `aff1`: Ramalingam and Reps' deletion
-    /// repair, transposed so that one repair reads and writes one row.
+    /// repair, both phases, transposed so that one repair reads and writes
+    /// one row.
     ///
     /// Every other entry of the row is provably unchanged (outside `Y(w)` by
     /// the lemma, untied because an affected pair is tied) and acts as the
-    /// fixed boundary: the key of a candidate `y` is the minimum over its
-    /// in-neighbours `v` of `1` if `v = p`, else `new(p, v) + 1` for `v`
-    /// outside the candidates. Weights are 1, so no heap: the sorted keys and
-    /// a FIFO of relaxations are both non-decreasing, so is their merged pop
-    /// order, and **the first pop of a candidate is final** (a later pop, or
-    /// a relaxation from a later one, cannot be shorter). A candidate never
-    /// popped has lost its last path.
+    /// fixed boundary.
+    ///
+    /// **Phase 1 settles the candidates that keep their distance.** It visits
+    /// them in ascending old distance and settles `y` when an in-neighbour
+    /// still gives `old(p, y)`: `p` itself when `old = 1`, or a `v` that is
+    /// not pending with `row[v] + 1 = old`. *Sound in any order:* a settled
+    /// in-neighbour bounds `new ≤ old`, and a deletion never shortens a
+    /// distance. *Complete in ascending order:* on a shortest surviving path
+    /// of an unchanged `y`, the node before `y` is `p`, a non-candidate
+    /// (fixed boundary) or a candidate with a smaller `old` that is itself
+    /// unchanged and was settled first. So the candidates left pending are
+    /// exactly the sinks of the row that change — `Y(p)`.
+    ///
+    /// **Phase 2 searches the pending ones.** The key of a pending `y` is
+    /// the minimum over its in-neighbours `v` of `1` if `v = p`, else
+    /// `new(p, v) + 1` for `v` not pending. Phase 1's scan of `y` has
+    /// already seen every in-neighbour, so it keeps that minimum unless one
+    /// of them is a candidate it has not decided yet (`old(v) ≥ old(p, y)`:
+    /// it may still settle); only those `y` are scanned again. Weights are
+    /// 1, so no heap: the sorted keys and a FIFO of relaxations are both
+    /// non-decreasing, so is their merged pop order, and **the first pop of
+    /// a candidate is final** (a later pop, or a relaxation from a later one,
+    /// cannot be shorter). A candidate never popped has lost its last path.
     fn run<G: Adjacency>(
         &mut self,
         g: &G,
@@ -502,27 +550,45 @@ impl Repair {
         let Repair {
             pending,
             candidates,
+            order,
+            unsure,
             keys,
             relaxed,
+            handed,
+            searched,
         } = self;
         for (y, _) in candidates.iter() {
             pending[y.index()] = true;
         }
+        *handed += candidates.len() as u64;
+        // Phase 1, in ascending old distance: a candidate is settled by an
+        // in-neighbour one hop closer that is final already (`p` itself at
+        // hop 0).
+        order.clear();
+        order.extend(candidates.iter().map(|&(y, old)| (old, y)));
+        order.sort_unstable_by_key(|&(old, _)| old);
         keys.clear();
-        for &(y, _) in candidates.iter() {
-            // Shortest route into `y` whose last-but-one node is `p` itself
-            // or has a final distance below the horizon.
-            let key = g.in_neighbors(y).iter().filter_map(|&v| {
-                let d = row[v.index()];
-                if v == p {
-                    Some(1)
-                } else if d < HORIZON && !pending[v.index()] {
-                    Some(d + 1)
-                } else {
-                    None
-                }
-            });
-            keys.extend(key.min().map(|key| (key, y)));
+        unsure.clear();
+        for &(old, y) in order.iter() {
+            let (kept, key, open) = scan_in(g, p, row, pending, y, old);
+            if kept {
+                pending[y.index()] = false;
+                continue;
+            }
+            *searched += 1;
+            if open {
+                unsure.push((old, y));
+            } else if key != UNREACHABLE {
+                keys.push((key, y));
+            }
+        }
+        // Phase 2 over the candidates still pending; every candidate is
+        // decided now, so a second scan of the unsure ones finds their keys.
+        for &(old, y) in unsure.iter() {
+            let (_, key, _) = scan_in(g, p, row, pending, y, old);
+            if key != UNREACHABLE {
+                keys.push((key, y));
+            }
         }
         keys.sort_unstable();
         relaxed.clear();
@@ -566,6 +632,42 @@ impl Repair {
             }
         }
     }
+}
+
+/// One pass over the in-neighbours `v` of the candidate `y` of row `p`, whose
+/// old distance is `old`. Returns whether some `v` still gives `old` (`p`
+/// itself at hop 0, or a final `v` with `row[v] + 1 = old`); the shortest
+/// route into `y` through a final `v` below the horizon or `p`
+/// (`UNREACHABLE` if none); and whether a `v` is a candidate not decided
+/// yet (pending at `old(v) ≥ old`, so it may still settle and give `y` a
+/// shorter key).
+// Forced inline: it runs once per candidate, and the out-of-line call read
+// ≈ 3 % slower deletion batches on the `inproc-maintain` script.
+#[inline(always)]
+fn scan_in<G: Adjacency>(
+    g: &G,
+    p: NodeId,
+    row: &[u16],
+    pending: &[bool],
+    y: NodeId,
+    old: u16,
+) -> (bool, u16, bool) {
+    let (mut key, mut open) = (UNREACHABLE, false);
+    let kept = g.in_neighbors(y).iter().any(|&v| {
+        let d = match v == p {
+            true => 0,
+            false if pending[v.index()] => {
+                open |= row[v.index()] >= old;
+                return false;
+            }
+            false => row[v.index()],
+        };
+        if d < HORIZON {
+            key = key.min(d + 1);
+        }
+        u32::from(d) + 1 == u32::from(old)
+    });
+    (kept, key, open)
 }
 
 #[cfg(test)]
@@ -922,9 +1024,11 @@ mod tests {
     /// maintained matrix against a build, the unit's `AFF1` against the
     /// brute-force diff of the two matrices, after a deletion the repaired
     /// row of `s` against `rebuild_row`'s BFS, the 2-hop's unit `AFF1`
-    /// (sorted by its one-element batch) against the same diff, and that the
+    /// (sorted by its one-element batch) against the same diff, that the
     /// sweep emitted one run per source and tested exactly the cone and its
-    /// fringe. Returns the unit's `AFF1` in sweep order.
+    /// fringe, and that a deletion's row repairs searched exactly its
+    /// `AFF1` — phase 1 settled every candidate that kept its distance.
+    /// Returns the unit's `AFF1` in sweep order.
     fn check_unit(
         g: &DataGraph,
         m: &mut DistanceMatrix,
@@ -958,6 +1062,16 @@ mod tests {
         assert!(unit.windows(2).all(ascending), "{u}: runs ascend by sink");
         let tested = cone_and_fringe(g, s, &unit).len();
         assert_eq!(ws.cone.rows, tested as u64, "{u}: rows tested");
+
+        let Repair {
+            handed, searched, ..
+        } = ws.repair;
+        assert!(
+            searched <= handed && handed <= ws.pairs,
+            "{u}: repair tallies"
+        );
+        let changed = if u.is_insert() { 0 } else { unit.len() as u64 };
+        assert_eq!(searched, changed, "{u}: candidates searched vs |AFF1|");
         unit
     }
 
@@ -1044,6 +1158,12 @@ mod tests {
         }
         let inside = [(n(4), n(5)), (n(5), n(4)), (n(7), n(4)), (n(3), n(0))];
         check_stream(cliques_with_bridges(3, 4), there_and_back(&inside));
+        // Grid edges: every sink below and right of a cut has many tied
+        // routes, and most tied candidates keep their distance through
+        // other candidates.
+        let cells = [(0, 1), (0, 5), (6, 7), (6, 11), (12, 13), (18, 23)];
+        let cells: Vec<_> = cells.iter().map(|&(a, b)| (n(a), n(b))).collect();
+        check_stream(grid(5, 5), there_and_back(&cells));
     }
 
     /// Applies `u` to `g` and runs it through [`check_unit`] against a fresh
@@ -1229,7 +1349,7 @@ mod tests {
         assert_eq!(g.node_count(), 1038);
         let mut m = DistanceMatrix::build(&g);
         let mut ws = Sweep::new(g.node_count());
-        let (mut aff1_total, mut fringe_in_degree) = (0, 0);
+        let (mut aff1_total, mut fringe_in_degree, mut deleted_aff1) = (0, 0, 0);
         for i in 0..80u64 {
             let direction = match i % 2 {
                 0 => UpdateStreamConfig::deletions(2),
@@ -1244,6 +1364,9 @@ mod tests {
                 assert!(u.apply(&mut g));
                 let aff = update_unit(&mut m, &g, u, &mut ws);
                 aff1_total += aff.len();
+                if !u.is_insert() {
+                    deleted_aff1 += aff.len() as u64;
+                }
                 let tested = cone_and_fringe(&g, s, &aff);
                 fringe_in_degree += tested.iter().map(|&v| g.in_degree(v)).sum::<usize>();
             }
@@ -1254,6 +1377,9 @@ mod tests {
             "{} pairs examined for Σ|AFF1| = {aff1_total}, Σ in-degree = {fringe_in_degree}",
             ws.pairs
         );
+        // The row repairs searched the deletions' AFF1 and nothing else.
+        assert_eq!(ws.repair.searched, deleted_aff1);
+        assert!(ws.repair.searched < ws.repair.handed && ws.repair.handed <= ws.pairs);
     }
 
     proptest! {

@@ -20,11 +20,30 @@ pub(crate) struct OracleMetrics {
     /// `(source, sink)` pairs whose old distance was read.
     pub sweep_rows: Arc<Counter>,
     pub pairs_examined: Arc<Counter>,
+    /// The matrix's deletion row repairs (`Repair::run`); `None` on the
+    /// 2-hop, whose deletions do not repair rows.
+    pub repair: Option<RepairMetrics>,
+}
+
+/// The work of the matrix's deletion row repairs, in two deterministic
+/// counters with the bound `repair_searched ≤ repair_candidates ≤
+/// pairs_examined`.
+pub(crate) struct RepairMetrics {
+    /// Tied candidates handed to the repair: at most one per pair examined.
+    pub candidates: Arc<Counter>,
+    /// Candidates left pending after the repair's first phase, which
+    /// settles every candidate that keeps its distance: exactly the summed
+    /// `|AFF1|` of the deletion units.
+    pub searched: Arc<Counter>,
 }
 
 impl OracleMetrics {
-    fn new(prefix: &str) -> Self {
+    fn new(prefix: &str, repairs_rows: bool) -> Self {
         let scope = gpm_obs::registry().scope("oracle");
+        let repair = repairs_rows.then(|| RepairMetrics {
+            candidates: scope.counter(&format!("{prefix}.repair_candidates")),
+            searched: scope.counter(&format!("{prefix}.repair_searched")),
+        });
         OracleMetrics {
             inserts: scope.counter(&format!("{prefix}.inserts")),
             deletes: scope.counter(&format!("{prefix}.deletes")),
@@ -33,6 +52,7 @@ impl OracleMetrics {
             apply_ns: scope.histogram(&format!("{prefix}.apply_ns")),
             sweep_rows: scope.counter(&format!("{prefix}.sweep_rows")),
             pairs_examined: scope.counter(&format!("{prefix}.pairs_examined")),
+            repair,
         }
     }
 
@@ -53,12 +73,12 @@ impl OracleMetrics {
 
 pub(crate) fn matrix() -> &'static OracleMetrics {
     static M: OnceLock<OracleMetrics> = OnceLock::new();
-    M.get_or_init(|| OracleMetrics::new("matrix"))
+    M.get_or_init(|| OracleMetrics::new("matrix", true))
 }
 
 pub(crate) fn twohop() -> &'static OracleMetrics {
     static M: OnceLock<OracleMetrics> = OnceLock::new();
-    M.get_or_init(|| OracleMetrics::new("twohop"))
+    M.get_or_init(|| OracleMetrics::new("twohop", false))
 }
 
 /// 2-hop-specific metrics: label queries and the work of deletion repair.

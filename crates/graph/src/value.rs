@@ -104,11 +104,6 @@ impl AttrValue {
         }
     }
 
-    /// Returns a short, human readable name of the value's type.
-    pub fn type_name(&self) -> &'static str {
-        self.attr_type().name()
-    }
-
     /// Returns the value as an `i64` if it is an integer.
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -130,14 +125,6 @@ impl AttrValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             AttrValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Returns the value as a bool if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -242,8 +229,6 @@ mod tests {
         assert_eq!(AttrValue::Int(7).as_f64(), Some(7.0));
         assert_eq!(AttrValue::Float(7.5).as_f64(), Some(7.5));
         assert_eq!(AttrValue::Str("a".into()).as_str(), Some("a"));
-        assert_eq!(AttrValue::Bool(true).as_bool(), Some(true));
-        assert_eq!(AttrValue::Str("a".into()).as_bool(), None);
     }
 
     #[test]
@@ -291,14 +276,6 @@ mod tests {
         assert_eq!(AttrValue::Float(2.5).to_string(), "2.5");
         assert_eq!(AttrValue::from("hi").to_string(), "\"hi\"");
         assert_eq!(AttrValue::Bool(false).to_string(), "false");
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(AttrValue::Int(1).type_name(), "int");
-        assert_eq!(AttrValue::Float(1.0).type_name(), "float");
-        assert_eq!(AttrValue::from("x").type_name(), "str");
-        assert_eq!(AttrValue::Bool(true).type_name(), "bool");
     }
 
     #[test]

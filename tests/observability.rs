@@ -136,7 +136,12 @@ fn det_counters_identical_across_thread_counts() {
         baseline.keys().any(|k| k.starts_with("service.")),
         "session should populate the service scope"
     );
-    for work in ["sweep_rows", "pairs_examined"] {
+    for work in [
+        "sweep_rows",
+        "pairs_examined",
+        "repair_candidates",
+        "repair_searched",
+    ] {
         assert!(
             baseline.iter().any(|(k, &v)| k.ends_with(work) && v > 0),
             "the sweep's `{work}` tally should be among the compared counters"
