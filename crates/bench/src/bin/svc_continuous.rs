@@ -6,7 +6,7 @@
 //! maintains one graph + one distance matrix and computes the affected area
 //! (`UpdateBM`) once per batch, where N single-query services each maintain
 //! their own copies and compute it N times. Both sides run the same engine —
-//! repair, recompute fallback and delta emission alike — and count their
+//! repair and delta emission alike — and count their
 //! affected-area computations with the same rule
 //! (`ServiceStats::aff_computations`). The table reports both wall clock
 //! and those counts, and cross-checks that every query's result is the same

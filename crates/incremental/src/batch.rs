@@ -1,5 +1,7 @@
 //! `IncMatch` — incremental maintenance under a **batch** of edge updates
-//! (Fig. 8 of the paper). Requires a DAG pattern; data graphs may be cyclic.
+//! (Fig. 8 of the paper). Requires a DAG pattern, as the paper does; data
+//! graphs may be cyclic. The kernel it wraps, [`crate::repair_match_state`],
+//! serves cyclic patterns too (see [`crate::insert`]).
 //!
 //! The batch algorithm updates the distance matrix once for the whole list of
 //! updates (`UpdateBM`), then repairs the match from the combined `AFF1`:
@@ -7,7 +9,8 @@
 //! 1. sources whose outgoing distances **increased** are handled with the
 //!    removal propagation of `Match−`;
 //! 2. sources whose outgoing distances **decreased** are handled with the
-//!    addition propagation of `Match+`.
+//!    addition propagation of `Match+` (which on a cyclic pattern ends with a
+//!    re-verification by the removal cascade).
 //!
 //! Removals are processed before additions: a match that loses its witness
 //! through one update of the batch but regains a (different) witness through
@@ -50,7 +53,7 @@ pub fn inc_match<O: DistanceOracle + ?Sized>(
     pattern.require_dag()?;
     // Apply the batch to the graph, remembering which updates took effect.
     let applied: Vec<EdgeUpdate> = updates.iter().copied().filter(|u| u.apply(graph)).collect();
-    maintain(pattern, graph, oracle, state, &applied, exec)
+    Ok(maintain(pattern, graph, oracle, state, &applied, exec))
 }
 
 #[cfg(test)]

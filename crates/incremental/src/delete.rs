@@ -29,7 +29,6 @@ use crate::state::{edge_witnessed, MatchState};
 use gpm_distance::{DistanceOracle, DistanceQuery, EdgeUpdate};
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph, PatternNodeId};
-use rustc_hash::FxHashSet;
 
 /// Applies the deletion of `(from, to)` to `graph`, maintains `oracle` and
 /// `state` on `exec`, and reports the affected areas.
@@ -47,43 +46,43 @@ pub fn match_minus<O: DistanceOracle + ?Sized>(
 ) -> Result<IncrementalOutcome, GraphError> {
     graph.remove_edge(from, to)?;
     let applied = [EdgeUpdate::Delete(from, to)];
-    maintain(pattern, graph, oracle, state, &applied, exec)
+    Ok(maintain(pattern, graph, oracle, state, &applied, exec))
 }
 
-/// Removal propagation shared by `Match−` and the deletion side of
-/// `IncMatch`. `sources` are the data nodes whose *outgoing* distances
-/// increased.
+/// Removal propagation shared by `Match−`, the deletion side of `IncMatch`
+/// and the re-verification of optimistic additions ([`crate::insert`]).
+/// `seeds` are the pairs to re-verify on every out-edge: for a distance
+/// increase, each pattern node paired with each data node whose *outgoing*
+/// distances increased.
 pub(crate) fn process_removals<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
     state: &mut MatchState,
-    sources: &FxHashSet<NodeId>,
+    seeds: impl IntoIterator<Item = (PatternNodeId, NodeId)>,
     aff2: &mut Aff2,
     verifications: &mut usize,
 ) {
     // Worklist of (pattern node, data node) pairs removed from the match.
     let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
 
-    // Step 2: seed from the affected sources.
-    for &v in sources {
-        for u in pattern.node_ids() {
-            if !state.in_mat(u, v) {
-                continue;
+    // Step 2: re-verify the seeds.
+    for (u, v) in seeds {
+        if !state.in_mat(u, v) {
+            continue;
+        }
+        let mut invalid = false;
+        for e in pattern.out_edges(u) {
+            *verifications += 1;
+            if !edge_witnessed(graph, oracle, v, state.matches_of(e.to), e.bound) {
+                invalid = true;
+                break;
             }
-            let mut invalid = false;
-            for e in pattern.out_edges(u) {
-                *verifications += 1;
-                if !edge_witnessed(graph, oracle, v, state.matches_of(e.to), e.bound) {
-                    invalid = true;
-                    break;
-                }
-            }
-            if invalid {
-                state.remove(u, v);
-                aff2.removed.push((u, v));
-                worklist.push((u, v));
-            }
+        }
+        if invalid {
+            state.remove(u, v);
+            aff2.removed.push((u, v));
+            worklist.push((u, v));
         }
     }
 

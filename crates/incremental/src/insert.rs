@@ -1,5 +1,6 @@
 //! `Match+` — incremental maintenance under a single edge **insertion**
-//! (Fig. 7 of the paper). Requires a DAG pattern; data graphs may be cyclic.
+//! (Fig. 7 of the paper) — and the additions half of the crate's repair,
+//! which serves every pattern, cyclic or not.
 //!
 //! An insertion can only *decrease* distances, so matches can only appear.
 //! The algorithm:
@@ -18,19 +19,60 @@
 //! [`crate::repair`]); [`match_plus`] is its paper-named entry point and
 //! this module owns the addition propagation, steps 2–3.
 //!
-//! For cyclic patterns a set of candidates can be *mutually* dependent (each
-//! needs the others to already be matched), which upward propagation cannot
-//! discover — this is exactly why the paper restricts `Match+`/`IncMatch` to
-//! DAG patterns; [`match_plus`] returns [`GraphError::PatternNotAcyclic`] in
-//! that case (`gpm-service` falls back to recomputation instead, and only
-//! when a distance actually shrank across a bound).
+//! ## Cyclic patterns
+//!
+//! On a pattern cycle a set of candidates can be *mutually* dependent (each
+//! needs the others to be matched already), which upward propagation cannot
+//! discover. This is why the paper restricts `Match+`/`IncMatch` to DAG
+//! patterns, and [`match_plus`] keeps that restriction
+//! ([`GraphError::PatternNotAcyclic`]); the follow-up work on incremental
+//! matching for general patterns is Fan et al., "Incremental Graph Pattern
+//! Matching" (SIGMOD 2011). The propagation here lifts the restriction with
+//! one change to step 2's admission rule:
+//!
+//! * a candidate must still be witnessed on every out-edge that **leaves**
+//!   its strongly connected component in the pattern;
+//! * an out-edge on a pattern cycle — `(u, u')` with `u'` reaching `u` — is
+//!   admitted optimistically;
+//! * when the closure is done, the pairs admitted at nodes with a cycle
+//!   edge are re-verified on every out-edge by the removal cascade of
+//!   [`crate::delete`], whose removals fold into `AFF2` with
+//!   [`Aff2::merge`], so `AFF2` stays net.
+//!
+//! On a DAG no edge lies on a cycle, so the rule is `Match+` exactly: the
+//! same checks in the same order, the same `AFF2` and the same verification
+//! count. The cycle marks are computed only when there is something to seed.
+//!
+//! **Why it is exact.** Let `S_old`/`S_new` be the maximum match before and
+//! after the batch, `S_r` the state after the removal phase (the greatest
+//! simulation of the new graph inside `S_old`), and `C` the pairs the
+//! closure admitted. Suppose `N' = S_new \ (S_r ∪ C)` is not empty, and take
+//! the sink-most pattern SCC `Q` that holds pairs of `N'`; call them `N'_Q`.
+//!
+//! * A pair `(u, x)` of `N'_Q` has its witnesses for the edges leaving `Q`
+//!   in `S_r ∪ C`, since no SCC below `Q` holds a pair of `N'`.
+//! * If `x` is a crossing source, or any of its witnesses is in `C`, the
+//!   closure checked `(u, x)` after its last witness in `C` arrived, and
+//!   admitted it. So its witnesses lie in `S_r ∪ N'_Q`, and, `x` being no
+//!   crossing source, they were within bound before the batch too.
+//! * So `S_old ∪ N'_Q` is a simulation of the old graph, and maximality
+//!   gives `N'_Q ⊆ S_old`.
+//! * Then `S_r ∪ N'_Q` is a simulation of the new graph inside `S_old`. The
+//!   removal phase keeps the greatest such simulation, so it could not have
+//!   removed those pairs — a contradiction with `N'_Q ⊆ S_old \ S_r`.
+//!
+//! Hence `S_new ⊆ S_r ∪ C`. Every pair of `S_r ∪ C` is witnessed within it
+//! except, possibly, the optimistic ones on their cycle edges, and those
+//! are exactly the re-verification's seeds; refining from a superset of the
+//! maximum match converges to it, so the repair ends at `S_new`.
 
 use crate::affected::{Aff2, IncrementalOutcome};
+use crate::delete::process_removals;
 use crate::repair::maintain;
 use crate::state::{edge_witnessed, MatchState};
 use gpm_distance::{DistanceOracle, DistanceQuery, EdgeUpdate};
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph, PatternNodeId};
+use gpm_graph::{DataGraph, GraphError, NodeId, PatternEdge, PatternGraph, PatternNodeId};
 use rustc_hash::FxHashSet;
 
 /// Applies the insertion of `(from, to)` to `graph`, maintains `oracle` and
@@ -51,33 +93,13 @@ pub fn match_plus<O: DistanceOracle + ?Sized>(
     pattern.require_dag()?;
     graph.add_edge(from, to)?;
     let applied = [EdgeUpdate::Insert(from, to)];
-    maintain(pattern, graph, oracle, state, &applied, exec)
-}
-
-/// Whether candidate `x` of pattern node `u` has every out-edge of `u`
-/// witnessed by the current match sets.
-#[inline]
-pub(crate) fn fully_witnessed<O: DistanceQuery + ?Sized>(
-    pattern: &PatternGraph,
-    graph: &DataGraph,
-    oracle: &O,
-    state: &MatchState,
-    u: PatternNodeId,
-    x: NodeId,
-    verifications: &mut usize,
-) -> bool {
-    for e in pattern.out_edges(u) {
-        *verifications += 1;
-        if !edge_witnessed(graph, oracle, x, state.matches_of(e.to), e.bound) {
-            return false;
-        }
-    }
-    true
+    Ok(maintain(pattern, graph, oracle, state, &applied, exec))
 }
 
 /// Addition propagation shared by `Match+` and the insertion side of
-/// `IncMatch`. `sources` are the data nodes whose *outgoing* distances
-/// decreased.
+/// `IncMatch`, for every pattern (module docs). `sources` are the data nodes
+/// whose *outgoing* distances decreased; the pairs this adds, net of the
+/// re-verification's removals, are merged into `aff2`.
 pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -87,17 +109,28 @@ pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
     aff2: &mut Aff2,
     verifications: &mut usize,
 ) {
+    if sources.is_empty() {
+        return;
+    }
+    let reach = reachability(pattern);
+    let on_cycle = |e: &PatternEdge| reach[e.to.index()][e.from.index()];
+    // Whether candidate `x` of `u` is witnessed by the current match sets on
+    // every out-edge of `u` that lies on no pattern cycle.
+    let mut fully_witnessed = |state: &MatchState, u: PatternNodeId, x: NodeId| {
+        pattern.out_edges(u).filter(|e| !on_cycle(e)).all(|e| {
+            *verifications += 1;
+            edge_witnessed(graph, oracle, x, state.matches_of(e.to), e.bound)
+        })
+    };
+    let mut added = Aff2::default();
     let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
 
     // Step 2: seed from the affected sources.
     for &v in sources {
         for u in pattern.node_ids() {
-            if !state.in_can(u, v) {
-                continue;
-            }
-            if fully_witnessed(pattern, graph, oracle, state, u, v, verifications) {
+            if state.in_can(u, v) && fully_witnessed(state, u, v) {
                 state.add(u, v);
-                aff2.added.push((u, v));
+                added.added.push((u, v));
                 worklist.push((u, v));
             }
         }
@@ -115,14 +148,50 @@ pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
                 if state.in_mat(parent, x) || !oracle.within(graph, x, y, e.bound) {
                     continue;
                 }
-                if fully_witnessed(pattern, graph, oracle, state, parent, x, verifications) {
+                if fully_witnessed(state, parent, x) {
                     state.add(parent, x);
-                    aff2.added.push((parent, x));
+                    added.added.push((parent, x));
                     worklist.push((parent, x));
                 }
             }
         }
     }
+
+    // Re-verify the optimistic admissions on every out-edge.
+    let optimistic: Vec<_> = added
+        .added
+        .iter()
+        .copied()
+        .filter(|&(u, _)| pattern.out_edges(u).any(on_cycle))
+        .collect();
+    aff2.merge(added);
+    let mut refuted = Aff2::default();
+    process_removals(
+        pattern,
+        graph,
+        oracle,
+        state,
+        optimistic,
+        &mut refuted,
+        verifications,
+    );
+    aff2.merge(refuted);
+}
+
+/// `reach[a][b]`: whether pattern node `b` is reachable from `a` by a path
+/// of length ≥ 0, so an edge `(u, u')` lies on a cycle iff `reach[u'][u]`.
+fn reachability(pattern: &PatternGraph) -> Vec<Vec<bool>> {
+    let n = pattern.node_count();
+    let mut reach = vec![vec![false; n]; n];
+    for (a, row) in reach.iter_mut().enumerate() {
+        let mut stack = vec![PatternNodeId::new(a as u32)];
+        while let Some(b) = stack.pop() {
+            if !std::mem::replace(&mut row[b.index()], true) {
+                stack.extend(pattern.children(b));
+            }
+        }
+    }
+    reach
 }
 
 #[cfg(test)]
@@ -244,6 +313,31 @@ mod tests {
         let mut s = MatchState::initialise(&p, &g, &m);
         let err = match_plus(&p, &mut g, &mut m, &mut s, NodeId::new(1), NodeId::new(2));
         assert_eq!(err.unwrap_err(), GraphError::PatternNotAcyclic);
+    }
+
+    #[test]
+    fn an_edge_lies_on_a_cycle_iff_its_target_reaches_its_source() {
+        // A ⇄ B → C ⇄ E, and D → A.
+        let (p, _) = PatternGraphBuilder::new()
+            .labeled_node("A")
+            .labeled_node("B")
+            .labeled_node("C")
+            .labeled_node("D")
+            .labeled_node("E")
+            .edge("A", "B", 1u32)
+            .edge("B", "A", 1u32)
+            .edge("B", "C", 1u32)
+            .edge("C", "E", 1u32)
+            .edge("E", "C", 1u32)
+            .edge("D", "A", 1u32)
+            .build()
+            .unwrap();
+        let reach = reachability(&p);
+        let on_cycle: Vec<bool> = p
+            .edges()
+            .map(|e| reach[e.to.index()][e.from.index()])
+            .collect();
+        assert_eq!(on_cycle, [true, true, false, true, true, false]);
     }
 
     #[test]

@@ -23,8 +23,15 @@
 //!   service (`gpm-service`) can pay the shared graph/oracle maintenance
 //!   once per batch and replay only the cheap per-query repair for every
 //!   registered pattern. The service owns the graph, the oracle and the
-//!   states, and recomputes a state where this repair refuses — it is what
-//!   an application embeds, with one query or many.
+//!   states — it is what an application embeds, with one query or many.
+//!
+//! The kernel serves every pattern, cyclic ones included: the additions
+//! half admits a candidate optimistically on the pattern edges that lie on
+//! a cycle and re-verifies those admissions with the removal cascade
+//! ([`insert`] has the rule and its proof). On a DAG that is the paper's
+//! `Match+` exactly, so only the paper-named [`match_plus`] and
+//! [`inc_match`] keep the paper's DAG restriction, and
+//! [`repair_match_state`] cannot fail.
 //!
 //! Every operation reports the affected areas: `AFF1` (node pairs whose
 //! distance changed — from `gpm-distance`) and `AFF2` (match pairs added or

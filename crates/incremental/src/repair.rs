@@ -19,16 +19,20 @@
 //! over candidate pairs, and a changed pair flips that predicate only if
 //! some bound `k` of *this* pattern has `min(old, new) ≤ k < max(old, new)`
 //! (for a `*` edge: reachability flipped). Every other pair of `AFF1` leaves
-//! the predicate, hence the match, as it was. The coverage rules mirror the
-//! per-query algorithms:
+//! the predicate, hence the match, as it was. Both halves of the repair
+//! serve every pattern, cyclic or not:
 //!
 //! * bound-crossing **increases** are repaired with the removal propagation
-//!   of `Match−`, which supports arbitrary (cyclic) patterns;
+//!   of `Match−`;
 //! * bound-crossing **decreases** are repaired with the addition
-//!   propagation of `Match+`, which requires a DAG pattern — a cyclic
-//!   pattern whose `AFF1` contains one errors with
-//!   [`GraphError::PatternNotAcyclic`], and `gpm-service` recomputes that
-//!   query's state instead.
+//!   propagation of `Match+`, which admits a candidate optimistically on
+//!   the pattern edges that lie on a cycle and then re-verifies those
+//!   admissions with the removal cascade (module docs of
+//!   [`crate::insert`]). On a DAG pattern that is `Match+` exactly.
+//!
+//! So the repair cannot refuse: [`repair_match_state`]'s error type is
+//! [`Infallible`], and the paper-named [`crate::match_plus`] and
+//! [`crate::inc_match`] alone keep the paper's DAG restriction.
 
 use crate::affected::{Aff2, IncrementalOutcome};
 use crate::delete::process_removals;
@@ -38,8 +42,9 @@ use gpm_distance::{
     AffectedPair, AffectedPairs, DistanceOracle, DistanceQuery, EdgeUpdate, UNREACHABLE,
 };
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph};
+use gpm_graph::{DataGraph, NodeId, PatternGraph};
 use rustc_hash::FxHashSet;
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
 /// Observability handles for per-query repair (scope `"incremental"`).
@@ -52,7 +57,6 @@ pub(crate) struct RepairMetrics {
     pub aff1_pairs: Arc<gpm_obs::Counter>,
     pub aff1_relevant: Arc<gpm_obs::Counter>,
     pub aff2_pairs: Arc<gpm_obs::Counter>,
-    pub dag_rejections: Arc<gpm_obs::Counter>,
     pub aff2_size: Arc<gpm_obs::Histogram>,
     pub repair_ns: Arc<gpm_obs::Histogram>,
 }
@@ -67,7 +71,6 @@ pub(crate) fn metrics() -> &'static RepairMetrics {
             aff1_pairs: scope.counter("aff1_pairs"),
             aff1_relevant: scope.counter("aff1_relevant"),
             aff2_pairs: scope.counter("aff2_pairs"),
-            dag_rejections: scope.counter("dag_rejections"),
             aff2_size: scope.histogram("aff2_size"),
             repair_ns: scope.histogram("repair_ns"),
         }
@@ -136,8 +139,7 @@ fn flip_points(pattern: &PatternGraph) -> Vec<u16> {
 
 /// Maintains `oracle` and `state` after the effective updates `applied` were
 /// made to `graph`: `UpdateBM` on `exec`, then [`repair_match_state`] from
-/// its `AFF1`. A repair that refuses leaves `state` untouched, but the
-/// oracle is maintained either way.
+/// its `AFF1`.
 pub(crate) fn maintain<O: DistanceOracle + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -145,14 +147,11 @@ pub(crate) fn maintain<O: DistanceOracle + ?Sized>(
     state: &mut MatchState,
     applied: &[EdgeUpdate],
     exec: &Executor,
-) -> Result<IncrementalOutcome, GraphError> {
+) -> IncrementalOutcome {
     let aff1 = oracle.apply_batch(graph, applied, exec);
-    let repair = repair_match_state(pattern, graph, oracle, state, &aff1)?;
-    Ok(IncrementalOutcome::new(
-        aff1,
-        repair.aff2,
-        repair.verifications,
-    ))
+    let repair = repair_match_state(pattern, graph, oracle, state, &aff1)
+        .unwrap_or_else(|never| match never {});
+    IncrementalOutcome::new(aff1, repair.aff2, repair.verifications)
 }
 
 /// Repairs one query's match state from a shared, precomputed `AFF1`.
@@ -161,19 +160,19 @@ pub(crate) fn maintain<O: DistanceOracle + ?Sized>(
 /// caller ran the oracle's `apply_batch` first), and `graph` must be
 /// the updated graph the oracle answers for. Removals are processed before
 /// additions, exactly as `IncMatch` does, so the repaired state equals a
-/// from-scratch recomputation on the updated graph.
+/// from-scratch recomputation on the updated graph, for every pattern.
 ///
-/// Errors with [`GraphError::PatternNotAcyclic`] — leaving `state`
-/// untouched — when `aff1` contains a bound-crossing distance decrease
-/// (module docs) and `pattern` is cyclic (the combination upward propagation
-/// cannot handle; see the module docs of [`crate::insert`]).
+/// The repair cannot fail (module docs); callers unwrap the result with
+/// `unwrap_or_else(|never| match never {})`. The `Result` stays only because
+/// the repo benchmark's layer replay (`benchmark/src/layers.rs`) still
+/// matches on it.
 pub fn repair_match_state<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
     state: &mut MatchState,
     aff1: &AffectedPairs,
-) -> Result<RepairOutcome, GraphError> {
+) -> Result<RepairOutcome, Infallible> {
     let m = metrics();
     let span = m.repair_ns.span();
     // Matched nodes before the repair — half of the `aff1_relevant` rule;
@@ -182,35 +181,29 @@ pub fn repair_match_state<O: DistanceQuery + ?Sized>(
         gpm_obs::enabled().then(|| state.relation().iter_pairs().map(|(_, v)| v).collect());
 
     let (increased, decreased) = split_sources(aff1, crosses_a_bound(pattern));
-    if !decreased.is_empty() {
-        if let Err(err) = pattern.require_dag() {
-            m.dag_rejections.inc();
-            return Err(err);
-        }
-    }
-
     let mut aff2 = Aff2::default();
     let mut verifications = 0usize;
+    let seeds = increased
+        .iter()
+        .flat_map(|&v| pattern.node_ids().map(move |u| (u, v)));
     process_removals(
         pattern,
         graph,
         oracle,
         state,
-        &increased,
+        seeds,
         &mut aff2,
         &mut verifications,
     );
-    let mut additions = Aff2::default();
     process_additions(
         pattern,
         graph,
         oracle,
         state,
         &decreased,
-        &mut additions,
+        &mut aff2,
         &mut verifications,
     );
-    aff2.merge(additions);
     if let Some(mut matched) = matched_before {
         matched.extend(state.relation().iter_pairs().map(|(_, v)| v));
         let relevant = aff1
@@ -237,7 +230,7 @@ mod tests {
     use gpm_core::bounded_simulation_with_oracle;
     use gpm_datagen::{random_graph, random_updates, RandomGraphConfig, UpdateStreamConfig};
     use gpm_distance::DistanceMatrix;
-    use gpm_graph::{EdgeBound, PatternGraphBuilder, Predicate};
+    use gpm_graph::{EdgeBound, PatternGraphBuilder, PatternNodeId, Predicate};
 
     /// `UpdateBM` on the matrix, as these tests have always spelled it.
     fn update_matrix_batch(
@@ -271,6 +264,25 @@ mod tests {
         p
     }
 
+    /// The 3-cycle `x:a0 → y:a1 → z:a2 → x` with a head `t:a4 → x` and a
+    /// tail `z → w:a3`: edges into, around and out of one pattern SCC.
+    fn cycle_with_tail_pattern() -> PatternGraph {
+        let (p, _) = PatternGraphBuilder::new()
+            .node("x", Predicate::label("a0"))
+            .node("y", Predicate::label("a1"))
+            .node("z", Predicate::label("a2"))
+            .node("w", Predicate::label("a3"))
+            .node("t", Predicate::label("a4"))
+            .edge("x", "y", 2u32)
+            .edge("y", "z", 3u32)
+            .edge("z", "x", 2u32)
+            .edge("z", "w", 2u32)
+            .edge("t", "x", 1u32)
+            .build()
+            .unwrap();
+        p
+    }
+
     /// A data graph whose node `i` carries `labels[i]`.
     fn labeled_graph(labels: &[&str], edges: &[(u32, u32)]) -> DataGraph {
         let mut g = DataGraph::new();
@@ -294,52 +306,100 @@ mod tests {
         p
     }
 
+    /// Every pair of `state`'s match sets, in ascending order — also those of
+    /// a pattern whose visible relation is empty.
+    fn match_sets(pattern: &PatternGraph, state: &MatchState) -> Vec<(PatternNodeId, NodeId)> {
+        let pairs = |u| state.matches_of(u).iter().map(move |&v| (u, v));
+        pattern.node_ids().flat_map(pairs).collect()
+    }
+
+    /// [`match_sets`] of the naive fixpoint: an independent reference.
+    fn naive_match_sets<O: DistanceQuery + ?Sized>(
+        pattern: &PatternGraph,
+        g: &DataGraph,
+        oracle: &O,
+    ) -> Vec<(PatternNodeId, NodeId)> {
+        let satisfying = |u| {
+            g.nodes()
+                .filter(move |&v| g.satisfies(v, pattern.predicate(u)))
+        };
+        let mut sets: Vec<Vec<NodeId>> = pattern
+            .node_ids()
+            .map(|u| satisfying(u).collect())
+            .collect();
+        gpm_core::naive::naive_fixpoint(pattern, g, oracle, &mut sets);
+        let pairs = |u: PatternNodeId| sets[u.index()].iter().map(move |&v| (u, v));
+        pattern.node_ids().flat_map(pairs).collect()
+    }
+
     /// Applies `updates` and repairs `pattern`'s state three ways — seeded
     /// from the bound-crossing sources (`repair_match_state`), seeded from
     /// every source of `AFF1` (the rule this replaced), and recomputed —
-    /// asserting that all three agree. Returns the first repair's outcome
-    /// and the size of the all-sources seed sets.
+    /// asserting that all three agree and that the first repair's `AFF2` is
+    /// the net change. Returns that repair's outcome and the size of the
+    /// all-sources seed sets.
     fn repair_three_ways(
         pattern: &PatternGraph,
         g: &mut DataGraph,
         updates: &[EdgeUpdate],
-    ) -> (Result<RepairOutcome, GraphError>, usize) {
+    ) -> (RepairOutcome, usize) {
         let mut m = gpm_distance::DistanceMatrix::build(g);
         let mut crossing = MatchState::initialise(pattern, g, &m);
         let mut all_sources = crossing.clone();
+        let before = match_sets(pattern, &crossing);
         let applied: Vec<EdgeUpdate> = updates.iter().copied().filter(|u| u.apply(g)).collect();
         let aff1 = update_matrix_batch(g, &mut m, &applied);
         let recomputed = bounded_simulation_with_oracle(pattern, g, &m).relation;
 
         let (increased, decreased) = split_aff1_sources(&aff1);
-        let outcome = repair_match_state(pattern, g, &m, &mut crossing, &aff1);
-        if let Ok(out) = &outcome {
-            assert_eq!(crossing.relation(), recomputed, "bound-crossing seeds");
-            if decreased.is_empty() || pattern.is_dag() {
-                let (mut aff2, mut work) = (Aff2::default(), 0usize);
-                process_removals(
-                    pattern,
-                    g,
-                    &m,
-                    &mut all_sources,
-                    &increased,
-                    &mut aff2,
-                    &mut work,
-                );
-                process_additions(
-                    pattern,
-                    g,
-                    &m,
-                    &mut all_sources,
-                    &decreased,
-                    &mut aff2,
-                    &mut work,
-                );
-                assert_eq!(all_sources.relation(), recomputed, "all-sources seeds");
-                assert!(out.verifications <= work, "fewer seeds cannot verify more");
-            }
-        }
-        (outcome, increased.len() + decreased.len())
+        let out = repair_match_state(pattern, g, &m, &mut crossing, &aff1).unwrap();
+        assert_eq!(crossing.relation(), recomputed, "bound-crossing seeds");
+        // The match sets themselves, visible or not, equal the naive
+        // fixpoint's, and AFF2 is exactly their net change.
+        let after = match_sets(pattern, &crossing);
+        assert_eq!(after, naive_match_sets(pattern, g, &m), "match sets");
+        let minus =
+            |a: &[_], b: &[_]| -> Vec<_> { a.iter().copied().filter(|p| !b.contains(p)).collect() };
+        let sorted = |mut pairs: Vec<_>| {
+            pairs.sort_unstable();
+            pairs
+        };
+        assert_eq!(
+            sorted(out.aff2.added.clone()),
+            minus(&after, &before),
+            "AFF2 added"
+        );
+        assert_eq!(
+            sorted(out.aff2.removed.clone()),
+            minus(&before, &after),
+            "AFF2 removed"
+        );
+
+        let (mut aff2, mut work) = (Aff2::default(), 0usize);
+        let seeds = increased
+            .iter()
+            .flat_map(|&v| pattern.node_ids().map(move |u| (u, v)));
+        process_removals(
+            pattern,
+            g,
+            &m,
+            &mut all_sources,
+            seeds,
+            &mut aff2,
+            &mut work,
+        );
+        process_additions(
+            pattern,
+            g,
+            &m,
+            &mut all_sources,
+            &decreased,
+            &mut aff2,
+            &mut work,
+        );
+        assert_eq!(all_sources.relation(), recomputed, "all-sources seeds");
+        assert!(out.verifications <= work, "fewer seeds cannot verify more");
+        (out, increased.len() + decreased.len())
     }
 
     /// a:a0 reaches b:a1 over one relay (2 hops) or two (3 hops); b → c:a2.
@@ -363,7 +423,6 @@ mod tests {
         // the bound 2 is crossed, the bound 5 is not.
         let p = chain_pattern(EdgeBound::Hops(2), EdgeBound::Hops(5));
         let (out, _) = repair_three_ways(&p, &mut relay_graph(), &[SHORT_RELAY]);
-        let out = out.unwrap();
         assert_eq!(
             out.aff2.removed,
             vec![(gpm_graph::PatternNodeId::new(0), NodeId::new(0))]
@@ -373,7 +432,6 @@ mod tests {
         // changed, but no matched node is re-verified.
         let p = chain_pattern(EdgeBound::Hops(4), EdgeBound::Hops(9));
         let (out, all_sources) = repair_three_ways(&p, &mut relay_graph(), &[SHORT_RELAY]);
-        let out = out.unwrap();
         assert!(all_sources >= 2, "a and the relay both changed");
         assert_eq!((out.verifications, out.aff2.len()), (0, 0));
     }
@@ -383,11 +441,11 @@ mod tests {
         let p = chain_pattern(EdgeBound::Unbounded, EdgeBound::Unbounded);
         // a still reaches b over the long relay: nothing to verify.
         let (out, _) = repair_three_ways(&p, &mut relay_graph(), &[SHORT_RELAY]);
-        assert_eq!(out.unwrap().verifications, 0);
+        assert_eq!(out.verifications, 0);
         // Both relays cut: a lost b for good.
         let (out, _) = repair_three_ways(&p, &mut relay_graph(), &[SHORT_RELAY, LONG_RELAY]);
         assert_eq!(
-            out.unwrap().aff2.removed,
+            out.aff2.removed,
             vec![(gpm_graph::PatternNodeId::new(0), NodeId::new(0))]
         );
     }
@@ -404,24 +462,26 @@ mod tests {
         let shortcut = EdgeUpdate::Insert(NodeId::new(2), NodeId::new(4));
         let (out, all_sources) = repair_three_ways(&cyclic_pattern(), &mut g, &[shortcut]);
         assert_eq!(all_sources, 1, "AFF1 is the one decrease");
-        assert_eq!(out, Ok(RepairOutcome::default()));
+        assert_eq!(out, RepairOutcome::default());
     }
 
     /// On random graphs and mixed batches the three seedings agree for
-    /// patterns with one bound, two bounds and a `*` edge.
+    /// patterns with one bound, two bounds and a `*` edge, and for a 2-cycle
+    /// and a 3-cycle with a head and a tail.
     #[test]
     fn bound_crossing_seeds_equal_all_sources_equal_recompute() {
         let patterns = [
             dag_pattern(),
             chain_pattern(EdgeBound::Hops(1), EdgeBound::Hops(4)),
             chain_pattern(EdgeBound::Hops(2), EdgeBound::Unbounded),
+            cyclic_pattern(),
+            cycle_with_tail_pattern(),
         ];
         for seed in 0..12u64 {
             let g = random_graph(&RandomGraphConfig::new(40, 90, 5).with_seed(seed));
             let updates = random_updates(&g, &UpdateStreamConfig::mixed(12).with_seed(seed + 31));
             for p in &patterns {
-                let (out, _) = repair_three_ways(p, &mut g.clone(), &updates);
-                out.unwrap();
+                repair_three_ways(p, &mut g.clone(), &updates);
             }
         }
     }
@@ -456,21 +516,47 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_pattern_with_a_bound_crossing_decrease_is_rejected_untouched() {
-        // a:X ← b:Y; inserting a → b takes d(a, b) from ∞ to 1, across the
-        // pattern's bound 2.
+    fn cyclic_pattern_with_a_bound_crossing_decrease_is_repaired() {
+        // a:a0 ← b:a1; inserting a → b takes d(a, b) from ∞ to 1, across the
+        // pattern's bound 2. a and b then support each other around the
+        // pattern cycle — a dependency `Match+`'s upward propagation cannot
+        // find; the optimistic admission does, and re-verification keeps it.
         let mut g = labeled_graph(&["a0", "a1"], &[(1, 0)]);
         let p = cyclic_pattern();
         let mut m = gpm_distance::DistanceMatrix::build(&g);
         let mut s = MatchState::initialise(&p, &g, &m);
-        let before = s.clone();
+        assert!(s.relation().is_empty());
 
         let applied = [EdgeUpdate::Insert(NodeId::new(0), NodeId::new(1))];
         applied[0].apply(&mut g);
         let aff1 = update_matrix_batch(&g, &mut m, &applied);
-        let err = repair_match_state(&p, &g, &m, &mut s, &aff1);
-        assert_eq!(err.unwrap_err(), GraphError::PatternNotAcyclic);
-        assert_eq!(s, before, "failed repair must not touch the state");
+        let out = repair_match_state(&p, &g, &m, &mut s, &aff1).unwrap();
+        let recomputed = bounded_simulation_with_oracle(&p, &g, &m).relation;
+        assert_eq!(s.relation(), recomputed);
+        assert_eq!(recomputed.iter_pairs().count(), 2, "both nodes match");
+        assert_eq!((out.aff2.added.len(), out.aff2.removed.len()), (2, 0));
+
+        // A crossing decrease that closes no cycle: c:a0 gains an edge to an
+        // unlabelled node, so d(c, ·) drops across the bound 2, but c still
+        // reaches no a1. c is admitted optimistically and refuted by the
+        // re-verification: AFF2 stays empty while the work shows the trip.
+        let mut g = labeled_graph(&["a0", "a1", "a0", "-"], &[(0, 1), (1, 0)]);
+        let mut m = gpm_distance::DistanceMatrix::build(&g);
+        let mut s = MatchState::initialise(&p, &g, &m);
+        let before = s.relation();
+        let applied = [EdgeUpdate::Insert(NodeId::new(2), NodeId::new(3))];
+        applied[0].apply(&mut g);
+        let aff1 = update_matrix_batch(&g, &mut m, &applied);
+        let out = repair_match_state(&p, &g, &m, &mut s, &aff1).unwrap();
+        assert_eq!(s.relation(), before);
+        assert_eq!(before, bounded_simulation_with_oracle(&p, &g, &m).relation);
+        assert_eq!(
+            out,
+            RepairOutcome {
+                aff2: Aff2::default(),
+                verifications: 1
+            }
+        );
     }
 
     /// Deletion-only batches repair cyclic patterns incrementally.
@@ -497,9 +583,8 @@ mod tests {
     }
 
     /// The repair entry point is generic over the oracle: driving it with the
-    /// incremental 2-hop labeling produces the same states as the matrix —
-    /// including the PR 5 cyclic-pattern deletion-only path, which must stay
-    /// incremental (no `PatternNotAcyclic` error) on a non-matrix backend.
+    /// incremental 2-hop labeling produces the same states as the matrix,
+    /// for a DAG and a cyclic pattern, on mixed batches.
     #[test]
     fn repair_with_two_hop_oracle_matches_matrix() {
         use gpm_distance::{DistanceMatrix, DistanceOracle as _, IncrementalTwoHop};
@@ -515,9 +600,7 @@ mod tests {
             let mut s_dag = MatchState::initialise(&p_dag, &g, &two_hop);
             let mut s_cyc = MatchState::initialise(&p_cyc, &g, &two_hop);
 
-            // Deletions only, so even the cyclic pattern repairs incrementally.
-            let updates =
-                random_updates(&g, &UpdateStreamConfig::deletions(10).with_seed(seed + 70));
+            let updates = random_updates(&g, &UpdateStreamConfig::mixed(10).with_seed(seed + 70));
             let applied: Vec<EdgeUpdate> = updates
                 .iter()
                 .filter(|u| u.apply(&mut g))
@@ -534,6 +617,60 @@ mod tests {
                 assert_eq!(s.relation(), recomputed.relation, "seed {seed}");
             }
         }
+    }
+
+    /// The cycle rule on generated patterns, cyclic ones only: on both
+    /// back-ends, through insertion, deletion and mixed streams applied one
+    /// update at a time and in batches of four, the match sets equal the
+    /// naive fixpoint's after every step.
+    #[test]
+    fn generated_cyclic_patterns_repair_to_the_naive_fixpoint() {
+        use gpm_datagen::{generate_pattern, PatternGenConfig};
+        use gpm_distance::OracleBackend;
+
+        let exec = Executor::sequential();
+        let (mut patterns, mut nonempty) = (0, 0);
+        for seed in 0..80u64 {
+            let g0 = random_graph(&RandomGraphConfig::new(24, 60, 3).with_seed(seed));
+            let size = 2 + seed as usize % 4;
+            let config = PatternGenConfig::new(size, size + 2, 3).with_seed(seed);
+            let (p, _) = generate_pattern(&g0, &config);
+            if p.is_dag() {
+                continue;
+            }
+            patterns += 1;
+            let streams = [
+                UpdateStreamConfig::insertions(8),
+                UpdateStreamConfig::deletions(8),
+                UpdateStreamConfig::mixed(8),
+            ];
+            for backend in OracleBackend::ALL {
+                for stream in &streams {
+                    let updates = random_updates(&g0, &stream.clone().with_seed(seed + 5));
+                    for batch in [1, 4] {
+                        let mut g = g0.clone();
+                        let mut oracle = backend.build(&g, &exec);
+                        let mut s = MatchState::initialise_with(&p, &g, oracle.as_ref(), &exec);
+                        for chunk in updates.chunks(batch) {
+                            let applied: Vec<EdgeUpdate> =
+                                chunk.iter().copied().filter(|u| u.apply(&mut g)).collect();
+                            let aff1 = oracle.apply_batch(&g, &applied, &exec);
+                            repair_match_state(&p, &g, oracle.as_ref(), &mut s, &aff1).unwrap();
+                            assert_eq!(
+                                match_sets(&p, &s),
+                                naive_match_sets(&p, &g, oracle.as_ref()),
+                                "seed {seed}, {backend}, batches of {batch}"
+                            );
+                            nonempty += usize::from(s.all_matched());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            patterns >= 70 && nonempty >= 2_000,
+            "{patterns} patterns, {nonempty}"
+        );
     }
 
     #[test]

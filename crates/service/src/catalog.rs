@@ -16,13 +16,12 @@ use gpm_core::MatchRelation;
 use gpm_graph::PatternGraph;
 use gpm_incremental::MatchState;
 
-/// How a query's state was brought up to date: by a batch, or by `resume`.
+/// How a query's state was brought up to date: by a batch's repair, which
+/// serves every pattern, or by `resume`'s rebuild.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RepairKind {
     /// Incremental repair from the shared `AFF1` (the common path).
     Incremental,
-    /// Full recomputation fallback (cyclic pattern with distance decreases).
-    Recompute,
     /// Activation: `resume` rebuilt the state of a suspended query.
     Activation,
 }

@@ -8,13 +8,12 @@
 //!    `UpdateBM` **once**, producing the shared affected area `AFF1`
 //!    (this is the expensive step, and it is paid per batch, not per query);
 //! 2. if that `AFF1` is non-empty, one sequential loop in registration
-//!    order brings each active query's match state up to date from it
-//!    (`gpm_incremental::repair_match_state`, or a recompute where that
-//!    repair refuses) and emits the query's delta — counted once, then
-//!    pushed into its subscriber sinks — so the per-query streams (and the
-//!    batch outcome) are bit-identical at any thread count. The service is
-//!    the one owner of a maintained match, so the repair-or-recompute
-//!    decision is made here, in [`MatchService::apply`].
+//!    order repairs each active query's match state from it
+//!    (`gpm_incremental::repair_match_state`) and emits the query's delta —
+//!    counted once, then pushed into its subscriber sinks — so the
+//!    per-query streams (and the batch outcome) are bit-identical at any
+//!    thread count. The service is the one owner of a maintained match, and
+//!    [`MatchService::apply`] is its one refresh path.
 //!
 //! A query is active iff it holds a match state. [`MatchService::suspend`]
 //! frees it; [`MatchService::resume`] rebuilds it at once and hands the
@@ -23,10 +22,9 @@
 //! subscribers were told, counts it and hands it out, and
 //! [`MatchService::result`] is a pure read.
 //!
-//! Cyclic patterns are first-class: batches that only increase distances
-//! repair them incrementally (`Match−` propagation); batches with a
-//! bound-crossing distance decrease fall back to recomputing that query's
-//! state against the already-maintained oracle — never the oracle itself.
+//! Cyclic patterns are first-class: the repair serves every pattern, so a
+//! batch never recomputes a query's state — only registration and
+//! [`MatchService::resume`] build one from scratch.
 //!
 //! The distance backend is pluggable ([`MatchService::with_backend`] /
 //! `GPM_ORACLE`): the paper's quadratic matrix, or the sublinear-memory
@@ -60,8 +58,6 @@ pub struct ServiceStats {
     pub aff_computations: usize,
     /// Per-query incremental repairs driven by a shared `AFF1`.
     pub repairs: usize,
-    /// Per-query full recomputations (cyclic pattern + distance decreases).
-    pub recompute_fallbacks: usize,
     /// Activations: match states rebuilt by [`MatchService::resume`].
     pub activations: usize,
     /// Non-empty per-query deltas emitted.
@@ -175,8 +171,8 @@ impl MatchService {
     }
 
     /// [`MatchService::new`] with an explicit [`Parallelism`] policy, used
-    /// for the oracle build and every match-state build (registration,
-    /// resume and the recompute fallback).
+    /// for the oracle build and every match-state build (registration and
+    /// resume).
     pub fn with_parallelism(graph: DataGraph, parallelism: Parallelism) -> Self {
         Self::with_backend(graph, OracleBackend::from_env(), parallelism)
     }
@@ -660,25 +656,21 @@ impl MatchService {
         };
         let mut refreshed = 0u64;
         if !aff1.is_empty() {
-            let (graph, oracle, exec) = (&self.graph, self.oracle.as_ref(), &self.exec);
+            let (graph, oracle) = (&self.graph, self.oracle.as_ref());
             for entry in self.catalog.iter_mut() {
-                let pattern = &entry.pattern;
                 let Some(state) = entry.state.as_mut() else {
                     continue;
                 };
-                // The shared oracle is already correct, so a refused repair —
-                // which leaves `state` as it was; `PatternNotAcyclic` is the
-                // only refusal — recomputes this query's state only.
-                let (kind, verifications) =
-                    match repair_match_state(pattern, graph, oracle, state, &aff1) {
-                        Ok(out) => (RepairKind::Incremental, out.verifications),
-                        Err(_) => {
-                            *state = MatchState::initialise_with(pattern, graph, oracle, exec);
-                            (RepairKind::Recompute, 0)
-                        }
-                    };
+                let out = repair_match_state(&entry.pattern, graph, oracle, state, &aff1)
+                    .unwrap_or_else(|never| match never {});
                 refreshed += 1;
-                let delta = emit(entry, kind, verifications, epoch, &mut self.stats);
+                let delta = emit(
+                    entry,
+                    RepairKind::Incremental,
+                    out.verifications,
+                    epoch,
+                    &mut self.stats,
+                );
                 outcome.deltas.extend(delta);
             }
         }
@@ -706,10 +698,6 @@ fn emit(
         RepairKind::Incremental => {
             stats.repairs += 1;
             obs.repairs.inc();
-        }
-        RepairKind::Recompute => {
-            stats.recompute_fallbacks += 1;
-            obs.recompute_fallbacks.inc();
         }
         RepairKind::Activation => {
             stats.activations += 1;
@@ -812,7 +800,6 @@ mod tests {
         assert_eq!(svc.stats().aff_computations, 5);
         assert_eq!(svc.stats().batches, 5);
         assert_eq!(svc.stats().repairs, 20);
-        assert_eq!(svc.stats().recompute_fallbacks, 0);
 
         // The maintained oracle equals a from-scratch matrix rebuild.
         let rebuilt = gpm_distance::DistanceMatrix::build(svc.graph());
@@ -828,7 +815,7 @@ mod tests {
         }
     }
 
-    /// The whole engine — registration, batches, cyclic fallbacks — works
+    /// The whole engine — registration, batches, cyclic patterns — works
     /// unchanged on the 2-hop backend.
     #[test]
     fn two_hop_backend_runs_the_service() {
@@ -851,22 +838,20 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_patterns_fall_back_only_on_decreases() {
+    fn cyclic_patterns_repair_across_bound_crossing_decreases() {
         let g = random_graph(&RandomGraphConfig::new(30, 80, 4).with_seed(2));
         let mut svc = MatchService::new(g);
         let q = svc.register(cyclic_pattern());
 
-        // Deletion-only batch: incremental even for the cyclic pattern.
+        // Deletions increase distances, insertions decrease them: both are
+        // repaired from the shared AFF1, one repair per batch.
         let dels = random_updates(svc.graph(), &UpdateStreamConfig::deletions(8).with_seed(3));
         svc.apply(&dels);
-        assert_eq!(svc.stats().recompute_fallbacks, 0);
         assert_eq!(svc.stats().repairs, 1);
         assert_consistent(&mut svc, &[q]);
-
-        // Insertions decrease distances: recompute fallback.
         let ins = random_updates(svc.graph(), &UpdateStreamConfig::insertions(8).with_seed(4));
         svc.apply(&ins);
-        assert_eq!(svc.stats().recompute_fallbacks, 1);
+        assert_eq!(svc.stats().repairs, 2);
         assert_consistent(&mut svc, &[q]);
 
         // By hand: 0:a0 ← 1:a1 and a relay 2 → 3 → 4 of unlabelled nodes.
@@ -882,22 +867,25 @@ mod tests {
         let q = svc.register(cyclic_pattern());
         assert!(svc.result(q).unwrap().is_empty());
         // d(2, 4) shrinks 2 → 1, inside the bound 2 on both sides: no
-        // `within` flips, so even an insertion is repaired incrementally.
+        // `within` flips, so the repair verifies nothing.
         svc.apply_one(EdgeUpdate::Insert(NodeId::new(2), NodeId::new(4)));
-        assert_eq!(svc.stats().recompute_fallbacks, 0);
-        // d(0, 1) shrinks ∞ → 1 across the bound: recompute.
+        assert_eq!((svc.stats().repairs, svc.stats().verifications), (1, 0));
+        // d(0, 1) shrinks ∞ → 1 across the bound: 0 and 1 now support each
+        // other around the pattern cycle, and the repair finds both.
         let closing = EdgeUpdate::Insert(NodeId::new(0), NodeId::new(1));
-        svc.apply_one(closing);
-        assert_eq!(svc.stats().recompute_fallbacks, 1);
-        assert!(!svc.result(q).unwrap().is_empty());
+        let out = svc.apply_one(closing);
+        assert_eq!(svc.stats().repairs, 2);
+        assert_eq!(out.deltas.len(), 1);
+        assert_eq!(out.deltas[0].added.len(), 2);
         assert_consistent(&mut svc, &[q]);
         // The deletion is repaired (`Match−` handles cycles).
         svc.apply_one(EdgeUpdate::Delete(NodeId::new(0), NodeId::new(1)));
-        assert_eq!(svc.stats().recompute_fallbacks, 1);
+        assert_eq!(svc.stats().repairs, 3);
         assert!(svc.result(q).unwrap().is_empty());
-        // The same crossing insertion inside a batch falls back once more.
+        // The same crossing insertion inside a batch is repaired too.
         svc.apply(&[EdgeUpdate::Delete(NodeId::new(2), NodeId::new(4)), closing]);
-        assert_eq!(svc.stats().recompute_fallbacks, 2);
+        assert_eq!(svc.stats().repairs, 4);
+        assert!(!svc.result(q).unwrap().is_empty());
         assert_consistent(&mut svc, &[q]);
     }
 

@@ -16,8 +16,9 @@
 //! * each update batch runs `UpdateBM` **once**, producing one shared
 //!   `AFF1`; every active query then repairs its own
 //!   [`gpm_incremental::MatchState`] from that `AFF1`
-//!   ([`gpm_incremental::repair_match_state`]) — or recomputes it where
-//!   repair refuses, a decision made in the service and nowhere else;
+//!   ([`gpm_incremental::repair_match_state`], which serves every pattern,
+//!   cyclic ones included, and cannot fail), so a batch never recomputes a
+//!   query's state;
 //! * results leave the service as per-query [`MatchDelta`]s — the pairs
 //!   entering and leaving each query's visible result — through pull
 //!   ([`MatchService::apply`]'s [`BatchOutcome`]) and push: one sequential

@@ -10,7 +10,6 @@ pub(crate) struct ServiceMetrics {
     pub batches: Arc<Counter>,
     pub updates_applied: Arc<Counter>,
     pub repairs: Arc<Counter>,
-    pub recompute_fallbacks: Arc<Counter>,
     pub activations: Arc<Counter>,
     pub verifications: Arc<Counter>,
     pub deltas_emitted: Arc<Counter>,
@@ -38,7 +37,6 @@ pub(crate) fn service() -> &'static ServiceMetrics {
             batches: scope.counter("batches"),
             updates_applied: scope.counter("updates_applied"),
             repairs: scope.counter("repairs"),
-            recompute_fallbacks: scope.counter("recompute_fallbacks"),
             activations: scope.counter("activations"),
             verifications: scope.counter("verifications"),
             deltas_emitted: scope.counter("deltas_emitted"),

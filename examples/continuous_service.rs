@@ -55,9 +55,8 @@ fn main() {
         .build()
         .unwrap();
     // Standing query 3 (cyclic): money that comes back — account and mule
-    // reachable from each other. The service maintains cyclic patterns too,
-    // falling back to per-query recomputation only when a batch shortens
-    // distances.
+    // reachable from each other. The service repairs cyclic patterns like
+    // DAGs, also when a batch shortens distances.
     let (round_trip, _) = PatternGraphBuilder::new()
         .labeled_node("account")
         .labeled_node("mule")

@@ -26,8 +26,8 @@ fn main() {
         graph.edge_count()
     );
 
-    // A DAG pattern (IncMatch requires DAG patterns): popular music videos
-    // recommending well-viewed videos that lead to "People" videos.
+    // A DAG pattern (the service repairs cyclic ones too): popular music
+    // videos recommending well-viewed videos that lead to "People" videos.
     let (pattern, _) = PatternGraphBuilder::new()
         .node(
             "music",

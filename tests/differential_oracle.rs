@@ -293,7 +293,7 @@ fn run_service(
 /// `|AFF1|`, full delta payloads), final results and folded subscription
 /// streams on either backend, at 1, 2 and 8 worker threads — the ISSUE's
 /// acceptance gate for backend pluggability. A cyclic pattern rides along to
-/// cover the `IncMatch` rebuild fallback on a non-matrix oracle.
+/// cover the repair of pattern cycles on a non-matrix oracle.
 #[test]
 fn service_deltas_are_bit_identical_across_backends_and_threads() {
     let g = labelled_graph(32, 85, 4, 11);

@@ -3,8 +3,8 @@
 //! identical** at 1, 2 and 8 worker threads.
 //!
 //! Mirrors `parallel_determinism.rs` for `gpm-service`: the oracle build and
-//! every match-state build (registration, resume, recompute fallback) run
-//! on the `gpm-exec` executor, while the per-batch refresh-and-emit loop
+//! every match-state build (registration, resume) run on the `gpm-exec`
+//! executor, while the per-batch repair-and-emit loop
 //! walks the catalog sequentially in registration order, so scheduling
 //! cannot leak into the output. Thread policies force
 //! `sequential_threshold(0)` so even test-sized inputs genuinely hit the
