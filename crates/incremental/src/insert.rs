@@ -96,6 +96,15 @@ pub fn match_plus<O: DistanceOracle + ?Sized>(
     Ok(maintain(pattern, graph, oracle, state, &applied, exec))
 }
 
+/// What one run of [`process_additions`] admitted and took back.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Admissions {
+    /// Pairs the closure added to the match.
+    pub admitted: usize,
+    /// Admitted pairs the re-verification removed again.
+    pub refuted: usize,
+}
+
 /// Addition propagation shared by `Match+` and the insertion side of
 /// `IncMatch`, for every pattern (module docs). `sources` are the data nodes
 /// whose *outgoing* distances decreased; the pairs this adds, net of the
@@ -108,9 +117,9 @@ pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
     sources: &FxHashSet<NodeId>,
     aff2: &mut Aff2,
     verifications: &mut usize,
-) {
+) -> Admissions {
     if sources.is_empty() {
-        return;
+        return Admissions::default();
     }
     let reach = reachability(pattern);
     let on_cycle = |e: &PatternEdge| reach[e.to.index()][e.from.index()];
@@ -164,6 +173,7 @@ pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
         .copied()
         .filter(|&(u, _)| pattern.out_edges(u).any(on_cycle))
         .collect();
+    let admitted = added.added.len();
     aff2.merge(added);
     let mut refuted = Aff2::default();
     process_removals(
@@ -175,7 +185,12 @@ pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
         &mut refuted,
         verifications,
     );
+    let counts = Admissions {
+        admitted,
+        refuted: refuted.removed.len(),
+    };
     aff2.merge(refuted);
+    counts
 }
 
 /// `reach[a][b]`: whether pattern node `b` is reachable from `a` by a path

@@ -96,7 +96,7 @@ pub use batch::inc_match;
 pub use delete::match_minus;
 pub use insert::match_plus;
 pub use repair::{crosses_a_bound, repair_match_state, split_aff1_sources, RepairOutcome};
-pub use state::{MatchState, MatchStateSnapshot};
+pub use state::MatchState;
 
 /// Result alias for incremental operations.
 pub type Result<T> = std::result::Result<T, gpm_graph::GraphError>;

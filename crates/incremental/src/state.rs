@@ -12,11 +12,14 @@
 //! Both sets are held in two forms, the layout `Match` uses for its
 //! candidates: a `|V|`-wide bitmap answers membership in `O(1)`, and a packed
 //! ascending `NodeId` list beside it is what the repair walks and what the
-//! relation, the snapshot and the service's deltas copy. `add`/`remove` keep
-//! the match list sorted by binary search, so the repair pays for the matches
-//! it visits — `O(|mat(u)|)` per cascade step — and never for `|V|`. The
-//! persisted form ([`MatchStateSnapshot`]) is the two lists per pattern node;
-//! loading it rebuilds the bitmaps.
+//! relation and the service's deltas copy. `add`/`remove` keep the match
+//! list sorted by binary search, so the repair pays for the matches it
+//! visits — `O(|mat(u)|)` per cascade step — and never for `|V|`.
+//!
+//! A state is never persisted. The maximum match is unique, so the state is
+//! a function of (pattern, graph), and [`MatchState::initialise_with`] is
+//! the one way to build it: `gpm-service` calls it to register a query, to
+//! resume one and to reopen a durable service.
 //!
 //! The externally reported relation follows the paper's convention: if some
 //! pattern node has an empty `mat(u)`, the match is `∅` (but the internal
@@ -28,7 +31,6 @@ use gpm_core::{bounded_simulation_with_oracle_on, MatchRelation};
 use gpm_distance::DistanceQuery;
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, EdgeBound, NodeId, PatternGraph, PatternNodeId};
-use serde::{Deserialize, Serialize};
 
 /// Per-pattern-node match and candidate sets.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -195,87 +197,6 @@ impl MatchState {
         }
         MatchRelation::from_sets(self.matched.clone())
     }
-
-    /// Folds the state into its canonical persisted form: per pattern node,
-    /// the ascending `NodeId` lists of the satisfaction and match sets (the
-    /// dense bitmaps are an in-memory index, not an encoding).
-    pub fn to_snapshot(&self) -> MatchStateSnapshot {
-        let ids = |lists: &[Vec<NodeId>]| -> Vec<Vec<u32>> {
-            lists
-                .iter()
-                .map(|list| list.iter().map(|v| v.index() as u32).collect())
-                .collect()
-        };
-        MatchStateSnapshot {
-            nodes: self.satisfies.first().map_or(0, Vec::len),
-            satisfies: ids(&self.satisfying),
-            mat: ids(&self.matched),
-        }
-    }
-
-    /// Rebuilds a state from its persisted form. Errors (with a message
-    /// naming the defect) when the snapshot is internally inconsistent:
-    /// mismatched row counts, out-of-range node ids, unsorted/duplicated
-    /// lists, or a matched node that does not satisfy its predicate.
-    pub fn from_snapshot(snap: &MatchStateSnapshot) -> std::result::Result<Self, String> {
-        if snap.satisfies.len() != snap.mat.len() {
-            return Err(format!(
-                "match-state snapshot has {} satisfies rows but {} mat rows",
-                snap.satisfies.len(),
-                snap.mat.len()
-            ));
-        }
-        let nv = snap.nodes;
-        let nodes =
-            |list: &[u32], what: &str, u: usize| -> std::result::Result<Vec<NodeId>, String> {
-                let mut prev: Option<u32> = None;
-                for &v in list {
-                    if (v as usize) >= nv {
-                        return Err(format!(
-                            "match-state snapshot: {what}[{u}] contains node {v} >= |V| = {nv}"
-                        ));
-                    }
-                    if prev.is_some_and(|p| p >= v) {
-                        return Err(format!(
-                            "match-state snapshot: {what}[{u}] is not strictly ascending at {v}"
-                        ));
-                    }
-                    prev = Some(v);
-                }
-                Ok(list.iter().map(|&v| NodeId::new(v)).collect())
-            };
-        let mut satisfying = Vec::with_capacity(snap.satisfies.len());
-        let mut matched = Vec::with_capacity(snap.mat.len());
-        for (u, (sat, mat)) in snap.satisfies.iter().zip(&snap.mat).enumerate() {
-            satisfying.push(nodes(sat, "satisfies", u)?);
-            matched.push(nodes(mat, "mat", u)?);
-            if let Some(&v) = mat.iter().find(|v| sat.binary_search(v).is_err()) {
-                return Err(format!(
-                    "match-state snapshot: mat[{u}] contains node {v} outside satisfies[{u}]"
-                ));
-            }
-        }
-        Ok(Self::from_lists(nv, satisfying, matched))
-    }
-}
-
-/// The canonical serde encoding of a [`MatchState`] — what `gpm-service`
-/// persists per query inside a durability snapshot.
-///
-/// Node ids are stored as strictly ascending `u32` lists per pattern node,
-/// so equal states always serialize to identical bytes regardless of how
-/// they were produced (initialised from scratch, incrementally repaired, or
-/// recovered), and [`MatchState::from_snapshot`] can validate the shape
-/// before trusting it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MatchStateSnapshot {
-    /// Data-graph node count (the width of every row).
-    pub nodes: usize,
-    /// Per pattern node: ascending data-node ids satisfying its predicate.
-    pub satisfies: Vec<Vec<u32>>,
-    /// Per pattern node: ascending data-node ids in the current match
-    /// (always a subset of the same row of `satisfies`).
-    pub mat: Vec<Vec<u32>>,
 }
 
 /// Whether data node `x` has a witness among `targets` (the current matches

@@ -5,16 +5,14 @@
 //!
 //! * `matches_of(u)` is the ascending scan of `in_mat(u, ·)`;
 //! * `candidates_of(u)` is the ascending scan of `in_can(u, ·)`;
-//! * `relation()` is the scan-derived relation under the `∅` convention;
-//! * `to_snapshot()` is the encoding derived from the bitmaps alone;
-//! * `from_snapshot ∘ to_snapshot` is the identity.
+//! * `relation()` is the scan-derived relation under the `∅` convention.
 
 use gpm_core::{bounded_simulation_with_oracle, MatchRelation};
 use gpm_datagen::{random_graph, random_updates, RandomGraphConfig, UpdateStreamConfig};
 use gpm_distance::{EdgeUpdate, OracleBackend};
 use gpm_exec::Executor;
 use gpm_graph::{DataGraph, EdgeBound, NodeId, PatternGraph, PatternNodeId, Predicate};
-use gpm_incremental::{repair_match_state, MatchState, MatchStateSnapshot};
+use gpm_incremental::{repair_match_state, MatchState};
 use proptest::prelude::*;
 
 const NODES: usize = 30;
@@ -52,12 +50,6 @@ fn check_forms(state: &MatchState, nodes: usize) -> Result<(), String> {
             .filter(|&v| keep(v))
             .collect()
     };
-    let ids = |list: Vec<NodeId>| -> Vec<u32> { list.iter().map(|v| v.index() as u32).collect() };
-    let mut bitmap_snapshot = MatchStateSnapshot {
-        nodes,
-        satisfies: Vec::new(),
-        mat: Vec::new(),
-    };
     let mut mat_sets = Vec::new();
     for ui in 0..state.pattern_node_count() {
         let u = PatternNodeId::new(ui as u32);
@@ -68,10 +60,6 @@ fn check_forms(state: &MatchState, nodes: usize) -> Result<(), String> {
             scan(&|v| state.in_can(u, v)),
             "candidates_of({ui})"
         );
-        bitmap_snapshot
-            .satisfies
-            .push(ids(scan(&|v| state.satisfies(u, v))));
-        bitmap_snapshot.mat.push(ids(matched.clone()));
         mat_sets.push(matched);
     }
     let expected = if mat_sets.iter().all(|s| !s.is_empty()) {
@@ -80,9 +68,6 @@ fn check_forms(state: &MatchState, nodes: usize) -> Result<(), String> {
         MatchRelation::empty(state.pattern_node_count())
     };
     prop_assert_eq!(state.relation(), expected);
-    let snapshot = state.to_snapshot();
-    prop_assert_eq!(&snapshot, &bitmap_snapshot);
-    prop_assert_eq!(MatchState::from_snapshot(&snapshot), Ok(state.clone()));
     Ok(())
 }
 

@@ -9,7 +9,8 @@
 //! suspension: suspending a query frees its match state, so batches skip
 //! it entirely; resuming rebuilds the state from the shared distance oracle
 //! at once, and subscribers receive one catch-up delta that reconciles
-//! everything they missed while suspended.
+//! everything they missed while suspended. A reopened durable service
+//! resumes its active queries the same way: no match state is persisted.
 
 use crate::delta::{MatchDelta, QueryId};
 use gpm_core::MatchRelation;
@@ -22,7 +23,8 @@ use gpm_incremental::MatchState;
 pub enum RepairKind {
     /// Incremental repair from the shared `AFF1` (the common path).
     Incremental,
-    /// Activation: `resume` rebuilt the state of a suspended query.
+    /// Activation: `resume` rebuilt the state of a suspended query, or of
+    /// an active one that a durable service reopened.
     Activation,
 }
 
@@ -172,18 +174,17 @@ impl QueryCatalog {
         self.next_id
     }
 
-    /// Builds one recovered entry (no subscribers — subscriptions are
-    /// ephemeral and do not survive a restart).
+    /// Builds one recovered entry: suspended, and with no subscribers
+    /// (subscriptions are ephemeral and do not survive a restart).
     pub(crate) fn restored_entry(
         id: QueryId,
         pattern: PatternGraph,
-        state: Option<MatchState>,
         emitted: MatchRelation,
     ) -> QueryEntry {
         QueryEntry {
             id,
             pattern,
-            state,
+            state: None,
             emitted,
             subscribers: Vec::new(),
         }

@@ -24,7 +24,8 @@
 //!
 //! Cyclic patterns are first-class: the repair serves every pattern, so a
 //! batch never recomputes a query's state — only registration and
-//! [`MatchService::resume`] build one from scratch.
+//! [`MatchService::resume`] build one from scratch, and reopening a durable
+//! service resumes each active query: snapshots persist no match state.
 //!
 //! The distance backend is pluggable ([`MatchService::with_backend`] /
 //! `GPM_ORACLE`): the paper's quadratic matrix, or the sublinear-memory
@@ -58,7 +59,8 @@ pub struct ServiceStats {
     pub aff_computations: usize,
     /// Per-query incremental repairs driven by a shared `AFF1`.
     pub repairs: usize,
-    /// Activations: match states rebuilt by [`MatchService::resume`].
+    /// Activations: match states rebuilt by [`MatchService::resume`],
+    /// reopening a durable service included.
     pub activations: usize,
     /// Non-empty per-query deltas emitted.
     pub deltas_emitted: usize,
@@ -287,7 +289,8 @@ impl MatchService {
     /// [`MatchService::result`]s are exactly what the original process
     /// would have produced — on either oracle backend and at any thread
     /// count (the differential recovery suite enforces this at every
-    /// possible crash point). Uses the process-default [`Parallelism`].
+    /// possible crash point). Each active query's match state is rebuilt
+    /// by [`MatchService::resume`]. Uses the process-default [`Parallelism`].
     pub fn open_durable(dir: &Path, opts: DurableOptions) -> Result<Self, DurabilityError> {
         Self::open_durable_with(dir, Parallelism::from_env(), opts)
     }
@@ -307,9 +310,10 @@ impl MatchService {
         // distance — and therefore every downstream match — bit for bit.
         let mut svc = Self::with_backend(loaded.graph, backend, parallelism);
         svc.epoch = loaded.manifest.epoch;
-        svc.catalog = snapshot::restore_catalog(&loaded.manifest, &svc.graph)?;
-        // Versions that resumed lazily could snapshot a query as active
-        // before its state was built: `resume` builds it now.
+        // Nor are match states: the catalog comes back suspended and
+        // `resume` rebuilds each active one. The maximum match is unique, so
+        // the rebuilt state is the lost one and its catch-up delta is empty.
+        svc.catalog = snapshot::restore_catalog(&loaded.manifest)?;
         for q in loaded.manifest.queries.iter().filter(|q| q.active) {
             svc.resume(QueryId(q.id));
         }

@@ -19,8 +19,14 @@
 //! pair. The manifest records which, plus a CRC-32 and length for every
 //! segment, the oracle-backend choice, the service epoch, the WAL position
 //! (`next_seq`) the snapshot covers, and the full catalog: per query its
-//! pattern, active flag, canonical match-state encoding
-//! ([`gpm_incremental::MatchStateSnapshot`]) and last emitted relation.
+//! pattern, active flag and last emitted relation.
+//!
+//! A snapshot holds inputs, not derived state. Like the distance oracle,
+//! which is persisted by backend name only, a query's match state is a
+//! function of its pattern and the graph (the maximum match is unique), so
+//! reopening rebuilds each active query's state with
+//! [`gpm_incremental::MatchState::initialise_with`], the build `register`
+//! and `resume` run.
 //!
 //! ## Atomicity
 //!
@@ -44,7 +50,6 @@ use crate::wal::{crc32, decode_frame_exact, encode_frame, DurabilityError};
 use gpm_core::MatchRelation;
 use gpm_distance::OracleBackend;
 use gpm_graph::{dataset, DataGraph, PatternGraph};
-use gpm_incremental::{MatchState, MatchStateSnapshot};
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
 use std::io::{Read as _, Write as _};
@@ -84,20 +89,18 @@ pub struct SegmentMeta {
     pub crc: u32,
 }
 
-/// One query's persisted state.
+/// One query's persisted catalog entry.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct QuerySnapshot {
     /// The query's stable id.
     pub id: u64,
     /// The registered pattern.
     pub pattern: PatternGraph,
-    /// Whether the query participates in per-batch repair: written as
-    /// `state.is_some()`. Versions that resumed lazily could write `true`
-    /// with no state; reopening builds that state. `false` with a state is
-    /// corrupt.
+    /// Whether the query participates in per-batch repair. Reopening
+    /// builds each active query's match state from the recovered graph; a
+    /// suspended query stays suspended. The `state` key that older versions
+    /// wrote beside this flag is ignored.
     pub active: bool,
-    /// The match state; `None` exactly while suspended.
-    pub state: Option<MatchStateSnapshot>,
     /// The relation as of the last delta emission.
     pub emitted: MatchRelation,
 }
@@ -296,7 +299,6 @@ pub(crate) fn write_snapshot(
             id: e.id().value(),
             pattern: e.pattern().clone(),
             active: e.is_active(),
-            state: e.state.as_ref().map(MatchState::to_snapshot),
             emitted: e.emitted.clone(),
         })
         .collect();
@@ -368,14 +370,9 @@ pub(crate) fn load_snapshot(root: &Path) -> Result<LoadedSnapshot, DurabilityErr
     Ok(LoadedSnapshot { manifest, graph })
 }
 
-/// Rebuilds the in-memory catalog from a manifest, validating every
-/// persisted state against the recovered graph and its pattern. An active
-/// query persisted without a state comes back suspended; the caller builds
-/// its state.
-pub(crate) fn restore_catalog(
-    manifest: &Manifest,
-    graph: &DataGraph,
-) -> Result<QueryCatalog, DurabilityError> {
+/// Rebuilds the in-memory catalog from a manifest with every query
+/// suspended; the caller resumes the active ones.
+pub(crate) fn restore_catalog(manifest: &Manifest) -> Result<QueryCatalog, DurabilityError> {
     let mut entries = Vec::with_capacity(manifest.queries.len());
     for q in &manifest.queries {
         let np = q.pattern.node_count();
@@ -386,40 +383,9 @@ pub(crate) fn restore_catalog(
                 q.emitted.pattern_node_count()
             )));
         }
-        let state = match &q.state {
-            None => None,
-            Some(_) if !q.active => {
-                return Err(DurabilityError::Corrupt(format!(
-                    "query q{}: suspended, yet it holds a state",
-                    q.id
-                )));
-            }
-            Some(snap) => {
-                if snap.nodes != graph.node_count() {
-                    return Err(DurabilityError::Corrupt(format!(
-                        "query q{}: state snapshot is over {} data nodes, graph has {}",
-                        q.id,
-                        snap.nodes,
-                        graph.node_count()
-                    )));
-                }
-                if snap.satisfies.len() != np {
-                    return Err(DurabilityError::Corrupt(format!(
-                        "query q{}: state snapshot has {} pattern rows, pattern has {np}",
-                        q.id,
-                        snap.satisfies.len()
-                    )));
-                }
-                Some(
-                    MatchState::from_snapshot(snap)
-                        .map_err(|e| DurabilityError::Corrupt(format!("query q{}: {e}", q.id)))?,
-                )
-            }
-        };
         entries.push(QueryCatalog::restored_entry(
             QueryId(q.id),
             q.pattern.clone(),
-            state,
             q.emitted.clone(),
         ));
     }
@@ -453,7 +419,6 @@ mod tests {
                     .unwrap()
                     .0,
                 active: false,
-                state: None,
                 emitted: MatchRelation::empty(2),
             }],
         }

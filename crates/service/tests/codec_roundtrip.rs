@@ -13,7 +13,6 @@
 use gpm_core::MatchRelation;
 use gpm_distance::EdgeUpdate;
 use gpm_graph::{NodeId, PatternGraph, PatternGraphBuilder};
-use gpm_incremental::MatchStateSnapshot;
 use gpm_service::snapshot::{decode_manifest, encode_manifest};
 use gpm_service::wal::{
     decode_frame_exact, decode_record_exact, encode_frame, encode_record, read_wal_bytes, WAL_MAGIC,
@@ -78,31 +77,16 @@ fn arb_relation() -> impl Strategy<Value = MatchRelation> {
     })
 }
 
-fn arb_state() -> impl Strategy<Value = MatchStateSnapshot> {
-    (
-        0usize..64,
-        collection::vec(collection::vec(0u32..64, 0..8), 0..4),
-        collection::vec(collection::vec(0u32..64, 0..8), 0..4),
-    )
-        .prop_map(|(nodes, satisfies, mat)| MatchStateSnapshot {
-            nodes,
-            satisfies,
-            mat,
-        })
-}
-
 fn arb_query() -> impl Strategy<Value = QuerySnapshot> {
     (
-        (0u64..1_000_000, 0u32..4),
+        (0u64..1_000_000, 0u32..2),
         (1usize..5, 1u32..4),
-        arb_state(),
         arb_relation(),
     )
-        .prop_map(|((id, flags), (n, bound), state, emitted)| QuerySnapshot {
+        .prop_map(|((id, active), (n, bound), emitted)| QuerySnapshot {
             id,
             pattern: chain_pattern(n, bound),
-            active: flags & 1 != 0,
-            state: if flags & 2 != 0 { Some(state) } else { None },
+            active: active != 0,
             emitted,
         })
 }

@@ -743,41 +743,89 @@ fn rewrite_manifest(path: &Path, from: &str, to: &str) {
     fs::write(path, framed).unwrap();
 }
 
-/// Versions that resumed lazily could snapshot a resumed query before its
-/// state was built: `"active":true,"state":null`. Such a manifest still
-/// opens, with the state built; a suspended query that holds a state is
-/// corrupt.
+/// A snapshot persists no match state: reopening builds the state of every
+/// query its manifest marks active. So a manifest that marks a suspended
+/// query active opens with the state built and the catch-up delta emitted,
+/// and the `state` key that earlier versions wrote beside the flag is
+/// ignored — here one that fits neither the graph nor the flag, spelled as
+/// those versions encoded a state.
 #[test]
-fn a_lazy_resume_manifest_reopens_and_a_suspended_state_is_corrupt() {
-    let root = TempRoot::new("lazymanifest");
+fn reopen_builds_each_active_state_and_ignores_a_persisted_one() {
+    let root = TempRoot::new("manifeststate");
     let (dir, p) = suspended_root(&root);
     let mut svc = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
+    let q = svc.catalog().ids()[0];
+    let told = fold_deltas(p.node_count(), svc.subscribe(q).unwrap().drain().iter());
     svc.snapshot_now().unwrap();
     drop(svc);
     let manifest = dir.join(SNAPSHOT_DIR).join(MANIFEST_FILE);
-    rewrite_manifest(
-        &manifest,
-        r#""active":false,"state":null"#,
-        r#""active":true,"state":null"#,
-    );
-    let mut svc = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
-    let q = svc.catalog().ids()[0];
-    assert!(svc.catalog().get(q).unwrap().is_active());
-    let sub = svc.subscribe(q).unwrap();
-    let live = svc.result(q).expect("the resumed query answers");
-    assert_eq!(live, recomputed(&svc, &p));
-    assert_eq!(fold_deltas(p.node_count(), sub.drain().iter()), live);
-    svc.snapshot_now().unwrap();
-    drop(svc);
+    let written = fs::read(&manifest).unwrap();
+    let state = r#""state":{"nodes":2,"satisfies":[[1,0]],"mat":[[7]]},"#;
 
-    rewrite_manifest(
-        &manifest,
-        r#""active":true,"state":{"#,
-        r#""active":false,"state":{"#,
-    );
-    match MatchService::open_durable_with(&dir, forced(1), WAL_ONLY) {
-        Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("suspended"), "{msg}"),
-        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    let mut reopened = Vec::new();
+    for (active, state) in [(true, ""), (true, state), (false, state)] {
+        fs::write(&manifest, &written).unwrap();
+        rewrite_manifest(
+            &manifest,
+            r#""active":false,"#,
+            &format!(r#""active":{active},{state}"#),
+        );
+        let mut svc = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
+        assert_eq!(svc.catalog().get(q).unwrap().is_active(), active);
+        assert_eq!(svc.stats().activations, usize::from(active));
+        if !active {
+            assert_eq!(svc.result(q), None);
+            svc.resume(q);
+        }
+        let live = svc.result(q).expect("the resumed query answers");
+        assert_eq!(live, recomputed(&svc, &p));
+        assert_ne!(
+            live, told,
+            "the batch since the suspension changed the match"
+        );
+        assert_eq!(svc.stats().deltas_emitted, 1, "one catch-up delta");
+        let sub = svc.subscribe(q).unwrap();
+        assert_eq!(fold_deltas(p.node_count(), sub.drain().iter()), live);
+        reopened.push(live);
+    }
+    assert!(reopened.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// The invariant reopening relies on: between operations an active query's
+/// emitted relation is its state's, so a reopen right after a snapshot
+/// rebuilds one state per active query and emits nothing.
+#[test]
+fn reopen_after_a_snapshot_rebuilds_the_active_states_and_emits_nothing() {
+    let seed = 0xAC7;
+    let graph = labelled_graph(24, 60, 3, seed);
+    for backend in [OracleBackend::Matrix, OracleBackend::TwoHop] {
+        let root = TempRoot::new(&format!("quietreopen-{}", backend.name()));
+        let dir = root.path("svc");
+        let mut svc =
+            MatchService::create_durable_with(&dir, graph.clone(), backend, forced(2), WAL_ONLY)
+                .unwrap();
+        let ids: Vec<QueryId> = (0..4u64)
+            .map(|i| {
+                let config = PatternGenConfig::new(3 + i as usize % 2, 4, 3).with_seed(seed + i);
+                svc.register(generate_pattern(svc.graph(), &config).0)
+            })
+            .collect();
+        for i in 0..3u64 {
+            let updates = random_updates(
+                svc.graph(),
+                &UpdateStreamConfig::mixed(6).with_seed(seed + 10 + i),
+            );
+            svc.apply(&updates);
+        }
+        svc.suspend(ids[1]);
+        svc.snapshot_now().unwrap();
+        let before = fingerprint(&mut svc);
+        drop(svc);
+
+        let mut reopened = MatchService::open_durable_with(&dir, forced(2), WAL_ONLY).unwrap();
+        assert_eq!(reopened.stats().activations, ids.len() - 1);
+        assert_eq!(reopened.stats().deltas_emitted, 0);
+        assert_eq!(fingerprint(&mut reopened), before);
     }
 }
 
