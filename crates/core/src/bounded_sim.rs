@@ -9,8 +9,9 @@
 //!
 //! The structure follows the paper: initial candidate sets `mat(u)` from the
 //! node predicates, then iterative removal of nodes that cannot witness some
-//! pattern edge, propagated upward until a fixpoint. Four representation
-//! choices differ from the pseudo-code but keep the bound:
+//! pattern edge, propagated upward until a fixpoint, returning `∅` as soon
+//! as some `mat(u)` is empty. Five choices differ from the pseudo-code but
+//! keep the bound:
 //!
 //! * the initial `mat(u)` (lines 4–5) is read from the data graph's
 //!   attribute index ([`DataGraph::nodes_satisfying`]) rather than tested
@@ -22,10 +23,11 @@
 //! * each `mat(u)` is held twice: as a packed ascending list of its
 //!   *initial* candidates, which every pass iterates, and as a membership
 //!   bitmap, which is the only part that shrinks. The witness-counter pass
-//!   therefore costs `Σ_e |mat(from(e))|·|mat(to(e))|` row-local loads — one
-//!   [`DistanceQuery::count_within`] per (pattern edge, source candidate),
-//!   against the target's candidate list — which the paper's `|E_p||V|²`
-//!   bounds, and nothing after candidate selection scans all of `V`;
+//!   therefore costs at most `Σ_e |mat(from(e))|·|mat(to(e))|` row-local
+//!   loads — one [`DistanceQuery::count_within`] per (pattern edge, live
+//!   source candidate), against the target's candidate list — which the
+//!   paper's `|E_p||V|²` bounds, and nothing after candidate selection
+//!   scans all of `V`;
 //! * `anc`/`desc` sets are not materialised; the distance oracle answers the
 //!   `len(x/.../x') <= f_e(u', u)` test in `O(1)` (distance matrix) — this is
 //!   exactly the information the `anc`/`desc` sets encode;
@@ -34,7 +36,16 @@
 //!   `mat(target(e))` that `x` can reach within the bound of `e`. When a node
 //!   `y` is removed from `mat(u)`, the counters of candidate parents that can
 //!   reach `y` are decremented; hitting zero removes the parent candidate —
-//!   the same `O(|E_p||V|²)` propagation the paper obtains with `premv`.
+//!   the same `O(|E_p||V|²)` propagation the paper obtains with `premv`;
+//! * the counters are initialised one pattern edge at a time, in ascending
+//!   `|mat₀(from(e))|·|mat₀(to(e))|` (ties by edge index, so the order is
+//!   the same at every thread count). The sources an edge finds witness-less
+//!   leave `mat(from)` before the next edge is counted, later edges skip
+//!   them, and the run returns `∅` the moment a `mat(u)` empties — so a
+//!   pattern that is already lost pays only for its cheapest edges
+//!   (`match.counted_pairs` counts the reads). Every edge still counts
+//!   against the *initial* target list `mat₀(to(e))`, which is what keeps
+//!   each later removal of a witness exactly one decrement.
 
 use crate::match_relation::MatchRelation;
 use gpm_distance::{DistanceQuery, OracleBackend};
@@ -58,6 +69,14 @@ struct MatchMetrics {
     removed_candidates: Arc<gpm_obs::Counter>,
     counter_decrements: Arc<gpm_obs::Counter>,
     failed_early: Arc<gpm_obs::Counter>,
+    /// Target-list entries read by the witness-count pass: per counted
+    /// pattern edge `e`, its live sources times `|mat₀(to(e))|`. Edges are
+    /// counted cheapest first, a removed source is skipped and an emptied
+    /// `mat(u)` ends the pass, so the counter stays within
+    /// `Σ_e |mat₀(from(e))|·|mat₀(to(e))|`, the reads of a pass over every
+    /// edge. The order depends on the instance alone, so the counter is
+    /// identical at any thread or chunk count.
+    counted_pairs: Arc<gpm_obs::Counter>,
     run_ns: Arc<gpm_obs::Histogram>,
 }
 
@@ -73,6 +92,7 @@ fn metrics() -> &'static MatchMetrics {
             removed_candidates: scope.counter("removed_candidates"),
             counter_decrements: scope.counter("counter_decrements"),
             failed_early: scope.counter("failed_early"),
+            counted_pairs: scope.counter("counted_pairs"),
             run_ns: scope.histogram("run_ns"),
         }
     })
@@ -153,11 +173,15 @@ pub fn bounded_simulation_with_oracle<O: DistanceQuery + Sync + ?Sized>(
 /// (a few microseconds per pattern node, below the cost of a region). The
 /// two phases of the refinement after them are data-parallel over disjoint
 /// state, and every merge is performed in a fixed (pattern-edge, data-node)
-/// order that does not depend on the thread count or chunking:
+/// order that does not depend on the thread count or chunking. Each counted
+/// edge and each wave opens an executor region only when its own pair reads
+/// pay for one (131 072 reads at the default sequential threshold), so small
+/// patterns and thin waves run on the caller thread:
 ///
-/// 1. **witness-counter initialisation** — the `Σ_e |mat(from)|·|mat(to)|`
-///    pass is split into (pattern edge × chunk of `mat(from)`) tasks, each
-///    owning a disjoint counter range;
+/// 1. **witness-counter initialisation** — one edge at a time in ascending
+///    `|mat₀(from)|·|mat₀(to)|`, each split into chunks of `mat(from)` that
+///    own disjoint counter ranges; the edge's witness-less sources are
+///    removed before the next edge, and an emptied `mat(u)` ends the run;
 /// 2. **removal propagation** — processed in *waves*: all removals of the
 ///    current wave are grouped per pattern node, the counter decrements they
 ///    imply are computed in parallel against the wave-start membership
@@ -175,9 +199,11 @@ pub fn bounded_simulation_with_oracle_on<O: DistanceQuery + Sync + ?Sized>(
 ) -> MatchOutcome {
     let m = metrics();
     let _span = m.run_ns.span();
-    let out = match_inner(pattern, graph, oracle, exec);
+    let mut work = CountWork::default();
+    let out = match_inner(pattern, graph, oracle, exec, &mut work);
     if gpm_obs::enabled() {
         m.runs.inc();
+        m.counted_pairs.add(work.counted_pairs as u64);
         m.initial_candidates
             .add(out.stats.initial_candidates as u64);
         m.removed_candidates
@@ -191,13 +217,25 @@ pub fn bounded_simulation_with_oracle_on<O: DistanceQuery + Sync + ?Sized>(
     out
 }
 
+/// The work of the witness-count pass, tallied in the order it runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct CountWork {
+    /// `count_within` calls: one per live source of each counted edge, at
+    /// most `Σ_e |mat₀(from(e))|`, the calls of a pass over every edge.
+    count_calls: usize,
+    /// Target-list entries those calls read (`match.counted_pairs`).
+    counted_pairs: usize,
+}
+
 /// The refinement itself, uninstrumented (see the public wrapper above for
-/// the obs accounting; the wave loop counts waves and scans inline).
+/// the obs accounting; the wave loop counts waves and scans inline, and the
+/// count pass tallies its reads in `work`).
 fn match_inner<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
     exec: &Executor,
+    work: &mut CountWork,
 ) -> MatchOutcome {
     let np = pattern.node_count();
     let nv = graph.node_count();
@@ -246,64 +284,64 @@ fn match_inner<O: DistanceQuery + Sync + ?Sized>(
         live_count.push(list.len());
     }
 
-    // Chunking of every `cand[from]` list, shared by both parallel phases. The
-    // merge order below is (edge, x ascending) for *any* chunk count, so this
-    // choice affects scheduling only, never results.
-    let n_chunks = if exec.parallelism().should_parallelise(nv) {
-        (exec.threads() * 4).min(nv.max(1))
-    } else {
-        1
-    };
-
     // Witness counters per pattern edge, indexed like `cand[from(e)]`:
-    // cnt[e][i] = |{y in mat(to(e)) : within(x, y, bound(e))}| for the i-th
-    // candidate x of from(e) — one row-level oracle query per x.
+    // cnt[e][i] = |{y in mat₀(to(e)) : within(x, y, bound(e))}| for the i-th
+    // candidate x of from(e) — one row-level oracle query per live x.
     //
-    // All counters are computed against the *initial* candidate sets before
-    // any removal takes place, so that every later removal of a witness `y`
-    // corresponds to exactly one decrement. Each (edge, chunk) task owns a
-    // disjoint counter range; chunk results are stitched back in task order.
+    // Edges are counted one at a time, cheapest first: ascending
+    // |mat₀(from)|·|mat₀(to)|, ties by edge index (the sort is stable), an
+    // order fixed by the pattern and the initial lists alone. After each
+    // edge its witness-less sources leave `mat(from)` at once and join the
+    // first wave, so a later edge skips them (their counters stay 0 and are
+    // never read) and an emptied `mat(u)` ends the run before the dearer
+    // edges are counted. Every edge still counts against the *initial*
+    // target list, so each later removal of a witness `y` is exactly one
+    // decrement. Each chunk task owns a disjoint counter range; chunk
+    // results are stitched back in task order.
     let edges: Vec<_> = pattern.edges().copied().collect();
     let ne = edges.len();
-    let init_chunks: Vec<(Vec<u32>, Vec<NodeId>)> = exec.map_tasks(ne * n_chunks, nv, |ti| {
-        let e = &edges[ti / n_chunks];
-        let targets = &cand[e.to.index()];
-        let sources = &cand[e.from.index()];
-        let (start, end) = chunk_range(sources.len(), ti % n_chunks, n_chunks);
-        let mut counts = Vec::with_capacity(end - start);
-        let mut witnessless: Vec<NodeId> = Vec::new();
-        for &x in &sources[start..end] {
-            let count = oracle.count_within(graph, x, targets, e.bound);
-            if count == 0 {
-                // x cannot witness edge e: schedule its removal from mat(from).
-                witnessless.push(x);
-            }
-            counts.push(count);
-        }
-        (counts, witnessless)
-    });
-    let mut counters: Vec<Vec<u32>> = Vec::with_capacity(ne);
-    // Candidates found witness-less during counter initialisation; their
-    // removal is deferred until all counters are in place.
-    let mut pending: Vec<(PatternNodeId, NodeId)> = Vec::new();
-    for (ti, (counts, witnessless)) in init_chunks.into_iter().enumerate() {
-        let ei = ti / n_chunks;
-        if ti % n_chunks == 0 {
-            counters.push(Vec::with_capacity(cand[edges[ei].from.index()].len()));
-        }
-        counters[ei].extend(counts);
-        pending.extend(witnessless.into_iter().map(|x| (edges[ei].from, x)));
-    }
-
-    // First wave of removals.
+    let mut order: Vec<usize> = (0..ne).collect();
+    order.sort_by_key(|&ei| cand[edges[ei].from.index()].len() * cand[edges[ei].to.index()].len());
+    let mut counters: Vec<Vec<u32>> = vec![Vec::new(); ne];
     let mut wave: Vec<(PatternNodeId, NodeId)> = Vec::new();
-    for (u, x) in pending {
-        if member[u.index()][x.index()] {
-            member[u.index()][x.index()] = false;
-            live_count[u.index()] -= 1;
+    for &ei in &order {
+        let e = &edges[ei];
+        let from = e.from.index();
+        let (sources, targets) = (&cand[from], &cand[e.to.index()]);
+        let reads = live_count[from] * targets.len();
+        let n_chunks = chunks_for(exec, reads);
+        let live = &member[from];
+        let chunks: Vec<(Vec<u32>, usize)> = exec.map_tasks(n_chunks, region_hint(reads), |ci| {
+            let (start, end) = chunk_range(sources.len(), ci, n_chunks);
+            let mut calls = 0;
+            let counts = sources[start..end]
+                .iter()
+                .map(|&x| {
+                    if !live[x.index()] {
+                        return 0;
+                    }
+                    calls += 1;
+                    oracle.count_within(graph, x, targets, e.bound)
+                })
+                .collect();
+            (counts, calls)
+        });
+        counters[ei] = Vec::with_capacity(sources.len());
+        for (counts, calls) in chunks {
+            counters[ei].extend(counts);
+            work.count_calls += calls;
+            work.counted_pairs += calls * targets.len();
+        }
+        for (&x, &count) in sources.iter().zip(&counters[ei]) {
+            if count > 0 || !member[from][x.index()] {
+                continue;
+            }
+            // x cannot witness edge e: it leaves mat(from) now.
+            member[from][x.index()] = false;
+            live_count[from] -= 1;
             stats.removed_candidates += 1;
-            wave.push((u, x));
-            if live_count[u.index()] == 0 {
+            wave.push((e.from, x));
+            if live_count[from] == 0 {
                 stats.failed_early = true;
                 return MatchOutcome {
                     relation: MatchRelation::empty(np),
@@ -326,6 +364,17 @@ fn match_inner<O: DistanceQuery + Sync + ?Sized>(
         let active: Vec<usize> = (0..ne)
             .filter(|&ei| !removed_per_u[edges[ei].to.index()].is_empty())
             .collect();
+        // The wave's reads: a membership test per `cand[from]` entry, and
+        // one per (live parent, removed target) pair.
+        let reads: usize = active
+            .iter()
+            .map(|&ei| {
+                let e = &edges[ei];
+                cand[e.from.index()].len()
+                    + live_count[e.from.index()] * removed_per_u[e.to.index()].len()
+            })
+            .sum();
+        let n_chunks = chunks_for(exec, reads);
         if gpm_obs::enabled() {
             let m = metrics();
             m.waves.inc();
@@ -338,7 +387,8 @@ fn match_inner<O: DistanceQuery + Sync + ?Sized>(
         }
         // Per task: (index into cand[from], decrement) for every still-live
         // parent candidate that could reach a node removed this wave.
-        let deltas: Vec<Vec<(usize, u32)>> = exec.map_tasks(active.len() * n_chunks, nv, |ti| {
+        let hint = region_hint(reads);
+        let deltas: Vec<Vec<(usize, u32)>> = exec.map_tasks(active.len() * n_chunks, hint, |ti| {
             let e = &edges[active[ti / n_chunks]];
             let parent = e.from.index();
             let removed = &removed_per_u[e.to.index()];
@@ -400,6 +450,31 @@ fn match_inner<O: DistanceQuery + Sync + ?Sized>(
     MatchOutcome {
         relation: MatchRelation::from_sets(sets),
         stats,
+    }
+}
+
+/// Pair reads worth one work-hint item. A region fans out when its reads,
+/// in these units, reach the executor's sequential threshold: at the
+/// default 256, 131 072 reads, about 0.15 ms at the matrix's 1–1.7 ns a
+/// read on 2 shared vCPUs — four times the ≈ 40 µs a two-thread region
+/// costs to open and join there, so that two threads pay ≈ 1.3× (see
+/// ARCHITECTURE.md § `gpm-exec`).
+const READS_PER_HINT_ITEM: usize = 512;
+
+/// The work hint of a region that makes `reads` pair reads.
+fn region_hint(reads: usize) -> usize {
+    reads / READS_PER_HINT_ITEM
+}
+
+/// Chunks per candidate list for a region of `reads` pair reads: one when
+/// the region runs inline, four per worker when it fans out. The merge
+/// order is (edge, x ascending) for *any* chunk count, so this choice
+/// affects scheduling only, never results.
+fn chunks_for(exec: &Executor, reads: usize) -> usize {
+    if exec.parallelism().should_parallelise(region_hint(reads)) {
+        exec.threads() * 4
+    } else {
+        1
     }
 }
 
@@ -782,10 +857,17 @@ mod tests {
         (g, p)
     }
 
-    // The four pins below were captured from the commit before `Match`
+    // The first four pins below were captured from the commit before `Match`
     // moved onto packed candidate lists and `count_within` (the dense
-    // `member[to]` scan with one `within` per pair); the merge order, and so
-    // every statistic, must not move.
+    // `member[to]` scan with one `within` per pair). The relation,
+    // `initial_candidates`, `counter_decrements` and `failed_early` must
+    // never move. `removed_candidates` may move on a run that fails inside
+    // the count pass, and only there: it counts the removals made before
+    // the return, and those depend on the order the edges are counted in
+    // and on the pass returning at the first emptied `mat(u)`. A run that
+    // survives the count pass removes every witness-less source of every
+    // edge before its first wave, in any counting order, so the four older
+    // pins hold as captured; the fifth fails in the count pass.
 
     #[test]
     fn pinned_outcome_fig1_example() {
@@ -826,6 +908,168 @@ mod tests {
             (48, 16, 407, false),
         );
         assert_pinned(&g, &p, &expected);
+    }
+
+    #[test]
+    fn pinned_outcome_failing_in_the_count_pass() {
+        // A `mat(u)` empties while the counters are initialised, before any
+        // decrement. Counting every edge in pattern-edge order before the
+        // first removal, this run reported 8 removed candidates.
+        let (g, p) = generated((40, 90, 4, 1), (4, 1));
+        assert_pinned(&g, &p, &golden(&[&[], &[], &[], &[]], (48, 5, 0, true)));
+    }
+
+    /// Whether `out` failed inside the count pass: some candidate was
+    /// removed, yet no counter was decremented.
+    fn failed_in_the_count_pass(out: &MatchOutcome) -> bool {
+        out.stats.failed_early
+            && out.stats.removed_candidates > 0
+            && out.stats.counter_decrements == 0
+    }
+
+    #[test]
+    fn count_pass_failures_are_the_naive_fixpoints_empty_relation() {
+        let mut failures = 0;
+        for graph_seed in 1..4 {
+            for pattern_seed in 0..40 {
+                let (g, p) = generated((40, 90, 4, graph_seed), (4, pattern_seed));
+                let matrix = DistanceMatrix::build(&g);
+                let out =
+                    bounded_simulation_with_oracle_on(&p, &g, &matrix, &Executor::sequential());
+                if !failed_in_the_count_pass(&out) {
+                    continue;
+                }
+                failures += 1;
+                let naive = bounded_simulation_naive_with_oracle(&p, &g, &matrix);
+                assert_eq!(
+                    out.relation, naive.relation,
+                    "({graph_seed}, {pattern_seed})"
+                );
+                for threads in [2usize, 8] {
+                    let exec =
+                        Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
+                    let parallel = bounded_simulation_with_oracle_on(&p, &g, &matrix, &exec);
+                    assert_eq!(
+                        parallel, out,
+                        "({graph_seed}, {pattern_seed}) at {threads} threads"
+                    );
+                }
+            }
+        }
+        assert!(
+            failures >= 10,
+            "only {failures} runs failed in the count pass"
+        );
+    }
+
+    /// `mat₀(u)` for every pattern node, selected as `Match` selects it.
+    fn initial_lists(g: &DataGraph, p: &PatternGraph) -> Vec<Vec<NodeId>> {
+        p.node_ids()
+            .map(|u| {
+                let mut list = g.nodes_satisfying(p.predicate(u));
+                if p.out_degree(u) > 0 {
+                    list.retain(|&v| g.out_degree(v) > 0);
+                }
+                list
+            })
+            .collect()
+    }
+
+    /// The count pass's tallies as `match.counted_pairs` documents them,
+    /// from one pair query per (source, target): edges in ascending
+    /// `|mat₀(from)|·|mat₀(to)|` (stable), each live source counted against
+    /// `mat₀(to)`, the witness-less sources removed after their edge, and
+    /// nothing counted past the first emptied `mat(u)`.
+    fn reference_count_work(
+        g: &DataGraph,
+        p: &PatternGraph,
+        m: &DistanceMatrix,
+        initial: &[Vec<NodeId>],
+    ) -> CountWork {
+        let mut work = CountWork::default();
+        if initial.iter().any(Vec::is_empty) {
+            return work;
+        }
+        let mut edges: Vec<_> = p.edges().collect();
+        edges.sort_by_key(|e| initial[e.from.index()].len() * initial[e.to.index()].len());
+        let mut live = initial.to_vec();
+        for e in edges {
+            let targets = &initial[e.to.index()];
+            let sources = &mut live[e.from.index()];
+            work.count_calls += sources.len();
+            work.counted_pairs += sources.len() * targets.len();
+            sources.retain(|&x| targets.iter().any(|&y| m.within(g, x, y, e.bound)));
+            if sources.is_empty() {
+                break;
+            }
+        }
+        work
+    }
+
+    /// Runs `Match` on the matrix at 1/2/8 threads and holds its count
+    /// pass to what `match.counted_pairs` documents: the tallies are equal
+    /// at every thread count and to [`reference_count_work`]'s, the reads
+    /// stay within `Σ_e |mat₀(from(e))|·|mat₀(to(e))|` and the calls within
+    /// `Σ_e |mat₀(from(e))|` — what a pass over every edge in pattern-edge
+    /// order reads and calls. Returns the tallies.
+    fn check_count_work(g: &DataGraph, p: &PatternGraph) -> CountWork {
+        let matrix = DistanceMatrix::build(g);
+        let run = |threads: usize| {
+            let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
+            let mut work = CountWork::default();
+            let out = match_inner(p, g, &matrix, &exec, &mut work);
+            (out, work)
+        };
+        let (out, work) = run(1);
+        for threads in [2usize, 8] {
+            assert_eq!(run(threads), (out.clone(), work), "at {threads} threads");
+        }
+        let initial = initial_lists(g, p);
+        assert_eq!(work, reference_count_work(g, p, &matrix, &initial));
+        let (mut calls, mut pairs) = (0, 0);
+        for e in p.edges() {
+            calls += initial[e.from.index()].len();
+            pairs += initial[e.from.index()].len() * initial[e.to.index()].len();
+        }
+        assert!(work.counted_pairs <= pairs, "{work:?} vs {pairs} pairs");
+        assert!(work.count_calls <= calls, "{work:?} vs {calls} calls");
+        work
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn count_work_stays_within_its_bounds_on_random_instances(
+            graph_seed in 0u64..1_000,
+            pattern_seed in 0u64..1_000,
+            size in 2usize..7,
+        ) {
+            let (g, p) = generated((60, 150, 5, graph_seed), (size, pattern_seed));
+            check_count_work(&g, &p);
+        }
+    }
+
+    #[test]
+    fn count_work_stays_within_its_bounds_on_adversarial_topologies() {
+        use gpm_datagen::adversarial::{bowtie, cliques_with_bridges, deep_chain, grid, star};
+        let topologies = [
+            ("star", star(24)),
+            ("deep_chain", deep_chain(32)),
+            ("grid", grid(6, 6)),
+            ("cliques_with_bridges", cliques_with_bridges(4, 6)),
+            ("bowtie", bowtie(8)),
+        ];
+        for (name, g) in &topologies {
+            let mut counted = 0;
+            for size in 2..6 {
+                for seed in 0..12 {
+                    let config = PatternGenConfig::new(size, size + 1, 3).with_seed(seed);
+                    let (p, _) = generate_pattern(g, &config);
+                    counted += check_count_work(g, &p).counted_pairs;
+                }
+            }
+            assert!(counted > 0, "{name}: no pattern reached the count pass");
+        }
     }
 
     #[test]

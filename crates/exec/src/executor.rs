@@ -71,8 +71,8 @@ impl Executor {
     /// order** (the deterministic merge every ported hot path relies on).
     ///
     /// `work_hint` is the region's item count for the sequential-fallback
-    /// decision (often, but not necessarily, `n` — the matcher passes the
-    /// data-graph size when `n` is a small pattern dimension). Below the
+    /// decision (often, but not necessarily, `n` — the matcher passes its
+    /// pair reads, scaled, when `n` is a handful of chunks). Below the
     /// threshold the same tasks run inline in index order, so results are
     /// identical either way.
     pub fn map_tasks<R, F>(&self, n: usize, work_hint: usize, f: F) -> Vec<R>

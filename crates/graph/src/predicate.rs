@@ -148,6 +148,9 @@ impl Predicate {
 
     /// Adds the atom `attr op value` to the conjunction (builder style).
     pub fn and(mut self, attr: impl Into<String>, op: CmpOp, value: impl Into<AttrValue>) -> Self {
+        // A predicate holds one to three atoms: grow by exactly one, not to
+        // `Vec`'s first capacity of four (168 bytes per one-atom predicate).
+        self.atoms.reserve_exact(1);
         self.atoms.push(AtomicFormula::new(attr, op, value));
         self
     }

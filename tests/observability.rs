@@ -16,6 +16,7 @@
 //! serialise on one mutex and leave observability disabled on exit.
 
 use gpm::exec::Parallelism;
+use gpm::OracleBackend;
 use gpm::{datagen::powerlaw_graph, datagen::PowerLawConfig};
 use gpm::{
     generate_pattern, random_updates, BatchOutcome, DataGraph, MatchDelta, MatchService,
@@ -136,15 +137,30 @@ fn det_counters_identical_across_thread_counts() {
         baseline.keys().any(|k| k.starts_with("service.")),
         "session should populate the service scope"
     );
-    for work in [
-        "sweep_rows",
-        "pairs_examined",
-        "repair_candidates",
-        "repair_searched",
-    ] {
+    // The session's back-end comes from `GPM_ORACLE`; each back-end must
+    // report its own maintenance work among the compared counters: the
+    // matrix its affected-cone sweep and deletion row repairs, the 2-hop
+    // its deletion rectangles.
+    let own_work: &[&str] = match OracleBackend::from_env() {
+        OracleBackend::Matrix => &[
+            "matrix.sweep_rows",
+            "matrix.pairs_examined",
+            "matrix.repair_candidates",
+            "matrix.repair_searched",
+        ],
+        OracleBackend::TwoHop => &[
+            "twohop.delete_traversals",
+            "twohop.delete_rect_pairs",
+            "twohop.delete_candidates",
+            "twohop.entries_rewritten",
+        ],
+    };
+    for work in own_work {
         assert!(
-            baseline.iter().any(|(k, &v)| k.ends_with(work) && v > 0),
-            "the sweep's `{work}` tally should be among the compared counters"
+            baseline
+                .get(&format!("oracle.{work}"))
+                .is_some_and(|&v| v > 0),
+            "the back-end's `{work}` tally should be non-zero among the compared counters"
         );
     }
     for threads in [2usize, 8] {
@@ -163,7 +179,7 @@ fn det_counters_identical_across_thread_counts() {
 /// at 1, 2 and 8 threads.
 #[test]
 fn resume_activation_is_counted_where_it_is_emitted() {
-    use gpm::{DataGraphBuilder, EdgeUpdate, OracleBackend, PatternGraphBuilder};
+    use gpm::{DataGraphBuilder, EdgeUpdate, PatternGraphBuilder};
     let _guard = obs_lock();
     let (g, ids) = DataGraphBuilder::new()
         .labeled_node("boss")
