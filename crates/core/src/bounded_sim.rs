@@ -36,7 +36,15 @@
 //!   `mat(target(e))` that `x` can reach within the bound of `e`. When a node
 //!   `y` is removed from `mat(u)`, the counters of candidate parents that can
 //!   reach `y` are decremented; hitting zero removes the parent candidate —
-//!   the same `O(|E_p||V|²)` propagation the paper obtains with `premv`;
+//!   the same `O(|E_p||V|²)` propagation the paper obtains with `premv`.
+//!   The counters are dense, one `u32` per pattern edge and data node
+//!   (`|E_p|·|V|`), and together with the bitmaps and lists they are the
+//!   [`Refinement`] that `gpm-incremental`'s match state keeps and repairs
+//!   with the same wave ([`Refinement::cascade`]). A run makes at most
+//!   `Σ_e |mat₀(from(e))|·|mat₀(to(e))|` decrements
+//!   ([`MatchStats::counter_decrements`]): each initial target leaves once
+//!   and decrements each initial source of each of its in-edges at most
+//!   once;
 //! * the counters are initialised one pattern edge at a time, in ascending
 //!   `|mat₀(from(e))|·|mat₀(to(e))|` (ties by edge index, so the order is
 //!   the same at every thread count). The sources an edge finds witness-less
@@ -50,7 +58,7 @@
 use crate::match_relation::MatchRelation;
 use gpm_distance::{DistanceQuery, OracleBackend};
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
+use gpm_graph::{DataGraph, NodeId, PatternEdge, PatternGraph, PatternNodeId};
 use std::sync::{Arc, OnceLock};
 
 /// Observability handles for the refinement (scope `"match"`). Every
@@ -107,7 +115,9 @@ pub struct MatchStats {
     /// Number of `(u, x)` candidate pairs removed during refinement.
     pub removed_candidates: usize,
     /// Number of witness-counter decrements performed (a proxy for the work
-    /// of the refinement loop).
+    /// of the refinement loop). At most `Σ` over pattern edges `(u, u')` of
+    /// `|mat₀(u)|·|mat₀(u')|`: a removed `(u', y)` decrements each parent
+    /// `x ∈ mat₀(u)` at most once.
     pub counter_decrements: usize,
     /// Whether the run ended early because some `mat(u)` became empty.
     pub failed_early: bool,
@@ -197,260 +207,399 @@ pub fn bounded_simulation_with_oracle_on<O: DistanceQuery + Sync + ?Sized>(
     oracle: &O,
     exec: &Executor,
 ) -> MatchOutcome {
+    let (refined, stats) = metered(pattern, graph, oracle, exec, true);
+    let relation = match refined {
+        Some(r) => MatchRelation::from_sets(r.lists),
+        None => MatchRelation::empty(pattern.node_count()),
+    };
+    MatchOutcome { relation, stats }
+}
+
+/// [`refine`] with the `"match"` scope's accounting.
+fn metered<O: DistanceQuery + Sync + ?Sized>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    oracle: &O,
+    exec: &Executor,
+    clear: bool,
+) -> (Option<Refinement>, MatchStats) {
     let m = metrics();
     let _span = m.run_ns.span();
-    let mut work = CountWork::default();
-    let out = match_inner(pattern, graph, oracle, exec, &mut work);
+    let mut work = Work::default();
+    let refined = refine(pattern, graph, oracle, exec, clear, &mut work);
+    let stats = work.stats;
     if gpm_obs::enabled() {
         m.runs.inc();
+        m.waves.add(work.waves as u64);
+        m.membership_scans.add(work.membership_scans as u64);
         m.counted_pairs.add(work.counted_pairs as u64);
-        m.initial_candidates
-            .add(out.stats.initial_candidates as u64);
-        m.removed_candidates
-            .add(out.stats.removed_candidates as u64);
-        m.counter_decrements
-            .add(out.stats.counter_decrements as u64);
-        if out.stats.failed_early {
+        m.initial_candidates.add(stats.initial_candidates as u64);
+        m.removed_candidates.add(stats.removed_candidates as u64);
+        m.counter_decrements.add(stats.counter_decrements as u64);
+        if stats.failed_early {
             m.failed_early.inc();
         }
     }
-    out
+    (refined, stats)
 }
 
-/// The work of the witness-count pass, tallied in the order it runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct CountWork {
+/// The work of a refinement, tallied in the order it runs.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Work {
+    /// The run's statistics.
+    stats: MatchStats,
     /// `count_within` calls: one per live source of each counted edge, at
     /// most `Σ_e |mat₀(from(e))|`, the calls of a pass over every edge.
     count_calls: usize,
     /// Target-list entries those calls read (`match.counted_pairs`).
     counted_pairs: usize,
+    /// Waves run (`match.waves`).
+    waves: usize,
+    /// Candidate-list entries the waves visited (`match.membership_scans`).
+    membership_scans: usize,
 }
 
-/// The refinement itself, uninstrumented (see the public wrapper above for
-/// the obs accounting; the wave loop counts waves and scans inline, and the
-/// count pass tallies its reads in `work`).
-fn match_inner<O: DistanceQuery + Sync + ?Sized>(
+/// `Match`'s refinement state: per pattern node `u` the membership bitmap
+/// of `mat(u)`, its live count and an ascending list holding it, and one
+/// `u32` **witness counter** per pattern edge and data node, `|E_p|·|V|`
+/// of them.
+///
+/// The invariant, between calls: for every pattern edge `e` and every
+/// `x ∈ mat(from(e))`, `counter(e, x)` is the number of nodes of
+/// `mat(to(e))` that `x` reaches within `bound(e)` on the current oracle,
+/// and the list of `u` is exactly `mat(u)`. The counters of a node outside
+/// `mat(from(e))` are stale and never read: a node that joins is counted
+/// afresh ([`Refinement::count`]).
+///
+/// `Match` builds one and keeps only its lists; `gpm-incremental`'s match
+/// state owns one for the life of a query and maintains it with
+/// [`Refinement::count`], [`Refinement::add`], [`Refinement::shift`] and
+/// [`Refinement::cascade`], the same wave `Match` refines with.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Refinement {
+    edges: Vec<PatternEdge>,
+    /// Ascending, holding `mat(u)`; inside `Match`'s run `mat₀(u)`, of
+    /// which only the bitmap shrinks until the final wave compacts it.
+    lists: Vec<Vec<NodeId>>,
+    member: Vec<Vec<bool>>,
+    live: Vec<usize>,
+    /// `counters[e][x]`, `|V|` wide per pattern edge.
+    counters: Vec<Vec<u32>>,
+}
+
+impl Refinement {
+    /// The greatest fixpoint of the refinement: `Match` without clearing
+    /// to `∅`, so a pattern node keeps its matches when another's empty.
+    /// Runs and is accounted like a `Match` run.
+    pub fn greatest_fixpoint<O: DistanceQuery + Sync + ?Sized>(
+        pattern: &PatternGraph,
+        graph: &DataGraph,
+        oracle: &O,
+        exec: &Executor,
+    ) -> Self {
+        metered(pattern, graph, oracle, exec, false)
+            .0
+            .expect("a refinement that never clears always finishes")
+    }
+
+    /// Whether `x ∈ mat(u)`.
+    #[inline]
+    pub fn contains(&self, u: PatternNodeId, x: NodeId) -> bool {
+        self.member[u.index()][x.index()]
+    }
+
+    /// `mat(u)` per pattern node, each ascending.
+    #[inline]
+    pub fn sets(&self) -> &[Vec<NodeId>] {
+        &self.lists
+    }
+
+    /// The witness counter of pattern edge `edge` (its index in
+    /// [`PatternGraph::edges`]) at data node `x`.
+    #[inline]
+    pub fn counter(&self, edge: usize, x: NodeId) -> u32 {
+        self.counters[edge][x.index()]
+    }
+
+    /// Recounts the counter of `edge` at `x` on `oracle` against
+    /// `mat(to(edge))`, one `count_within` call, and returns it.
+    pub fn count<O: DistanceQuery + ?Sized>(
+        &mut self,
+        graph: &DataGraph,
+        oracle: &O,
+        edge: usize,
+        x: NodeId,
+    ) -> u32 {
+        let e = self.edges[edge];
+        let count = oracle.count_within(graph, x, &self.lists[e.to.index()], e.bound);
+        self.counters[edge][x.index()] = count;
+        count
+    }
+
+    /// One witness more (`gained`) or less for `x` on `edge`: a node joined
+    /// `mat(to(edge))` within the bound of `x`, or a distance crossed it.
+    #[inline]
+    pub fn shift(&mut self, edge: usize, x: NodeId, gained: bool) {
+        let counter = &mut self.counters[edge][x.index()];
+        *counter = if gained { *counter + 1 } else { *counter - 1 };
+    }
+
+    /// Whether some out-edge of `u` has no witness for `x`.
+    pub fn unwitnessed(&self, u: PatternNodeId, x: NodeId) -> bool {
+        (self.edges.iter().enumerate()).any(|(ei, e)| e.from == u && self.counter(ei, x) == 0)
+    }
+
+    /// Adds `x`, not a member, to `mat(u)`. Its counters are the caller's
+    /// to set.
+    pub fn add(&mut self, u: PatternNodeId, x: NodeId) {
+        debug_assert!(!self.contains(u, x), "{x} already matches {u}");
+        self.member[u.index()][x.index()] = true;
+        self.live[u.index()] += 1;
+        let list = &mut self.lists[u.index()];
+        list.insert(list.partition_point(|&w| w < x), x);
+    }
+
+    /// Clears the membership of `x` in `mat(u)`, leaving the list to the
+    /// next compaction.
+    fn take(&mut self, u: PatternNodeId, x: NodeId) -> bool {
+        let was = std::mem::replace(&mut self.member[u.index()][x.index()], false);
+        self.live[u.index()] -= usize::from(was);
+        was
+    }
+
+    /// Removes the member pairs `seeds` and runs the wave from them to the
+    /// fixpoint, on the caller thread and without clearing; `removed`
+    /// receives every pair taken out, seeds first. Returns the counter
+    /// decrements made: one per removed `(u', y)` and parent `x ∈ mat(u)`
+    /// within the bound of a pattern edge `(u, u')`, at most.
+    pub fn cascade<O: DistanceQuery + Sync + ?Sized>(
+        &mut self,
+        graph: &DataGraph,
+        oracle: &O,
+        seeds: Vec<(PatternNodeId, NodeId)>,
+        removed: &mut Vec<(PatternNodeId, NodeId)>,
+    ) -> usize {
+        let (mut work, done) = (Work::default(), removed.len());
+        for &(u, x) in &seeds {
+            self.take(u, x);
+        }
+        removed.extend(seeds);
+        let exec = Executor::sequential();
+        self.waves(graph, oracle, &exec, removed, done, false, &mut work);
+        work.stats.counter_decrements
+    }
+
+    /// The wave (lines 11-14 of Fig. 4) from the pairs `removed[done..]`,
+    /// already taken out: per wave, the decrements the removed nodes imply
+    /// are computed in parallel against the wave-start membership (pure
+    /// reads of `member` and the oracle), then applied in (edge, x) order; a
+    /// counter that reaches zero appends its node to `removed`, the next
+    /// wave. With `clear`, the first emptied `mat(u)` stops the run
+    /// (`false`). Otherwise the lists are compacted at the fixpoint.
+    #[allow(clippy::too_many_arguments)]
+    fn waves<O: DistanceQuery + Sync + ?Sized>(
+        &mut self,
+        graph: &DataGraph,
+        oracle: &O,
+        exec: &Executor,
+        removed: &mut Vec<(PatternNodeId, NodeId)>,
+        mut done: usize,
+        clear: bool,
+        work: &mut Work,
+    ) -> bool {
+        let (np, edges, stats) = (self.lists.len(), &self.edges, &mut work.stats);
+        while done < removed.len() {
+            let mut removed_per_u: Vec<Vec<NodeId>> = vec![Vec::new(); np];
+            for &(u, y) in &removed[done..] {
+                removed_per_u[u.index()].push(y);
+            }
+            done = removed.len();
+            // Pattern edges whose target lost candidates this wave.
+            let active: Vec<usize> = (0..edges.len())
+                .filter(|&ei| !removed_per_u[edges[ei].to.index()].is_empty())
+                .collect();
+            // The wave's reads: a membership test per list entry of each
+            // active edge's source, and one per (live parent, removed
+            // target) pair.
+            let mut reads = 0;
+            for &ei in &active {
+                let (from, to) = (edges[ei].from.index(), edges[ei].to.index());
+                work.membership_scans += self.lists[from].len();
+                reads += self.lists[from].len() + self.live[from] * removed_per_u[to].len();
+            }
+            work.waves += 1;
+            let n_chunks = chunks_for(exec, reads);
+            // Per task: (index into the source's list, decrement) for every
+            // still-live parent that could reach a node removed this wave.
+            let (lists, member) = (&self.lists, &self.member);
+            let deltas: Vec<Vec<(usize, u32)>> =
+                exec.map_tasks(active.len() * n_chunks, region_hint(reads), |ti| {
+                    let e = &edges[active[ti / n_chunks]];
+                    let parent = e.from.index();
+                    let removed = &removed_per_u[e.to.index()];
+                    let (start, end) = chunk_range(lists[parent].len(), ti % n_chunks, n_chunks);
+                    let mut out: Vec<(usize, u32)> = Vec::new();
+                    for (i, &x) in lists[parent][start..end].iter().enumerate() {
+                        if !member[parent][x.index()] {
+                            continue;
+                        }
+                        let d = oracle.count_within(graph, x, removed, e.bound);
+                        if d > 0 {
+                            out.push((start + i, d));
+                        }
+                    }
+                    out
+                });
+            for (ti, chunk_deltas) in deltas.into_iter().enumerate() {
+                let ei = active[ti / n_chunks];
+                let parent = edges[ei].from;
+                let p = parent.index();
+                for (i, d) in chunk_deltas {
+                    let x = self.lists[p][i];
+                    if !self.member[p][x.index()] {
+                        // Removed earlier in this merge pass (through
+                        // another edge); its counters no longer matter.
+                        continue;
+                    }
+                    stats.counter_decrements += d as usize;
+                    let counter = &mut self.counters[ei][x.index()];
+                    debug_assert!(*counter >= d, "witness counter underflow");
+                    *counter -= d;
+                    if *counter == 0 {
+                        self.member[p][x.index()] = false;
+                        self.live[p] -= 1;
+                        stats.removed_candidates += 1;
+                        removed.push((parent, x));
+                        if clear && self.live[p] == 0 {
+                            stats.failed_early = true;
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+        for (list, (row, &live)) in self
+            .lists
+            .iter_mut()
+            .zip(self.member.iter().zip(&self.live))
+        {
+            if list.len() != live {
+                list.retain(|x| row[x.index()]);
+            }
+        }
+        true
+    }
+}
+
+/// The refinement itself (see the public wrapper above for the obs
+/// accounting): candidate selection, the witness-count pass and the waves.
+/// With `clear`, the run returns `None` at the first emptied `mat(u)`.
+fn refine<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
     exec: &Executor,
-    work: &mut CountWork,
-) -> MatchOutcome {
-    let np = pattern.node_count();
-    let nv = graph.node_count();
-    let mut stats = MatchStats::default();
-
-    if np == 0 {
-        // The empty pattern matches trivially with the empty relation.
-        return MatchOutcome {
-            relation: MatchRelation::empty(0),
-            stats,
-        };
-    }
+    clear: bool,
+    work: &mut Work,
+) -> Option<Refinement> {
+    let (np, nv) = (pattern.node_count(), graph.node_count());
+    let stats = &mut work.stats;
 
     // mat(u) as a packed ascending candidate list per pattern node (lines
     // 4-5 of Fig. 4), read from the graph's attribute index on the caller
     // thread: a list is a few binary searches and posting-slice copies, less
     // than a region's thread spawns. The lists are what the refinement
-    // iterates; `member` below is their O(1) membership test, and the only
-    // one of the two that shrinks.
-    let cand: Vec<Vec<NodeId>> = pattern
-        .node_ids()
-        .map(|u| {
-            let mut list = graph.nodes_satisfying(pattern.predicate(u));
-            if pattern.out_degree(u) > 0 {
-                list.retain(|&v| graph.out_degree(v) > 0);
-            }
-            list
-        })
-        .collect();
-    let mut member: Vec<Vec<bool>> = Vec::with_capacity(np);
-    let mut live_count: Vec<usize> = Vec::with_capacity(np);
-    for list in &cand {
+    // iterates; `member` is their O(1) membership test, and the only one of
+    // the two that shrinks until the fixpoint.
+    let edges: Vec<PatternEdge> = pattern.edges().copied().collect();
+    let ne = edges.len();
+    let mut r = Refinement {
+        edges,
+        lists: Vec::with_capacity(np),
+        member: Vec::with_capacity(np),
+        live: Vec::with_capacity(np),
+        counters: vec![Vec::new(); ne],
+    };
+    for u in pattern.node_ids() {
+        let mut list = graph.nodes_satisfying(pattern.predicate(u));
+        if pattern.out_degree(u) > 0 {
+            list.retain(|&v| graph.out_degree(v) > 0);
+        }
         stats.initial_candidates += list.len();
-        if list.is_empty() {
+        if clear && list.is_empty() {
             stats.failed_early = true;
-            return MatchOutcome {
-                relation: MatchRelation::empty(np),
-                stats,
-            };
+            return None;
         }
         let mut row = vec![false; nv];
-        for v in list {
+        for v in &list {
             row[v.index()] = true;
         }
-        member.push(row);
-        live_count.push(list.len());
+        r.member.push(row);
+        r.live.push(list.len());
+        r.lists.push(list);
     }
 
-    // Witness counters per pattern edge, indexed like `cand[from(e)]`:
-    // cnt[e][i] = |{y in mat₀(to(e)) : within(x, y, bound(e))}| for the i-th
-    // candidate x of from(e) — one row-level oracle query per live x.
+    // Witness counters per pattern edge: cnt[e][x] = |{y in mat₀(to(e)) :
+    // within(x, y, bound(e))}| for each live candidate x of from(e) — one
+    // row-level oracle query per live x.
     //
     // Edges are counted one at a time, cheapest first: ascending
     // |mat₀(from)|·|mat₀(to)|, ties by edge index (the sort is stable), an
     // order fixed by the pattern and the initial lists alone. After each
     // edge its witness-less sources leave `mat(from)` at once and join the
     // first wave, so a later edge skips them (their counters stay 0 and are
-    // never read) and an emptied `mat(u)` ends the run before the dearer
-    // edges are counted. Every edge still counts against the *initial*
-    // target list, so each later removal of a witness `y` is exactly one
-    // decrement. Each chunk task owns a disjoint counter range; chunk
-    // results are stitched back in task order.
-    let edges: Vec<_> = pattern.edges().copied().collect();
-    let ne = edges.len();
+    // never read) and, with `clear`, an emptied `mat(u)` ends the run before
+    // the dearer edges are counted. Every edge still counts against the
+    // *initial* target list, so each later removal of a witness `y` is
+    // exactly one decrement. Each chunk task owns a disjoint range of the
+    // source list; chunk results are stitched back in task order.
     let mut order: Vec<usize> = (0..ne).collect();
-    order.sort_by_key(|&ei| cand[edges[ei].from.index()].len() * cand[edges[ei].to.index()].len());
-    let mut counters: Vec<Vec<u32>> = vec![Vec::new(); ne];
-    let mut wave: Vec<(PatternNodeId, NodeId)> = Vec::new();
+    order.sort_by_key(|&ei| {
+        let e = &r.edges[ei];
+        r.lists[e.from.index()].len() * r.lists[e.to.index()].len()
+    });
+    let mut removed: Vec<(PatternNodeId, NodeId)> = Vec::new();
     for &ei in &order {
-        let e = &edges[ei];
+        let e = r.edges[ei];
         let from = e.from.index();
-        let (sources, targets) = (&cand[from], &cand[e.to.index()]);
-        let reads = live_count[from] * targets.len();
+        let (sources, targets) = (&r.lists[from], &r.lists[e.to.index()]);
+        let reads = r.live[from] * targets.len();
         let n_chunks = chunks_for(exec, reads);
-        let live = &member[from];
-        let chunks: Vec<(Vec<u32>, usize)> = exec.map_tasks(n_chunks, region_hint(reads), |ci| {
+        let live = &r.member[from];
+        let counts: Vec<Vec<u32>> = exec.map_tasks(n_chunks, region_hint(reads), |ci| {
             let (start, end) = chunk_range(sources.len(), ci, n_chunks);
-            let mut calls = 0;
-            let counts = sources[start..end]
-                .iter()
-                .map(|&x| {
-                    if !live[x.index()] {
-                        return 0;
-                    }
-                    calls += 1;
-                    oracle.count_within(graph, x, targets, e.bound)
-                })
-                .collect();
-            (counts, calls)
+            let count = |&x: &NodeId| match live[x.index()] {
+                true => oracle.count_within(graph, x, targets, e.bound),
+                false => 0,
+            };
+            sources[start..end].iter().map(count).collect()
         });
-        counters[ei] = Vec::with_capacity(sources.len());
-        for (counts, calls) in chunks {
-            counters[ei].extend(counts);
-            work.count_calls += calls;
-            work.counted_pairs += calls * targets.len();
+        // Every live source was counted against every target.
+        work.count_calls += r.live[from];
+        work.counted_pairs += reads;
+        let mut row = vec![0; nv];
+        for (x, count) in sources.iter().zip(counts.into_iter().flatten()) {
+            row[x.index()] = count;
         }
-        for (&x, &count) in sources.iter().zip(&counters[ei]) {
-            if count > 0 || !member[from][x.index()] {
+        for i in 0..r.lists[from].len() {
+            let x = r.lists[from][i];
+            if row[x.index()] > 0 || !r.take(e.from, x) {
                 continue;
             }
             // x cannot witness edge e: it leaves mat(from) now.
-            member[from][x.index()] = false;
-            live_count[from] -= 1;
             stats.removed_candidates += 1;
-            wave.push((e.from, x));
-            if live_count[from] == 0 {
+            removed.push((e.from, x));
+            if clear && r.live[from] == 0 {
                 stats.failed_early = true;
-                return MatchOutcome {
-                    relation: MatchRelation::empty(np),
-                    stats,
-                };
+                return None;
             }
         }
+        r.counters[ei] = row;
     }
 
-    // Removal propagation in waves (lines 11-14 of Fig. 4). Per wave, the
-    // decrements implied by the removed nodes are computed in parallel
-    // against the wave-start membership (pure reads of `member` and the
-    // oracle), then applied in (edge, x) order.
-    while !wave.is_empty() {
-        let mut removed_per_u: Vec<Vec<NodeId>> = vec![Vec::new(); np];
-        for &(u, y) in &wave {
-            removed_per_u[u.index()].push(y);
-        }
-        // Pattern edges whose target lost candidates this wave.
-        let active: Vec<usize> = (0..ne)
-            .filter(|&ei| !removed_per_u[edges[ei].to.index()].is_empty())
-            .collect();
-        // The wave's reads: a membership test per `cand[from]` entry, and
-        // one per (live parent, removed target) pair.
-        let reads: usize = active
-            .iter()
-            .map(|&ei| {
-                let e = &edges[ei];
-                cand[e.from.index()].len()
-                    + live_count[e.from.index()] * removed_per_u[e.to.index()].len()
-            })
-            .sum();
-        let n_chunks = chunks_for(exec, reads);
-        if gpm_obs::enabled() {
-            let m = metrics();
-            m.waves.inc();
-            // Each active edge visits every entry of its `cand[from]` list.
-            let visited: usize = active
-                .iter()
-                .map(|&ei| cand[edges[ei].from.index()].len())
-                .sum();
-            m.membership_scans.add(visited as u64);
-        }
-        // Per task: (index into cand[from], decrement) for every still-live
-        // parent candidate that could reach a node removed this wave.
-        let hint = region_hint(reads);
-        let deltas: Vec<Vec<(usize, u32)>> = exec.map_tasks(active.len() * n_chunks, hint, |ti| {
-            let e = &edges[active[ti / n_chunks]];
-            let parent = e.from.index();
-            let removed = &removed_per_u[e.to.index()];
-            let (start, end) = chunk_range(cand[parent].len(), ti % n_chunks, n_chunks);
-            let mut out: Vec<(usize, u32)> = Vec::new();
-            for (i, &x) in cand[parent][start..end].iter().enumerate() {
-                if !member[parent][x.index()] {
-                    continue;
-                }
-                let d = oracle.count_within(graph, x, removed, e.bound);
-                if d > 0 {
-                    out.push((start + i, d));
-                }
-            }
-            out
-        });
-        let mut next: Vec<(PatternNodeId, NodeId)> = Vec::new();
-        for (ti, chunk_deltas) in deltas.into_iter().enumerate() {
-            let ei = active[ti / n_chunks];
-            let e = &edges[ei];
-            let parent = e.from.index();
-            for (i, d) in chunk_deltas {
-                let x = cand[parent][i];
-                if !member[parent][x.index()] {
-                    // Removed earlier in this merge pass (through another
-                    // edge); its counters no longer matter.
-                    continue;
-                }
-                stats.counter_decrements += d as usize;
-                debug_assert!(counters[ei][i] >= d, "witness counter underflow");
-                counters[ei][i] -= d;
-                if counters[ei][i] == 0 {
-                    member[parent][x.index()] = false;
-                    live_count[parent] -= 1;
-                    stats.removed_candidates += 1;
-                    next.push((e.from, x));
-                    if live_count[parent] == 0 {
-                        stats.failed_early = true;
-                        return MatchOutcome {
-                            relation: MatchRelation::empty(np),
-                            stats,
-                        };
-                    }
-                }
-            }
-        }
-        wave = next;
-    }
-
-    // Collect the surviving candidates (lines 16-18).
-    let sets: Vec<Vec<NodeId>> = cand
-        .into_iter()
-        .zip(&member)
-        .map(|(mut list, alive)| {
-            list.retain(|x| alive[x.index()]);
-            list
-        })
-        .collect();
-    MatchOutcome {
-        relation: MatchRelation::from_sets(sets),
-        stats,
-    }
+    // Removal propagation in waves (lines 11-14 of Fig. 4).
+    r.waves(graph, oracle, exec, &mut removed, 0, clear, work)
+        .then_some(r)
 }
 
 /// Pair reads worth one work-hint item. A region fans out when its reads,
@@ -978,17 +1127,18 @@ mod tests {
     /// The count pass's tallies as `match.counted_pairs` documents them,
     /// from one pair query per (source, target): edges in ascending
     /// `|mat₀(from)|·|mat₀(to)|` (stable), each live source counted against
-    /// `mat₀(to)`, the witness-less sources removed after their edge, and
-    /// nothing counted past the first emptied `mat(u)`.
+    /// `mat₀(to)`, the witness-less sources removed after their edge, and,
+    /// with `clear`, nothing counted past the first emptied `mat(u)`.
     fn reference_count_work(
         g: &DataGraph,
         p: &PatternGraph,
         m: &DistanceMatrix,
         initial: &[Vec<NodeId>],
-    ) -> CountWork {
-        let mut work = CountWork::default();
-        if initial.iter().any(Vec::is_empty) {
-            return work;
+        clear: bool,
+    ) -> (usize, usize) {
+        let (mut calls, mut pairs) = (0, 0);
+        if clear && initial.iter().any(Vec::is_empty) {
+            return (calls, pairs);
         }
         let mut edges: Vec<_> = p.edges().collect();
         edges.sort_by_key(|e| initial[e.from.index()].len() * initial[e.to.index()].len());
@@ -996,44 +1146,65 @@ mod tests {
         for e in edges {
             let targets = &initial[e.to.index()];
             let sources = &mut live[e.from.index()];
-            work.count_calls += sources.len();
-            work.counted_pairs += sources.len() * targets.len();
+            calls += sources.len();
+            pairs += sources.len() * targets.len();
             sources.retain(|&x| targets.iter().any(|&y| m.within(g, x, y, e.bound)));
-            if sources.is_empty() {
+            if clear && sources.is_empty() {
                 break;
             }
         }
-        work
+        (calls, pairs)
     }
 
-    /// Runs `Match` on the matrix at 1/2/8 threads and holds its count
-    /// pass to what `match.counted_pairs` documents: the tallies are equal
-    /// at every thread count and to [`reference_count_work`]'s, the reads
-    /// stay within `Σ_e |mat₀(from(e))|·|mat₀(to(e))|` and the calls within
+    /// Runs `Match` on the matrix at 1/2/8 threads, clearing and not (the
+    /// match state's build), and holds its work to what `match.counted_pairs`
+    /// and `MatchStats::counter_decrements` document: the tallies are equal
+    /// at every thread count, the count pass's equal
+    /// [`reference_count_work`]'s, its reads stay within
+    /// `Σ_e |mat₀(from(e))|·|mat₀(to(e))|` and its calls within
     /// `Σ_e |mat₀(from(e))|` — what a pass over every edge in pattern-edge
-    /// order reads and calls. Returns the tallies.
-    fn check_count_work(g: &DataGraph, p: &PatternGraph) -> CountWork {
+    /// order reads and calls — and the decrements within the same
+    /// `Σ_e |mat₀(from(e))|·|mat₀(to(e))|`. Returns the pairs read.
+    fn check_count_work(g: &DataGraph, p: &PatternGraph) -> usize {
         let matrix = DistanceMatrix::build(g);
-        let run = |threads: usize| {
-            let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
-            let mut work = CountWork::default();
-            let out = match_inner(p, g, &matrix, &exec, &mut work);
-            (out, work)
-        };
-        let (out, work) = run(1);
-        for threads in [2usize, 8] {
-            assert_eq!(run(threads), (out.clone(), work), "at {threads} threads");
-        }
         let initial = initial_lists(g, p);
-        assert_eq!(work, reference_count_work(g, p, &matrix, &initial));
         let (mut calls, mut pairs) = (0, 0);
         for e in p.edges() {
             calls += initial[e.from.index()].len();
             pairs += initial[e.from.index()].len() * initial[e.to.index()].len();
         }
-        assert!(work.counted_pairs <= pairs, "{work:?} vs {pairs} pairs");
-        assert!(work.count_calls <= calls, "{work:?} vs {calls} calls");
-        work
+        let mut read = 0;
+        for clear in [true, false] {
+            let run = |threads: usize| {
+                let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
+                let mut work = Work::default();
+                let refined = refine(p, g, &matrix, &exec, clear, &mut work);
+                (refined, work)
+            };
+            let (refined, work) = run(1);
+            for threads in [2usize, 8] {
+                let other = run(threads);
+                assert_eq!(
+                    other,
+                    (refined.clone(), work.clone()),
+                    "at {threads} threads"
+                );
+            }
+            let counted = (work.count_calls, work.counted_pairs);
+            assert_eq!(
+                counted,
+                reference_count_work(g, p, &matrix, &initial, clear)
+            );
+            assert!(work.counted_pairs <= pairs, "{work:?} vs {pairs} pairs");
+            assert!(work.count_calls <= calls, "{work:?} vs {calls} calls");
+            let decrements = work.stats.counter_decrements;
+            assert!(
+                decrements <= pairs,
+                "{decrements} decrements vs {pairs} pairs"
+            );
+            read += work.counted_pairs;
+        }
+        read
     }
 
     proptest::proptest! {
@@ -1065,7 +1236,7 @@ mod tests {
                 for seed in 0..12 {
                     let config = PatternGenConfig::new(size, size + 1, 3).with_seed(seed);
                     let (p, _) = generate_pattern(g, &config);
-                    counted += check_count_work(g, &p).counted_pairs;
+                    counted += check_count_work(g, &p);
                 }
             }
             assert!(counted > 0, "{name}: no pattern reached the count pass");

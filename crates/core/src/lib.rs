@@ -58,7 +58,7 @@ pub mod result_graph;
 
 pub use bounded_sim::{
     bounded_simulation, bounded_simulation_on, bounded_simulation_with_oracle,
-    bounded_simulation_with_oracle_on, MatchOutcome, MatchStats,
+    bounded_simulation_with_oracle_on, MatchOutcome, MatchStats, Refinement,
 };
 pub use graph_sim::graph_simulation;
 pub use match_relation::MatchRelation;

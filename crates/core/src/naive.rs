@@ -60,8 +60,10 @@ pub fn bounded_simulation_naive_with_oracle<O: DistanceQuery + ?Sized>(
 
 /// The loop of the naive fixpoint on its own: refines per-pattern-node
 /// candidate sets to the greatest fixpoint *without* clearing the relation
-/// when some node ends up empty — the invariant `gpm-incremental`'s match
-/// state maintains, and the starting point of an unmatched query.
+/// when some node ends up empty — the sets `gpm-incremental`'s match state
+/// maintains. It is a test reference only: the state itself is built and
+/// repaired by `Match`'s refinement ([`crate::Refinement`]), and the tests
+/// compare its sets against this loop's.
 pub fn naive_fixpoint<O: DistanceQuery + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,

@@ -42,7 +42,7 @@ use gpm_graph::{DataGraph, GraphError, PatternGraph};
 /// match-repair passes themselves (`Match−`/`Match+` propagation) stay
 /// sequential: their work is proportional to `|AFF2|`, which the paper shows
 /// to be small.
-pub fn inc_match<O: DistanceOracle + ?Sized>(
+pub fn inc_match<O: DistanceOracle + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &mut DataGraph,
     oracle: &mut O,

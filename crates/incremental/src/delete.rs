@@ -6,36 +6,37 @@
 //!
 //! 1. update the distance oracle (`UpdateM`), obtaining `AFF1`;
 //! 2. for every data node with an outgoing distance that grew past one of
-//!    the pattern's bounds, re-verify the pattern edges of the pattern nodes
-//!    it currently matches; failures are removed from the match and pushed
-//!    on a worklist (`wSet`);
-//! 3. pop `(u, y)` pairs from the worklist and re-verify the affected pattern
-//!    edge for every matched ancestor candidate that could reach `y` within
-//!    the bound, cascading removals until the fixpoint.
+//!    the pattern's bounds, re-count its witness counters on the pattern
+//!    edges of the pattern nodes it currently matches; a node left with a
+//!    zero counter is removed from the match (`wSet`);
+//! 3. each removal `(u, y)` decrements the counter of every matched parent
+//!    candidate that could reach `y` within the bound, and a counter that
+//!    reaches zero removes its node in turn, until the fixpoint.
 //!
-//! Steps 1 and 2's seeding are the crate's shared kernel (see
-//! [`crate::repair`]); [`match_minus`] is its paper-named entry point and
-//! this module owns the removal propagation, steps 2–3.
+//! Steps 2 and 3 are `Match`'s own refinement continued on the match
+//! state's counters ([`gpm_core::Refinement::cascade`]): the shared kernel
+//! of [`crate::repair`] seeds it, and [`match_minus`] is its paper-named
+//! entry point.
 //!
 //! The implementation deviates from the pseudo-code in one defensive way:
-//! step 2 re-verifies *all* out-edges of the affected sources rather than
+//! step 2 re-counts *all* out-edges of the affected sources rather than
 //! only the edges whose sink also appears in `AFF1` — this keeps the pass
 //! correct when several pairs of the same batch interact (see the discussion
-//! in `batch.rs`), at the cost of a few extra constant-time checks.
+//! in `batch.rs`), at the cost of a few extra row reads.
 
-use crate::affected::{Aff2, IncrementalOutcome};
+use crate::affected::IncrementalOutcome;
 use crate::repair::maintain;
-use crate::state::{edge_witnessed, MatchState};
-use gpm_distance::{DistanceOracle, DistanceQuery, EdgeUpdate};
+use crate::state::MatchState;
+use gpm_distance::{DistanceOracle, EdgeUpdate};
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph, PatternNodeId};
+use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph};
 
 /// Applies the deletion of `(from, to)` to `graph`, maintains `oracle` and
 /// `state` on `exec`, and reports the affected areas.
 ///
 /// Errors with [`GraphError::MissingEdge`] if the edge does not exist; in
 /// that case nothing is modified.
-pub fn match_minus<O: DistanceOracle + ?Sized>(
+pub fn match_minus<O: DistanceOracle + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &mut DataGraph,
     oracle: &mut O,
@@ -47,68 +48,6 @@ pub fn match_minus<O: DistanceOracle + ?Sized>(
     graph.remove_edge(from, to)?;
     let applied = [EdgeUpdate::Delete(from, to)];
     Ok(maintain(pattern, graph, oracle, state, &applied, exec))
-}
-
-/// Removal propagation shared by `Match−`, the deletion side of `IncMatch`
-/// and the re-verification of optimistic additions ([`crate::insert`]).
-/// `seeds` are the pairs to re-verify on every out-edge: for a distance
-/// increase, each pattern node paired with each data node whose *outgoing*
-/// distances increased.
-pub(crate) fn process_removals<O: DistanceQuery + ?Sized>(
-    pattern: &PatternGraph,
-    graph: &DataGraph,
-    oracle: &O,
-    state: &mut MatchState,
-    seeds: impl IntoIterator<Item = (PatternNodeId, NodeId)>,
-    aff2: &mut Aff2,
-    verifications: &mut usize,
-) {
-    // Worklist of (pattern node, data node) pairs removed from the match.
-    let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
-
-    // Step 2: re-verify the seeds.
-    for (u, v) in seeds {
-        if !state.in_mat(u, v) {
-            continue;
-        }
-        let mut invalid = false;
-        for e in pattern.out_edges(u) {
-            *verifications += 1;
-            if !edge_witnessed(graph, oracle, v, state.matches_of(e.to), e.bound) {
-                invalid = true;
-                break;
-            }
-        }
-        if invalid {
-            state.remove(u, v);
-            aff2.removed.push((u, v));
-            worklist.push((u, v));
-        }
-    }
-
-    // Step 3: cascade to ancestors.
-    while let Some((u, y)) = worklist.pop() {
-        for e in pattern.in_edges(u) {
-            let parent = e.from;
-            // Only matched nodes that could use y as a witness are affected.
-            // `mat(parent)` is walked in place: a removal takes out only the
-            // node just visited, so the walk sees every node matched when it
-            // began, in ascending order.
-            let mut i = 0;
-            while let Some(&x) = state.matches_of(parent).get(i) {
-                if oracle.within(graph, x, y, e.bound) {
-                    *verifications += 1;
-                    if !edge_witnessed(graph, oracle, x, state.matches_of(u), e.bound) {
-                        state.remove(parent, x);
-                        aff2.removed.push((parent, x));
-                        worklist.push((parent, x));
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

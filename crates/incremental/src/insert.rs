@@ -9,15 +9,22 @@
 //! 2. for every data node with an outgoing distance that shrank to within
 //!    one of the pattern's bounds, check whether it is a candidate
 //!    (`can(u')`) of some pattern node that now has **all** of its pattern
-//!    edges witnessed; such nodes become new matches and are pushed on a
-//!    worklist;
-//! 3. pop newly added matches `(u, y)` and re-examine the candidates of
-//!    pattern parents of `u` that can reach `y` within the bound, cascading
-//!    additions until the fixpoint.
+//!    edges witnessed; such nodes become new matches;
+//! 3. each new match `(u, y)` re-examines the candidates of pattern parents
+//!    of `u` that can reach `y` within the bound, cascading additions until
+//!    the fixpoint.
 //!
 //! Steps 1 and 2's seeding are the crate's shared kernel (see
 //! [`crate::repair`]); [`match_plus`] is its paper-named entry point and
-//! this module owns the addition propagation, steps 2–3.
+//! this module owns the addition propagation, steps 2–3, on the match
+//! state's witness counters. A candidate is refused at the first out-edge
+//! it has no witness for, reading that edge's targets only until one
+//! turns up. An admitted one is counted on every out-edge (one
+//! `count_within` each), and those counts are its counters when it joins;
+//! the join then walks the predicate list of each pattern parent once,
+//! adding one to the counter of every matched parent within the bound and
+//! queueing every candidate parent within it. So the counter invariant of
+//! [`MatchState`] holds after every join.
 //!
 //! ## Cyclic patterns
 //!
@@ -33,15 +40,15 @@
 //! * a candidate must still be witnessed on every out-edge that **leaves**
 //!   its strongly connected component in the pattern;
 //! * an out-edge on a pattern cycle — `(u, u')` with `u'` reaching `u` — is
-//!   admitted optimistically;
-//! * when the closure is done, the pairs admitted at nodes with a cycle
-//!   edge are re-verified on every out-edge by the removal cascade of
-//!   [`crate::delete`], whose removals fold into `AFF2` with
-//!   [`Aff2::merge`], so `AFF2` stays net.
+//!   admitted optimistically, with whatever count it has, zero included;
+//! * when the closure is done, the admitted pairs left with a zero counter
+//!   are re-verified by `Match`'s wave, the removal cascade of
+//!   [`crate::repair`], whose removals fold into `AFF2` with
+//!   [`Aff2::merge`](crate::Aff2::merge), so `AFF2` stays net.
 //!
-//! On a DAG no edge lies on a cycle, so the rule is `Match+` exactly: the
-//! same checks in the same order, the same `AFF2` and the same verification
-//! count. The cycle marks are computed only when there is something to seed.
+//! On a DAG no edge lies on a cycle, so the rule is `Match+` exactly: no
+//! admission is optimistic and the re-verification has nothing to do. The
+//! cycle marks are computed only when there is something to seed.
 //!
 //! **Why it is exact.** Let `S_old`/`S_new` be the maximum match before and
 //! after the batch, `S_r` the state after the removal phase (the greatest
@@ -66,14 +73,12 @@
 //! are exactly the re-verification's seeds; refining from a superset of the
 //! maximum match converges to it, so the repair ends at `S_new`.
 
-use crate::affected::{Aff2, IncrementalOutcome};
-use crate::delete::process_removals;
-use crate::repair::maintain;
-use crate::state::{edge_witnessed, MatchState};
+use crate::affected::IncrementalOutcome;
+use crate::repair::{maintain, Passes};
+use crate::state::MatchState;
 use gpm_distance::{DistanceOracle, DistanceQuery, EdgeUpdate};
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, GraphError, NodeId, PatternEdge, PatternGraph, PatternNodeId};
-use rustc_hash::FxHashSet;
+use gpm_graph::{DataGraph, GraphError, NodeId, PatternGraph, PatternNodeId};
 
 /// Applies the insertion of `(from, to)` to `graph`, maintains `oracle` and
 /// `state` on `exec`, and reports the affected areas.
@@ -81,7 +86,7 @@ use rustc_hash::FxHashSet;
 /// Errors with [`GraphError::PatternNotAcyclic`] for cyclic patterns and
 /// [`GraphError::DuplicateEdge`] if the edge already exists; nothing is
 /// modified in either case.
-pub fn match_plus<O: DistanceOracle + ?Sized>(
+pub fn match_plus<O: DistanceOracle + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &mut DataGraph,
     oracle: &mut O,
@@ -96,101 +101,79 @@ pub fn match_plus<O: DistanceOracle + ?Sized>(
     Ok(maintain(pattern, graph, oracle, state, &applied, exec))
 }
 
-/// What one run of [`process_additions`] admitted and took back.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Admissions {
-    /// Pairs the closure added to the match.
-    pub admitted: usize,
-    /// Admitted pairs the re-verification removed again.
-    pub refuted: usize,
-}
-
 /// Addition propagation shared by `Match+` and the insertion side of
 /// `IncMatch`, for every pattern (module docs). `sources` are the data nodes
-/// whose *outgoing* distances decreased; the pairs this adds, net of the
-/// re-verification's removals, are merged into `aff2`.
-pub(crate) fn process_additions<O: DistanceQuery + ?Sized>(
+/// whose *outgoing* distances decreased; what the closure admits
+/// and the re-verification refutes goes to `passes`.
+pub(crate) fn process_additions<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
     state: &mut MatchState,
-    sources: &FxHashSet<NodeId>,
-    aff2: &mut Aff2,
-    verifications: &mut usize,
-) -> Admissions {
+    sources: &[NodeId],
+    passes: &mut Passes,
+) {
     if sources.is_empty() {
-        return Admissions::default();
+        return;
     }
     let reach = reachability(pattern);
-    let on_cycle = |e: &PatternEdge| reach[e.to.index()][e.from.index()];
-    // Whether candidate `x` of `u` is witnessed by the current match sets on
-    // every out-edge of `u` that lies on no pattern cycle.
-    let mut fully_witnessed = |state: &MatchState, u: PatternNodeId, x: NodeId| {
-        pattern.out_edges(u).filter(|e| !on_cycle(e)).all(|e| {
-            *verifications += 1;
-            edge_witnessed(graph, oracle, x, state.matches_of(e.to), e.bound)
-        })
-    };
-    let mut added = Aff2::default();
-    let mut worklist: Vec<(PatternNodeId, NodeId)> = Vec::new();
-
-    // Step 2: seed from the affected sources.
-    for &v in sources {
-        for u in pattern.node_ids() {
-            if state.in_can(u, v) && fully_witnessed(state, u, v) {
-                state.add(u, v);
-                added.added.push((u, v));
-                worklist.push((u, v));
-            }
+    let on_cycle: Vec<bool> = (pattern.edges())
+        .map(|e| reach[e.to.index()][e.from.index()])
+        .collect();
+    let mut seeds = (sources.iter()).flat_map(|&v| pattern.node_ids().map(move |u| (u, v)));
+    let mut candidates: Vec<(PatternNodeId, NodeId)> = Vec::new();
+    while let Some((u, x)) = candidates.pop().or_else(|| seeds.next()) {
+        if !state.in_can(u, x) {
+            continue;
         }
-    }
-
-    // Step 3: cascade to pattern parents of newly added matches.
-    while let Some((u, y)) = worklist.pop() {
-        for e in pattern.in_edges(u) {
-            let parent = e.from;
-            // `can(parent)` is walked over the predicate list, which edge
-            // updates never change: an addition moves only the node just
-            // visited into `mat(parent)`.
-            for i in 0..state.satisfying(parent).len() {
-                let x = state.satisfying(parent)[i];
-                if state.in_mat(parent, x) || !oracle.within(graph, x, y, e.bound) {
+        // The admission check refuses x at the first off-cycle out-edge of
+        // u it has no witness for, reading targets only until one turns
+        // up: counting each edge in full refused late, and on the 2-hop
+        // labels that doubled the repair's time. An admitted x is then
+        // counted on every out-edge, which sets its counters.
+        let (satisfying, mat) = (&state.satisfying, &mut state.mat);
+        let out = || {
+            pattern
+                .edges()
+                .enumerate()
+                .filter(move |(_, e)| e.from == u)
+        };
+        let refused = (out().filter(|&(ei, _)| !on_cycle[ei])).any(|(_, e)| {
+            passes.verifications += 1;
+            let targets = &mat.sets()[e.to.index()];
+            !targets.iter().any(|&y| oracle.within(graph, x, y, e.bound))
+        });
+        if refused {
+            continue;
+        }
+        for (ei, _) in out() {
+            passes.verifications += 1;
+            mat.count(graph, oracle, ei, x);
+        }
+        mat.add(u, x);
+        passes.added.push((u, x));
+        // The join: +1 to each matched parent within bound, and every
+        // candidate parent within it queued for its own check.
+        for (ei, e) in pattern.edges().enumerate().filter(|(_, e)| e.to == u) {
+            for &w in &satisfying[e.from.index()] {
+                if !oracle.within(graph, w, x, e.bound) {
                     continue;
                 }
-                if fully_witnessed(state, parent, x) {
-                    state.add(parent, x);
-                    added.added.push((parent, x));
-                    worklist.push((parent, x));
+                if mat.contains(e.from, w) {
+                    mat.shift(ei, w, true);
+                } else {
+                    candidates.push((e.from, w));
                 }
             }
         }
     }
 
-    // Re-verify the optimistic admissions on every out-edge.
-    let optimistic: Vec<_> = added
-        .added
-        .iter()
-        .copied()
-        .filter(|&(u, _)| pattern.out_edges(u).any(on_cycle))
+    // Re-verify the optimistic admissions: those left with a zero counter.
+    let mat = &mut state.mat;
+    let unwitnessed = (passes.added.iter().copied())
+        .filter(|&(u, x)| mat.unwitnessed(u, x))
         .collect();
-    let admitted = added.added.len();
-    aff2.merge(added);
-    let mut refuted = Aff2::default();
-    process_removals(
-        pattern,
-        graph,
-        oracle,
-        state,
-        optimistic,
-        &mut refuted,
-        verifications,
-    );
-    let counts = Admissions {
-        admitted,
-        refuted: refuted.removed.len(),
-    };
-    aff2.merge(refuted);
-    counts
+    passes.decrements += mat.cascade(graph, oracle, unwitnessed, &mut passes.refuted);
 }
 
 /// `reach[a][b]`: whether pattern node `b` is reachable from `a` by a path

@@ -38,11 +38,14 @@
 //! removed), whose sizes drive the `O(|AFF1| |AFF2|²)` bound of Theorem 4.1
 //! and the `|AFF|` annotations of Figures 6(i)–(k).
 //!
-//! The repair keeps to that bound's shape: it is seeded from the sources of
-//! `AFF1`, and every verification and cascade step reads the packed match
-//! and predicate lists of [`MatchState`] (module [`state`]), so its cost
-//! follows the matches it visits, never `|V|`. What it cannot shrink is
-//! `AFF1` itself, which the oracle enumerates in full.
+//! The repair keeps to that bound's shape. [`MatchState`] (module
+//! [`state`]) is `Match`'s own refinement state, witness counters included,
+//! and the repair continues that refinement: `AFF1`'s bound-crossing pairs
+//! move the counters, and `Match`'s wave propagates each removal to the
+//! parents within bound, one decrement each. Every step reads the packed
+//! match and predicate lists, so its cost follows the matches it visits,
+//! never `|V|`. What it cannot shrink is `AFF1` itself, which the oracle
+//! enumerates in full.
 //!
 //! Updates edit the data graph's neighbour lists in place (`O(deg)` per
 //! touched node, no rebuild, no maintenance call).

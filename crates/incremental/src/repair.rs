@@ -19,30 +19,43 @@
 //! over candidate pairs, and a changed pair flips that predicate only if
 //! some bound `k` of *this* pattern has `min(old, new) ≤ k < max(old, new)`
 //! (for a `*` edge: reachability flipped). Every other pair of `AFF1` leaves
-//! the predicate, hence the match, as it was. Both halves of the repair
-//! serve every pattern, cyclic or not:
+//! the predicate, hence the match and every witness counter, as it was.
 //!
-//! * bound-crossing **increases** are repaired with the removal propagation
-//!   of `Match−`;
-//! * bound-crossing **decreases** are repaired with the addition
-//!   propagation of `Match+`, which admits a candidate optimistically on
-//!   the pattern edges that lie on a cycle and then re-verifies those
-//!   admissions with the removal cascade (module docs of
-//!   [`crate::insert`]). On a DAG pattern that is `Match+` exactly.
+//! The repair is `Match`'s refinement continued on the state's witness
+//! counters ([`gpm_core::Refinement`]), in three steps that serve every
+//! pattern, cyclic or not:
+//!
+//! 1. **the counters are brought to the new oracle** before any removal:
+//!    each bound-crossing pair `(x, y)` moves by one the counter of every
+//!    pattern edge `e` whose bound it crosses, where `x ∈ mat(from(e))` and
+//!    `y ∈ mat(to(e))` — up if the distance fell, down if it grew. Only
+//!    crossing pairs can move a counter, so afterwards every counter equals
+//!    a recount, and no oracle is read. Recounting the crossing sources'
+//!    rows with `count_within` gives the same counters but reads every
+//!    target of `mat(to(e))`: on the repo benchmark's `twohop-churn` (2
+//!    shared vCPUs) a build that did so repaired in 28.1 µs a query, one
+//!    that moved the counters by the pairs in 4.6 µs;
+//! 2. **removals are `Match`'s wave**: the crossing sources left with a
+//!    zero counter leave, and each removal decrements its parents within
+//!    bound, cascading to the fixpoint (`Match−`);
+//! 3. **additions** (`Match+`, [`crate::insert`]): a candidate that passes
+//!    its admission check is counted on every out-edge, which sets its
+//!    counters, and its join adds one to each parent within bound; the
+//!    pairs admitted optimistically on pattern cycles and left with a zero
+//!    counter are removed by the same wave.
 //!
 //! So the repair cannot refuse: [`repair_match_state`]'s error type is
 //! [`Infallible`], and the paper-named [`crate::match_plus`] and
 //! [`crate::inc_match`] alone keep the paper's DAG restriction.
 
 use crate::affected::{Aff2, IncrementalOutcome};
-use crate::delete::process_removals;
-use crate::insert::{process_additions, Admissions};
+use crate::insert::process_additions;
 use crate::state::MatchState;
 use gpm_distance::{
     AffectedPair, AffectedPairs, DistanceOracle, DistanceQuery, EdgeUpdate, UNREACHABLE,
 };
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, NodeId, PatternGraph};
+use gpm_graph::{DataGraph, EdgeBound, NodeId, PatternEdge, PatternGraph, PatternNodeId};
 use rustc_hash::FxHashSet;
 use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
@@ -53,7 +66,13 @@ use std::sync::{Arc, OnceLock};
 /// so the experiment and the live service report from one code path.
 pub(crate) struct RepairMetrics {
     pub repairs: Arc<gpm_obs::Counter>,
+    /// Witness checks: one per out-edge a candidate is checked on, and one
+    /// per counter an admitted candidate is counted on.
     pub verifications: Arc<gpm_obs::Counter>,
+    /// Witness-counter decrements of the repair's waves. Each removed
+    /// `(u', y)` decrements, per pattern edge `(u, u')`, at most the parents
+    /// `x ∈ mat(u)` that reach `y` within the bound, once each.
+    pub decrements: Arc<gpm_obs::Counter>,
     pub aff1_pairs: Arc<gpm_obs::Counter>,
     pub aff1_relevant: Arc<gpm_obs::Counter>,
     pub aff2_pairs: Arc<gpm_obs::Counter>,
@@ -76,6 +95,7 @@ pub(crate) fn metrics() -> &'static RepairMetrics {
         RepairMetrics {
             repairs: scope.counter("repairs"),
             verifications: scope.counter("verifications"),
+            decrements: scope.counter("decrements"),
             aff1_pairs: scope.counter("aff1_pairs"),
             aff1_relevant: scope.counter("aff1_relevant"),
             aff2_pairs: scope.counter("aff2_pairs"),
@@ -93,14 +113,25 @@ pub(crate) fn metrics() -> &'static RepairMetrics {
 pub struct RepairOutcome {
     /// `AFF2`: the match pairs this repair added or removed.
     pub aff2: Aff2,
-    /// Candidate re-verifications performed (the per-query work proxy).
+    /// Witness checks made: one per out-edge a candidate is checked on, and
+    /// one per counter an admitted candidate is counted on (the per-query
+    /// work proxy).
     pub verifications: usize,
 }
 
 /// The affected sources of an `AFF1`, split by direction of change:
 /// `(increased, decreased)` outgoing-distance source sets.
 pub fn split_aff1_sources(aff1: &AffectedPairs) -> (FxHashSet<NodeId>, FxHashSet<NodeId>) {
-    split_sources(aff1, |_| true)
+    let mut increased = FxHashSet::default();
+    let mut decreased = FxHashSet::default();
+    for p in aff1.iter() {
+        if p.increased() {
+            increased.insert(p.source);
+        } else {
+            decreased.insert(p.source);
+        }
+    }
+    (increased, decreased)
 }
 
 /// The bound-crossing test of `pattern` (module docs): whether a changed
@@ -116,41 +147,28 @@ pub fn crosses_a_bound(pattern: &PatternGraph) -> impl Fn(&AffectedPair) -> bool
     }
 }
 
-fn split_sources(
-    aff1: &AffectedPairs,
-    keep: impl Fn(&AffectedPair) -> bool,
-) -> (FxHashSet<NodeId>, FxHashSet<NodeId>) {
-    let mut increased = FxHashSet::default();
-    let mut decreased = FxHashSet::default();
-    for p in aff1.iter().filter(|p| keep(p)) {
-        if p.increased() {
-            increased.insert(p.source);
-        } else {
-            decreased.insert(p.source);
-        }
-    }
-    (increased, decreased)
-}
-
 /// The distinct distances `k` at which some `within(·, ·, fe(e))` of
 /// `pattern` flips between `k` and `k + 1`. Finite distances stop at
 /// `UNREACHABLE - 1`, so a `*` edge — and any bound beyond that — flips
 /// exactly between the largest finite distance and `UNREACHABLE`.
 fn flip_points(pattern: &PatternGraph) -> Vec<u16> {
-    let last_finite = u32::from(UNREACHABLE - 1);
-    let mut at: Vec<u16> = pattern
-        .edges()
-        .map(|e| e.bound.hops().map_or(last_finite, |k| k.min(last_finite)) as u16)
-        .collect();
+    let mut at = flip_points_by_edge(pattern);
     at.sort_unstable();
     at.dedup();
     at
 }
 
+/// The flip point of each pattern edge, in edge order.
+fn flip_points_by_edge(pattern: &PatternGraph) -> Vec<u16> {
+    let last_finite = u32::from(UNREACHABLE - 1);
+    let at = |bound: EdgeBound| bound.hops().map_or(last_finite, |k| k.min(last_finite)) as u16;
+    pattern.edges().map(|e| at(e.bound)).collect()
+}
+
 /// Maintains `oracle` and `state` after the effective updates `applied` were
 /// made to `graph`: `UpdateBM` on `exec`, then [`repair_match_state`] from
 /// its `AFF1`.
-pub(crate) fn maintain<O: DistanceOracle + ?Sized>(
+pub(crate) fn maintain<O: DistanceOracle + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &mut O,
@@ -176,7 +194,7 @@ pub(crate) fn maintain<O: DistanceOracle + ?Sized>(
 /// `unwrap_or_else(|never| match never {})`. The `Result` stays only because
 /// the repo benchmark's layer replay (`benchmark/src/layers.rs`) still
 /// matches on it.
-pub fn repair_match_state<O: DistanceQuery + ?Sized>(
+pub fn repair_match_state<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
@@ -186,15 +204,29 @@ pub fn repair_match_state<O: DistanceQuery + ?Sized>(
     Ok(repair(pattern, graph, oracle, state, aff1).0)
 }
 
-/// [`repair_match_state`], also returning what its additions closure
-/// admitted and refuted.
-pub(crate) fn repair<O: DistanceQuery + ?Sized>(
+/// What one repair did, pass by pass, before `AFF2` nets it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Passes {
+    /// Pairs the removal wave took out.
+    pub removed: Vec<(PatternNodeId, NodeId)>,
+    /// Pairs the additions closure added, the optimistic ones included.
+    pub added: Vec<(PatternNodeId, NodeId)>,
+    /// Admitted pairs the re-verification wave took out again.
+    pub refuted: Vec<(PatternNodeId, NodeId)>,
+    /// Witness checks ([`RepairOutcome::verifications`]).
+    pub verifications: usize,
+    /// Witness-counter decrements of both waves.
+    pub decrements: usize,
+}
+
+/// [`repair_match_state`], also returning its passes.
+pub(crate) fn repair<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
     oracle: &O,
     state: &mut MatchState,
     aff1: &AffectedPairs,
-) -> (RepairOutcome, Admissions) {
+) -> (RepairOutcome, Passes) {
     let m = metrics();
     let span = m.repair_ns.span();
     // Matched nodes before the repair — half of the `aff1_relevant` rule;
@@ -202,30 +234,16 @@ pub(crate) fn repair<O: DistanceQuery + ?Sized>(
     let matched_before: Option<FxHashSet<NodeId>> =
         gpm_obs::enabled().then(|| state.relation().iter_pairs().map(|(_, v)| v).collect());
 
-    let (increased, decreased) = split_sources(aff1, crosses_a_bound(pattern));
-    let mut aff2 = Aff2::default();
-    let mut verifications = 0usize;
-    let seeds = increased
-        .iter()
-        .flat_map(|&v| pattern.node_ids().map(move |u| (u, v)));
-    process_removals(
-        pattern,
-        graph,
-        oracle,
-        state,
-        seeds,
-        &mut aff2,
-        &mut verifications,
-    );
-    let admissions = process_additions(
-        pattern,
-        graph,
-        oracle,
-        state,
-        &decreased,
-        &mut aff2,
-        &mut verifications,
-    );
+    let passes = repair_from(pattern, graph, oracle, state, aff1, false);
+    let mut aff2 = Aff2 {
+        added: Vec::new(),
+        removed: passes.removed.clone(),
+    };
+    // Every refuted pair was added first, so it cancels either way.
+    aff2.merge(Aff2 {
+        added: passes.added.clone(),
+        removed: passes.refuted.clone(),
+    });
     if let Some(mut matched) = matched_before {
         matched.extend(state.relation().iter_pairs().map(|(_, v)| v));
         let relevant = aff1
@@ -233,20 +251,73 @@ pub(crate) fn repair<O: DistanceQuery + ?Sized>(
             .filter(|p| matched.contains(&p.source) || matched.contains(&p.sink))
             .count();
         m.repairs.inc();
-        m.verifications.add(verifications as u64);
+        m.verifications.add(passes.verifications as u64);
+        m.decrements.add(passes.decrements as u64);
         m.aff1_pairs.add(aff1.len() as u64);
         m.aff1_relevant.add(relevant as u64);
         m.aff2_pairs.add(aff2.len() as u64);
-        m.admitted.add(admissions.admitted as u64);
-        m.refuted.add(admissions.refuted as u64);
+        m.admitted.add(passes.added.len() as u64);
+        m.refuted.add(passes.refuted.len() as u64);
         m.aff2_size.record(aff2.len() as u64);
     }
     span.finish();
     let outcome = RepairOutcome {
         aff2,
-        verifications,
+        verifications: passes.verifications,
     };
-    (outcome, admissions)
+    (outcome, passes)
+}
+
+/// The three steps of the module docs, seeded from the bound-crossing
+/// pairs of `aff1`, or from every pair with `all_sources`.
+pub(crate) fn repair_from<O: DistanceQuery + Sync + ?Sized>(
+    pattern: &PatternGraph,
+    graph: &DataGraph,
+    oracle: &O,
+    state: &mut MatchState,
+    aff1: &AffectedPairs,
+    all_sources: bool,
+) -> Passes {
+    let mut passes = Passes::default();
+    let (crosses, at) = (crosses_a_bound(pattern), flip_points_by_edge(pattern));
+    // The crossing sources whose distances grew (`[0]`) and fell (`[1]`).
+    let mut sources: [Vec<NodeId>; 2] = [Vec::new(), Vec::new()];
+    let edges: Vec<PatternEdge> = pattern.edges().copied().collect();
+    // The edges whose source `x` matches, kept over the run of pairs of one
+    // source (`AFF1` comes sorted by source); mostly none, so most pairs
+    // cost one comparison here.
+    let (mut source, mut out) = (None, Vec::new());
+    let mat = &mut state.mat;
+    for p in aff1.iter().filter(|p| all_sources || crosses(p)) {
+        let (x, y, gained) = (p.source, p.sink, !p.increased());
+        if source != Some(x) {
+            source = Some(x);
+            out.clear();
+            out.extend((0..edges.len()).filter(|&ei| mat.contains(edges[ei].from, x)));
+        }
+        let (lo, hi) = (p.old.min(p.new), p.old.max(p.new));
+        for &ei in &out {
+            if lo <= at[ei] && at[ei] < hi && mat.contains(edges[ei].to, y) {
+                mat.shift(ei, x, gained);
+            }
+        }
+        let list = &mut sources[usize::from(gained)];
+        if list.last() != Some(&x) {
+            list.push(x);
+        }
+    }
+    for list in &mut sources {
+        list.sort_unstable();
+        list.dedup();
+    }
+    let [increased, decreased] = sources;
+    let witnessless = (increased.iter())
+        .flat_map(|&x| pattern.node_ids().map(move |u| (u, x)))
+        .filter(|&(u, x)| mat.contains(u, x) && mat.unwitnessed(u, x))
+        .collect();
+    passes.decrements += mat.cascade(graph, oracle, witnessless, &mut passes.removed);
+    process_additions(pattern, graph, oracle, state, &decreased, &mut passes);
+    passes
 }
 
 #[cfg(test)]
@@ -255,7 +326,7 @@ mod tests {
     use gpm_core::bounded_simulation_with_oracle;
     use gpm_datagen::{random_graph, random_updates, RandomGraphConfig, UpdateStreamConfig};
     use gpm_distance::DistanceMatrix;
-    use gpm_graph::{EdgeBound, PatternGraphBuilder, PatternNodeId, Predicate};
+    use gpm_graph::{EdgeBound, PatternGraphBuilder, Predicate};
 
     /// `UpdateBM` on the matrix, as these tests have always spelled it.
     fn update_matrix_batch(
@@ -361,11 +432,12 @@ mod tests {
     /// from the bound-crossing sources (`repair_match_state`), seeded from
     /// every source of `AFF1` (the rule this replaced), and recomputed —
     /// asserting that all three agree, that the first repair's `AFF2` is
-    /// the net change, and that both additions closures keep the bounds of
-    /// the `admitted`/`refuted` counters. The seedings' verification counts
-    /// are not compared: the seed set orders the checks, and with them
-    /// their early exits, so fewer seeds can verify more. Returns the first
-    /// repair's outcome and the size of the all-sources seed sets.
+    /// the net change, that both repairs keep the bounds of the
+    /// `admitted`/`refuted` counters and of the waves' decrements, and that
+    /// every witness counter equals a recount. The seedings' verification
+    /// counts are not compared: the seed set orders the checks, and with
+    /// them their early exits, so fewer seeds can verify more. Returns the
+    /// first repair's outcome and the size of the all-sources seed sets.
     fn repair_three_ways(
         pattern: &PatternGraph,
         g: &mut DataGraph,
@@ -380,7 +452,7 @@ mod tests {
         let recomputed = bounded_simulation_with_oracle(pattern, g, &m).relation;
 
         let (increased, decreased) = split_aff1_sources(&aff1);
-        let (out, crossing_admissions) = repair(pattern, g, &m, &mut crossing, &aff1);
+        let (out, crossing_passes) = repair(pattern, g, &m, &mut crossing, &aff1);
         assert_eq!(crossing.relation(), recomputed, "bound-crossing seeds");
         // The match sets themselves, visible or not, equal the naive
         // fixpoint's, and AFF2 is exactly their net change.
@@ -403,36 +475,233 @@ mod tests {
             "AFF2 removed"
         );
 
-        let (mut aff2, mut work) = (Aff2::default(), 0usize);
-        let seeds = increased
-            .iter()
-            .flat_map(|&v| pattern.node_ids().map(move |u| (u, v)));
-        process_removals(
-            pattern,
-            g,
-            &m,
-            &mut all_sources,
-            seeds,
-            &mut aff2,
-            &mut work,
-        );
-        let all_sources_admissions = process_additions(
-            pattern,
-            g,
-            &m,
-            &mut all_sources,
-            &decreased,
-            &mut aff2,
-            &mut work,
-        );
+        let all_sources_passes = repair_from(pattern, g, &m, &mut all_sources, &aff1, true);
         assert_eq!(all_sources.relation(), recomputed, "all-sources seeds");
-        for a in [crossing_admissions, all_sources_admissions] {
-            assert!(a.refuted <= a.admitted, "{a:?}");
+        for (passes, state) in [
+            (crossing_passes, &crossing),
+            (all_sources_passes, &all_sources),
+        ] {
+            let (admitted, refuted) = (passes.added.len(), passes.refuted.len());
+            assert!(refuted <= admitted, "{passes:?}");
             if pattern.is_dag() {
-                assert_eq!(a.refuted, 0, "a DAG admits nothing optimistically");
+                assert_eq!(refuted, 0, "a DAG admits nothing optimistically");
             }
+            assert!(
+                passes.decrements <= decrement_bound(pattern, g, &m, &before, &passes),
+                "{passes:?}"
+            );
+            assert_counters_recount(pattern, g, &m, state);
         }
         (out, increased.len() + decreased.len())
+    }
+
+    /// The bound of a repair's wave decrements: per removed `(u', y)` and
+    /// pattern edge `(u, u')`, the parents `x ∈ mat(u)` that reach `y`
+    /// within the bound, where `mat(u)` is at most the state before the
+    /// repair plus what the closure added.
+    fn decrement_bound(
+        pattern: &PatternGraph,
+        g: &DataGraph,
+        m: &DistanceMatrix,
+        before: &[(PatternNodeId, NodeId)],
+        passes: &Passes,
+    ) -> usize {
+        let parents: Vec<_> = before.iter().chain(&passes.added).collect();
+        let removed = passes.removed.iter().chain(&passes.refuted);
+        let mut bound = 0;
+        for &(to, y) in removed {
+            for e in pattern.in_edges(to) {
+                bound += parents
+                    .iter()
+                    .filter(|&&&(u, x)| u == e.from && m.within(g, x, y, e.bound))
+                    .count();
+            }
+        }
+        bound
+    }
+
+    /// The counter invariant of [`MatchState`]: every counter of a matched
+    /// node equals a recount against the current match sets.
+    fn assert_counters_recount<O: DistanceQuery + ?Sized>(
+        pattern: &PatternGraph,
+        g: &DataGraph,
+        oracle: &O,
+        state: &MatchState,
+    ) -> usize {
+        let mut checked = 0;
+        for (ei, e) in pattern.edges().enumerate() {
+            for &x in state.matches_of(e.from) {
+                let recount = oracle.count_within(g, x, state.matches_of(e.to), e.bound);
+                assert_eq!(state.mat.counter(ei, x), recount, "edge {ei} at {x}");
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    /// Replays `updates` on `backend` in batches of `batch`, asserting after
+    /// every batch that every witness counter equals a recount and that the
+    /// match sets equal the naive fixpoint's. Returns the counters checked.
+    fn replay_recounting(
+        pattern: &PatternGraph,
+        g0: &DataGraph,
+        updates: &[EdgeUpdate],
+        batch: usize,
+        backend: gpm_distance::OracleBackend,
+    ) -> usize {
+        let exec = Executor::sequential();
+        let mut g = g0.clone();
+        let mut oracle = backend.build(&g, &exec);
+        let mut s = MatchState::initialise_with(pattern, &g, oracle.as_ref(), &exec);
+        let mut checked = assert_counters_recount(pattern, &g, oracle.as_ref(), &s);
+        for chunk in updates.chunks(batch) {
+            let applied: Vec<EdgeUpdate> =
+                chunk.iter().copied().filter(|u| u.apply(&mut g)).collect();
+            let aff1 = oracle.apply_batch(&g, &applied, &exec);
+            repair_match_state(pattern, &g, oracle.as_ref(), &mut s, &aff1).unwrap();
+            checked += assert_counters_recount(pattern, &g, oracle.as_ref(), &s);
+            let naive = naive_match_sets(pattern, &g, oracle.as_ref());
+            assert_eq!(
+                match_sets(pattern, &s),
+                naive,
+                "{backend}, batches of {batch}"
+            );
+        }
+        checked
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        /// The counter invariant of [`MatchState`] on random graphs and
+        /// generated patterns, cyclic ones included: after every batch of a
+        /// mixed stream, on both back-ends.
+        #[test]
+        fn witness_counters_equal_a_recount_after_every_batch(
+            seed in 0u64..1_000,
+            size in 2usize..6,
+            batch in 1usize..5,
+        ) {
+            use gpm_datagen::{generate_pattern, PatternGenConfig};
+            let g0 = random_graph(&RandomGraphConfig::new(30, 75, 4).with_seed(seed));
+            let config = PatternGenConfig::new(size, size + 2, 3).with_seed(seed);
+            let (p, _) = generate_pattern(&g0, &config);
+            let updates = random_updates(&g0, &UpdateStreamConfig::mixed(12).with_seed(seed + 3));
+            for backend in gpm_distance::OracleBackend::ALL {
+                replay_recounting(&p, &g0, &updates, batch, backend);
+            }
+        }
+    }
+
+    /// The same invariant on every adversarial topology: its worst-case
+    /// script, the script undone, then a mixed stream, one update at a time
+    /// and in batches of four, on both back-ends.
+    #[test]
+    fn witness_counters_equal_a_recount_on_adversarial_topologies() {
+        use gpm_datagen::adversarial::*;
+        use gpm_datagen::{generate_pattern, PatternGenConfig};
+        let topologies = [
+            ("star", star(12), delete_hub_updates(12)),
+            ("deep_chain", deep_chain(24), cut_chain_updates(24, 11)),
+            ("grid", grid(5, 5), Vec::new()),
+            (
+                "cliques_with_bridges",
+                cliques_with_bridges(4, 5),
+                cut_bridge_updates(4, 5, 1),
+            ),
+            ("bowtie", bowtie(8), sever_waist_updates(8)),
+        ];
+        for (name, g0, script) in &topologies {
+            let undo = script.iter().map(|u| match *u {
+                EdgeUpdate::Delete(a, b) => EdgeUpdate::Insert(a, b),
+                EdgeUpdate::Insert(a, b) => EdgeUpdate::Delete(a, b),
+            });
+            let mut updates: Vec<EdgeUpdate> = script.iter().copied().chain(undo).collect();
+            updates.extend(random_updates(
+                g0,
+                &UpdateStreamConfig::mixed(10).with_seed(7),
+            ));
+            let mut checked = 0;
+            for size in 2..5 {
+                for seed in 0..4 {
+                    let config = PatternGenConfig::new(size, size + 1, 3).with_seed(seed);
+                    let (p, _) = generate_pattern(g0, &config);
+                    for backend in gpm_distance::OracleBackend::ALL {
+                        for batch in [1, 4] {
+                            checked += replay_recounting(&p, g0, &updates, batch, backend);
+                        }
+                    }
+                }
+            }
+            assert!(checked > 0, "{name}: no counter was checked");
+        }
+    }
+
+    /// The cyclic probe's repair work, pinned: the Fig. 6 stand-in
+    /// (`Dataset::YouTube` at scale 0.05, |V| = 741), one mixed stream of
+    /// batches of 3 generated from an evolving copy (400 batches in release,
+    /// 40 in debug), and the first DAG and the first cyclic P(4,6,3) from
+    /// pattern seed 0, each repaired on the matrix, sequentially. The
+    /// summed `verifications`, `admitted`, `refuted` and `decrements` are
+    /// pinned exactly, and the final match sets equal the naive fixpoint's.
+    #[test]
+    fn cyclic_probe_repair_work_is_pinned() {
+        use gpm_datagen::{generate_pattern, Dataset, PatternGenConfig};
+        let exec = Executor::sequential();
+        let batches = if cfg!(debug_assertions) { 40 } else { 400 };
+        let g0 = Dataset::YouTube.generate(0.05, 2010);
+        let mut g = g0.clone();
+        let script: Vec<Vec<EdgeUpdate>> = (0..batches)
+            .map(|b| {
+                let config = UpdateStreamConfig::mixed(3).with_seed(1000 + b);
+                let updates = random_updates(&g, &config);
+                for u in &updates {
+                    u.apply(&mut g);
+                }
+                updates
+            })
+            .collect();
+        let mut tallies = Vec::new();
+        for cyclic in [false, true] {
+            let pattern =
+                |seed| generate_pattern(&g0, &PatternGenConfig::new(4, 6, 3).with_seed(seed));
+            let p = (0..)
+                .map(|seed| pattern(seed).0)
+                .find(|p| p.is_dag() != cyclic)
+                .unwrap();
+            let mut g = g0.clone();
+            let mut m = DistanceMatrix::build_with(&g, &exec);
+            let mut s = MatchState::initialise_with(&p, &g, &m, &exec);
+            let mut tally = [0; 4];
+            for updates in &script {
+                let applied: Vec<EdgeUpdate> = updates
+                    .iter()
+                    .copied()
+                    .filter(|u| u.apply(&mut g))
+                    .collect();
+                let aff1 = m.apply_batch(&g, &applied, &exec);
+                let (_, passes) = repair(&p, &g, &m, &mut s, &aff1);
+                let work = [
+                    passes.verifications,
+                    passes.added.len(),
+                    passes.refuted.len(),
+                    passes.decrements,
+                ];
+                tally.iter_mut().zip(work).for_each(|(t, w)| *t += w);
+            }
+            assert_eq!(
+                match_sets(&p, &s),
+                naive_match_sets(&p, &g, &m),
+                "cyclic: {cyclic}"
+            );
+            tallies.push(tally);
+        }
+        // [verifications, admitted, refuted, decrements], DAG then cyclic.
+        let expected = if cfg!(debug_assertions) {
+            [[33, 0, 0, 0], [4_398, 2_201, 2_201, 29_111]]
+        } else {
+            [[297, 11, 0, 75], [34_367, 17_204, 17_190, 250_526]]
+        };
+        assert_eq!(tallies, expected);
     }
 
     /// a:a0 reaches b:a1 over one relay (2 hops) or two (3 hops); b → c:a2.

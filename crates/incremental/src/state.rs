@@ -9,40 +9,55 @@
 //!   Since node attributes never change under edge updates, candidacy is
 //!   computed once.
 //!
-//! Both sets are held in two forms, the layout `Match` uses for its
-//! candidates: a `|V|`-wide bitmap answers membership in `O(1)`, and a packed
-//! ascending `NodeId` list beside it is what the repair walks and what the
-//! relation and the service's deltas copy. `add`/`remove` keep the match
-//! list sorted by binary search, so the repair pays for the matches it
-//! visits — `O(|mat(u)|)` per cascade step — and never for `|V|`.
+//! `mat` is `Match`'s own refinement state, a [`Refinement`]: a `|V|`-wide
+//! membership bitmap and a packed ascending list per pattern node, and one
+//! `u32` witness counter per pattern edge and data node. The counter
+//! invariant holds after every repair step: for each pattern edge `e` and
+//! each `x ∈ mat(from(e))`, the counter is the number of nodes of
+//! `mat(to(e))` that `x` reaches within `bound(e)` on the current oracle.
+//! The repair keeps it with `Match`'s one wave (see [`crate::repair`]), and
+//! the state has no setter that could break it. `can(u)` is the predicate
+//! list beside it, minus `mat(u)`.
+//!
+//! The counters cost `|E_p|·|V|` `u32` per query. On the repo benchmark's
+//! workloads, whose queries have at most four pattern edges, that is at
+//! most 4.6 KiB a query on `wire-stream` (|V| = 297, 8 queries), 16.2 KiB on
+//! `inproc-maintain` (|V| = 1 038, 4 queries) and 3.5 KiB on `twohop-churn`
+//! (|V| = 222, 4 queries); `match-cold` keeps no state, and its `Match`
+//! calls hold at most 39 KiB of counters (10 pattern edges, |V| = 1 000)
+//! until they return.
 //!
 //! A state is never persisted. The maximum match is unique, so the state is
 //! a function of (pattern, graph), and [`MatchState::initialise_with`] is
 //! the one way to build it: `gpm-service` calls it to register a query, to
-//! resume one and to reopen a durable service.
+//! resume one and to reopen a durable service. It runs `Match` without
+//! clearing, so an unmatched query starts from its per-node greatest
+//! fixpoint, counters included, in one refinement. On the Fig. 6 stand-in
+//! (|V| = 741, the matrix, 40 unmatched P(4,6,3), each the median of 15
+//! builds on 2 shared vCPUs) that build takes 0.042 ms on average (median
+//! 0.017 ms). The build it replaced, a clearing `Match` and then the naive
+//! fixpoint, took 0.038 ms (median 0.013 ms): a clearing `Match` stops at
+//! the first emptied `mat(u)`, where the refinement keeps counting.
 //!
 //! The externally reported relation follows the paper's convention: if some
 //! pattern node has an empty `mat(u)`, the match is `∅` (but the internal
 //! sets are kept so maintenance can continue and later insertions can revive
 //! the match).
 
-use gpm_core::naive::naive_fixpoint;
-use gpm_core::{bounded_simulation_with_oracle_on, MatchRelation};
+use gpm_core::{MatchRelation, Refinement};
 use gpm_distance::DistanceQuery;
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, EdgeBound, NodeId, PatternGraph, PatternNodeId};
+use gpm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
 
 /// Per-pattern-node match and candidate sets.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatchState {
     /// `satisfies[u][v]`: does `v` satisfy the predicate of `u`?
     satisfies: Vec<Vec<bool>>,
-    /// `mat[u][v]`: is `(u, v)` in the current maximum match?
-    mat: Vec<Vec<bool>>,
     /// The set entries of `satisfies[u]`, ascending.
-    satisfying: Vec<Vec<NodeId>>,
-    /// The set entries of `mat[u]`, ascending.
-    matched: Vec<Vec<NodeId>>,
+    pub(crate) satisfying: Vec<Vec<NodeId>>,
+    /// `mat(u)` and its witness counters.
+    pub(crate) mat: Refinement,
 }
 
 impl MatchState {
@@ -60,76 +75,52 @@ impl MatchState {
 
     /// [`MatchState::initialise`] on an explicit executor. The predicate
     /// lists are read off the attribute index on the caller thread (a few
-    /// microseconds per pattern node); `exec` drives the batch `Match` run,
-    /// which parallelises as described on
-    /// [`bounded_simulation_with_oracle_on`].
+    /// microseconds per pattern node); `exec` drives `Match`'s refinement,
+    /// run without clearing ([`Refinement::greatest_fixpoint`]), which
+    /// parallelises as described on
+    /// [`gpm_core::bounded_simulation_with_oracle_on`].
     pub fn initialise_with<O: DistanceQuery + Sync + ?Sized>(
         pattern: &PatternGraph,
         graph: &DataGraph,
         oracle: &O,
         exec: &Executor,
     ) -> Self {
-        let nv = graph.node_count();
         let satisfying: Vec<Vec<NodeId>> = pattern
             .node_ids()
             .map(|u| graph.nodes_satisfying(pattern.predicate(u)))
             .collect();
-
-        let outcome = bounded_simulation_with_oracle_on(pattern, graph, oracle, exec);
-        // `Match` clears the whole relation when P ⋬ G, but the state to
-        // maintain is the per-node greatest fixpoint, where some nodes may
-        // still hold matches: the naive loop gives it without the clearing
-        // step (a non-clearing `Match` starts an unmatched query 2.4× slower).
-        let matched = if outcome.relation.is_match(pattern) {
-            pattern
-                .node_ids()
-                .map(|u| outcome.relation.matches_of(u).to_vec())
-                .collect()
-        } else {
-            let mut sets = satisfying.clone();
-            naive_fixpoint(pattern, graph, oracle, &mut sets);
-            sets
-        };
-        Self::from_lists(nv, satisfying, matched)
-    }
-
-    /// Builds the bitmaps of `nodes` bits beside ascending, in-range lists.
-    fn from_lists(nodes: usize, satisfying: Vec<Vec<NodeId>>, matched: Vec<Vec<NodeId>>) -> Self {
-        let bitmaps = |lists: &[Vec<NodeId>]| -> Vec<Vec<bool>> {
-            lists
-                .iter()
-                .map(|list| {
-                    let mut row = vec![false; nodes];
-                    for v in list {
-                        row[v.index()] = true;
-                    }
-                    row
-                })
-                .collect()
-        };
+        let satisfies = satisfying
+            .iter()
+            .map(|list| {
+                let mut row = vec![false; graph.node_count()];
+                for v in list {
+                    row[v.index()] = true;
+                }
+                row
+            })
+            .collect();
         MatchState {
-            satisfies: bitmaps(&satisfying),
-            mat: bitmaps(&matched),
+            satisfies,
             satisfying,
-            matched,
+            mat: Refinement::greatest_fixpoint(pattern, graph, oracle, exec),
         }
     }
 
     /// Number of pattern nodes.
     pub fn pattern_node_count(&self) -> usize {
-        self.matched.len()
+        self.satisfying.len()
     }
 
     /// Whether `(u, v)` is in the current maximum match.
     #[inline]
     pub fn in_mat(&self, u: PatternNodeId, v: NodeId) -> bool {
-        self.mat[u.index()][v.index()]
+        self.mat.contains(u, v)
     }
 
     /// Whether `v` is in `can(u)`: satisfies the predicate but is not matched.
     #[inline]
     pub fn in_can(&self, u: PatternNodeId, v: NodeId) -> bool {
-        self.satisfies[u.index()][v.index()] && !self.mat[u.index()][v.index()]
+        self.satisfies[u.index()][v.index()] && !self.in_mat(u, v)
     }
 
     /// Whether `v` satisfies the predicate of `u` (candidate or matched).
@@ -138,34 +129,10 @@ impl MatchState {
         self.satisfies[u.index()][v.index()]
     }
 
-    /// Adds `(u, v)` to the match; returns `true` if it was not present.
-    pub fn add(&mut self, u: PatternNodeId, v: NodeId) -> bool {
-        let slot = &mut self.mat[u.index()][v.index()];
-        if *slot {
-            return false;
-        }
-        *slot = true;
-        let list = &mut self.matched[u.index()];
-        list.insert(list.partition_point(|&w| w < v), v);
-        true
-    }
-
-    /// Removes `(u, v)` from the match; returns `true` if it was present.
-    pub fn remove(&mut self, u: PatternNodeId, v: NodeId) -> bool {
-        let slot = &mut self.mat[u.index()][v.index()];
-        if !*slot {
-            return false;
-        }
-        *slot = false;
-        let list = &mut self.matched[u.index()];
-        list.remove(list.partition_point(|&w| w < v));
-        true
-    }
-
     /// The data nodes currently matching `u` (ascending order).
     #[inline]
     pub fn matches_of(&self, u: PatternNodeId) -> &[NodeId] {
-        &self.matched[u.index()]
+        &self.mat.sets()[u.index()]
     }
 
     /// The data nodes satisfying the predicate of `u` (ascending order):
@@ -186,33 +153,17 @@ impl MatchState {
 
     /// Whether every pattern node currently has at least one match.
     pub fn all_matched(&self) -> bool {
-        self.matched.iter().all(|list| !list.is_empty())
+        self.mat.sets().iter().all(|set| !set.is_empty())
     }
 
     /// The externally visible relation, following the paper's convention:
     /// `∅` when some pattern node is unmatched, otherwise the mat sets.
     pub fn relation(&self) -> MatchRelation {
         if !self.all_matched() {
-            return MatchRelation::empty(self.matched.len());
+            return MatchRelation::empty(self.pattern_node_count());
         }
-        MatchRelation::from_sets(self.matched.clone())
+        MatchRelation::from_sets(self.mat.sets().to_vec())
     }
-}
-
-/// Whether data node `x` has a witness among `targets` (the current matches
-/// of a pattern edge's head) within the edge's `bound`.
-#[inline]
-pub(crate) fn edge_witnessed<O: DistanceQuery + ?Sized>(
-    graph: &DataGraph,
-    oracle: &O,
-    x: NodeId,
-    targets: &[NodeId],
-    bound: EdgeBound,
-) -> bool {
-    targets
-        .iter()
-        .copied()
-        .any(|y| oracle.within(graph, x, y, bound))
 }
 
 #[cfg(test)]
@@ -268,24 +219,6 @@ mod tests {
         assert!(state.in_can(pn(0), extra));
         assert!(!state.in_mat(pn(0), extra));
         assert_eq!(state.candidates_of(pn(0)).collect::<Vec<_>>(), [extra]);
-    }
-
-    #[test]
-    fn add_remove_bookkeeping() {
-        let (g, p, m) = setup();
-        let mut state = MatchState::initialise(&p, &g, &m);
-        let v = NodeId::new(0);
-        assert!(!state.add(pn(0), v), "already present");
-        assert!(state.remove(pn(0), v));
-        assert!(!state.remove(pn(0), v));
-        assert_eq!(state.matches_of(pn(0)).len(), 0);
-        assert!(!state.all_matched());
-        // The reported relation collapses to ∅, but the internal sets keep
-        // node C.
-        assert!(state.relation().is_empty());
-        assert_eq!(state.matches_of(pn(1)).len(), 1);
-        assert!(state.add(pn(0), v));
-        assert!(state.all_matched());
     }
 
     #[test]
