@@ -150,11 +150,6 @@ impl HarnessArgs {
     }
 
     /// Parses the process arguments, exiting with a message on error.
-    ///
-    /// Propagates the selected backend to `GPM_ORACLE`, so every entry point
-    /// that defaults to [`OracleBackend::from_env`] — `MatchService::new`,
-    /// `bounded_simulation` — honours the `--oracle` flag without threading
-    /// the value through every call site.
     pub fn from_env() -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
             Ok(args) => {
@@ -165,10 +160,8 @@ impl HarnessArgs {
         }
     }
 
-    /// Makes the parsed `--oracle`/`--obs`/`--obs-out`/`--json` choices
-    /// process-wide.
+    /// Makes the parsed `--obs`/`--obs-out`/`--json` choices process-wide.
     fn install(&self) {
-        std::env::set_var("GPM_ORACLE", self.oracle.name());
         if self.obs {
             gpm::obs::set_enabled(true);
         }

@@ -64,7 +64,7 @@ fn main() {
             .collect();
 
         // Continuous service: one graph, one matrix, K registered queries.
-        let mut svc = MatchService::with_parallelism(graph.clone(), parallelism.clone());
+        let mut svc = MatchService::with_backend(graph.clone(), args.oracle, parallelism.clone());
         let ids: Vec<_> = patterns.iter().map(|p| svc.register(p.clone())).collect();
         let (_, svc_time) = time(|| {
             for batch in &script {
@@ -78,7 +78,8 @@ fn main() {
         let mut singles: Vec<_> = patterns
             .iter()
             .map(|p| {
-                let mut single = MatchService::with_parallelism(graph.clone(), parallelism.clone());
+                let mut single =
+                    MatchService::with_backend(graph.clone(), args.oracle, parallelism.clone());
                 let id = single.register(p.clone());
                 (single, id)
             })
@@ -138,7 +139,7 @@ fn main() {
         let patterns: Vec<PatternGraph> = (0..k)
             .map(|i| dag_pattern(&graph, 4, 4, 3, args.seed + i as u64 * 131))
             .collect();
-        let mut svc = MatchService::with_parallelism(graph.clone(), parallelism.clone());
+        let mut svc = MatchService::with_backend(graph.clone(), args.oracle, parallelism.clone());
         for p in &patterns {
             svc.register(p.clone());
         }

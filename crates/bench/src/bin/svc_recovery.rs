@@ -10,8 +10,9 @@
 //! 2. **Recovery latency**: reopening each durable directory — pure log
 //!    replay (the snapshot holds only the initial graph) versus
 //!    snapshot-then-short-tail — timed, with the recovered results
-//!    cross-checked bit-for-bit against the uninterrupted service.
-//! 3. **Footprint**: bytes on disk per mode (WAL + snapshot segments).
+//!    cross-checked bit-for-bit against the uninterrupted service. The
+//!    binary exits 1 when any mode's results disagree.
+//! 3. **Footprint**: bytes on disk per mode (WAL + the snapshot file).
 //!
 //! A per-batch latency table (exact nearest-rank p50/p99/p999 plus the
 //! oracle's resident size) shows where the fsync cost
@@ -161,6 +162,7 @@ fn main() {
     );
 
     let mut roots = Vec::new();
+    let mut all_agree = true;
     for (mode, snapshot_every) in modes {
         let root = temp_root(&mode.replace(' ', "-"));
         let opts = DurableOptions { snapshot_every };
@@ -205,6 +207,7 @@ fn main() {
             .iter()
             .zip(&ref_results)
             .all(|(&id, expected)| recovered.result(id).as_ref() == Some(expected));
+        all_agree &= agree;
         recovery.row(vec![
             mode.into(),
             fmt_ms(reopen),
@@ -232,4 +235,8 @@ fn main() {
     }
 
     args.finish_obs();
+    if !all_agree {
+        eprintln!("svc_recovery: a recovered service disagrees with the uninterrupted run");
+        std::process::exit(1);
+    }
 }

@@ -20,8 +20,7 @@
 //!   curves;
 //! * `--oracle matrix|two-hop` — the distance backend every matcher and
 //!   service runs on (default `GPM_ORACLE`, i.e. the paper's matrix when
-//!   unset); the parsed value is propagated back to `GPM_ORACLE` so it
-//!   reaches every library entry point;
+//!   unset);
 //! * `--dataset-dir <path>` / `--dataset <name>` — run on real on-disk
 //!   datasets (`<name>.edges` SNAP edge list + optional `<name>.attrs`
 //!   typed attribute CSV, see `gpm::graph::dataset`) instead of the

@@ -144,12 +144,6 @@ impl DistanceMatrix {
         self.dist[x.index() * self.n + y.index()]
     }
 
-    /// Sets the entry for `(x, y)`; used by the incremental procedures.
-    #[inline]
-    pub fn set(&mut self, x: NodeId, y: NodeId, value: u16) {
-        self.dist[x.index() * self.n + y.index()] = value;
-    }
-
     /// Length of the shortest **non-empty** path from `x` to `y`, if any.
     #[inline]
     pub fn nonempty_distance(&self, x: NodeId, y: NodeId) -> Option<u32> {

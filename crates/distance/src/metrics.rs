@@ -82,6 +82,14 @@ pub(crate) fn twohop() -> &'static OracleMetrics {
 }
 
 /// 2-hop-specific metrics: label queries and the work of deletion repair.
+///
+/// The deletion counters sum one term per deletion unit, and each term has
+/// a bound in the unit's own sizes (`two_hop_inc.rs`, *Deletions*): `A` and
+/// `B` are the nodes whose distance to `t` / from `s` changed, `A′ ⊇ A` and
+/// `B′ ⊇ B` those with an old shortest path through the edge. The
+/// deletion unit keeps its terms in the batch workspace, where the tests
+/// hold them to these bounds on random deletion streams and on every
+/// `gpm_datagen::adversarial` topology.
 pub(crate) struct TwoHopMetrics {
     /// Queries the matcher made through `DistanceQuery`. Maintenance reads
     /// the labels directly and counts its work in the counters below.
@@ -89,14 +97,18 @@ pub(crate) struct TwoHopMetrics {
     /// Graph traversals deletion units started: the four rows around the
     /// edge, one multi-source pass per 64 rows of the rectangle's smaller
     /// side, one per recomputed diagonal — so that a BFS per rectangle node
-    /// cannot grow back unnoticed.
+    /// cannot grow back unnoticed. Per unit exactly `4 + ⌈min(|A|, |B|) /
+    /// 64⌉ +` the recomputed diagonals, which are at most `|A ∩ B| + 2`.
     pub delete_traversals: Arc<Counter>,
     /// Rectangle pairs a deletion examined: BFS-row lookups over `A × B` and
     /// the tied fringe beside it, plus label queries over the other fringe.
+    /// Per unit at most `|A′| · |B′|`.
     pub delete_rect_pairs: Arc<Counter>,
-    /// Candidate pairs (`|C|`): those whose entries were re-decided.
+    /// Candidate pairs (`|C|`): those whose entries were re-decided. Per
+    /// unit at most its `delete_rect_pairs`.
     pub delete_candidates: Arc<Counter>,
-    /// Candidate entries written back into the labels.
+    /// Candidate entries written back into the labels. Per unit at most
+    /// its `delete_candidates`.
     pub entries_rewritten: Arc<Counter>,
 }
 

@@ -327,7 +327,7 @@ impl IncrementalTwoHop {
         bfs_row(g, t, Direction::Forward, false, from_t, queue);
         bfs_row(g, t, Direction::Backward, false, new_to_t, queue);
         bfs_row(g, s, Direction::Forward, false, new_from_s, queue);
-        let mut traversals = 4;
+        let mut traversals = 4u64;
         let (a, a_tied) = rectangle_side(to_s, new_to_t);
         let (b, b_tied) = rectangle_side(from_t, new_from_s);
 
@@ -506,11 +506,18 @@ impl IncrementalTwoHop {
             }
         }
 
+        let work = DeleteWork {
+            traversals,
+            rect_pairs: rect_pairs as u64,
+            candidates: candidates.len() as u64,
+            rewritten,
+        };
         let mx = crate::metrics::twohop_extra();
-        mx.delete_traversals.add(traversals as u64);
-        mx.delete_rect_pairs.add(rect_pairs as u64);
-        mx.delete_candidates.add(candidates.len() as u64);
-        mx.entries_rewritten.add(rewritten);
+        mx.delete_traversals.add(work.traversals);
+        mx.delete_rect_pairs.add(work.rect_pairs);
+        mx.delete_candidates.add(work.candidates);
+        mx.entries_rewritten.add(work.rewritten);
+        ws.labels.deleted = work;
         aff1
     }
 }
@@ -593,6 +600,19 @@ pub(crate) struct LabelScratch {
     bfs: MultiBfs,
     roots: Vec<NodeId>,
     table: Vec<u16>,
+    /// The work of the latest deletion unit.
+    deleted: DeleteWork,
+}
+
+/// The counted work of one deletion unit, reported to the `twohop.delete_*`
+/// and `twohop.entries_rewritten` counters, whose docs
+/// (`metrics::TwoHopMetrics`) give each one's bound in the unit's sizes.
+#[derive(Clone, Copy, Debug, Default)]
+struct DeleteWork {
+    traversals: u64,
+    rect_pairs: u64,
+    candidates: u64,
+    rewritten: u64,
 }
 
 /// Not a column of the rectangle in hand.
@@ -1156,6 +1176,104 @@ mod tests {
             let (s, t) = cut_chain_updates(len, rows as usize - 1)[0].endpoints();
             assert_deletion_repairs_exactly(&deep_chain(len), s, t, rows as usize);
         }
+    }
+
+    /// Deletes each present edge of `deletions` from `g` in turn through
+    /// `delete_repair` and holds the unit's work to the per-unit bounds of
+    /// `metrics::TwoHopMetrics`, read from the workspace. The rectangle's
+    /// sides are counted here, from BFS rows of the graph without the edge:
+    /// a node is in `A′` when its old shortest route to `t` could run
+    /// through the edge (`new(x, t) ≥ std(x, s) + 1`), in `A` when that is
+    /// strict; `B′` and `B` mirror them from `s`. The labels are checked
+    /// against a matrix build at the end.
+    fn assert_delete_work_within_bounds(
+        mut g: DataGraph,
+        deletions: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) {
+        let mut oracle = IncrementalTwoHop::build(&g);
+        let mut ws = Sweep::new(g.node_count());
+        for (s, t) in deletions {
+            if !g.has_edge(s, t) {
+                continue;
+            }
+            g.remove_edge(s, t).unwrap();
+            let row = |origin, direction| distance_row(&g, origin, direction, false);
+            // Per node: (changed, through the edge).
+            let side = |fixed: Vec<u16>, new: Vec<u16>| -> Vec<(bool, bool)> {
+                let mark = |(&d, &new): (&u16, &u16)| {
+                    let via = u32::from(d) + 1;
+                    let through = d != UNREACHABLE && u32::from(new) >= via;
+                    (through && u32::from(new) > via, through)
+                };
+                fixed.iter().zip(&new).map(mark).collect()
+            };
+            let a = side(row(s, Direction::Backward), row(t, Direction::Backward));
+            let b = side(row(t, Direction::Forward), row(s, Direction::Forward));
+            // (changed, through the edge) node counts: (|A|, |A′|), (|B|, |B′|).
+            let sizes = |side: &[(bool, bool)]| {
+                let count = |pick: fn(&&(bool, bool)) -> bool| side.iter().filter(pick).count();
+                (count(|x| x.0) as u64, count(|x| x.1) as u64)
+            };
+            let ((a_len, a_through), (b_len, b_through)) = (sizes(&a), sizes(&b));
+            let both = a.iter().zip(&b).filter(|(x, y)| x.0 && y.0).count() as u64;
+
+            oracle.delete_repair(&g, s, t, &mut ws);
+            let work = ws.labels.deleted;
+            let what = format!("delete ({s}, {t}): {work:?}");
+            let fixed = 4 + a_len.min(b_len).div_ceil(64);
+            assert!(
+                (fixed..=fixed + both + 2).contains(&work.traversals),
+                "{what}: traversals outside {fixed} + [0, |A ∩ B| + 2 = {}]",
+                both + 2
+            );
+            assert!(
+                work.rect_pairs <= a_through * b_through,
+                "{what}: |A′|·|B′| = {a_through}·{b_through}"
+            );
+            assert!(work.candidates <= work.rect_pairs, "{what}");
+            assert!(work.rewritten <= work.candidates, "{what}");
+        }
+        assert_all_pairs_agree(&g, &oracle, &DistanceMatrix::build(&g));
+    }
+
+    #[test]
+    fn deletion_work_stays_within_its_bounds_on_random_deletion_streams() {
+        for seed in stream_seeds(40) {
+            let (g, stream) = random_graph_and_updates(seed, 30, 200, 150);
+            let deletions = stream.iter().filter(|u| !u.is_insert());
+            assert_delete_work_within_bounds(g, deletions.map(|u| u.endpoints()));
+        }
+        // Rectangles of more than one 64-row chunk.
+        let g = fan_through_an_edge(128, 133);
+        assert_delete_work_within_bounds(g, [(n(0), n(1))]);
+    }
+
+    #[test]
+    fn deletion_work_stays_within_its_bounds_on_adversarial_topologies() {
+        use gpm_datagen::adversarial::*;
+        // The scripts hold the dependency's copy of this crate's `EdgeUpdate`.
+        macro_rules! edges {
+            ($script:expr) => {
+                $script.iter().map(|u| u.endpoints()).collect::<Vec<_>>()
+            };
+        }
+        assert_delete_work_within_bounds(star(12), edges!(delete_hub_updates(12)));
+        let spokes = (1..=12).map(|leaf| (n(leaf), n(0)));
+        assert_delete_work_within_bounds(star(12), spokes);
+        for (len, k) in [(16, 0), (16, 7), (16, 14), (160, 80)] {
+            assert_delete_work_within_bounds(deep_chain(len), edges!(cut_chain_updates(len, k)));
+        }
+        assert_delete_work_within_bounds(bowtie(6), edges!(sever_waist_updates(6)));
+        let feeders = (1..=6).map(|source| (n(source), n(0)));
+        assert_delete_work_within_bounds(bowtie(6), feeders);
+        for q in [0, 1] {
+            let script = edges!(cut_bridge_updates(3, 4, q));
+            assert_delete_work_within_bounds(cliques_with_bridges(3, 4), script);
+        }
+        let inside = [(4, 5), (5, 4), (7, 4), (3, 0)].map(|(a, b)| (n(a), n(b)));
+        assert_delete_work_within_bounds(cliques_with_bridges(3, 4), inside);
+        let cells = [(0, 1), (0, 5), (6, 7), (6, 11), (12, 13), (18, 23)];
+        assert_delete_work_within_bounds(grid(5, 5), cells.map(|(a, b)| (n(a), n(b))));
     }
 
     #[test]

@@ -8,9 +8,10 @@ use proptest::prelude::*;
 
 /// `serde_json::to_string` of a graph as the CSR-dumping encoding wrote it:
 /// a self-loop `(1, 1)`, an isolated node 2, and an edge `(1, 0)` added
-/// after the last compaction, so it lives in the overlay. Durable
-/// directories written before the logical encoding hold graphs in this
-/// shape (snapshot `graph.json` segments).
+/// after the last compaction, so it lives in the overlay. Version-1
+/// service snapshots written before the logical encoding held graphs in
+/// this shape in a `graph.json` segment; those snapshots no longer open,
+/// but any reader of a graph's serde JSON still decodes it.
 const CSR_DUMP_JSON: &str = r#"{"attrs":[{"entries":[["label",{"Str":"a"}],["rate",{"Float":4.5}]]},{"entries":[["label",{"Str":"b"}],["views",{"Int":7}]]},{"entries":[]}],"out_adj":{"offsets":[0,1,2,2],"targets":[1,1],"overlay":{"1":[1,0]}},"in_adj":{"offsets":[0,0,2,2],"targets":[0,1],"overlay":{"0":[1]}},"edge_set":[[0,1],[1,0],[1,1]],"edge_count":3}"#;
 
 /// The pattern object of PROTOCOL.md's version-1 `Register` frame (also

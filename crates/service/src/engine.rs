@@ -322,8 +322,8 @@ impl MatchService {
         let outcome = if wal_path.exists() {
             wal::read_wal(&wal_path)?
         } else {
-            // Crash between the snapshot swap and the log reset: the
-            // snapshot alone is the complete state.
+            // Crash between `create_durable`'s first snapshot and its log:
+            // the snapshot alone is the complete state.
             WalReadOutcome {
                 records: Vec::new(),
                 valid_len: 0,
@@ -378,15 +378,13 @@ impl MatchService {
             WalOp::Resume(id) => {
                 self.resume(QueryId(*id));
             }
-            // Versions that resumed lazily logged the read that built a
-            // resumed query's state; `resume` builds it now, so it is pure.
-            WalOp::Read(_) => {}
         }
     }
 
     /// Folds the current state into a fresh snapshot and truncates the log
-    /// (the swap is atomic — a crash mid-snapshot recovers to either the
-    /// old or the new one, never a mix). Errors on non-durable services.
+    /// (one rename replaces the snapshot file — a crash mid-snapshot
+    /// recovers to either the old or the new one, never a mix). Errors on
+    /// non-durable services.
     pub fn snapshot_now(&mut self) -> Result<(), DurabilityError> {
         let Some(d) = self.durability.as_mut() else {
             return Err(DurabilityError::State(
@@ -405,8 +403,8 @@ impl MatchService {
             next_seq,
             &self.catalog,
         )?;
-        // Only after the swap is durable may the log forget the history the
-        // snapshot now covers.
+        // Only after the rename is durable may the log forget the history
+        // the snapshot now covers.
         d.writer = WalWriter::create(&d.dir.join(WAL_FILE), next_seq)?;
         d.records_since_snapshot = 0;
         obs.snapshots.inc();

@@ -84,5 +84,5 @@ pub mod wal;
 pub use catalog::{QueryCatalog, QueryEntry, RepairKind};
 pub use delta::{fold_deltas, MatchDelta, QueryId, Subscription};
 pub use engine::{BatchOutcome, DurableOptions, MatchService, ServiceStats};
-pub use snapshot::{GraphFormat, Manifest, QuerySnapshot, SegmentMeta};
+pub use snapshot::{GraphFormat, Manifest, QuerySnapshot};
 pub use wal::{DurabilityError, WalOp, WalReadOutcome, WalRecord, WalWriter};

@@ -1,25 +1,33 @@
 //! Versioned on-disk snapshots of a [`crate::MatchService`].
 //!
-//! A snapshot folds the whole service state at one WAL position into a
-//! directory the recovery path can load without replaying history:
+//! A snapshot folds the whole service state at one WAL position into one
+//! file the recovery path can load without replaying history:
 //!
 //! ```text
-//! <root>/snapshot/
-//!   MANIFEST.bin    framed (len+crc32) JSON Manifest
-//!   graph.edges     byte-exact dataset edge list      (format = "dataset")
-//!   graph.attrs     typed attribute CSV               (format = "dataset")
-//!   graph.json      the graph's serde JSON            (format = "json")
+//! <root>/snapshot/MANIFEST.bin := MAGIC frame(manifest) frame(graph part)+
+//! MAGIC  := b"GPMSNAP1"                             (8 bytes)
+//! frame  := len:u32le crc:u32le payload[len]        (the WAL's frame)
+//! manifest   = JSON Manifest
+//! graph part = dataset edge list, then typed attribute CSV (format "Dataset")
+//!            | the graph's serde JSON                       (format "Json")
 //! ```
 //!
 //! The graph prefers the byte-exact dataset writers from `gpm_graph::dataset`
-//! (human-inspectable, identical to the experiment fixtures); graphs whose
+//! (human-readable, identical to the experiment fixtures); graphs whose
 //! attributes the CSV schema cannot carry (conflicting column types, CSV
 //! metacharacters) fall back to the graph's serde encoding — its attributes
 //! and edge list, decoded through `add_node`/`add_edge` like the dataset
-//! pair. The manifest records which, plus a CRC-32 and length for every
-//! segment, the oracle-backend choice, the service epoch, the WAL position
-//! (`next_seq`) the snapshot covers, and the full catalog: per query its
-//! pattern, active flag and last emitted relation.
+//! pair. The dataset pair is kept because it is the cheaper one: on the
+//! benchmark's 297- to 1 038-node graphs the JSON is 3.4× the bytes, 3.6–4.3×
+//! the encode time and 1.9–2.7× the decode time (BENCHMARKS.md batch 33).
+//! The manifest records which encoding, the oracle-backend choice,
+//! the service epoch, the WAL position (`next_seq`) the snapshot covers,
+//! and the full catalog: per query its pattern, active flag and last
+//! emitted relation.
+//!
+//! Every frame carries the WAL's CRC-32 over its length and payload, so a
+//! flipped byte anywhere in the file, a missing or extra part and trailing
+//! bytes are each a [`DurabilityError`], never a partial load.
 //!
 //! A snapshot holds inputs, not derived state. Like the distance oracle,
 //! which is persisted by backend name only, a query's match state is a
@@ -30,63 +38,57 @@
 //!
 //! ## Atomicity
 //!
-//! Snapshots are replaced with a rename dance so a crash at any point
-//! leaves a loadable directory:
-//!
-//! 1. the new snapshot is materialised in `snapshot.tmp/` and fsynced;
-//! 2. the current `snapshot/` (if any) is renamed to `snapshot.prev/`;
-//! 3. `snapshot.tmp/` is renamed to `snapshot/`;
-//! 4. `snapshot.prev/` is removed.
-//!
-//! The load path undoes whatever prefix of that dance a crash left
-//! behind: a missing `snapshot/` with a surviving `snapshot.prev/` rolls
-//! back, stale `.tmp`/`.prev` directories are cleaned up, and the WAL —
-//! which is only truncated *after* the swap completes — still covers the
-//! rolled-back state.
+//! A snapshot is written whole to `snapshot/MANIFEST.tmp`, fsynced, and
+//! renamed over `MANIFEST.bin`; the directory is fsynced before the caller
+//! truncates the WAL. A crash therefore leaves the old `MANIFEST.bin` (with
+//! the WAL that covers it, and perhaps a partial or complete temp file
+//! beside it) or the new one. Loading reads `MANIFEST.bin` only and renames
+//! or deletes nothing; the next snapshot overwrites a stale temp file.
 
 use crate::catalog::QueryCatalog;
 use crate::delta::QueryId;
-use crate::wal::{crc32, decode_frame_exact, encode_frame, DurabilityError};
+use crate::wal::{decode_frame_exact, encode_frame, DurabilityError, FRAME_HEADER_LEN};
 use gpm_core::MatchRelation;
 use gpm_distance::OracleBackend;
 use gpm_graph::{dataset, DataGraph, PatternGraph};
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File};
-use std::io::{Read as _, Write as _};
+use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 
-/// Name of the live snapshot directory under a durable service root.
+/// Name of the snapshot directory under a durable service root.
 pub const SNAPSHOT_DIR: &str = "snapshot";
-/// Scratch directory a snapshot is materialised in before the atomic swap.
-pub const SNAPSHOT_TMP_DIR: &str = "snapshot.tmp";
-/// Name the previous snapshot holds during the swap window.
-pub const SNAPSHOT_PREV_DIR: &str = "snapshot.prev";
-/// The manifest file inside a snapshot directory.
+/// The snapshot file inside the snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.bin";
-/// Magic bytes opening every manifest (8 bytes, versioned).
+/// The file a snapshot is written to before it is renamed over
+/// [`MANIFEST_FILE`].
+pub const MANIFEST_TMP_FILE: &str = "MANIFEST.tmp";
+/// Magic bytes opening every snapshot file (8 bytes); the format version is
+/// the manifest's [`SNAPSHOT_VERSION`].
 pub const MANIFEST_MAGIC: &[u8; 8] = b"GPMSNAP1";
-/// Current manifest schema version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version: version 1 kept the graph in segment
+/// files beside the manifest and is not read.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// How the graph is persisted inside the snapshot directory.
+/// How the graph is encoded in the parts after the manifest.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GraphFormat {
-    /// `graph.edges` + `graph.attrs`, the byte-exact dataset pair.
+    /// Two parts: the dataset edge list, then the typed attribute CSV — the
+    /// byte-exact dataset pair.
     Dataset,
-    /// `graph.json`, the graph's serde JSON (fallback for graphs the CSV
+    /// One part: the graph's serde JSON (fallback for graphs the CSV
     /// attribute schema cannot represent).
     Json,
 }
 
-/// Integrity envelope of one graph segment file.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SegmentMeta {
-    /// File name inside the snapshot directory.
-    pub file: String,
-    /// Byte length of the file.
-    pub len: u64,
-    /// CRC-32/IEEE of the file contents.
-    pub crc: u32,
+impl GraphFormat {
+    /// The number of graph parts this format writes after the manifest.
+    pub fn parts(self) -> usize {
+        match self {
+            GraphFormat::Dataset => 2,
+            GraphFormat::Json => 1,
+        }
+    }
 }
 
 /// One query's persisted catalog entry.
@@ -98,18 +100,17 @@ pub struct QuerySnapshot {
     pub pattern: PatternGraph,
     /// Whether the query participates in per-batch repair. Reopening
     /// builds each active query's match state from the recovered graph; a
-    /// suspended query stays suspended. The `state` key that older versions
-    /// wrote beside this flag is ignored.
+    /// suspended query stays suspended.
     pub active: bool,
     /// The relation as of the last delta emission.
     pub emitted: MatchRelation,
 }
 
-/// The snapshot manifest: everything needed to reopen the service minus the
-/// graph segment bytes themselves.
+/// The snapshot manifest: everything needed to reopen the service except
+/// the graph, which follows it in the same file.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
-    /// Manifest schema version ([`SNAPSHOT_VERSION`]).
+    /// Snapshot format version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
     /// Service epoch at snapshot time.
     pub epoch: u64,
@@ -124,57 +125,108 @@ pub struct Manifest {
     /// The catalog's next query id (ids are never reused, even across
     /// restarts).
     pub next_query_id: u64,
-    /// How the graph is encoded.
+    /// How the graph parts encode the graph.
     pub graph_format: GraphFormat,
-    /// The graph segment files with their integrity envelopes.
-    pub segments: Vec<SegmentMeta>,
     /// Every registered query, in registration order.
     pub queries: Vec<QuerySnapshot>,
 }
 
-/// Encodes a manifest as magic + one checksummed frame.
-pub fn encode_manifest(manifest: &Manifest) -> Result<Vec<u8>, DurabilityError> {
-    let payload = serde_json::to_string(manifest)?;
+/// Encodes a snapshot file: the magic, the manifest's frame, then one frame
+/// per graph part. `graph_parts` must hold the manifest's
+/// `graph_format.parts()` parts.
+pub fn encode_manifest(
+    manifest: &Manifest,
+    graph_parts: &[String],
+) -> Result<Vec<u8>, DurabilityError> {
     let mut bytes = MANIFEST_MAGIC.to_vec();
-    bytes.extend_from_slice(&encode_frame(payload.as_bytes())?);
+    bytes.extend(encode_frame(serde_json::to_string(manifest)?.as_bytes())?);
+    for part in graph_parts {
+        bytes.extend(encode_frame(part.as_bytes())?);
+    }
     Ok(bytes)
 }
 
-/// Strict inverse of [`encode_manifest`]: rejects bad magic, any
-/// single-byte corruption (via the frame checksum), trailing bytes, and
-/// unknown schema versions.
+/// Strict inverse of [`encode_manifest`], returning the manifest: rejects
+/// bad magic, any single-byte corruption (every frame is checksummed), a
+/// version other than [`SNAPSHOT_VERSION`], a part more or fewer than the
+/// graph format names, and trailing bytes.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, DurabilityError> {
-    if bytes.len() < MANIFEST_MAGIC.len() {
-        return Err(DurabilityError::Corrupt(format!(
-            "manifest of {} bytes is shorter than its magic",
-            bytes.len()
-        )));
-    }
-    let (magic, frame) = bytes.split_at(MANIFEST_MAGIC.len());
+    Ok(decode_snapshot(bytes)?.0)
+}
+
+/// [`decode_manifest`], returning the graph parts too.
+fn decode_snapshot(bytes: &[u8]) -> Result<(Manifest, Vec<&str>), DurabilityError> {
+    let magic = &bytes[..bytes.len().min(MANIFEST_MAGIC.len())];
     if magic != MANIFEST_MAGIC {
         return Err(DurabilityError::Corrupt(format!(
-            "bad manifest magic: expected {MANIFEST_MAGIC:?}, found {magic:?}"
+            "bad snapshot magic: expected {MANIFEST_MAGIC:?}, found {magic:?}"
         )));
     }
-    let payload = decode_frame_exact(frame)?;
-    let text = std::str::from_utf8(payload).map_err(|e| {
-        DurabilityError::Codec(format!("checksum-valid manifest is not UTF-8: {e}"))
-    })?;
-    let manifest: Manifest = serde_json::from_str(text)?;
+    let mut rest = &bytes[magic.len()..];
+    let manifest: Manifest = serde_json::from_str(next_part(&mut rest, "manifest")?)?;
     if manifest.version != SNAPSHOT_VERSION {
         return Err(DurabilityError::Corrupt(format!(
             "unsupported snapshot version {} (this build reads {SNAPSHOT_VERSION})",
             manifest.version
         )));
     }
-    Ok(manifest)
+    let parts = (0..manifest.graph_format.parts())
+        .map(|_| next_part(&mut rest, "graph"))
+        .collect::<Result<_, _>>()?;
+    if !rest.is_empty() {
+        return Err(DurabilityError::Corrupt(format!(
+            "{} bytes trail the snapshot's last part",
+            rest.len()
+        )));
+    }
+    Ok((manifest, parts))
 }
 
-fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), DurabilityError> {
-    let mut f = File::create(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    Ok(())
+/// Splits the next checksummed frame off `rest` and returns its payload.
+fn next_part<'a>(rest: &mut &'a [u8], what: &str) -> Result<&'a str, DurabilityError> {
+    let len = rest
+        .get(..4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("a 4-byte slice")));
+    let frame = len
+        .and_then(|len| rest.get(..FRAME_HEADER_LEN + len as usize))
+        .ok_or_else(|| DurabilityError::Corrupt(format!("snapshot ends inside its {what} part")))?;
+    *rest = &rest[frame.len()..];
+    std::str::from_utf8(decode_frame_exact(frame)?).map_err(|e| {
+        DurabilityError::Corrupt(format!(
+            "checksum-valid snapshot {what} part is not UTF-8: {e}"
+        ))
+    })
+}
+
+/// Serializes the graph, choosing the dataset pair when the attribute
+/// schema can carry it and the JSON codec otherwise.
+fn encode_graph(graph: &DataGraph) -> Result<(GraphFormat, Vec<String>), DurabilityError> {
+    match dataset::dataset_attrs_string(graph) {
+        Ok(attrs) => Ok((
+            GraphFormat::Dataset,
+            vec![dataset::dataset_edges_string(graph), attrs],
+        )),
+        Err(_) => {
+            let json = serde_json::to_string(graph)
+                .map_err(|e| DurabilityError::Codec(format!("graph JSON encoding failed: {e}")))?;
+            Ok((GraphFormat::Json, vec![json]))
+        }
+    }
+}
+
+fn decode_graph(format: GraphFormat, parts: &[&str]) -> Result<DataGraph, DurabilityError> {
+    match (format, parts) {
+        (GraphFormat::Dataset, &[edges, attrs]) => {
+            let (graph, _ids, _schema) = dataset::read_dataset_strs(edges, attrs).map_err(|e| {
+                DurabilityError::Corrupt(format!("snapshot dataset did not parse: {e}"))
+            })?;
+            Ok(graph)
+        }
+        (GraphFormat::Json, &[json]) => serde_json::from_str(json).map_err(|e| {
+            DurabilityError::Corrupt(format!("snapshot graph JSON did not parse: {e}"))
+        }),
+        _ => unreachable!("decode_snapshot returns the parts the format names"),
+    }
 }
 
 fn sync_dir(path: &Path) -> Result<(), DurabilityError> {
@@ -187,86 +239,9 @@ fn sync_dir(path: &Path) -> Result<(), DurabilityError> {
     Ok(())
 }
 
-/// Serializes the graph, choosing the dataset pair when the attribute
-/// schema can carry it and the JSON codec otherwise. Returns the format and
-/// `(file name, contents)` segments.
-fn encode_graph(
-    graph: &DataGraph,
-) -> Result<(GraphFormat, Vec<(String, String)>), DurabilityError> {
-    match dataset::dataset_attrs_string(graph) {
-        Ok(attrs) => Ok((
-            GraphFormat::Dataset,
-            vec![
-                (
-                    "graph.edges".to_string(),
-                    dataset::dataset_edges_string(graph),
-                ),
-                ("graph.attrs".to_string(), attrs),
-            ],
-        )),
-        Err(_) => {
-            let json = serde_json::to_string(graph)
-                .map_err(|e| DurabilityError::Codec(format!("graph JSON encoding failed: {e}")))?;
-            Ok((GraphFormat::Json, vec![("graph.json".to_string(), json)]))
-        }
-    }
-}
-
-fn decode_graph(dir: &Path, manifest: &Manifest) -> Result<DataGraph, DurabilityError> {
-    let mut contents = Vec::with_capacity(manifest.segments.len());
-    for seg in &manifest.segments {
-        let path = dir.join(&seg.file);
-        let mut bytes = Vec::new();
-        File::open(&path)
-            .map_err(|e| {
-                DurabilityError::Corrupt(format!(
-                    "snapshot segment {} is missing: {e}",
-                    path.display()
-                ))
-            })?
-            .read_to_end(&mut bytes)?;
-        if bytes.len() as u64 != seg.len || crc32(&bytes) != seg.crc {
-            return Err(DurabilityError::Corrupt(format!(
-                "snapshot segment {} failed its integrity check ({} bytes, crc {:#010x}; manifest says {} bytes, crc {:#010x})",
-                path.display(),
-                bytes.len(),
-                crc32(&bytes),
-                seg.len,
-                seg.crc
-            )));
-        }
-        let text = String::from_utf8(bytes).map_err(|e| {
-            DurabilityError::Corrupt(format!(
-                "snapshot segment {} is not UTF-8: {e}",
-                path.display()
-            ))
-        })?;
-        contents.push((seg.file.as_str(), text));
-    }
-    let find = |name: &str| -> Result<&str, DurabilityError> {
-        contents
-            .iter()
-            .find(|(f, _)| *f == name)
-            .map(|(_, c)| c.as_str())
-            .ok_or_else(|| DurabilityError::Corrupt(format!("manifest lists no {name} segment")))
-    };
-    match manifest.graph_format {
-        GraphFormat::Dataset => {
-            let (graph, _ids, _schema) =
-                dataset::read_dataset_strs(find("graph.edges")?, find("graph.attrs")?).map_err(
-                    |e| DurabilityError::Corrupt(format!("snapshot dataset did not parse: {e}")),
-                )?;
-            Ok(graph)
-        }
-        GraphFormat::Json => serde_json::from_str(find("graph.json")?).map_err(|e| {
-            DurabilityError::Corrupt(format!("snapshot graph JSON did not parse: {e}"))
-        }),
-    }
-}
-
-/// Materialises a complete snapshot of the service state under
-/// `root/snapshot/`, atomically replacing any previous one (see the module
-/// docs for the crash-safe rename dance).
+/// Writes a complete snapshot of the service state to
+/// `root/snapshot/MANIFEST.bin`, atomically replacing any previous one (see
+/// the module docs). When it returns, the new snapshot is durable.
 pub(crate) fn write_snapshot(
     root: &Path,
     graph: &DataGraph,
@@ -275,24 +250,12 @@ pub(crate) fn write_snapshot(
     next_seq: u64,
     catalog: &QueryCatalog,
 ) -> Result<(), DurabilityError> {
-    let tmp = root.join(SNAPSHOT_TMP_DIR);
-    let live = root.join(SNAPSHOT_DIR);
-    let prev = root.join(SNAPSHOT_PREV_DIR);
-    if tmp.exists() {
-        fs::remove_dir_all(&tmp)?;
+    let dir = root.join(SNAPSHOT_DIR);
+    let created = !dir.is_dir();
+    if created {
+        fs::create_dir(&dir)?;
     }
-    fs::create_dir_all(&tmp)?;
-
-    let (graph_format, segments) = encode_graph(graph)?;
-    let mut segment_metas = Vec::with_capacity(segments.len());
-    for (file, contents) in &segments {
-        write_synced(&tmp.join(file), contents.as_bytes())?;
-        segment_metas.push(SegmentMeta {
-            file: file.clone(),
-            len: contents.len() as u64,
-            crc: crc32(contents.as_bytes()),
-        });
-    }
+    let (graph_format, parts) = encode_graph(graph)?;
     let queries = catalog
         .iter()
         .map(|e| QuerySnapshot {
@@ -309,23 +272,16 @@ pub(crate) fn write_snapshot(
         backend: backend.name().to_string(),
         next_query_id: catalog.next_id(),
         graph_format,
-        segments: segment_metas,
         queries,
     };
-    write_synced(&tmp.join(MANIFEST_FILE), &encode_manifest(&manifest)?)?;
-    sync_dir(&tmp)?;
-
-    // The swap. Every intermediate state is recoverable by load_snapshot.
-    if prev.exists() {
-        fs::remove_dir_all(&prev)?;
-    }
-    if live.exists() {
-        fs::rename(&live, &prev)?;
-    }
-    fs::rename(&tmp, &live)?;
-    sync_dir(root)?;
-    if prev.exists() {
-        fs::remove_dir_all(&prev)?;
+    let tmp = dir.join(MANIFEST_TMP_FILE);
+    let mut f = File::create(&tmp)?;
+    f.write_all(&encode_manifest(&manifest, &parts)?)?;
+    f.sync_all()?;
+    fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
+    sync_dir(&dir)?;
+    if created {
+        sync_dir(root)?;
     }
     Ok(())
 }
@@ -337,39 +293,20 @@ pub(crate) struct LoadedSnapshot {
     pub graph: DataGraph,
 }
 
-/// Loads the live snapshot under `root`, first rolling back any
-/// half-finished swap a crash left behind (missing `snapshot/` with a
-/// surviving `snapshot.prev/`) and clearing stale scratch directories.
+/// Loads `root/snapshot/MANIFEST.bin`; touches nothing else.
 pub(crate) fn load_snapshot(root: &Path) -> Result<LoadedSnapshot, DurabilityError> {
-    let live = root.join(SNAPSHOT_DIR);
-    let prev = root.join(SNAPSHOT_PREV_DIR);
-    let tmp = root.join(SNAPSHOT_TMP_DIR);
-    if !live.exists() && prev.exists() {
-        // Crashed between renaming the old snapshot away and promoting the
-        // new one: the WAL was not yet truncated, so the old snapshot plus
-        // the full log is still a consistent state. Roll back.
-        fs::rename(&prev, &live)?;
-        sync_dir(root)?;
-    }
-    if tmp.exists() {
-        fs::remove_dir_all(&tmp)?;
-    }
-    if prev.exists() {
-        fs::remove_dir_all(&prev)?;
-    }
-    if !live.exists() {
-        return Err(DurabilityError::State(format!(
-            "{} has no snapshot directory — not a durable service root (create_durable never completed here?)",
+    let path = root.join(SNAPSHOT_DIR).join(MANIFEST_FILE);
+    let bytes = fs::read(&path).map_err(|e| match e.kind() {
+        ErrorKind::NotFound => DurabilityError::State(format!(
+            "{} has no snapshot — not a durable service root (create_durable never completed here?)",
             root.display()
-        )));
-    }
-    let mut bytes = Vec::new();
-    File::open(live.join(MANIFEST_FILE))?.read_to_end(&mut bytes)?;
-    let manifest = decode_manifest(&bytes)?;
-    let graph = decode_graph(&live, &manifest)?;
+        )),
+        _ => e.into(),
+    })?;
+    let (manifest, parts) = decode_snapshot(&bytes)?;
+    let graph = decode_graph(manifest.graph_format, &parts)?;
     Ok(LoadedSnapshot { manifest, graph })
 }
-
 /// Rebuilds the in-memory catalog from a manifest with every query
 /// suspended; the caller resumes the active ones.
 pub(crate) fn restore_catalog(manifest: &Manifest) -> Result<QueryCatalog, DurabilityError> {
@@ -404,11 +341,6 @@ mod tests {
             backend: "matrix".to_string(),
             next_query_id: 3,
             graph_format: GraphFormat::Dataset,
-            segments: vec![SegmentMeta {
-                file: "graph.edges".to_string(),
-                len: 17,
-                crc: 0xDEAD_BEEF,
-            }],
             queries: vec![QuerySnapshot {
                 id: 2,
                 pattern: gpm_graph::PatternGraphBuilder::new()
@@ -424,22 +356,29 @@ mod tests {
         }
     }
 
+    fn parts(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("part {i}\n")).collect()
+    }
+
     #[test]
     fn manifest_roundtrip() {
         let m = sample_manifest();
-        let bytes = encode_manifest(&m).unwrap();
-        assert_eq!(decode_manifest(&bytes).unwrap(), m);
+        let bytes = encode_manifest(&m, &parts(2)).unwrap();
+        assert_eq!(
+            decode_snapshot(&bytes).unwrap(),
+            (m, vec!["part 0\n", "part 1\n"])
+        );
     }
 
     #[test]
     fn manifest_rejects_single_byte_corruption() {
-        let bytes = encode_manifest(&sample_manifest()).unwrap();
+        let bytes = encode_manifest(&sample_manifest(), &parts(2)).unwrap();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x20;
             assert!(
                 decode_manifest(&bad).is_err(),
-                "corrupting manifest byte {i} went undetected"
+                "corrupting snapshot byte {i} went undetected"
             );
         }
     }
@@ -448,7 +387,7 @@ mod tests {
     fn manifest_rejects_future_version() {
         let mut m = sample_manifest();
         m.version = SNAPSHOT_VERSION + 1;
-        let bytes = encode_manifest(&m).unwrap();
+        let bytes = encode_manifest(&m, &parts(2)).unwrap();
         assert!(matches!(
             decode_manifest(&bytes),
             Err(DurabilityError::Corrupt(_))

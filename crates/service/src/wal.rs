@@ -52,8 +52,8 @@ pub enum DurabilityError {
     /// version mismatch or a bug, never a torn write.
     Codec(String),
     /// Persisted state is structurally invalid in a way checksums cannot
-    /// excuse: bad magic, non-monotonic sequence numbers, a manifest that
-    /// references missing segments, or an inconsistent match state.
+    /// excuse: bad magic, non-monotonic sequence numbers, a snapshot with
+    /// a part missing, or an unsupported snapshot version.
     Corrupt(String),
     /// The requested operation does not fit the directory's state, e.g.
     /// creating a durable service where one already exists.
@@ -137,10 +137,6 @@ pub enum WalOp {
     Suspend(u64),
     /// `resume(id)` — rebuilds the state and emits the catch-up delta.
     Resume(u64),
-    /// A `result(id)` read. Versions that resumed lazily logged the read
-    /// that built a resumed query's state; nothing writes it now, and it
-    /// replays as the pure read it is.
-    Read(u64),
 }
 
 /// A WAL record: a monotonic sequence number plus the operation.

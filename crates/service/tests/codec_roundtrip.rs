@@ -1,9 +1,9 @@
 //! Property tests for the durability codecs: WAL frames/records and
-//! snapshot manifests.
+//! snapshot files.
 //!
 //! Two properties, each over arbitrary inputs:
 //!
-//! * **encode ∘ decode = id** — any record or manifest survives a byte
+//! * **encode ∘ decode = id** — any record or snapshot survives a byte
 //!   round-trip exactly (the recovery path's foundation);
 //! * **any single-byte corruption is rejected** — the CRC-32 envelope
 //!   covers the length prefix and the payload, and a one-byte XOR is a
@@ -13,11 +13,11 @@
 use gpm_core::MatchRelation;
 use gpm_distance::EdgeUpdate;
 use gpm_graph::{NodeId, PatternGraph, PatternGraphBuilder};
-use gpm_service::snapshot::{decode_manifest, encode_manifest};
+use gpm_service::snapshot::{decode_manifest, encode_manifest, SNAPSHOT_VERSION};
 use gpm_service::wal::{
     decode_frame_exact, decode_record_exact, encode_frame, encode_record, read_wal_bytes, WAL_MAGIC,
 };
-use gpm_service::{GraphFormat, Manifest, QuerySnapshot, SegmentMeta, WalOp, WalRecord};
+use gpm_service::{GraphFormat, Manifest, QuerySnapshot, WalOp, WalRecord};
 use proptest::prelude::*;
 
 /// A chain pattern with `n` nodes and per-edge bound `bound` — enough shape
@@ -48,7 +48,7 @@ fn arb_update() -> impl Strategy<Value = EdgeUpdate> {
 /// `prop_oneof`).
 fn arb_op() -> impl Strategy<Value = WalOp> {
     (
-        0u32..6,
+        0u32..5,
         collection::vec(arb_update(), 0..16),
         (1usize..5, 1u32..4),
         0u64..1_000_000,
@@ -58,8 +58,7 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
             1 => WalOp::Register(chain_pattern(n, bound)),
             2 => WalOp::Deregister(id),
             3 => WalOp::Suspend(id),
-            4 => WalOp::Resume(id),
-            _ => WalOp::Read(id),
+            _ => WalOp::Resume(id),
         })
 }
 
@@ -91,41 +90,37 @@ fn arb_query() -> impl Strategy<Value = QuerySnapshot> {
         })
 }
 
-fn arb_manifest() -> impl Strategy<Value = Manifest> {
+/// A manifest with as many graph parts as its format names (arbitrary
+/// text: the codec frames the parts, it does not parse them).
+fn arb_snapshot() -> impl Strategy<Value = (Manifest, Vec<String>)> {
     (
         (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
         0u32..4,
-        collection::vec(
-            (
-                collection::vec(97u8..123, 1..9),
-                0u64..1_000_000,
-                0u32..1 << 30,
-            ),
-            0..3,
-        ),
+        collection::vec(collection::vec(32u8..127, 0..24), 2..3),
         collection::vec(arb_query(), 0..3),
     )
         .prop_map(
-            |((epoch, next_seq, next_query_id), flags, segs, queries)| Manifest {
-                version: 1,
-                epoch,
-                next_seq,
-                backend: if flags & 1 != 0 { "matrix" } else { "two-hop" }.into(),
-                next_query_id,
-                graph_format: if flags & 2 != 0 {
+            |((epoch, next_seq, next_query_id), flags, parts, queries)| {
+                let graph_format = if flags & 2 != 0 {
                     GraphFormat::Dataset
                 } else {
                     GraphFormat::Json
-                },
-                segments: segs
+                };
+                let parts = parts
                     .into_iter()
-                    .map(|(name, len, crc)| SegmentMeta {
-                        file: String::from_utf8(name).expect("ascii name"),
-                        len,
-                        crc,
-                    })
-                    .collect(),
-                queries,
+                    .take(graph_format.parts())
+                    .map(|p| String::from_utf8(p).expect("ascii part"))
+                    .collect();
+                let manifest = Manifest {
+                    version: SNAPSHOT_VERSION,
+                    epoch,
+                    next_seq,
+                    backend: if flags & 1 != 0 { "matrix" } else { "two-hop" }.into(),
+                    next_query_id,
+                    graph_format,
+                    queries,
+                };
+                (manifest, parts)
             },
         )
 }
@@ -203,20 +198,23 @@ proptest! {
 
     /// encode ∘ decode = id for snapshot manifests.
     #[test]
-    fn prop_manifest_roundtrip(manifest in arb_manifest()) {
-        let bytes = encode_manifest(&manifest).expect("encodable");
+    fn prop_manifest_roundtrip(snapshot in arb_snapshot()) {
+        let (manifest, parts) = snapshot;
+        let bytes = encode_manifest(&manifest, &parts).expect("encodable");
         prop_assert_eq!(decode_manifest(&bytes).expect("decodable"), manifest);
     }
 
-    /// Any single-byte XOR anywhere in an encoded manifest — magic, length,
-    /// checksum or payload — is rejected.
+    /// Any single-byte XOR anywhere in an encoded snapshot — magic, a
+    /// length, a checksum or a payload, of the manifest or a graph part —
+    /// is rejected.
     #[test]
     fn prop_manifest_rejects_single_byte_corruption(
-        manifest in arb_manifest(),
+        snapshot in arb_snapshot(),
         pos_raw in 0usize..1_000_000,
         mask in 1u32..256,
     ) {
-        let mut bytes = encode_manifest(&manifest).expect("encodable");
+        let (manifest, parts) = snapshot;
+        let mut bytes = encode_manifest(&manifest, &parts).expect("encodable");
         let pos = pos_raw % bytes.len();
         bytes[pos] ^= mask as u8;
         prop_assert!(

@@ -24,10 +24,10 @@
 //! before the damage replays exactly.
 
 use gpm::exec::Parallelism;
-use gpm::service::snapshot::{MANIFEST_FILE, MANIFEST_MAGIC, SNAPSHOT_DIR};
-use gpm::service::wal::{
-    encode_frame, encode_record, read_wal_bytes, WalOp, WalRecord, WAL_FILE, WAL_MAGIC,
+use gpm::service::snapshot::{
+    decode_manifest, MANIFEST_FILE, MANIFEST_MAGIC, MANIFEST_TMP_FILE, SNAPSHOT_DIR,
 };
+use gpm::service::wal::{encode_frame, read_wal_bytes, WalOp, WAL_FILE, WAL_MAGIC};
 use gpm::{
     bounded_simulation_with_oracle, fold_deltas, generate_pattern, random_updates, BatchOutcome,
     DataGraph, DistanceMatrix, DurabilityError, DurableOptions, EdgeUpdate, MatchDelta,
@@ -590,12 +590,32 @@ fn no_op_suspend_and_resume_log_nothing() {
     assert_eq!(records(), logged + 1, "resuming an active query was logged");
 }
 
-/// Every state a crash can leave the snapshot swap in reopens to the
-/// uninterrupted service, on both back-ends. The copies taken before and
-/// after a `snapshot_now` supply the pieces: (a) a stale `snapshot.tmp/`
-/// beside the live snapshot, (b) `snapshot/` renamed away to
-/// `snapshot.prev/` with the log not yet truncated, (c) the new `snapshot/`
-/// promoted while `snapshot.prev/` and the un-truncated log remain.
+/// The names and bytes of the files in `dir`'s snapshot directory.
+fn snapshot_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = fs::read_dir(dir.join(SNAPSHOT_DIR))
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+fn assert_only_the_manifest(dir: &Path, what: &str) {
+    let names: Vec<_> = snapshot_files(dir).into_iter().map(|(n, _)| n).collect();
+    assert_eq!(names, [MANIFEST_FILE], "snapshot/ after {what}");
+}
+
+/// Every state a crash can leave a snapshot's one rename in reopens to the
+/// uninterrupted service, on both back-ends at 1 and 4 threads, and leaves
+/// `snapshot/` as it found it. The files before and after a `snapshot_now`
+/// supply the states, each with the log not yet truncated: (a) a partial
+/// temp file beside the old `MANIFEST.bin`, (b) a complete one, (c) the new
+/// `MANIFEST.bin`. `create_durable` and every snapshot, including one over
+/// a stale temp file, leave `MANIFEST.bin` alone in `snapshot/`.
 #[test]
 fn every_snapshot_swap_crash_state_reopens() {
     let seed = 0x5A9;
@@ -603,63 +623,64 @@ fn every_snapshot_swap_crash_state_reopens() {
     let schedule = build_schedule(&graph, seed, 8);
     let half = schedule.len() / 2;
     for backend in OracleBackend::ALL {
-        let root = TempRoot::new(&format!("swap-{}", backend.name()));
-        let dir = root.path("svc");
-        let mut svc =
-            MatchService::create_durable_with(&dir, graph.clone(), backend, forced(1), WAL_ONLY)
-                .unwrap();
-        let mut roster = Vec::new();
-        for (i, op) in schedule.iter().enumerate() {
-            if i == half {
-                svc.snapshot_now().unwrap();
+        for threads in [1, 4] {
+            let root = TempRoot::new(&format!("swap-{}-{threads}", backend.name()));
+            let dir = root.path("svc");
+            let mut svc = MatchService::create_durable_with(
+                &dir,
+                graph.clone(),
+                backend,
+                forced(threads),
+                WAL_ONLY,
+            )
+            .unwrap();
+            assert_only_the_manifest(&dir, "create_durable");
+            let mut roster = Vec::new();
+            for (i, op) in schedule.iter().enumerate() {
+                if i == half {
+                    svc.snapshot_now().unwrap();
+                }
+                exec_op(&mut svc, &mut roster, op);
             }
-            exec_op(&mut svc, &mut roster, op);
-        }
-        let (before, after) = (root.path("before"), root.path("after"));
-        copy_dir(&dir, &before);
-        svc.snapshot_now().unwrap();
-        copy_dir(&dir, &after);
-        let expected = fingerprint(&mut svc);
-        drop(svc);
-
-        let old_snapshot = before.join(SNAPSHOT_DIR);
-        let new_snapshot = after.join(SNAPSHOT_DIR);
-        let states: [(&str, &[(&Path, &str)]); 3] = [
-            (
-                "a",
-                &[(&old_snapshot, "snapshot"), (&new_snapshot, "snapshot.tmp")],
-            ),
-            (
-                "b",
-                &[
-                    (&old_snapshot, "snapshot.prev"),
-                    (&new_snapshot, "snapshot.tmp"),
-                ],
-            ),
-            (
-                "c",
-                &[
-                    (&new_snapshot, "snapshot"),
-                    (&old_snapshot, "snapshot.prev"),
-                ],
-            ),
-        ];
-        for (state, dirs) in states {
-            let crash = root.path(&format!("crash-{state}"));
-            fs::create_dir_all(&crash).unwrap();
-            fs::copy(before.join(WAL_FILE), crash.join(WAL_FILE)).unwrap();
-            for (from, name) in dirs {
-                copy_dir(from, &crash.join(name));
-            }
-            let mut recovered = MatchService::open_durable_with(&crash, forced(1), WAL_ONLY)
-                .unwrap_or_else(|e| panic!("state ({state}) on {backend:?} did not reopen: {e}"));
-            assert_eq!(
-                fingerprint(&mut recovered),
-                expected,
-                "state ({state}) on {backend:?}"
+            let manifest = dir.join(SNAPSHOT_DIR).join(MANIFEST_FILE);
+            let (wal, old) = (
+                fs::read(dir.join(WAL_FILE)).unwrap(),
+                fs::read(&manifest).unwrap(),
             );
-            for leftover in ["snapshot.tmp", "snapshot.prev"] {
-                assert!(!crash.join(leftover).exists(), "({state}) kept {leftover}");
+            svc.snapshot_now().unwrap();
+            assert_only_the_manifest(&dir, "snapshot_now");
+            let new = fs::read(&manifest).unwrap();
+            let expected = fingerprint(&mut svc);
+            drop(svc);
+
+            let partial = &new[..new.len() / 2];
+            let states = [
+                (
+                    "a",
+                    vec![(MANIFEST_FILE, &old[..]), (MANIFEST_TMP_FILE, partial)],
+                ),
+                (
+                    "b",
+                    vec![(MANIFEST_FILE, &old[..]), (MANIFEST_TMP_FILE, &new[..])],
+                ),
+                ("c", vec![(MANIFEST_FILE, &new[..])]),
+            ];
+            for (state, files) in states {
+                let crash = root.path(&format!("crash-{state}"));
+                fs::create_dir_all(crash.join(SNAPSHOT_DIR)).unwrap();
+                fs::write(crash.join(WAL_FILE), &wal).unwrap();
+                for (name, bytes) in files {
+                    fs::write(crash.join(SNAPSHOT_DIR).join(name), bytes).unwrap();
+                }
+                let listed = snapshot_files(&crash);
+                let what = format!("state ({state}) on {backend:?} at {threads} threads");
+                let mut recovered =
+                    MatchService::open_durable_with(&crash, forced(threads), WAL_ONLY)
+                        .unwrap_or_else(|e| panic!("{what} did not reopen: {e}"));
+                assert_eq!(fingerprint(&mut recovered), expected, "{what}");
+                assert_eq!(snapshot_files(&crash), listed, "{what}: reopening wrote");
+                recovered.snapshot_now().unwrap();
+                assert_only_the_manifest(&crash, &format!("a snapshot over {what}"));
             }
         }
     }
@@ -689,58 +710,113 @@ fn suspended_root(root: &TempRoot) -> (PathBuf, PatternGraph) {
     (dir, p)
 }
 
-/// Versions that resumed lazily logged `Resume` and then the `Read` that
-/// built the state. Such a log still opens, and the read replays as the
-/// pure read it now is.
-#[test]
-fn a_lazy_resume_log_with_a_read_record_reopens() {
-    let root = TempRoot::new("readrecord");
-    let (dir, p) = suspended_root(&root);
-    // Register, Suspend, Batch: records 0–2. Then the two frames, byte for
-    // byte as those versions wrote them.
-    let resume = r#"{"seq":3,"op":{"Resume":0}}"#;
-    let read = r#"{"seq":4,"op":{"Read":0}}"#;
-    let pinned = WalRecord {
-        seq: 3,
-        op: WalOp::Resume(0),
-    };
-    assert_eq!(
-        encode_record(&pinned).unwrap(),
-        encode_frame(resume.as_bytes()).unwrap()
-    );
-    let mut wal = fs::read(dir.join(WAL_FILE)).unwrap();
-    assert_eq!(read_wal_bytes(&wal).unwrap().records.len(), 3);
-    for frame in [resume, read] {
-        wal.extend_from_slice(&encode_frame(frame.as_bytes()).unwrap());
+/// The payloads of a snapshot file's frames: the manifest's JSON, then the
+/// graph parts.
+fn snapshot_parts(bytes: &[u8]) -> Vec<&[u8]> {
+    let mut rest = &bytes[MANIFEST_MAGIC.len()..];
+    let mut parts = Vec::new();
+    while !rest.is_empty() {
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        parts.push(&rest[8..8 + len]);
+        rest = &rest[8 + len..];
     }
-    fs::write(dir.join(WAL_FILE), wal).unwrap();
-
-    let mut svc = MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).unwrap();
-    let q = svc.catalog().ids()[0];
-    let sub = svc.subscribe(q).unwrap();
-    let live = svc.result(q).expect("the resumed query answers");
-    assert_eq!(live, recomputed(&svc, &p));
-    assert_eq!(fold_deltas(p.node_count(), sub.drain().iter()), live);
-    // The log goes on from the records it holds.
-    svc.apply(&[]);
-    drop(svc);
-    let records = read_wal_bytes(&fs::read(dir.join(WAL_FILE)).unwrap())
-        .unwrap()
-        .records;
-    assert_eq!(records.len(), 6);
-    assert_eq!(records[4].op, WalOp::Read(0));
+    parts
 }
 
-/// Replaces `from`, which must occur once, by `to` in the JSON payload of
-/// the manifest at `path` (after its magic and 8-byte frame header) and
-/// frames the payload again.
+/// A snapshot file of the given frame payloads.
+fn framed_snapshot<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
+    let mut bytes = MANIFEST_MAGIC.to_vec();
+    for part in parts {
+        bytes.extend(encode_frame(part).unwrap());
+    }
+    bytes
+}
+
+/// Replaces `from`, which must occur once, by `to` in the manifest part of
+/// the snapshot at `path` and frames that part again; the graph parts stay
+/// as they are.
 fn rewrite_manifest(path: &Path, from: &str, to: &str) {
     let bytes = fs::read(path).unwrap();
-    let json = std::str::from_utf8(&bytes[MANIFEST_MAGIC.len() + 8..]).unwrap();
+    let parts = snapshot_parts(&bytes);
+    let json = std::str::from_utf8(parts[0]).unwrap();
     assert_eq!(json.matches(from).count(), 1, "{json}");
-    let mut framed = MANIFEST_MAGIC.to_vec();
-    framed.extend(encode_frame(json.replace(from, to).as_bytes()).unwrap());
-    fs::write(path, framed).unwrap();
+    let json = json.replace(from, to);
+    let rewritten = framed_snapshot([json.as_bytes()].into_iter().chain(parts[1..].to_vec()));
+    fs::write(path, rewritten).unwrap();
+}
+
+/// A snapshot never half-loads: every single-byte flip of `MANIFEST.bin`,
+/// a graph part dropped or repeated, and a trailing byte each fail the
+/// reopen with a `DurabilityError`. So does a version-1 directory — its
+/// manifest naming graph segment files beside it — with an error that
+/// names the version.
+#[test]
+fn a_damaged_or_version_1_snapshot_fails_to_open() {
+    let root = TempRoot::new("badsnapshot");
+    let (dir, _) = suspended_root(&root);
+    MatchService::open_durable_with(&dir, forced(1), WAL_ONLY)
+        .unwrap()
+        .snapshot_now()
+        .unwrap();
+    let path = dir.join(SNAPSHOT_DIR).join(MANIFEST_FILE);
+    let good = fs::read(&path).unwrap();
+    let open_with = |bytes: &[u8]| {
+        fs::write(&path, bytes).unwrap();
+        MatchService::open_durable_with(&dir, forced(1), WAL_ONLY).map(drop)
+    };
+    for i in 0..good.len() {
+        let mut bad = good.clone();
+        bad[i] ^= 0x01;
+        assert!(
+            open_with(&bad).is_err(),
+            "flipped byte {i} of {} opened",
+            good.len()
+        );
+    }
+    let parts = snapshot_parts(&good);
+    assert_eq!(
+        parts.len(),
+        3,
+        "the manifest, the edge list, the attributes"
+    );
+    let mut trailing = good.clone();
+    trailing.push(b'\n');
+    for (what, bytes) in [
+        ("a missing part", framed_snapshot(parts[..2].to_vec())),
+        (
+            "an extra part",
+            framed_snapshot(parts.iter().chain(&parts[2..]).copied()),
+        ),
+        ("a trailing byte", trailing),
+    ] {
+        assert!(
+            matches!(open_with(&bytes), Err(DurabilityError::Corrupt(_))),
+            "{what} opened"
+        );
+    }
+    open_with(&good).expect("the undamaged snapshot opens");
+
+    // Version 1: the manifest alone in MANIFEST.bin, each segment a file
+    // with its length and CRC in the manifest.
+    let mut segments = Vec::new();
+    for (file, part) in ["graph.edges", "graph.attrs"].iter().zip(&parts[1..]) {
+        fs::write(dir.join(SNAPSHOT_DIR).join(file), part).unwrap();
+        let (len, crc) = (part.len(), gpm::service::wal::crc32(part));
+        segments.push(format!(r#"{{"file":"{file}","len":{len},"crc":{crc}}}"#));
+    }
+    let json = std::str::from_utf8(parts[0]).unwrap();
+    let v1 = json
+        .replacen(r#""version":2,"#, r#""version":1,"#, 1)
+        .replacen(
+            r#""queries":"#,
+            &format!(r#""segments":[{}],"queries":"#, segments.join(",")),
+            1,
+        );
+    assert_ne!(v1, json);
+    match open_with(&framed_snapshot([v1.as_bytes()])) {
+        Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("version 1 "), "{msg}"),
+        other => panic!("a version-1 snapshot: {:?}", other.map(|_| ())),
+    }
 }
 
 /// A snapshot persists no match state: reopening builds the state of every
@@ -913,7 +989,11 @@ fn json_snapshot_fallback_reopens_bit_identically() {
         exec_op(&mut svc, &mut roster, op);
     }
     svc.snapshot_now().unwrap();
-    assert!(dir.join("snapshot").join("graph.json").is_file());
+    let manifest = fs::read(dir.join(SNAPSHOT_DIR).join(MANIFEST_FILE)).unwrap();
+    assert_eq!(
+        decode_manifest(&manifest).unwrap().graph_format,
+        gpm::service::GraphFormat::Json
+    );
     let sorted_edges = |g: &DataGraph| {
         let mut edges: Vec<_> = g.edges().collect();
         edges.sort();
