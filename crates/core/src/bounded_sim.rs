@@ -16,10 +16,12 @@
 //! * the initial `mat(u)` (lines 4–5) is read from the data graph's
 //!   attribute index ([`DataGraph::nodes_satisfying`]) rather than tested
 //!   node by node: each predicate atom is a binary search for at most three
-//!   ranges of its attribute's sorted value codes, and the nodes of those
-//!   ranges come off contiguous posting slices — or off one scan of the
-//!   attribute's code column, when that reads fewer entries — so selection
-//!   stays within the paper's `O(|V_p||V|)`;
+//!   ranges of its attribute's sorted value codes, whose node count is read
+//!   off the index before any node is. The atom with the fewest nodes
+//!   drives: they come off contiguous posting slices — or off one scan of
+//!   the attribute's code column, when that reads fewer entries — and the
+//!   other atoms filter them in ascending count, so selection stays within
+//!   the paper's `O(|V_p||V|)`;
 //! * each `mat(u)` is held twice: as a packed ascending list of its
 //!   *initial* candidates, which every pass iterates, and as a membership
 //!   bitmap, which is the only part that shrinks. The witness-counter pass

@@ -26,6 +26,8 @@
 //! An atom `A op c` compiles by binary search to at most three ascending
 //! code ranges. Only `c`'s own class can pass: a NaN constant selects
 //! nothing, and so does a constant no value of the key is comparable with.
+//! Each column stores where its four classes start, so the class is looked
+//! up, not searched, and an atom costs two binary searches.
 //! Inside the class, `c` splits the codes at its *tie band*, the entries
 //! whose image equals `c`'s (for `Str` and `Bool`, the entry equal to `c`).
 //! Below the band every entry compares `Less` and above it `Greater`, exactly,
@@ -34,6 +36,18 @@
 //! only place the index calls it. The band holds 0–1 entries, and more only
 //! when `Int`s beyond 2⁵³ or an `Int` and a `Float` share an image. A node
 //! without the key holds no code and never passes, whatever the operator.
+//!
+//! A conjunction is planned before any node list is built. Every atom is
+//! resolved to its code ranges and its posting count `m`, the summed size of
+//! its passing products, read off `offsets`. The atom with the smallest `m`
+//! drives (the earlier atom on a tie): its nodes come off its posting slices
+//! or one scan of its code column. The other atoms then filter the survivors
+//! in ascending `m`, each with a test on its own code column, so the widest
+//! atom tests the fewest nodes. A key no node carries, or an atom no node
+//! passes, ends the plan with no node read. When an atom's passing codes
+//! form one range — every atom but a `!=` on a value some node holds and
+//! some atoms whose tie band holds more than one entry — a code is tested
+//! with one `wrapping_sub` and one compare.
 //!
 //! The index is derived data: [`DataGraph`](crate::DataGraph) builds it on
 //! the first predicate query and drops it when an attribute tuple is written
@@ -61,6 +75,8 @@ struct Column {
     /// The key's distinct values in [`Rank`] order; a value's position is
     /// its code.
     values: Vec<AttrValue>,
+    /// `classes[c]..classes[c + 1]`: the codes of [`Rank::class`] `c`.
+    classes: [u32; 5],
     /// Per node, the code of its value, or [`NONE`].
     codes: Vec<u32>,
     /// `postings[offsets[c]..offsets[c + 1]]`: the nodes holding code `c`,
@@ -158,29 +174,70 @@ impl AttrIndex {
 
     /// The nodes satisfying the conjunction `first ∧ rest`, ascending.
     ///
-    /// `first` selects; each atom of `rest` filters the survivors with a
-    /// range test on its key's code column. A key no node carries selects
-    /// nothing.
+    /// Plans first: every atom is resolved to its code ranges and its
+    /// posting count `m`, and the plan ends empty at a key no node carries
+    /// or an atom with `m = 0`. The atom with the smallest `m` selects (on a
+    /// tie, the earlier atom); the others filter its survivors in ascending
+    /// `m`, each with a test on its key's code column. The plans of up to
+    /// [`INLINE_ATOMS`] atoms live on the stack.
     pub(crate) fn select(&self, first: &AtomicFormula, rest: &[AtomicFormula]) -> Vec<NodeId> {
-        let Some(column) = self.columns.get(first.attr.as_str()) else {
+        let Some(first) = self.plan(first) else {
             return Vec::new();
         };
-        let mut selected = column.select(first);
-        for atom in rest {
-            let Some(column) = self.columns.get(atom.attr.as_str()) else {
-                return Vec::new();
-            };
-            let ranges = column.ranges(atom);
-            let mut kept = 0;
-            for i in 0..selected.len() {
-                let v = selected[i];
-                selected[kept] = v;
-                kept += holds_code(&ranges, column.codes[v.index()]) as usize;
+        let mut inline;
+        let mut spilled;
+        let plans: &mut [Plan<'_>] = if rest.len() < INLINE_ATOMS {
+            inline = [first; INLINE_ATOMS];
+            &mut inline[..=rest.len()]
+        } else {
+            spilled = vec![first; 1 + rest.len()];
+            &mut spilled
+        };
+        for (plan, atom) in plans[1..].iter_mut().zip(rest) {
+            match self.plan(atom) {
+                Some(resolved) => *plan = resolved,
+                None => return Vec::new(),
             }
-            selected.truncate(kept);
+        }
+        // A stable sort: a tie keeps the earlier atom first.
+        plans.sort_by_key(|plan| plan.postings);
+        let mut selected = plans[0].select();
+        for plan in &plans[1..] {
+            if selected.is_empty() {
+                break;
+            }
+            plan.retain(&mut selected);
         }
         selected
     }
+
+    /// `atom` resolved against its key's column, or `None` when no node
+    /// passes it: the key is on no node, or no node holds a passing code.
+    fn plan(&self, atom: &AtomicFormula) -> Option<Plan<'_>> {
+        let column = self.columns.get(atom.attr.as_str())?;
+        let ranges = column.ranges(atom);
+        let postings = ranges.iter().map(|&r| column.postings_of(r).len()).sum();
+        (postings > 0).then_some(Plan {
+            column,
+            ranges,
+            postings,
+        })
+    }
+}
+
+/// How many atoms a conjunction plans without a heap allocation; a longer
+/// one plans in one `Vec`. The pattern generators write one or two atoms.
+const INLINE_ATOMS: usize = 4;
+
+/// An atom resolved against its key's column.
+#[derive(Clone, Copy)]
+struct Plan<'a> {
+    column: &'a Column,
+    /// The codes that pass the atom.
+    ranges: CodeRanges,
+    /// `m`: the nodes holding a passing code, the summed size of the atom's
+    /// `{value} × nodes(value)` products.
+    postings: usize,
 }
 
 /// A node's entry in a key's column while the index is built: its value's
@@ -197,10 +254,6 @@ type Entry<'a> = (Rank<'a>, u32);
 type CodeRanges = [(u32, u32); 3];
 
 /// Whether `code` lies in one of `ranges`; [`NONE`] lies in none.
-///
-/// Free of branches on `code`, as are the loops that call it: they write
-/// every node and advance past the ones that pass, because whether a node
-/// passes follows no pattern a branch predictor could learn.
 #[inline]
 fn holds_code(ranges: &CodeRanges, code: u32) -> bool {
     ranges.iter().fold(false, |hit, &(start, end)| {
@@ -208,13 +261,95 @@ fn holds_code(ranges: &CodeRanges, code: u32) -> bool {
     })
 }
 
+/// The nodes `0..codes.len()` whose code passes, ascending; `m` of them
+/// pass.
+///
+/// Free of branches on the code, as is [`retain`]: both write every node
+/// and advance past the ones that pass, because whether a node passes
+/// follows no pattern a branch predictor could learn.
+#[inline]
+fn scan(codes: &[u32], m: usize, passes: impl Fn(u32) -> bool) -> Vec<NodeId> {
+    let mut selected = vec![NodeId::new(0); m + 1];
+    let mut kept = 0;
+    for (v, &code) in codes.iter().enumerate() {
+        selected[kept] = NodeId::new(v as u32);
+        kept += passes(code) as usize;
+    }
+    selected.truncate(kept);
+    selected
+}
+
+/// Keeps the nodes of `selected` whose code passes, in order.
+#[inline]
+fn retain(selected: &mut Vec<NodeId>, codes: &[u32], passes: impl Fn(u32) -> bool) {
+    let mut kept = 0;
+    for i in 0..selected.len() {
+        let v = selected[i];
+        selected[kept] = v;
+        kept += passes(codes[v.index()]) as usize;
+    }
+    selected.truncate(kept);
+}
+
+impl Plan<'_> {
+    /// `(start, end - start)` when the passing codes form the one range
+    /// `start..end`. A code `c` then passes iff
+    /// `c.wrapping_sub(start) < end - start`: one compare, which [`NONE`]
+    /// fails because every `end` is below it.
+    fn one_range(&self) -> Option<(u32, u32)> {
+        let [(start, end), (next, next_end), _] = self.ranges;
+        (next == next_end).then_some((start, end - start))
+    }
+
+    /// The nodes passing the atom, ascending, by whichever of two plans
+    /// reads fewer entries. Both write the `m` nodes that pass. Merging the
+    /// `k` passing posting lists reads those `m` entries once per merge
+    /// pass, `⌈log₂ k⌉` passes (none for a single list); scanning reads all
+    /// `|V|` codes.
+    fn select(&self) -> Vec<NodeId> {
+        let (column, m) = (self.column, self.postings);
+        let k: usize = self
+            .ranges
+            .iter()
+            .map(|&(start, end)| (end - start) as usize)
+            .sum();
+        let merge_passes = k.next_power_of_two().trailing_zeros() as usize;
+        if m * merge_passes < column.codes.len() {
+            let mut selected = Vec::with_capacity(m);
+            for &r in &self.ranges {
+                selected.extend_from_slice(column.postings_of(r));
+            }
+            if k > 1 {
+                // `k` ascending runs: the stable sort finds and merges them.
+                selected.sort();
+            }
+            selected
+        } else {
+            match self.one_range() {
+                Some((start, len)) => scan(&column.codes, m, |c| c.wrapping_sub(start) < len),
+                None => scan(&column.codes, m, |c| holds_code(&self.ranges, c)),
+            }
+        }
+    }
+
+    /// Keeps the nodes of `selected` that pass the atom.
+    fn retain(&self, selected: &mut Vec<NodeId>) {
+        let codes = &self.column.codes;
+        match self.one_range() {
+            Some((start, len)) => retain(selected, codes, |c| c.wrapping_sub(start) < len),
+            None => retain(selected, codes, |c| holds_code(&self.ranges, c)),
+        }
+    }
+}
+
 impl Column {
     /// One sort of the key's `(value, node)` entries yields the dictionary,
-    /// each node's code, the offsets and the postings.
+    /// each node's code, the offsets, the postings and the class starts.
     fn build(n: usize, mut entries: Vec<Entry<'_>>) -> Column {
         entries.sort_unstable();
         let mut column = Column {
             values: Vec::new(),
+            classes: [0; 5],
             codes: vec![NONE; n],
             offsets: Vec::new(),
             postings: Vec::with_capacity(entries.len()),
@@ -230,6 +365,10 @@ impl Column {
             column.postings.push(NodeId::new(v));
         }
         column.offsets.push(column.postings.len() as u32);
+        let values = &column.values;
+        column.classes = std::array::from_fn(|class| {
+            values.partition_point(|v| rank(v).class() < class as u8) as u32
+        });
         column
     }
 
@@ -241,8 +380,11 @@ impl Column {
             return ranges;
         }
         let values = &self.values;
-        let start = values.partition_point(|v| rank(v).class() < c.class());
-        let end = start + values[start..].partition_point(|v| rank(v).class() == c.class());
+        let class = c.class() as usize;
+        let (start, end) = (
+            self.classes[class] as usize,
+            self.classes[class + 1] as usize,
+        );
         let lo = start + values[start..end].partition_point(|v| rank(v).band_cmp(&c).is_lt());
         let hi = lo + values[lo..end].partition_point(|v| rank(v).band_cmp(&c).is_eq());
         let mut used = 0;
@@ -276,40 +418,5 @@ impl Column {
     /// code.
     fn postings_of(&self, (start, end): (u32, u32)) -> &[NodeId] {
         &self.postings[self.offsets[start as usize] as usize..self.offsets[end as usize] as usize]
-    }
-
-    /// The nodes satisfying `atom`, ascending, by whichever of two plans
-    /// reads fewer entries. Both write the `m` nodes that pass. Merging the
-    /// `k` passing posting lists reads those `m` entries once per merge
-    /// pass, `⌈log₂ k⌉` passes (none for a single list); scanning reads all
-    /// `|V|` codes.
-    fn select(&self, atom: &AtomicFormula) -> Vec<NodeId> {
-        let ranges = self.ranges(atom);
-        let k: usize = ranges
-            .iter()
-            .map(|&(start, end)| (end - start) as usize)
-            .sum();
-        let m: usize = ranges.iter().map(|&r| self.postings_of(r).len()).sum();
-        let merge_passes = k.next_power_of_two().trailing_zeros() as usize;
-        if m * merge_passes < self.codes.len() {
-            let mut selected = Vec::with_capacity(m);
-            for &r in &ranges {
-                selected.extend_from_slice(self.postings_of(r));
-            }
-            if k > 1 {
-                // `k` ascending runs: the stable sort finds and merges them.
-                selected.sort();
-            }
-            selected
-        } else {
-            let mut selected = vec![NodeId::new(0); m + 1];
-            let mut kept = 0;
-            for (v, &c) in self.codes.iter().enumerate() {
-                selected[kept] = NodeId::new(v as u32);
-                kept += holds_code(&ranges, c) as usize;
-            }
-            selected.truncate(kept);
-            selected
-        }
     }
 }

@@ -227,9 +227,11 @@ impl DataGraph {
     ///
     /// Answered from the attribute index: each atom `A op c` compiles by
     /// binary search over `A`'s sorted dictionary to at most three code
-    /// ranges. The first atom's ranges select their posting slices (or a
-    /// scan of the code column, whichever reads fewer entries); each later
-    /// atom filters the survivors with a range test on its own key's codes.
+    /// ranges, whose node count the index reads in O(1). The atom with the
+    /// fewest nodes selects them from its posting slices (or a scan of the
+    /// code column, whichever reads fewer entries); the other atoms filter
+    /// the survivors in ascending count, each with a range test on its own
+    /// key's codes.
     /// [`CmpOp::eval`](crate::CmpOp::eval) runs only on the dictionary
     /// entries whose `f64` image ties with a numeric `c` (or that equal a
     /// string or boolean `c`), normally 0–1 per atom. The result equals
