@@ -102,6 +102,7 @@ impl std::fmt::Display for OracleBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EdgeUpdate;
     use gpm_graph::NodeId;
 
     #[test]
@@ -139,7 +140,8 @@ mod tests {
             );
             let mut g2 = g.clone();
             g2.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
-            let aff = oracle.apply_insert(&g2, NodeId::new(1), NodeId::new(2), &exec);
+            let insert = EdgeUpdate::Insert(NodeId::new(1), NodeId::new(2));
+            let aff = oracle.apply_batch(&g2, &[insert], &exec);
             assert!(!aff.is_empty(), "{b}");
             assert_eq!(
                 oracle.nonempty_distance(&g2, NodeId::new(0), NodeId::new(2)),

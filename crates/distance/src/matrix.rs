@@ -19,7 +19,7 @@
 use crate::bfs::{multi_bfs, Direction, MultiBfs};
 use crate::UNREACHABLE;
 use gpm_exec::Executor;
-use gpm_graph::{DataGraph, EdgeBound, NodeId};
+use gpm_graph::{DataGraph, NodeId};
 use std::sync::Mutex;
 
 /// Rows a build takes from one traversal: the roots of a `multi_bfs` pass,
@@ -164,14 +164,6 @@ impl DistanceMatrix {
         }
     }
 
-    /// Whether some non-empty path from `x` to `y` has length `<= limit`.
-    /// A `limit` at or past the `u16` horizon still means "some path": an
-    /// unreachable pair is within no bound.
-    #[inline]
-    pub fn within_hops(&self, x: NodeId, y: NodeId, limit: u32) -> bool {
-        self.get(x, y) <= crate::hop_limit(EdgeBound::Hops(limit))
-    }
-
     /// Whether `y` is reachable from `x` by a non-empty path.
     #[inline]
     pub fn reachable(&self, x: NodeId, y: NodeId) -> bool {
@@ -239,8 +231,7 @@ mod tests {
     fn within_hops_and_reachable() {
         let g = triangle_plus_tail();
         let m = DistanceMatrix::build(&g);
-        assert!(m.within_hops(n(0), n(3), 3));
-        assert!(!m.within_hops(n(0), n(3), 2));
+        assert_eq!(m.nonempty_distance(n(0), n(3)), Some(3));
         assert!(m.reachable(n(1), n(3)));
         assert!(!m.reachable(n(3), n(1)));
     }

@@ -67,7 +67,13 @@ use std::sync::{Arc, OnceLock};
 pub(crate) struct RepairMetrics {
     pub repairs: Arc<gpm_obs::Counter>,
     /// Witness checks: one per out-edge a candidate is checked on, and one
-    /// per counter an admitted candidate is counted on.
+    /// per counter an admitted candidate is counted on. In the additions
+    /// loop a popped `(u, x)` costs at most `outdeg(u)` checks, `outdeg(u)`
+    /// more if admitted, and the pops are the `|S↓|·|V_p|` seeds (`S↓`: the
+    /// crossing sources whose distances fell) plus the `|sat(u')|` parents
+    /// each admission's join walks per edge `(u', u)`. So `verifications ≤
+    /// |S↓|·|E_p| + Σ_{(u, x) admitted} (outdeg(u) + Σ_{(u', u)}
+    /// |sat(u')|·outdeg(u'))`.
     pub verifications: Arc<gpm_obs::Counter>,
     /// Witness-counter decrements of the repair's waves. Each removed
     /// `(u', y)` decrements, per pattern edge `(u, u')`, at most the parents
@@ -520,6 +526,29 @@ mod tests {
         bound
     }
 
+    /// The bound of [`RepairMetrics::verifications`] for one repair.
+    fn verification_bound(
+        pattern: &PatternGraph,
+        state: &MatchState,
+        aff1: &AffectedPairs,
+        passes: &Passes,
+    ) -> usize {
+        let crosses = crosses_a_bound(pattern);
+        let mut fell: Vec<NodeId> = (aff1.iter())
+            .filter(|pair| crosses(pair) && !pair.increased())
+            .map(|pair| pair.source)
+            .collect();
+        fell.dedup();
+        let outdeg = |u| pattern.out_degree(u);
+        let join = |u| {
+            pattern
+                .in_edges(u)
+                .map(|e| state.satisfying(e.from).len() * outdeg(e.from))
+        };
+        let admitted = (passes.added.iter()).map(|&(u, _)| outdeg(u) + join(u).sum::<usize>());
+        fell.len() * pattern.edge_count() + admitted.sum::<usize>()
+    }
+
     /// The counter invariant of [`MatchState`]: every counter of a matched
     /// node equals a recount against the current match sets.
     fn assert_counters_recount<O: DistanceQuery + ?Sized>(
@@ -558,7 +587,9 @@ mod tests {
             let applied: Vec<EdgeUpdate> =
                 chunk.iter().copied().filter(|u| u.apply(&mut g)).collect();
             let aff1 = oracle.apply_batch(&g, &applied, &exec);
-            repair_match_state(pattern, &g, oracle.as_ref(), &mut s, &aff1).unwrap();
+            let (_, passes) = repair(pattern, &g, oracle.as_ref(), &mut s, &aff1);
+            let bound = verification_bound(pattern, &s, &aff1, &passes);
+            assert!(passes.verifications <= bound, "{backend}: {passes:?}");
             checked += assert_counters_recount(pattern, &g, oracle.as_ref(), &s);
             let naive = naive_match_sets(pattern, &g, oracle.as_ref());
             assert_eq!(

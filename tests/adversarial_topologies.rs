@@ -123,18 +123,10 @@ fn drive(mut g: DataGraph, script: &[EdgeUpdate], label: &str) -> u64 {
                 u.apply(&mut g),
                 "{label}: script update {i} ({u}) must apply"
             );
-            let (a, b) = u.endpoints();
-            let (aff_m, aff_t) = if u.is_insert() {
-                (
-                    matrix.apply_insert(&g, a, b, &exec),
-                    two_hop.apply_insert(&g, a, b, &exec),
-                )
-            } else {
-                (
-                    matrix.apply_delete(&g, a, b, &exec),
-                    two_hop.apply_delete(&g, a, b, &exec),
-                )
-            };
+            let (aff_m, aff_t) = (
+                matrix.apply_batch(&g, &[*u], &exec),
+                two_hop.apply_batch(&g, &[*u], &exec),
+            );
             assert_eq!(
                 sorted_aff(&aff_m),
                 sorted_aff(&aff_t),

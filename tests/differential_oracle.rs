@@ -9,7 +9,6 @@
 //! `UpdateM` implementation (or a thread-count dependence in the folding
 //! above it).
 
-use gpm::datagen::{powerlaw_graph, PowerLawConfig};
 use gpm::distance::AffectedPairs;
 use gpm::{
     fold_deltas, generate_pattern, inc_match, random_updates, BatchOutcome, DataGraph, EdgeUpdate,
@@ -17,14 +16,8 @@ use gpm::{
     PatternGenConfig, PatternGraph, PatternGraphBuilder, Predicate, UpdateStreamConfig,
 };
 
-fn labelled_graph(nodes: usize, edges: usize, labels: usize, seed: u64) -> DataGraph {
-    let mut g = powerlaw_graph(&PowerLawConfig::new(nodes, edges).with_seed(seed));
-    for v in 0..g.node_count() {
-        let label = format!("a{}", v % labels);
-        g.attributes_mut(NodeId::new(v as u32)).set("label", label);
-    }
-    g
-}
+mod support;
+use support::{forced, labelled_graph};
 
 fn dag_pattern(graph: &DataGraph, seed: u64) -> PatternGraph {
     for attempt in 0..32 {
@@ -72,7 +65,7 @@ fn assert_all_pairs_agree(
 fn unit_updates_keep_backends_bit_identical() {
     for seed in [7u64, 19, 101] {
         let mut g = labelled_graph(30, 80, 3, seed);
-        let exec = Executor::new(Parallelism::new(2).with_sequential_threshold(0));
+        let exec = Executor::new(forced(2));
         let mut matrix = OracleBackend::Matrix.build(&g, &exec);
         let mut two_hop = OracleBackend::TwoHop.build(&g, &exec);
         assert_eq!(matrix.name(), "matrix");
@@ -85,18 +78,10 @@ fn unit_updates_keep_backends_bit_identical() {
                 continue; // no-op against the evolved graph
             }
             applied += 1;
-            let (a, b) = u.endpoints();
-            let (aff_m, aff_t) = if u.is_insert() {
-                (
-                    matrix.apply_insert(&g, a, b, &exec),
-                    two_hop.apply_insert(&g, a, b, &exec),
-                )
-            } else {
-                (
-                    matrix.apply_delete(&g, a, b, &exec),
-                    two_hop.apply_delete(&g, a, b, &exec),
-                )
-            };
+            let (aff_m, aff_t) = (
+                matrix.apply_batch(&g, &[*u], &exec),
+                two_hop.apply_batch(&g, &[*u], &exec),
+            );
             assert_eq!(
                 sorted_pairs(&aff_m),
                 sorted_pairs(&aff_t),
@@ -126,7 +111,7 @@ fn batched_build_is_bit_identical_across_threads_and_batch_sizes() {
         let g = labelled_graph(nodes, edges, 3, seed);
         let reference = TwoHopIndex::build_sequential(&g);
         for threads in [1usize, 2, 8] {
-            let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
+            let exec = Executor::new(forced(threads));
             for batch in [1usize, 7, 64] {
                 let built = TwoHopIndex::build_batched(&g, &exec, batch);
                 assert_eq!(
@@ -144,7 +129,7 @@ fn batched_build_is_bit_identical_across_threads_and_batch_sizes() {
 #[test]
 fn batch_updates_keep_backends_bit_identical() {
     let g0 = labelled_graph(28, 70, 3, 5);
-    let exec = Executor::new(Parallelism::new(2).with_sequential_threshold(0));
+    let exec = Executor::new(forced(2));
     let mut matrix = OracleBackend::Matrix.build(&g0, &exec);
     let mut two_hop = OracleBackend::TwoHop.build(&g0, &exec);
     let mut g = g0;
@@ -184,7 +169,7 @@ fn churn_script_repairs_in_place_and_stays_within_twice_a_fresh_build() {
     assert_eq!(g0.node_count(), 222);
     let mut entries_at_one_thread = None;
     for threads in [1usize, 2, 8] {
-        let exec = Executor::new(Parallelism::new(threads).with_sequential_threshold(0));
+        let exec = Executor::new(forced(threads));
         let mut g = g0.clone();
         let mut matrix = OracleBackend::Matrix.build(&g, &exec);
         let mut labels = IncrementalTwoHop::build_with(&g, &exec);
@@ -270,7 +255,7 @@ fn run_service(
     patterns: &[PatternGraph],
     batches: &[Vec<EdgeUpdate>],
 ) -> (Vec<BatchOutcome>, Vec<MatchRelation>, Vec<MatchRelation>) {
-    let par = Parallelism::new(threads).with_sequential_threshold(0);
+    let par = forced(threads);
     let mut svc = MatchService::with_backend(g.clone(), backend, par);
     let mut ids = Vec::new();
     let mut subs = Vec::new();

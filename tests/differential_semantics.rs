@@ -14,23 +14,13 @@
 
 use gpm::matching::naive::bounded_simulation_naive_with_oracle;
 use gpm::{
-    bounded_simulation_with_oracle, fold_deltas, generate_pattern, random_updates, DataGraph,
-    DistanceMatrix, MatchService, PatternGenConfig, UpdateStreamConfig,
+    bounded_simulation_with_oracle, fold_deltas, generate_pattern, random_updates, DistanceMatrix,
+    MatchService, PatternGenConfig, UpdateStreamConfig,
 };
-use gpm::{datagen::powerlaw_graph, datagen::PowerLawConfig};
 use proptest::prelude::*;
 
-/// A labelled power-law graph (labels `a0..a<k>` round-robin, as in the
-/// determinism suite, so predicates have something to bite on).
-fn labelled_graph(nodes: usize, edges: usize, labels: usize, seed: u64) -> DataGraph {
-    let mut g = powerlaw_graph(&PowerLawConfig::new(nodes, edges).with_seed(seed));
-    for v in 0..g.node_count() {
-        let label = format!("a{}", v % labels);
-        g.attributes_mut(gpm::NodeId::new(v as u32))
-            .set("label", label);
-    }
-    g
-}
+mod support;
+use support::labelled_graph;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -1,181 +1,74 @@
 //! Wire/in-process differential: a delta stream observed over the `gpm-net`
 //! socket must be **bit-identical** to the stream an in-process
 //! `Subscription` yields for the same service history — same snapshot, same
-//! deltas, same order — at every thread count and on both oracle backends,
-//! including a subscriber that joins mid-stream.
+//! deltas, same order — on both oracle backends, including a subscriber
+//! that joins mid-stream.
 //!
-//! The two runs share nothing but the scripted workload: one drives a
-//! `MatchService` embedded in the test, the other drives an identical
-//! service through a loopback server with real sockets, CRC frames and
-//! JSON payloads in between.
+//! The two runs share nothing but a script of the service simulator
+//! (`support::sim`): one drives a `MatchService` embedded in the test, the
+//! other drives an identical service through a loopback server with real
+//! sockets, CRC frames and JSON payloads in between.
 
 use gpm::net::{NetClient, NetServer, ServerOptions};
-use gpm::{
-    random_graph, random_updates, EdgeUpdate, MatchDelta, MatchService, OracleBackend, Parallelism,
-    PatternGraph, PatternGraphBuilder, Predicate, RandomGraphConfig, UpdateStreamConfig,
-};
+use gpm::{fold_deltas, MatchService, OracleBackend};
 
-const QUERIES: usize = 3;
-const BATCHES: usize = 6;
-const MID_JOIN_AFTER: usize = 3; // batches applied before the late subscriber
+mod support;
+use support::forced;
+use support::sim::*;
 
-fn base_graph() -> gpm::DataGraph {
-    random_graph(&RandomGraphConfig::new(50, 160, 5).with_seed(11))
-}
-
-fn patterns() -> Vec<PatternGraph> {
-    (0..QUERIES)
-        .map(|i| {
-            let (p, _) = PatternGraphBuilder::new()
-                .node("x", Predicate::label(format!("a{i}")))
-                .node("y", Predicate::label(format!("a{}", (i + 1) % 5)))
-                .node("z", Predicate::label(format!("a{}", (i + 2) % 5)))
-                .edge("x", "y", 2u32)
-                .edge("y", "z", 3u32)
-                .build()
-                .unwrap();
-            p
-        })
-        .collect()
-}
-
-/// The same scripted batches for every run: generated against an evolving
-/// scratch copy, so each batch is valid at its position.
-fn script() -> Vec<Vec<EdgeUpdate>> {
-    let mut scratch = base_graph();
-    (0..BATCHES)
-        .map(|round| {
-            let updates = random_updates(
-                &scratch,
-                &UpdateStreamConfig::mixed(20).with_seed(round as u64 + 5),
-            );
-            for u in &updates {
-                u.apply(&mut scratch);
-            }
-            updates
-        })
-        .collect()
-}
-
-/// Per-query delta streams plus the mid-join stream, straight from an
-/// embedded service.
-fn run_inproc(backend: OracleBackend, threads: usize) -> (Vec<Vec<MatchDelta>>, Vec<MatchDelta>) {
-    let mut svc = MatchService::with_backend(base_graph(), backend, Parallelism::new(threads));
-    let ids: Vec<_> = patterns().into_iter().map(|p| svc.register(p)).collect();
-    let subs: Vec<_> = ids.iter().map(|&id| svc.subscribe(id).unwrap()).collect();
-
-    let mut mid = None;
-    for (i, batch) in script().iter().enumerate() {
-        if i == MID_JOIN_AFTER {
-            mid = Some(svc.subscribe(ids[0]).unwrap());
-        }
-        svc.apply(batch);
-    }
-    let streams = subs.iter().map(|s| s.drain()).collect();
-    let mid_stream = mid.expect("mid subscriber created").drain();
-    (streams, mid_stream)
-}
-
-/// The same history through the network: loopback server, framed wire
-/// protocol, one connection per subscriber.
-fn run_wire(backend: OracleBackend, threads: usize) -> (Vec<Vec<MatchDelta>>, Vec<MatchDelta>) {
-    let svc = MatchService::with_backend(base_graph(), backend, Parallelism::new(threads));
-    let server = NetServer::bind("127.0.0.1:0", svc, ServerOptions::default()).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.spawn().unwrap();
-
-    let mut admin = NetClient::connect(addr).unwrap();
-    let ids: Vec<u64> = patterns()
-        .iter()
-        .map(|p| admin.register(p).unwrap())
-        .collect();
-    let mut subs: Vec<_> = ids
-        .iter()
-        .map(|&q| NetClient::connect(addr).unwrap().subscribe(q).unwrap())
-        .collect();
-
-    let mut mid = None;
-    for (i, batch) in script().iter().enumerate() {
-        if i == MID_JOIN_AFTER {
-            mid = Some(NetClient::connect(addr).unwrap().subscribe(ids[0]).unwrap());
-        }
-        admin.apply(batch).unwrap();
-    }
-
-    // Deregistering every query ends each stream with an explicit marker,
-    // so collect_to_end terminates deterministically.
-    for &q in &ids {
-        assert!(admin.deregister(q).unwrap());
-    }
-    let streams = subs
-        .iter_mut()
-        .map(|s| s.collect_to_end().unwrap())
-        .collect();
-    let mid_stream = mid
-        .expect("mid subscriber created")
-        .collect_to_end()
-        .unwrap();
-    handle.shutdown();
-    (streams, mid_stream)
-}
-
+/// Three seeds on both back-ends, the server at 1, 2 and 8 workers.
 #[test]
 fn wire_streams_are_bit_identical_to_inprocess_streams() {
-    for backend in [OracleBackend::Matrix, OracleBackend::TwoHop] {
-        // The reference in-process run at one thread.
-        let (ref_streams, ref_mid) = run_inproc(backend, 1);
-        assert!(
-            ref_streams.iter().any(|s| s.len() > 1),
-            "workload too quiet to be a differential ({backend:?})"
-        );
-        assert!(
-            !ref_mid.is_empty() && ref_mid[0].removed.is_empty(),
-            "mid-join stream must start with its snapshot"
-        );
-
-        for threads in [1usize, 2, 8] {
-            let (inproc, inproc_mid) = run_inproc(backend, threads);
-            assert_eq!(
-                inproc, ref_streams,
-                "in-process streams changed with thread count ({backend:?}, {threads} threads)"
+    for seed in [0, 1, 2] {
+        let script = Script::generate(seed, 40, 20);
+        for backend in OracleBackend::ALL {
+            let inprocess = run_inprocess(&script, backend, forced(1), false);
+            assert!(
+                inprocess.streams.iter().any(|s| s.len() > 1),
+                "workload too quiet to be a differential (seed {seed}, {backend:?})"
             );
-            assert_eq!(inproc_mid, ref_mid);
-
-            let (wire, wire_mid) = run_wire(backend, threads);
-            assert_eq!(
-                wire, ref_streams,
-                "wire streams diverged from in-process ({backend:?}, {threads} threads)"
+            assert!(
+                (inprocess.streams.iter()).all(|s| !s.is_empty() && s[0].removed.is_empty()),
+                "every stream, the mid-stream joiner's too, starts with its snapshot"
             );
-            assert_eq!(
-                wire_mid, ref_mid,
-                "mid-join wire stream diverged ({backend:?}, {threads} threads)"
-            );
+            for threads in THREAD_COUNTS {
+                let (outcomes, streams) = run_wire(&script, backend, threads, &inprocess.results);
+                let what = format!("seed {seed}, {backend:?}, {threads} threads");
+                assert_eq!(outcomes, inprocess.outcomes, "batch replies, {what}");
+                assert_eq!(streams, inprocess.streams, "wire streams diverged, {what}");
+            }
         }
     }
 }
 
+/// A subscriber that joins after the whole script is sent one snapshot,
+/// which folds to the live result over the wire and in process alike.
 #[test]
 fn wire_snapshot_folds_to_the_live_result() {
-    let svc = MatchService::with_backend(base_graph(), OracleBackend::Matrix, Parallelism::new(2));
+    let script = Script::generate(11, 40, 12);
+    let inprocess = run_inprocess(&script, OracleBackend::Matrix, forced(1), false);
+    let svc = MatchService::with_backend(script.graph.clone(), OracleBackend::Matrix, forced(2));
     let server = NetServer::bind("127.0.0.1:0", svc, ServerOptions::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.spawn().unwrap();
 
     let mut admin = NetClient::connect(addr).unwrap();
-    let ids: Vec<u64> = patterns()
-        .iter()
-        .map(|p| admin.register(p).unwrap())
-        .collect();
-    for batch in script().iter().take(3) {
-        admin.apply(batch).unwrap();
+    for op in script.ops() {
+        wire_exec(&mut admin, &op);
     }
-
-    // A late subscriber's folded stream equals the service's live result.
-    let pattern_nodes = patterns()[0].node_count();
-    let mut sub = NetClient::connect(addr).unwrap().subscribe(ids[0]).unwrap();
-    let live = admin.result(ids[0]).unwrap().expect("registered query");
-    let snapshot = sub.next().unwrap().expect("snapshot-first");
-    let folded = gpm::fold_deltas(pattern_nodes, [&snapshot]);
-    assert_eq!(folded, live, "snapshot did not reproduce the live result");
+    for (id, result) in &inprocess.results {
+        let live = admin.result(id.value()).unwrap().expect("registered query");
+        assert_eq!(Some(&live), result.as_ref(), "{id} over the wire");
+        let mut sub = NetClient::connect(addr)
+            .unwrap()
+            .subscribe(id.value())
+            .unwrap();
+        let snapshot = sub.next().unwrap().expect("snapshot-first");
+        let folded = fold_deltas(live.pattern_node_count(), [&snapshot]);
+        assert_eq!(
+            folded, live,
+            "{id}: snapshot did not reproduce the live result"
+        );
+    }
     handle.shutdown();
 }

@@ -15,9 +15,7 @@
 //! The `gpm-obs` registry and enable-flag are process-global, so the tests
 //! serialise on one mutex and leave observability disabled on exit.
 
-use gpm::exec::Parallelism;
 use gpm::OracleBackend;
-use gpm::{datagen::powerlaw_graph, datagen::PowerLawConfig};
 use gpm::{
     generate_pattern, random_updates, BatchOutcome, DataGraph, MatchDelta, MatchService,
     PatternGenConfig, ServiceStats, UpdateStreamConfig,
@@ -25,25 +23,14 @@ use gpm::{
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
+mod support;
+use support::{forced, labelled_graph};
+
 /// Serialises every test in this binary: the registry and the enabled flag
 /// are process-global state.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn forced(threads: usize) -> Parallelism {
-    Parallelism::new(threads).with_sequential_threshold(0)
-}
-
-fn labelled_graph(nodes: usize, edges: usize, labels: usize, seed: u64) -> DataGraph {
-    let mut g = powerlaw_graph(&PowerLawConfig::new(nodes, edges).with_seed(seed));
-    for v in 0..g.node_count() {
-        let label = format!("a{}", v % labels);
-        g.attributes_mut(gpm::NodeId::new(v as u32))
-            .set("label", label);
-    }
-    g
 }
 
 /// The scripted session every test replays: register K queries, subscribe,

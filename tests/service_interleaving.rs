@@ -1,253 +1,111 @@
-//! Multi-query interleaving fuzz: randomized register / deregister /
-//! suspend / resume / update schedules against K concurrent queries.
+//! Multi-query interleaving: register / deregister / suspend / resume /
+//! update scripts against several concurrent queries, on the back-end and
+//! worker count the environment selects (`GPM_ORACLE`, `GPM_THREADS`).
 //!
-//! Invariant (the service's correctness gate, extending the
-//! `incremental_consistency` suite to the multi-query engine): after every
-//! operation, each live query's result equals a from-scratch `Match` on the
-//! service's current graph, and every subscription's folded delta stream
-//! equals the live result it follows.
+//! Every script runs through the service simulator (`support::sim`): after
+//! every step each active query equals the naive fixpoint on a rebuilt
+//! matrix, and every subscription's folded delta stream equals the live
+//! result it follows. The random scripts also run on both back-ends; the
+//! others are written by hand.
 
-use gpm::{
-    bounded_simulation_with_oracle, fold_deltas, generate_pattern, random_updates, DataGraph,
-    DistanceMatrix, EdgeUpdate, MatchService, PatternGenConfig, PatternGraph, QueryId,
-    Subscription, UpdateStreamConfig,
-};
-use gpm::{datagen::powerlaw_graph, datagen::PowerLawConfig};
-use rand::rngs::StdRng;
-use rand::{Rng as _, SeedableRng as _};
+use gpm::exec::Parallelism;
+use gpm::service::wal::WalOp;
+use gpm::{fold_deltas, DurableOptions, MatchService, OracleBackend, QueryId};
 
-fn labelled_graph(nodes: usize, edges: usize, labels: usize, seed: u64) -> DataGraph {
-    let mut g = powerlaw_graph(&PowerLawConfig::new(nodes, edges).with_seed(seed));
-    for v in 0..g.node_count() {
-        let label = format!("a{}", v % labels);
-        g.attributes_mut(gpm::NodeId::new(v as u32))
-            .set("label", label);
-    }
-    g
+mod support;
+use support::sim::*;
+use support::{forced, TempRoot};
+
+/// Runs a script in process on the environment's back-end and policy,
+/// checking the reference after every step.
+fn run_checked(script: &Script) -> Observed {
+    run_inprocess(
+        script,
+        OracleBackend::from_env(),
+        Parallelism::from_env(),
+        true,
+    )
 }
 
-/// One tracked query: the registered pattern, a subscription following it,
-/// and whether the schedule currently has it suspended.
-struct Tracked {
-    id: QueryId,
-    pattern: PatternGraph,
-    sub: Subscription,
-    suspended: bool,
-}
-
-/// The service's maintained oracle answers every pair like a matrix rebuilt
-/// from scratch on its current graph.
-fn assert_service_oracle_fresh(svc: &MatchService, context: &str) {
-    let rebuilt = DistanceMatrix::build(svc.graph());
-    let n = svc.graph().node_count() as u32;
-    for x in (0..n).map(gpm::NodeId::new) {
-        for y in (0..n).map(gpm::NodeId::new) {
-            assert_eq!(
-                svc.oracle().nonempty_distance(svc.graph(), x, y),
-                rebuilt.nonempty_distance(x, y),
-                "oracle diverged at ({x:?}, {y:?}) {context}"
-            );
-        }
-    }
-}
-
-fn check_live_queries(svc: &mut MatchService, tracked: &[Tracked], context: &str) {
-    let rebuilt = DistanceMatrix::build(svc.graph());
-    assert_service_oracle_fresh(svc, context);
-    for t in tracked {
-        if t.suspended {
-            assert!(
-                svc.result(t.id).is_none(),
-                "suspended query {} answered {context}",
-                t.id
-            );
-            continue;
-        }
-        let live = svc.result(t.id).unwrap();
-        let recomputed = bounded_simulation_with_oracle(&t.pattern, svc.graph(), &rebuilt);
-        assert_eq!(
-            live, recomputed.relation,
-            "query {} diverged {context}",
-            t.id
-        );
-    }
-}
-
-/// Runs one random schedule; `seed` drives everything.
-fn run_schedule(seed: u64, ops: usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let g = labelled_graph(40, 110, 4, seed);
-    let mut svc = MatchService::new(g.clone());
-    let mut tracked: Vec<Tracked> = Vec::new();
-    let mut round = 0u64;
-
-    // Seed the catalog with K = 4 queries so batches always fan out.
-    for i in 0..4u64 {
-        let (p, _) = generate_pattern(
-            svc.graph(),
-            &PatternGenConfig::new(3, 3, 3).with_seed(seed * 7 + i),
-        );
-        let id = svc.register(p.clone());
-        let sub = svc.subscribe(id).unwrap();
-        tracked.push(Tracked {
-            id,
-            pattern: p,
-            sub,
-            suspended: false,
-        });
-    }
-
-    for op in 0..ops {
-        round += 1;
-        match rng.gen_range(0..10u32) {
-            // Register a fresh query (keep the catalog bounded).
-            0 if tracked.len() < 8 => {
-                let (p, _) = generate_pattern(
-                    svc.graph(),
-                    &PatternGenConfig::new(3, 3, 3).with_seed(seed * 31 + round),
-                );
-                let id = svc.register(p.clone());
-                let sub = svc.subscribe(id).unwrap();
-                tracked.push(Tracked {
-                    id,
-                    pattern: p,
-                    sub,
-                    suspended: false,
-                });
-            }
-            // Deregister a random query (keep at least two).
-            1 if tracked.len() > 2 => {
-                let victim = tracked.swap_remove(rng.gen_range(0..tracked.len()));
-                assert!(svc.deregister(victim.id));
-                assert!(svc.result(victim.id).is_none());
-            }
-            // Suspend / resume.
-            2 => {
-                let pick = rng.gen_range(0..tracked.len());
-                let t = &mut tracked[pick];
-                if t.suspended {
-                    assert!(svc.resume(t.id));
-                    t.suspended = false;
-                } else {
-                    assert!(svc.suspend(t.id));
-                    t.suspended = true;
-                }
-            }
-            // Unit insert/delete.
-            3 | 4 => {
-                let updates = random_updates(
-                    svc.graph(),
-                    &UpdateStreamConfig::mixed(1).with_seed(seed * 101 + round),
-                );
-                if let Some(u) = updates.first() {
-                    svc.apply_one(*u);
-                }
-            }
-            // Mixed batch.
-            _ => {
-                let n = rng.gen_range(3..15usize);
-                let updates = random_updates(
-                    svc.graph(),
-                    &UpdateStreamConfig::mixed(n).with_seed(seed * 131 + round),
-                );
-                svc.apply(&updates);
-            }
-        }
-        check_live_queries(&mut svc, &tracked, &format!("after op {op} (seed {seed})"));
-    }
-
-    // Wake every suspended query and reconcile: after one (even empty)
-    // batch, every subscription's folded stream equals the live result.
-    for t in &mut tracked {
-        if t.suspended {
-            svc.resume(t.id);
-            t.suspended = false;
-        }
-    }
-    svc.apply(&[]);
-    check_live_queries(
-        &mut svc,
-        &tracked,
-        &format!("after final wake (seed {seed})"),
-    );
-    for t in &tracked {
-        let folded = fold_deltas(t.pattern.node_count(), t.sub.drain().iter());
-        assert_eq!(
-            folded,
-            svc.result(t.id).unwrap(),
-            "subscription fold diverged for {} (seed {seed})",
-            t.id
-        );
-    }
-}
-
+/// Six 20-roll scripts on both back-ends at two forced workers, then four
+/// 18-roll scripts on the environment's; among them the opening batch on
+/// an empty catalog, no-op batches, and patterns registered again after a
+/// deregistration.
 #[test]
 fn random_schedules_keep_every_query_consistent() {
-    for seed in 0..8u64 {
-        run_schedule(seed, 18);
+    for seed in SEEDS {
+        let script = Script::generate(seed, 40, 20);
+        for backend in OracleBackend::ALL {
+            run_inprocess(&script, backend, forced(2), true);
+        }
+    }
+    for seed in 4..8u64 {
+        run_checked(&Script::generate(seed, 40, 18));
     }
 }
 
+/// A 48-roll script, where the catalog churns: seed 0x1046 deregisters
+/// five queries and registers two of their patterns again.
 #[test]
 fn long_schedule_with_churn() {
-    run_schedule(0xC0FFEE, 40);
+    let script = Script::generate(0x10_46, 40, 48);
+    let deregistered = (script.ops().iter())
+        .filter(|op| matches!(op, WalOp::Deregister(_)))
+        .count();
+    assert!(deregistered >= 3, "only {deregistered} deregistrations");
+    run_checked(&script);
 }
 
-/// Deletion of a query mid-stream must not disturb the survivors, and
-/// re-registering the same pattern starts a fresh, consistent query.
+/// Deregistering a query mid-stream does not disturb the survivor, and
+/// registering the same pattern again starts a fresh query under a new id.
 #[test]
 fn deregister_and_reregister_same_pattern() {
-    let g = labelled_graph(35, 90, 4, 77);
-    let mut svc = MatchService::new(g.clone());
-    let (p, _) = generate_pattern(&g, &PatternGenConfig::new(3, 3, 3).with_seed(5));
-    let first = svc.register(p.clone());
-    let keeper = {
-        let (p2, _) = generate_pattern(&g, &PatternGenConfig::new(3, 3, 3).with_seed(6));
-        svc.register(p2)
-    };
-
-    let updates = random_updates(&g, &UpdateStreamConfig::mixed(10).with_seed(7));
-    svc.apply(&updates);
-    svc.deregister(first);
-
-    let more = random_updates(svc.graph(), &UpdateStreamConfig::mixed(10).with_seed(8));
-    svc.apply(&more);
-
-    let second = svc.register(p.clone());
-    assert!(second > first, "ids are never reused");
-    let rebuilt = DistanceMatrix::build(svc.graph());
-    for id in [keeper, second] {
-        let live = svc.result(id).unwrap();
-        let pattern = svc.catalog().get(id).unwrap().pattern().clone();
-        let recomputed = bounded_simulation_with_oracle(&pattern, svc.graph(), &rebuilt);
-        assert_eq!(live, recomputed.relation);
-    }
+    let mut gen = Generator::new(77, 35);
+    let (first, keeper) = (gen.pattern(true), gen.pattern(false));
+    gen.register(first.clone());
+    gen.register(keeper);
+    gen.subscribe();
+    gen.mixed_batch();
+    gen.deregister_at(0);
+    gen.mixed_batch();
+    gen.register(first);
+    gen.subscribe();
+    gen.mixed_batch();
+    let observed = run_checked(&gen.finish());
+    let ids: Vec<QueryId> = observed.results.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, [QueryId::from_raw(1), QueryId::from_raw(2)]);
+    assert!(observed.results.iter().all(|(_, r)| r.is_some()));
 }
 
 /// Suspension survives a crash: killing a durable service with a query
-/// suspended and reopening leaves it suspended (no answers, no per-batch
-/// cost), and resuming then emits **exactly one** catch-up delta covering
-/// everything missed — before and after the crash alike.
+/// suspended and reopening leaves it suspended (no answers, no deltas),
+/// and resuming then emits at most one catch-up delta covering everything
+/// missed, before and after the crash alike.
 #[test]
 fn suspended_query_stays_suspended_across_kill_and_reopen() {
-    let dir = std::env::temp_dir().join(format!("gpm-interleave-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let g = labelled_graph(30, 75, 3, 21);
+    let mut gen = Generator::new(21, 30);
+    let (sleeper, awake) = (gen.pattern(true), gen.pattern(false));
+    gen.register(sleeper);
+    gen.register(awake);
+    gen.toggle_at(0); // suspend query 0
+    gen.mixed_batch(); // logged before the kill
+    gen.mixed_batch(); // applied after the reopen
+    gen.toggle_at(0); // resume query 0
+    let script = gen.finish();
+    let ops = script.ops();
+    let (suspended, live) = (QueryId::from_raw(0), QueryId::from_raw(1));
+
+    let root = TempRoot::new("suspended");
+    let dir = root.path("svc");
     let mut svc =
-        gpm::MatchService::create_durable(&dir, g, gpm::DurableOptions::default()).unwrap();
-
-    let (p, _) = generate_pattern(svc.graph(), &PatternGenConfig::new(3, 3, 3).with_seed(22));
-    let suspended = svc.register(p.clone());
-    let (p2, _) = generate_pattern(svc.graph(), &PatternGenConfig::new(3, 3, 3).with_seed(23));
-    let live = svc.register(p2.clone());
-
-    assert!(svc.suspend(suspended));
-    // Updates land while the query sleeps — some before the crash...
-    let updates = random_updates(svc.graph(), &UpdateStreamConfig::mixed(8).with_seed(24));
-    svc.apply(&updates);
+        MatchService::create_durable(&dir, script.graph, DurableOptions::default()).unwrap();
+    for op in &ops[..4] {
+        exec(&mut svc, op);
+    }
     drop(svc); // kill
 
-    let mut svc = gpm::MatchService::open_durable(&dir, gpm::DurableOptions::default()).unwrap();
+    let mut svc = MatchService::open_durable(&dir, DurableOptions::default()).unwrap();
+    assert_reference(&svc, "after the reopen");
     assert!(
         svc.result(suspended).is_none(),
         "a suspended query must stay suspended across recovery"
@@ -257,69 +115,50 @@ fn suspended_query_stays_suspended_across_kill_and_reopen() {
         "the active query answers right after recovery"
     );
 
-    // ... and some after it, still unseen by the sleeper.
     let sub = svc.subscribe(suspended).unwrap();
-    assert_eq!(sub.drain().len(), 1, "subscription snapshot only");
-    let more = random_updates(svc.graph(), &UpdateStreamConfig::mixed(8).with_seed(25));
-    svc.apply(&more);
-    assert_eq!(
-        sub.drain().len(),
-        0,
+    let mut stream = sub.drain();
+    assert_eq!(stream.len(), 1, "subscription snapshot only");
+    exec(&mut svc, &ops[4]);
+    assert!(
+        sub.drain().is_empty(),
         "no deltas reach a suspended query's subscribers"
     );
 
     // Resume: one catch-up delta reconciles the entire sleep, crash included.
-    assert!(svc.resume(suspended));
-    let woken = svc.result(suspended).unwrap();
-    let stream = sub.drain();
+    exec(&mut svc, &ops[5]);
+    let catch_up = sub.drain();
     assert!(
-        stream.len() <= 1,
+        catch_up.len() <= 1,
         "resume emits at most one catch-up delta, got {}",
-        stream.len()
+        catch_up.len()
     );
-    let rebuilt = DistanceMatrix::build(svc.graph());
-    let recomputed = bounded_simulation_with_oracle(&p, svc.graph(), &rebuilt);
-    assert_eq!(woken, recomputed.relation, "woken query is consistent");
-    // The subscription's full history (snapshot at subscribe time + the
-    // catch-up) folds to the live result.
-    let snapshot_then_catchup: Vec<_> = svc
-        .subscribe(suspended)
-        .unwrap()
-        .drain()
-        .into_iter()
-        .collect();
+    assert_reference(&svc, "after the resume");
+    stream.extend(catch_up);
+    let woken = svc.result(suspended).unwrap();
     assert_eq!(
-        fold_deltas(p.node_count(), snapshot_then_catchup.iter()),
-        woken
+        fold_deltas(woken.pattern_node_count(), stream.iter()),
+        woken,
+        "snapshot plus catch-up fold to the live result"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Edge-case schedules: updates on an empty catalog, duplicate inserts,
-/// deletes of missing edges, and unknown-node updates are all absorbed.
+/// Edge-case batches: updates on an empty catalog, and a batch of pure
+/// no-ops (a duplicate insert, a delete of a missing edge, an update on an
+/// unknown node), which applies nothing and emits nothing.
 #[test]
 fn degenerate_schedules_are_absorbed() {
-    let g = labelled_graph(20, 50, 3, 9);
-    let mut svc = MatchService::new(g.clone());
-
-    // No queries registered: updates still maintain graph + oracle.
-    let updates = random_updates(&g, &UpdateStreamConfig::mixed(8).with_seed(10));
-    let out = svc.apply(&updates);
-    assert!(out.deltas.is_empty());
-    assert_service_oracle_fresh(&svc, "with an empty catalog");
-
-    // A batch of pure no-ops: duplicate insert, missing delete, unknown node.
-    let (a, b) = svc.graph().edges().next().unwrap();
-    let missing = gpm::NodeId::new(svc.graph().node_count() as u32 + 5);
-    let (p, _) = generate_pattern(svc.graph(), &PatternGenConfig::new(3, 3, 3).with_seed(11));
-    let q = svc.register(p);
-    let before = svc.result(q).unwrap();
-    let out = svc.apply(&[
-        EdgeUpdate::Insert(a, b),
-        EdgeUpdate::Delete(missing, a),
-        EdgeUpdate::Insert(missing, missing),
-    ]);
-    assert_eq!(out.applied, 0);
-    assert!(out.deltas.is_empty());
-    assert_eq!(svc.result(q).unwrap(), before);
+    let mut gen = Generator::new(9, 20);
+    gen.mixed_batch();
+    let p = gen.pattern(true);
+    gen.register(p);
+    gen.subscribe();
+    gen.degenerate_batch();
+    let observed = run_checked(&gen.finish());
+    let [on_empty, no_ops] = &observed.outcomes[..] else {
+        panic!("two batches, got {}", observed.outcomes.len());
+    };
+    assert!(on_empty.applied > 0 && on_empty.deltas.is_empty());
+    assert_eq!(no_ops.applied, 0);
+    assert!(no_ops.deltas.is_empty());
+    assert_eq!(observed.streams[0].len(), 1, "the snapshot only");
 }

@@ -1,515 +1,132 @@
-//! Differential crash-recovery suite: killing a durable `MatchService` at
-//! **every** crash point and reopening must be indistinguishable from never
-//! having crashed.
-//!
-//! The harness scripts a deterministic schedule of service operations
-//! (update batches, register/deregister, suspend/resume), runs it once
-//! uninterrupted on a durable service, and then simulates a crash at every
-//! byte boundary of the resulting write-ahead log — each record boundary
-//! *and* each torn mid-record prefix. For every crash point the recovered
-//! service must:
-//!
-//! * reopen successfully (torn tails are detected and truncated, never
-//!   silently replayed);
-//! * hold exactly the state of an uninterrupted run over the records that
-//!   survived (epoch, catalog, which queries hold a state, and the
-//!   subscription snapshot each query would stream — compared as raw
-//!   `MatchDelta`s, i.e. byte-identical);
-//! * when driven onward with the rest of the schedule, produce
-//!   [`BatchOutcome`]s and final results **bit-identical** to the
-//!   uninterrupted run's — on both oracle backends and at 1/2/8 threads.
-//!
-//! Garbled (bit-flipped) bytes must likewise truncate at the damaged
-//! record: checksums turn corruption into clean truncation, and the prefix
-//! before the damage replays exactly.
+//! Durability: crash sweeps over the write-ahead log, run through the
+//! service simulator (`support::sim`) — a crash at every byte, garbled
+//! bytes, a snapshot with a log tail, and a reopen at every record on every
+//! configuration — then what the simulator does not script: the snapshot
+//! file's format and its crash states, the directory lifecycle, and what
+//! the log records.
 
-use gpm::exec::Parallelism;
 use gpm::service::snapshot::{
     decode_manifest, MANIFEST_FILE, MANIFEST_MAGIC, MANIFEST_TMP_FILE, SNAPSHOT_DIR,
 };
 use gpm::service::wal::{encode_frame, read_wal_bytes, WalOp, WAL_FILE, WAL_MAGIC};
 use gpm::{
-    bounded_simulation_with_oracle, fold_deltas, generate_pattern, random_updates, BatchOutcome,
-    DataGraph, DistanceMatrix, DurabilityError, DurableOptions, EdgeUpdate, MatchDelta,
-    MatchService, OracleBackend, PatternGenConfig, PatternGraph, QueryId, UpdateStreamConfig,
+    bounded_simulation_with_oracle, fold_deltas, generate_pattern, random_updates, DistanceMatrix,
+    DurabilityError, DurableOptions, MatchService, OracleBackend, PatternGenConfig, PatternGraph,
+    QueryId, UpdateStreamConfig,
 };
-use gpm::{datagen::powerlaw_graph, datagen::PowerLawConfig};
-use rand::rngs::StdRng;
-use rand::{Rng as _, SeedableRng as _};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+mod support;
+use support::sim::*;
+use support::{forced, labelled_graph, TempRoot};
 
-fn forced(threads: usize) -> Parallelism {
-    Parallelism::new(threads).with_sequential_threshold(0)
-}
-
-fn labelled_graph(nodes: usize, edges: usize, labels: usize, seed: u64) -> DataGraph {
-    let mut g = powerlaw_graph(&PowerLawConfig::new(nodes, edges).with_seed(seed));
-    for v in 0..g.node_count() {
-        let label = format!("a{}", v % labels);
-        g.attributes_mut(gpm::NodeId::new(v as u32))
-            .set("label", label);
-    }
-    g
-}
-
-/// A concrete, replayable service operation. Each op appends exactly one
-/// WAL record, so `ops[..k]` is the uninterrupted history of a log prefix
-/// holding `k` complete records.
-#[derive(Clone, Debug)]
-enum Op {
-    Batch(Vec<EdgeUpdate>),
-    Register(PatternGraph),
-    Deregister(u64),
-    Suspend(u64),
-    Resume(u64),
-}
-
-/// Executes one op, resolving raw ids through this run's own id roster
-/// (ids are assigned in registration order, so rosters align across runs).
-fn exec_op(svc: &mut MatchService, roster: &mut Vec<QueryId>, op: &Op) -> Option<BatchOutcome> {
-    let resolve = |roster: &[QueryId], raw: u64| -> QueryId {
-        *roster
-            .iter()
-            .find(|id| id.value() == raw)
-            .expect("schedule refers to a registered id")
-    };
-    match op {
-        Op::Batch(updates) => return Some(svc.apply(updates)),
-        Op::Register(p) => roster.push(svc.register(p.clone())),
-        Op::Deregister(raw) => {
-            let id = resolve(roster, *raw);
-            assert!(svc.deregister(id));
-            roster.retain(|i| *i != id);
-        }
-        Op::Suspend(raw) => assert!(svc.suspend(resolve(roster, *raw))),
-        Op::Resume(raw) => assert!(svc.resume(resolve(roster, *raw))),
-    }
-    None
-}
-
-/// Builds a deterministic schedule by simulating it once against a scratch
-/// (non-durable) copy of the service, so every op carries concrete updates
-/// and ids. Guarantees at least one suspend → batches → resume arc.
-fn build_schedule(graph: &DataGraph, seed: u64, ops: usize) -> Vec<Op> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut svc = MatchService::with_parallelism(graph.clone(), forced(1));
-    let mut roster: Vec<QueryId> = Vec::new();
-    let mut suspended: Vec<u64> = Vec::new();
-    let mut schedule = Vec::new();
-    let mut push = |svc: &mut MatchService, roster: &mut Vec<QueryId>, op: Op| {
-        exec_op(svc, roster, &op);
-        schedule.push(op);
-    };
-
-    // Two seed queries so batches always touch standing state.
-    for i in 0..2u64 {
-        let (p, _) = generate_pattern(
-            svc.graph(),
-            &PatternGenConfig::new(3, 3, 3).with_seed(seed * 7 + i),
-        );
-        push(&mut svc, &mut roster, Op::Register(p));
-    }
-    for round in 0..ops as u64 {
-        match rng.gen_range(0..8u32) {
-            0 if roster.len() < 5 => {
-                let (p, _) = generate_pattern(
-                    svc.graph(),
-                    &PatternGenConfig::new(3, 3, 3).with_seed(seed * 31 + round),
-                );
-                push(&mut svc, &mut roster, Op::Register(p));
-            }
-            1 if roster.len() > 2 => {
-                let raw = roster[rng.gen_range(0..roster.len())].value();
-                suspended.retain(|r| *r != raw);
-                push(&mut svc, &mut roster, Op::Deregister(raw));
-            }
-            2 => {
-                let raw = roster[rng.gen_range(0..roster.len())].value();
-                if let Some(pos) = suspended.iter().position(|r| *r == raw) {
-                    suspended.remove(pos);
-                    push(&mut svc, &mut roster, Op::Resume(raw));
-                } else {
-                    suspended.push(raw);
-                    push(&mut svc, &mut roster, Op::Suspend(raw));
-                }
-            }
-            _ => {
-                let n = rng.gen_range(2..8usize);
-                let updates = random_updates(
-                    svc.graph(),
-                    &UpdateStreamConfig::mixed(n).with_seed(seed * 131 + round),
-                );
-                push(&mut svc, &mut roster, Op::Batch(updates));
-            }
-        }
-    }
-    // Make sure the suspended-across-crash arc is exercised: leave one
-    // query suspended behind a trailing batch.
-    if suspended.is_empty() {
-        let raw = roster[0].value();
-        push(&mut svc, &mut roster, Op::Suspend(raw));
-        let updates = random_updates(
-            svc.graph(),
-            &UpdateStreamConfig::mixed(4).with_seed(seed * 977),
-        );
-        push(&mut svc, &mut roster, Op::Batch(updates));
-    }
-    schedule
-}
-
-/// Everything observable about a service without disturbing its semantic
-/// state: epoch, catalog shape, and the exact snapshot delta every query
-/// would stream to a fresh subscriber.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    epoch: u64,
-    queries: Vec<(u64, bool, MatchDelta)>,
-}
-
-fn fingerprint(svc: &mut MatchService) -> Fingerprint {
-    let ids = svc.catalog().ids();
-    let mut queries = Vec::new();
-    for id in ids {
-        let active = svc.catalog().get(id).unwrap().is_active();
-        let sub = svc.subscribe(id).unwrap();
-        let mut stream = sub.drain();
-        assert_eq!(stream.len(), 1, "a fresh subscription streams its snapshot");
-        queries.push((id.value(), active, stream.remove(0)));
-    }
-    Fingerprint {
-        epoch: svc.epoch(),
-        queries,
-    }
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    fs::create_dir_all(dst).unwrap();
-    for entry in fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            fs::copy(entry.path(), &to).unwrap();
-        }
-    }
-}
-
-struct TempRoot(PathBuf);
-
-impl TempRoot {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("gpm-recovery-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        TempRoot(dir)
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for TempRoot {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-/// No automatic snapshots: the WAL keeps the whole history, so crash points
-/// cover every operation since creation.
-const WAL_ONLY: DurableOptions = DurableOptions {
-    snapshot_every: None,
-};
-
-/// The uninterrupted reference run: a durable service executing the full
-/// schedule plus the tail, with everything observable collected.
-struct Reference {
-    outcomes: Vec<BatchOutcome>,
-    tail_outcomes: Vec<BatchOutcome>,
-    wal: Vec<u8>,
-    template: PathBuf,
-}
-
-fn tail_batches(graph: &DataGraph, seed: u64) -> Vec<Vec<EdgeUpdate>> {
-    // Fixed continuation applied after recovery: two mixed batches derived
-    // from the *final* reference graph, so both sides apply identical data.
-    (0..2u64)
-        .map(|i| {
-            random_updates(
-                graph,
-                &UpdateStreamConfig::mixed(5).with_seed(seed * 503 + i),
-            )
-        })
-        .collect()
-}
-
-/// Runs the schedule uninterrupted on a fresh durable root; also snapshots
-/// the pristine post-create directory as the template every simulated
-/// crash starts from.
-fn reference_run(
-    root: &TempRoot,
-    graph: &DataGraph,
-    backend: OracleBackend,
-    threads: usize,
-    schedule: &[Op],
-    seed: u64,
-) -> (Reference, Vec<Vec<EdgeUpdate>>) {
-    let dir = root.path(&format!("ref-{}-{threads}", backend.name()));
-    let template = root.path(&format!("template-{}-{threads}", backend.name()));
-    let mut svc =
-        MatchService::create_durable_with(&dir, graph.clone(), backend, forced(threads), WAL_ONLY)
-            .unwrap();
-    copy_dir(&dir, &template);
-
-    let mut roster = Vec::new();
-    let mut outcomes = Vec::new();
-    for op in schedule {
-        if let Some(out) = exec_op(&mut svc, &mut roster, op) {
-            outcomes.push(out);
-        }
-    }
-    let tails = tail_batches(svc.graph(), seed);
-    let wal = fs::read(dir.join(WAL_FILE)).unwrap();
-    let tail_outcomes = tails.iter().map(|t| svc.apply(t)).collect();
-    (
-        Reference {
-            outcomes,
-            tail_outcomes,
-            wal,
-            template,
-        },
-        tails,
-    )
-}
-
-/// Materialises a crash directory: the pristine template plus the given
-/// WAL image, then reopens it.
-fn reopen_crashed(
-    root: &TempRoot,
-    reference: &Reference,
-    wal_image: &[u8],
-    threads: usize,
-    tag: &str,
-) -> MatchService {
-    let dir = root.path(tag);
-    let _ = fs::remove_dir_all(&dir);
-    copy_dir(&reference.template, &dir);
-    fs::write(dir.join(WAL_FILE), wal_image).unwrap();
-    MatchService::open_durable_with(&dir, forced(threads), WAL_ONLY).unwrap_or_else(|e| {
-        panic!(
-            "reopen failed for {tag} ({} wal bytes): {e}",
-            wal_image.len()
-        )
-    })
-}
-
-/// The incremental uninterrupted reference: advances op by op so each of
-/// the (many) crash points compares against it without re-running history.
-struct RollingReference {
-    svc: MatchService,
-    roster: Vec<QueryId>,
-    cursor: usize,
-}
-
-impl RollingReference {
-    fn new(graph: &DataGraph, backend: OracleBackend, threads: usize) -> Self {
-        RollingReference {
-            svc: MatchService::with_backend(graph.clone(), backend, forced(threads)),
-            roster: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    fn advance_to(&mut self, schedule: &[Op], k: usize) {
-        assert!(k >= self.cursor, "crash points visit prefixes in order");
-        for op in &schedule[self.cursor..k] {
-            exec_op(&mut self.svc, &mut self.roster, op);
-        }
-        self.cursor = k;
-    }
-}
-
-/// The tentpole: every byte boundary of the WAL is a crash point, and every
-/// one recovers into exactly the uninterrupted state over the surviving
-/// records.
+/// Every byte of the log is a crash point — each record boundary and each
+/// torn prefix — and every one reopens to the uninterrupted run over the
+/// records that survived; one reopened at a record boundary, driven on to
+/// the script's end and a tail, repeats the uninterrupted run.
 #[test]
 fn every_byte_crash_prefix_recovers_bit_identically() {
-    let seed = 0xD15C;
-    let graph = labelled_graph(20, 45, 3, seed);
-    let schedule = build_schedule(&graph, seed, 10);
+    let script = Script::generate(0xD15C, 20, 10);
     let root = TempRoot::new("everybyte");
-    let backend = OracleBackend::Matrix;
-    let threads = 2;
-    let (reference, tails) = reference_run(&root, &graph, backend, threads, &schedule, seed);
-
-    let mut rolling = RollingReference::new(&graph, backend, threads);
-    let mut boundary_points = 0usize;
-    for cut in 0..=reference.wal.len() {
-        let prefix = &reference.wal[..cut];
-        let decoded = read_wal_bytes(prefix).unwrap();
-        let k = decoded.records.len();
-        let at_boundary = decoded.torn_bytes == 0;
-        let mut recovered = reopen_crashed(&root, &reference, prefix, threads, "crash");
-
-        rolling.advance_to(&schedule, k);
-        assert_eq!(
-            fingerprint(&mut recovered),
-            fingerprint(&mut rolling.svc),
-            "cut at byte {cut} ({k} records survived, torn {})",
-            decoded.torn_bytes
-        );
-
-        // At record boundaries, drive the recovered service through the
-        // rest of the schedule + tail: outcomes must be bit-identical to
-        // the uninterrupted run's (subscribers receive these same deltas,
-        // so this is stream equality too).
-        if at_boundary {
-            boundary_points += 1;
-            let mut roster = recovered.catalog().ids();
-            let mut continued = Vec::new();
-            for op in &schedule[k..] {
-                if let Some(out) = exec_op(&mut recovered, &mut roster, op) {
-                    continued.push(out);
-                }
-            }
-            for t in &tails {
-                continued.push(recovered.apply(t));
-            }
-            let n_ref = reference.outcomes.len();
-            let already = n_ref + reference.tail_outcomes.len() - continued.len();
-            let mut expected: Vec<BatchOutcome> = reference.outcomes[already..].to_vec();
-            expected.extend(reference.tail_outcomes.iter().cloned());
-            assert_eq!(
-                continued, expected,
-                "continuation diverged after crash at record boundary {k}"
-            );
-        }
-    }
-    // One boundary per schedule op (each logs one record), plus the empty
-    // file (torn header, byte 0) and the bare magic after creation.
-    assert_eq!(boundary_points, schedule.len() + 2);
+    let config = (OracleBackend::Matrix, 2);
+    let run = durable_run(&script, &root, config.0, config.1, WAL_ONLY);
+    let boundaries = crash_sweep(&script, &run, &run.created, 0, config, Cuts::EveryByte);
+    // One boundary per op, the empty file and the bare magic.
+    assert_eq!(boundaries, script.ops().len() + 2);
 }
 
-/// Bit-flips anywhere in the log must truncate at the damaged record —
-/// detected by checksum, never silently replayed — and the undamaged
-/// prefix must recover exactly. Flips inside the magic are a hard error.
+/// A flipped bit anywhere in the log truncates it at the damaged record —
+/// the checksum catches it, nothing is replayed from it — and the prefix
+/// before recovers exactly. A flip inside the magic fails the reopen.
 #[test]
 fn garbled_bytes_truncate_at_the_damaged_record() {
-    let seed = 0x6A5B;
-    let graph = labelled_graph(18, 40, 3, seed);
-    let schedule = build_schedule(&graph, seed, 8);
+    let script = Script::generate(0x6A5B, 18, 8);
     let root = TempRoot::new("garble");
-    let backend = OracleBackend::Matrix;
-    let threads = 1;
-    let (reference, _tails) = reference_run(&root, &graph, backend, threads, &schedule, seed);
-
-    let mut rolling = RollingReference::new(&graph, backend, threads);
-    // Record boundaries, to locate which record a damaged byte falls into.
-    let clean = read_wal_bytes(&reference.wal).unwrap();
-    assert_eq!(clean.torn_bytes, 0);
-    for garble_at in (0..reference.wal.len()).step_by(3) {
-        for mask in [0x01u8, 0x80u8] {
-            let mut image = reference.wal.clone();
-            image[garble_at] ^= mask;
-            if garble_at < WAL_MAGIC.len() {
-                let dir = root.path("badmagic");
-                let _ = fs::remove_dir_all(&dir);
-                copy_dir(&reference.template, &dir);
-                fs::write(dir.join(WAL_FILE), &image).unwrap();
-                assert!(
-                    MatchService::open_durable_with(&dir, forced(threads), WAL_ONLY).is_err(),
-                    "a damaged magic must not open (byte {garble_at})"
-                );
+    let run = durable_run(&script, &root, OracleBackend::Matrix, 1, WAL_ONLY);
+    let crash = root.path("garbled");
+    copy_dir(&run.created, &crash);
+    let mut rolling = Rolling::new(&script, OracleBackend::Matrix);
+    for at in (0..run.wal.len()).step_by(3) {
+        for mask in [0x01u8, 0x80] {
+            let mut image = run.wal.clone();
+            image[at] ^= mask;
+            fs::write(crash.join(WAL_FILE), &image).unwrap();
+            let reopened = MatchService::open_durable_with(&crash, forced(1), WAL_ONLY);
+            if at < WAL_MAGIC.len() {
+                assert!(reopened.is_err(), "a damaged magic opened (byte {at})");
                 continue;
             }
             let decoded = read_wal_bytes(&image).unwrap();
+            assert!(decoded.valid_len as usize <= at, "byte {at} was replayed");
             let k = decoded.records.len();
-            assert!(
-                (decoded.valid_len as usize) <= garble_at,
-                "the surviving prefix must stop before the damaged byte {garble_at}"
-            );
-            let mut recovered = reopen_crashed(&root, &reference, &image, threads, "garbled");
-            rolling.advance_to(&schedule, k);
             assert_eq!(
-                fingerprint(&mut recovered),
-                fingerprint(&mut rolling.svc),
-                "garbled byte {garble_at} mask {mask:#04x}: {k} records should survive"
+                fingerprint(&mut reopened.unwrap()),
+                *rolling.at(k),
+                "byte {at} mask {mask:#04x}: {k} records survive"
             );
         }
     }
 }
 
-/// Record-boundary crashes recover bit-identically on both oracle backends
-/// at 1, 2 and 8 threads — and every configuration agrees with every other.
+/// A reopen at every record boundary repeats the uninterrupted run on both
+/// back-ends at 1, 2 and 8 threads, and every configuration's outcomes,
+/// tail outcomes and end are the same.
 #[test]
 fn recovery_is_bit_identical_across_backends_and_threads() {
-    let seed = 0xBEE5;
-    let graph = labelled_graph(18, 40, 3, seed);
-    let schedule = build_schedule(&graph, seed, 8);
-    let root = TempRoot::new("matrix2hop");
-
-    let mut all_final: Vec<(String, Vec<BatchOutcome>)> = Vec::new();
-    for backend in [OracleBackend::Matrix, OracleBackend::TwoHop] {
+    let script = Script::generate(0xBEE5, 18, 8);
+    let mut base = None;
+    for backend in OracleBackend::ALL {
         for threads in THREAD_COUNTS {
-            let (reference, tails) =
-                reference_run(&root, &graph, backend, threads, &schedule, seed);
-            let boundaries: Vec<usize> = {
-                // Every clean prefix of the WAL, by record count.
-                let mut cuts = vec![WAL_MAGIC.len()];
-                let mut bytes = WAL_MAGIC.len();
-                let decoded = read_wal_bytes(&reference.wal).unwrap();
-                for rec in &decoded.records {
-                    let frame = gpm::service::wal::encode_record(rec).unwrap();
-                    bytes += frame.len();
-                    cuts.push(bytes);
-                }
-                cuts
-            };
-            for (k, &cut) in boundaries.iter().enumerate() {
-                let tag = format!("cfg-{}-{threads}-{k}", backend.name());
-                let mut recovered =
-                    reopen_crashed(&root, &reference, &reference.wal[..cut], threads, &tag);
-                let mut roster = recovered.catalog().ids();
-                let mut continued = Vec::new();
-                for op in &schedule[k..] {
-                    if let Some(out) = exec_op(&mut recovered, &mut roster, op) {
-                        continued.push(out);
-                    }
-                }
-                for t in &tails {
-                    continued.push(recovered.apply(t));
-                }
-                let n_batches_remaining = continued.len() - tails.len();
-                let mut expected: Vec<BatchOutcome> =
-                    reference.outcomes[reference.outcomes.len() - n_batches_remaining..].to_vec();
-                expected.extend(reference.tail_outcomes.iter().cloned());
-                assert_eq!(
-                    continued,
-                    expected,
-                    "diverged: backend {} threads {threads} crash at record {k}",
-                    backend.name()
-                );
-            }
-            all_final.push((
-                format!("{}-{threads}", backend.name()),
-                reference
-                    .outcomes
-                    .iter()
-                    .chain(reference.tail_outcomes.iter())
-                    .cloned()
-                    .collect(),
-            ));
+            let root = TempRoot::new(&format!("configs-{}-{threads}", backend.name()));
+            let run = durable_run(&script, &root, backend, threads, WAL_ONLY);
+            let config = (backend, threads);
+            crash_sweep(&script, &run, &run.created, 0, config, Cuts::Records);
+            let first = base.get_or_insert_with(|| (run.outcomes.clone(), run.tail.clone()));
+            assert_eq!(
+                (&run.outcomes, &run.tail),
+                (&first.0, &first.1),
+                "{backend:?} at {threads} threads"
+            );
         }
     }
-    // Cross-configuration: every backend × thread count produced the exact
-    // same outcome stream.
-    let (base_tag, base) = &all_final[0];
-    for (tag, outcomes) in &all_final[1..] {
-        assert_eq!(outcomes, base, "{tag} diverged from {base_tag}");
+}
+
+/// With automatic snapshots and the script's own snapshot steps, the
+/// directory ends as a snapshot holding active queries plus a log tail:
+/// every cut of that tail reopens to the reference and, at a record
+/// boundary, drives on. With a cadence of 5 the log stays under 5 records.
+#[test]
+fn snapshot_plus_wal_tail_recovers_at_every_cut() {
+    let script = Script::generate(0x5EED, 20, 14);
+    let root = TempRoot::new("cadence");
+    let cadence = DurableOptions {
+        snapshot_every: Some(5),
+    };
+    let config = (OracleBackend::Matrix, 2);
+    let run = durable_run(&script, &root, config.0, config.1, cadence);
+    let manifest = fs::read(run.dir.join(SNAPSHOT_DIR).join(MANIFEST_FILE)).unwrap();
+    let base = decode_manifest(&manifest).unwrap().next_seq as usize;
+    assert!(base > 0, "no snapshot was taken");
+    let records = crash_sweep(&script, &run, &run.dir, base, config, Cuts::EveryByte) - 2;
+    assert!(records > 0, "the log tail is empty");
+    assert_eq!(base + records, script.ops().len());
+}
+
+/// Runs a script's ops on `svc`, with a `snapshot_now` before op
+/// `snapshot_at`, then suspends the first query and applies the script's
+/// tail, so the service ends with a suspended query whose emitted relation
+/// lags the graph.
+fn drive(svc: &mut MatchService, script: &Script, snapshot_at: Option<usize>) {
+    for (i, op) in script.ops().iter().enumerate() {
+        if snapshot_at == Some(i) {
+            svc.snapshot_now().unwrap();
+        }
+        exec(svc, op);
+    }
+    assert!(svc.suspend(svc.catalog().ids()[0]));
+    for batch in &script.tail {
+        svc.apply(batch);
     }
 }
 
@@ -618,30 +235,22 @@ fn assert_only_the_manifest(dir: &Path, what: &str) {
 /// a stale temp file, leave `MANIFEST.bin` alone in `snapshot/`.
 #[test]
 fn every_snapshot_swap_crash_state_reopens() {
-    let seed = 0x5A9;
-    let graph = labelled_graph(18, 40, 3, seed);
-    let schedule = build_schedule(&graph, seed, 8);
-    let half = schedule.len() / 2;
+    let script = Script::generate(0x5A9, 18, 8);
+    let half = script.ops().len() / 2;
     for backend in OracleBackend::ALL {
         for threads in [1, 4] {
             let root = TempRoot::new(&format!("swap-{}-{threads}", backend.name()));
             let dir = root.path("svc");
             let mut svc = MatchService::create_durable_with(
                 &dir,
-                graph.clone(),
+                script.graph.clone(),
                 backend,
                 forced(threads),
                 WAL_ONLY,
             )
             .unwrap();
             assert_only_the_manifest(&dir, "create_durable");
-            let mut roster = Vec::new();
-            for (i, op) in schedule.iter().enumerate() {
-                if i == half {
-                    svc.snapshot_now().unwrap();
-                }
-                exec_op(&mut svc, &mut roster, op);
-            }
+            drive(&mut svc, &script, Some(half));
             let manifest = dir.join(SNAPSHOT_DIR).join(MANIFEST_FILE);
             let (wal, old) = (
                 fs::read(dir.join(WAL_FILE)).unwrap(),
@@ -905,100 +514,26 @@ fn reopen_after_a_snapshot_rebuilds_the_active_states_and_emits_nothing() {
     }
 }
 
-/// Crashes on a root that mixes a mid-history snapshot with a WAL tail:
-/// recovery folds snapshot + surviving suffix records. Also pins the
-/// automatic cadence: `snapshot_every: Some(n)` keeps the live log at most
-/// `n` records long.
-#[test]
-fn snapshot_plus_wal_tail_recovers_at_every_cut() {
-    let seed = 0x5EED;
-    let graph = labelled_graph(20, 45, 3, seed);
-    let schedule = build_schedule(&graph, seed, 12);
-    let root = TempRoot::new("mixed");
-    let backend = OracleBackend::Matrix;
-    let threads = 2;
-    let cadence = 5u64;
-    let dir = root.path("svc");
-    let mut svc = MatchService::create_durable_with(
-        &dir,
-        graph.clone(),
-        backend,
-        forced(threads),
-        DurableOptions {
-            snapshot_every: Some(cadence),
-        },
-    )
-    .unwrap();
-    let mut roster = Vec::new();
-    for op in &schedule {
-        exec_op(&mut svc, &mut roster, op);
-        let wal_records = read_wal_bytes(&fs::read(dir.join(WAL_FILE)).unwrap())
-            .unwrap()
-            .records
-            .len() as u64;
-        assert!(
-            wal_records < cadence,
-            "automatic snapshots must keep the log under {cadence} records"
-        );
-    }
-    drop(svc);
-
-    // The directory now holds a mid-history snapshot + a short WAL tail.
-    // Crash at every byte of that tail; the uninterrupted state at k
-    // surviving records is ops[..next_seq + k].
-    let manifest_bytes = fs::read(dir.join("snapshot").join("MANIFEST.bin")).unwrap();
-    let manifest = gpm::service::snapshot::decode_manifest(&manifest_bytes).unwrap();
-    let wal = fs::read(dir.join(WAL_FILE)).unwrap();
-    let base = manifest.next_seq as usize;
-
-    let mut rolling = RollingReference::new(&graph, backend, threads);
-    for cut in 0..=wal.len() {
-        let prefix = &wal[..cut];
-        let k = read_wal_bytes(prefix).unwrap().records.len();
-        let crash_dir = root.path("crash");
-        let _ = fs::remove_dir_all(&crash_dir);
-        copy_dir(&dir, &crash_dir);
-        fs::write(crash_dir.join(WAL_FILE), prefix).unwrap();
-        let mut recovered = MatchService::open_durable_with(&crash_dir, forced(threads), WAL_ONLY)
-            .unwrap_or_else(|e| panic!("reopen failed at tail byte {cut}: {e}"));
-        rolling.advance_to(&schedule, base + k);
-        assert_eq!(
-            fingerprint(&mut recovered),
-            fingerprint(&mut rolling.svc),
-            "snapshot+tail crash at byte {cut} ({k} tail records)"
-        );
-    }
-}
-
 /// A graph the dataset CSV cannot carry (one attribute key, two types) is
 /// snapshotted as its serde JSON, and reopening from that snapshot restores
 /// the graph and every query bit-identically.
 #[test]
 fn json_snapshot_fallback_reopens_bit_identically() {
-    let seed = 0x150;
-    let mut graph = labelled_graph(20, 45, 3, seed);
-    graph.attributes_mut(gpm::NodeId::new(0)).set("label", 7);
-    let schedule = build_schedule(&graph, seed, 8);
+    let mut script = Script::generate(0x150, 20, 8);
+    (script.graph.attributes_mut(gpm::NodeId::new(0))).set("label", 7);
     let root = TempRoot::new("jsonsnap");
     let dir = root.path("svc");
+    let graph = script.graph.clone();
     let mut svc =
         MatchService::create_durable_with(&dir, graph, OracleBackend::Matrix, forced(1), WAL_ONLY)
             .unwrap();
-    let mut roster = Vec::new();
-    for op in &schedule {
-        exec_op(&mut svc, &mut roster, op);
-    }
+    drive(&mut svc, &script, None);
     svc.snapshot_now().unwrap();
     let manifest = fs::read(dir.join(SNAPSHOT_DIR).join(MANIFEST_FILE)).unwrap();
     assert_eq!(
         decode_manifest(&manifest).unwrap().graph_format,
         gpm::service::GraphFormat::Json
     );
-    let sorted_edges = |g: &DataGraph| {
-        let mut edges: Vec<_> = g.edges().collect();
-        edges.sort();
-        edges
-    };
     let edges = sorted_edges(svc.graph());
     let attrs: Vec<_> = svc
         .graph()
