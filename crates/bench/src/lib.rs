@@ -3,8 +3,8 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (Section 5 + appendix). Each experiment is a binary in
 //! `src/bin/` printing a plain-text table with one row per x-axis point of
-//! the corresponding figure; Criterion micro-benchmarks for the ablation
-//! study live in `benches/`.
+//! the corresponding figure. End-to-end numbers are the repo benchmark's
+//! (`benchmark/`), not this crate's.
 //!
 //! All binaries accept:
 //!

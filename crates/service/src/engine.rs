@@ -290,7 +290,9 @@ impl MatchService {
     /// would have produced — on either oracle backend and at any thread
     /// count (the differential recovery suite enforces this at every
     /// possible crash point). Each active query's match state is rebuilt
-    /// by [`MatchService::resume`]. Uses the process-default [`Parallelism`].
+    /// by [`MatchService::resume`]. When the replayed records make an
+    /// automatic snapshot due, it is taken before the call returns, and its
+    /// failure is this call's error. Uses the process-default [`Parallelism`].
     pub fn open_durable(dir: &Path, opts: DurableOptions) -> Result<Self, DurabilityError> {
         Self::open_durable_with(dir, Parallelism::from_env(), opts)
     }
@@ -353,7 +355,9 @@ impl MatchService {
             snapshot_every: opts.snapshot_every,
             records_since_snapshot: replayed,
         });
-        svc.maybe_autosnapshot();
+        if svc.snapshot_due() {
+            svc.snapshot_now()?;
+        }
         Ok(svc)
     }
 
@@ -438,15 +442,19 @@ impl MatchService {
         }
     }
 
+    /// Whether the automatic snapshot policy asks for a snapshot now.
+    fn snapshot_due(&self) -> bool {
+        self.durability.as_ref().is_some_and(|d| {
+            d.snapshot_every
+                .is_some_and(|n| d.records_since_snapshot >= n)
+        })
+    }
+
     /// Runs the automatic snapshot policy; called after every logged
     /// operation has fully taken effect. Crash-stop on failure, like
     /// [`MatchService::log_op`].
     fn maybe_autosnapshot(&mut self) {
-        let due = self.durability.as_ref().is_some_and(|d| {
-            d.snapshot_every
-                .is_some_and(|n| d.records_since_snapshot >= n)
-        });
-        if due {
+        if self.snapshot_due() {
             if let Err(e) = self.snapshot_now() {
                 panic!(
                     "durable MatchService: automatic snapshot failed, cannot continue safely: {e}"

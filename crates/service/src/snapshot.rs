@@ -47,7 +47,7 @@
 
 use crate::catalog::QueryCatalog;
 use crate::delta::QueryId;
-use crate::wal::{decode_frame_exact, encode_frame, DurabilityError, FRAME_HEADER_LEN};
+use crate::wal::{decode_frame_exact, encode_frame, sync_dir, DurabilityError, FRAME_HEADER_LEN};
 use gpm_core::MatchRelation;
 use gpm_distance::OracleBackend;
 use gpm_graph::{dataset, DataGraph, PatternGraph};
@@ -227,16 +227,6 @@ fn decode_graph(format: GraphFormat, parts: &[&str]) -> Result<DataGraph, Durabi
         }),
         _ => unreachable!("decode_snapshot returns the parts the format names"),
     }
-}
-
-fn sync_dir(path: &Path) -> Result<(), DurabilityError> {
-    // Directory fsync commits the renames/creations themselves. Some
-    // filesystems refuse to fsync a directory handle; that is a platform
-    // limitation, not an application error, so it is tolerated.
-    if let Ok(d) = File::open(path) {
-        let _ = d.sync_all();
-    }
-    Ok(())
 }
 
 /// Writes a complete snapshot of the service state to

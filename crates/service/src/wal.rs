@@ -30,7 +30,7 @@ use gpm_graph::PatternGraph;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Seek, SeekFrom, Write};
+use std::io::{self, ErrorKind, Read as _, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -89,6 +89,19 @@ impl From<io::Error> for DurabilityError {
 impl From<serde_json::Error> for DurabilityError {
     fn from(e: serde_json::Error) -> Self {
         DurabilityError::Codec(e.to_string())
+    }
+}
+
+/// Fsyncs the directory `path`, which commits the creations and renames
+/// inside it. A filesystem that cannot fsync a directory handle answers
+/// `InvalidInput` or `Unsupported`: a platform limit, tolerated. Any other
+/// failure, an EIO included, is the durability step failing.
+pub(crate) fn sync_dir(path: &Path) -> Result<(), DurabilityError> {
+    match File::open(path).and_then(|d| d.sync_all()) {
+        Err(e) if !matches!(e.kind(), ErrorKind::InvalidInput | ErrorKind::Unsupported) => {
+            Err(e.into())
+        }
+        _ => Ok(()),
     }
 }
 
@@ -314,7 +327,12 @@ pub struct WalWriter {
 impl WalWriter {
     /// Creates (or truncates to empty) a WAL at `path`, writing and syncing
     /// the magic header. The first appended record gets sequence `first_seq`.
+    ///
+    /// When the file is new, its parent directory is fsynced too: otherwise
+    /// a power loss can drop the directory entry, and a reopen would read
+    /// the missing log as a crash before the log existed.
     pub fn create(path: &Path, first_seq: u64) -> Result<Self, DurabilityError> {
+        let created = !path.exists();
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -322,6 +340,10 @@ impl WalWriter {
             .open(path)?;
         file.write_all(WAL_MAGIC)?;
         file.sync_all()?;
+        if created {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            sync_dir(dir.unwrap_or(Path::new(".")))?;
+        }
         Ok(WalWriter {
             file,
             next_seq: first_seq,
@@ -331,6 +353,12 @@ impl WalWriter {
     /// Reopens an existing WAL after recovery: truncates any torn tail to
     /// `outcome.valid_len` in place, then positions for appending. If even
     /// the header was torn, the file is rewritten from scratch.
+    ///
+    /// The file is `sync_all`ed even when nothing was torn. The last
+    /// process may have died between an append's `write_all` and its
+    /// `sync_data`; the records read back may then sit only in the page
+    /// cache, and the reopened service serves them. The sync makes them
+    /// durable before anything is built on them.
     pub fn resume(
         path: &Path,
         outcome: &WalReadOutcome,

@@ -554,14 +554,16 @@ fn json_snapshot_fallback_reopens_bit_identically() {
     assert_eq!(fingerprint(&mut reopened), live);
 }
 
-/// `create_durable` refuses to clobber an existing root, and `open_durable`
-/// refuses a directory that never finished `create_durable`.
+/// `create_durable` refuses to clobber an existing root, `open_durable`
+/// refuses a directory that never finished `create_durable`, and a reopen
+/// whose due snapshot cannot be written returns the error, then succeeds
+/// once the obstacle is gone.
 #[test]
 fn directory_lifecycle_errors() {
     let root = TempRoot::new("lifecycle");
     let dir = root.path("svc");
     let graph = labelled_graph(10, 20, 2, 1);
-    let svc = MatchService::create_durable_with(
+    let mut svc = MatchService::create_durable_with(
         &dir,
         graph.clone(),
         OracleBackend::Matrix,
@@ -569,6 +571,11 @@ fn directory_lifecycle_errors() {
         WAL_ONLY,
     )
     .unwrap();
+    let (p, _) = generate_pattern(svc.graph(), &PatternGenConfig::new(3, 3, 3).with_seed(1));
+    let q = svc.register(p);
+    let updates = random_updates(svc.graph(), &UpdateStreamConfig::mixed(5).with_seed(1));
+    svc.apply(&updates);
+    let live = svc.result(q).unwrap();
     drop(svc);
     assert!(
         MatchService::create_durable_with(
@@ -587,6 +594,21 @@ fn directory_lifecycle_errors() {
         MatchService::open_durable_with(&empty, forced(1), WAL_ONLY).is_err(),
         "open on a root without a snapshot must fail"
     );
+    // A directory where the snapshot's temporary file goes makes its
+    // `File::create` fail, so the snapshot two replayed records make due
+    // cannot be written.
+    let every_op = DurableOptions {
+        snapshot_every: Some(1),
+    };
+    let obstacle = dir.join(SNAPSHOT_DIR).join(MANIFEST_TMP_FILE);
+    fs::create_dir(&obstacle).unwrap();
+    match MatchService::open_durable_with(&dir, forced(1), every_op) {
+        Err(DurabilityError::Io(_)) => {}
+        other => panic!("expected an I/O error, got {:?}", other.map(|_| ())),
+    }
+    fs::remove_dir(&obstacle).unwrap();
+    let reopened = MatchService::open_durable_with(&dir, forced(1), every_op).unwrap();
+    assert_eq!(reopened.result(q).unwrap(), live);
 }
 
 /// Reopening ignores `GPM_ORACLE`: the backend persisted in the manifest
