@@ -175,6 +175,6 @@ pub use gpm_incremental::{
 };
 pub use gpm_iso::{subgraph_isomorphism_ullmann, subgraph_isomorphism_vf2, IsoConfig, IsoOutcome};
 pub use gpm_service::{
-    fold_deltas, BatchOutcome, DurabilityError, DurableOptions, MatchDelta, MatchService,
+    fold_deltas, BatchOutcome, DurabilityError, DurableOptions, Executed, MatchDelta, MatchService,
     QueryCatalog, QueryId, ServiceStats, Subscription,
 };

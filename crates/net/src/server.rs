@@ -33,7 +33,7 @@ use crate::codec::{read_message, write_message, ReadOutcome};
 use crate::error::NetError;
 use crate::metrics;
 use crate::proto::{EndReason, ErrorCode, Request, Response, StreamMsg, PROTOCOL_VERSION};
-use gpm_service::{MatchDelta, MatchService, QueryId};
+use gpm_service::{Executed, MatchDelta, MatchService, QueryId, WalOp};
 use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -294,28 +294,12 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> Result<(), NetErr
                 message: "connection is already past its handshake".to_string(),
             },
             Request::Ping => Response::Pong,
-            Request::Register { pattern } => Response::Registered {
-                query: shared.svc.lock().register(pattern).value(),
-            },
+            Request::Register { pattern } => mutate(shared, WalOp::Register(pattern)),
             // Dropping the query drops its sinks, which ends its wire streams.
-            Request::Deregister { query } => Response::Done {
-                known: shared.svc.lock().deregister(QueryId::from_raw(query)),
-            },
-            Request::Suspend { query } => Response::Done {
-                known: shared.svc.lock().suspend(QueryId::from_raw(query)),
-            },
-            Request::Resume { query } => Response::Done {
-                known: shared.svc.lock().resume(QueryId::from_raw(query)),
-            },
-            Request::ApplyBatch { updates } => {
-                let out = shared.svc.lock().apply(&updates);
-                Response::Applied {
-                    epoch: out.epoch,
-                    applied: out.applied as u64,
-                    aff1: out.aff1 as u64,
-                    deltas: out.deltas,
-                }
-            }
+            Request::Deregister { query } => mutate(shared, WalOp::Deregister(query)),
+            Request::Suspend { query } => mutate(shared, WalOp::Suspend(query)),
+            Request::Resume { query } => mutate(shared, WalOp::Resume(query)),
+            Request::ApplyBatch { updates } => mutate(shared, WalOp::Batch(updates)),
             Request::Result { query } => Response::ResultRelation {
                 relation: shared.svc.lock().result(QueryId::from_raw(query)),
             },
@@ -341,6 +325,27 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> Result<(), NetErr
             }
         };
         send(&mut stream, &resp)?;
+    }
+}
+
+/// Runs one mutation through [`MatchService::execute`], the service's only
+/// mutating path, so no request reaches a method that panics. A durability
+/// error answers `Internal` and the connection stays open; the service is
+/// stopped by then, so every later mutation answers it too.
+fn mutate(shared: &Shared, op: WalOp) -> Response {
+    match shared.svc.lock().execute(op) {
+        Ok(Executed::Registered(id)) => Response::Registered { query: id.value() },
+        Ok(Executed::Known(known)) => Response::Done { known },
+        Ok(Executed::Applied(out)) => Response::Applied {
+            epoch: out.epoch,
+            applied: out.applied as u64,
+            aff1: out.aff1 as u64,
+            deltas: out.deltas,
+        },
+        Err(e) => Response::Error {
+            code: ErrorCode::Internal,
+            message: e.to_string(),
+        },
     }
 }
 

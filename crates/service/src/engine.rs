@@ -13,7 +13,7 @@
 //!    counted once, then pushed into its subscriber sinks — so the
 //!    per-query streams (and the batch outcome) are bit-identical at any
 //!    thread count. The service is the one owner of a maintained match, and
-//!    [`MatchService::apply`] is its one refresh path.
+//!    a batch is its one refresh path.
 //!
 //! A query is active iff it holds a match state. [`MatchService::suspend`]
 //! frees it; [`MatchService::resume`] rebuilds it at once and hands the
@@ -26,6 +26,15 @@
 //! batch never recomputes a query's state — only registration and
 //! [`MatchService::resume`] build one from scratch, and reopening a durable
 //! service resumes each active query: snapshots persist no match state.
+//!
+//! Every change goes through [`MatchService::execute`], one [`WalOp`] at a
+//! time: the public methods, the replay of a reopened log, the `gpm-net`
+//! server and the test simulator all run it. On a durable service it logs
+//! the op before the op takes effect. Its first durability error stops the
+//! service (fail-stop): the op that met it was not applied, every later
+//! change answers the same error without touching the log or the state,
+//! and reads keep answering. So no record is ever appended after a failed
+//! append.
 //!
 //! The distance backend is pluggable ([`MatchService::with_backend`] /
 //! `GPM_ORACLE`): the paper's quadratic matrix, or the sublinear-memory
@@ -82,13 +91,29 @@ pub struct BatchOutcome {
     pub deltas: Vec<MatchDelta>,
 }
 
+/// What one [`MatchService::execute`] did.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Executed {
+    /// A [`WalOp::Register`]: the new query's id.
+    Registered(QueryId),
+    /// A [`WalOp::Deregister`], [`WalOp::Suspend`] or [`WalOp::Resume`]:
+    /// whether the id names a registered query.
+    Known(bool),
+    /// A [`WalOp::Batch`]: what the batch did.
+    Applied(BatchOutcome),
+}
+
 /// Knobs for a durable service (see [`MatchService::create_durable`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DurableOptions {
-    /// Fold state into a fresh snapshot (and truncate the log) every this
-    /// many WAL records; `None` disables automatic snapshots — only
-    /// [`MatchService::snapshot_now`] folds. Smaller values mean faster
-    /// reopen, larger values mean less write amplification.
+    /// Fold state into a fresh snapshot (and truncate the log) so that the
+    /// log never holds this many records after an op: the snapshot is
+    /// taken before the op that finds one due, and at open when the
+    /// replayed log makes one due. An empty log is never folded, so
+    /// `Some(1)` and `Some(2)` both keep one record. `None` disables
+    /// automatic snapshots — only [`MatchService::snapshot_now`] folds.
+    /// Smaller values mean faster reopen, larger values mean less write
+    /// amplification.
     pub snapshot_every: Option<u64>,
 }
 
@@ -107,6 +132,33 @@ struct Durability {
     backend: OracleBackend,
     snapshot_every: Option<u64>,
     records_since_snapshot: u64,
+    /// The first durability error, which every later change answers.
+    failed: Option<DurabilityError>,
+}
+
+impl Durability {
+    /// The stored error of a stopped service.
+    fn healthy(&self) -> Result<(), DurabilityError> {
+        self.failed.as_ref().map_or(Ok(()), |e| Err(e.clone()))
+    }
+
+    /// Stops the service on its first durability error and hands it back.
+    fn stop(&mut self, e: DurabilityError) -> DurabilityError {
+        self.failed = Some(e.clone());
+        e
+    }
+
+    /// A healthy log at `dir` with no record since the last snapshot.
+    fn new(dir: &Path, writer: WalWriter, backend: OracleBackend, opts: DurableOptions) -> Self {
+        Durability {
+            dir: dir.to_path_buf(),
+            writer,
+            backend,
+            snapshot_every: opts.snapshot_every,
+            records_since_snapshot: 0,
+            failed: None,
+        }
+    }
 }
 
 /// A continuous multi-pattern matching service over one evolving graph.
@@ -270,19 +322,13 @@ impl MatchService {
         let mut svc = Self::with_backend(graph, backend, parallelism);
         snapshot::write_snapshot(dir, &svc.graph, backend, 0, 0, &svc.catalog)?;
         let writer = WalWriter::create(&dir.join(WAL_FILE), 0)?;
-        svc.durability = Some(Durability {
-            dir: dir.to_path_buf(),
-            writer,
-            backend,
-            snapshot_every: opts.snapshot_every,
-            records_since_snapshot: 0,
-        });
+        svc.durability = Some(Durability::new(dir, writer, backend, opts));
         Ok(svc)
     }
 
     /// Reopens a durable service directory: loads the latest snapshot,
     /// detects and truncates any torn WAL tail, replays the surviving
-    /// records through the normal engine paths, and resumes appending.
+    /// records through [`MatchService::execute`], and resumes appending.
     ///
     /// The recovered service is **bit-identical** to the uninterrupted one:
     /// subsequent [`BatchOutcome`]s, [`Subscription`] streams and
@@ -317,23 +363,22 @@ impl MatchService {
         // the rebuilt state is the lost one and its catch-up delta is empty.
         svc.catalog = snapshot::restore_catalog(&loaded.manifest)?;
         for q in loaded.manifest.queries.iter().filter(|q| q.active) {
-            svc.resume(QueryId(q.id));
+            svc.execute(WalOp::Resume(q.id))?;
         }
 
         let wal_path = dir.join(WAL_FILE);
-        let outcome = if wal_path.exists() {
+        let mut outcome = if wal_path.exists() {
             wal::read_wal(&wal_path)?
         } else {
             // Crash between `create_durable`'s first snapshot and its log:
             // the snapshot alone is the complete state.
-            WalReadOutcome {
-                records: Vec::new(),
-                valid_len: 0,
-                torn_bytes: 0,
-            }
+            WalReadOutcome::default()
         };
+        // Durability is not attached yet, so replay logs nothing and cannot
+        // fail: replaying the identical ops on identical state is what
+        // makes recovery bit-identical.
         let mut next_seq = loaded.manifest.next_seq;
-        for record in &outcome.records {
+        for record in std::mem::take(&mut outcome.records) {
             if record.seq < loaded.manifest.next_seq {
                 continue; // already folded into the snapshot
             }
@@ -343,52 +388,23 @@ impl MatchService {
                     record.seq
                 )));
             }
-            svc.replay(&record.op);
+            svc.execute(record.op)?;
             next_seq += 1;
         }
-        let replayed = next_seq - loaded.manifest.next_seq;
         let writer = WalWriter::resume(&wal_path, &outcome, next_seq)?;
-        svc.durability = Some(Durability {
-            dir: dir.to_path_buf(),
-            writer,
-            backend,
-            snapshot_every: opts.snapshot_every,
-            records_since_snapshot: replayed,
-        });
-        if svc.snapshot_due() {
-            svc.snapshot_now()?;
-        }
+        let mut durability = Durability::new(dir, writer, backend, opts);
+        durability.records_since_snapshot = next_seq - loaded.manifest.next_seq;
+        svc.durability = Some(durability);
+        svc.snapshot_if_due()?;
         Ok(svc)
-    }
-
-    /// Re-executes one recovered operation through the normal engine paths
-    /// (durability is not yet attached, so nothing is re-logged). Replaying
-    /// the identical call sequence on identical state is what makes
-    /// recovery bit-identical.
-    fn replay(&mut self, op: &WalOp) {
-        match op {
-            WalOp::Batch(updates) => {
-                self.apply(updates);
-            }
-            WalOp::Register(pattern) => {
-                self.register(pattern.clone());
-            }
-            WalOp::Deregister(id) => {
-                self.deregister(QueryId(*id));
-            }
-            WalOp::Suspend(id) => {
-                self.suspend(QueryId(*id));
-            }
-            WalOp::Resume(id) => {
-                self.resume(QueryId(*id));
-            }
-        }
     }
 
     /// Folds the current state into a fresh snapshot and truncates the log
     /// (one rename replaces the snapshot file — a crash mid-snapshot
     /// recovers to either the old or the new one, never a mix). Errors on
-    /// non-durable services.
+    /// non-durable services. A failure stops the service like a failed
+    /// [`MatchService::execute`], and a stopped service answers its stored
+    /// error here too.
     pub fn snapshot_now(&mut self) -> Result<(), DurabilityError> {
         let Some(d) = self.durability.as_mut() else {
             return Err(DurabilityError::State(
@@ -396,6 +412,7 @@ impl MatchService {
                     .to_string(),
             ));
         };
+        d.healthy()?;
         let obs = crate::metrics::service();
         let fold_span = obs.fold_ns.span();
         let next_seq = d.writer.next_seq();
@@ -406,10 +423,11 @@ impl MatchService {
             self.epoch,
             next_seq,
             &self.catalog,
-        )?;
+        )
+        .map_err(|e| d.stop(e))?;
         // Only after the rename is durable may the log forget the history
         // the snapshot now covers.
-        d.writer = WalWriter::create(&d.dir.join(WAL_FILE), next_seq)?;
+        d.writer = WalWriter::create(&d.dir.join(WAL_FILE), next_seq).map_err(|e| d.stop(e))?;
         d.records_since_snapshot = 0;
         obs.snapshots.inc();
         let ns = fold_span.finish();
@@ -426,41 +444,6 @@ impl MatchService {
             );
         }
         Ok(())
-    }
-
-    /// Appends one operation to the WAL (fsynced) before it takes effect.
-    ///
-    /// An append failure means durability can no longer be guaranteed; the
-    /// service follows crash-stop semantics and panics rather than continue
-    /// with an in-memory state the log does not cover.
-    fn log_op(&mut self, op: WalOp) {
-        if let Some(d) = self.durability.as_mut() {
-            if let Err(e) = d.writer.append(op) {
-                panic!("durable MatchService: WAL append failed, cannot continue safely: {e}");
-            }
-            d.records_since_snapshot += 1;
-        }
-    }
-
-    /// Whether the automatic snapshot policy asks for a snapshot now.
-    fn snapshot_due(&self) -> bool {
-        self.durability.as_ref().is_some_and(|d| {
-            d.snapshot_every
-                .is_some_and(|n| d.records_since_snapshot >= n)
-        })
-    }
-
-    /// Runs the automatic snapshot policy; called after every logged
-    /// operation has fully taken effect. Crash-stop on failure, like
-    /// [`MatchService::log_op`].
-    fn maybe_autosnapshot(&mut self) {
-        if self.snapshot_due() {
-            if let Err(e) = self.snapshot_now() {
-                panic!(
-                    "durable MatchService: automatic snapshot failed, cannot continue safely: {e}"
-                );
-            }
-        }
     }
 
     /// The current data graph.
@@ -488,84 +471,155 @@ impl MatchService {
         self.epoch
     }
 
+    /// Runs one state-changing operation. This is the service's only
+    /// mutating path: the public methods below, the replay of a reopened
+    /// log, the `gpm-net` server and the test simulator all run it. In
+    /// order, it
+    ///
+    /// 1. takes a due automatic snapshot ([`DurableOptions::snapshot_every`]);
+    /// 2. builds the match state a `Register` or a `Resume` needs, and
+    ///    answers an op that changes nothing — a deregister of an unknown
+    ///    id, a suspend of a suspended query, a resume of an active one —
+    ///    with [`Executed::Known`], logging nothing;
+    /// 3. appends the op to the log of a durable service (fsynced);
+    /// 4. applies the op and emits its deltas.
+    ///
+    /// A build that panics in step 2 leaves the log and the catalog as they
+    /// were. An `Err` comes from step 1 or 3 and means the op was **not
+    /// applied** in memory. It also stops the service: every later
+    /// `execute` and [`MatchService::snapshot_now`] answers the same error
+    /// without touching the log or the state, while reads keep answering.
+    /// The one ambiguity is on disk: a record whose `sync_data` failed
+    /// after its `write_all` may still sit in the log and replay on reopen.
+    /// A non-durable service never errs.
+    pub fn execute(&mut self, op: WalOp) -> Result<Executed, DurabilityError> {
+        self.snapshot_if_due()?;
+        let mut built = None;
+        match &op {
+            WalOp::Batch(_) => {}
+            WalOp::Register(pattern) => {
+                crate::metrics::service().registers.inc();
+                let _span = crate::metrics::service().register_ns.span();
+                built = Some(self.build(pattern));
+            }
+            WalOp::Deregister(id) | WalOp::Suspend(id) | WalOp::Resume(id) => {
+                let Some(entry) = self.catalog.get(QueryId(*id)) else {
+                    return Ok(Executed::Known(false));
+                };
+                match (&op, entry.state.is_some()) {
+                    (WalOp::Suspend(_), false) | (WalOp::Resume(_), true) => {
+                        return Ok(Executed::Known(true))
+                    }
+                    (WalOp::Resume(_), false) => built = Some(self.build(&entry.pattern)),
+                    _ => {}
+                }
+            }
+        }
+        if let Some(d) = self.durability.as_mut() {
+            d.writer.append(op.clone()).map_err(|e| d.stop(e))?;
+            d.records_since_snapshot += 1;
+        }
+        Ok(match op {
+            WalOp::Batch(updates) => Executed::Applied(self.apply_updates(&updates)),
+            WalOp::Register(pattern) => {
+                let state = built.expect("a register builds its state");
+                let emitted = state.relation();
+                Executed::Registered(self.catalog.register(pattern, state, emitted))
+            }
+            WalOp::Deregister(id) => Executed::Known(self.catalog.deregister(QueryId(id))),
+            // A suspend frees the state; a resume installs the rebuilt one
+            // and emits its catch-up delta.
+            WalOp::Suspend(id) | WalOp::Resume(id) => {
+                let entry = self.catalog.get_mut(QueryId(id)).expect("checked above");
+                entry.state = built;
+                let epoch = self.epoch;
+                if entry.state.is_some() {
+                    emit(entry, RepairKind::Activation, 0, epoch, &mut self.stats);
+                }
+                Executed::Known(true)
+            }
+        })
+    }
+
+    /// Step 1 of [`MatchService::execute`], also run at open: answers the
+    /// stored error of a stopped service, else takes the snapshot that
+    /// [`DurableOptions::snapshot_every`] makes due — the one logging the
+    /// next op would bring a non-empty log to `snapshot_every` records.
+    fn snapshot_if_due(&mut self) -> Result<(), DurabilityError> {
+        if let Some(d) = &self.durability {
+            d.healthy()?;
+            let n = d.records_since_snapshot + 1;
+            if d.snapshot_every.is_some_and(|every| n >= every.max(2)) {
+                self.snapshot_now()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`MatchService::execute`] for the methods whose return types have no
+    /// room for a durability error.
+    ///
+    /// # Panics
+    ///
+    /// On a durability error, which only a durable service meets: the
+    /// methods have always panicked on one. The service is stopped by then,
+    /// so a caller that catches the panic cannot log past the failure.
+    fn run(&mut self, op: WalOp) -> Executed {
+        self.execute(op)
+            .unwrap_or_else(|e| panic!("durable MatchService stopped: {e}"))
+    }
+
+    /// A match state for `pattern` on the current graph.
+    fn build(&self, pattern: &PatternGraph) -> MatchState {
+        MatchState::initialise_with(pattern, &self.graph, self.oracle.as_ref(), &self.exec)
+    }
+
     /// Registers a standing pattern; its initial match is computed against
     /// the current graph immediately. Returns the query's stable id.
     ///
-    /// The match is computed before the registration is logged, so a build
-    /// that panics leaves the log and the catalog as they were.
+    /// # Panics
+    ///
+    /// On a durability error; [`MatchService::execute`] returns it instead.
     pub fn register(&mut self, pattern: PatternGraph) -> QueryId {
-        let obs = crate::metrics::service();
-        obs.registers.inc();
-        let _span = obs.register_ns.span();
-        let state =
-            MatchState::initialise_with(&pattern, &self.graph, self.oracle.as_ref(), &self.exec);
-        if self.durability.is_some() {
-            self.log_op(WalOp::Register(pattern.clone()));
+        match self.run(WalOp::Register(pattern)) {
+            Executed::Registered(id) => id,
+            other => unreachable!("a register answered {other:?}"),
         }
-        let emitted = state.relation();
-        let id = self.catalog.register(pattern, state, emitted);
-        self.maybe_autosnapshot();
-        id
     }
 
     /// Removes a query; its subscriptions close. Returns whether the id was
     /// registered.
+    ///
+    /// # Panics
+    ///
+    /// On a durability error; [`MatchService::execute`] returns it instead.
     pub fn deregister(&mut self, id: QueryId) -> bool {
-        if self.catalog.get(id).is_none() {
-            return false; // no-op, nothing to log
-        }
-        self.log_op(WalOp::Deregister(id.0));
-        let removed = self.catalog.deregister(id);
-        self.maybe_autosnapshot();
-        removed
+        self.run(WalOp::Deregister(id.0)) == Executed::Known(true)
     }
 
     /// Suspends a query: its match state is freed, so it stops
     /// participating in per-batch repair. Subscriptions stay open but
     /// silent. Suspending a suspended query changes nothing and logs
     /// nothing. Returns `false` for unknown ids.
+    ///
+    /// # Panics
+    ///
+    /// On a durability error; [`MatchService::execute`] returns it instead.
     pub fn suspend(&mut self, id: QueryId) -> bool {
-        let Some(entry) = self.catalog.get(id) else {
-            return false;
-        };
-        if entry.state.is_some() {
-            self.log_op(WalOp::Suspend(id.0));
-            self.catalog.get_mut(id).expect("checked above").state = None;
-            self.maybe_autosnapshot();
-        }
-        true
+        self.run(WalOp::Suspend(id.0)) == Executed::Known(true)
     }
 
     /// Resumes a suspended query: its state is rebuilt against the current
     /// graph right here (counted in [`ServiceStats::activations`]), and
     /// subscribers receive one catch-up delta covering everything missed
-    /// while suspended. The state is built before the resume is logged, as
-    /// in [`MatchService::register`]. Resuming an active query changes
-    /// nothing and logs nothing. Returns `false` for unknown ids.
+    /// while suspended. Resuming an active query changes nothing and logs
+    /// nothing. Returns `false` for unknown ids.
+    ///
+    /// # Panics
+    ///
+    /// On a durability error; [`MatchService::execute`] returns it instead.
     pub fn resume(&mut self, id: QueryId) -> bool {
-        let Some(entry) = self.catalog.get(id) else {
-            return false;
-        };
-        if entry.state.is_none() {
-            let state = MatchState::initialise_with(
-                &entry.pattern,
-                &self.graph,
-                self.oracle.as_ref(),
-                &self.exec,
-            );
-            self.log_op(WalOp::Resume(id.0));
-            let entry = self.catalog.get_mut(id).expect("checked above");
-            entry.state = Some(state);
-            emit(
-                entry,
-                RepairKind::Activation,
-                0,
-                self.epoch,
-                &mut self.stats,
-            );
-            self.maybe_autosnapshot();
-        }
-        true
+        self.run(WalOp::Resume(id.0)) == Executed::Known(true)
     }
 
     /// Subscribes to a query's delta stream. The first delta is a snapshot
@@ -625,13 +679,22 @@ impl MatchService {
     /// never leaves queries inconsistent halfway through a batch. The
     /// returned outcome carries every non-empty per-query delta; the same
     /// deltas are pushed to subscribers.
+    ///
+    /// # Panics
+    ///
+    /// On a durability error; [`MatchService::execute`] returns it instead.
     pub fn apply(&mut self, updates: &[EdgeUpdate]) -> BatchOutcome {
+        match self.run(WalOp::Batch(updates.to_vec())) {
+            Executed::Applied(outcome) => outcome,
+            other => unreachable!("a batch answered {other:?}"),
+        }
+    }
+
+    /// Step 4 of [`MatchService::execute`] for a batch. Even an empty batch
+    /// bumps the epoch, which is why every batch is logged.
+    fn apply_updates(&mut self, updates: &[EdgeUpdate]) -> BatchOutcome {
         let obs = crate::metrics::service();
         let batch_span = obs.batch_ns.span();
-        if self.durability.is_some() {
-            // Even empty batches bump the epoch, so every apply is logged.
-            self.log_op(WalOp::Batch(updates.to_vec()));
-        }
         self.epoch += 1;
         self.stats.batches += 1;
         obs.batches.inc();
@@ -685,7 +748,6 @@ impl MatchService {
             }
         }
         obs.fanout_size.record(refreshed);
-        self.maybe_autosnapshot();
         batch_span.finish();
         outcome
     }

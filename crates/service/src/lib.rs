@@ -83,6 +83,6 @@ pub mod wal;
 
 pub use catalog::{QueryCatalog, QueryEntry, RepairKind};
 pub use delta::{fold_deltas, MatchDelta, QueryId, Subscription};
-pub use engine::{BatchOutcome, DurableOptions, MatchService, ServiceStats};
+pub use engine::{BatchOutcome, DurableOptions, Executed, MatchService, ServiceStats};
 pub use snapshot::{GraphFormat, Manifest, QuerySnapshot};
 pub use wal::{DurabilityError, WalOp, WalReadOutcome, WalRecord, WalWriter};

@@ -80,6 +80,19 @@ impl std::error::Error for DurabilityError {
     }
 }
 
+/// An `Io` error clones into one of the same kind and message, which is
+/// what a fail-stop service answers every call after its first error with.
+impl Clone for DurabilityError {
+    fn clone(&self) -> Self {
+        match self {
+            DurabilityError::Io(e) => DurabilityError::Io(io::Error::new(e.kind(), e.to_string())),
+            DurabilityError::Codec(m) => DurabilityError::Codec(m.clone()),
+            DurabilityError::Corrupt(m) => DurabilityError::Corrupt(m.clone()),
+            DurabilityError::State(m) => DurabilityError::State(m.clone()),
+        }
+    }
+}
+
 impl From<io::Error> for DurabilityError {
     fn from(e: io::Error) -> Self {
         DurabilityError::Io(e)
@@ -235,7 +248,7 @@ pub fn decode_record_exact(frame: &[u8]) -> Result<WalRecord, DurabilityError> {
 }
 
 /// Result of reading a (possibly crash-torn) WAL.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WalReadOutcome {
     /// All records in the trusted prefix, in sequence order.
     pub records: Vec<WalRecord>,

@@ -11,8 +11,8 @@ use gpm::service::snapshot::{
 use gpm::service::wal::{encode_frame, read_wal_bytes, WalOp, WAL_FILE, WAL_MAGIC};
 use gpm::{
     bounded_simulation_with_oracle, fold_deltas, generate_pattern, random_updates, DistanceMatrix,
-    DurabilityError, DurableOptions, MatchService, OracleBackend, PatternGenConfig, PatternGraph,
-    QueryId, UpdateStreamConfig,
+    DurabilityError, DurableOptions, Executed, MatchService, OracleBackend, PatternGenConfig,
+    PatternGraph, QueryId, UpdateStreamConfig,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -609,6 +609,85 @@ fn directory_lifecycle_errors() {
     fs::remove_dir(&obstacle).unwrap();
     let reopened = MatchService::open_durable_with(&dir, forced(1), every_op).unwrap();
     assert_eq!(reopened.result(q).unwrap(), live);
+}
+
+/// A durability error stops the service (fail-stop). The fault: a
+/// directory where the snapshot's temporary file goes, so the first
+/// snapshot that comes due cannot be written. The op that meets it is not
+/// applied; every later change, and `snapshot_now`, answers the same
+/// error without growing the log, even once the fault is gone; reads keep
+/// answering; and a reopen equals the service before the error.
+#[test]
+fn a_durability_error_stops_the_service() {
+    let every_op = DurableOptions {
+        snapshot_every: Some(1),
+    };
+    let script = Script::generate(0xFA11, 18, 6);
+    for backend in OracleBackend::ALL {
+        for threads in [1, 4] {
+            let root = TempRoot::new(&format!("failstop-{}-{threads}", backend.name()));
+            let run = durable_run(&script, &root, backend, threads, WAL_ONLY);
+            // The reopen folds the replayed log into a snapshot; the fault
+            // comes after it, so one op logs and the next finds a snapshot due.
+            let mut svc =
+                MatchService::open_durable_with(&run.dir, forced(threads), every_op).unwrap();
+            let obstacle = run.dir.join(SNAPSHOT_DIR).join(MANIFEST_TMP_FILE);
+            fs::create_dir(&obstacle).unwrap();
+            let batch = |svc: &MatchService, seed| {
+                let config = UpdateStreamConfig::mixed(8).with_seed(seed);
+                WalOp::Batch(random_updates(svc.graph(), &config))
+            };
+            let first = batch(&svc, 1);
+            assert!(matches!(svc.execute(first), Ok(Executed::Applied(_))));
+            let ids = svc.catalog().ids();
+            let results =
+                |svc: &MatchService| -> Vec<_> { ids.iter().map(|&q| svc.result(q)).collect() };
+            let wal_len = || fs::metadata(run.dir.join(WAL_FILE)).unwrap().len();
+            let (before, logged, epoch) = (results(&svc), wal_len(), svc.epoch());
+            let sub = svc.subscribe(ids[0]).unwrap();
+            sub.drain();
+
+            let second = batch(&svc, 2);
+            match svc.execute(second.clone()) {
+                Err(DurabilityError::Io(_)) => {}
+                other => panic!("expected an I/O error, got {other:?}"),
+            }
+            let later = [
+                second,
+                WalOp::Suspend(ids[0].value()),
+                WalOp::Deregister(ids[0].value()),
+                WalOp::Register(svc.catalog().get(ids[0]).unwrap().pattern().clone()),
+            ];
+            for op in later.iter().cloned() {
+                assert!(
+                    matches!(svc.execute(op), Err(DurabilityError::Io(_))),
+                    "a stopped service took a change"
+                );
+            }
+            assert!(matches!(svc.snapshot_now(), Err(DurabilityError::Io(_))));
+            fs::remove_dir(&obstacle).unwrap();
+            assert!(
+                svc.execute(later[0].clone()).is_err(),
+                "a stopped service restarted"
+            );
+            assert!(svc.snapshot_now().is_err(), "a stopped service restarted");
+            let context = format!("{backend:?} at {threads} threads");
+            assert_eq!(
+                wal_len(),
+                logged,
+                "a stopped service grew the log, {context}"
+            );
+            assert_eq!(results(&svc), before, "{context}");
+            assert_eq!(svc.epoch(), epoch, "{context}");
+            assert!(sub.drain().is_empty(), "an op that was not applied emitted");
+            drop(svc);
+
+            let reopened =
+                MatchService::open_durable_with(&run.dir, forced(threads), every_op).unwrap();
+            assert_eq!(results(&reopened), before, "the reopen, {context}");
+            assert_eq!(reopened.epoch(), epoch, "the reopen, {context}");
+        }
+    }
 }
 
 /// Reopening ignores `GPM_ORACLE`: the backend persisted in the manifest

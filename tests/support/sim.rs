@@ -28,8 +28,8 @@ use gpm::net::{NetClient, NetServer, ServerOptions};
 use gpm::service::wal::{encode_record, read_wal_bytes, WalOp, WAL_FILE, WAL_MAGIC};
 use gpm::{
     fold_deltas, generate_pattern, random_updates, BatchOutcome, DataGraph, DistanceMatrix,
-    DurableOptions, EdgeUpdate, MatchDelta, MatchRelation, MatchService, NodeId, OracleBackend,
-    PatternGenConfig, PatternGraph, QueryId, ServiceStats, UpdateStreamConfig,
+    DurableOptions, EdgeUpdate, Executed, MatchDelta, MatchRelation, MatchService, NodeId,
+    OracleBackend, PatternGenConfig, PatternGraph, QueryId, ServiceStats, UpdateStreamConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
@@ -285,28 +285,31 @@ impl Generator {
     }
 }
 
-/// Runs one logged operation through the service's public calls — the
-/// calls reopening replays — and checks that it takes effect, as every op
-/// a script holds must.
+/// Runs one logged operation through `MatchService::execute` — the path
+/// the public calls, reopening's replay and the wire server run — and
+/// checks that it takes effect, as every op a script holds must.
 pub fn exec(svc: &mut MatchService, op: &WalOp) -> Option<BatchOutcome> {
     match op {
-        WalOp::Batch(updates) => return Some(svc.apply(updates)),
-        WalOp::Register(p) => {
-            let id = svc.register(p.clone());
-            let ids = svc.catalog().ids();
-            assert!(ids.iter().all(|&q| q <= id), "{id} reuses an id: {ids:?}");
-        }
-        WalOp::Deregister(q) => assert!(svc.deregister(QueryId::from_raw(*q))),
         WalOp::Suspend(q) => {
             let q = QueryId::from_raw(*q);
             assert!(svc.result(q).is_some(), "suspends an active query");
-            assert!(svc.suspend(q));
         }
         WalOp::Resume(q) => {
             let q = QueryId::from_raw(*q);
             assert!(svc.result(q).is_none(), "resumes a suspended query");
-            assert!(svc.resume(q));
         }
+        _ => {}
+    }
+    match (op, svc.execute(op.clone()).unwrap()) {
+        (WalOp::Batch(_), Executed::Applied(outcome)) => return Some(outcome),
+        (WalOp::Register(_), Executed::Registered(id)) => {
+            let ids = svc.catalog().ids();
+            assert!(ids.iter().all(|&q| q <= id), "{id} reuses an id: {ids:?}");
+        }
+        (WalOp::Deregister(_) | WalOp::Suspend(_) | WalOp::Resume(_), Executed::Known(known)) => {
+            assert!(known, "{op:?} names a registered query")
+        }
+        (op, executed) => panic!("{op:?} answered {executed:?}"),
     }
     None
 }
