@@ -23,13 +23,15 @@
 //!   other atoms filter them in ascending count, so selection stays within
 //!   the paper's `O(|V_p||V|)`;
 //! * each `mat(u)` is held twice: as a packed ascending list of its
-//!   *initial* candidates, which every pass iterates, and as a membership
-//!   bitmap, which is the only part that shrinks. The witness-counter pass
-//!   therefore costs at most `Σ_e |mat(from(e))|·|mat(to(e))|` row-local
-//!   loads — one [`DistanceQuery::count_within`] per (pattern edge, live
-//!   source candidate), against the target's candidate list — which the
-//!   paper's `|E_p||V|²` bounds, and nothing after candidate selection
-//!   scans all of `V`;
+//!   *initial* candidates `mat₀(u)`, which is what every count reads as
+//!   targets and what every pass iterates as **slots**, and as one
+//!   membership flag per slot, which is the only part that shrinks. The
+//!   witness-counter pass therefore costs at most
+//!   `Σ_e |mat(from(e))|·|mat(to(e))|` row-local loads — one
+//!   [`DistanceQuery::count_within`] per (pattern edge, live source
+//!   candidate), against the target's candidate list — which the paper's
+//!   `|E_p||V|²` bounds, and nothing after candidate selection scans,
+//!   allocates or zeroes anything `|V|` wide;
 //! * `anc`/`desc` sets are not materialised; the distance oracle answers the
 //!   `len(x/.../x') <= f_e(u', u)` test in `O(1)` (distance matrix) — this is
 //!   exactly the information the `anc`/`desc` sets encode;
@@ -39,10 +41,12 @@
 //!   `y` is removed from `mat(u)`, the counters of candidate parents that can
 //!   reach `y` are decremented; hitting zero removes the parent candidate —
 //!   the same `O(|E_p||V|²)` propagation the paper obtains with `premv`.
-//!   The counters are dense, one `u32` per pattern edge and data node
-//!   (`|E_p|·|V|`), and together with the bitmaps and lists they are the
-//!   [`Refinement`] that `gpm-incremental`'s match state keeps and repairs
-//!   with the same wave ([`Refinement::cascade`]). A run makes at most
+//!   The counters are indexed by slot, one `u32` per pattern edge and slot
+//!   of its source (`Σ_e |mat₀(from(e))|`), so the count pass's chunk
+//!   results, kept in slot order, are the counters. Together with the flags
+//!   and lists they are the [`Refinement`] that `gpm-incremental`'s match
+//!   state keeps and repairs with the same wave ([`Refinement::cascade`]),
+//!   its slots then `sat(u)`. A run makes at most
 //!   `Σ_e |mat₀(from(e))|·|mat₀(to(e))|` decrements
 //!   ([`MatchStats::counter_decrements`]): each initial target leaves once
 //!   and decrements each initial source of each of its in-edges at most
@@ -69,11 +73,12 @@ use std::sync::{Arc, OnceLock};
 struct MatchMetrics {
     runs: Arc<gpm_obs::Counter>,
     waves: Arc<gpm_obs::Counter>,
-    /// Candidate-list entries visited by the wave loop: per wave, the sum
-    /// over the active pattern edges `e` (those whose target lost candidates)
-    /// of `|mat_0(from(e))|`, the length of the packed initial list — live or
-    /// not, each entry costs one membership test. A function of the merge
-    /// order alone, so identical at any thread or chunk count.
+    /// Slots visited by the wave loop: per wave, the sum over the active
+    /// pattern edges `e` (those whose target lost candidates) of the slots
+    /// of `from(e)` — `|mat_0(from(e))|` in `Match`, `|sat(from(e))|` in a
+    /// match state's build — live or not, each slot costs one flag test. A
+    /// function of the merge order alone, so identical at any thread or
+    /// chunk count.
     membership_scans: Arc<gpm_obs::Counter>,
     initial_candidates: Arc<gpm_obs::Counter>,
     removed_candidates: Arc<gpm_obs::Counter>,
@@ -261,53 +266,130 @@ struct Work {
     membership_scans: usize,
 }
 
-/// `Match`'s refinement state: per pattern node `u` the membership bitmap
-/// of `mat(u)`, its live count and an ascending list holding it, and one
-/// `u32` **witness counter** per pattern edge and data node, `|E_p|·|V|`
-/// of them.
+/// `Match`'s refinement state, indexed by **slot**: a slot of pattern node
+/// `u` is a position in `u`'s ascending slot list. Per pattern node it holds
+/// that list, one membership flag per slot, the live count and an ascending
+/// list holding `mat(u)`; per pattern edge `e`, one `u32` **witness
+/// counter** per slot of `from(e)`.
 ///
-/// The invariant, between calls: for every pattern edge `e` and every
+/// A run that clears (`Match`) ends, so its slots are `mat₀(u)` itself. A
+/// refinement that is kept ([`Refinement::greatest_fixpoint`]) takes
+/// `sat(u)`, the nodes satisfying `u`'s predicate, which edge updates never
+/// change: a node dropped from `mat₀(u)` for having no out-edge can gain one
+/// and join later.
+///
+/// The invariant, between calls: `mat(u)` is within `u`'s slots, its list
+/// is exactly `mat(u)`, and for every pattern edge `e` and every
 /// `x ∈ mat(from(e))`, `counter(e, x)` is the number of nodes of
-/// `mat(to(e))` that `x` reaches within `bound(e)` on the current oracle,
-/// and the list of `u` is exactly `mat(u)`. The counters of a node outside
-/// `mat(from(e))` are stale and never read: a node that joins is counted
-/// afresh ([`Refinement::count`]).
+/// `mat(to(e))` that `x` reaches within `bound(e)` on the current oracle.
+/// The counter of a slot outside `mat(from(e))` is stale and never read: a
+/// node that joins is counted afresh ([`Refinement::count`]).
 ///
 /// `Match` builds one and keeps only its lists; `gpm-incremental`'s match
 /// state owns one for the life of a query and maintains it with
 /// [`Refinement::count`], [`Refinement::add`], [`Refinement::shift`] and
-/// [`Refinement::cascade`], the same wave `Match` refines with.
+/// [`Refinement::cascade`], the same wave `Match` refines with. These take
+/// node ids: a kept refinement answers membership from a `|V|`-bit row per
+/// pattern node and finds a slot by a rank over a second one (24 bytes per
+/// 64 data nodes and pattern node).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Refinement {
     edges: Vec<PatternEdge>,
-    /// Ascending, holding `mat(u)`; inside `Match`'s run `mat₀(u)`, of
-    /// which only the bitmap shrinks until the final wave compacts it.
-    lists: Vec<Vec<NodeId>>,
+    slots: Vec<Vec<NodeId>>,
+    /// `member[u][i]`: whether `slots[u][i] ∈ mat(u)`.
     member: Vec<Vec<bool>>,
     live: Vec<usize>,
-    /// `counters[e][x]`, `|V|` wide per pattern edge.
+    /// Ascending, holding `mat(u)`; inside a run `mat₀(u)`, of which only
+    /// the flags shrink until the final wave compacts it.
+    lists: Vec<Vec<NodeId>>,
+    /// `counters[e][i]`: the counter of `slots[from(e)][i]`.
     counters: Vec<Vec<u32>>,
+    /// Per pattern node, its slots and members as `|V|`-bit rows in 64-bit
+    /// words, each word with the count of slots before it: a node's slot is
+    /// one rank, its membership one bit. Only a kept refinement looks nodes
+    /// up and builds them; `Match`'s are empty.
+    ranks: Vec<Vec<Rank>>,
+}
+
+/// 64 data nodes of a rank row: the slots before them, and which of them
+/// are slots and members.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Rank {
+    before: u32,
+    slots: u64,
+    members: u64,
 }
 
 impl Refinement {
     /// The greatest fixpoint of the refinement: `Match` without clearing
     /// to `∅`, so a pattern node keeps its matches when another's empty.
-    /// Runs and is accounted like a `Match` run.
+    /// Its slots are `sat(u)`. Runs and is accounted like a `Match` run.
     pub fn greatest_fixpoint<O: DistanceQuery + Sync + ?Sized>(
         pattern: &PatternGraph,
         graph: &DataGraph,
         oracle: &O,
         exec: &Executor,
     ) -> Self {
-        metered(pattern, graph, oracle, exec, false)
-            .0
-            .expect("a refinement that never clears always finishes")
+        let mut r = (metered(pattern, graph, oracle, exec, false).0)
+            .expect("a refinement that never clears always finishes");
+        for (slots, member) in r.slots.iter().zip(&r.member) {
+            let mut row = vec![Rank::default(); graph.node_count().div_ceil(64)];
+            for (&x, &flag) in slots.iter().zip(member) {
+                let (word, bit) = (&mut row[x.index() / 64], 1 << (x.index() % 64));
+                word.slots |= bit;
+                word.members |= if flag { bit } else { 0 };
+            }
+            let mut before = 0;
+            for word in &mut row {
+                (word.before, before) = (before, before + word.slots.count_ones());
+            }
+            r.ranks.push(row);
+        }
+        r
+    }
+
+    /// `x`'s word in `u`'s rank row and its bit there.
+    #[inline]
+    fn rank(&self, u: PatternNodeId, x: NodeId) -> Option<(Rank, u64)> {
+        let word = self.ranks[u.index()].get(x.index() / 64)?;
+        Some((*word, 1 << (x.index() % 64)))
+    }
+
+    /// Sets the member bit of `x`, a slot of `u`, in a kept refinement.
+    fn set_member_bit(&mut self, u: PatternNodeId, x: NodeId, member: bool) {
+        if let Some(word) =
+            (self.ranks.get_mut(u.index())).and_then(|row| row.get_mut(x.index() / 64))
+        {
+            let bit = 1 << (x.index() % 64);
+            word.members = (word.members & !bit) | if member { bit } else { 0 };
+        }
+    }
+
+    /// Whether `x` is one of `u`'s slots.
+    #[inline]
+    pub fn covers(&self, u: PatternNodeId, x: NodeId) -> bool {
+        self.rank(u, x)
+            .is_some_and(|(word, bit)| word.slots & bit != 0)
+    }
+
+    /// The slot of `x` in `u`'s slot list: the slot bits before `x`'s. A
+    /// node outside the list can never be in `mat(u)`, so asking for its
+    /// counter is a caller's bug.
+    #[inline]
+    fn slot_of(&self, u: PatternNodeId, x: NodeId) -> usize {
+        match self.rank(u, x) {
+            Some((word, bit)) if word.slots & bit != 0 => {
+                (word.before + (word.slots & (bit - 1)).count_ones()) as usize
+            }
+            _ => panic!("{x} is not a slot of {u}"),
+        }
     }
 
     /// Whether `x ∈ mat(u)`.
     #[inline]
     pub fn contains(&self, u: PatternNodeId, x: NodeId) -> bool {
-        self.member[u.index()][x.index()]
+        self.rank(u, x)
+            .is_some_and(|(word, bit)| word.members & bit != 0)
     }
 
     /// `mat(u)` per pattern node, each ascending.
@@ -316,15 +398,23 @@ impl Refinement {
         &self.lists
     }
 
-    /// The witness counter of pattern edge `edge` (its index in
-    /// [`PatternGraph::edges`]) at data node `x`.
+    /// The slot list per pattern node, each ascending: the nodes that may
+    /// be in `mat(u)`.
     #[inline]
-    pub fn counter(&self, edge: usize, x: NodeId) -> u32 {
-        self.counters[edge][x.index()]
+    pub fn slots(&self) -> &[Vec<NodeId>] {
+        &self.slots
     }
 
-    /// Recounts the counter of `edge` at `x` on `oracle` against
-    /// `mat(to(edge))`, one `count_within` call, and returns it.
+    /// The witness counter of pattern edge `edge` (its index in
+    /// [`PatternGraph::edges`]) at data node `x`, a slot of `from(edge)`.
+    #[inline]
+    pub fn counter(&self, edge: usize, x: NodeId) -> u32 {
+        self.counters[edge][self.slot_of(self.edges[edge].from, x)]
+    }
+
+    /// Recounts the counter of `edge` at `x`, a slot of `from(edge)`, on
+    /// `oracle` against `mat(to(edge))`, one `count_within` call, and
+    /// returns it.
     pub fn count<O: DistanceQuery + ?Sized>(
         &mut self,
         graph: &DataGraph,
@@ -334,7 +424,8 @@ impl Refinement {
     ) -> u32 {
         let e = self.edges[edge];
         let count = oracle.count_within(graph, x, &self.lists[e.to.index()], e.bound);
-        self.counters[edge][x.index()] = count;
+        let i = self.slot_of(e.from, x);
+        self.counters[edge][i] = count;
         count
     }
 
@@ -342,30 +433,35 @@ impl Refinement {
     /// `mat(to(edge))` within the bound of `x`, or a distance crossed it.
     #[inline]
     pub fn shift(&mut self, edge: usize, x: NodeId, gained: bool) {
-        let counter = &mut self.counters[edge][x.index()];
+        let i = self.slot_of(self.edges[edge].from, x);
+        let counter = &mut self.counters[edge][i];
         *counter = if gained { *counter + 1 } else { *counter - 1 };
     }
 
-    /// Whether some out-edge of `u` has no witness for `x`.
+    /// Whether some out-edge of `u` has no witness for `x`, a slot of `u`.
     pub fn unwitnessed(&self, u: PatternNodeId, x: NodeId) -> bool {
-        (self.edges.iter().enumerate()).any(|(ei, e)| e.from == u && self.counter(ei, x) == 0)
+        let i = self.slot_of(u, x);
+        (self.edges.iter().zip(&self.counters)).any(|(e, row)| e.from == u && row[i] == 0)
     }
 
-    /// Adds `x`, not a member, to `mat(u)`. Its counters are the caller's
-    /// to set.
+    /// Adds `x`, a slot of `u` but not a member, to `mat(u)`. Its counters
+    /// are the caller's to set.
     pub fn add(&mut self, u: PatternNodeId, x: NodeId) {
-        debug_assert!(!self.contains(u, x), "{x} already matches {u}");
-        self.member[u.index()][x.index()] = true;
+        let i = self.slot_of(u, x);
+        let was = std::mem::replace(&mut self.member[u.index()][i], true);
+        debug_assert!(!was, "{x} already matches {u}");
+        self.set_member_bit(u, x, true);
         self.live[u.index()] += 1;
         let list = &mut self.lists[u.index()];
         list.insert(list.partition_point(|&w| w < x), x);
     }
 
-    /// Clears the membership of `x` in `mat(u)`, leaving the list to the
-    /// next compaction.
-    fn take(&mut self, u: PatternNodeId, x: NodeId) -> bool {
-        let was = std::mem::replace(&mut self.member[u.index()][x.index()], false);
+    /// Clears the membership of slot `i` in `mat(u)`, leaving the list to
+    /// the next compaction.
+    fn take(&mut self, u: PatternNodeId, i: usize) -> bool {
+        let was = std::mem::replace(&mut self.member[u.index()][i], false);
         self.live[u.index()] -= usize::from(was);
+        self.set_member_bit(u, self.slots[u.index()][i], false);
         was
     }
 
@@ -383,7 +479,7 @@ impl Refinement {
     ) -> usize {
         let (mut work, done) = (Work::default(), removed.len());
         for &(u, x) in &seeds {
-            self.take(u, x);
+            self.take(u, self.slot_of(u, x));
         }
         removed.extend(seeds);
         let exec = Executor::sequential();
@@ -393,8 +489,8 @@ impl Refinement {
 
     /// The wave (lines 11-14 of Fig. 4) from the pairs `removed[done..]`,
     /// already taken out: per wave, the decrements the removed nodes imply
-    /// are computed in parallel against the wave-start membership (pure
-    /// reads of `member` and the oracle), then applied in (edge, x) order; a
+    /// are computed in parallel against the wave-start flags (pure reads of
+    /// `member` and the oracle), then applied in (edge, slot) order; a
     /// counter that reaches zero appends its node to `removed`, the next
     /// wave. With `clear`, the first emptied `mat(u)` stops the run
     /// (`false`). Otherwise the lists are compacted at the fixpoint.
@@ -409,8 +505,9 @@ impl Refinement {
         clear: bool,
         work: &mut Work,
     ) -> bool {
-        let (np, edges, stats) = (self.lists.len(), &self.edges, &mut work.stats);
+        let (np, stats) = (self.lists.len(), &mut work.stats);
         while done < removed.len() {
+            let edges = &self.edges;
             let mut removed_per_u: Vec<Vec<NodeId>> = vec![Vec::new(); np];
             for &(u, y) in &removed[done..] {
                 removed_per_u[u.index()].push(y);
@@ -420,58 +517,52 @@ impl Refinement {
             let active: Vec<usize> = (0..edges.len())
                 .filter(|&ei| !removed_per_u[edges[ei].to.index()].is_empty())
                 .collect();
-            // The wave's reads: a membership test per list entry of each
-            // active edge's source, and one per (live parent, removed
-            // target) pair.
+            // The wave's reads: a flag test per slot of each active edge's
+            // source, and one per (live parent, removed target) pair.
             let mut reads = 0;
             for &ei in &active {
                 let (from, to) = (edges[ei].from.index(), edges[ei].to.index());
-                work.membership_scans += self.lists[from].len();
-                reads += self.lists[from].len() + self.live[from] * removed_per_u[to].len();
+                work.membership_scans += self.slots[from].len();
+                reads += self.slots[from].len() + self.live[from] * removed_per_u[to].len();
             }
             work.waves += 1;
             let n_chunks = chunks_for(exec, reads);
-            // Per task: (index into the source's list, decrement) for every
-            // still-live parent that could reach a node removed this wave.
-            let (lists, member) = (&self.lists, &self.member);
+            // Per task: (slot, decrement) for every still-live parent that
+            // could reach a node removed this wave.
+            let (slots, member) = (&self.slots, &self.member);
             let deltas: Vec<Vec<(usize, u32)>> =
                 exec.map_tasks(active.len() * n_chunks, region_hint(reads), |ti| {
                     let e = &edges[active[ti / n_chunks]];
-                    let parent = e.from.index();
+                    let (parents, live) = (&slots[e.from.index()], &member[e.from.index()]);
                     let removed = &removed_per_u[e.to.index()];
-                    let (start, end) = chunk_range(lists[parent].len(), ti % n_chunks, n_chunks);
+                    let (start, end) = chunk_range(parents.len(), ti % n_chunks, n_chunks);
                     let mut out: Vec<(usize, u32)> = Vec::new();
-                    for (i, &x) in lists[parent][start..end].iter().enumerate() {
-                        if !member[parent][x.index()] {
-                            continue;
-                        }
-                        let d = oracle.count_within(graph, x, removed, e.bound);
+                    for i in (start..end).filter(|&i| live[i]) {
+                        let d = oracle.count_within(graph, parents[i], removed, e.bound);
                         if d > 0 {
-                            out.push((start + i, d));
+                            out.push((i, d));
                         }
                     }
                     out
                 });
             for (ti, chunk_deltas) in deltas.into_iter().enumerate() {
                 let ei = active[ti / n_chunks];
-                let parent = edges[ei].from;
+                let parent = self.edges[ei].from;
                 let p = parent.index();
                 for (i, d) in chunk_deltas {
-                    let x = self.lists[p][i];
-                    if !self.member[p][x.index()] {
+                    if !self.member[p][i] {
                         // Removed earlier in this merge pass (through
                         // another edge); its counters no longer matter.
                         continue;
                     }
                     stats.counter_decrements += d as usize;
-                    let counter = &mut self.counters[ei][x.index()];
+                    let counter = &mut self.counters[ei][i];
                     debug_assert!(*counter >= d, "witness counter underflow");
                     *counter -= d;
                     if *counter == 0 {
-                        self.member[p][x.index()] = false;
-                        self.live[p] -= 1;
+                        self.take(parent, i);
                         stats.removed_candidates += 1;
-                        removed.push((parent, x));
+                        removed.push((parent, self.slots[p][i]));
                         if clear && self.live[p] == 0 {
                             stats.failed_early = true;
                             return false;
@@ -480,22 +571,25 @@ impl Refinement {
                 }
             }
         }
-        for (list, (row, &live)) in self
-            .lists
-            .iter_mut()
-            .zip(self.member.iter().zip(&self.live))
-        {
-            if list.len() != live {
-                list.retain(|x| row[x.index()]);
+        for (u, list) in self.lists.iter_mut().enumerate() {
+            if list.len() != self.live[u] {
+                *list = members(&self.slots[u], &self.member[u]);
             }
         }
         true
     }
 }
 
+/// The slots whose flag is set, ascending.
+fn members(slots: &[NodeId], flags: &[bool]) -> Vec<NodeId> {
+    let set = slots.iter().zip(flags).filter(|(_, &flag)| flag);
+    set.map(|(&x, _)| x).collect()
+}
+
 /// The refinement itself (see the public wrapper above for the obs
 /// accounting): candidate selection, the witness-count pass and the waves.
-/// With `clear`, the run returns `None` at the first emptied `mat(u)`.
+/// With `clear`, the run returns `None` at the first emptied `mat(u)`, and
+/// the slots are `mat₀(u)`; without, they are `sat(u)` ([`Refinement`]).
 fn refine<O: DistanceQuery + Sync + ?Sized>(
     pattern: &PatternGraph,
     graph: &DataGraph,
@@ -504,46 +598,53 @@ fn refine<O: DistanceQuery + Sync + ?Sized>(
     clear: bool,
     work: &mut Work,
 ) -> Option<Refinement> {
-    let (np, nv) = (pattern.node_count(), graph.node_count());
+    let np = pattern.node_count();
     let stats = &mut work.stats;
 
     // mat(u) as a packed ascending candidate list per pattern node (lines
     // 4-5 of Fig. 4), read from the graph's attribute index on the caller
     // thread: a list is a few binary searches and posting-slice copies, less
-    // than a region's thread spawns. The lists are what the refinement
-    // iterates; `member` is their O(1) membership test, and the only one of
-    // the two that shrinks until the fixpoint.
+    // than a region's thread spawns. A node without an out-edge cannot
+    // witness a pattern node with one. The lists are what the count pass
+    // reads as targets; the per-slot flags are the membership test, and the
+    // only part that shrinks until the fixpoint.
     let edges: Vec<PatternEdge> = pattern.edges().copied().collect();
     let ne = edges.len();
     let mut r = Refinement {
         edges,
-        lists: Vec::with_capacity(np),
+        slots: Vec::with_capacity(np),
         member: Vec::with_capacity(np),
         live: Vec::with_capacity(np),
+        lists: Vec::with_capacity(np),
         counters: vec![Vec::new(); ne],
+        ranks: Vec::new(),
     };
     for u in pattern.node_ids() {
-        let mut list = graph.nodes_satisfying(pattern.predicate(u));
-        if pattern.out_degree(u) > 0 {
-            list.retain(|&v| graph.out_degree(v) > 0);
-        }
+        let sat = graph.nodes_satisfying(pattern.predicate(u));
+        let needs_out_edge = pattern.out_degree(u) > 0;
+        let witnessing = |v: &NodeId| !needs_out_edge || graph.out_degree(*v) > 0;
+        let (slots, member, list) = if clear {
+            let list: Vec<NodeId> = sat.into_iter().filter(witnessing).collect();
+            (list.clone(), vec![true; list.len()], list)
+        } else {
+            let member: Vec<bool> = sat.iter().map(witnessing).collect();
+            let list = members(&sat, &member);
+            (sat, member, list)
+        };
         stats.initial_candidates += list.len();
         if clear && list.is_empty() {
             stats.failed_early = true;
             return None;
         }
-        let mut row = vec![false; nv];
-        for v in &list {
-            row[v.index()] = true;
-        }
-        r.member.push(row);
+        r.slots.push(slots);
+        r.member.push(member);
         r.live.push(list.len());
         r.lists.push(list);
     }
 
-    // Witness counters per pattern edge: cnt[e][x] = |{y in mat₀(to(e)) :
-    // within(x, y, bound(e))}| for each live candidate x of from(e) — one
-    // row-level oracle query per live x.
+    // Witness counters per pattern edge: cnt[e][i] = |{y in mat₀(to(e)) :
+    // within(x, y, bound(e))}| for each live slot x = slots[from(e)][i] —
+    // one row-level oracle query per live x.
     //
     // Edges are counted one at a time, cheapest first: ascending
     // |mat₀(from)|·|mat₀(to)|, ties by edge index (the sort is stable), an
@@ -554,7 +655,7 @@ fn refine<O: DistanceQuery + Sync + ?Sized>(
     // the dearer edges are counted. Every edge still counts against the
     // *initial* target list, so each later removal of a witness `y` is
     // exactly one decrement. Each chunk task owns a disjoint range of the
-    // source list; chunk results are stitched back in task order.
+    // source's slots; the chunk results, in slot order, are the counters.
     let mut order: Vec<usize> = (0..ne).collect();
     order.sort_by_key(|&ei| {
         let e = &r.edges[ei];
@@ -564,33 +665,32 @@ fn refine<O: DistanceQuery + Sync + ?Sized>(
     for &ei in &order {
         let e = r.edges[ei];
         let from = e.from.index();
-        let (sources, targets) = (&r.lists[from], &r.lists[e.to.index()]);
+        let (sources, live) = (&r.slots[from], &r.member[from]);
+        let targets = &r.lists[e.to.index()];
         let reads = r.live[from] * targets.len();
         let n_chunks = chunks_for(exec, reads);
-        let live = &r.member[from];
-        let counts: Vec<Vec<u32>> = exec.map_tasks(n_chunks, region_hint(reads), |ci| {
+        let mut counts: Vec<Vec<u32>> = exec.map_tasks(n_chunks, region_hint(reads), |ci| {
             let (start, end) = chunk_range(sources.len(), ci, n_chunks);
-            let count = |&x: &NodeId| match live[x.index()] {
-                true => oracle.count_within(graph, x, targets, e.bound),
+            let count = |i| match live[i] {
+                true => oracle.count_within(graph, sources[i], targets, e.bound),
                 false => 0,
             };
-            sources[start..end].iter().map(count).collect()
+            (start..end).map(count).collect()
         });
         // Every live source was counted against every target.
         work.count_calls += r.live[from];
         work.counted_pairs += reads;
-        let mut row = vec![0; nv];
-        for (x, count) in sources.iter().zip(counts.into_iter().flatten()) {
-            row[x.index()] = count;
-        }
-        for i in 0..r.lists[from].len() {
-            let x = r.lists[from][i];
-            if row[x.index()] > 0 || !r.take(e.from, x) {
+        let row = match counts.len() {
+            1 => counts.pop().expect("one chunk"),
+            _ => counts.concat(),
+        };
+        for (i, &count) in row.iter().enumerate() {
+            if count > 0 || !r.take(e.from, i) {
                 continue;
             }
-            // x cannot witness edge e: it leaves mat(from) now.
+            // The slot cannot witness edge e: it leaves mat(from) now.
             stats.removed_candidates += 1;
-            removed.push((e.from, x));
+            removed.push((e.from, r.slots[from][i]));
             if clear && r.live[from] == 0 {
                 stats.failed_early = true;
                 return None;

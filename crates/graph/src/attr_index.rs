@@ -43,11 +43,15 @@
 //! drives (the earlier atom on a tie): its nodes come off its posting slices
 //! or one scan of its code column. The other atoms then filter the survivors
 //! in ascending `m`, each with a test on its own code column, so the widest
-//! atom tests the fewest nodes. A key no node carries, or an atom no node
-//! passes, ends the plan with no node read. When an atom's passing codes
-//! form one range — every atom but a `!=` on a value some node holds and
-//! some atoms whose tie band holds more than one entry — a code is tested
-//! with one `wrapping_sub` and one compare.
+//! atom tests the fewest nodes. On a column whose whole posting array
+//! ascends (node order follows value order, as for a key that numbers the
+//! nodes) the driving atom copies its passing slices in code order, which is
+//! already ascending: no merge and no scan, whatever its ranges. A key no
+//! node carries, or an atom no node passes, ends the plan with no node
+//! read. When an atom's passing codes form one range — every atom but a
+//! `!=` on a value some node holds and some atoms whose tie band holds
+//! more than one entry — a code is tested with one `wrapping_sub` and one
+//! compare.
 //!
 //! The index is derived data: [`DataGraph`](crate::DataGraph) builds it on
 //! the first predicate query and drops it when an attribute tuple is written
@@ -83,6 +87,10 @@ struct Column {
     /// ascending. Codes are laid out in order, so a code range is one slice.
     offsets: Vec<u32>,
     postings: Vec<NodeId>,
+    /// Whether `postings` ascends as a whole, not only per code: node order
+    /// follows value order, as for a key that numbers the nodes. Any code
+    /// ranges' slices, copied in code order, are then ascending.
+    ascending: bool,
 }
 
 /// A value's place in the dictionary order (see the module docs): the
@@ -304,8 +312,9 @@ impl Plan<'_> {
     /// The nodes passing the atom, ascending, by whichever of two plans
     /// reads fewer entries. Both write the `m` nodes that pass. Merging the
     /// `k` passing posting lists reads those `m` entries once per merge
-    /// pass, `⌈log₂ k⌉` passes (none for a single list); scanning reads all
-    /// `|V|` codes.
+    /// pass, `⌈log₂ k⌉` passes (none for a single list, nor on an ascending
+    /// column, whose slices in code order already ascend); scanning reads
+    /// all `|V|` codes.
     fn select(&self) -> Vec<NodeId> {
         let (column, m) = (self.column, self.postings);
         let k: usize = self
@@ -313,13 +322,16 @@ impl Plan<'_> {
             .iter()
             .map(|&(start, end)| (end - start) as usize)
             .sum();
-        let merge_passes = k.next_power_of_two().trailing_zeros() as usize;
+        let merge_passes = match column.ascending {
+            true => 0,
+            false => k.next_power_of_two().trailing_zeros() as usize,
+        };
         if m * merge_passes < column.codes.len() {
             let mut selected = Vec::with_capacity(m);
             for &r in &self.ranges {
                 selected.extend_from_slice(column.postings_of(r));
             }
-            if k > 1 {
+            if merge_passes > 0 {
                 // `k` ascending runs: the stable sort finds and merges them.
                 selected.sort();
             }
@@ -353,6 +365,7 @@ impl Column {
             codes: vec![NONE; n],
             offsets: Vec::new(),
             postings: Vec::with_capacity(entries.len()),
+            ascending: false,
         };
         let mut last = None;
         for (rank, v) in entries {
@@ -365,6 +378,7 @@ impl Column {
             column.postings.push(NodeId::new(v));
         }
         column.offsets.push(column.postings.len() as u32);
+        column.ascending = column.postings.windows(2).all(|pair| pair[0] < pair[1]);
         let values = &column.values;
         column.classes = std::array::from_fn(|class| {
             values.partition_point(|v| rank(v).class() < class as u8) as u32

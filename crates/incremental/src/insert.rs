@@ -131,7 +131,7 @@ pub(crate) fn process_additions<O: DistanceQuery + Sync + ?Sized>(
         // up: counting each edge in full refused late, and on the 2-hop
         // labels that doubled the repair's time. An admitted x is then
         // counted on every out-edge, which sets its counters.
-        let (satisfying, mat) = (&state.satisfying, &mut state.mat);
+        let mat = &mut state.mat;
         let out = || {
             pattern
                 .edges()
@@ -155,7 +155,8 @@ pub(crate) fn process_additions<O: DistanceQuery + Sync + ?Sized>(
         // The join: +1 to each matched parent within bound, and every
         // candidate parent within it queued for its own check.
         for (ei, e) in pattern.edges().enumerate().filter(|(_, e)| e.to == u) {
-            for &w in &satisfying[e.from.index()] {
+            for i in 0..mat.slots()[e.from.index()].len() {
+                let w = mat.slots()[e.from.index()][i];
                 if !oracle.within(graph, w, x, e.bound) {
                     continue;
                 }

@@ -667,6 +667,45 @@ mod tests {
         }
     }
 
+    /// A node that satisfies `x`'s predicate but has no out-edge when the
+    /// state is built is outside `mat₀(x)`, yet must stay in the state's
+    /// slots: a batch that gives it an out-edge to a match of `x`'s child
+    /// makes it join `mat(x)`, and deleting that edge takes it out again.
+    /// After each batch the repaired state equals one built afresh, on
+    /// both back-ends.
+    #[test]
+    fn a_node_without_out_edges_at_build_joins_once_it_gains_one() {
+        // 0:a0 (no out-edge), 1:a1, 2:a0 → 1; x:a0 -[1]-> y:a1.
+        let g0 = labeled_graph(&["a0", "a1", "a0"], &[(2, 1)]);
+        let mut p = PatternGraph::new();
+        let x = p.add_node(Predicate::label("a0"));
+        let y = p.add_node(Predicate::label("a1"));
+        p.add_edge(x, y, EdgeBound::ONE).unwrap();
+        let late = NodeId::new(0);
+        let exec = Executor::sequential();
+        for backend in gpm_distance::OracleBackend::ALL {
+            let mut g = g0.clone();
+            let mut oracle = backend.build(&g, &exec);
+            let mut state = MatchState::initialise_with(&p, &g, oracle.as_ref(), &exec);
+            assert!(
+                state.in_can(x, late),
+                "{backend}: {late} starts a candidate"
+            );
+            for (update, joined) in [
+                (EdgeUpdate::Insert(late, NodeId::new(1)), true),
+                (EdgeUpdate::Delete(late, NodeId::new(1)), false),
+            ] {
+                assert!(update.apply(&mut g));
+                let aff1 = oracle.apply_batch(&g, &[update], &exec);
+                repair_match_state(&p, &g, oracle.as_ref(), &mut state, &aff1)
+                    .unwrap_or_else(|never| match never {});
+                assert_eq!(state.in_mat(x, late), joined, "{backend}: {update:?}");
+                let fresh = MatchState::initialise_with(&p, &g, oracle.as_ref(), &exec);
+                assert_eq!(state, fresh, "{backend}: {update:?}");
+            }
+        }
+    }
+
     /// The cyclic probe's repair work, pinned: the Fig. 6 stand-in
     /// (`Dataset::YouTube` at scale 0.05, |V| = 741), one mixed stream of
     /// batches of 3 generated from an evolving copy (400 batches in release,

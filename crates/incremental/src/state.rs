@@ -9,23 +9,30 @@
 //!   Since node attributes never change under edge updates, candidacy is
 //!   computed once.
 //!
-//! `mat` is `Match`'s own refinement state, a [`Refinement`]: a `|V|`-wide
-//! membership bitmap and a packed ascending list per pattern node, and one
-//! `u32` witness counter per pattern edge and data node. The counter
-//! invariant holds after every repair step: for each pattern edge `e` and
-//! each `x ∈ mat(from(e))`, the counter is the number of nodes of
-//! `mat(to(e))` that `x` reaches within `bound(e)` on the current oracle.
-//! The repair keeps it with `Match`'s one wave (see [`crate::repair`]), and
-//! the state has no setter that could break it. `can(u)` is the predicate
-//! list beside it, minus `mat(u)`.
+//! `mat` is `Match`'s own refinement state, a [`Refinement`]: per pattern
+//! node an ascending slot list, one membership flag per slot and a packed
+//! ascending list of `mat(u)`, and per pattern edge `e` one `u32` witness
+//! counter per slot of `from(e)`. The slots are `sat(u)`, the predicate's
+//! nodes, not `Match`'s out-degree-filtered `mat₀(u)`: a node with no
+//! out-edge at registration can gain one and join. The counter invariant holds after every repair step: for each
+//! pattern edge `e` and each `x ∈ mat(from(e))`, the counter is the number
+//! of nodes of `mat(to(e))` that `x` reaches within `bound(e)` on the
+//! current oracle. The repair keeps it with `Match`'s one wave (see
+//! [`crate::repair`]), and the state has no setter that could break it.
+//! `can(u)` is the slot list minus `mat(u)`.
 //!
-//! The counters cost `|E_p|·|V|` `u32` per query. On the repo benchmark's
-//! workloads, whose queries have at most four pattern edges, that is at
-//! most 4.6 KiB a query on `wire-stream` (|V| = 297, 8 queries), 16.2 KiB on
-//! `inproc-maintain` (|V| = 1 038, 4 queries) and 3.5 KiB on `twohop-churn`
-//! (|V| = 222, 4 queries); `match-cold` keeps no state, and its `Match`
-//! calls hold at most 39 KiB of counters (10 pattern edges, |V| = 1 000)
-//! until they return.
+//! The counters cost `Σ_e |sat(from(e))|` `u32` per query, and the lookups
+//! by node id a `|V|`-bit membership row and a `|V|`-bit slot row with a
+//! rank per word per pattern node (24 bytes per 64 data nodes). Per query,
+//! the whole state (lists, flags, counters and rows; the dense layout it
+//! replaced held `2·|V_p|·|V|` flags and `|E_p|·|V|` counters): at most
+//! 9.3 KiB (was 11.7) and 3.9 KiB on average (was 8.9) on `wire-stream`
+//! (|V| = 297, 8 queries), 14.4 KiB (was 31.0) and 7.8 KiB (was 28.1) on
+//! `inproc-maintain` (|V| = 1 038, 4 queries), 3.8 KiB (was 7.5) and
+//! 1.6 KiB (was 6.0) on `twohop-churn` (|V| = 222, 4 queries), and 31.0 KiB
+//! (was 149.9) for `exp_oracle_scale --scale 0.01`'s anchored chain
+//! (|V| = 10 000, ≈ 625 nodes per predicate). `match-cold` keeps no state;
+//! its `Match` calls hold `Σ_e |mat₀(from(e))|` counters until they return.
 //!
 //! A state is never persisted. The maximum match is unique, so the state is
 //! a function of (pattern, graph), and [`MatchState::initialise_with`] is
@@ -52,11 +59,7 @@ use gpm_graph::{DataGraph, NodeId, PatternGraph, PatternNodeId};
 /// Per-pattern-node match and candidate sets.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatchState {
-    /// `satisfies[u][v]`: does `v` satisfy the predicate of `u`?
-    satisfies: Vec<Vec<bool>>,
-    /// The set entries of `satisfies[u]`, ascending.
-    pub(crate) satisfying: Vec<Vec<NodeId>>,
-    /// `mat(u)` and its witness counters.
+    /// `mat(u)` and its witness counters, indexed by the slots `sat(u)`.
     pub(crate) mat: Refinement,
 }
 
@@ -85,30 +88,14 @@ impl MatchState {
         oracle: &O,
         exec: &Executor,
     ) -> Self {
-        let satisfying: Vec<Vec<NodeId>> = pattern
-            .node_ids()
-            .map(|u| graph.nodes_satisfying(pattern.predicate(u)))
-            .collect();
-        let satisfies = satisfying
-            .iter()
-            .map(|list| {
-                let mut row = vec![false; graph.node_count()];
-                for v in list {
-                    row[v.index()] = true;
-                }
-                row
-            })
-            .collect();
         MatchState {
-            satisfies,
-            satisfying,
             mat: Refinement::greatest_fixpoint(pattern, graph, oracle, exec),
         }
     }
 
     /// Number of pattern nodes.
     pub fn pattern_node_count(&self) -> usize {
-        self.satisfying.len()
+        self.mat.sets().len()
     }
 
     /// Whether `(u, v)` is in the current maximum match.
@@ -120,13 +107,13 @@ impl MatchState {
     /// Whether `v` is in `can(u)`: satisfies the predicate but is not matched.
     #[inline]
     pub fn in_can(&self, u: PatternNodeId, v: NodeId) -> bool {
-        self.satisfies[u.index()][v.index()] && !self.in_mat(u, v)
+        self.satisfies(u, v) && !self.in_mat(u, v)
     }
 
     /// Whether `v` satisfies the predicate of `u` (candidate or matched).
     #[inline]
     pub fn satisfies(&self, u: PatternNodeId, v: NodeId) -> bool {
-        self.satisfies[u.index()][v.index()]
+        self.mat.covers(u, v)
     }
 
     /// The data nodes currently matching `u` (ascending order).
@@ -139,7 +126,7 @@ impl MatchState {
     /// `mat(u)` and `can(u)` together. Edge updates never change it.
     #[inline]
     pub(crate) fn satisfying(&self, u: PatternNodeId) -> &[NodeId] {
-        &self.satisfying[u.index()]
+        &self.mat.slots()[u.index()]
     }
 
     /// The candidate (non-matched, predicate-satisfying) nodes of `u`, in

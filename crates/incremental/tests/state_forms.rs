@@ -1,4 +1,5 @@
-//! `MatchState` keeps every set twice: a `|V|`-wide bitmap and a packed
+//! `MatchState` keeps every set twice: membership flags (per slot, and as
+//! bits of a `|V|`-bit row for lookups by node id) and a packed
 //! ascending list. This property holds the two forms to each other after
 //! every step of unit and batch update streams repaired on both distance
 //! back-ends:

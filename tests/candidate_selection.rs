@@ -170,3 +170,66 @@ fn hand_built_plans_equal_the_node_filter_in_every_atom_order() {
     assert_eq!(sat(&preds[6]), 11);
     assert!(sat(&preds[16]) > 0 && sat(&preds[17]) > 0 && sat(&preds[20]) > 0);
 }
+
+#[test]
+fn ascending_and_broken_posting_orders_equal_the_node_filter() {
+    const P53: i64 = 1 << 53;
+    // `idx` numbers the nodes (node `i` holds `idx = i`), so its postings
+    // ascend across codes and a selection on it copies the passing slices
+    // in code order. Four more nodes keep that order and put a tie band on
+    // it: `Int(2⁵³)`, `Int(2⁵³ + 1)` and `Float(2⁵³)` share an image, and
+    // `1e300` lies above it.
+    let mut ascending = cold_graph();
+    for idx in [
+        AttrValue::Int(P53),
+        AttrValue::Int(P53 + 1),
+        AttrValue::Float(P53 as f64),
+        AttrValue::Float(1e300),
+    ] {
+        ascending.add_node([
+            ("label", AttrValue::from("a7")),
+            ("weight", AttrValue::Int(7)),
+            ("idx", idx),
+        ]);
+    }
+    // One node more whose `idx` is the smallest breaks the order: its code
+    // comes first, its id last, so `idx` must take the merge-or-scan rule.
+    let mut broken = ascending.clone();
+    broken.add_node([
+        ("label", AttrValue::from("a7")),
+        ("weight", AttrValue::Int(7)),
+        ("idx", AttrValue::Int(-1)),
+    ]);
+    let preds = [
+        // One range, alone and in conjunctions.
+        Predicate::atom("idx", CmpOp::Le, 500),
+        Predicate::atom("idx", CmpOp::Gt, 990),
+        Predicate::atom("idx", CmpOp::Lt, 40).and("label", CmpOp::Ne, "a7"),
+        Predicate::atom("label", CmpOp::Eq, "a7").and("idx", CmpOp::Ge, 10),
+        // `!=`: two ranges, alone, driving and filtering.
+        Predicate::atom("idx", CmpOp::Ne, 500),
+        Predicate::atom("idx", CmpOp::Ne, 500).and("weight", CmpOp::Le, 900),
+        Predicate::atom("idx", CmpOp::Ne, 3).and("idx", CmpOp::Lt, 6),
+        Predicate::atom("label", CmpOp::Eq, "a7").and("idx", CmpOp::Ne, 77),
+        // The tie band: `!= 2⁵³` passes below it, `Int(2⁵³ + 1)` and above
+        // it (three ranges); `< 2⁵³ + 1` passes `Int(2⁵³)` only in it;
+        // `== 2⁵³` passes inside it only.
+        Predicate::atom("idx", CmpOp::Ne, P53),
+        Predicate::atom("idx", CmpOp::Ne, P53).and("weight", CmpOp::Lt, 8),
+        Predicate::atom("idx", CmpOp::Lt, P53 + 1).and("idx", CmpOp::Gt, 995),
+        Predicate::atom("idx", CmpOp::Eq, P53 as f64),
+        Predicate::atom("weight", CmpOp::Eq, 7).and("idx", CmpOp::Ge, P53),
+    ];
+    for g in [&ascending, &broken] {
+        for pred in &preds {
+            check_every_order(g, pred);
+        }
+    }
+    // The cases select something where they should.
+    let sat = |g: &DataGraph, p: &Predicate| g.nodes_satisfying(p).len();
+    assert_eq!(sat(&ascending, &preds[0]), 501);
+    assert_eq!(sat(&broken, &preds[0]), 502);
+    assert_eq!(sat(&ascending, &preds[4]), ascending.node_count() - 1);
+    assert_eq!(sat(&ascending, &preds[8]), ascending.node_count() - 2);
+    assert!(sat(&ascending, &preds[11]) >= 2 && sat(&broken, &preds[12]) >= 4);
+}

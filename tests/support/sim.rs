@@ -25,6 +25,7 @@ use super::{forced, labelled_graph, TempRoot};
 use gpm::exec::Parallelism;
 use gpm::matching::naive::bounded_simulation_naive_with_oracle;
 use gpm::net::{NetClient, NetServer, ServerOptions};
+use gpm::service::snapshot::{decode_manifest, MANIFEST_FILE, SNAPSHOT_DIR};
 use gpm::service::wal::{encode_record, read_wal_bytes, WalOp, WAL_FILE, WAL_MAGIC};
 use gpm::{
     fold_deltas, generate_pattern, random_updates, BatchOutcome, DataGraph, DistanceMatrix,
@@ -502,6 +503,11 @@ pub struct DurableRun {
     pub tail: Vec<BatchOutcome>,
     /// The log the script left (before the tail).
     pub wal: Vec<u8>,
+    /// The directory as the script left it, before the tail: the snapshot
+    /// that `wal` continues.
+    pub scripted: PathBuf,
+    /// The ops that snapshot holds (0 without one).
+    pub base: usize,
     /// The fingerprint after the tail.
     pub end: Fingerprint,
 }
@@ -563,6 +569,12 @@ pub fn durable_run(
         }
     }
     let wal = fs::read(&wal_path).unwrap();
+    let scripted = root.path("scripted");
+    copy_dir(&dir, &scripted);
+    let base = match fs::read(scripted.join(SNAPSHOT_DIR).join(MANIFEST_FILE)) {
+        Ok(manifest) => decode_manifest(&manifest).unwrap().next_seq as usize,
+        Err(_) => 0,
+    };
     let tail = script.tail.iter().map(|b| svc.apply(b)).collect();
     DurableRun {
         created,
@@ -570,6 +582,8 @@ pub fn durable_run(
         outcomes,
         tail,
         wal,
+        scripted,
+        base,
         end: fingerprint(&mut svc),
     }
 }
